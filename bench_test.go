@@ -152,31 +152,98 @@ func benchRetime(b *testing.B, incremental bool) {
 func BenchmarkIncrementalRetime(b *testing.B) { benchRetime(b, true) }
 func BenchmarkFullRetime(b *testing.B)        { benchRetime(b, false) }
 
-func benchSurvey(b *testing.B, workers int) {
+// surveyEngine builds the two-scenario survey fixture on a fresh design.
+func surveyEngine(name string, workers int) *core.Engine {
 	stack := parasitics.Stack16()
 	recipe := core.OldGoalPosts(liberty.Node16, stack)
 	const seed = 42
 	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
-		Name: "surv", Inputs: 24, Outputs: 24, FFs: 96, Gates: 1400,
+		Name: name, Inputs: 24, Outputs: 24, FFs: 96, Gates: 1400,
 		MaxDepth: 13, Seed: seed, ClockBufferLevels: 3,
 		VtMix: [3]float64{0, 0.4, 0.6},
 	})
-	e := &core.Engine{
+	return &core.Engine{
 		D: d, Recipe: recipe, BasePeriod: 560, ClockPort: d.Port("clk"),
 		Parasitics: sta.NewNetBinder(stack, seed),
 		Workers:    workers,
 	}
+}
+
+// rebuilt returns a new engine over e's design and parasitics: one that has
+// no analyzers yet.
+func rebuilt(e *core.Engine) *core.Engine {
+	return &core.Engine{
+		D: e.D, Recipe: e.Recipe, BasePeriod: e.BasePeriod, ClockPort: e.ClockPort,
+		Parasitics: e.Parasitics, Workers: e.Workers,
+	}
+}
+
+// benchSurvey surveys with one engine throughout. The engine keeps its
+// analyzers between surveys, so every timed survey is a warm one: a full
+// re-time of each scenario with no analyzer construction and every net's
+// delay calculation served from the cache — the survey a closure loop's
+// margin-recovery verification runs. cold rebuilds the engine (over the
+// same design and parasitics) for each survey: analyzer construction,
+// levelization and delay calculation for every net, the first survey of any
+// closure run.
+func benchSurvey(b *testing.B, workers int, cold bool) {
+	e := surveyEngine("surv", workers)
+	if _, err := e.Survey(); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			e = rebuilt(e)
+		}
 		if _, err := e.Survey(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMCMMSurveySerial(b *testing.B)   { benchSurvey(b, 1) }
-func BenchmarkMCMMSurveyParallel(b *testing.B) { benchSurvey(b, 0) }
+func BenchmarkMCMMSurveySerial(b *testing.B)       { benchSurvey(b, 1, false) }
+func BenchmarkMCMMSurveyParallel(b *testing.B)     { benchSurvey(b, 0, false) }
+func BenchmarkMCMMSurveyColdSerial(b *testing.B)   { benchSurvey(b, 1, true) }
+func BenchmarkMCMMSurveyColdParallel(b *testing.B) { benchSurvey(b, 0, true) }
+
+// BenchmarkNetDelayCalc is the net delay calculation layer alone: the RC
+// moment kernel over one design's worth of synthesized nets (fanouts 1 to
+// 12, receiver pin caps attached) with SI Miller factors on, one op per
+// sweep of all nets, on a warm scratch.
+func BenchmarkNetDelayCalc(b *testing.B) {
+	gen := parasitics.NewNetGen(parasitics.Stack16(), 42)
+	type loaded struct {
+		tree *parasitics.Tree
+		caps []float64
+	}
+	nets := make([]loaded, 2000)
+	for i := range nets {
+		fanout := 1 + i%12
+		caps := make([]float64, fanout)
+		for j := range caps {
+			caps[j] = 0.8 + 0.3*float64(j%4)
+		}
+		nets[i] = loaded{gen.Net(fanout), caps}
+	}
+	var sc parasitics.Scratch
+	sweep := func() (sum float64) {
+		for _, n := range nets {
+			m := sc.Moments(n.tree, n.caps, nil, 0.65, 1.35)
+			sum += m.CapL + m.M2[0]
+		}
+		return sum
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = sweep()
+	}
+}
+
+var benchSink float64
 
 // ------------------------------------------------------------------------
 // Observability overhead: the same survey and analyzer workloads with
@@ -185,22 +252,14 @@ func BenchmarkMCMMSurveyParallel(b *testing.B) { benchSurvey(b, 0) }
 // permanently in the hot paths; they should stay within noise (<2%).
 
 func benchSurveyObs(b *testing.B, rec bool) {
-	stack := parasitics.Stack16()
-	recipe := core.OldGoalPosts(liberty.Node16, stack)
-	const seed = 42
-	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
-		Name: "obsb", Inputs: 24, Outputs: 24, FFs: 96, Gates: 1400,
-		MaxDepth: 13, Seed: seed, ClockBufferLevels: 3,
-		VtMix: [3]float64{0, 0.4, 0.6},
-	})
-	e := &core.Engine{
-		D: d, Recipe: recipe, BasePeriod: 560, ClockPort: d.Port("clk"),
-		Parasitics: sta.NewNetBinder(stack, seed),
-		Workers:    0,
-	}
+	base := surveyEngine("obsb", 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A recorder is bound when an analyzer is built, so recording a
+		// survey into a new one means building its analyzers; the Off side
+		// builds them too, so the pair differs in recording alone.
+		e := rebuilt(base)
 		if rec {
 			e.Obs = obs.NewRecorder()
 		}

@@ -130,6 +130,12 @@ func Registry() []Invariant {
 			Check: checkTriageClusterMerge,
 		},
 		{
+			Name:  "survey-resident-identical",
+			Law:   "a closure engine that keeps its analyzers between surveys is indistinguishable from one built per survey: across retyped cells, an NDR, useful-skew offsets and an inserted buffer, every survey and every analyzer's full timing state are bit-identical to a fresh engine's",
+			Scope: PerDesign,
+			Check: checkSurveyResident,
+		},
+		{
 			Name:  "delay-monotone-load-slew",
 			Law:   "NLDM cell delay and output slew are nondecreasing in output load and input slew over every characterized arc",
 			Scope: PerRun,

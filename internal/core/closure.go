@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -50,6 +51,14 @@ type Engine struct {
 
 	store *opt.Store
 	uskew map[*netlist.Cell]units.Ps
+	// resident holds the last survey's analyzers, in recipe order, and what
+	// they were built from; the next survey re-times them in place while
+	// that still describes the engine (see runScenarios).
+	resident struct {
+		as   []*sta.Analyzer
+		from analyzerInputs
+		scen []Scenario
+	}
 	// obsParent is the span the next survey parents under (the in-flight
 	// iteration during Close, nil for bare Survey calls); obsSurvey is the
 	// in-flight survey span scenario spans attach to. Both are only read
@@ -179,13 +188,13 @@ func ConstraintsFor(d *netlist.Design, clockPort *netlist.Port, basePeriod, inpu
 	return cons
 }
 
-// analyzer builds the STA view for one scenario with the engine's current
-// netlist, NDR store and useful-skew schedule. parent, when recording,
-// parents the analyzer's sta-level spans (typically the scenario span).
-// topo, when non-nil, is a frozen timing graph another analyzer already
-// built over this exact netlist — the new analyzer adopts it read-only
-// instead of re-levelizing (see sta.Config.Topology).
-func (e *Engine) analyzer(s Scenario, topo *sta.Topology, parent *obs.Span) (*sta.Analyzer, error) {
+// view assembles one scenario's constraints and analyzer config from the
+// engine's current useful-skew schedule, NDR store and placement. parent,
+// when recording, parents the analyzer's sta-level spans (typically the
+// scenario span). topo, when non-nil, is a frozen timing graph another
+// analyzer already built over this exact netlist — a new analyzer adopts it
+// read-only instead of re-levelizing (see sta.Config.Topology).
+func (e *Engine) view(s Scenario, topo *sta.Topology, parent *obs.Span) (*sta.Constraints, sta.Config) {
 	cons := ConstraintsFor(e.D, e.ClockPort, e.BasePeriod, e.InputArrival, s)
 	for ff, off := range e.uskew {
 		cons.ExtraCKLatency[ff] = off
@@ -202,11 +211,70 @@ func (e *Engine) analyzer(s Scenario, topo *sta.Topology, parent *obs.Span) (*st
 		droop := ir.Run(e.Place, s.Lib, ir.DefaultConfig())
 		cfg.CellDerate = droop.DerateFn()
 	}
+	return cons, cfg
+}
+
+// analyzer builds and runs the STA view of one scenario over the engine's
+// current netlist.
+func (e *Engine) analyzer(s Scenario, topo *sta.Topology, parent *obs.Span) (*sta.Analyzer, error) {
+	cons, cfg := e.view(s, topo, parent)
 	a, err := sta.New(e.D, cons, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return a, a.Run()
+}
+
+// retime brings resident analyzer a, built for scenario s over a netlist
+// whose structure has not changed since, to the state a freshly built one
+// would reach: the per-survey inputs — constraints carrying the current
+// useful-skew schedule, the droop map, the parent span — are swapped in and
+// the full Run re-resolves every master and recomputes exactly the nets
+// whose tree or sink caps moved.
+func (e *Engine) retime(a *sta.Analyzer, s Scenario, parent *obs.Span) error {
+	cons, cfg := e.view(s, nil, parent)
+	a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan = cons, cfg.CellDerate, parent
+	return a.Run()
+}
+
+// analyzerInputs is everything view reads from the engine that a built
+// analyzer holds on to, the scenarios aside. The netlist enters by identity
+// and structural revision: retyped cells, NDRs and the skew schedule are
+// picked up by a re-run, a changed graph is not.
+type analyzerInputs struct {
+	d            *netlist.Design
+	revision     uint64
+	clockPort    *netlist.Port
+	basePeriod   units.Ps
+	inputArrival units.Ps
+	workers      int
+	obs          *obs.Recorder
+	place        *place.Placement
+	store        *opt.Store
+}
+
+// sameScenario reports whether two scenarios configure identical analyzers.
+// The derate model compares deeply (AOCV carries table slices), the rest by
+// value and pointer identity.
+func sameScenario(a, b Scenario) bool {
+	da, db := a.Derate, b.Derate
+	a.Derate, b.Derate = nil, nil
+	return a == b && reflect.DeepEqual(da, db)
+}
+
+// residentsCurrent reports whether the last survey's analyzers still
+// describe the engine, so that re-timing them equals rebuilding them.
+func (e *Engine) residentsCurrent(in analyzerInputs) bool {
+	r := &e.resident
+	if r.as == nil || r.from != in || len(r.scen) != len(e.Recipe.Scenarios) {
+		return false
+	}
+	for i, s := range e.Recipe.Scenarios {
+		if !sameScenario(s, r.scen[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // workers resolves Engine.Workers (0 = one per CPU, min 1).
@@ -221,19 +289,35 @@ func (e *Engine) workers() int {
 	return w
 }
 
-// runScenarios builds and runs one analyzer per scenario across a bounded
+// runScenarios brings one analyzer per scenario up to date across a bounded
 // worker pool. Results come back indexed by scenario so callers can merge
 // them in recipe order regardless of completion order — the determinism
 // rule of concurrent signoff. The shared parasitics store is warmed
 // serially first so stateful tree synthesis happens in net order, exactly
-// as a serial survey would have generated it. The first scenario runs on
-// the calling goroutine and freezes the timing graph topology; the rest
-// adopt it read-only, so levelization happens once per survey rather than
-// once per scenario.
+// as a serial survey would have generated it.
+//
+// The analyzers stay with the engine between surveys. While nothing they
+// were built from has changed — the engine's fields, the scenarios, the
+// netlist's structural revision — a survey re-times them in place and pays
+// only for the nets and masters that moved. Otherwise it rebuilds them: the
+// first scenario runs on the calling goroutine and freezes the timing graph
+// topology, the rest adopt it read-only, so levelization happens once per
+// rebuild rather than once per scenario.
 func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	e.store.Warm(e.D.Nets)
 	scen := e.Recipe.Scenarios
-	as := make([]*sta.Analyzer, len(scen))
+	in := analyzerInputs{
+		d: e.D, revision: e.D.Revision(), clockPort: e.ClockPort,
+		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
+		workers: e.Workers, obs: e.Obs, place: e.Place, store: e.store,
+	}
+	warm := e.residentsCurrent(in)
+	if !warm {
+		e.resident.as = make([]*sta.Analyzer, len(scen))
+		e.resident.from = in
+		e.resident.scen = append(e.resident.scen[:0], scen...)
+	}
+	as := e.resident.as
 	errs := make([]error, len(scen))
 	if len(scen) == 0 {
 		return as, nil
@@ -243,15 +327,24 @@ func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	// counter so the metrics dump shows how balanced the pool ran.
 	evalOne := func(i, g int, topo *sta.Topology) {
 		sp := e.Obs.Start("scenario:"+scen[i].Name, e.obsSurvey).OnTrack(g + 1)
-		as[i], errs[i] = e.analyzer(scen[i], topo, sp)
+		if warm {
+			errs[i] = e.retime(as[i], scen[i], sp)
+		} else {
+			as[i], errs[i] = e.analyzer(scen[i], topo, sp)
+		}
 		sp.End()
 		if e.Obs != nil {
 			e.Obs.Counter(fmt.Sprintf("core.worker_%02d.scenarios", g)).Add(1)
 		}
 	}
+	// fail forgets the analyzers: a failed run leaves them half-timed.
+	fail := func(i int) ([]*sta.Analyzer, error) {
+		e.resident.as = nil
+		return nil, fmt.Errorf("scenario %s: %w", scen[i].Name, errs[i])
+	}
 	evalOne(0, 0, nil)
 	if errs[0] != nil {
-		return nil, fmt.Errorf("scenario %s: %w", scen[0].Name, errs[0])
+		return fail(0)
 	}
 	topo := as[0].Topology()
 	rest := len(scen) - 1
@@ -283,7 +376,7 @@ func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", scen[i].Name, err)
+			return fail(i)
 		}
 	}
 	return as, nil
@@ -386,6 +479,22 @@ func (e *Engine) Survey() (Iteration, error) {
 	}
 	it, _, _, _, err := e.survey()
 	return it, err
+}
+
+// Analyzers returns the last survey's analyzers in recipe order, each timed
+// as of that survey, or nil before the first. The next survey re-times them
+// in place, so a caller holds them only until then.
+func (e *Engine) Analyzers() []*sta.Analyzer { return e.resident.as }
+
+// SetUsefulSkew replaces the engine's useful-skew schedule: per-flip-flop
+// clock-arrival offsets in the reference scenario's time base, the state
+// Close's last fix lever accumulates. It lets a design be surveyed under
+// the schedule it was closed with. The map is copied.
+func (e *Engine) SetUsefulSkew(offsets map[*netlist.Cell]units.Ps) {
+	e.uskew = make(map[*netlist.Cell]units.Ps, len(offsets))
+	for ff, off := range offsets {
+		e.uskew[ff] = off
+	}
 }
 
 // Close runs the Figure 1 loop to completion or iteration exhaustion.

@@ -1,0 +1,213 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"newgame/internal/liberty"
+	"newgame/internal/netlist"
+	"newgame/internal/obs"
+	"newgame/internal/parasitics"
+	"newgame/internal/sta"
+)
+
+// freshSurvey surveys a clone of e's design with a new engine configured
+// like e: what e's own Survey must report whatever e did before. The
+// useful-skew schedule and NDRs are engine state no test here sets, and
+// none changes an existing net's sink count, so the sequential binder hands
+// the clone's nets the trees it handed the originals.
+func freshSurvey(t *testing.T, e *Engine, seed int64) Iteration {
+	t.Helper()
+	d := e.D.Clone()
+	f := &Engine{
+		D: d, Recipe: e.Recipe, BasePeriod: e.BasePeriod, ClockPort: d.Port(e.ClockPort.Name),
+		Parasitics:   sta.NewNetBinder(parasitics.Stack16(), seed),
+		InputArrival: e.InputArrival, Workers: e.Workers,
+	}
+	it, err := f.Survey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+func survey(t *testing.T, e *Engine) (Iteration, []*sta.Analyzer) {
+	t.Helper()
+	it, err := e.Survey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it, append([]*sta.Analyzer(nil), e.Analyzers()...)
+}
+
+func sameAnalyzers(a, b []*sta.Analyzer) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A survey keeps its analyzers for the next one across retyped cells, and
+// gives them up when the netlist's structure moves; either way the result is
+// a fresh engine's.
+func TestSurveyKeepsAnalyzersUntilStructureChanges(t *testing.T) {
+	const seed = 42
+	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	lib := recipe.Scenarios[0].Lib
+	d := detTestDesign(lib, seed)
+	e := detEngine(recipe, d, seed, 1)
+	first, as := survey(t, e)
+	if again, kept := survey(t, e); !sameAnalyzers(kept, as) || !reflect.DeepEqual(again, first) {
+		t.Fatal("second survey of an untouched design must reuse the analyzers and repeat the result")
+	}
+
+	retyped := 0
+	for _, c := range d.Cells {
+		m := lib.Cell(c.TypeName)
+		if to := lib.Variant(m, m.Drive, liberty.LVT); !m.IsSequential() && to != nil && to != m && retyped < 25 {
+			c.SetType(to.Name)
+			retyped++
+		}
+	}
+	if retyped == 0 {
+		t.Fatal("no cell to retype")
+	}
+	got, kept := survey(t, e)
+	if !sameAnalyzers(kept, as) {
+		t.Error("SetType alone must not cost the analyzers")
+	}
+	if reflect.DeepEqual(got, first) {
+		t.Error("retyping 25 cells left the survey unchanged: the resident analyzers missed it")
+	}
+	if want := freshSurvey(t, e, seed); !reflect.DeepEqual(got, want) {
+		t.Errorf("after SetType: resident survey\n %+v\nfresh engine\n %+v", got, want)
+	}
+
+	var net *netlist.Net
+	for _, n := range d.Nets {
+		if n.Driver != nil && len(n.Loads) >= 2 {
+			net = n
+			break
+		}
+	}
+	if _, err := d.InsertBuffer(net, net.Loads[:1], lib.Variant(lib.Cell("BUF_X1_SVT"), 1, liberty.SVT).Name); err != nil {
+		t.Fatal(err)
+	}
+	got, rebuilt := survey(t, e)
+	for i := range rebuilt {
+		if rebuilt[i] == as[i] {
+			t.Errorf("scenario %d: analyzer survived a buffer insertion", i)
+		}
+	}
+	if want := freshSurvey(t, e, seed); !reflect.DeepEqual(got, want) {
+		t.Errorf("after InsertBuffer: resident survey\n %+v\nfresh engine\n %+v", got, want)
+	}
+}
+
+// Everything an analyzer is built from is part of what keeps it: changing
+// any of it between surveys costs the analyzers. A recorder in particular is
+// bound at construction, so a kept analyzer would go on recording into the
+// old one.
+func TestSurveyRebuildsWhenItsInputsChange(t *testing.T) {
+	const seed = 42
+	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	d := detTestDesign(recipe.Scenarios[0].Lib, seed)
+	e := detEngine(recipe, d, seed, 1)
+	e.Recipe.Scenarios = append([]Scenario(nil), recipe.Scenarios...)
+	_, as := survey(t, e)
+
+	rec := obs.NewRecorder()
+	otherLib := e.Recipe.Scenarios[1].Lib
+	for _, step := range []struct {
+		name   string
+		change func()
+		check  func(t *testing.T, it Iteration)
+	}{
+		{"Obs", func() { e.Obs = rec }, func(t *testing.T, _ Iteration) {
+			if rec.Counter("sta.run.nets_filled").Value() == 0 {
+				t.Error("the new recorder saw no delay calculation: analyzers still bound to the old one")
+			}
+		}},
+		{"Workers", func() { e.Workers = 4 }, nil},
+		{"BasePeriod", func() { e.BasePeriod += 40 }, nil},
+		{"InputArrival", func() { e.InputArrival = 55 }, nil},
+		{"scenario Lib", func() { e.Recipe.Scenarios[0].Lib = otherLib }, func(t *testing.T, it Iteration) {
+			if a := e.Analyzers()[0]; a.Cfg.Lib != otherLib {
+				t.Error("scenario 0 still analyzed under its old library")
+			}
+		}},
+		{"scenario margin", func() { e.Recipe.Scenarios[0].SetupUncertainty += 15 }, nil},
+	} {
+		step.change()
+		got, now := survey(t, e)
+		for i := range now {
+			if now[i] == as[i] {
+				t.Errorf("%s changed: scenario %d kept its analyzer", step.name, i)
+			}
+		}
+		if want := freshSurvey(t, e, seed); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s changed: resident survey\n %+v\nfresh engine\n %+v", step.name, got, want)
+		}
+		if step.check != nil {
+			step.check(t, got)
+		}
+		as = now
+		if _, kept := survey(t, e); !sameAnalyzers(kept, as) {
+			t.Errorf("%s: survey after the change settled did not keep the analyzers", step.name)
+		}
+	}
+}
+
+// A full closure run — fix passes editing cells, buffers, NDRs and the skew
+// schedule between surveys — ends with analyzers that agree, endpoint for
+// endpoint, with ones built from scratch on the final netlist, and with no
+// hold endpoint left violated.
+func TestCloseLeavesAnalyzersCurrent(t *testing.T) {
+	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	e := engine(t, recipe, 560, 42)
+	if _, err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range recipe.Scenarios {
+		fresh, err := e.analyzer(s, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := e.Analyzers()[i]
+		if kept == fresh {
+			t.Fatal("analyzer() must build a new analyzer")
+		}
+		for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
+			if !reflect.DeepEqual(kept.EndpointSlacks(kind), fresh.EndpointSlacks(kind)) {
+				t.Errorf("scenario %s: resident analyzer's %v endpoints differ from a fresh build's", s.Name, kind)
+			}
+		}
+		if !s.ForHold {
+			continue
+		}
+		for _, ep := range kept.EndpointSlacks(sta.Hold) {
+			if ep.Slack < 0 {
+				t.Errorf("scenario %s: hold endpoint %s left at %.1f ps", s.Name, ep.Name(), ep.Slack)
+			}
+		}
+	}
+}
+
+// A warm survey pays for its queries and constraint sets, not for analyzers
+// or delay calculation: it measures 209 objects on this design, where a
+// survey that builds its analyzers measures 3 029.
+func TestWarmSurveyAllocations(t *testing.T) {
+	const seed = 42
+	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	e := detEngine(recipe, detTestDesign(recipe.Scenarios[0].Lib, seed), seed, 1)
+	survey(t, e)
+	const limit = 300
+	if n := testing.AllocsPerRun(5, func() { survey(t, e) }); n > limit {
+		t.Errorf("warm survey allocates %v objects, want at most %d", n, limit)
+	}
+}

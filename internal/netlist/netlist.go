@@ -120,7 +120,14 @@ type Design struct {
 	netsByName  map[string]*Net
 	portsByName map[string]*Port
 	nameSeq     int
+	revision    uint64
 }
+
+// Revision counts the design's structural edits: it moves whenever a cell,
+// net or port is added or removed or a pin changes nets, and never on
+// SetType. A graph built over the design still describes it for as long as
+// the revision stands where it stood when the graph was built.
+func (d *Design) Revision() uint64 { return d.revision }
 
 // New returns an empty design.
 func New(name string) *Design {
@@ -158,6 +165,7 @@ func (d *Design) AddCell(name, typeName string, pins ...PinDecl) (*Cell, error) 
 	}
 	d.Cells = append(d.Cells, c)
 	d.cellsByName[name] = c
+	d.revision++
 	return c, nil
 }
 
@@ -181,6 +189,7 @@ func (d *Design) AddNet(name string) (*Net, error) {
 	n := &Net{Name: name}
 	d.Nets = append(d.Nets, n)
 	d.netsByName[name] = n
+	d.revision++
 	return n, nil
 }
 
@@ -198,6 +207,7 @@ func (d *Design) AddPort(name string, dir PinDir) (*Port, error) {
 	n.Port = p
 	d.Ports = append(d.Ports, p)
 	d.portsByName[name] = p
+	d.revision++
 	return p, nil
 }
 
@@ -223,6 +233,7 @@ func (d *Design) Connect(c *Cell, pinName string, n *Net) error {
 		n.Loads = append(n.Loads, p)
 	}
 	p.Net = n
+	d.revision++
 	return nil
 }
 
@@ -243,6 +254,7 @@ func (d *Design) Disconnect(p *Pin) {
 		}
 	}
 	p.Net = nil
+	d.revision++
 }
 
 // SetType changes the library master of a cell. It is the primitive under
@@ -319,6 +331,7 @@ func (d *Design) RemoveCell(c *Cell) {
 			break
 		}
 	}
+	d.revision++
 }
 
 // CleanDanglingNets removes nets with no driver, no loads and no port.
@@ -334,6 +347,9 @@ func (d *Design) CleanDanglingNets() int {
 		kept = append(kept, n)
 	}
 	d.Nets = kept
+	if removed > 0 {
+		d.revision++
+	}
 	return removed
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -335,7 +336,16 @@ func LeakageRecovery(ctx *Context, slackFloor units.Ps, maxMoves int) (Report, e
 type Store struct {
 	base func(*netlist.Net) *parasitics.Tree
 	ndr  map[*netlist.Net]NDR
+
+	// ruled memoises each NDR'd net's re-ruled tree together with the base
+	// tree it was scaled from: analyzers key their per-net delay cache on
+	// the tree pointer, so a net must keep one tree for as long as its rule
+	// and its route stand. Scenario analyzers call Fn's binder concurrently.
+	mu    sync.Mutex
+	ruled map[*netlist.Net]ruledTree
 }
+
+type ruledTree struct{ base, scaled *parasitics.Tree }
 
 // NDR is a non-default routing rule.
 type NDR struct {
@@ -358,7 +368,7 @@ func (s *Store) NDROf(n *netlist.Net) (NDR, bool) { r, ok := s.ndr[n]; return r,
 
 // NewStore wraps a base binder.
 func NewStore(base func(*netlist.Net) *parasitics.Tree) *Store {
-	return &Store{base: base, ndr: map[*netlist.Net]NDR{}}
+	return &Store{base: base, ndr: map[*netlist.Net]NDR{}, ruled: map[*netlist.Net]ruledTree{}}
 }
 
 // Warm touches every net through the base binder, in order. A stateful
@@ -378,15 +388,27 @@ func (s *Store) Fn() func(*netlist.Net) *parasitics.Tree {
 		if t == nil {
 			return nil
 		}
-		if rule, ok := s.ndr[n]; ok {
-			return t.ScaledCopy(rule.R, rule.C, rule.Cc)
+		rule, ok := s.ndr[n]
+		if !ok {
+			return t
 		}
-		return t
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		rt := s.ruled[n]
+		if rt.base != t {
+			rt = ruledTree{base: t, scaled: t.ScaledCopy(rule.R, rule.C, rule.Cc)}
+			s.ruled[n] = rt
+		}
+		return rt.scaled
 	}
 }
 
-// SetNDR assigns a rule to a net.
-func (s *Store) SetNDR(n *netlist.Net, rule NDR) { s.ndr[n] = rule }
+// SetNDR assigns a rule to a net. It must not run concurrently with the
+// binder (fix passes assign rules between surveys, never during one).
+func (s *Store) SetNDR(n *netlist.Net, rule NDR) {
+	s.ndr[n] = rule
+	delete(s.ruled, n)
+}
 
 // HasNDR reports whether a net carries a rule.
 func (s *Store) HasNDR(n *netlist.Net) bool { _, ok := s.ndr[n]; return ok }

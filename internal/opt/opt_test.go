@@ -422,3 +422,36 @@ func TestStoreNDRAccessors(t *testing.T) {
 		t.Error("nil tree should stay nil")
 	}
 }
+
+// An NDR'd net keeps one scaled tree until its rule or its route changes:
+// analyzers key their per-net delay cache on the pointer.
+func TestStoreNDRTreeIsStable(t *testing.T) {
+	route := parasitics.NewTree()
+	route.MarkSink(route.AddNode(0, 2, 3, 1, 0))
+	st := NewStore(func(*netlist.Net) *parasitics.Tree { return route })
+	d := netlist.New("x")
+	n, _ := d.AddNet("n")
+	bind := st.Fn()
+	if bind(n) != route {
+		t.Fatal("net without a rule must see the base tree")
+	}
+	st.SetNDR(n, WideSpaced)
+	wide := bind(n)
+	if wide == route || wide.R[1] != route.R[1]*WideSpaced.R {
+		t.Fatalf("rule not applied: R %v", wide.R[1])
+	}
+	if bind(n) != wide || st.Fn()(n) != wide {
+		t.Error("same rule, same route: the scaled tree must be reused")
+	}
+	st.SetNDR(n, Shielded)
+	shielded := bind(n)
+	if shielded == wide || shielded.Cc[1] != route.Cc[1]*Shielded.Cc {
+		t.Error("a new rule must produce a new tree")
+	}
+	old := route
+	route = parasitics.NewTree()
+	route.MarkSink(route.AddNode(0, 4, 3, 1, 0))
+	if rerouted := bind(n); rerouted == shielded || rerouted.R[1] != route.R[1]*Shielded.R {
+		t.Errorf("a re-routed net must be re-scaled from its new tree, not %v's", old.R[1])
+	}
+}

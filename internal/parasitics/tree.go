@@ -119,43 +119,6 @@ func (t *Tree) TotalCap(s *Scaling) units.FF {
 	return sum
 }
 
-// moments computes voltage-transfer moments m1..mOrder at every node under
-// scaling, with coupling grounded at the given Miller factor. m[k][i] is the
-// k-th moment at node i (m1 = Elmore delay). The classic iterative scheme is
-// used: moment k is an Elmore computation with node caps C_i·m_{k-1}(i).
-func (t *Tree) moments(s *Scaling, miller float64, order int) [][]float64 {
-	n := t.N()
-	m := make([][]float64, order+1)
-	m[0] = make([]float64, n)
-	for i := range m[0] {
-		m[0][i] = 1
-	}
-	// Children lists once.
-	kids := make([][]int, n)
-	for i := 1; i < n; i++ {
-		kids[t.Parent[i]] = append(kids[t.Parent[i]], i)
-	}
-	// Topological order: parents precede children by construction (AddNode
-	// requires an existing parent), so index order is topological.
-	down := make([]float64, n)
-	for k := 1; k <= order; k++ {
-		mk := make([]float64, n)
-		// Downstream weighted cap: sum over subtree of C_j * m_{k-1}(j).
-		for i := n - 1; i >= 0; i-- {
-			down[i] = t.nodeCap(i, s, miller) * m[k-1][i]
-			for _, ch := range kids[i] {
-				down[i] += down[ch]
-			}
-		}
-		for i := 1; i < n; i++ {
-			r := t.R[i] * s.rAt(t.Layer[i])
-			mk[i] = mk[t.Parent[i]] + r*down[i]
-		}
-		m[k] = mk
-	}
-	return m
-}
-
 // Elmore returns the Elmore delay (ps) from root to every sink, in sink
 // order.
 func (t *Tree) Elmore(s *Scaling) []units.Ps {
@@ -165,12 +128,10 @@ func (t *Tree) Elmore(s *Scaling) []units.Ps {
 // ElmoreM is Elmore with an explicit Miller factor on coupling caps — SI
 // analysis uses 2 (opposing aggressor) for late and 0 (assisting) for early.
 func (t *Tree) ElmoreM(s *Scaling, miller float64) []units.Ps {
-	m := t.moments(s, miller, 1)
-	out := make([]float64, len(t.Sinks))
-	for i, sink := range t.Sinks {
-		out[i] = m[1][sink]
-	}
-	return out
+	var sc Scratch
+	sc.bind(t, nil, s)
+	sc.pass(miller, 1)
+	return sc.atSinks(nil, sc.m1)
 }
 
 // TotalCapM is TotalCap with an explicit Miller factor.
@@ -192,59 +153,48 @@ func (t *Tree) TotalCoupling(s *Scaling) units.FF {
 	return sum
 }
 
-// WithSinkCaps returns a copy of the tree with extra grounded capacitance
-// (receiver pin caps, in sink order) attached at each sink. The caps are
-// placed on zero-resistance virtual nodes with layer −1 so BEOL corner
-// scaling does not touch them. The receiver is untouched.
-func (t *Tree) WithSinkCaps(caps []float64) *Tree {
-	cp := &Tree{
-		Parent: append([]int(nil), t.Parent...),
-		R:      append([]float64(nil), t.R...),
-		C:      append([]float64(nil), t.C...),
-		Cc:     append([]float64(nil), t.Cc...),
-		Layer:  append([]int(nil), t.Layer...),
-		Sinks:  append([]int(nil), t.Sinks...),
-	}
-	for i, sink := range cp.Sinks {
-		if i < len(caps) && caps[i] > 0 {
-			cp.AddNode(sink, 0, caps[i], 0, -1)
-		}
-	}
-	return cp
-}
-
 // DelayD2M returns the D2M delay metric m1²/√m2 · ln2 per sink — a standard
 // two-moment metric that corrects Elmore's pessimism on far sinks while
 // remaining an upper-bound-style estimate on near ones.
 func (t *Tree) DelayD2M(s *Scaling) []units.Ps {
-	m := t.moments(s, MillerFactor, 2)
-	out := make([]float64, len(t.Sinks))
-	for i, sink := range t.Sinks {
-		m1, m2 := m[1][sink], m[2][sink]
-		if m2 <= 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Ln2 * m1 * m1 / math.Sqrt(m2)
-	}
-	return out
+	return t.sinkMetric(s, D2M)
 }
 
 // SlewDegradation returns the wire-induced slew component per sink: the
 // spread of the impulse response, √(2·m2 − m1²), scaled to a 10–90 ramp.
 // Receivers combine it with the driver slew in RMS fashion (PERI model).
 func (t *Tree) SlewDegradation(s *Scaling) []units.Ps {
-	m := t.moments(s, MillerFactor, 2)
+	return t.sinkMetric(s, WireSlew)
+}
+
+// sinkMetric evaluates a two-moment metric at every sink under nominal
+// Miller coupling.
+func (t *Tree) sinkMetric(s *Scaling, metric func(m1, m2 float64) units.Ps) []units.Ps {
+	var sc Scratch
+	sc.bind(t, nil, s)
+	sc.pass(MillerFactor, 2)
 	out := make([]float64, len(t.Sinks))
 	for i, sink := range t.Sinks {
-		m1, m2 := m[1][sink], m[2][sink]
-		v := 2*m2 - m1*m1
-		if v < 0 {
-			v = 0
-		}
-		out[i] = 2.2 * math.Sqrt(v)
+		out[i] = metric(sc.m1[sink], sc.m2[sink])
 	}
 	return out
+}
+
+// D2M is the two-moment delay metric ln2 · m1²/√m2 of one sink.
+func D2M(m1, m2 float64) units.Ps {
+	if m2 <= 0 {
+		return 0
+	}
+	return math.Ln2 * m1 * m1 / math.Sqrt(m2)
+}
+
+// WireSlew is the 10–90 wire slew component 2.2 · √(2·m2 − m1²) of one sink.
+func WireSlew(m1, m2 float64) units.Ps {
+	v := 2*m2 - m1*m1
+	if v < 0 {
+		v = 0
+	}
+	return 2.2 * math.Sqrt(v)
 }
 
 // PiModel is the O'Brien–Savarino reduced driver load: C1 at the driver, R
@@ -290,17 +240,15 @@ func (p PiModel) CEff(driverR units.KOhm) units.FF {
 // subtree reduction.
 func (t *Tree) admittanceMoments(s *Scaling) (float64, float64, float64) {
 	n := t.N()
-	kids := make([][]int, n)
-	for i := 1; i < n; i++ {
-		kids[t.Parent[i]] = append(kids[t.Parent[i]], i)
-	}
+	var sc Scratch
+	sc.bind(t, nil, s)
 	y1 := make([]float64, n)
 	y2 := make([]float64, n)
 	y3 := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		a1 := t.nodeCap(i, s, MillerFactor)
 		a2, a3 := 0.0, 0.0
-		for _, ch := range kids[i] {
+		for ch := sc.head[i]; ch >= 0; ch = sc.next[ch] {
 			r := t.R[ch] * s.rAt(t.Layer[ch])
 			// Propagate child admittance through series R.
 			b1, b2, b3 := y1[ch], y2[ch], y3[ch]

@@ -204,29 +204,29 @@ func TestElmoreMonotoneAlongPath(t *testing.T) {
 	_ = sinks
 }
 
-func TestWithSinkCaps(t *testing.T) {
+func TestSinkCapsLoadTheNet(t *testing.T) {
 	tr := ladder(1, 3, 1, 7)
-	withPins := tr.WithSinkCaps([]float64{5})
-	if got := withPins.TotalCap(nil); math.Abs(got-15) > 1e-9 {
-		t.Errorf("TotalCap with pin = %v, want 15", got)
+	var sc Scratch
+	bare := *sc.Moments(tr, nil, nil, 1, 1)
+	if math.Abs(bare.CapL-10) > 1e-9 {
+		t.Errorf("total cap without pin = %v, want 10", bare.CapL)
 	}
-	// Original untouched.
-	if got := tr.TotalCap(nil); math.Abs(got-10) > 1e-9 {
-		t.Errorf("original mutated: %v", got)
+	base := bare.M1[0]
+	loaded := sc.Moments(tr, []float64{5}, nil, 1, 1)
+	if math.Abs(loaded.CapL-15) > 1e-9 {
+		t.Errorf("total cap with pin = %v, want 15", loaded.CapL)
 	}
 	// Pin cap is upstream of nothing: delay at sink includes R seen by it.
-	base := tr.Elmore(nil)[0]
-	loaded := withPins.Elmore(nil)[0]
-	if loaded <= base {
-		t.Errorf("pin cap should slow the sink: %v <= %v", loaded, base)
+	if loaded.M1[0] <= base {
+		t.Errorf("pin cap should slow the sink: %v <= %v", loaded.M1[0], base)
 	}
 	// Pin caps must not scale with BEOL corner C factors.
-	s := Uniform(1, 1, 2, 1)
-	if got := withPins.TotalCap(s); math.Abs(got-(20+5)) > 1e-9 {
+	if got := sc.Moments(tr, []float64{5}, Uniform(1, 1, 2, 1), 1, 1).CapL; math.Abs(got-(20+5)) > 1e-9 {
 		t.Errorf("corner-scaled cap = %v, want 25 (pin cap unscaled)", got)
 	}
-	if err := withPins.Validate(); err != nil {
-		t.Errorf("WithSinkCaps broke invariants: %v", err)
+	// The tree itself is untouched.
+	if got := tr.TotalCap(nil); math.Abs(got-10) > 1e-9 || tr.N() != 3 {
+		t.Errorf("tree mutated: cap %v, %d nodes", got, tr.N())
 	}
 }
 

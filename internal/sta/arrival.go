@@ -117,9 +117,12 @@ func (a *Analyzer) buildNets() {
 	}
 	a.bindVertexNets()
 	w := a.workers()
+	if len(a.calc) < w {
+		a.calc = append(a.calc, make([]parasitics.Scratch, w-len(a.calc))...)
+	}
 	if w <= 1 || len(nets) < minParallelNets {
 		for _, n := range nets {
-			a.countNetFill(a.fillNetData(a.nets[n], n))
+			a.countNetFill(a.fillNetData(a.nets[n], n, &a.calc[0]))
 		}
 		return
 	}
@@ -136,10 +139,10 @@ func (a *Analyzer) buildNets() {
 	// one atomic add per chunk, folded into the plain stats fields after
 	// the barrier — the hot per-net loop itself stays atomic-free.
 	var hits, fills atomic.Int64
-	parallelFor(w, len(nets), func(lo, hi int) {
+	parallelFor(w, len(nets), func(k, lo, hi int) {
 		h, f := int64(0), int64(0)
 		for _, n := range nets[lo:hi] {
-			if a.fillNetData(a.nets[n], n) {
+			if a.fillNetData(a.nets[n], n, &a.calc[k]) {
 				h++
 			} else {
 				f++
@@ -192,18 +195,19 @@ func (a *Analyzer) growZeroBuf(n int) {
 	}
 }
 
-// fillNetData runs delay calculation for one net, reusing nd's slices
-// where possible. Lumped nets share the analyzer's zero slice instead of
-// allocating per-net zero vectors. Returns true when the cached results
-// were reused untouched (callers fold the outcome into RunStats — this
-// runs under the buildNets fan-out, so it cannot write shared state).
+// fillNetData runs delay calculation for one net on the kernel scratch sc
+// (owned by the calling goroutine), writing into nd's own storage: a warm
+// refill allocates nothing. Lumped nets share the analyzer's zero slice
+// instead of holding per-net zero vectors. Returns true when the cached
+// results were reused untouched (callers fold the outcome into RunStats —
+// this runs under the buildNets fan-out, so it cannot write shared state).
 //
 // The results are a pure function of the source RC tree, the gathered sink
 // caps and the analyzer's fixed config, so when those inputs match the
 // previous fill exactly the cached results are returned untouched —
 // bit-identical to recomputation, and the reason a warm full Run does
-// almost no delay-calc allocation.
-func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net) bool {
+// almost no delay calculation at all.
+func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net, sc *parasitics.Scratch) bool {
 	// Receiver pin caps in load order, plus output port load.
 	caps := nd.capsTmp[:0]
 	for _, l := range n.Loads {
@@ -225,7 +229,6 @@ func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net) bool {
 	}
 	nd.capsTmp, nd.capsIn = nd.capsIn[:0], caps
 	nd.srcTree, nd.portSink, nd.filled = tree, portSink, true
-	nd.tree = nil
 	nd.coupling = 0
 	nSinks := len(n.Loads)
 	if portSink {
@@ -257,37 +260,32 @@ func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net) bool {
 		nd.sinkSlew = zero
 		return false
 	}
-	wt := tree.WithSinkCaps(caps)
-	nd.tree = wt
-	nd.coupling = wt.TotalCoupling(a.Cfg.Scaling)
-	nd.totalCap[early] = wt.TotalCapM(a.Cfg.Scaling, millerE)
-	nd.totalCap[late] = wt.TotalCapM(a.Cfg.Scaling, millerL)
-	switch a.Cfg.Wire {
-	case WireD2M:
-		nd.sinkDelay[early] = wt.DelayD2M(a.Cfg.Scaling)
-		if a.Cfg.SI.Enabled {
-			// D2M under Miller extremes approximated by Elmore ratio.
-			base := wt.ElmoreM(a.Cfg.Scaling, 1)
-			eScale := wt.ElmoreM(a.Cfg.Scaling, millerE)
-			lScale := wt.ElmoreM(a.Cfg.Scaling, millerL)
-			nd.sinkDelay[late] = make([]float64, len(nd.sinkDelay[early]))
-			for i := range nd.sinkDelay[early] {
-				d := nd.sinkDelay[early][i]
-				if base[i] > 0 {
-					nd.sinkDelay[late][i] = d * lScale[i] / base[i]
-					nd.sinkDelay[early][i] = d * eScale[i] / base[i]
-				} else {
-					nd.sinkDelay[late][i] = d
-				}
-			}
-		} else {
-			nd.sinkDelay[late] = nd.sinkDelay[early]
-		}
-	default: // WireElmore
-		nd.sinkDelay[early] = wt.ElmoreM(a.Cfg.Scaling, millerE)
-		nd.sinkDelay[late] = wt.ElmoreM(a.Cfg.Scaling, millerL)
+	m := sc.Moments(tree, caps, a.Cfg.Scaling, millerE, millerL)
+	nd.coupling = m.Coupling
+	nd.totalCap[early], nd.totalCap[late] = m.CapE, m.CapL
+	k := len(tree.Sinks)
+	if len(nd.buf) < 3*k {
+		nd.buf = make([]float64, 3*k)
 	}
-	nd.sinkSlew = wt.SlewDegradation(a.Cfg.Scaling)
+	dE, dL, slew := nd.buf[:k:k], nd.buf[k:2*k:2*k], nd.buf[2*k:3*k]
+	nd.sinkDelay[early], nd.sinkDelay[late], nd.sinkSlew = dE, dL, slew
+	for i := range slew {
+		slew[i] = parasitics.WireSlew(m.M1[i], m.M2[i])
+	}
+	if a.Cfg.Wire != WireD2M {
+		copy(dE, m.M1E)
+		copy(dL, m.M1L)
+		return false
+	}
+	for i := range dE {
+		d := parasitics.D2M(m.M1[i], m.M2[i])
+		dE[i], dL[i] = d, d
+		// D2M under Miller extremes approximated by Elmore ratio.
+		if base := m.M1[i]; a.Cfg.SI.Enabled && base > 0 {
+			dL[i] = d * m.M1L[i] / base
+			dE[i] = d * m.M1E[i] / base
+		}
+	}
 	return false
 }
 
@@ -389,7 +387,7 @@ func (a *Analyzer) propagateArrivals() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		parallelFor(w, len(lvl), func(lo, hi int) {
+		parallelFor(w, len(lvl), func(_, lo, hi int) {
 			for _, j := range lvl[lo:hi] {
 				a.relaxVertex(int(j))
 			}

@@ -160,12 +160,14 @@ func (a *Analyzer) vname(i int) string {
 // source tree, the gathered sink caps and the analyzer's fixed config, so
 // reuse is bit-identical to recomputation).
 type netData struct {
-	tree     *parasitics.Tree // with pin caps, or nil (no parasitics)
-	totalCap [2]float64       // [early|late] (differ when SI enabled)
-	// per sink (net load order): wire delay and slew degradation
+	totalCap [2]float64 // [early|late] (differ when SI enabled)
+	// per sink (net load order): wire delay and slew degradation. On a
+	// routed net they are views into buf; a lumped net's all point at the
+	// analyzer's shared zero slice.
 	sinkDelay [2][]float64
 	sinkSlew  []float64
 	coupling  float64
+	buf       []float64 // the net's own result storage, reused across fills
 
 	// Delay-calc input key of the last fill.
 	srcTree  *parasitics.Tree
@@ -240,6 +242,10 @@ type Analyzer struct {
 	nets map[*netlist.Net]*netData
 
 	zeroBuf []float64 // shared all-zero slice for lumped-net sink delays
+
+	// Delay-calc kernel scratch: calc[0] serves every serial fill (small
+	// designs, incremental Updates), buildNets' fan-out gives chunk k calc[k].
+	calc []parasitics.Scratch
 
 	// Reusable scratch for the serial required/update paths (never used by
 	// concurrent readers; public queries allocate their own).

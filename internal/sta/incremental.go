@@ -264,7 +264,7 @@ func (a *Analyzer) Update() error {
 		a.growZeroBuf(n.Fanout())
 	}
 	for n := range a.dirtyNets {
-		a.countNetFill(a.fillNetData(a.nets[n], n))
+		a.countNetFill(a.fillNetData(a.nets[n], n, &a.calc[0]))
 	}
 
 	// Phase 2: forward cone. Seed the worklist with every vertex whose

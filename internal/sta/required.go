@@ -35,7 +35,7 @@ func (a *Analyzer) propagateRequired() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		parallelFor(w, len(lvl), func(lo, hi int) {
+		parallelFor(w, len(lvl), func(_, lo, hi int) {
 			for _, i := range lvl[lo:hi] {
 				a.pullRequired(int(i))
 			}

@@ -2,9 +2,10 @@
 # Snapshot the hot-path benchmark pairs into a per-commit JSON record:
 # BENCH_<sha>.json maps each benchmark name to its ns/op, B/op and
 # allocs/op as measured with -benchmem. The pairs cover the SoA STA core
-# (full Run serial/parallel, incremental vs full retime, MCMM survey), the
-# resident daemon's query surface (BenchmarkTimingdQuery sub-benches), and
-# the snapshot-pack boot pair (text-parse cold boot vs pack restore).
+# (full Run serial/parallel, incremental vs full retime, MCMM survey warm
+# and cold, net delay calc), the resident daemon's query surface
+# (BenchmarkTimingdQuery sub-benches), and the snapshot-pack boot pair
+# (text-parse cold boot vs pack restore).
 #
 # Usage: scripts/bench_snapshot.sh [out.json]
 #   out.json defaults to BENCH_<short-sha>.json in the repo root.
@@ -19,7 +20,7 @@ BT="${BENCHTIME:-1x}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-PAIRS='^(BenchmarkSTARunSerial|BenchmarkSTARunParallel|BenchmarkIncrementalRetime|BenchmarkFullRetime|BenchmarkMCMMSurveySerial|BenchmarkMCMMSurveyParallel)$'
+PAIRS='^(BenchmarkSTARunSerial|BenchmarkSTARunParallel|BenchmarkIncrementalRetime|BenchmarkFullRetime|BenchmarkMCMMSurveySerial|BenchmarkMCMMSurveyParallel|BenchmarkMCMMSurveyColdSerial|BenchmarkMCMMSurveyColdParallel|BenchmarkNetDelayCalc)$'
 go test -run='^$' -bench "$PAIRS" -benchmem -benchtime "$BT" . | tee "$RAW"
 go test -run='^$' -bench '^(BenchmarkTimingdQuery|BenchmarkBootTextParse|BenchmarkBootPackRestore)$' -benchmem -benchtime "$BT" ./internal/timingd/ | tee -a "$RAW"
 
