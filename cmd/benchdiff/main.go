@@ -21,9 +21,6 @@
 // Usage:
 //
 //	benchdiff -baseline BENCH_fe5308c.json -current bench-snapshot.json [-max-regress 25]
-//
-// -threshold is the deprecated spelling of -max-regress and keeps
-// working.
 package main
 
 import (
@@ -163,26 +160,10 @@ func main() {
 	baseline := flag.String("baseline", "", "committed baseline BENCH_<sha>.json")
 	current := flag.String("current", "", "freshly measured snapshot to check")
 	maxRegress := flag.Float64("max-regress", 25, "allowed ns/op and allocs/op slowdown, percent")
-	threshold := flag.Float64("threshold", 25, "deprecated alias for -max-regress")
 	flag.Parse()
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -current are required")
 		os.Exit(2)
-	}
-	// -threshold predates -max-regress; honor it only when explicitly set
-	// and -max-regress was not, so old CI invocations keep working.
-	budget := *maxRegress
-	var sawMaxRegress, sawThreshold bool
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "max-regress":
-			sawMaxRegress = true
-		case "threshold":
-			sawThreshold = true
-		}
-	})
-	if sawThreshold && !sawMaxRegress {
-		budget = *threshold
 	}
 	base, err := load(*baseline)
 	if err != nil {
@@ -194,17 +175,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	lines, missing := compare(base, cur, budget)
+	lines, missing := compare(base, cur, *maxRegress)
 	if len(lines) == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: snapshots share no benchmarks")
 		os.Exit(2)
 	}
 	fmt.Printf("benchdiff: %s -> %s, %d shared benchmarks, max regress %.0f%%\n",
-		base.Commit, cur.Commit, len(lines), budget)
+		base.Commit, cur.Commit, len(lines), *maxRegress)
 	for _, name := range missing {
 		fmt.Printf("?? %-55s in baseline only — renamed, retired, or no longer matched\n", name)
 	}
-	if render(os.Stdout, lines, budget) > 0 {
+	if render(os.Stdout, lines, *maxRegress) > 0 {
 		os.Exit(1)
 	}
 }

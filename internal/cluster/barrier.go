@@ -6,6 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"newgame/internal/obs"
+	"newgame/internal/serve"
 	"newgame/internal/timingd"
 	"newgame/internal/timingd/client"
 )
@@ -26,20 +28,19 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	c.mu.Lock()
 	if len(c.members) == 0 {
 		c.mu.Unlock()
-		return nil, &statusError{503, "no workers registered"}
+		return nil, serve.Errorf(503, "no workers registered")
 	}
 	for _, m := range c.members {
 		if m.state != memberAlive {
 			c.mu.Unlock()
 			c.count("cluster.barrier.refused")
-			return nil, &statusError{503,
-				fmt.Sprintf("cluster degraded: worker %s is %s; writes refused until it re-registers", m.id, m.state)}
+			return nil, serve.Errorf(503, "cluster degraded: worker %s is %s; writes refused until it re-registers", m.id, m.state)
 		}
 	}
 	if stale := c.staleLocked(); len(stale) > 0 {
 		c.mu.Unlock()
 		c.count("cluster.barrier.refused")
-		return nil, &statusError{503, fmt.Sprintf("cluster degraded: scenario %q has no live shard", stale[0])}
+		return nil, serve.Errorf(503, "cluster degraded: scenario %q has no live shard", stale[0])
 	}
 	base := c.epoch
 	members := make([]*member, 0, len(c.members))
@@ -54,10 +55,10 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	for _, m := range members {
 		rec.Members = append(rec.Members, m.id)
 	}
-	fail := func(outcome string, status *statusError) (*timingd.WhatIfReport, error) {
+	fail := func(outcome string, status *serve.Error) (*timingd.WhatIfReport, error) {
 		rec.Outcome = outcome
-		rec.Err = status.msg
-		rec.TotalMs = msSince(start)
+		rec.Err = status.Msg
+		rec.TotalMs = obs.MsSince(start)
 		c.flight.Put(rec)
 		return nil, status
 	}
@@ -84,7 +85,7 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		}(i, m)
 	}
 	wg.Wait()
-	rec.PrepareMs = msSince(phase)
+	rec.PrepareMs = obs.MsSince(phase)
 	for i, err := range errs {
 		if err == nil {
 			continue
@@ -96,12 +97,11 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 			// mismatch): every shard would refuse identically, the
 			// member is healthy. Propagate the shard's own answer.
 			c.logf("cluster: barrier %s aborted, shard %s refused prepare: %v", txn, members[i].id, err)
-			return fail("aborted", &statusError{se.Code, se.Msg})
+			return fail("aborted", shardErr(err))
 		}
 		c.markDead(members[i], "prepare failed")
 		c.logf("cluster: barrier %s aborted, worker %s unreachable in prepare: %v", txn, members[i].id, err)
-		return fail("aborted", &statusError{503,
-			fmt.Sprintf("prepare failed on worker %s: %v; cluster degraded, edit aborted", members[i].id, err)})
+		return fail("aborted", serve.Errorf(503, "prepare failed on worker %s: %v; cluster degraded, edit aborted", members[i].id, err))
 	}
 
 	if c.cfg.Hooks.BetweenPrepareAndCommit != nil {
@@ -127,15 +127,14 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		}(i, m)
 	}
 	wg.Wait()
-	rec.VerifyMs = msSince(phase)
+	rec.VerifyMs = obs.MsSince(phase)
 	for i, err := range errs {
 		if err != nil {
 			c.abortAll(members, txn)
 			c.markDead(members[i], "failed verify")
 			c.count("cluster.barrier.verify_failures")
 			c.logf("cluster: barrier %s aborted, worker %s failed verify: %v", txn, members[i].id, err)
-			return fail("aborted", &statusError{503,
-				fmt.Sprintf("worker %s unreachable between prepare and commit: %v; edit aborted, cluster degraded", members[i].id, err)})
+			return fail("aborted", serve.Errorf(503, "worker %s unreachable between prepare and commit: %v; edit aborted, cluster degraded", members[i].id, err))
 		}
 	}
 
@@ -154,7 +153,7 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		}(i, m)
 	}
 	wg.Wait()
-	rec.CommitMs = msSince(phase)
+	rec.CommitMs = obs.MsSince(phase)
 
 	c.mu.Lock()
 	c.epoch = base + 1
@@ -165,7 +164,7 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		}
 	}
 	c.mu.Unlock()
-	c.purgeCache()
+	c.cache.Purge()
 
 	committed := true
 	for i, err := range errs {
@@ -181,7 +180,7 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	if !committed {
 		rec.Outcome = "committed-degraded"
 	}
-	rec.TotalMs = msSince(start)
+	rec.TotalMs = obs.MsSince(start)
 	c.flight.Put(rec)
 	c.logf("cluster: barrier %s committed epoch %d across %d workers (%.1fms)", txn, base+1, len(members), rec.TotalMs)
 
@@ -237,11 +236,6 @@ func (c *Coordinator) markDead(m *member, why string) {
 		c.rebuildLocked()
 	}
 	c.mu.Unlock()
-	c.purgeCache()
+	c.cache.Purge()
 	c.logf("cluster: worker %s marked dead (%s)", m.id, why)
-}
-
-// msSince is the elapsed wall time in fractional milliseconds.
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000
 }

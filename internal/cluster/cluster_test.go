@@ -34,7 +34,7 @@ var (
 	fix     fixture
 )
 
-func testFixture(t *testing.T) fixture {
+func testFixture(t testing.TB) fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		stack := parasitics.Stack16()
@@ -72,16 +72,21 @@ func resizeOp(t *testing.T) timingd.Op {
 	return timingd.Op{}
 }
 
-// startWorker boots one timingd shard over the fixture, optionally
-// filtered to a scenario subset.
-func startWorker(t *testing.T, filter []string, mut func(*timingd.Config)) (*timingd.Server, *httptest.Server) {
-	t.Helper()
+// workerConfig is one shard's configuration over the fixture.
+func workerConfig(t testing.TB, filter []string) timingd.Config {
 	f := testFixture(t)
-	cfg := timingd.Config{
+	return timingd.Config{
 		Design: f.design, Recipe: f.recipe, Stack: parasitics.Stack16(),
 		BasePeriod: 560, Seed: 13, QueryWorkers: 2,
 		Role: "worker", ScenarioFilter: filter,
 	}
+}
+
+// startWorker boots one timingd shard over the fixture, optionally
+// filtered to a scenario subset.
+func startWorker(t *testing.T, filter []string, mut func(*timingd.Config)) (*timingd.Server, *httptest.Server) {
+	t.Helper()
+	cfg := workerConfig(t, filter)
 	if mut != nil {
 		mut(&cfg)
 	}

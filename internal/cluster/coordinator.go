@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"newgame/internal/obs"
+	"newgame/internal/serve"
 	"newgame/internal/timingd"
 	"newgame/internal/timingd/client"
 )
@@ -118,6 +119,13 @@ type member struct {
 	cl        *client.Client
 }
 
+// The reply cache and request flight ring are sized like a timingd node's
+// defaults.
+const (
+	replyCacheSize = 256
+	flightRequests = 256
+)
+
 // Coordinator fronts a set of timingd worker shards.
 type Coordinator struct {
 	cfg    Config
@@ -142,9 +150,11 @@ type Coordinator struct {
 	// replays (which are writes against a worker) never interleave.
 	barrierMu sync.Mutex
 
-	cacheMu    sync.Mutex
-	cache      map[string][]byte
-	cacheEpoch int64
+	// cache holds merged replies keyed by (cluster epoch, request URI); it
+	// is purged on every commit and membership change, since a merged
+	// answer depends on both.
+	cache *serve.Cache
+	spine *serve.Spine
 
 	rngMu sync.Mutex
 	rng   uint64
@@ -174,11 +184,12 @@ func New(cfg Config) (*Coordinator, error) {
 		flight:  obs.NewRing[BarrierRecord](cfg.FlightBarriers),
 		members: map[string]*member{},
 		ring:    buildRing(nil, cfg.Vnodes),
-		cache:   map[string][]byte{},
+		cache:   serve.NewCache(replyCacheSize),
 		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
 		stopc:   make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	c.spine = &serve.Spine{NS: "cluster", Obs: cfg.Obs, Requests: obs.NewRing[obs.RequestRecord](flightRequests), Cache: c.cache}
 	c.mux = http.NewServeMux()
 	c.routes()
 	go c.sweep()
@@ -212,21 +223,6 @@ func (c *Coordinator) count(name string) {
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Counter(name).Add(1)
 	}
-}
-
-// observe mirrors timingd's per-route metrics shape under the cluster
-// namespace.
-func (c *Coordinator) observe(route string, start time.Time, status int) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	c.cfg.Obs.Counter("cluster." + route + ".requests").Add(1)
-	if status >= 400 {
-		c.cfg.Obs.Counter("cluster." + route + ".errors").Add(1)
-	}
-	c.cfg.Obs.Histogram("cluster."+route+".latency_ms",
-		0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000).
-		Observe(float64(time.Since(start).Microseconds()) / 1000)
 }
 
 // jitter returns a duration in [d/2, 3d/2) from the seeded splitmix64
@@ -267,11 +263,11 @@ func (c *Coordinator) validateScenarios(refs []timingd.ScenarioRef) (map[int]boo
 // the barrier path, so the cluster epoch cannot move mid-replay.
 func (c *Coordinator) register(ctx context.Context, req RegisterRequest) (RegisterResponse, error) {
 	if req.ID == "" || req.URL == "" {
-		return RegisterResponse{}, &statusError{400, "register needs id and url"}
+		return RegisterResponse{}, serve.Errorf(400, "register needs id and url")
 	}
 	serves, err := c.validateScenarios(req.Scenarios)
 	if err != nil {
-		return RegisterResponse{}, &statusError{400, err.Error()}
+		return RegisterResponse{}, serve.Errorf(400, "%v", err)
 	}
 
 	c.barrierMu.Lock()
@@ -285,13 +281,11 @@ func (c *Coordinator) register(ctx context.Context, req RegisterRequest) (Regist
 	}
 	if req.Epoch > c.epoch {
 		c.mu.Unlock()
-		return RegisterResponse{}, &statusError{409,
-			fmt.Sprintf("worker at epoch %d is ahead of cluster epoch %d", req.Epoch, c.epoch)}
+		return RegisterResponse{}, serve.Errorf(409, "worker at epoch %d is ahead of cluster epoch %d", req.Epoch, c.epoch)
 	}
 	if req.Epoch < c.baseEpoch {
 		c.mu.Unlock()
-		return RegisterResponse{}, &statusError{409,
-			fmt.Sprintf("worker at epoch %d is behind the cluster replay horizon %d; restore a newer pack", req.Epoch, c.baseEpoch)}
+		return RegisterResponse{}, serve.Errorf(409, "worker at epoch %d is behind the cluster replay horizon %d; restore a newer pack", req.Epoch, c.baseEpoch)
 	}
 	m := &member{
 		id:        req.ID,
@@ -307,7 +301,7 @@ func (c *Coordinator) register(ctx context.Context, req RegisterRequest) (Regist
 	target := c.epoch
 	pending := c.oplog[req.Epoch-c.baseEpoch : target-c.baseEpoch]
 	c.mu.Unlock()
-	c.purgeCache()
+	c.cache.Purge()
 
 	// Catch-up replay outside c.mu (each record is one ordinary ECO on
 	// the worker, advancing it exactly one epoch). barrierMu is held, so
@@ -319,10 +313,9 @@ func (c *Coordinator) register(ctx context.Context, req RegisterRequest) (Regist
 			m.state = memberDead
 			c.rebuildLocked()
 			c.mu.Unlock()
-			c.purgeCache()
+			c.cache.Purge()
 			c.count("cluster.register.replay_failures")
-			return RegisterResponse{}, &statusError{502,
-				fmt.Sprintf("catch-up replay failed after %d records: %v", replayed, err)}
+			return RegisterResponse{}, serve.Errorf(502, "catch-up replay failed after %d records: %v", replayed, err)
 		}
 		replayed++
 	}
@@ -333,7 +326,7 @@ func (c *Coordinator) register(ctx context.Context, req RegisterRequest) (Regist
 	m.lastBeat = time.Now()
 	c.rebuildLocked()
 	c.mu.Unlock()
-	c.purgeCache()
+	c.cache.Purge()
 	c.count("cluster.registers")
 	c.logf("cluster: worker %s (%s) registered, %d scenarios, replayed %d, epoch %d",
 		req.ID, req.URL, len(req.Scenarios), replayed, target)
@@ -357,9 +350,7 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 			// it dead for) yet sits at the right epoch: revive in place.
 			m.state = memberAlive
 			c.rebuildLocked()
-			c.cacheMu.Lock()
-			c.cache = map[string][]byte{}
-			c.cacheMu.Unlock()
+			c.cache.Purge()
 			c.logf("cluster: worker %s revived at epoch %d", m.id, req.Epoch)
 		} else {
 			return HeartbeatResponse{Epoch: c.epoch, Register: true}
@@ -398,7 +389,7 @@ func (c *Coordinator) sweep() {
 		}
 		c.mu.Unlock()
 		if changed {
-			c.purgeCache()
+			c.cache.Purge()
 		}
 	}
 }
@@ -460,33 +451,4 @@ func (c *Coordinator) degradedLocked() bool {
 		}
 	}
 	return len(c.staleLocked()) > 0
-}
-
-// cacheGet serves a merged read from the per-epoch reply cache.
-func (c *Coordinator) cacheGet(key string) ([]byte, bool) {
-	c.cacheMu.Lock()
-	defer c.cacheMu.Unlock()
-	b, ok := c.cache[key]
-	return b, ok
-}
-
-// cachePut stores a merged reply computed at epoch — stale epochs
-// (a barrier landed mid-computation) are discarded.
-func (c *Coordinator) cachePut(key string, epoch int64, body []byte) {
-	c.cacheMu.Lock()
-	defer c.cacheMu.Unlock()
-	if epoch == c.cacheEpoch {
-		c.cache[key] = body
-	}
-}
-
-// purgeCache drops every cached reply (commit or membership change).
-func (c *Coordinator) purgeCache() {
-	c.mu.Lock()
-	epoch := c.epoch
-	c.mu.Unlock()
-	c.cacheMu.Lock()
-	c.cache = map[string][]byte{}
-	c.cacheEpoch = epoch
-	c.cacheMu.Unlock()
 }

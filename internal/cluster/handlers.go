@@ -8,69 +8,40 @@ import (
 	"strconv"
 	"time"
 
+	"newgame/internal/serve"
 	"newgame/internal/timingd"
+	"newgame/internal/timingd/client"
 )
 
+// routes mounts every coordinator route on the serving spine — the same
+// wrapper a timingd node's routes mount on, so both roles echo X-Trace-Id,
+// answer ?debug=trace and expose /metrics and /debug/requests|slow.
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("/healthz", c.handleHealth)
-	c.mux.HandleFunc("/slack", c.handleSlack)
-	c.mux.HandleFunc("/endpoints", c.handleEndpoints)
-	c.mux.HandleFunc("/paths", c.handlePaths)
-	c.mux.HandleFunc("/triage", c.handleTriage)
-	c.mux.HandleFunc("/whatif", c.handleWhatIf)
-	c.mux.HandleFunc("/eco", c.handleECO)
-	c.mux.HandleFunc("/cluster/register", c.handleRegister)
-	c.mux.HandleFunc("/cluster/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("/debug/barriers", c.handleDebugBarriers)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeRaw(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-}
-
-// writeErr maps an error (statusError or not) onto the same JSON error
-// envelope single-node timingd uses, so clients parse both identically.
-func writeErr(w http.ResponseWriter, err error) int {
-	status := http.StatusInternalServerError
-	if se, ok := err.(*statusError); ok {
-		status = se.code
+	mount := func(pattern, route, method string, fn serve.Func) {
+		c.mux.HandleFunc(pattern, c.spine.Handle(route, method, fn))
 	}
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
-	return status
+	mount("/healthz", "healthz", http.MethodGet, c.handleHealth)
+	mount("/slack", "slack", http.MethodGet, c.handleSlack)
+	mount("/endpoints", "endpoints", http.MethodGet, c.proxiedRead("limit",
+		func(ctx context.Context, cl *client.Client, scenario, kind string, limit int) (any, int64, error) {
+			rep, err := cl.Endpoints(ctx, scenario, kind, limit)
+			return rep, rep.Epoch, err
+		}))
+	mount("/paths", "paths", http.MethodGet, c.proxiedRead("k",
+		func(ctx context.Context, cl *client.Client, scenario, kind string, k int) (any, int64, error) {
+			rep, err := cl.Paths(ctx, scenario, kind, k)
+			return rep, rep.Epoch, err
+		}))
+	mount("/triage", "triage", http.MethodGet, c.handleTriage)
+	mount("/whatif", "whatif", http.MethodPost, c.handleWhatIf)
+	mount("/eco", "eco", http.MethodPost, c.handleECO)
+	mount("/cluster/register", "register", http.MethodPost, c.handleRegister)
+	mount("/cluster/heartbeat", "heartbeat", http.MethodPost, c.handleHeartbeat)
+	mount("/debug/barriers", "debug.barriers", http.MethodGet, c.handleDebugBarriers)
+	c.spine.Mount(c.mux)
 }
 
-func methodCheck(w http.ResponseWriter, r *http.Request, want string) bool {
-	if r.Method != want {
-		writeErr(w, &statusError{http.StatusMethodNotAllowed, "use " + want})
-		return false
-	}
-	return true
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, &statusError{http.StatusBadRequest, "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
-		return
-	}
+func (c *Coordinator) handleHealth(ctx context.Context, _ *http.Request) ([]byte, error) {
 	c.mu.Lock()
 	h := ClusterHealth{
 		Role:      "coordinator",
@@ -93,207 +64,130 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if h.Degraded {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	serve.InfoFrom(ctx).Epoch = h.Epoch
+	return serve.JSON(h)
 }
 
-func (c *Coordinator) handleSlack(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodGet) {
-		c.observe("slack", start, http.StatusMethodNotAllowed)
-		return
+// cachedRead answers a merged read from the epoch cache, or gathers,
+// encodes and caches it. A barrier landing mid-gather shows up as epoch
+// skew and the whole gather is retried once against the settled epoch. A
+// reply gather marks not cacheable (a degraded /slack) is served but not
+// kept.
+func (c *Coordinator) cachedRead(ctx context.Context, r *http.Request, gather func(context.Context) (rep any, epoch int64, cacheable bool, err error)) ([]byte, error) {
+	info, key, epoch := serve.InfoFrom(ctx), serve.CacheKey(r), c.Epoch()
+	if body, ok := c.cache.Get(epoch, key); ok {
+		info.Epoch, info.Cache = epoch, "hit"
+		return body, nil
 	}
-	if body, ok := c.cacheGet("/slack"); ok {
-		writeRaw(w, body)
-		c.observe("slack", start, http.StatusOK)
-		return
-	}
-	var rep *SlackReport
-	var err error
-	for attempt := 0; attempt < 2; attempt++ {
-		rep, err = c.gatherSlack(r.Context())
-		if err != errEpochSkew {
-			break
-		}
+	info.Cache = "miss"
+	rep, epoch, cacheable, err := gather(ctx)
+	if err == errEpochSkew {
+		rep, epoch, cacheable, err = gather(ctx)
 	}
 	if err != nil {
-		c.observe("slack", start, writeErr(w, err))
-		return
+		return nil, err
 	}
-	body, _ := json.Marshal(rep)
-	if !rep.Degraded {
-		c.cachePut("/slack", rep.Epoch, body)
+	info.Epoch = epoch
+	body, err := json.Marshal(rep)
+	if err == nil && cacheable {
+		c.cache.Put(epoch, key, body)
 	}
-	writeRaw(w, body)
-	c.observe("slack", start, http.StatusOK)
+	return body, err
 }
 
-// handleEndpoints proxies GET /endpoints to the shard owning the
-// requested scenario, replica fallback included; the response body is
-// the shard's own, so it is bit-identical to single-node timingd.
-func (c *Coordinator) handleEndpoints(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodGet) {
-		c.observe("endpoints", start, http.StatusMethodNotAllowed)
-		return
-	}
-	q := r.URL.Query()
-	idx, name, err := c.scenarioIdx(q.Get("scenario"))
-	if err != nil {
-		c.observe("endpoints", start, writeErr(w, err))
-		return
-	}
-	key := "/endpoints?" + r.URL.RawQuery
-	if body, ok := c.cacheGet(key); ok {
-		writeRaw(w, body)
-		c.observe("endpoints", start, http.StatusOK)
-		return
-	}
-	limit := 0
-	if s := q.Get("limit"); s != "" {
-		var perr error
-		if limit, perr = strconv.Atoi(s); perr != nil || limit < 0 {
-			c.observe("endpoints", start, writeErr(w, &statusError{400, "bad limit " + s}))
-			return
+func (c *Coordinator) handleSlack(ctx context.Context, r *http.Request) ([]byte, error) {
+	return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
+		rep, err := c.gatherSlack(ctx)
+		if err != nil {
+			return nil, 0, false, err
 		}
-	}
-	var rep timingd.EndpointsReport
-	err = c.proxyScenario(r.Context(), idx, func(ctx2 context.Context, m *member) error {
-		var ferr error
-		rep, ferr = m.cl.Endpoints(ctx2, name, q.Get("kind"), limit)
-		return ferr
+		return rep, rep.Epoch, !rep.Degraded, nil
 	})
-	if err != nil {
-		c.observe("endpoints", start, writeErr(w, err))
-		return
-	}
-	body, _ := json.Marshal(rep)
-	c.cachePut(key, rep.Epoch, body)
-	writeRaw(w, body)
-	c.observe("endpoints", start, http.StatusOK)
 }
 
-func (c *Coordinator) handlePaths(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodGet) {
-		c.observe("paths", start, http.StatusMethodNotAllowed)
-		return
-	}
-	q := r.URL.Query()
-	idx, name, err := c.scenarioIdx(q.Get("scenario"))
-	if err != nil {
-		c.observe("paths", start, writeErr(w, err))
-		return
-	}
-	key := "/paths?" + r.URL.RawQuery
-	if body, ok := c.cacheGet(key); ok {
-		writeRaw(w, body)
-		c.observe("paths", start, http.StatusOK)
-		return
-	}
-	k := 0
-	if s := q.Get("k"); s != "" {
-		var perr error
-		if k, perr = strconv.Atoi(s); perr != nil || k < 0 {
-			c.observe("paths", start, writeErr(w, &statusError{400, "bad k " + s}))
-			return
+// proxiedRead is the body behind /endpoints and /paths: the read is sent to
+// the shard owning the requested scenario, replica fallback included, and
+// the shard's own report is re-encoded, so the answer is bit-identical to
+// single-node timingd. param names the route's integer knob (?limit=, ?k=).
+func (c *Coordinator) proxiedRead(param string, fetch func(ctx context.Context, cl *client.Client, scenario, kind string, n int) (rep any, epoch int64, err error)) serve.Func {
+	return func(ctx context.Context, r *http.Request) ([]byte, error) {
+		q := r.URL.Query()
+		idx, name, err := c.scenarioIdx(q.Get("scenario"))
+		if err != nil {
+			return nil, err
 		}
+		n := 0
+		if s := q.Get(param); s != "" {
+			if n, err = strconv.Atoi(s); err != nil || n < 0 {
+				return nil, serve.Errorf(400, "bad %s %s", param, s)
+			}
+		}
+		return c.cachedRead(ctx, r, func(ctx context.Context) (rep any, epoch int64, _ bool, err error) {
+			err = c.proxyScenario(ctx, idx, func(ctx context.Context, m *member) (ferr error) {
+				rep, epoch, ferr = fetch(ctx, m.cl, name, q.Get("kind"), n)
+				return ferr
+			})
+			return rep, epoch, true, err
+		})
 	}
-	var rep timingd.PathsReport
-	err = c.proxyScenario(r.Context(), idx, func(ctx2 context.Context, m *member) error {
-		var ferr error
-		rep, ferr = m.cl.Paths(ctx2, name, q.Get("kind"), k)
-		return ferr
-	})
-	if err != nil {
-		c.observe("paths", start, writeErr(w, err))
-		return
-	}
-	body, _ := json.Marshal(rep)
-	c.cachePut(key, rep.Epoch, body)
-	writeRaw(w, body)
-	c.observe("paths", start, http.StatusOK)
 }
 
-func (c *Coordinator) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodPost) {
-		c.observe("whatif", start, http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Ops []timingd.Op `json:"ops"`
-	}
-	if !decodeBody(w, r, &req) {
-		c.observe("whatif", start, http.StatusBadRequest)
-		return
-	}
-	rep, err := c.gatherWhatIf(r.Context(), req.Ops)
-	if err != nil {
-		c.observe("whatif", start, writeErr(w, err))
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-	c.observe("whatif", start, http.StatusOK)
+// opsBody is the request body of /whatif and /eco.
+type opsBody struct {
+	Ops []timingd.Op `json:"ops"`
 }
 
-func (c *Coordinator) handleECO(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodPost) {
-		c.observe("eco", start, http.StatusMethodNotAllowed)
-		return
+func (c *Coordinator) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, error) {
+	var req opsBody
+	if err := serve.Decode(r, &req); err != nil {
+		return nil, err
 	}
-	var req struct {
-		Ops []timingd.Op `json:"ops"`
-	}
-	if !decodeBody(w, r, &req) {
-		c.observe("eco", start, http.StatusBadRequest)
-		return
-	}
-	rep, err := c.commitBarrier(r.Context(), req.Ops)
+	rep, err := c.gatherWhatIf(ctx, req.Ops)
 	if err != nil {
-		c.observe("eco", start, writeErr(w, err))
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, rep)
-	c.observe("eco", start, http.StatusOK)
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(rep)
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodPost) {
-		c.observe("register", start, http.StatusMethodNotAllowed)
-		return
+func (c *Coordinator) handleECO(ctx context.Context, r *http.Request) ([]byte, error) {
+	var req opsBody
+	if err := serve.Decode(r, &req); err != nil {
+		return nil, err
 	}
+	rep, err := c.commitBarrier(ctx, req.Ops)
+	if err != nil {
+		return nil, err
+	}
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(rep)
+}
+
+func (c *Coordinator) handleRegister(ctx context.Context, r *http.Request) ([]byte, error) {
 	var req RegisterRequest
-	if !decodeBody(w, r, &req) {
-		c.observe("register", start, http.StatusBadRequest)
-		return
+	if err := serve.Decode(r, &req); err != nil {
+		return nil, err
 	}
-	resp, err := c.register(r.Context(), req)
+	resp, err := c.register(ctx, req)
 	if err != nil {
-		c.observe("register", start, writeErr(w, err))
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, resp)
-	c.observe("register", start, http.StatusOK)
+	serve.InfoFrom(ctx).Epoch = resp.Epoch
+	return serve.JSON(resp)
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodPost) {
-		return
-	}
+func (c *Coordinator) handleHeartbeat(ctx context.Context, r *http.Request) ([]byte, error) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if err := serve.Decode(r, &req); err != nil {
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, c.heartbeat(req))
+	resp := c.heartbeat(req)
+	serve.InfoFrom(ctx).Epoch = resp.Epoch
+	return serve.JSON(resp)
 }
 
-func (c *Coordinator) handleDebugBarriers(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
-		return
-	}
-	writeJSON(w, http.StatusOK, DebugBarriersReport{
+func (c *Coordinator) handleDebugBarriers(context.Context, *http.Request) ([]byte, error) {
+	return serve.JSON(DebugBarriersReport{
 		Barriers: c.flight.Snapshot(0),
 		Dropped:  c.flight.Dropped(),
 	})

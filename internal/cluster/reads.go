@@ -3,35 +3,27 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
+	"newgame/internal/serve"
 	"newgame/internal/timingd"
 	"newgame/internal/timingd/client"
 )
 
-// statusError is the coordinator's HTTP-mapped error.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
-
-var errEpochSkew = &statusError{503, "epoch skew across shards; retry"}
+var errEpochSkew = serve.Errorf(503, "epoch skew across shards; retry")
 
 // shardErr maps a worker-call failure onto the coordinator's answer: a
 // 4xx from the worker propagates verbatim (the client's request really
 // was bad), anything else is the shard's problem, not the caller's.
-func shardErr(err error) *statusError {
+func shardErr(err error) *serve.Error {
 	if se, ok := err.(*client.StatusError); ok && se.Code < 500 {
-		return &statusError{se.Code, se.Msg}
+		return &serve.Error{Status: se.Code, Msg: se.Msg}
 	}
 	if errors.Is(err, context.DeadlineExceeded) || isTimeout(err) {
-		return &statusError{504, "shard timed out"}
+		return serve.Errorf(504, "shard timed out")
 	}
-	return &statusError{502, fmt.Sprintf("shard error: %v", err)}
+	return serve.Errorf(502, "shard error: %v", err)
 }
 
 func isTimeout(err error) bool {
@@ -146,7 +138,7 @@ func (c *Coordinator) gatherSlack(ctx context.Context) (*SlackReport, error) {
 		out.Scenarios = append(out.Scenarios, *slots[p])
 	}
 	if len(out.Scenarios) == 0 {
-		return nil, &statusError{503, fmt.Sprintf("all %d scenarios stale: no live shard answered", len(plans))}
+		return nil, serve.Errorf(503, "all %d scenarios stale: no live shard answered", len(plans))
 	}
 	out.Degraded = len(out.Stale) > 0
 	out.Merged = mergeSlacks(out.Scenarios)
@@ -185,7 +177,7 @@ func (c *Coordinator) scenarioIdx(name string) (int, string, error) {
 			return idx, n, nil
 		}
 	}
-	return 0, "", &statusError{400, fmt.Sprintf("unknown scenario %q", name)}
+	return 0, "", serve.Errorf(400, "unknown scenario %q", name)
 }
 
 // proxyScenario runs fn against scenario idx's candidates in preference
@@ -197,7 +189,7 @@ func (c *Coordinator) proxyScenario(ctx context.Context, idx int, fn func(ctx co
 	cands := c.candidatesFor(name, idx)
 	c.mu.Unlock()
 	if len(cands) == 0 {
-		return &statusError{503, fmt.Sprintf("scenario %q stale: no live shard serves it", name)}
+		return serve.Errorf(503, "scenario %q stale: no live shard serves it", name)
 	}
 	if len(cands) > c.cfg.ReplicaFanout {
 		cands = cands[:c.cfg.ReplicaFanout]
@@ -221,7 +213,7 @@ func (c *Coordinator) proxyScenario(ctx context.Context, idx int, fn func(ctx co
 		if se, ok := err.(*client.StatusError); ok && se.Code < 500 {
 			// The request itself is bad (unknown kind, bad limit...):
 			// a replica would answer identically. Propagate immediately.
-			return &statusError{se.Code, se.Msg}
+			return shardErr(err)
 		}
 		c.count("cluster.proxy.shard_errors")
 		last = err
@@ -244,7 +236,7 @@ func (c *Coordinator) gatherWhatIf(ctx context.Context, ops []timingd.Op) (*timi
 			continue
 		}
 		if len(plans[p].candidates) == 0 {
-			return nil, &statusError{503, fmt.Sprintf("scenario %q stale: no live shard serves it", plans[p].name)}
+			return nil, serve.Errorf(503, "scenario %q stale: no live shard serves it", plans[p].name)
 		}
 		m := plans[p].candidates[0]
 		targets = append(targets, m)
@@ -319,7 +311,7 @@ func mergeScenarioOrder(canonical []string, reports []*timingd.WhatIfReport, pic
 	out := make([]timingd.ScenarioSlack, 0, len(canonical))
 	for i := range slots {
 		if slots[i] == nil {
-			return nil, &statusError{503, fmt.Sprintf("scenario %q missing from shard reports", canonical[i])}
+			return nil, serve.Errorf(503, "scenario %q missing from shard reports", canonical[i])
 		}
 		out = append(out, *slots[i])
 	}

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
-	"time"
 
 	"newgame/internal/timingd"
 	"newgame/internal/triage"
@@ -41,7 +39,7 @@ func (c *Coordinator) gatherTriage(ctx context.Context, k, window string) (*timi
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err.(*statusError)
+			return nil, err
 		}
 	}
 
@@ -64,33 +62,13 @@ func (c *Coordinator) gatherTriage(ctx context.Context, k, window string) (*timi
 
 // handleTriage serves GET /triage from the coordinator: epoch-scoped
 // cache, scatter to the owning shards, merge, one retry on epoch skew.
-func (c *Coordinator) handleTriage(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if !methodCheck(w, r, http.MethodGet) {
-		c.observe("triage", start, http.StatusMethodNotAllowed)
-		return
-	}
-	key := "/triage?" + r.URL.RawQuery
-	if body, ok := c.cacheGet(key); ok {
-		writeRaw(w, body)
-		c.observe("triage", start, http.StatusOK)
-		return
-	}
+func (c *Coordinator) handleTriage(ctx context.Context, r *http.Request) ([]byte, error) {
 	q := r.URL.Query()
-	var rep *timingd.TriageReport
-	var err error
-	for attempt := 0; attempt < 2; attempt++ {
-		rep, err = c.gatherTriage(r.Context(), q.Get("k"), q.Get("window"))
-		if err != errEpochSkew {
-			break
+	return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
+		rep, err := c.gatherTriage(ctx, q.Get("k"), q.Get("window"))
+		if err != nil {
+			return nil, 0, false, err
 		}
-	}
-	if err != nil {
-		c.observe("triage", start, writeErr(w, err))
-		return
-	}
-	body, _ := json.Marshal(rep)
-	c.cachePut(key, rep.Epoch, body)
-	writeRaw(w, body)
-	c.observe("triage", start, http.StatusOK)
+		return rep, rep.Epoch, true, nil
+	})
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
-	"sync"
 
 	"newgame/internal/cts"
 	"newgame/internal/ir"
@@ -18,6 +16,7 @@ import (
 	"newgame/internal/place"
 	"newgame/internal/sta"
 	"newgame/internal/units"
+	"newgame/internal/workpool"
 )
 
 // Engine runs the closure loop on one design under one recipe.
@@ -277,18 +276,6 @@ func (e *Engine) residentsCurrent(in analyzerInputs) bool {
 	return true
 }
 
-// workers resolves Engine.Workers (0 = one per CPU, min 1).
-func (e *Engine) workers() int {
-	w := e.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // runScenarios brings one analyzer per scenario up to date across a bounded
 // worker pool. Results come back indexed by scenario so callers can merge
 // them in recipe order regardless of completion order — the determinism
@@ -347,33 +334,9 @@ func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 		return fail(0)
 	}
 	topo := as[0].Topology()
-	rest := len(scen) - 1
-	w := e.workers()
-	if w > rest {
-		w = rest
-	}
-	if w <= 1 {
-		for i := 1; i < len(scen); i++ {
-			evalOne(i, 0, topo)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := range next {
-					evalOne(i, g, topo)
-				}
-			}(g)
-		}
-		for i := 1; i < len(scen); i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	workpool.DoObs(nil, nil, "", e.Workers, len(scen)-1, func(i, g int) {
+		evalOne(i+1, g, topo)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fail(i)

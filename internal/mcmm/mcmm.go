@@ -8,16 +8,14 @@
 package mcmm
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"newgame/internal/liberty"
 	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 	"newgame/internal/units"
+	"newgame/internal/workpool"
 )
 
 // Mode is a functional or test operating mode with its own constraints.
@@ -188,96 +186,15 @@ func Sweep(scenarios []Scenario, workers int, eval func(idx int, s Scenario) Sce
 // nil rec records nothing and costs almost nothing.
 func SweepObs(rec *obs.Recorder, parent *obs.Span, scenarios []Scenario, workers int, eval func(idx int, s Scenario) ScenarioResult) []ScenarioResult {
 	out := make([]ScenarioResult, len(scenarios))
-	evalOne := func(i, g int) {
+	workpool.DoObs(nil, nil, "", workers, len(scenarios), func(i, g int) {
 		sp := rec.Start("scenario:"+scenarios[i].Name(), parent).OnTrack(g + 1)
 		out[i] = eval(i, scenarios[i])
 		sp.End()
 		if rec != nil {
 			rec.Counter(fmt.Sprintf("mcmm.worker_%02d.scenarios", g)).Add(1)
 		}
-	}
-	w := workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(scenarios) {
-		w = len(scenarios)
-	}
-	if w <= 1 {
-		for i := range scenarios {
-			evalOne(i, 0)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range next {
-				evalOne(i, g)
-			}
-		}(g)
-	}
-	for i := range scenarios {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 	return out
-}
-
-// SweepCtx is Sweep with cancellation: when ctx is done the dispatcher
-// stops handing out scenarios, waits for the in-flight evaluations to
-// finish (eval itself decides whether to observe ctx internally), and
-// returns nil results with ctx's error. A completed sweep returns results
-// identical to Sweep — input order, any worker count.
-func SweepCtx(ctx context.Context, scenarios []Scenario, workers int, eval func(idx int, s Scenario) ScenarioResult) ([]ScenarioResult, error) {
-	out := make([]ScenarioResult, len(scenarios))
-	w := workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(scenarios) {
-		w = len(scenarios)
-	}
-	if w <= 1 {
-		for i := range scenarios {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = eval(i, scenarios[i])
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = eval(i, scenarios[i])
-			}
-		}()
-	}
-	var err error
-dispatch:
-	for i := range scenarios {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break dispatch
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MergedWNS reports the worst setup and hold WNS across scenarios — the

@@ -2,7 +2,6 @@ package mcmm
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -217,38 +216,5 @@ func TestSweepObsRecordsWithoutPerturbing(t *testing.T) {
 	if spans != len(scenarios) || counted != int64(len(scenarios)) {
 		t.Fatalf("recorded %d spans / %d counter bumps, want %d scenarios",
 			spans, counted, len(scenarios))
-	}
-}
-
-// SweepCtx with a live context matches Sweep exactly; a context canceled
-// mid-sweep stops dispatch and reports the error with nil results.
-func TestSweepCtx(t *testing.T) {
-	sp := space(4, 3, 2)
-	sp.Modes = DefaultModes()
-	scenarios := sp.Enumerate()
-	eval := func(idx int, s Scenario) ScenarioResult {
-		return ScenarioResult{Scenario: s, SetupWNS: -float64(idx), HoldWNS: -1}
-	}
-	want := Sweep(scenarios, 1, eval)
-	for _, workers := range []int{1, 4} {
-		got, err := SweepCtx(context.Background(), scenarios, workers, eval)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: SweepCtx differs from Sweep", workers)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		got, err := SweepCtx(ctx, scenarios, workers, eval)
-		if err == nil {
-			t.Fatalf("workers=%d: canceled sweep returned nil error", workers)
-		}
-		if got != nil {
-			t.Fatalf("workers=%d: canceled sweep returned partial results", workers)
-		}
 	}
 }

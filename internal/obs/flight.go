@@ -125,6 +125,12 @@ func (r *Ring[T]) Snapshot(limit int) []T {
 	return out
 }
 
+// MsSince is the elapsed wall time since t in fractional milliseconds, the
+// unit every flight record and latency histogram uses.
+func MsSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1000
+}
+
 // RequestRecord is one served request in the flight recorder.
 type RequestRecord struct {
 	// Start is the request's arrival time.

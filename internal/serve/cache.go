@@ -1,16 +1,16 @@
-package timingd
+package serve
 
 import (
 	"container/list"
 	"sync"
 )
 
-// queryCache is a small LRU over rendered response bodies, keyed by
-// (epoch, canonical request URI). Epoch is part of the key *and* the whole
+// Cache is a small LRU over rendered response bodies, keyed by
+// (epoch, canonical request URI — see CacheKey). Epoch is part of the key *and* the whole
 // cache is purged on commit: the purge bounds memory to live entries, the
 // epoch key makes a stale hit impossible even in the window between a swap
 // and the purge.
-type queryCache struct {
+type Cache struct {
 	mu    sync.Mutex
 	max   int
 	order *list.List // front = most recent; values are *cacheEntry
@@ -29,15 +29,15 @@ type cacheEntry struct {
 	body []byte
 }
 
-func newQueryCache(max int) *queryCache {
+func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &queryCache{max: max, order: list.New(), byKey: map[cacheKey]*list.Element{}}
+	return &Cache{max: max, order: list.New(), byKey: map[cacheKey]*list.Element{}}
 }
 
-// get returns the cached body for (epoch, uri), bumping recency.
-func (c *queryCache) get(epoch int64, uri string) ([]byte, bool) {
+// Get returns the cached body for (epoch, uri), bumping recency.
+func (c *Cache) Get(epoch int64, uri string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[cacheKey{epoch, uri}]
@@ -50,9 +50,9 @@ func (c *queryCache) get(epoch int64, uri string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put stores a rendered body, evicting the least-recently-used entry past
+// Put stores a rendered body, evicting the least-recently-used entry past
 // capacity.
-func (c *queryCache) put(epoch int64, uri string, body []byte) {
+func (c *Cache) Put(epoch int64, uri string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := cacheKey{epoch, uri}
@@ -70,10 +70,10 @@ func (c *queryCache) put(epoch int64, uri string, body []byte) {
 	}
 }
 
-// purge drops every entry — called on ECO commit, when the previous
+// Purge drops every entry — called on ECO commit, when the previous
 // epoch's answers stop being current. Returns the number of entries
 // dropped (the commit audit record's cache_purged field).
-func (c *queryCache) purge() int {
+func (c *Cache) Purge() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.order.Len()
@@ -82,8 +82,8 @@ func (c *queryCache) purge() int {
 	return n
 }
 
-// stats reports cumulative hit/miss counts.
-func (c *queryCache) stats() (hits, misses int64) {
+// Stats reports cumulative hit/miss counts.
+func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses

@@ -18,9 +18,8 @@
 package timingd
 
 import (
-	"encoding/json"
-
 	"newgame/internal/obs"
+	"newgame/internal/serve"
 	"newgame/internal/triage"
 	"newgame/internal/units"
 )
@@ -156,36 +155,19 @@ type SaveReport struct {
 	Bytes int    `json:"bytes"`
 }
 
-// TraceReport wraps a query's normal response when ?debug=trace is set:
-// the request's own span tree (render, writer pipeline, sta run/update
-// waves) inline next to the answer, tagged with the trace ID also echoed
-// in X-Trace-Id.
-type TraceReport struct {
-	TraceID  string          `json:"trace_id"`
-	Spans    []obs.SpanNode  `json:"spans"`
-	Response json.RawMessage `json:"response"`
-}
-
-// DebugRequestsReport answers GET /debug/requests: the flight recorder's
-// last requests, newest first. Dropped counts ring writes abandoned under
-// extreme contention (normally zero).
-type DebugRequestsReport struct {
-	Requests []obs.RequestRecord `json:"requests"`
-	Dropped  uint64              `json:"dropped"`
-}
+// The spine's envelope and flight-recorder views, under the names this
+// package's clients have always used.
+type (
+	TraceReport         = serve.TraceReport
+	DebugRequestsReport = serve.DebugRequestsReport
+	DebugSlowReport     = serve.DebugSlowReport
+)
 
 // DebugEpochsReport answers GET /debug/epochs: the last commits with
 // their per-phase durations, newest first.
 type DebugEpochsReport struct {
 	Commits []obs.CommitRecord `json:"commits"`
 	Dropped uint64             `json:"dropped"`
-}
-
-// DebugSlowReport answers GET /debug/slow: recorded requests at or above
-// the latency threshold.
-type DebugSlowReport struct {
-	ThresholdMs float64             `json:"threshold_ms"`
-	Requests    []obs.RequestRecord `json:"requests"`
 }
 
 // TriageReport answers GET /triage: the clustered root-cause report over
@@ -203,11 +185,6 @@ type TriageReport struct {
 type TriageExtract struct {
 	Epoch int64 `json:"epoch"`
 	triage.ScenarioExtract
-}
-
-// errorBody is the JSON error envelope for non-2xx responses.
-type errorBody struct {
-	Error string `json:"error"`
 }
 
 // ScenarioRef names one scenario this server serves together with its

@@ -91,13 +91,13 @@ func BenchmarkTimingdQuery(b *testing.B) {
 	})
 	b.Run("slack_cold_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.cache.purge()
+			s.cache.Purge()
 			benchGet(b, hs.URL+"/slack")
 		}
 	})
 	b.Run("paths_cold_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.cache.purge()
+			s.cache.Purge()
 			benchGet(b, hs.URL+"/paths?k=5")
 		}
 	})

@@ -1,10 +1,7 @@
 package timingd
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -12,207 +9,70 @@ import (
 	"time"
 
 	"newgame/internal/obs"
+	"newgame/internal/serve"
 	"newgame/internal/sta"
 	"newgame/internal/triage"
 	"newgame/internal/units"
 )
 
-// routes wires the HTTP surface. Query endpoints go through the bounded
-// admission queue; /healthz, /metrics and the /debug flight-recorder views
-// bypass it so operators can always see a saturated server.
+// routes wires the HTTP surface onto the serving spine. Query endpoints sit
+// behind the bounded admission queue; /healthz, /debug/epochs and the
+// spine's own /metrics and /debug flight-recorder views bypass it so
+// operators can always see a saturated server.
 func (s *Server) routes() {
-	s.mux.HandleFunc("/slack", s.handle("slack", http.MethodGet, s.handleSlack))
-	s.mux.HandleFunc("/endpoints", s.handle("endpoints", http.MethodGet, s.handleEndpoints))
-	s.mux.HandleFunc("/paths", s.handle("paths", http.MethodGet, s.handlePaths))
-	s.mux.HandleFunc("/triage", s.handle("triage", http.MethodGet, s.handleTriage))
-	s.mux.HandleFunc("/triage/extract", s.handle("triage.extract", http.MethodGet, s.handleTriageExtract))
-	s.mux.HandleFunc("/whatif", s.handle("whatif", http.MethodPost, s.handleWhatIf))
-	s.mux.HandleFunc("/eco", s.handle("eco", http.MethodPost, s.handleECO))
-	s.mux.HandleFunc("/admin/save", s.handle("save", http.MethodPost, s.handleSave))
+	queued := func(pattern, route, method string, fn serve.Func) {
+		s.mux.HandleFunc(pattern, s.spine.Handle(route, method, s.admit(fn)))
+	}
+	queued("/slack", "slack", http.MethodGet, s.handleSlack)
+	queued("/endpoints", "endpoints", http.MethodGet, s.handleEndpoints)
+	queued("/paths", "paths", http.MethodGet, s.handlePaths)
+	queued("/triage", "triage", http.MethodGet, s.handleTriage)
+	queued("/triage/extract", "triage.extract", http.MethodGet, s.handleTriageExtract)
+	queued("/whatif", "whatif", http.MethodPost, s.handleWhatIf)
+	queued("/eco", "eco", http.MethodPost, s.handleECO)
+	queued("/admin/save", "save", http.MethodPost, s.handleSave)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("/debug/epochs", s.handleDebugEpochs)
-	s.mux.HandleFunc("/debug/slow", s.handleDebugSlow)
+	s.spine.Mount(s.mux)
 	s.clusterRoutes()
 }
 
-// reqInfo is the lightweight per-request carrier the render path fills in
-// for the flight recorder: the epoch the answer came from and the query
-// cache outcome. It rides the context so readSnapshot can report without
-// the handler signature changing; unlike a full obs.Trace it costs one
-// small allocation, so every request affords one.
-type reqInfo struct {
-	epoch int64
-	cache string
-}
-
-type reqInfoKey struct{}
-
-func withReqInfo(ctx context.Context, ri *reqInfo) context.Context {
-	return context.WithValue(ctx, reqInfoKey{}, ri)
-}
-
-func reqInfoFrom(ctx context.Context) *reqInfo {
-	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return ri
-}
-
-// apiError carries an HTTP status with a handler error.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// handle adapts a query function to the admission pipeline: shutdown gate,
-// bounded queue with 429 backpressure, per-request timeout whose context
-// flows into incremental re-timing, and latency observation. The handler
+// admit is the admission middleware in front of the queued routes:
+// shutdown gate, bounded queue with 429 backpressure, and the per-request
+// timeout whose context flows into incremental re-timing. The caller
 // always waits for its admitted job — the job owns no reference to the
-// ResponseWriter, so a timeout surfaces as the job's error, never as a
-// write race.
-//
-// Every request gets a trace identity: an X-Trace-Id header is accepted
-// verbatim (shard fan-out will forward it) or minted, and always echoed on
-// the response. With ?debug=trace the request additionally records its own
-// private span tree — through readSnapshot's render span and the
-// context-carried trace into sta.RunCtx/UpdateCtx — and the response is
-// wrapped in a TraceReport carrying that tree inline. Untraced requests
-// pay only the ID, one reqInfo allocation, and a lock-free ring write.
-func (s *Server) handle(route, method string, fn func(ctx context.Context, r *http.Request) ([]byte, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		traceID := r.Header.Get("X-Trace-Id")
-		var tr *obs.Trace
-		if r.URL.Query().Get("debug") == "trace" {
-			tr = obs.NewTrace(traceID, "timingd."+route)
-			traceID = tr.ID
-		} else if traceID == "" {
-			traceID = obs.NewTraceID()
-		}
-		w.Header().Set("X-Trace-Id", traceID)
-		info := &reqInfo{epoch: -1}
-		status := http.StatusOK
-		defer func() {
-			s.observe(route, start, status)
-			s.recordRequest(start, route, traceID, info, status, tr)
-		}()
-		if r.Method != method {
-			status = http.StatusMethodNotAllowed
-			writeError(w, status, method+" required")
-			return
-		}
+// ResponseWriter, so a timeout surfaces as the job's error (504), never as
+// a write race. The job is the panic boundary for the read path: a crash
+// in a render (or an injected cache fault) answers 500 and the worker
+// survives to drain the queue.
+func (s *Server) admit(fn serve.Func) serve.Func {
+	fn = s.spine.Guard(fn)
+	type answer struct {
+		body []byte
+		err  error
+	}
+	return func(ctx context.Context, r *http.Request) ([]byte, error) {
 		s.closeMu.RLock()
 		defer s.closeMu.RUnlock()
 		if s.closed {
-			status = http.StatusServiceUnavailable
-			writeError(w, status, "shutting down")
-			return
+			return nil, serve.Errorf(http.StatusServiceUnavailable, "shutting down")
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
-		ctx = withReqInfo(ctx, info)
-		if tr != nil {
-			ctx = obs.WithTrace(ctx, tr)
-		}
-		type answer struct {
-			body []byte
-			err  error
-		}
 		done := make(chan answer, 1)
 		if !s.pool.TrySubmit(func() {
-			// The job is the panic boundary for the read path: a crash in
-			// a render (or an injected cache fault) answers 500 and the
-			// worker survives to drain the queue.
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.count("timingd.panics_recovered")
-					done <- answer{nil, fmt.Errorf("internal panic: %v", rec)}
-				}
-			}()
 			b, err := fn(ctx, r)
 			done <- answer{b, err}
 		}) {
 			s.count("timingd.backpressure_429")
-			w.Header().Set("Retry-After", "1")
-			status = http.StatusTooManyRequests
-			writeError(w, status, "request queue full")
-			return
+			return nil, serve.Errorf(http.StatusTooManyRequests, "request queue full")
 		}
 		a := <-done
-		if a.err != nil {
-			switch {
-			case ctx.Err() != nil:
-				status = http.StatusGatewayTimeout
-			default:
-				status = http.StatusInternalServerError
-				var ae *apiError
-				if asAPIError(a.err, &ae) {
-					status = ae.status
-				}
-			}
-			writeError(w, status, a.err.Error())
-			return
+		if a.err != nil && ctx.Err() != nil {
+			return nil, &serve.Error{Status: http.StatusGatewayTimeout, Msg: a.err.Error()}
 		}
-		body := a.body
-		if tr != nil {
-			tr.Root.End()
-			env, err := json.Marshal(TraceReport{
-				TraceID:  traceID,
-				Spans:    tr.Rec.SpanTree(),
-				Response: json.RawMessage(bytes.TrimRight(body, "\n")),
-			})
-			if err == nil {
-				body = append(env, '\n')
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		return a.body, a.err
 	}
-}
-
-// recordRequest appends one request to the flight-recorder ring.
-func (s *Server) recordRequest(start time.Time, route, traceID string, info *reqInfo, status int, tr *obs.Trace) {
-	rec := obs.RequestRecord{
-		Start: start, Route: route, TraceID: traceID,
-		Epoch: info.epoch, Cache: info.cache,
-		Status: status, LatencyMs: msSince(start),
-	}
-	if tr != nil {
-		name, d := tr.Rec.SlowestSpan()
-		rec.SlowestChild = name
-		rec.SlowestChildMs = float64(d) / float64(time.Millisecond)
-	}
-	s.flight.Requests.Put(rec)
-}
-
-// asAPIError unwraps to *apiError without pulling in errors.As generics
-// noise at every call site.
-func asAPIError(err error, target **apiError) bool {
-	for err != nil {
-		if ae, ok := err.(*apiError); ok {
-			*target = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	b, _ := json.Marshal(errorBody{Error: msg})
-	w.Write(append(b, '\n'))
 }
 
 // readSnapshot resolves the current epoch snapshot, serves the query from
@@ -220,54 +80,48 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // renders + caches it otherwise. The RLock spans the render, ordering it
 // against the post-swap replay; the epoch tag read under the same lock is
 // exactly the epoch the data belongs to.
-func (s *Server) readSnapshot(ctx context.Context, uri string, render func(sess *session, epoch int64) (any, error)) ([]byte, error) {
+func (s *Server) readSnapshot(ctx context.Context, r *http.Request, render func(sess *session, epoch int64) (any, error)) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	uri := serve.CacheKey(r)
 	sess := s.cur.Load()
 	sess.mu.RLock()
 	defer sess.mu.RUnlock()
 	epoch := sess.epoch
-	info := reqInfoFrom(ctx)
-	if info != nil {
-		info.epoch = epoch
-	}
+	info := serve.InfoFrom(ctx)
+	info.Epoch = epoch
 	// A faulty cache degrades to a render, never to a wrong or failed
 	// response: a get fault is a miss, a put fault skips caching.
 	if err := s.fire(SiteCacheGet); err != nil {
 		s.count("timingd.cache.faults")
-	} else if b, ok := s.cache.get(epoch, uri); ok {
+	} else if b, ok := s.cache.Get(epoch, uri); ok {
 		s.count("timingd.cache.hits")
-		if info != nil {
-			info.cache = "hit"
-		}
+		info.Cache = "hit"
 		return b, nil
 	}
 	s.count("timingd.cache.misses")
-	if info != nil {
-		info.cache = "miss"
-	}
+	info.Cache = "miss"
 	sp := obs.TraceFrom(ctx).Start("render", nil)
 	v, err := render(sess, epoch)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(v)
+	b, err := serve.JSON(v)
 	if err != nil {
 		return nil, err
 	}
-	b = append(b, '\n')
 	if err := s.fire(SiteCachePut); err != nil {
 		s.count("timingd.cache.faults")
 	} else {
-		s.cache.put(epoch, uri, b)
+		s.cache.Put(epoch, uri, b)
 	}
 	return b, nil
 }
 
 func (s *Server) handleSlack(ctx context.Context, r *http.Request) ([]byte, error) {
-	return s.readSnapshot(ctx, r.URL.RequestURI(), func(sess *session, epoch int64) (any, error) {
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
 		return SlackReport{Epoch: epoch, Scenarios: sess.slacks()}, nil
 	})
 }
@@ -278,14 +132,14 @@ func (s *Server) handleEndpoints(ctx context.Context, r *http.Request) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	limit, err := parseInt(q.Get("limit"), 10, 1, 100000)
+	limit, err := serve.ParseInt(q.Get("limit"), 10, 1, 100000)
 	if err != nil {
 		return nil, err
 	}
-	return s.readSnapshot(ctx, r.URL.RequestURI(), func(sess *session, epoch int64) (any, error) {
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
 		v, err := sess.findView(q.Get("scenario"))
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, serve.BadRequest("%v", err)
 		}
 		return EndpointsReport{
 			Epoch: epoch, Scenario: v.scenario.Name,
@@ -300,14 +154,14 @@ func (s *Server) handlePaths(ctx context.Context, r *http.Request) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	k, err := parseInt(q.Get("k"), 5, 1, 1000)
+	k, err := serve.ParseInt(q.Get("k"), 5, 1, 1000)
 	if err != nil {
 		return nil, err
 	}
-	return s.readSnapshot(ctx, r.URL.RequestURI(), func(sess *session, epoch int64) (any, error) {
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
 		v, err := sess.findView(q.Get("scenario"))
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, serve.BadRequest("%v", err)
 		}
 		return PathsReport{
 			Epoch: epoch, Scenario: v.scenario.Name,
@@ -321,7 +175,7 @@ func (s *Server) handlePaths(ctx context.Context, r *http.Request) ([]byte, erro
 // arrival window. Defaults mirror triage.Options.
 func parseTriageOptions(q url.Values) (triage.Options, error) {
 	var opts triage.Options
-	k, err := parseInt(q.Get("k"), 3, 1, 100)
+	k, err := serve.ParseInt(q.Get("k"), 3, 1, 100)
 	if err != nil {
 		return opts, err
 	}
@@ -330,7 +184,7 @@ func parseTriageOptions(q url.Values) (triage.Options, error) {
 	if v := q.Get("window"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {
-			return opts, badRequest("bad window %q (want positive ps)", v)
+			return opts, serve.BadRequest("bad window %q (want positive ps)", v)
 		}
 		opts.Window = units.Ps(f)
 	}
@@ -346,7 +200,7 @@ func (s *Server) handleTriage(ctx context.Context, r *http.Request) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	return s.readSnapshot(ctx, r.URL.RequestURI(), func(sess *session, epoch int64) (any, error) {
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
 		extracts := make([]triage.ScenarioExtract, len(sess.views))
 		for i, v := range sess.views {
 			extracts[i] = triage.ExtractScenario(v.a, s.triagePlan, s.scenarioSet[i].Index, opts)
@@ -365,7 +219,7 @@ func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]by
 		return nil, err
 	}
 	name := q.Get("scenario")
-	return s.readSnapshot(ctx, r.URL.RequestURI(), func(sess *session, epoch int64) (any, error) {
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
 		for i, v := range sess.views {
 			if v.scenario.Name == name || (name == "" && i == 0) {
 				return TriageExtract{
@@ -374,7 +228,7 @@ func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]by
 				}, nil
 			}
 		}
-		return nil, badRequest("unknown scenario %q", name)
+		return nil, serve.BadRequest("unknown scenario %q", name)
 	})
 }
 
@@ -385,13 +239,11 @@ type opsBody struct {
 
 func decodeOps(r *http.Request) ([]Op, error) {
 	var body opsBody
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		return nil, badRequest("bad request body: %v", err)
+	if err := serve.Decode(r, &body); err != nil {
+		return nil, err
 	}
 	if len(body.Ops) == 0 {
-		return nil, badRequest("request has no ops")
+		return nil, serve.BadRequest("request has no ops")
 	}
 	return body.Ops, nil
 }
@@ -407,10 +259,8 @@ func (s *Server) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, err
 	if err != nil {
 		return nil, wrapOpError(err)
 	}
-	if info := reqInfoFrom(ctx); info != nil {
-		info.epoch = rep.Epoch
-	}
-	return marshalBody(rep)
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(rep)
 }
 
 func (s *Server) handleECO(ctx context.Context, r *http.Request) ([]byte, error) {
@@ -424,33 +274,23 @@ func (s *Server) handleECO(ctx context.Context, r *http.Request) ([]byte, error)
 	if err != nil {
 		return nil, wrapOpError(err)
 	}
-	if info := reqInfoFrom(ctx); info != nil {
-		info.epoch = rep.Epoch
-	}
-	return marshalBody(rep)
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(rep)
 }
 
 // wrapOpError classifies writer errors: validation failures (unknown
 // names, incompatible masters) are the client's fault.
 func wrapOpError(err error) error {
-	if _, ok := err.(*apiError); ok {
+	if _, ok := err.(*serve.Error); ok {
 		return err
 	}
 	msg := err.Error()
 	for _, pat := range []string{"unknown", "not pin-compatible", "not in scenario", "not a buffer", "no load", "empty op", "moves no loads"} {
 		if strings.Contains(msg, pat) {
-			return badRequest("%s", msg)
+			return serve.BadRequest("%s", msg)
 		}
 	}
 	return err
-}
-
-func marshalBody(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // handleHealthz bypasses the queue: liveness must be observable even when
@@ -478,92 +318,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.FlightRequestsCap = s.flight.Requests.Cap()
 	h.FlightCommits = s.flight.Commits.Len()
 	h.FlightCommitsCap = s.flight.Commits.Cap()
-	writeJSON(w, h)
-}
-
-// handleMetrics bypasses the queue and serves the obs metrics: the JSON
-// dump by default, Prometheus text exposition with ?format=prom.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeError(w, http.StatusNotFound, "metrics recording disabled")
-		return
-	}
-	hits, misses := s.cache.stats()
-	s.cfg.Obs.Gauge("timingd.cache.hit_total").Set(float64(hits))
-	s.cfg.Obs.Gauge("timingd.cache.miss_total").Set(float64(misses))
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.cfg.Obs.WritePromText(w); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.cfg.Obs.WriteMetricsJSON(w); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// handleDebugRequests serves the request ring, newest first. Bypasses the
-// queue: the flight recorder exists to diagnose a saturated or degraded
-// server, so it must answer then. ?limit= caps the returned records.
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	limit, err := parseInt(r.URL.Query().Get("limit"), 0, 1, 1<<20)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, DebugRequestsReport{
-		Requests: s.flight.Requests.Snapshot(limit),
-		Dropped:  s.flight.Requests.Dropped(),
-	})
+	serve.WriteJSON(w, h)
 }
 
 // handleDebugEpochs serves the commit ring: the per-phase audit timeline
 // of the last M commits, newest first.
 func (s *Server) handleDebugEpochs(w http.ResponseWriter, r *http.Request) {
-	limit, err := parseInt(r.URL.Query().Get("limit"), 0, 1, 1<<20)
+	limit, err := serve.ParseInt(r.URL.Query().Get("limit"), 0, 1, 1<<20)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, DebugEpochsReport{
+	serve.WriteJSON(w, DebugEpochsReport{
 		Commits: s.flight.Commits.Snapshot(limit),
 		Dropped: s.flight.Commits.Dropped(),
 	})
-}
-
-// handleDebugSlow serves the recorded requests at or above a latency
-// threshold (?threshold_ms=, default 10), newest first.
-func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	threshold := 10.0
-	if v := r.URL.Query().Get("threshold_ms"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad threshold_ms %q", v))
-			return
-		}
-		threshold = f
-	}
-	all := s.flight.Requests.Snapshot(0)
-	slow := make([]obs.RequestRecord, 0, len(all))
-	for _, rec := range all {
-		if rec.LatencyMs >= threshold {
-			slow = append(slow, rec)
-		}
-	}
-	writeJSON(w, DebugSlowReport{ThresholdMs: threshold, Requests: slow})
-}
-
-// writeJSON answers 200 with a JSON body and trailing newline.
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
 }
 
 func parseKind(s string) (sta.CheckKind, error) {
@@ -573,17 +342,6 @@ func parseKind(s string) (sta.CheckKind, error) {
 	case "hold":
 		return sta.Hold, nil
 	default:
-		return sta.Setup, badRequest("unknown check kind %q", s)
+		return sta.Setup, serve.BadRequest("unknown check kind %q", s)
 	}
-}
-
-func parseInt(s string, def, min, max int) (int, error) {
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < min || v > max {
-		return 0, badRequest("bad integer %q (want %d..%d)", s, min, max)
-	}
-	return v, nil
 }

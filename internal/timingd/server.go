@@ -13,6 +13,7 @@ import (
 	"newgame/internal/obs"
 	"newgame/internal/pack"
 	"newgame/internal/parasitics"
+	"newgame/internal/serve"
 	"newgame/internal/sta"
 	"newgame/internal/triage"
 	"newgame/internal/units"
@@ -152,7 +153,8 @@ type Server struct {
 
 	epoch atomic.Int64
 	pool  *workpool.Pool
-	cache *queryCache
+	cache *serve.Cache
+	spine *serve.Spine
 
 	// closeMu orders graceful shutdown against in-flight requests: every
 	// handler holds it shared for its whole lifetime, Close takes it
@@ -241,7 +243,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         c,
 		pool:        workpool.NewPool(c.QueryWorkers, c.QueueDepth),
-		cache:       newQueryCache(c.CacheSize),
+		cache:       serve.NewCache(c.CacheSize),
 		flight:      obs.NewFlightRecorder(c.FlightRequests, c.FlightCommits),
 		start:       time.Now(),
 		scenarioSet: kept,
@@ -278,6 +280,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	s.spine = &serve.Spine{NS: "timingd", Obs: c.Obs, Requests: s.flight.Requests, Cache: s.cache}
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s, nil
@@ -313,25 +316,6 @@ func (s *Server) Close() {
 		s.wal.Close()
 		s.writerMu.Unlock()
 	}
-}
-
-// observe bumps the per-route request counter, latency histogram and —
-// for non-2xx answers — the per-route error counter when recording.
-func (s *Server) observe(route string, start time.Time, status int) {
-	if s.cfg.Obs == nil {
-		return
-	}
-	s.cfg.Obs.Counter("timingd." + route + ".requests").Add(1)
-	if status >= 400 {
-		s.cfg.Obs.Counter("timingd." + route + ".errors").Add(1)
-	}
-	s.cfg.Obs.Histogram("timingd."+route+".latency_ms",
-		0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000).Observe(msSince(start))
-}
-
-// msSince is the elapsed wall time in (fractional) milliseconds.
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000
 }
 
 // count bumps a named counter when recording.

@@ -9,6 +9,7 @@ import (
 	"newgame/internal/netlist"
 	"newgame/internal/pack"
 	"newgame/internal/parasitics"
+	"newgame/internal/serve"
 	"newgame/internal/sta"
 )
 
@@ -144,7 +145,7 @@ func (s *session) collectTrees() []pack.NetTree {
 // so encoding the shadow never blocks readers).
 func (s *Server) save() (*SaveReport, error) {
 	if s.cfg.SnapshotDir == "" {
-		return nil, badRequest("snapshot persistence disabled: server started without a snapshot directory")
+		return nil, serve.BadRequest("snapshot persistence disabled: server started without a snapshot directory")
 	}
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
@@ -181,10 +182,8 @@ func (s *Server) handleSave(ctx context.Context, _ *http.Request) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	if info := reqInfoFrom(ctx); info != nil {
-		info.epoch = rep.Epoch
-	}
-	return marshalBody(rep)
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(rep)
 }
 
 // snapshotHealth renders the provenance block for /healthz, nil when

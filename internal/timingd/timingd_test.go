@@ -303,15 +303,15 @@ func TestQueryCacheEpochScoped(t *testing.T) {
 	s, hs := newTestServer(t, nil)
 	get(t, hs.URL, "/slack")
 	get(t, hs.URL, "/slack")
-	hits, misses := s.cache.stats()
+	hits, misses := s.cache.Stats()
 	if hits < 1 {
 		t.Fatalf("no cache hit after repeat query (hits=%d misses=%d)", hits, misses)
 	}
 	cell, to := resizeTarget(t)
 	post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
-	_, afterMisses0 := s.cache.stats()
+	_, afterMisses0 := s.cache.Stats()
 	get(t, hs.URL, "/slack")
-	_, afterMisses1 := s.cache.stats()
+	_, afterMisses1 := s.cache.Stats()
 	if afterMisses1 != afterMisses0+1 {
 		t.Fatalf("post-commit query did not miss (misses %d -> %d)", afterMisses0, afterMisses1)
 	}

@@ -76,15 +76,15 @@ func TestTriageCacheEpochScoped(t *testing.T) {
 	s, hs := newTestServer(t, nil)
 	_, before := get(t, hs.URL, "/triage")
 	get(t, hs.URL, "/triage")
-	hits, misses := s.cache.stats()
+	hits, misses := s.cache.Stats()
 	if hits < 1 {
 		t.Fatalf("no cache hit after repeat /triage (hits=%d misses=%d)", hits, misses)
 	}
 	cell, to := resizeTarget(t)
 	post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
-	_, afterMisses0 := s.cache.stats()
+	_, afterMisses0 := s.cache.Stats()
 	_, after := get(t, hs.URL, "/triage")
-	_, afterMisses1 := s.cache.stats()
+	_, afterMisses1 := s.cache.Stats()
 	if afterMisses1 != afterMisses0+1 {
 		t.Fatalf("post-commit /triage did not miss (misses %d -> %d)", afterMisses0, afterMisses1)
 	}

@@ -2,12 +2,13 @@ package timingd
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"newgame/internal/obs"
+	"newgame/internal/serve"
 )
 
 // This file splits the writer pipeline into an explicit two-phase protocol
@@ -55,7 +56,7 @@ func (s *Server) finishRecord(p *preparedTxn, err error) {
 	if err != nil {
 		p.cr.Err = err.Error()
 	}
-	p.cr.TotalMs = msSince(p.cr.Start)
+	p.cr.TotalMs = obs.MsSince(p.cr.Start)
 	s.flight.Commits.Put(p.cr)
 }
 
@@ -85,10 +86,8 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*prep
 	}
 	p.baseEpoch = s.epoch.Load()
 	if baseEpoch != nil && *baseEpoch != p.baseEpoch {
-		return fail(&apiError{
-			status: http.StatusConflict,
-			msg:    fmt.Sprintf("epoch mismatch: shard at epoch %d, prepare wants base %d", p.baseEpoch, *baseEpoch),
-		})
+		return fail(serve.Errorf(http.StatusConflict,
+			"epoch mismatch: shard at epoch %d, prepare wants base %d", p.baseEpoch, *baseEpoch))
 	}
 	p.newEpoch = p.baseEpoch + 1
 
@@ -105,7 +104,7 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*prep
 			return err
 		}
 		edits, err := sh.resolve(ops)
-		p.cr.ResolveMs = msSince(phase)
+		p.cr.ResolveMs = obs.MsSince(phase)
 		if err != nil {
 			return err
 		}
@@ -120,7 +119,7 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*prep
 		if err == nil {
 			err = sh.retime(ctx, s.cfg, p.structural)
 		}
-		p.cr.ApplyMs = msSince(phase)
+		p.cr.ApplyMs = obs.MsSince(phase)
 		if err == nil {
 			err = s.fire(SiteCommitSwap)
 		}
@@ -163,9 +162,9 @@ func (s *Server) commitPrepared(p *preparedTxn) *WhatIfReport {
 	sh.epoch = newEpoch
 	sh.mu.Unlock()
 	old := s.cur.Swap(sh)
-	p.cr.CachePurged = s.cache.purge()
+	p.cr.CachePurged = s.cache.Purge()
 	p.cr.Epoch = newEpoch
-	p.cr.SwapMs = msSince(phase)
+	p.cr.SwapMs = obs.MsSince(phase)
 	s.count("timingd.commits")
 	if s.cfg.Obs != nil {
 		s.cfg.Obs.Gauge("timingd.epoch").Set(float64(newEpoch))
@@ -196,7 +195,7 @@ func (s *Server) commitPrepared(p *preparedTxn) *WhatIfReport {
 		old.epoch = newEpoch
 		return err
 	})
-	p.cr.ReplayMs = msSince(phase)
+	p.cr.ReplayMs = obs.MsSince(phase)
 	if rerr != nil {
 		if isRecoveredPanic(rerr) {
 			s.count("timingd.panics_recovered")
@@ -275,129 +274,100 @@ func (s *Server) pendingTxnID() string {
 
 // --- HTTP surface -----------------------------------------------------
 
-// clusterRoutes registers the worker-side barrier endpoints. They bypass
-// the admission pool on purpose: an epoch barrier must not be starved or
-// 429'd by read traffic, and the writer lock already serializes them.
+// clusterRoutes registers the worker-side barrier endpoints. They mount on
+// the spine without the admission middleware on purpose: an epoch barrier
+// must not be starved or 429'd by read traffic, and the writer lock already
+// serializes them.
 func (s *Server) clusterRoutes() {
-	s.mux.HandleFunc("/cluster/prepare", s.handleClusterPrepare)
-	s.mux.HandleFunc("/cluster/commit", s.handleClusterCommit)
-	s.mux.HandleFunc("/cluster/abort", s.handleClusterAbort)
+	s.mux.HandleFunc("/cluster/prepare", s.spine.Handle("cluster.prepare", http.MethodPost, s.handleClusterPrepare))
+	s.mux.HandleFunc("/cluster/commit", s.spine.Handle("cluster.commit", http.MethodPost, s.handleClusterCommit))
+	s.mux.HandleFunc("/cluster/abort", s.spine.Handle("cluster.abort", http.MethodPost, s.handleClusterAbort))
 	s.mux.HandleFunc("/cluster/info", s.handleClusterInfo)
 }
 
 // handleClusterPrepare is phase one of the epoch barrier: validate, apply
 // and re-time the batch on the shadow, answer with the epoch this shard
 // will move to, and hold everything pending the coordinator's decision.
-func (s *Server) handleClusterPrepare(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	defer func() { s.observe("cluster.prepare", start, status) }()
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		writeError(w, status, "POST required")
-		return
-	}
+func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]byte, error) {
 	var req PrepareRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status = http.StatusBadRequest
-		writeError(w, status, fmt.Sprintf("bad request body: %v", err))
-		return
+	if err := serve.Decode(r, &req); err != nil {
+		return nil, err
 	}
 	if req.Txn == "" || len(req.Ops) == 0 {
-		status = http.StatusBadRequest
-		writeError(w, status, "prepare needs a txn id and ops")
-		return
+		return nil, serve.BadRequest("prepare needs a txn id and ops")
 	}
 	s.closeMu.RLock()
 	closed := s.closed
 	s.closeMu.RUnlock()
 	if closed {
-		status = http.StatusServiceUnavailable
-		writeError(w, status, "shutting down")
-		return
+		return nil, serve.Errorf(http.StatusServiceUnavailable, "shutting down")
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	p, err := s.prepare(ctx, req.Ops, &req.BaseEpoch)
 	if err != nil {
-		status = http.StatusInternalServerError
-		var ae *apiError
-		if asAPIError(wrapOpError(err), &ae) {
-			status = ae.status
-		}
-		writeError(w, status, err.Error())
-		return
+		return nil, wrapOpError(err)
 	}
 	p.id = req.Txn
 	s.registerPending(p)
-	writeJSON(w, PrepareResponse{Txn: p.id, Epoch: p.newEpoch, Report: p.rep})
+	serve.InfoFrom(ctx).Epoch = p.newEpoch
+	return serve.JSON(PrepareResponse{Txn: p.id, Epoch: p.newEpoch, Report: p.rep})
 }
 
 // handleClusterCommit is phase two: publish the prepared transaction. An
 // unknown txn is a 409 — the prepare expired or was aborted, so the
 // coordinator must treat the shard as NOT committed.
-func (s *Server) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	defer func() { s.observe("cluster.commit", start, status) }()
-	txn, ok := s.decodeTxn(w, r, &status)
-	if !ok {
-		return
+func (s *Server) handleClusterCommit(ctx context.Context, r *http.Request) ([]byte, error) {
+	txn, err := decodeTxn(r)
+	if err != nil {
+		return nil, err
 	}
 	p := s.takePending(txn)
 	if p == nil {
-		status = http.StatusConflict
-		writeError(w, status, fmt.Sprintf("no prepared transaction %q (expired or aborted)", txn))
-		return
+		return nil, serve.Errorf(http.StatusConflict, "no prepared transaction %q (expired or aborted)", txn)
 	}
 	p.timer.Stop()
 	rep := s.commitPrepared(p)
-	writeJSON(w, TxnResponse{Txn: txn, Epoch: rep.Epoch, Done: true})
+	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	return serve.JSON(TxnResponse{Txn: txn, Epoch: rep.Epoch, Done: true})
 }
 
 // handleClusterAbort rolls a prepared transaction back. Aborting an
 // unknown txn is idempotent success — the expiry timer may have won.
-func (s *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	status := http.StatusOK
-	defer func() { s.observe("cluster.abort", start, status) }()
-	txn, ok := s.decodeTxn(w, r, &status)
-	if !ok {
-		return
+func (s *Server) handleClusterAbort(ctx context.Context, r *http.Request) ([]byte, error) {
+	txn, err := decodeTxn(r)
+	if err != nil {
+		return nil, err
 	}
 	p := s.takePending(txn)
-	if p == nil {
-		writeJSON(w, TxnResponse{Txn: txn, Epoch: s.epoch.Load(), Done: false})
-		return
+	if p != nil {
+		p.timer.Stop()
+		s.abortPrepared(p, fmt.Errorf("aborted by coordinator"))
 	}
-	p.timer.Stop()
-	s.abortPrepared(p, fmt.Errorf("aborted by coordinator"))
-	writeJSON(w, TxnResponse{Txn: txn, Epoch: s.epoch.Load(), Done: true})
+	epoch := s.epoch.Load()
+	serve.InfoFrom(ctx).Epoch = epoch
+	return serve.JSON(TxnResponse{Txn: txn, Epoch: epoch, Done: p != nil})
 }
 
-func (s *Server) decodeTxn(w http.ResponseWriter, r *http.Request, status *int) (string, bool) {
-	if r.Method != http.MethodPost {
-		*status = http.StatusMethodNotAllowed
-		writeError(w, *status, "POST required")
-		return "", false
-	}
+// decodeTxn reads a commit/abort body. Anything short of a txn id — bad
+// JSON included — is the same 400; only an oversize body keeps its 413.
+func decodeTxn(r *http.Request) (string, error) {
 	var req TxnRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || req.Txn == "" {
-		*status = http.StatusBadRequest
-		writeError(w, *status, "request needs a txn id")
-		return "", false
+	err := serve.Decode(r, &req)
+	var se *serve.Error
+	if errors.As(err, &se) && se.Status == http.StatusRequestEntityTooLarge {
+		return "", err
 	}
-	return req.Txn, true
+	if err != nil || req.Txn == "" {
+		return "", serve.BadRequest("request needs a txn id")
+	}
+	return req.Txn, nil
 }
 
 // handleClusterInfo reports this shard's role, epoch and scenario set —
 // what a coordinator (or operator) needs to place it in the ring.
 func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ClusterInfo{
+	serve.WriteJSON(w, ClusterInfo{
 		Role:       s.role(),
 		Epoch:      s.epoch.Load(),
 		Degraded:   s.degraded.Load(),

@@ -88,6 +88,18 @@ echo "cluster smoke: coordinator + 2 workers converged"
 curl -sf "$COORD/slack" >"$WORK/slack0.json" || fail "GET /slack"
 grep -q "\"$W1_SCEN\"" "$WORK/slack0.json" && grep -q "\"$W2_SCEN\"" "$WORK/slack0.json" \
   || fail "merged slack missing a scenario"
+# The coordinator mounts on the same serving spine as a node: it echoes the
+# caller's trace ID, exposes Prometheus metrics, and its flight recorder
+# lists the request — the three checks timingd_smoke.sh makes on a node.
+TRACE_ID="$(curl -sf -D - -o /dev/null -H 'X-Trace-Id: c0ffee0000000001' "$COORD/slack" \
+  | tr -d '\r' | sed -n 's/^X-Trace-Id: //p')"
+[[ "$TRACE_ID" == "c0ffee0000000001" ]] || fail "coordinator did not echo X-Trace-Id (got '$TRACE_ID')"
+curl -sf "$COORD/metrics?format=prom" | grep -q '^cluster_slack_requests_total ' \
+  || fail "coordinator /metrics?format=prom has no cluster_slack_requests_total"
+curl -sf "$COORD/debug/requests" | grep -q '"trace_id":"c0ffee0000000001"' \
+  || fail "coordinator /debug/requests does not list the traced /slack"
+echo "cluster smoke: coordinator echoes trace IDs, serves /metrics and /debug/requests"
+
 # Triage merge identity: a single node restored from the same pack (all
 # scenarios resident) must serve /triage byte-identical to the 2-shard
 # coordinator merging per-scenario extracts — same clusters, same ranks,
