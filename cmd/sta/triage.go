@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -52,24 +53,16 @@ func runTriage(out io.Writer, d *netlist.Design, lib *liberty.Library, stack *pa
 	scens := triageScenarios(lib, stack.Corner(tc.beol, 3), tc)
 	plan := triage.PlanFor(scens, tc.period)
 
-	bind := sta.NewNetBinder(stack, 1)
-	var topo *sta.Topology
+	views := &core.Views{
+		D: d, ClockPort: d.Port("clk"), BasePeriod: tc.period, Scenarios: scens,
+		Parasitics: sta.NewNetBinder(stack, 1),
+		Workers:    tc.workers, AnalysisWorkers: tc.workers,
+	}
+	if err := views.Build(context.Background(), nil); err != nil {
+		return err
+	}
 	extracts := make([]triage.ScenarioExtract, len(scens))
-	for i, s := range scens {
-		cons := core.ConstraintsFor(d, d.Port("clk"), tc.period, 0, s)
-		a, err := sta.New(d, cons, sta.Config{
-			Lib: s.Lib, Parasitics: bind, Scaling: s.Scaling, Derate: s.Derate,
-			SI: s.SI, MIS: s.MIS, Workers: tc.workers, Topology: topo,
-		})
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		if err := a.Run(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		if topo == nil {
-			topo = a.Topology()
-		}
+	for i, a := range views.Analyzers() {
 		extracts[i] = triage.ExtractScenario(a, plan, i, triage.Options{})
 	}
 	rep := triage.BuildReport(extracts)

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -51,21 +52,12 @@ func (cx *Ctx) triagePeriod() (units.Ps, error) {
 	if cx.triagePd != 0 {
 		return cx.triagePd, nil
 	}
-	rcp := triageRecipe(cx.Lib, cx.Stack)
-	tight := rcp.Scenarios[0]
 	probe := units.Ps(cx.Spec.Period)
-	cons := core.ConstraintsFor(cx.Design, cx.Design.Port("clk"), probe, 0, tight)
-	a, err := sta.New(cx.Design, cons, sta.Config{
-		Lib: tight.Lib, Parasitics: sta.NewNetBinder(cx.Stack, cx.Spec.Seed),
-		Scaling: tight.Scaling, Derate: tight.Derate, Workers: 1,
-	})
+	tight, err := cx.triageViews(triageRecipe(cx.Lib, cx.Stack).Scenarios[:1], probe)
 	if err != nil {
 		return 0, fmt.Errorf("triage period probe: %v", err)
 	}
-	if err := a.Run(); err != nil {
-		return 0, fmt.Errorf("triage period probe run: %v", err)
-	}
-	es := a.EndpointSlacks(sta.Setup)
+	es := tight.Analyzers()[0].EndpointSlacks(sta.Setup)
 	if len(es) == 0 {
 		return 0, fmt.Errorf("design has no setup endpoints")
 	}
@@ -75,6 +67,18 @@ func (cx *Ctx) triagePeriod() (units.Ps, error) {
 	}
 	cx.triagePd = pd
 	return pd, nil
+}
+
+// triageViews times scens over the lab design at the given period: one
+// resident analyzer per scenario, sharing parasitics and a frozen topology —
+// the same arrangement timingd holds.
+func (cx *Ctx) triageViews(scens []core.Scenario, period units.Ps) (*core.Views, error) {
+	v := &core.Views{
+		D: cx.Design, ClockPort: cx.Design.Port("clk"), BasePeriod: period, Scenarios: scens,
+		Parasitics: sta.NewNetBinder(cx.Stack, cx.Spec.Seed),
+		Workers:    1, AnalysisWorkers: 1,
+	}
+	return v, v.Build(context.Background(), nil)
 }
 
 // checkDominancePruneSound: scenario-dominance pruning is an optimization,
@@ -107,28 +111,11 @@ func checkDominancePruneSound(cx *Ctx) error {
 		return fmt.Errorf("want 2 prune records, got %+v", plan.Prunes)
 	}
 
-	// One resident analyzer per scenario, sharing parasitics and a frozen
-	// topology — the same arrangement timingd holds.
-	bind := sta.NewNetBinder(cx.Stack, cx.Spec.Seed)
-	var topo *sta.Topology
-	analyzers := make([]*sta.Analyzer, len(scens))
-	for i, s := range scens {
-		cons := core.ConstraintsFor(cx.Design, cx.Design.Port("clk"), pd, 0, s)
-		a, err := sta.New(cx.Design, cons, sta.Config{
-			Lib: s.Lib, Parasitics: bind, Scaling: s.Scaling, Derate: s.Derate,
-			SI: s.SI, MIS: s.MIS, Workers: 1, Topology: topo,
-		})
-		if err != nil {
-			return fmt.Errorf("scenario %s: %v", s.Name, err)
-		}
-		if err := a.Run(); err != nil {
-			return fmt.Errorf("scenario %s run: %v", s.Name, err)
-		}
-		if topo == nil {
-			topo = a.Topology()
-		}
-		analyzers[i] = a
+	views, err := cx.triageViews(scens, pd)
+	if err != nil {
+		return err
 	}
+	analyzers := views.Analyzers()
 
 	var opts triage.Options
 	noPrune := triage.NoPrune(plan)

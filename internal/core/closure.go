@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -16,7 +17,6 @@ import (
 	"newgame/internal/place"
 	"newgame/internal/sta"
 	"newgame/internal/units"
-	"newgame/internal/workpool"
 )
 
 // Engine runs the closure loop on one design under one recipe.
@@ -50,13 +50,12 @@ type Engine struct {
 
 	store *opt.Store
 	uskew map[*netlist.Cell]units.Ps
-	// resident holds the last survey's analyzers, in recipe order, and what
-	// they were built from; the next survey re-times them in place while
-	// that still describes the engine (see runScenarios).
+	// resident holds the last survey's scenario set and the engine state it
+	// was built from; the next survey re-runs it in place while that still
+	// describes the engine (see runScenarios).
 	resident struct {
-		as   []*sta.Analyzer
-		from analyzerInputs
-		scen []Scenario
+		views *Views
+		from  analyzerInputs
 	}
 	// obsParent is the span the next survey parents under (the in-flight
 	// iteration during Close, nil for bare Survey calls); obsSurvey is the
@@ -187,57 +186,35 @@ func ConstraintsFor(d *netlist.Design, clockPort *netlist.Port, basePeriod, inpu
 	return cons
 }
 
-// view assembles one scenario's constraints and analyzer config from the
-// engine's current useful-skew schedule, NDR store and placement. parent,
-// when recording, parents the analyzer's sta-level spans (typically the
-// scenario span). topo, when non-nil, is a frozen timing graph another
-// analyzer already built over this exact netlist — a new analyzer adopts it
-// read-only instead of re-levelizing (see sta.Config.Topology).
-func (e *Engine) view(s Scenario, topo *sta.Topology, parent *obs.Span) (*sta.Constraints, sta.Config) {
-	cons := ConstraintsFor(e.D, e.ClockPort, e.BasePeriod, e.InputArrival, s)
+// tune adds the engine-only inputs to one scenario's constraints and
+// analyzer config (see Views.Each): the current useful-skew schedule and its
+// scale into the scenario library's time base, the IR-droop derate map, and
+// the span the analyzer's sta-level spans parent under.
+func (e *Engine) tune(s Scenario, cons *sta.Constraints, cfg *sta.Config, parent *obs.Span) {
 	for ff, off := range e.uskew {
 		cons.ExtraCKLatency[ff] = off
 	}
-	cfg := sta.Config{
-		Lib: s.Lib, Parasitics: e.store.Fn(), Scaling: s.Scaling,
-		Derate: s.Derate, SI: s.SI, MIS: s.MIS,
-		CKLatencyScale: e.skewScale(s.Lib),
-		Workers:        e.Workers,
-		Obs:            e.Obs, ObsSpan: parent,
-		Topology: topo,
-	}
+	cfg.CKLatencyScale = e.skewScale(s.Lib)
+	cfg.ObsSpan = parent
 	if s.DynamicIR && e.Place != nil {
 		droop := ir.Run(e.Place, s.Lib, ir.DefaultConfig())
 		cfg.CellDerate = droop.DerateFn()
 	}
-	return cons, cfg
 }
 
-// analyzer builds and runs the STA view of one scenario over the engine's
-// current netlist.
-func (e *Engine) analyzer(s Scenario, topo *sta.Topology, parent *obs.Span) (*sta.Analyzer, error) {
-	cons, cfg := e.view(s, topo, parent)
-	a, err := sta.New(e.D, cons, cfg)
-	if err != nil {
-		return nil, err
+// views describes a scenario set over the engine's current netlist, NDR
+// store and placement.
+func (e *Engine) views(scen []Scenario, each func(Scenario, int, *sta.Constraints, *sta.Config) func()) *Views {
+	return &Views{
+		D: e.D, ClockPort: e.ClockPort, BasePeriod: e.BasePeriod, InputArrival: e.InputArrival,
+		Scenarios: scen, Parasitics: e.store.Fn(),
+		Workers: e.Workers, AnalysisWorkers: e.Workers, Obs: e.Obs,
+		Each: each,
 	}
-	return a, a.Run()
 }
 
-// retime brings resident analyzer a, built for scenario s over a netlist
-// whose structure has not changed since, to the state a freshly built one
-// would reach: the per-survey inputs — constraints carrying the current
-// useful-skew schedule, the droop map, the parent span — are swapped in and
-// the full Run re-resolves every master and recomputes exactly the nets
-// whose tree or sink caps moved.
-func (e *Engine) retime(a *sta.Analyzer, s Scenario, parent *obs.Span) error {
-	cons, cfg := e.view(s, nil, parent)
-	a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan = cons, cfg.CellDerate, parent
-	return a.Run()
-}
-
-// analyzerInputs is everything view reads from the engine that a built
-// analyzer holds on to, the scenarios aside. The netlist enters by identity
+// analyzerInputs is everything views and tune read from the engine that a
+// built analyzer holds on to, the scenarios aside. The netlist enters by identity
 // and structural revision: retyped cells, NDRs and the skew schedule are
 // picked up by a re-run, a changed graph is not.
 type analyzerInputs struct {
@@ -262,87 +239,65 @@ func sameScenario(a, b Scenario) bool {
 }
 
 // residentsCurrent reports whether the last survey's analyzers still
-// describe the engine, so that re-timing them equals rebuilding them.
+// describe the engine, so that re-running them equals rebuilding them.
 func (e *Engine) residentsCurrent(in analyzerInputs) bool {
 	r := &e.resident
-	if r.as == nil || r.from != in || len(r.scen) != len(e.Recipe.Scenarios) {
+	if r.views == nil || r.from != in || len(r.views.Scenarios) != len(e.Recipe.Scenarios) {
 		return false
 	}
 	for i, s := range e.Recipe.Scenarios {
-		if !sameScenario(s, r.scen[i]) {
+		if !sameScenario(s, r.views.Scenarios[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// runScenarios brings one analyzer per scenario up to date across a bounded
-// worker pool. Results come back indexed by scenario so callers can merge
-// them in recipe order regardless of completion order — the determinism
-// rule of concurrent signoff. The shared parasitics store is warmed
-// serially first so stateful tree synthesis happens in net order, exactly
-// as a serial survey would have generated it.
-//
-// The analyzers stay with the engine between surveys. While nothing they
-// were built from has changed — the engine's fields, the scenarios, the
-// netlist's structural revision — a survey re-times them in place and pays
-// only for the nets and masters that moved. Otherwise it rebuilds them: the
-// first scenario runs on the calling goroutine and freezes the timing graph
-// topology, the rest adopt it read-only, so levelization happens once per
-// rebuild rather than once per scenario.
-func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
-	e.store.Warm(e.D.Nets)
-	scen := e.Recipe.Scenarios
-	in := analyzerInputs{
-		d: e.D, revision: e.D.Revision(), clockPort: e.ClockPort,
-		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
-		workers: e.Workers, obs: e.Obs, place: e.Place, store: e.store,
-	}
-	warm := e.residentsCurrent(in)
-	if !warm {
-		e.resident.as = make([]*sta.Analyzer, len(scen))
-		e.resident.from = in
-		e.resident.scen = append(e.resident.scen[:0], scen...)
-	}
-	as := e.resident.as
-	errs := make([]error, len(scen))
-	if len(scen) == 0 {
-		return as, nil
-	}
-	// evalOne runs scenario i on worker track g (track g+1 in the trace;
-	// track 0 is the main goroutine) and bumps that worker's occupancy
-	// counter so the metrics dump shows how balanced the pool ran.
-	evalOne := func(i, g int, topo *sta.Topology) {
-		sp := e.Obs.Start("scenario:"+scen[i].Name, e.obsSurvey).OnTrack(g + 1)
-		if warm {
-			errs[i] = e.retime(as[i], scen[i], sp)
-		} else {
-			as[i], errs[i] = e.analyzer(scen[i], topo, sp)
-		}
+// surveyScenario is the survey's Views.Each hook: the scenario runs under
+// its own span on worker track g+1 (track 0 is the main goroutine) and
+// bumps that worker's occupancy counter, so the metrics dump shows how
+// balanced the pool ran.
+func (e *Engine) surveyScenario(s Scenario, g int, cons *sta.Constraints, cfg *sta.Config) func() {
+	sp := e.Obs.Start("scenario:"+s.Name, e.obsSurvey).OnTrack(g + 1)
+	e.tune(s, cons, cfg, sp)
+	return func() {
 		sp.End()
 		if e.Obs != nil {
 			e.Obs.Counter(fmt.Sprintf("core.worker_%02d.scenarios", g)).Add(1)
 		}
 	}
-	// fail forgets the analyzers: a failed run leaves them half-timed.
-	fail := func(i int) ([]*sta.Analyzer, error) {
-		e.resident.as = nil
-		return nil, fmt.Errorf("scenario %s: %w", scen[i].Name, errs[i])
+}
+
+// runScenarios brings the engine's resident scenario set (see Views) up to
+// date. The shared parasitics store is warmed serially first so stateful
+// tree synthesis happens in net order, exactly as a serial survey would
+// have generated it.
+//
+// The set stays with the engine between surveys. While nothing it was built
+// from has changed — the engine's fields, the scenarios, the netlist's
+// structural revision — a survey re-runs it in place and pays only for the
+// nets and masters that moved; otherwise it is rebuilt.
+func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
+	e.store.Warm(e.D.Nets)
+	in := analyzerInputs{
+		d: e.D, revision: e.D.Revision(), clockPort: e.ClockPort,
+		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
+		workers: e.Workers, obs: e.Obs, place: e.Place, store: e.store,
 	}
-	evalOne(0, 0, nil)
-	if errs[0] != nil {
-		return fail(0)
+	var err error
+	if e.residentsCurrent(in) {
+		err = e.resident.views.Rerun(context.Background())
+	} else {
+		e.resident.from = in
+		e.resident.views = e.views(append([]Scenario(nil), e.Recipe.Scenarios...), e.surveyScenario)
+		err = e.resident.views.Build(context.Background(), nil)
 	}
-	topo := as[0].Topology()
-	workpool.DoObs(nil, nil, "", e.Workers, len(scen)-1, func(i, g int) {
-		evalOne(i+1, g, topo)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fail(i)
-		}
+	if err != nil {
+		// A failed run leaves the analyzers half-timed: forget them.
+		e.resident.views = nil
+		return nil, err
 	}
-	return as, nil
+	return e.resident.views.Analyzers(), nil
 }
 
 // survey runs every scenario and merges the results. It returns the
@@ -447,7 +402,12 @@ func (e *Engine) Survey() (Iteration, error) {
 // Analyzers returns the last survey's analyzers in recipe order, each timed
 // as of that survey, or nil before the first. The next survey re-times them
 // in place, so a caller holds them only until then.
-func (e *Engine) Analyzers() []*sta.Analyzer { return e.resident.as }
+func (e *Engine) Analyzers() []*sta.Analyzer {
+	if e.resident.views == nil {
+		return nil
+	}
+	return e.resident.views.Analyzers()
+}
 
 // SetUsefulSkew replaces the engine's useful-skew schedule: per-flip-flop
 // clock-arrival offsets in the reference scenario's time base, the state
@@ -652,10 +612,14 @@ func (e *Engine) recoverMargin(res *Result) error {
 	}
 	rsp := e.Obs.Start("close.recover_margin", e.obsParent)
 	defer rsp.End()
-	a, err := e.analyzer(*setupScen, nil, rsp)
-	if err != nil {
+	rv := e.views([]Scenario{*setupScen}, func(s Scenario, _ int, cons *sta.Constraints, cfg *sta.Config) func() {
+		e.tune(s, cons, cfg, rsp)
+		return nil
+	})
+	if err := rv.Build(context.Background(), nil); err != nil {
 		return err
 	}
+	a := rv.Analyzers()[0]
 	ctx := &opt.Context{A: a, Lib: setupScen.Lib, Place: e.Place, Store: e.store}
 	// Cross-scenario acceptance: every recovery batch must keep the whole
 	// MCMM survey clean, not just the recovery view (§2.3's ping-pong).

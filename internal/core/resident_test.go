@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -173,14 +174,17 @@ func TestCloseLeavesAnalyzersCurrent(t *testing.T) {
 	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
+	rebuilt := e.views(recipe.Scenarios, func(s Scenario, _ int, cons *sta.Constraints, cfg *sta.Config) func() {
+		e.tune(s, cons, cfg, nil)
+		return nil
+	})
+	if err := rebuilt.Build(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range recipe.Scenarios {
-		fresh, err := e.analyzer(s, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := e.Analyzers()[i]
+		fresh, kept := rebuilt.Analyzers()[i], e.Analyzers()[i]
 		if kept == fresh {
-			t.Fatal("analyzer() must build a new analyzer")
+			t.Fatal("Build must construct new analyzers")
 		}
 		for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
 			if !reflect.DeepEqual(kept.EndpointSlacks(kind), fresh.EndpointSlacks(kind)) {

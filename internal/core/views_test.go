@@ -1,0 +1,199 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"newgame/internal/circuits"
+	"newgame/internal/conformance"
+	"newgame/internal/core"
+	"newgame/internal/liberty"
+	"newgame/internal/netlist"
+	"newgame/internal/parasitics"
+	"newgame/internal/sta"
+)
+
+// viewsOver describes a four-scenario set over d: the old recipe's two
+// corners, each at a tight and a loose margin, so the pool has three
+// scenarios to spread. The keyed binder makes a net's tree a function of its
+// name and fanout alone, so sets over clones of one netlist are comparable
+// bit for bit whatever each has computed before.
+func viewsOver(d *netlist.Design, recipe core.Recipe, workers int) *core.Views {
+	var scen []core.Scenario
+	for _, s := range recipe.Scenarios {
+		loose := s
+		loose.Name += "_loose"
+		loose.SetupUncertainty, loose.HoldUncertainty = s.SetupUncertainty/2, s.HoldUncertainty/2
+		scen = append(scen, s, loose)
+	}
+	return &core.Views{
+		D: d, ClockPort: d.Port("clk"), BasePeriod: 560, Scenarios: scen,
+		Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), 42),
+		Workers:    workers, AnalysisWorkers: workers,
+	}
+}
+
+func fingerprints(v *core.Views) []string {
+	out := make([]string, len(v.Analyzers()))
+	for i, a := range v.Analyzers() {
+		out[i] = conformance.Fingerprint(a)
+	}
+	return out
+}
+
+// Every operation leaves each analyzer in the state a freshly built one
+// reaches on the same netlist, at any worker count; a cancelled Build leaves
+// the set exactly as it was.
+func TestViewsMatchFreshBuild(t *testing.T) {
+	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	lib := recipe.Scenarios[0].Lib
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, workers := range []int{1, 4} {
+		d := circuits.Block(lib, circuits.BlockSpec{
+			Name: "views", Inputs: 10, Outputs: 10, FFs: 24, Gates: 260,
+			MaxDepth: 9, Seed: 42, ClockBufferLevels: 2,
+			VtMix: [3]float64{0.1, 0.5, 0.4},
+		})
+		v := viewsOver(d, recipe, workers)
+		var hooked, finished atomic.Int32
+		v.Each = func(core.Scenario, int, *sta.Constraints, *sta.Config) func() {
+			hooked.Add(1)
+			return func() { finished.Add(1) }
+		}
+		// retype swaps the Vt of up to n combinational cells not yet swapped
+		// and returns them.
+		swapped := map[*netlist.Cell]bool{}
+		retype := func(n int) []*netlist.Cell {
+			var cells []*netlist.Cell
+			for _, c := range d.Cells {
+				m := lib.Cell(c.TypeName)
+				to := lib.Variant(m, m.Drive, liberty.LVT)
+				if len(cells) < n && !swapped[c] && !m.IsSequential() && to != nil && to != m {
+					c.SetType(to.Name)
+					swapped[c] = true
+					cells = append(cells, c)
+				}
+			}
+			if len(cells) == 0 {
+				t.Fatal("no cell to retype")
+			}
+			return cells
+		}
+
+		for _, step := range []struct {
+			name   string
+			hooked bool // the step passes every scenario through Each
+			run    func() error
+		}{
+			{"build", true, func() error { return v.Build(context.Background(), nil) }},
+			{"update", false, func() error {
+				for _, c := range retype(10) {
+					for _, a := range v.Analyzers() {
+						a.InvalidateCell(c)
+					}
+				}
+				return v.Update(context.Background())
+			}},
+			{"re-run", true, func() error {
+				retype(10)
+				return v.Rerun(context.Background())
+			}},
+			{"rebuild after InsertBuffer", true, func() error {
+				for _, n := range d.Nets {
+					if n.Driver != nil && len(n.Loads) >= 2 {
+						if _, err := d.InsertBuffer(n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
+							return err
+						}
+						break
+					}
+				}
+				return v.Build(context.Background(), nil)
+			}},
+		} {
+			hooked.Store(0)
+			finished.Store(0)
+			if err := step.run(); err != nil {
+				t.Fatalf("workers %d, %s: %v", workers, step.name, err)
+			}
+			if want := int32(len(v.Scenarios)); step.hooked && (hooked.Load() != want || finished.Load() != want) {
+				t.Errorf("workers %d, %s: Each ran %d times and finished %d, want %d each",
+					workers, step.name, hooked.Load(), finished.Load(), want)
+			}
+			fresh := viewsOver(d.Clone(), recipe, 1)
+			if err := fresh.Build(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			got, want := fingerprints(v), fingerprints(fresh)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("workers %d, %s: scenario %s differs from a fresh build", workers, step.name, v.Scenarios[i].Name)
+				}
+			}
+
+			before := append([]*sta.Analyzer(nil), v.Analyzers()...)
+			err := v.Build(cancelled, nil)
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "scenario "+v.Scenarios[0].Name) {
+				t.Errorf("workers %d, %s: cancelled Build returned %v", workers, step.name, err)
+			}
+			for i, a := range v.Analyzers() {
+				if a != before[i] || conformance.Fingerprint(a) != got[i] {
+					t.Errorf("workers %d, %s: cancelled Build disturbed scenario %d", workers, step.name, i)
+				}
+			}
+		}
+	}
+}
+
+// A failing scenario is named, whichever worker ran it, and costs nothing
+// already built; a seed topology from a clone's set is adopted.
+func TestViewsBuildErrorAndSeed(t *testing.T) {
+	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "views", Inputs: 6, Outputs: 6, FFs: 8, Gates: 60, MaxDepth: 6, Seed: 3, ClockBufferLevels: 1,
+	})
+	v := viewsOver(d, recipe, 4)
+	if err := v.Build(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	built := append([]*sta.Analyzer(nil), v.Analyzers()...)
+
+	good := v.Scenarios
+	v.Scenarios = append([]core.Scenario(nil), good...)
+	v.Scenarios[2].Lib = nil
+	if err := v.Build(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "scenario "+good[2].Name+":") {
+		t.Errorf("Build with scenario %s broken returned %v", good[2].Name, err)
+	}
+	for i, a := range v.Analyzers() {
+		if a != built[i] {
+			t.Errorf("failed Build replaced scenario %d", i)
+		}
+	}
+	v.Scenarios = good
+
+	for name, want := range map[string]int{"": 0, good[0].Name: 0, good[3].Name: 3} {
+		if i, err := v.Find(name); err != nil || i != want {
+			t.Errorf("Find(%q) = %d, %v, want %d", name, i, err, want)
+		}
+	}
+	if _, err := v.Find("nope"); err == nil || err.Error() != `unknown scenario "nope"` {
+		t.Errorf("Find of an unknown scenario returned %v", err)
+	}
+
+	twin := viewsOver(d.Clone(), recipe, 1)
+	if err := twin.Build(context.Background(), v.Topology()); err != nil {
+		t.Fatal(err)
+	}
+	if twin.Topology() != v.Topology() {
+		t.Error("a set over a clone did not adopt the seed topology")
+	}
+	for i, fp := range fingerprints(twin) {
+		if fp != conformance.Fingerprint(built[i]) {
+			t.Errorf("scenario %d over the adopted topology differs", i)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"newgame/internal/obs"
@@ -137,13 +136,13 @@ func (s *Server) handleEndpoints(ctx context.Context, r *http.Request) ([]byte, 
 		return nil, err
 	}
 	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		v, err := sess.findView(q.Get("scenario"))
+		i, err := sess.views.Find(q.Get("scenario"))
 		if err != nil {
 			return nil, serve.BadRequest("%v", err)
 		}
 		return EndpointsReport{
-			Epoch: epoch, Scenario: v.scenario.Name,
-			Endpoints: v.endpoints(kind, limit),
+			Epoch: epoch, Scenario: sess.views.Scenarios[i].Name,
+			Endpoints: endpoints(sess.views.Analyzers()[i], kind, limit),
 		}, nil
 	})
 }
@@ -159,13 +158,13 @@ func (s *Server) handlePaths(ctx context.Context, r *http.Request) ([]byte, erro
 		return nil, err
 	}
 	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		v, err := sess.findView(q.Get("scenario"))
+		i, err := sess.views.Find(q.Get("scenario"))
 		if err != nil {
 			return nil, serve.BadRequest("%v", err)
 		}
 		return PathsReport{
-			Epoch: epoch, Scenario: v.scenario.Name,
-			Paths: v.paths(kind, k),
+			Epoch: epoch, Scenario: sess.views.Scenarios[i].Name,
+			Paths: paths(sess.views.Analyzers()[i], kind, k),
 		}, nil
 	})
 }
@@ -201,9 +200,9 @@ func (s *Server) handleTriage(ctx context.Context, r *http.Request) ([]byte, err
 		return nil, err
 	}
 	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		extracts := make([]triage.ScenarioExtract, len(sess.views))
-		for i, v := range sess.views {
-			extracts[i] = triage.ExtractScenario(v.a, s.triagePlan, s.scenarioSet[i].Index, opts)
+		extracts := make([]triage.ScenarioExtract, len(s.scenarioSet))
+		for i, a := range sess.views.Analyzers() {
+			extracts[i] = triage.ExtractScenario(a, s.triagePlan, s.scenarioSet[i].Index, opts)
 		}
 		return TriageReport{Epoch: epoch, Report: triage.BuildReport(extracts)}, nil
 	})
@@ -220,15 +219,14 @@ func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]by
 	}
 	name := q.Get("scenario")
 	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		for i, v := range sess.views {
-			if v.scenario.Name == name || (name == "" && i == 0) {
-				return TriageExtract{
-					Epoch:           epoch,
-					ScenarioExtract: triage.ExtractScenario(v.a, s.triagePlan, s.scenarioSet[i].Index, opts),
-				}, nil
-			}
+		i, err := sess.views.Find(name)
+		if err != nil {
+			return nil, serve.BadRequest("%v", err)
 		}
-		return nil, serve.BadRequest("unknown scenario %q", name)
+		return TriageExtract{
+			Epoch:           epoch,
+			ScenarioExtract: triage.ExtractScenario(sess.views.Analyzers()[i], s.triagePlan, s.scenarioSet[i].Index, opts),
+		}, nil
 	})
 }
 
@@ -257,7 +255,7 @@ func (s *Server) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, err
 	rep, err := s.whatIf(ctx, ops)
 	sp.End()
 	if err != nil {
-		return nil, wrapOpError(err)
+		return nil, err
 	}
 	serve.InfoFrom(ctx).Epoch = rep.Epoch
 	return serve.JSON(rep)
@@ -272,25 +270,10 @@ func (s *Server) handleECO(ctx context.Context, r *http.Request) ([]byte, error)
 	rep, err := s.commit(ctx, ops)
 	sp.End()
 	if err != nil {
-		return nil, wrapOpError(err)
+		return nil, err
 	}
 	serve.InfoFrom(ctx).Epoch = rep.Epoch
 	return serve.JSON(rep)
-}
-
-// wrapOpError classifies writer errors: validation failures (unknown
-// names, incompatible masters) are the client's fault.
-func wrapOpError(err error) error {
-	if _, ok := err.(*serve.Error); ok {
-		return err
-	}
-	msg := err.Error()
-	for _, pat := range []string{"unknown", "not pin-compatible", "not in scenario", "not a buffer", "no load", "empty op", "moves no loads"} {
-		if strings.Contains(msg, pat) {
-			return serve.BadRequest("%s", msg)
-		}
-	}
-	return err
 }
 
 // handleHealthz bypasses the queue: liveness must be observable even when
@@ -303,7 +286,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{
 		Status:    "ok",
 		Epoch:     sess.epoch,
-		Scenarios: len(sess.views),
+		Scenarios: len(sess.views.Scenarios),
 		Cells:     len(sess.d.Cells),
 		Role:      s.role(),
 	}

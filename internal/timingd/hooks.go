@@ -10,14 +10,16 @@ import "fmt"
 type FaultSite string
 
 const (
-	// SiteCommitResolve fires at the top of the writer pipeline (commit
-	// and what-if), before the op batch is resolved against the shadow.
+	// SiteCommitResolve fires at the top of Server.evaluate — the half of
+	// the writer pipeline a commit, a cluster prepare and a what-if all
+	// run — before the op batch is resolved against the shadow.
 	SiteCommitResolve FaultSite = "commit.resolve"
-	// SiteCommitApply fires after resolution, before edits touch the
-	// shadow netlist.
+	// SiteCommitApply fires in evaluate after resolution, before edits
+	// touch the shadow netlist; like SiteCommitResolve, a what-if reaches it.
 	SiteCommitApply FaultSite = "commit.apply"
 	// SiteCommitSwap fires after the shadow is edited and re-timed,
-	// immediately before the snapshot swap publishes the new epoch.
+	// immediately before the snapshot swap publishes the new epoch. A
+	// what-if rolls back instead and never reaches it.
 	SiteCommitSwap FaultSite = "commit.swap"
 	// SiteCommitReplay fires before the committed batch is replayed onto
 	// the retired snapshot. The commit is already visible at this point.

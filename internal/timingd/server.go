@@ -261,7 +261,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	back, err := newSession(c, c.Design, front.topology())
+	back, err := newSession(c, c.Design, front.views.Topology())
 	if err != nil {
 		return nil, err
 	}
@@ -347,92 +347,26 @@ func (s *Server) commit(ctx context.Context, ops []Op) (*WhatIfReport, error) {
 }
 
 // whatIf evaluates an edit batch against the shadow and rolls it back,
-// never publishing anything. The response is tagged with the epoch whose
-// baseline it was evaluated against.
+// never publishing anything: the evaluate half of prepare, then the
+// rollback half of an abort, under one hold of the shadow's lock. The
+// response is tagged with the epoch whose baseline it was evaluated against.
 func (s *Server) whatIf(ctx context.Context, ops []Op) (*WhatIfReport, error) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	if s.degraded.Load() {
-		return nil, fmt.Errorf("server degraded by earlier failed commit; restart required")
+		return nil, errDegraded
 	}
-
-	sh := s.shadow
-	var rep *WhatIfReport
-	err := guard(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if err := s.fire(SiteCommitResolve); err != nil {
+	p := &preparedTxn{sh: s.shadow, ops: ops, rep: &WhatIfReport{Epoch: s.epoch.Load()}}
+	err := s.onShadow(p.sh, func() error {
+		if err := s.evaluate(ctx, p); err != nil {
 			return err
 		}
-		edits, err := sh.resolve(ops)
-		if err != nil {
-			return err
-		}
-		rep = &WhatIfReport{Epoch: s.epoch.Load(), Before: sh.slacks()}
-		mark := sh.d.NameMark()
-		if err := s.fire(SiteCommitApply); err != nil {
-			return err
-		}
-
-		if anyStructural(edits) {
-			// Structural what-if: the resident analyzers stay untouched —
-			// fresh ones are built for the edited netlist and discarded,
-			// and the exact netlist undo makes the saved views valid
-			// again.
-			saved := sh.views
-			structural, err := sh.applyEdits(edits)
-			if err == nil {
-				err = sh.retime(ctx, s.cfg, structural)
-			}
-			if err == nil {
-				rep.After = sh.slacks()
-			}
-			sh.undoEdits(edits, mark)
-			sh.views = saved
-			if err != nil {
-				return err
-			}
-		} else {
-			// Resize-only what-if: incremental forward, incremental back.
-			// Invalidations from the whole batch coalesce into one Update
-			// per view in each direction.
-			if _, err := sh.applyEdits(edits); err != nil {
-				sh.undoEdits(edits, mark)
-				if rerr := sh.retime(context.Background(), s.cfg, false); rerr != nil {
-					s.degraded.Store(true)
-				}
-				return err
-			}
-			err = sh.retime(ctx, s.cfg, false)
-			if err == nil {
-				rep.After = sh.slacks()
-			}
-			sh.undoEdits(edits, mark)
-			if rerr := sh.retime(context.Background(), s.cfg, false); rerr != nil {
-				s.degraded.Store(true)
-			}
-			return err
-		}
+		s.rollback(p)
 		return nil
 	})
 	if err != nil {
-		if isRecoveredPanic(err) {
-			// A crash mid-evaluation means the shadow may not have been
-			// rolled back; it can no longer back a commit.
-			s.degraded.Store(true)
-			s.count("timingd.panics_recovered")
-		}
 		return nil, err
 	}
 	s.count("timingd.whatifs")
-	return rep, nil
-}
-
-func anyStructural(edits []*edit) bool {
-	for _, e := range edits {
-		if e.structural() {
-			return true
-		}
-	}
-	return false
+	return p.rep, nil
 }

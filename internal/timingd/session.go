@@ -8,26 +8,16 @@ import (
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
-	"newgame/internal/units"
-	"newgame/internal/workpool"
 	"sync"
 )
 
-// view is one scenario's resident analysis: its constraints and a levelized
-// analyzer that has run and stays warm for incremental re-timing.
-type view struct {
-	scenario core.Scenario
-	cons     *sta.Constraints
-	a        *sta.Analyzer
-}
-
-// session is one epoch snapshot: a private clone of the design plus one
-// view per scenario, all timed. The server keeps exactly two — the current
-// snapshot readers resolve through an atomic pointer, and the shadow the
-// writer edits — and flips their roles on every commit. Because both are
-// built from clones of one netlist with name-keyed parasitics binders
-// (sta.NewKeyedNetBinder), they stay bit-identical no matter how different
-// their edit/re-time histories are.
+// session is one epoch snapshot: a private clone of the design, its
+// parasitics binder, and the timed scenario set over them (core.Views). The
+// server keeps exactly two — the current snapshot readers resolve through
+// an atomic pointer, and the shadow the writer edits — and flips their
+// roles on every commit. Because both are built from clones of one netlist
+// with name-keyed parasitics binders (sta.NewKeyedNetBinder), they stay
+// bit-identical no matter how different their edit/re-time histories are.
 //
 // mu orders readers against the post-swap replay: queries hold RLock while
 // rendering, the writer holds Lock while editing. A reader that loaded the
@@ -35,124 +25,33 @@ type view struct {
 // a fully consistent newer snapshot — tagged with the newer epoch it
 // actually read.
 type session struct {
-	mu    sync.RWMutex
-	epoch int64
-	d     *netlist.Design
-	// clockPort roots the clock in this clone.
-	clockPort *netlist.Port
-	binder    func(*netlist.Net) *parasitics.Tree
-	views     []*view
+	mu     sync.RWMutex
+	epoch  int64
+	d      *netlist.Design
+	binder func(*netlist.Net) *parasitics.Tree
+	views  *core.Views
 }
 
-// newSession clones the design and brings up one analyzer per scenario,
-// fanning the initial full runs out over the configured workers. All views
-// share one frozen sta.Topology: the first view builds (or adopts) it, the
-// rest reuse it read-only — per-scenario graph construction drops to the
-// compatibility validation. A topo from another session over a Clone of the
-// same design (the server passes the front session's to the back) is equally
-// shareable, since vertex numbering is a pure function of design order.
+// newSession clones the design and builds its scenario set. topo seeds the
+// build: the frozen graph of another session over a Clone of the same
+// design (the server passes the front session's to the back) or of a
+// restored snapshot.
 func newSession(cfg *Config, src *netlist.Design, topo *sta.Topology) (*session, error) {
 	d := src.Clone()
 	ck := d.Port(cfg.ClockPort)
 	if ck == nil {
 		return nil, fmt.Errorf("timingd: design has no clock port %q", cfg.ClockPort)
 	}
-	s := &session{
-		d:         d,
-		clockPort: ck,
-		binder:    cfg.newBinder(),
-		views:     make([]*view, len(cfg.Recipe.Scenarios)),
+	s := &session{d: d, binder: cfg.newBinder()}
+	s.views = &core.Views{
+		D: d, ClockPort: ck, BasePeriod: cfg.BasePeriod, InputArrival: cfg.InputArrival,
+		Scenarios: cfg.Recipe.Scenarios, Parasitics: s.binder,
+		Workers: cfg.Workers, AnalysisWorkers: cfg.AnalysisWorkers, Obs: cfg.Obs,
 	}
-	if len(cfg.Recipe.Scenarios) == 0 {
-		return s, nil
-	}
-	v0, err := s.buildView(cfg, cfg.Recipe.Scenarios[0], topo)
-	if err != nil {
+	if err := s.views.Build(context.Background(), topo); err != nil {
 		return nil, err
-	}
-	s.views[0] = v0
-	shared := v0.a.Topology()
-	errs := make([]error, len(cfg.Recipe.Scenarios))
-	workpool.Do(cfg.Workers, len(cfg.Recipe.Scenarios)-1, func(i int) {
-		s.views[i+1], errs[i+1] = s.buildView(cfg, cfg.Recipe.Scenarios[i+1], shared)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return s, nil
-}
-
-// topology returns the session's shared frozen graph (nil when the session
-// has no views), for seeding another session over a clone of the same
-// design.
-func (s *session) topology() *sta.Topology {
-	if len(s.views) == 0 {
-		return nil
-	}
-	return s.views[0].a.Topology()
-}
-
-// buildView constructs and runs one scenario's analyzer against the
-// session's design clone, adopting topo when compatible.
-func (s *session) buildView(cfg *Config, sc core.Scenario, topo *sta.Topology) (*view, error) {
-	cons := core.ConstraintsFor(s.d, s.clockPort, cfg.BasePeriod, cfg.InputArrival, sc)
-	a, err := sta.New(s.d, cons, sta.Config{
-		Lib: sc.Lib, Parasitics: s.binder, Scaling: sc.Scaling,
-		Derate: sc.Derate, SI: sc.SI, MIS: sc.MIS,
-		Workers: cfg.AnalysisWorkers, Obs: cfg.Obs,
-		Topology: topo,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Run(); err != nil {
-		return nil, err
-	}
-	return &view{scenario: sc, cons: cons, a: a}, nil
-}
-
-// rebuildViews replaces every analyzer after a structural netlist edit
-// (vertex sets are fixed at sta.New, so buffer insertion needs fresh
-// graphs). Constraints are rebuilt too: the edit may have changed port
-// fanout. The first rebuilt view freezes the post-edit topology; the rest
-// share it. Cancellation via ctx aborts with the views unchanged.
-func (s *session) rebuildViews(ctx context.Context, cfg *Config) error {
-	if len(s.views) == 0 {
-		return nil
-	}
-	views := make([]*view, len(s.views))
-	errs := make([]error, len(s.views))
-	rebuild := func(i int, topo *sta.Topology) {
-		sc := s.views[i].scenario
-		cons := core.ConstraintsFor(s.d, s.clockPort, cfg.BasePeriod, cfg.InputArrival, sc)
-		a, err := sta.New(s.d, cons, sta.Config{
-			Lib: sc.Lib, Parasitics: s.binder, Scaling: sc.Scaling,
-			Derate: sc.Derate, SI: sc.SI, MIS: sc.MIS,
-			Workers: cfg.AnalysisWorkers, Obs: cfg.Obs,
-			Topology: topo,
-		})
-		if err == nil {
-			err = a.RunCtx(ctx)
-		}
-		views[i], errs[i] = &view{scenario: sc, cons: cons, a: a}, err
-	}
-	rebuild(0, nil)
-	if errs[0] != nil {
-		return errs[0]
-	}
-	shared := views[0].a.Topology()
-	workpool.Do(cfg.Workers, len(s.views)-1, func(i int) {
-		rebuild(i+1, shared)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	s.views = views
-	return nil
 }
 
 // slacks renders the merged per-scenario timing summary. Each kind's
@@ -160,11 +59,11 @@ func (s *session) rebuildViews(ctx context.Context, cfg *Config) error {
 // TNS, violation count) derives from it — rendering is the cold-query
 // cost, so it isn't paid three times per number.
 func (s *session) slacks() []ScenarioSlack {
-	out := make([]ScenarioSlack, len(s.views))
-	for i, v := range s.views {
-		r := ScenarioSlack{Scenario: v.scenario.Name}
-		setup := v.a.EndpointSlacks(sta.Setup)
-		hold := v.a.EndpointSlacks(sta.Hold)
+	out := make([]ScenarioSlack, len(s.views.Scenarios))
+	for i, a := range s.views.Analyzers() {
+		r := ScenarioSlack{Scenario: s.views.Scenarios[i].Name}
+		setup := a.EndpointSlacks(sta.Setup)
+		hold := a.EndpointSlacks(sta.Hold)
 		r.SetupWNS = sta.WorstSlackOf(setup)
 		r.SetupTNS = sta.TNSOf(setup)
 		r.HoldWNS = sta.WorstSlackOf(hold)
@@ -184,24 +83,10 @@ func (s *session) slacks() []ScenarioSlack {
 	return out
 }
 
-// findView resolves a scenario by name; an empty name selects the first
-// scenario (the setup view in the default recipe).
-func (s *session) findView(name string) (*view, error) {
-	if name == "" {
-		return s.views[0], nil
-	}
-	for _, v := range s.views {
-		if v.scenario.Name == name {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown scenario %q", name)
-}
-
 // endpoints renders the k worst endpoint checks of one kind in one
 // scenario.
-func (v *view) endpoints(kind sta.CheckKind, limit int) []EndpointReport {
-	es := v.a.EndpointSlacks(kind)
+func endpoints(a *sta.Analyzer, kind sta.CheckKind, limit int) []EndpointReport {
+	es := a.EndpointSlacks(kind)
 	if limit > 0 && len(es) > limit {
 		es = es[:limit]
 	}
@@ -217,11 +102,11 @@ func (v *view) endpoints(kind sta.CheckKind, limit int) []EndpointReport {
 
 // paths renders the k worst setup paths re-timed path-based, with the CRPR
 // credit each endpoint check carried.
-func (v *view) paths(kind sta.CheckKind, k int) []PathReport {
-	ps := v.a.WorstPaths(kind, k)
+func paths(a *sta.Analyzer, kind sta.CheckKind, k int) []PathReport {
+	ps := a.WorstPaths(kind, k)
 	out := make([]PathReport, len(ps))
 	for i, p := range ps {
-		r := v.a.PBA(p)
+		r := a.PBA(p)
 		out[i] = PathReport{
 			Endpoint:  p.Endpoint.Name(),
 			Depth:     p.Depth(),
@@ -233,15 +118,4 @@ func (v *view) paths(kind sta.CheckKind, k int) []PathReport {
 		}
 	}
 	return out
-}
-
-// wnsOf is a tiny helper for loadgen assertions.
-func wnsOf(rs []ScenarioSlack) units.Ps {
-	w := units.Ps(0)
-	for _, r := range rs {
-		if r.SetupWNS < w {
-			w = r.SetupWNS
-		}
-	}
-	return w
 }

@@ -165,7 +165,7 @@ func (s *Server) save() (*SaveReport, error) {
 		InputArrival: s.cfg.InputArrival,
 		Seed:         s.cfg.Seed,
 		Epoch:        epoch,
-		Topology:     sh.topology(),
+		Topology:     sh.views.Topology(),
 		Trees:        sh.collectTrees(),
 	}
 	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("epoch-%06d.pack", epoch))

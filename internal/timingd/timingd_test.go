@@ -297,6 +297,39 @@ func TestBufferWhatIfAndECO(t *testing.T) {
 	}
 }
 
+// A what-if mixing a resize with a buffer insertion must leave the shadow
+// exactly as it found it: after an unrelated ECO the server answers byte for
+// byte what a fresh server given only the ECO answers. (A rollback that
+// restores analyzers saved before the edit keeps the resized cell's new
+// master in their cache, and the ECO's incremental update then times it.)
+func TestMixedWhatIfLeavesShadowExact(t *testing.T) {
+	_, hs := newTestServer(t, nil)
+	_, fresh := newTestServer(t, nil)
+	u, uTo := resizeTarget(t)
+	v, vTo := findResize(t, u)
+	net, loads := bufferTarget(t)
+
+	code, b := post(t, hs.URL, "/whatif", opsJSON(
+		Op{Kind: "resize", Cell: u, To: uTo},
+		Op{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"}))
+	if code != 200 {
+		t.Fatalf("mixed whatif status %d: %s", code, b)
+	}
+	eco := opsJSON(Op{Kind: "resize", Cell: v, To: vTo})
+	_, got := post(t, hs.URL, "/eco", eco)
+	_, want := post(t, fresh.URL, "/eco", eco)
+	if !bytes.Equal(got, want) {
+		t.Errorf("/eco after a mixed what-if:\n%s\nfresh server:\n%s", got, want)
+	}
+	for _, path := range []string{"/slack", "/endpoints?limit=50"} {
+		_, got := get(t, hs.URL, path)
+		_, want := get(t, fresh.URL, path)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s after a mixed what-if and an ECO:\n%s\nfresh server given the ECO alone:\n%s", path, got, want)
+		}
+	}
+}
+
 // The query cache serves repeated queries from rendered bytes within an
 // epoch and is dropped on commit.
 func TestQueryCacheEpochScoped(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"newgame/internal/obs"
@@ -14,14 +15,16 @@ import (
 // This file splits the writer pipeline into an explicit two-phase protocol
 // so a cluster coordinator can drive an epoch barrier across shards:
 //
-//	prepare  — resolve + apply + re-time the op batch on the shadow, keep
-//	           the edits live and the writer lock held, publish nothing;
+//	prepare  — evaluate the op batch on the shadow (resolve + apply +
+//	           re-time), keep the edits live and the writer lock held,
+//	           publish nothing;
 //	commit   — bump the epoch, swap the shadow in, log and replay;
-//	abort    — undo the edits exactly and release the writer.
+//	abort    — roll the edits back exactly and release the writer.
 //
-// The single-node commit() is prepare immediately followed by commit, so
-// both paths share one implementation and the chaos-test semantics (fault
-// sites, degraded transitions, flight-recorder audit) are identical.
+// The single-node commit() is prepare immediately followed by commit, and a
+// what-if is evaluate immediately followed by rollback, so every writer path
+// shares one implementation and the chaos-test semantics (fault sites,
+// degraded transitions, flight-recorder audit) are identical.
 //
 // A prepared transaction holds writerMu across the prepare→commit/abort
 // window — sync.Mutex explicitly permits unlocking from a different
@@ -30,26 +33,31 @@ import (
 // registered prepare carries an abort timer (Config.PrepareTimeout) that
 // rolls the shadow back and releases the writer.
 
-// preparedTxn is one in-flight prepared-but-uncommitted edit batch. The
-// writer lock is held from prepare until exactly one of commitPrepared or
-// abortPrepared consumes the transaction.
+// preparedTxn is one edit batch in flight on the shadow. A what-if's lives
+// inside one whatIf call; a prepared-but-uncommitted one holds the writer
+// lock from prepare until exactly one of commitPrepared or abortPrepared
+// consumes it.
 type preparedTxn struct {
-	id         string
-	baseEpoch  int64
-	newEpoch   int64
-	sh         *session
-	edits      []*edit
-	mark       int
-	structural bool
-	rep        *WhatIfReport
-	ops        []Op
-	cr         obs.CommitRecord
-	timer      *time.Timer
+	id        string
+	baseEpoch int64
+	newEpoch  int64
+	sh        *session
+	// edits is non-nil from the moment apply may have touched the shadow;
+	// mark is the netlist's name sequence just before.
+	edits []*edit
+	mark  int
+	rep   *WhatIfReport
+	ops   []Op
+	cr    obs.CommitRecord
+	timer *time.Timer
 }
 
 // errPrepareExpired is the abort cause when the coordinator never came back
 // with a commit or abort inside PrepareTimeout.
 var errPrepareExpired = fmt.Errorf("prepared transaction expired without commit or abort")
+
+// errDegraded refuses writer work once the two sessions may have diverged.
+var errDegraded = fmt.Errorf("server degraded by earlier failed commit; restart required")
 
 // finishRecord completes the transaction's flight-recorder entry.
 func (s *Server) finishRecord(p *preparedTxn, err error) {
@@ -60,12 +68,73 @@ func (s *Server) finishRecord(p *preparedTxn, err error) {
 	s.flight.Commits.Put(p.cr)
 }
 
+// onShadow runs one step of the writer pipeline on the shadow: under its
+// lock, and guarded — a panic means the shadow's state is unknown, so the
+// server degrades rather than risk publishing or reusing a half-edited
+// snapshot. The lock is deferred so the panic path cannot leak it. The
+// caller holds writerMu.
+func (s *Server) onShadow(sh *session, fn func() error) error {
+	err := guard(func() error {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return fn()
+	})
+	if isRecoveredPanic(err) {
+		s.degraded.Store(true)
+		s.count("timingd.panics_recovered")
+	}
+	return err
+}
+
+// evaluate is the half of the writer pipeline a what-if and a prepare
+// share: resolve p.ops against the shadow, record the baseline, apply the
+// edits and re-time, record the outcome. On success the edits stay live for
+// the caller to publish or roll back; on failure they are already rolled
+// back. Runs inside onShadow.
+func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
+	sh := p.sh
+	phase := time.Now()
+	if err := s.fire(SiteCommitResolve); err != nil {
+		return err
+	}
+	edits, err := sh.resolve(p.ops)
+	p.cr.ResolveMs = obs.MsSince(phase)
+	if err != nil {
+		return err
+	}
+	p.rep.Before = sh.slacks()
+	p.mark = sh.d.NameMark()
+	if err := s.fire(SiteCommitApply); err != nil {
+		return err
+	}
+	phase = time.Now()
+	p.edits = edits
+	err = sh.apply(ctx, edits)
+	p.cr.ApplyMs = obs.MsSince(phase)
+	if err != nil {
+		s.rollback(p)
+		return err
+	}
+	p.rep.After = sh.slacks()
+	return nil
+}
+
+// rollback is the one way an evaluated edit batch leaves the shadow: exact
+// netlist undo plus a non-cancellable re-time, after a what-if, a failed
+// prepare, a coordinator abort, an expiry and Close alike. A failure
+// degrades the server — the shadow can no longer be trusted to match the
+// published snapshot. Runs inside onShadow.
+func (s *Server) rollback(p *preparedTxn) {
+	if err := p.sh.undo(p.edits, p.mark); err != nil {
+		s.degraded.Store(true)
+	}
+}
+
 // prepare runs the pre-publish half of a commit: it takes the writer lock,
-// resolves and applies ops to the shadow, re-times it, and returns with the
-// lock STILL HELD and the edits live. baseEpoch, when non-nil, must match
-// the current epoch (the cluster barrier's staleness check); a mismatch is
-// a clean 409. On any error the shadow is rolled back and the lock
-// released.
+// evaluates ops on the shadow, and returns with the lock STILL HELD and the
+// edits live. baseEpoch, when non-nil, must match the current epoch (the
+// cluster barrier's staleness check); a mismatch is a clean 409. On any
+// error the shadow is rolled back and the lock released.
 func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*preparedTxn, error) {
 	s.writerMu.Lock()
 	p := &preparedTxn{
@@ -82,7 +151,7 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*prep
 		return nil, err
 	}
 	if s.degraded.Load() {
-		return fail(fmt.Errorf("server degraded by earlier failed commit; restart required"))
+		return fail(errDegraded)
 	}
 	p.baseEpoch = s.epoch.Load()
 	if baseEpoch != nil && *baseEpoch != p.baseEpoch {
@@ -90,56 +159,17 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*prep
 			"epoch mismatch: shard at epoch %d, prepare wants base %d", p.baseEpoch, *baseEpoch))
 	}
 	p.newEpoch = p.baseEpoch + 1
-
-	sh := p.sh
-	// The whole pre-swap phase runs guarded: a panic in it means the
-	// shadow's state is unknown, so the server degrades rather than risk
-	// publishing or reusing a half-edited snapshot. Locks are deferred so
-	// the panic path cannot leak them.
-	err := guard(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		phase := time.Now()
-		if err := s.fire(SiteCommitResolve); err != nil {
-			return err
-		}
-		edits, err := sh.resolve(ops)
-		p.cr.ResolveMs = obs.MsSince(phase)
-		if err != nil {
-			return err
-		}
-		p.edits = edits
-		p.rep = &WhatIfReport{Epoch: p.newEpoch, Before: sh.slacks(), Committed: true}
-		p.mark = sh.d.NameMark()
-		if err := s.fire(SiteCommitApply); err != nil {
-			return err
-		}
-		phase = time.Now()
-		p.structural, err = sh.applyEdits(edits)
+	p.rep = &WhatIfReport{Epoch: p.newEpoch, Committed: true}
+	err := s.onShadow(p.sh, func() error {
+		err := s.evaluate(ctx, p)
 		if err == nil {
-			err = sh.retime(ctx, s.cfg, p.structural)
-		}
-		p.cr.ApplyMs = obs.MsSince(phase)
-		if err == nil {
-			err = s.fire(SiteCommitSwap)
-		}
-		if err != nil {
-			// Roll the shadow back to match cur; the undo's own re-time
-			// must not be cancellable or the snapshots diverge.
-			sh.undoEdits(edits, p.mark)
-			if rerr := sh.retime(context.Background(), s.cfg, p.structural); rerr != nil {
-				s.degraded.Store(true)
+			if err = s.fire(SiteCommitSwap); err != nil {
+				s.rollback(p)
 			}
-			return err
 		}
-		p.rep.After = sh.slacks()
-		return nil
+		return err
 	})
 	if err != nil {
-		if isRecoveredPanic(err) {
-			s.degraded.Store(true)
-			s.count("timingd.panics_recovered")
-		}
 		return fail(err)
 	}
 	return p, nil
@@ -186,11 +216,7 @@ func (s *Server) commitPrepared(p *preparedTxn) *WhatIfReport {
 		defer old.mu.Unlock()
 		oldEdits, err := old.resolve(p.ops)
 		if err == nil {
-			var oldStructural bool
-			oldStructural, err = old.applyEdits(oldEdits)
-			if err == nil {
-				err = old.retime(context.Background(), s.cfg, oldStructural)
-			}
+			err = old.apply(context.Background(), oldEdits)
 		}
 		old.epoch = newEpoch
 		return err
@@ -209,25 +235,13 @@ func (s *Server) commitPrepared(p *preparedTxn) *WhatIfReport {
 	return p.rep
 }
 
-// abortPrepared rolls a prepared transaction back — exact netlist undo plus
-// a non-cancellable re-time — and releases the writer. A rollback failure
-// degrades the server: the shadow can no longer be trusted to match the
-// published snapshot.
+// abortPrepared rolls a prepared transaction back and releases the writer.
 func (s *Server) abortPrepared(p *preparedTxn, cause error) {
 	defer s.writerMu.Unlock()
-	sh := p.sh
-	err := guard(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.undoEdits(p.edits, p.mark)
-		return sh.retime(context.Background(), s.cfg, p.structural)
+	s.onShadow(p.sh, func() error {
+		s.rollback(p)
+		return nil
 	})
-	if err != nil {
-		if isRecoveredPanic(err) {
-			s.count("timingd.panics_recovered")
-		}
-		s.degraded.Store(true)
-	}
 	s.count("timingd.barrier.aborts")
 	s.finishRecord(p, cause)
 }
@@ -306,7 +320,7 @@ func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]b
 	defer cancel()
 	p, err := s.prepare(ctx, req.Ops, &req.BaseEpoch)
 	if err != nil {
-		return nil, wrapOpError(err)
+		return nil, err
 	}
 	p.id = req.Txn
 	s.registerPending(p)
@@ -392,9 +406,6 @@ func (s *Server) ScenarioSet() []ScenarioRef {
 	return out
 }
 
-// Degraded reports whether a half-failed commit has poisoned the server.
-func (s *Server) Degraded() bool { return s.degraded.Load() }
-
 // scenarioSubset resolves a scenario-name filter against the full recipe
 // order: the kept scenarios stay in recipe order regardless of filter
 // order, and each carries its full-recipe index. An empty filter keeps
@@ -403,24 +414,20 @@ func scenarioSubset(full []ScenarioRef, filter []string) ([]ScenarioRef, error) 
 	if len(filter) == 0 {
 		return full, nil
 	}
-	want := make(map[string]bool, len(filter))
-	for _, name := range filter {
-		want[name] = true
-	}
-	var kept []ScenarioRef
+	known := make(map[string]bool, len(full))
 	for _, ref := range full {
-		if want[ref.Name] {
-			kept = append(kept, ref)
-			delete(want, ref.Name)
-		}
+		known[ref.Name] = true
 	}
-	if len(want) > 0 {
-		for name := range want {
+	for _, name := range filter {
+		if !known[name] {
 			return nil, fmt.Errorf("timingd: scenario filter names unknown scenario %q", name)
 		}
 	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("timingd: scenario filter keeps no scenarios")
+	var kept []ScenarioRef
+	for _, ref := range full {
+		if slices.Contains(filter, ref.Name) {
+			kept = append(kept, ref)
+		}
 	}
 	return kept, nil
 }

@@ -3,6 +3,7 @@ package timingd
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -110,8 +111,78 @@ func TestPrepareAbortRollsBack(t *testing.T) {
 	if string(before) != string(now) {
 		t.Fatalf("abort did not restore baseline:\n%s\n%s", before, now)
 	}
-	if s.Degraded() {
+	if s.degraded.Load() {
 		t.Fatal("abort degraded the server")
+	}
+}
+
+// TestPreparedStructuralBatches drives a buffer-only and a mixed
+// resize+buffer batch through every way a prepared transaction can end.
+// Whatever happened, the shard must afterwards serve — through one more
+// resize ECO, which re-times incrementally on whatever analyzers the
+// outcome left — exactly what a server that never prepared anything serves
+// after the same commits.
+func TestPreparedStructuralBatches(t *testing.T) {
+	u, uTo := resizeTarget(t)
+	v, vTo := findResize(t, u)
+	net, loads := bufferTarget(t)
+	buffer := Op{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"}
+	follow := opsJSON(Op{Kind: "resize", Cell: v, To: vTo})
+
+	for _, batch := range []struct {
+		name string
+		ops  []Op
+	}{
+		{"buffer", []Op{buffer}},
+		{"mixed", []Op{{Kind: "resize", Cell: u, To: uTo}, buffer}},
+	} {
+		for _, outcome := range []string{"abort", "expire", "commit"} {
+			t.Run(batch.name+"/"+outcome, func(t *testing.T) {
+				s, hs := newTestServer(t, func(c *Config) {
+					if outcome == "expire" {
+						c.PrepareTimeout = 100 * time.Millisecond
+					}
+				})
+				_, never := newTestServer(t, nil)
+				body, _ := json.Marshal(PrepareRequest{Txn: "tx", Ops: batch.ops})
+				if code, b := post(t, hs.URL, "/cluster/prepare", string(body)); code != 200 {
+					t.Fatalf("prepare: %d %s", code, b)
+				}
+				switch outcome {
+				case "abort":
+					if code, b := post(t, hs.URL, "/cluster/abort", `{"txn":"tx"}`); code != 200 {
+						t.Fatalf("abort: %d %s", code, b)
+					}
+				case "expire":
+					for deadline := time.Now().Add(5 * time.Second); s.pendingTxnID() != ""; {
+						if time.Now().After(deadline) {
+							t.Fatal("prepare never expired")
+						}
+						time.Sleep(10 * time.Millisecond)
+					}
+				case "commit":
+					if code, b := post(t, hs.URL, "/cluster/commit", `{"txn":"tx"}`); code != 200 {
+						t.Fatalf("commit: %d %s", code, b)
+					}
+					if code, b := post(t, never.URL, "/eco", opsJSON(batch.ops...)); code != 200 {
+						t.Fatalf("reference eco: %d %s", code, b)
+					}
+				}
+				_, got := post(t, hs.URL, "/eco", follow)
+				_, want := post(t, never.URL, "/eco", follow)
+				if string(got) != string(want) {
+					t.Errorf("follow-up /eco:\n%s\nnever-prepared server:\n%s", got, want)
+				}
+				_, got = get(t, hs.URL, "/slack")
+				_, want = get(t, never.URL, "/slack")
+				if string(got) != string(want) {
+					t.Errorf("/slack after the follow-up ECO:\n%s\nnever-prepared server:\n%s", got, want)
+				}
+				if s.degraded.Load() {
+					t.Error("server degraded")
+				}
+			})
+		}
 	}
 }
 
@@ -192,10 +263,22 @@ func TestScenarioFilter(t *testing.T) {
 		t.Fatalf("cluster info %+v", ci)
 	}
 
+	// An unknown name is refused, and with two the first in filter order is
+	// the one reported, on every run.
 	cfg := testConfig(t)
-	cfg.ScenarioFilter = []string{"no_such_scenario"}
-	if _, err := NewServer(cfg); err == nil {
-		t.Fatal("unknown scenario filter accepted")
+	for _, tc := range []struct {
+		filter []string
+		want   string
+	}{
+		{[]string{"no_such_scenario"}, `unknown scenario "no_such_scenario"`},
+		{[]string{holdName, "zz_unknown", "aa_unknown"}, `unknown scenario "zz_unknown"`},
+	} {
+		cfg.ScenarioFilter = tc.filter
+		for range 8 {
+			if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("filter %q: error %v, want %s", tc.filter, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -3,9 +3,11 @@ package timingd
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"newgame/internal/netlist"
+	"newgame/internal/serve"
 )
 
 // edit is one validated Op bound to a session's own netlist pointers,
@@ -26,57 +28,58 @@ func (e *edit) structural() bool { return e.op.Kind == "buffer" }
 
 // resolve binds the request's names to session pointers and validates the
 // target masters against every scenario library, so apply cannot fail on
-// anything but cancellation.
+// anything but cancellation. Everything it rejects is the client's fault.
 func (s *session) resolve(ops []Op) ([]*edit, error) {
 	if len(ops) == 0 {
-		return nil, fmt.Errorf("empty op list")
+		return nil, serve.BadRequest("empty op list")
 	}
+	scen := s.views.Scenarios
 	edits := make([]*edit, len(ops))
 	for i, op := range ops {
 		e := &edit{op: op}
-		for _, v := range s.views {
-			m := v.scenario.Lib.Cell(op.To)
+		for _, sc := range scen {
+			m := sc.Lib.Cell(op.To)
 			if m == nil {
-				return nil, fmt.Errorf("op %d: master %q not in scenario %q library", i, op.To, v.scenario.Name)
+				return nil, serve.BadRequest("op %d: master %q not in scenario %q library", i, op.To, sc.Name)
 			}
 			if op.Kind == "buffer" && (m.Pin("A") == nil || m.Pin("Z") == nil) {
-				return nil, fmt.Errorf("op %d: master %q is not a buffer", i, op.To)
+				return nil, serve.BadRequest("op %d: master %q is not a buffer", i, op.To)
 			}
 		}
 		switch op.Kind {
 		case "resize":
 			c := s.d.Cell(op.Cell)
 			if c == nil {
-				return nil, fmt.Errorf("op %d: unknown cell %q", i, op.Cell)
+				return nil, serve.BadRequest("op %d: unknown cell %q", i, op.Cell)
 			}
 			// The replacement must be pin-compatible: every connected pin
 			// keeps its name and direction.
-			m := s.views[0].scenario.Lib.Cell(op.To)
+			m := scen[0].Lib.Cell(op.To)
 			for _, p := range c.Pins {
 				ps := m.Pin(p.Name)
 				if ps == nil || ps.Input != (p.Dir == netlist.Input) {
-					return nil, fmt.Errorf("op %d: %q is not pin-compatible with cell %q", i, op.To, op.Cell)
+					return nil, serve.BadRequest("op %d: %q is not pin-compatible with cell %q", i, op.To, op.Cell)
 				}
 			}
 			e.cell, e.oldType = c, c.TypeName
 		case "buffer":
 			n := s.d.Net(op.Net)
 			if n == nil {
-				return nil, fmt.Errorf("op %d: unknown net %q", i, op.Net)
+				return nil, serve.BadRequest("op %d: unknown net %q", i, op.Net)
 			}
 			if len(op.Loads) == 0 {
-				return nil, fmt.Errorf("op %d: buffer op moves no loads", i)
+				return nil, serve.BadRequest("op %d: buffer op moves no loads", i)
 			}
 			for _, name := range op.Loads {
 				p, err := findLoad(n, name)
 				if err != nil {
-					return nil, fmt.Errorf("op %d: %v", i, err)
+					return nil, serve.BadRequest("op %d: %v", i, err)
 				}
 				e.moved = append(e.moved, p)
 			}
 			e.net = n
 		default:
-			return nil, fmt.Errorf("op %d: unknown op kind %q", i, op.Kind)
+			return nil, serve.BadRequest("op %d: unknown op kind %q", i, op.Kind)
 		}
 		edits[i] = e
 	}
@@ -97,44 +100,37 @@ func findLoad(n *netlist.Net, name string) (*netlist.Pin, error) {
 	return nil, fmt.Errorf("net %q has no load %q", n.Name, name)
 }
 
-// applyEdits performs the batch's netlist edits on the session. Resizes
-// invalidate the resident analyzers; the caller coalesces those into one
-// Update per view afterwards. Buffer insertions are structural and flagged
-// for a view rebuild. Must run with s.mu held for writing.
-func (s *session) applyEdits(edits []*edit) (structural bool, err error) {
+// apply performs the batch's netlist edits on the session and brings every
+// analyzer current with them. Must run with s.mu held for writing; on error
+// the caller owes an undo.
+func (s *session) apply(ctx context.Context, edits []*edit) error {
 	for _, e := range edits {
 		switch e.op.Kind {
 		case "resize":
 			e.cell.SetType(e.op.To)
-			for _, v := range s.views {
-				v.a.InvalidateCell(e.cell)
-			}
 		case "buffer":
-			structural = true
 			e.savedLoads = append([]*netlist.Pin(nil), e.net.Loads...)
-			e.buf, err = s.d.InsertBuffer(e.net, e.moved, e.op.To)
-			if err != nil {
-				return structural, err
+			var err error
+			if e.buf, err = s.d.InsertBuffer(e.net, e.moved, e.op.To); err != nil {
+				return err
 			}
 		}
 	}
-	return structural, nil
+	return s.settle(ctx, edits)
 }
 
-// undoEdits reverses applyEdits exactly, in reverse order: resizes restore
-// the old master (re-invalidating the analyzers), buffer insertions are
-// unwound to the saved load list and name sequence so the netlist is
-// pointer- and name-identical to the pre-edit state. Must run with s.mu
-// held for writing, after a NameMark taken before applyEdits.
-func (s *session) undoEdits(edits []*edit, nameMark int) {
+// undo reverses apply exactly, in reverse order, and re-times: resizes
+// restore the old master, buffer insertions are unwound to the saved load
+// list and name sequence so the netlist is pointer- and name-identical to
+// the pre-edit state. It is not cancellable — a half-undone shadow has
+// diverged from the published snapshot. Must run with s.mu held for
+// writing, with the NameMark taken before apply.
+func (s *session) undo(edits []*edit, nameMark int) error {
 	for i := len(edits) - 1; i >= 0; i-- {
 		e := edits[i]
 		switch e.op.Kind {
 		case "resize":
 			e.cell.SetType(e.oldType)
-			for _, v := range s.views {
-				v.a.InvalidateCell(e.cell)
-			}
 		case "buffer":
 			if e.buf == nil {
 				continue
@@ -153,22 +149,23 @@ func (s *session) undoEdits(edits []*edit, nameMark int) {
 		}
 	}
 	s.d.RewindNames(nameMark)
+	return s.settle(context.Background(), edits)
 }
 
-// retime brings every view current after applyEdits: one incremental
-// Update per view for resize-only batches (the coalescing point — a batch
-// of ten resizes costs one cone re-propagation per scenario, not ten), or
-// a full view rebuild after structural edits. Cancellation propagates into
-// the wave propagation; on error the views are left dirty and the caller
-// is responsible for restoring them.
-func (s *session) retime(ctx context.Context, cfg *Config, structural bool) error {
-	if structural {
-		return s.rebuildViews(ctx, cfg)
+// settle brings every analyzer current after edits were applied or undone.
+// A batch with a buffer insertion changed the graph (vertex sets are fixed
+// at sta.New), so the set is rebuilt from the netlist as it now stands;
+// cancellation leaves the old analyzers in place. A resize-only batch
+// invalidates each retyped cell and re-times incrementally — the coalescing
+// point: ten resizes cost one cone re-propagation per scenario, not ten.
+func (s *session) settle(ctx context.Context, edits []*edit) error {
+	if slices.ContainsFunc(edits, (*edit).structural) {
+		return s.views.Build(ctx, nil)
 	}
-	for _, v := range s.views {
-		if err := v.a.UpdateCtx(ctx); err != nil {
-			return err
+	for _, e := range edits {
+		for _, a := range s.views.Analyzers() {
+			a.InvalidateCell(e.cell)
 		}
 	}
-	return nil
+	return s.views.Update(ctx)
 }
