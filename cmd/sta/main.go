@@ -154,13 +154,8 @@ func run(args []string, out io.Writer) error {
 
 	tb := report.NewTable("summary", "check", "WNS (ps)", "TNS (ps)", "violating endpoints")
 	for _, k := range []sta.CheckKind{sta.Setup, sta.Hold} {
-		n := 0
-		for _, e := range a.EndpointSlacks(k) {
-			if e.Slack < 0 {
-				n++
-			}
-		}
-		tb.Row(k.String(), a.WorstSlack(k), a.TNS(k), n)
+		sum := a.Summary(k)
+		tb.Row(k.String(), sum.Worst, sum.TNS, sum.Violations)
 	}
 	tb.Render(out)
 

@@ -136,6 +136,12 @@ func Registry() []Invariant {
 			Check: checkSurveyResident,
 		},
 		{
+			Name:  "checks-resident-identical",
+			Law:   "endpoint checks evaluated once per re-time are what any reader would compute: along resizes, a routing rule and an inserted buffer, the lists and summaries an analyzer kept through incremental updates equal a freshly built and run analyzer's, and each summary equals its recomputation from the list",
+			Scope: PerDesign,
+			Check: checkChecksResident,
+		},
+		{
 			Name:  "delay-monotone-load-slew",
 			Law:   "NLDM cell delay and output slew are nondecreasing in output load and input slew over every characterized arc",
 			Scope: PerRun,

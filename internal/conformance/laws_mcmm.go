@@ -117,24 +117,29 @@ func checkAggregates(a *sta.Analyzer) error {
 	return nil
 }
 
-// surveyFixture memoizes the (expensive) two-corner recipe + design the
-// per-run survey determinism law uses.
+// surveyRecipe memoizes the (expensive) two-corner recipe the engine- and
+// scenario-set laws share; laws reach it through labRecipe.
 var surveyRecipe *core.Recipe
+
+func labRecipe(cx *Ctx) *core.Recipe {
+	if surveyRecipe == nil {
+		r := core.OldGoalPosts(liberty.Node16, cx.Stack)
+		surveyRecipe = &r
+	}
+	return surveyRecipe
+}
 
 // checkSurveyWorkers: the closure engine's survey is the consumer of
 // mcmm.Sweep — its merged WNS and per-scenario breakdown must be
 // identical at every worker count, since fix planning branches on them.
 func checkSurveyWorkers(cx *Ctx) error {
-	if surveyRecipe == nil {
-		r := core.OldGoalPosts(liberty.Node16, cx.Stack)
-		surveyRecipe = &r
-	}
+	recipe := labRecipe(cx)
 	spec := SpecFor(mix(777, 0))
 	var its []core.Iteration
 	for _, workers := range []int{1, 4} {
-		d := spec.Build(surveyRecipe.Scenarios[0].Lib)
+		d := spec.Build(recipe.Scenarios[0].Lib)
 		e := &core.Engine{
-			D: d, Recipe: *surveyRecipe, BasePeriod: units.Ps(spec.Period),
+			D: d, Recipe: *recipe, BasePeriod: units.Ps(spec.Period),
 			ClockPort:  d.Port("clk"),
 			Parasitics: sta.NewNetBinder(cx.Stack, spec.Seed),
 			Workers:    workers,

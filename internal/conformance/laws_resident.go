@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"newgame/internal/core"
-	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/opt"
 	"newgame/internal/sta"
@@ -23,10 +22,7 @@ import (
 // The law also insists the long-lived engine really did keep its analyzers
 // through the edits that allow it, so it cannot pass by rebuilding.
 func checkSurveyResident(cx *Ctx) error {
-	if surveyRecipe == nil {
-		r := core.OldGoalPosts(liberty.Node16, cx.Stack)
-		surveyRecipe = &r
-	}
+	recipe := labRecipe(cx)
 	// Recipe libraries share master naming with the lab library the design
 	// was mapped to, so the clone and the edit scripts carry over.
 	d := cx.Design.Clone()
@@ -37,7 +33,7 @@ func checkSurveyResident(cx *Ctx) error {
 	var skew map[*netlist.Cell]units.Ps
 	engine := func() *core.Engine {
 		e := &core.Engine{
-			D: d, Recipe: *surveyRecipe, BasePeriod: units.Ps(cx.Spec.Period),
+			D: d, Recipe: *recipe, BasePeriod: units.Ps(cx.Spec.Period),
 			ClockPort: d.Port("clk"), Parasitics: store.Fn(), Workers: 1,
 		}
 		e.SetUsefulSkew(skew)
@@ -71,14 +67,7 @@ func checkSurveyResident(cx *Ctx) error {
 		at++ // after the initial survey
 		steps = append(steps[:at], append([]step{s}, steps[at:]...)...)
 	}
-	routed := func(min int) *netlist.Net {
-		for _, i := range rng.Perm(len(d.Nets)) {
-			if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= min && store.Fn()(n) != nil {
-				return n
-			}
-		}
-		return nil
-	}
+	routed := func(min int) *netlist.Net { return routedNet(rng, d, store, min) }
 	// Inserted back to front so the earlier positions stay put.
 	insert(3*len(script)/4, step{name: "insert buffer", structural: true, apply: func() error {
 		n := routed(2)
@@ -131,14 +120,25 @@ func checkSurveyResident(cx *Ctx) error {
 		for i, a := range as {
 			if fr, ff := Fingerprint(a), Fingerprint(fresh.Analyzers()[i]); fr != ff {
 				return fmt.Errorf("%s: scenario %s: resident analyzer state %s, fresh %s",
-					s.name, surveyRecipe.Scenarios[i].Name, fr[:16], ff[:16])
+					s.name, recipe.Scenarios[i].Name, fr[:16], ff[:16])
 			}
 			if kept := before != nil && before[i] == a; kept == s.structural {
 				return fmt.Errorf("%s: scenario %s: analyzer kept = %v, want %v",
-					s.name, surveyRecipe.Scenarios[i].Name, kept, !s.structural)
+					s.name, recipe.Scenarios[i].Name, kept, !s.structural)
 			}
 		}
 		before = append(before[:0], as...)
+	}
+	return nil
+}
+
+// routedNet picks, in rng order, a cell-driven net with at least min loads
+// that the store routes — a target for an NDR or a buffer insertion.
+func routedNet(rng *rand.Rand, d *netlist.Design, store *opt.Store, min int) *netlist.Net {
+	for _, i := range rng.Perm(len(d.Nets)) {
+		if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= min && store.Fn()(n) != nil {
+			return n
+		}
 	}
 	return nil
 }

@@ -319,35 +319,28 @@ func (e *Engine) survey() (Iteration, *sta.Analyzer, *sta.Analyzer, *sta.Analyze
 		a := as[si]
 		st := ScenarioStatus{Name: s.Name}
 		if s.ForSetup {
-			st.SetupWNS = a.WorstSlack(sta.Setup)
-			st.SetupTNS = a.TNS(sta.Setup)
+			sum := a.Summary(sta.Setup)
+			st.SetupWNS, st.SetupTNS = sum.Worst, sum.TNS
 			if st.SetupWNS < wsv {
 				wsv, worstSetup = st.SetupWNS, a
 			}
 			if st.SetupWNS < it.MergedSetupWNS {
 				it.MergedSetupWNS = st.SetupWNS
 			}
-			for _, ep := range a.EndpointSlacks(sta.Setup) {
-				if ep.Slack < 0 {
-					it.Breakdown.SetupEndpoints++
-				}
-			}
+			it.Breakdown.SetupEndpoints += sum.Violations
 		} else {
 			st.SetupWNS = math.Inf(1)
 		}
 		if s.ForHold {
-			st.HoldWNS = a.WorstSlack(sta.Hold)
+			sum := a.Summary(sta.Hold)
+			st.HoldWNS = sum.Worst
 			if st.HoldWNS < whv {
 				whv, worstHold = st.HoldWNS, a
 			}
 			if st.HoldWNS < it.MergedHoldWNS {
 				it.MergedHoldWNS = st.HoldWNS
 			}
-			for _, ep := range a.EndpointSlacks(sta.Hold) {
-				if ep.Slack < 0 {
-					it.Breakdown.HoldEndpoints++
-				}
-			}
+			it.Breakdown.HoldEndpoints += sum.Violations
 		} else {
 			st.HoldWNS = math.Inf(1)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/units"
 )
@@ -41,6 +42,10 @@ type EndpointSlack struct {
 	Required units.Ps
 	// CRPR is the reconvergence pessimism credit applied.
 	CRPR units.Ps
+
+	// site indexes the analyzer's check-site table: the endpoint's identity
+	// for per-endpoint dedupe, with no name to build.
+	site int32
 }
 
 // Name returns a printable endpoint name.
@@ -49,6 +54,100 @@ func (e EndpointSlack) Name() string {
 		return e.Pin.FullName()
 	}
 	return "port:" + e.Port.Name
+}
+
+// CheckSummary is the report header of one check kind, derived from the
+// resident endpoint list at every re-time.
+type CheckSummary struct {
+	// Worst is the worst endpoint slack, unclamped; +Inf with no endpoints.
+	Worst units.Ps
+	// TNS sums the negative slacks, each endpoint's worst transition once,
+	// in worst-first order (summing in map order gave a run-to-run ULP
+	// wobble that broke bit-exact determinism).
+	TNS units.Ps
+	// Violations counts checks with negative slack, Endpoints all checks
+	// evaluated; an endpoint contributes one check per valid transition.
+	Violations, Endpoints int
+}
+
+// Check sites. A site is one place a setup/hold pair is evaluated: a
+// flip-flop's data pin against its clock pin, an ICG's enable against its
+// clock (paper §1.2: clock gating adds closure burden), or a constrained
+// output port against its external requirement.
+type siteClass uint8
+
+const (
+	siteNone siteClass = iota
+	siteFF
+	siteGate
+	sitePort
+)
+
+// checkSite is one row of the frozen site table: vertex indices resolved
+// once, so a sweep needs no map, pin-name scan or master filter.
+type checkSite struct {
+	data, clock int32 // vertices; clock is -1 at a port site
+	cell        int32 // index into cells/masters; -1 at a port site
+	class       siteClass
+}
+
+// checkBinding is what a master contributes to the site table.
+type checkBinding struct {
+	class       siteClass
+	data, clock string
+}
+
+func bindingOf(m *liberty.Cell) checkBinding {
+	switch {
+	case m.FF != nil:
+		return checkBinding{siteFF, m.FF.Data, m.FF.Clock}
+	case m.Gate != nil:
+		return checkBinding{siteGate, m.Gate.Enable, m.Gate.Clock}
+	}
+	return checkBinding{}
+}
+
+// residentChecks is one kind's endpoint list (worst first) and summary.
+// Only Run and Update write it; everything else reads.
+type residentChecks struct {
+	list []EndpointSlack
+	sum  CheckSummary
+}
+
+// buildSites freezes the check-site table in emission order: flip-flops in
+// cell order, then ICG enables in cell order, then constrained output ports
+// in port order. It runs wherever a full Run re-resolves masters: a retype
+// Update can absorb keeps its cell's binding (sameArcShape), anything else
+// — and a constraint added since — waits for the next Run, as it always has
+// for the graph itself.
+func (a *Analyzer) buildSites() {
+	a.sites = a.sites[:0]
+	for _, class := range [...]siteClass{siteFF, siteGate} {
+		for ci, c := range a.cells {
+			b := bindingOf(a.masters[ci])
+			if b.class != class {
+				continue
+			}
+			d, ck := c.Pin(b.data), c.Pin(b.clock)
+			if d == nil || ck == nil || d.Net == nil || ck.Net == nil {
+				continue
+			}
+			a.sites = append(a.sites, checkSite{
+				data: int32(a.pinIdx[d]), clock: int32(a.pinIdx[ck]), cell: int32(ci), class: class,
+			})
+		}
+	}
+	if a.Cons != nil {
+		for _, p := range a.D.Ports {
+			if io, ok := a.Cons.OutputDelay[p]; ok && io.Clock != nil && p.Dir == netlist.Output {
+				a.sites = append(a.sites, checkSite{data: int32(a.portIdx[p]), clock: -1, cell: -1, class: sitePort})
+			}
+		}
+	}
+	if cap(a.siteSeen) < len(a.sites) {
+		a.siteSeen = make([]bool, len(a.sites))
+	}
+	a.siteSeen = a.siteSeen[:len(a.sites)]
 }
 
 // leadEdge returns the valid leading clock transition at a CK vertex (rise
@@ -63,211 +162,201 @@ func (a *Analyzer) leadEdge(i int, el int) int {
 	return -1
 }
 
-// btScratch holds reusable CRPR backtrace buffers for the exclusive-writer
-// paths (Run/Update); concurrent readers pass nil and allocate per call.
-type btScratch struct {
-	launch, capture []int
-}
-
-// EndpointSlacks computes all setup or hold endpoint slacks. It allocates
-// its result and scratch per call, so concurrent readers (timingd query
-// handlers under the session read-lock) never share state. The backtrace
-// scratch is call-local, so the CRPR credit of every endpoint in one call
-// reuses the same two buffers.
-func (a *Analyzer) EndpointSlacks(kind CheckKind) []EndpointSlack {
-	var bt btScratch
-	return a.endpointSlacksInto(kind, nil, &bt)
-}
-
-// endpointSlacksInto is EndpointSlacks with caller-provided result and
-// backtrace scratch (either may be nil). Only the exclusive-writer paths
-// pass the analyzer's own scratch.
-func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack, bt *btScratch) []EndpointSlack {
-	if !a.ran || a.Cons == nil {
-		return out
+// refreshChecks re-evaluates every setup and hold check from the current
+// arrivals into the analyzer-owned lists, worst first, with their summaries.
+// It runs at the one place arrivals change — Run and Update, the exclusive
+// writer — so every reader between two re-times sees the same numbers for
+// free. seedMoved collects the data vertices whose required-time seed the
+// sweep changed.
+func (a *Analyzer) refreshChecks() {
+	for k := range a.checks {
+		a.checks[k].list = a.checks[k].list[:0]
 	}
+	a.seedMoved = a.seedMoved[:0]
+	if a.Cons != nil {
+		a.sweepSites()
+	}
+	for k := range a.checks {
+		a.checks[k].summarize(a.siteSeen)
+	}
+}
+
+// sweepSites is refreshChecks' one pass over the site table: both kinds of
+// every site appended in table order, and each site's seed re-derived from
+// its setup checks.
+func (a *Analyzer) sweepSites() {
+	setup, hold := a.checks[Setup].list, a.checks[Hold].list
 	n := a.Cfg.Derate.NSigma()
 	clk := a.Cons.DefaultClock()
-	for _, c := range a.D.Cells {
-		m := a.master(c)
-		if m.FF == nil {
+	holdUnc := 0.0
+	if clk != nil {
+		holdUnc = clk.HoldUncertainty
+	}
+	for si := range a.sites {
+		s := a.sites[si]
+		di, ci := int(s.data), int(s.clock)
+		var seed seedRec
+		if s.class == sitePort {
+			p := a.verts[di].port
+			io := a.Cons.OutputDelay[p]
+			// A constraint dropped since the table was built checks
+			// nothing and loses its seed.
+			for rf := 0; rf < 2 && io.Clock != nil; rf++ {
+				if k := ix4(di, rf, late); a.fValid[k] {
+					arr := a.fArr[k].corner(true, n)
+					req := io.Clock.Period - io.Max - io.Clock.SetupUncertainty
+					slack := req - arr
+					setup = append(setup, EndpointSlack{
+						Kind: Setup, Port: p, RF: rf,
+						Slack: slack, Arrival: arr, Required: req, site: int32(si),
+					})
+					seed.set(rf, a.fArr[k].T+slack)
+				}
+				if k := ix4(di, rf, early); a.fValid[k] {
+					arr := a.fArr[k].corner(false, n)
+					hold = append(hold, EndpointSlack{
+						Kind: Hold, Port: p, RF: rf,
+						Slack: arr - io.Min, Arrival: arr, Required: io.Min, site: int32(si),
+					})
+				}
+			}
+			a.reseed(di, seed)
 			continue
 		}
-		dPin := c.Pin(m.FF.Data)
-		ckPin := c.Pin(m.FF.Clock)
-		if dPin == nil || ckPin == nil || dPin.Net == nil || ckPin.Net == nil {
-			continue
+		// A flip-flop constrains each data transition with its own table
+		// and honours multicycle exceptions; an ICG enable has one table
+		// per check and is always single-cycle.
+		m := a.masters[s.cell]
+		var suTab, hoTab [2]*liberty.Table2D
+		cycles := 1.0
+		if s.class == siteFF {
+			suTab = [2]*liberty.Table2D{m.FF.SetupRise, m.FF.SetupFall}
+			hoTab = [2]*liberty.Table2D{m.FF.HoldRise, m.FF.HoldFall}
+			if mc, ok := a.Cons.MulticycleSetup[a.cells[s.cell]]; ok && mc > 1 {
+				cycles = float64(mc)
+			}
+		} else {
+			suTab = [2]*liberty.Table2D{m.Gate.SetupRise, m.Gate.SetupRise}
+			hoTab = [2]*liberty.Table2D{m.Gate.HoldRise, m.Gate.HoldRise}
 		}
-		di := a.pinIdx[dPin]
-		ci := a.pinIdx[ckPin]
+		pin := a.verts[di].pin
+		ce, cl := a.leadEdge(ci, early), a.leadEdge(ci, late)
 		for rf := 0; rf < 2; rf++ {
-			if kind == Setup {
-				kd := ix4(di, rf, late)
-				if !a.fValid[kd] {
-					continue
-				}
-				ce := a.leadEdge(ci, early)
-				if ce < 0 || clk == nil {
-					continue
-				}
+			if kd := ix4(di, rf, late); a.fValid[kd] && ce >= 0 && clk != nil {
 				kc := ix4(ci, ce, early)
-				crpr := a.crprCredit(di, rf, ci, ce, bt)
-				dataSlew := a.fSlew[kd]
-				ckSlew := a.fSlew[kc]
-				var su float64
-				if rf == rise {
-					su = m.FF.SetupRise.Lookup(dataSlew, ckSlew)
-				} else {
-					su = m.FF.SetupFall.Lookup(dataSlew, ckSlew)
-				}
+				crpr := a.crprCredit(di, rf, late, ci, ce)
 				arrD := a.fArr[kd].corner(true, n)
 				ckArr := a.fArr[kc].corner(false, n)
-				cycles := 1.0
-				if a.Cons != nil {
-					if mc, ok := a.Cons.MulticycleSetup[c]; ok && mc > 1 {
-						cycles = float64(mc)
-					}
-				}
+				su := suTab[rf].Lookup(a.fSlew[kd], a.fSlew[kc])
 				req := cycles*clk.Period + ckArr - su - clk.SetupUncertainty + crpr
-				out = append(out, EndpointSlack{
-					Kind: Setup, Pin: dPin, RF: rf,
-					Slack: req - arrD, Arrival: arrD, Required: req, CRPR: crpr,
+				slack := req - arrD
+				setup = append(setup, EndpointSlack{
+					Kind: Setup, Pin: pin, RF: rf,
+					Slack: slack, Arrival: arrD, Required: req, CRPR: crpr, site: int32(si),
 				})
-			} else {
-				kd := ix4(di, rf, early)
-				if !a.fValid[kd] {
-					continue
-				}
-				cl := a.leadEdge(ci, late)
-				if cl < 0 {
-					continue
-				}
+				seed.set(rf, a.fArr[kd].T+slack)
+			}
+			if kd := ix4(di, rf, early); a.fValid[kd] && cl >= 0 {
 				kc := ix4(ci, cl, late)
-				crpr := a.crprCreditHold(di, rf, ci, cl, bt)
-				dataSlew := a.fSlew[kd]
-				ckSlew := a.fSlew[kc]
-				var h float64
-				if rf == rise {
-					h = m.FF.HoldRise.Lookup(dataSlew, ckSlew)
-				} else {
-					h = m.FF.HoldFall.Lookup(dataSlew, ckSlew)
-				}
+				crpr := a.crprCredit(di, rf, early, ci, cl)
 				arrD := a.fArr[kd].corner(false, n)
 				ckArr := a.fArr[kc].corner(true, n)
-				holdUnc := 0.0
-				if clk != nil {
-					holdUnc = clk.HoldUncertainty
-				}
+				h := hoTab[rf].Lookup(a.fSlew[kd], a.fSlew[kc])
 				req := ckArr + h + holdUnc - crpr
-				out = append(out, EndpointSlack{
-					Kind: Hold, Pin: dPin, RF: rf,
-					Slack: arrD - req, Arrival: arrD, Required: req, CRPR: crpr,
+				hold = append(hold, EndpointSlack{
+					Kind: Hold, Pin: pin, RF: rf,
+					Slack: arrD - req, Arrival: arrD, Required: req, CRPR: crpr, site: int32(si),
 				})
 			}
+		}
+		a.reseed(di, seed)
+	}
+	a.checks[Setup].list, a.checks[Hold].list = setup, hold
+}
+
+// summarize sorts the freshly filled list worst-first and derives the
+// summary from it. seen is the writer's per-site scratch.
+func (c *residentChecks) summarize(seen []bool) {
+	l := c.list
+	sort.Slice(l, func(i, j int) bool { return l[i].Slack < l[j].Slack })
+	c.sum = CheckSummary{Worst: math.Inf(1), Endpoints: len(l)}
+	if len(l) > 0 {
+		c.sum.Worst = l[0].Slack
+	}
+	clear(seen)
+	for _, e := range l {
+		if e.Slack < 0 {
+			c.sum.Violations++
+		}
+		if seen[e.site] {
+			continue
+		}
+		seen[e.site] = true
+		if e.Slack < 0 {
+			c.sum.TNS += e.Slack
 		}
 	}
-	// Clock-gating enable checks: the EN pin of every ICG must be stable
-	// around the clock edge, exactly like a flip-flop's data (paper §1.2:
-	// clock gating adds closure burden).
-	for _, c := range a.D.Cells {
-		m := a.master(c)
-		if m.Gate == nil {
-			continue
-		}
-		enPin := c.Pin(m.Gate.Enable)
-		ckPin := c.Pin(m.Gate.Clock)
-		if enPin == nil || ckPin == nil || enPin.Net == nil || ckPin.Net == nil {
-			continue
-		}
-		ei := a.pinIdx[enPin]
-		ci := a.pinIdx[ckPin]
-		for rf := 0; rf < 2; rf++ {
-			if kind == Setup {
-				ke := ix4(ei, rf, late)
-				if !a.fValid[ke] || clk == nil {
-					continue
-				}
-				ce := a.leadEdge(ci, early)
-				if ce < 0 {
-					continue
-				}
-				kc := ix4(ci, ce, early)
-				crpr := a.crprCredit(ei, rf, ci, ce, bt)
-				su := m.Gate.SetupRise.Lookup(a.fSlew[ke], a.fSlew[kc])
-				arrE := a.fArr[ke].corner(true, n)
-				ckArr := a.fArr[kc].corner(false, n)
-				req := clk.Period + ckArr - su - clk.SetupUncertainty + crpr
-				out = append(out, EndpointSlack{
-					Kind: Setup, Pin: enPin, RF: rf,
-					Slack: req - arrE, Arrival: arrE, Required: req, CRPR: crpr,
-				})
-			} else {
-				ke := ix4(ei, rf, early)
-				if !a.fValid[ke] {
-					continue
-				}
-				cl := a.leadEdge(ci, late)
-				if cl < 0 {
-					continue
-				}
-				kc := ix4(ci, cl, late)
-				crpr := a.crprCreditHold(ei, rf, ci, cl, bt)
-				h := m.Gate.HoldRise.Lookup(a.fSlew[ke], a.fSlew[kc])
-				arrE := a.fArr[ke].corner(false, n)
-				ckArr := a.fArr[kc].corner(true, n)
-				holdUnc := 0.0
-				if clk != nil {
-					holdUnc = clk.HoldUncertainty
-				}
-				req := ckArr + h + holdUnc - crpr
-				out = append(out, EndpointSlack{
-					Kind: Hold, Pin: enPin, RF: rf,
-					Slack: arrE - req, Arrival: arrE, Required: req, CRPR: crpr,
-				})
-			}
-		}
+}
+
+// seedRec is one site's required-time seed per data transition: the
+// mean-based required (slack + mean arrival) that keeps pin slack consistent
+// with the endpoint's sigma-adjusted slack.
+type seedRec struct {
+	val   [2]float64
+	valid [2]bool
+}
+
+func (r *seedRec) set(rf int, v float64) { r.val[rf], r.valid[rf] = v, true }
+
+// reseed records vertex i's re-derived seed, noting the vertex in seedMoved
+// when it differs from the recorded one — the backward cone an incremental
+// Update must redo.
+func (a *Analyzer) reseed(i int, r seedRec) {
+	k := ix2(i, rise)
+	if r.valid[rise] == a.seedValid[k] && r.valid[fall] == a.seedValid[k+1] &&
+		r.val[rise] == a.seedReq[k] && r.val[fall] == a.seedReq[k+1] {
+		return
 	}
-	// Output ports with constraints.
-	for _, p := range a.D.Ports {
-		if p.Dir != netlist.Output {
-			continue
-		}
-		io, ok := a.Cons.OutputDelay[p]
-		if !ok || io.Clock == nil {
-			continue
-		}
-		i := a.portIdx[p]
-		for rf := 0; rf < 2; rf++ {
-			if kind == Setup && a.fValid[ix4(i, rf, late)] {
-				arr := a.fArr[ix4(i, rf, late)].corner(true, n)
-				req := io.Clock.Period - io.Max - io.Clock.SetupUncertainty
-				out = append(out, EndpointSlack{
-					Kind: Setup, Port: p, RF: rf,
-					Slack: req - arr, Arrival: arr, Required: req,
-				})
-			}
-			if kind == Hold && a.fValid[ix4(i, rf, early)] {
-				arr := a.fArr[ix4(i, rf, early)].corner(false, n)
-				req := io.Min
-				out = append(out, EndpointSlack{
-					Kind: Hold, Port: p, RF: rf,
-					Slack: arr - req, Arrival: arr, Required: req,
-				})
-			}
-		}
+	copy(a.seedValid[k:k+2], r.valid[:])
+	copy(a.seedReq[k:k+2], r.val[:])
+	a.seedMoved = append(a.seedMoved, int32(i))
+}
+
+// resident returns kind's endpoint list, worst first, for read-only use;
+// nil until a Run has completed.
+func (a *Analyzer) resident(kind CheckKind) []EndpointSlack {
+	if !a.ran {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slack < out[j].Slack })
+	return a.checks[kind].list
+}
+
+// EndpointSlacks returns all setup or hold endpoint slacks, worst first: a
+// private copy of the list the last Run/Update left, so callers may keep or
+// reorder it. Readers share the analyzer under the same contract as every
+// other query — concurrently with each other, never with a re-time.
+func (a *Analyzer) EndpointSlacks(kind CheckKind) []EndpointSlack {
+	src := a.resident(kind)
+	if len(src) == 0 {
+		return nil
+	}
+	out := make([]EndpointSlack, len(src))
+	copy(out, src)
 	return out
 }
 
-// backtraceChain returns the worst-path vertex chain ending at (i, rf, el),
-// root-first.
-func (a *Analyzer) backtraceChain(i, rf, el int) []int {
-	return a.backtraceChainInto(nil, i, rf, el)
+// Summary returns kind's worst slack, TNS and counts as of the last
+// Run/Update.
+func (a *Analyzer) Summary(kind CheckKind) CheckSummary {
+	if !a.ran {
+		return CheckSummary{Worst: math.Inf(1)}
+	}
+	return a.checks[kind].sum
 }
 
-// backtraceChainInto is backtraceChain appending into a reused buffer.
-func (a *Analyzer) backtraceChainInto(buf []int, i, rf, el int) []int {
+// backtraceChain returns the worst-path vertex chain ending at (i, rf, el),
+// root-first, appended into buf's storage.
+func (a *Analyzer) backtraceChain(buf []int, i, rf, el int) []int {
 	rev := buf[:0]
 	for i >= 0 {
 		rev = append(rev, i)
@@ -285,31 +374,16 @@ func (a *Analyzer) backtraceChainInto(buf []int, i, rf, el int) []int {
 	return rev
 }
 
-// crprCredit computes the clock-reconvergence pessimism credit for a setup
-// check: the late−early arrival difference at the deepest clock-network
-// vertex shared by the launch path (inside the data backtrace from the D
-// pin, late) and the capture clock path (backtrace from the capture CK pin,
-// early). A nil bt allocates fresh backtraces (concurrent-reader path).
-func (a *Analyzer) crprCredit(di, rf, ci, ce int, bt *btScratch) units.Ps {
-	if bt == nil {
-		return a.crpr(a.backtraceChain(di, rf, late), a.backtraceChain(ci, ce, early))
-	}
-	bt.launch = a.backtraceChainInto(bt.launch, di, rf, late)
-	bt.capture = a.backtraceChainInto(bt.capture, ci, ce, early)
-	return a.crpr(bt.launch, bt.capture)
-}
-
-// crprCreditHold is the hold-check analogue (data early vs clock late).
-func (a *Analyzer) crprCreditHold(di, rf, ci, cl int, bt *btScratch) units.Ps {
-	if bt == nil {
-		return a.crpr(a.backtraceChain(di, rf, early), a.backtraceChain(ci, cl, late))
-	}
-	bt.launch = a.backtraceChainInto(bt.launch, di, rf, early)
-	bt.capture = a.backtraceChainInto(bt.capture, ci, cl, late)
-	return a.crpr(bt.launch, bt.capture)
-}
-
-func (a *Analyzer) crpr(launch, capture []int) units.Ps {
+// crprCredit computes the clock-reconvergence pessimism credit of one check:
+// the late−early arrival difference at the deepest clock-network vertex
+// shared by the launch path (inside the data backtrace from the D pin on
+// side el — late for setup, early for hold) and the capture clock path
+// (backtrace from the CK pin's edge ce on the opposite side). It reuses the
+// writer's backtrace buffers, so only Run/Update may call it.
+func (a *Analyzer) crprCredit(di, rf, el, ci, ce int) units.Ps {
+	a.btLaunch = a.backtraceChain(a.btLaunch, di, rf, el)
+	a.btCapture = a.backtraceChain(a.btCapture, ci, ce, 1-el)
+	launch, capture := a.btLaunch, a.btCapture
 	// Find the deepest common prefix vertex that is on the clock network.
 	nc := len(capture)
 	if len(launch) < nc {
@@ -351,45 +425,11 @@ func (a *Analyzer) WNS(kind CheckKind) units.Ps {
 
 // WorstSlack returns the single worst endpoint slack (or +Inf when there
 // are no endpoints), without clamping at zero.
-func (a *Analyzer) WorstSlack(kind CheckKind) units.Ps {
-	return WorstSlackOf(a.EndpointSlacks(kind))
-}
-
-// WorstSlackOf is WorstSlack over an already-rendered endpoint list
-// (worst-first), for callers deriving several summaries from one
-// EndpointSlacks result instead of re-rendering per metric.
-func WorstSlackOf(s []EndpointSlack) units.Ps {
-	if len(s) == 0 {
-		return math.Inf(1)
-	}
-	return s[0].Slack
-}
+func (a *Analyzer) WorstSlack(kind CheckKind) units.Ps { return a.Summary(kind).Worst }
 
 // TNS returns the total negative slack (sum over violating endpoints,
-// counting each endpoint's worst transition once). The sum runs in the
-// sorted order EndpointSlacks returns (worst first): summing while
-// iterating a map gave a run-to-run ULP wobble that broke bit-exact
-// determinism between otherwise identical runs.
-func (a *Analyzer) TNS(kind CheckKind) units.Ps {
-	return TNSOf(a.EndpointSlacks(kind))
-}
-
-// TNSOf is TNS over an already-rendered endpoint list (worst-first).
-func TNSOf(s []EndpointSlack) units.Ps {
-	seen := map[string]bool{}
-	t := 0.0
-	for _, e := range s {
-		k := e.Name()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if e.Slack < 0 {
-			t += e.Slack
-		}
-	}
-	return t
-}
+// counting each endpoint's worst transition once).
+func (a *Analyzer) TNS(kind CheckKind) units.Ps { return a.Summary(kind).TNS }
 
 // DRCViolation is a max-transition or max-capacitance breach.
 type DRCViolation struct {

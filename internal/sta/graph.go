@@ -247,14 +247,20 @@ type Analyzer struct {
 	// designs, incremental Updates), buildNets' fan-out gives chunk k calc[k].
 	calc []parasitics.Scratch
 
-	// Reusable scratch for the serial required/update paths (never used by
-	// concurrent readers; public queries allocate their own).
-	epScratch   []EndpointSlack
-	bt          btScratch
-	fwQ, bwQ    *levelQueue
-	changed     []bool
-	changedList []int
-	newSeeds    map[int]seedRec
+	// Endpoint checks (see checks.go): the site table is rebuilt with the
+	// masters at every full Run; the lists and summaries are refilled by
+	// every Run and Update and only read in between.
+	sites  []checkSite
+	checks [2]residentChecks
+
+	// Reusable scratch of the exclusive writer (Run/Update); readers never
+	// touch it.
+	btLaunch, btCapture []int   // CRPR backtraces
+	siteSeen            []bool  // per-site TNS dedupe
+	seedMoved           []int32 // data vertices whose seed the last sweep changed
+	fwQ, bwQ            *levelQueue
+	changed             []bool
+	changedList         []int
 
 	// Incremental re-timing state (see incremental.go).
 	dirtyNets   map[*netlist.Net]bool
@@ -458,6 +464,7 @@ func (a *Analyzer) refreshMasters() {
 		}
 		a.buildArcGroups()
 	}
+	a.buildSites()
 }
 
 // refreshCellCaches re-derives one cell's pin caps and arc-group pointers

@@ -214,12 +214,6 @@ func (a *Analyzer) reqChanged(i int, s reqState) bool {
 	return false
 }
 
-// seedRec is one endpoint's re-derived required seed (per transition).
-type seedRec struct {
-	val   [2]float64
-	valid [2]bool
-}
-
 // pushFanins invokes fn for every timing edge *into* vertex i — the
 // reverse of successors: the driving net edge plus, for an output pin, the
 // prebuilt arc group's input pins.
@@ -330,44 +324,11 @@ func (a *Analyzer) Update() error {
 		bw := a.bwQ
 		bw.reset()
 		seedBwd := func(i int) { bw.push(i, int(level[i])) }
-		// Re-derive endpoint seeds from the (already final) new arrivals.
-		if a.newSeeds == nil {
-			a.newSeeds = map[int]seedRec{}
-		}
-		clear(a.newSeeds)
-		a.epScratch = a.endpointSlacksInto(Setup, a.epScratch[:0], &a.bt)
-		for _, e := range a.epScratch {
-			var i int
-			if e.Pin != nil {
-				i = a.pinIdx[e.Pin]
-			} else {
-				i = a.portIdx[e.Port]
-			}
-			r := a.fArr[ix4(i, e.RF, late)].T + e.Slack
-			rec := a.newSeeds[i]
-			if !rec.valid[e.RF] || r < rec.val[e.RF] {
-				rec.val[e.RF] = r
-				rec.valid[e.RF] = true
-			}
-			a.newSeeds[i] = rec
-		}
-		for i := range a.verts {
-			kr, kf := ix2(i, rise), ix2(i, fall)
-			rec, ok := a.newSeeds[i]
-			if !ok {
-				if a.seedValid[kr] || a.seedValid[kf] {
-					a.seedValid[kr], a.seedValid[kf] = false, false
-					a.seedReq[kr], a.seedReq[kf] = 0, 0
-					seedBwd(i)
-				}
-				continue
-			}
-			if rec.valid[rise] != a.seedValid[kr] || rec.valid[fall] != a.seedValid[kf] ||
-				rec.val[rise] != a.seedReq[kr] || rec.val[fall] != a.seedReq[kf] {
-				a.seedValid[kr], a.seedValid[kf] = rec.valid[rise], rec.valid[fall]
-				a.seedReq[kr], a.seedReq[kf] = rec.val[rise], rec.val[fall]
-				seedBwd(i)
-			}
+		// Re-evaluate the checks from the (already final) new arrivals; a
+		// site whose seed moved restarts the backward cone at its data vertex.
+		a.refreshChecks()
+		for _, i := range a.seedMoved {
+			seedBwd(int(i))
 		}
 		for _, i := range a.changedList {
 			seedBwd(i)

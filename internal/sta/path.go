@@ -72,51 +72,44 @@ func (a *Analyzer) WorstPath(e EndpointSlack) Path {
 	if e.Kind == Hold {
 		el = early
 	}
-	var i int
+	var end int
 	if e.Pin != nil {
-		i = a.pinIdx[e.Pin]
+		end = a.pinIdx[e.Pin]
 	} else {
-		i = a.portIdx[e.Port]
+		end = a.portIdx[e.Port]
 	}
-	type rec struct {
-		v, rf int
-		pr    pred
-	}
-	var rev []rec
-	rf := e.RF
-	for i >= 0 {
-		k := ix4(i, rf, el)
-		if !a.fValid[k] {
-			break
-		}
-		pr := a.fPred[k]
-		rev = append(rev, rec{i, rf, pr})
+	// Walk the predecessor chain once for its length, then again filling
+	// Steps back to front, so the root-first result is sized exactly.
+	n := 0
+	for i, rf := end, e.RF; i >= 0 && a.fValid[ix4(i, rf, el)]; n++ {
+		pr := a.fPred[ix4(i, rf, el)]
 		i, rf = pr.v, pr.rf
 	}
-	p := Path{Endpoint: e, GBASlack: e.Slack}
-	for k := len(rev) - 1; k >= 0; k-- {
-		r := rev[k]
-		v := a.verts[r.v]
-		kk := ix4(r.v, r.rf, el)
+	p := Path{Endpoint: e, GBASlack: e.Slack, Steps: make([]PathStep, n)}
+	for i, rf, k := end, e.RF, n-1; k >= 0; k-- {
+		kk := ix4(i, rf, el)
+		pr := a.fPred[kk]
+		v := a.verts[i]
 		st := PathStep{
-			Name:    a.vname(r.v),
-			RF:      r.rf,
-			Delay:   r.pr.delay,
-			IsCell:  r.pr.cell,
+			Name:    a.vname(i),
+			RF:      rf,
+			Delay:   pr.delay,
+			IsCell:  pr.cell,
 			Arrival: a.fArr[kk].T,
 			Slew:    a.fSlew[kk],
-			vid:     r.v,
-			arc:     r.pr.arc,
+			vid:     i,
+			arc:     pr.arc,
 		}
 		if v.pin != nil {
 			st.Cell = v.pin.Cell
-			if !r.pr.cell && r.pr.v >= 0 {
+			if !pr.cell && pr.v >= 0 {
 				st.Net = v.pin.Net
 			}
-		} else if v.port != nil && !r.pr.cell && r.pr.v >= 0 {
+		} else if v.port != nil && !pr.cell && pr.v >= 0 {
 			st.Net = v.port.Net
 		}
-		p.Steps = append(p.Steps, st)
+		p.Steps[k] = st
+		i, rf = pr.v, pr.rf
 	}
 	return p
 }
@@ -124,17 +117,23 @@ func (a *Analyzer) WorstPath(e EndpointSlack) Path {
 // WorstPaths returns the worst path for each of the n worst endpoints of
 // the check (one per endpoint, sorted worst-first).
 func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path {
-	slacks := a.EndpointSlacks(kind)
-	seen := map[string]bool{}
-	var out []Path
+	slacks := a.resident(kind)
+	if n > len(slacks) {
+		n = len(slacks)
+	}
+	if n <= 0 {
+		return nil
+	}
+	seen := make([]bool, len(a.sites))
+	out := make([]Path, 0, n)
 	for _, e := range slacks {
 		if len(out) >= n {
 			break
 		}
-		if seen[e.Name()] {
+		if seen[e.site] {
 			continue
 		}
-		seen[e.Name()] = true
+		seen[e.site] = true
 		out = append(out, a.WorstPath(e))
 	}
 	return out

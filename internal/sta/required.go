@@ -13,10 +13,10 @@ import (
 // levels, so a level can fan out across workers just like the forward pass.
 // Cancellation (RunCtx) is polled once per wavefront.
 func (a *Analyzer) propagateRequired() error {
+	a.seedRequired()
 	if a.Cons == nil {
 		return nil
 	}
-	a.seedRequired()
 	w := a.workers()
 	t := a.topo
 	for li := t.NumLevels() - 1; li >= 0; li-- {
@@ -44,31 +44,16 @@ func (a *Analyzer) propagateRequired() error {
 	return nil
 }
 
-// seedRequired seeds endpoint requireds from the setup checks, recording
-// the seed per vertex so incremental updates can detect when a check's
-// result moved. Runs only from the exclusive-writer paths (Run/Update), so
-// it reuses the analyzer's endpoint scratch instead of allocating.
+// seedRequired evaluates the endpoint checks of a full Run and seeds the
+// required times from them. Run cleared every recorded seed, so the sweep
+// reports exactly the seeded vertices as moved.
 func (a *Analyzer) seedRequired() {
-	a.epScratch = a.endpointSlacksInto(Setup, a.epScratch[:0], &a.bt)
-	for _, e := range a.epScratch {
-		var i int
-		if e.Pin != nil {
-			i = a.pinIdx[e.Pin]
-		} else {
-			i = a.portIdx[e.Port]
-		}
-		// Store mean-based required: slack + mean arrival keeps pin slack
-		// consistent with the endpoint's sigma-adjusted slack.
-		k := ix4(i, e.RF, late)
-		r := a.fArr[k].T + e.Slack
-		k2 := ix2(i, e.RF)
-		if !a.seedValid[k2] || r < a.seedReq[k2] {
-			a.seedReq[k2] = r
-			a.seedValid[k2] = true
-		}
-		if !a.rValid[k] || r < a.fReq[k] {
-			a.fReq[k] = r
-			a.rValid[k] = true
+	a.refreshChecks()
+	for _, i := range a.seedMoved {
+		for rf := 0; rf < 2; rf++ {
+			if k := ix2(int(i), rf); a.seedValid[k] {
+				a.lowerReq(int(i), rf, a.seedReq[k])
+			}
 		}
 	}
 }

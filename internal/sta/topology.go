@@ -110,10 +110,11 @@ func masterArcSig(m *liberty.Cell) string {
 }
 
 // sameArcShape reports whether two masters have the same arc (From, To)
-// sequence — the condition under which an in-place master swap can reuse
-// the prebuilt arc groups and CSR successor lists.
+// sequence and the same check binding — the condition under which an
+// in-place master swap can reuse the prebuilt arc groups, the CSR successor
+// lists and the cell's row of the check-site table.
 func sameArcShape(m1, m2 *liberty.Cell) bool {
-	if len(m1.Arcs) != len(m2.Arcs) {
+	if len(m1.Arcs) != len(m2.Arcs) || bindingOf(m1) != bindingOf(m2) {
 		return false
 	}
 	for k := range m1.Arcs {

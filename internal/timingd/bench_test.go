@@ -47,6 +47,19 @@ func benchGet(b *testing.B, url string) {
 	}
 }
 
+// benchPost issues one JSON POST and fails the benchmark on a non-200.
+func benchPost(b *testing.B, url, body string) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
 // BenchmarkTimingdQuery measures the daemon's query latency in
 // serial/concurrent pairs over the real HTTP stack:
 //
@@ -54,7 +67,9 @@ func benchGet(b *testing.B, url string) {
 //     forcing a render from the resident graphs);
 //   - paths cold (k-worst + PBA re-time, the heaviest read);
 //   - whatif (resize + incremental re-time forward and back, serialized by
-//     the writer lock);
+//     the writer lock), whatif_buffer (a structural edit: the scenario set
+//     is rebuilt in and again on rollback) and eco (evaluate, swap, replay
+//     on the retired snapshot), the last two with allocations reported;
 //   - slack while a writer goroutine commits ECOs in a loop (reads resolve
 //     epoch snapshots and must not stall behind the writer).
 //
@@ -72,6 +87,8 @@ func BenchmarkTimingdQuery(b *testing.B) {
 	_, _, d := fixture(b)
 	oldType := d.Cell(cell).TypeName
 	wifBody := opsJSON(Op{Kind: "resize", Cell: cell, To: to})
+	bufNet, bufLoads := bufferTarget(b)
+	bufBody := opsJSON(Op{Kind: "buffer", Net: bufNet, Loads: bufLoads, To: "BUF_X2_SVT"})
 
 	b.Run("slack_cached_serial", func(b *testing.B) {
 		benchGet(b, hs.URL+"/slack") // warm
@@ -103,15 +120,23 @@ func BenchmarkTimingdQuery(b *testing.B) {
 	})
 	b.Run("whatif_serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			resp, err := http.Post(hs.URL+"/whatif", "application/json", strings.NewReader(wifBody))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
+			benchPost(b, hs.URL+"/whatif", wifBody)
+		}
+	})
+	b.Run("whatif_buffer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchPost(b, hs.URL+"/whatif", bufBody)
+		}
+	})
+	b.Run("eco_serial", func(b *testing.B) {
+		b.ReportAllocs()
+		bodies := [2]string{wifBody, opsJSON(Op{Kind: "resize", Cell: cell, To: oldType})}
+		for i := 0; i < b.N; i++ {
+			benchPost(b, hs.URL+"/eco", bodies[i%2])
+		}
+		if b.N%2 == 1 { // back to the original netlist for the next sub-benchmark
+			benchPost(b, hs.URL+"/eco", bodies[1])
 		}
 	})
 	b.Run("slack_under_commits_parallel", func(b *testing.B) {

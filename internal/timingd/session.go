@@ -51,34 +51,28 @@ func newSession(cfg *Config, src *netlist.Design, topo *sta.Topology) (*session,
 	if err := s.views.Build(context.Background(), topo); err != nil {
 		return nil, err
 	}
+	// A scenario that checks nothing has +Inf for a worst slack, which no
+	// report can carry: refuse the design here, not on the first /slack.
+	for i, a := range s.views.Analyzers() {
+		if a.Summary(sta.Setup).Endpoints+a.Summary(sta.Hold).Endpoints == 0 {
+			return nil, fmt.Errorf("timingd: design has no timing endpoints in scenario %q", cfg.Recipe.Scenarios[i].Name)
+		}
+	}
 	return s, nil
 }
 
-// slacks renders the merged per-scenario timing summary. Each kind's
-// endpoint list is rendered once per view and every summary metric (WNS,
-// TNS, violation count) derives from it — rendering is the cold-query
-// cost, so it isn't paid three times per number.
+// slacks reports the merged per-scenario timing summary: field reads off
+// the summaries each analyzer's last re-time left, so a what-if's before and
+// after, a commit's, and a cold /slack cost the same nothing.
 func (s *session) slacks() []ScenarioSlack {
 	out := make([]ScenarioSlack, len(s.views.Scenarios))
 	for i, a := range s.views.Analyzers() {
-		r := ScenarioSlack{Scenario: s.views.Scenarios[i].Name}
-		setup := a.EndpointSlacks(sta.Setup)
-		hold := a.EndpointSlacks(sta.Hold)
-		r.SetupWNS = sta.WorstSlackOf(setup)
-		r.SetupTNS = sta.TNSOf(setup)
-		r.HoldWNS = sta.WorstSlackOf(hold)
-		r.HoldTNS = sta.TNSOf(hold)
-		for _, e := range setup {
-			if e.Slack < 0 {
-				r.SetupViolations++
-			}
+		setup, hold := a.Summary(sta.Setup), a.Summary(sta.Hold)
+		out[i] = ScenarioSlack{
+			Scenario: s.views.Scenarios[i].Name,
+			SetupWNS: setup.Worst, SetupTNS: setup.TNS, SetupViolations: setup.Violations,
+			HoldWNS: hold.Worst, HoldTNS: hold.TNS, HoldViolations: hold.Violations,
 		}
-		for _, e := range hold {
-			if e.Slack < 0 {
-				r.HoldViolations++
-			}
-		}
-		out[i] = r
 	}
 	return out
 }

@@ -535,3 +535,35 @@ func TestEndpointsAndPathsQueries(t *testing.T) {
 		}
 	}
 }
+
+// A design that checks nothing has no worst slack to report (+Inf, which
+// JSON cannot carry): the server refuses it at load, naming the scenario,
+// where it used to boot and answer /slack, /whatif and /eco with a 500.
+func TestBootRefusesDesignWithoutEndpoints(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Design = circuits.Block(cfg.Recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "flopless", Inputs: 6, Outputs: 6, FFs: 0, Gates: 40, MaxDepth: 5, Seed: 3,
+	})
+	s, err := NewServer(cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("server booted on a design with no timing endpoints")
+	}
+	if want := cfg.Recipe.Scenarios[0].Name; !strings.Contains(err.Error(), "no timing endpoints") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name scenario %q", err, want)
+	}
+}
+
+// The per-scenario summary is read off the analyzers, not rendered: one
+// result slice, whatever the design size.
+func TestSlacksAllocations(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	sess := s.cur.Load()
+	var rows []ScenarioSlack
+	if n := testing.AllocsPerRun(50, func() { rows = sess.slacks() }); n > 2 {
+		t.Errorf("session.slacks() allocates %v times per call, want at most 2", n)
+	}
+	if len(rows) != len(sess.views.Scenarios) || rows[0].HoldViolations == 0 {
+		t.Fatalf("fixture summary looks empty: %+v", rows)
+	}
+}

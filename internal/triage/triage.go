@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"newgame/internal/core"
+	"newgame/internal/netlist"
 	"newgame/internal/sta"
 	"newgame/internal/units"
 )
@@ -274,20 +275,11 @@ func rfName(rf int) string {
 	return "fall"
 }
 
-// worstPerEndpoint keeps each endpoint's worst transition only, in the
-// worst-first order EndpointSlacks already established.
-func worstPerEndpoint(es []sta.EndpointSlack) []sta.EndpointSlack {
-	seen := make(map[string]bool, len(es))
-	out := es[:0:0]
-	for _, e := range es {
-		name := e.Name()
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		out = append(out, e)
-	}
-	return out
+// endpointID identifies an endpoint across its transitions without building
+// its name.
+type endpointID struct {
+	pin  *netlist.Pin
+	port *netlist.Port
 }
 
 // ExtractScenario computes scenario idx's violations against its resident
@@ -314,10 +306,17 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 		if !active {
 			continue
 		}
-		for _, e := range worstPerEndpoint(a.EndpointSlacks(kind)) {
+		seen := map[endpointID]bool{}
+		for _, e := range a.EndpointSlacks(kind) {
 			if e.Slack >= 0 {
 				break // worst-first: the first met endpoint ends the violations
 			}
+			// Each endpoint's worst transition only.
+			id := endpointID{e.Pin, e.Port}
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
 			v := Violation{
 				Scenario: name, Kind: kind.String(), Endpoint: e.Name(),
 				RF: rfName(e.RF), Slack: e.Slack, DerateClass: derate,
