@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"newgame/internal/circuits"
+	"newgame/internal/conformance"
 	"newgame/internal/core"
 	"newgame/internal/experiments"
 	"newgame/internal/liberty"
@@ -151,6 +152,40 @@ func benchRetime(b *testing.B, incremental bool) {
 
 func BenchmarkIncrementalRetime(b *testing.B) { benchRetime(b, true) }
 func BenchmarkFullRetime(b *testing.B)        { benchRetime(b, false) }
+
+// BenchmarkStructuralRetime measures re-timing across a structural edit on
+// the analyzer that exists: one buffer inserted, a full Run, the buffer
+// taken out again the way a what-if's rollback does, a full Run. Each Run
+// re-derives the graph in place and refills the two nets whose loads moved;
+// the alternative it replaced is a New + Run per edit.
+func BenchmarkStructuralRetime(b *testing.B) {
+	a, d, _ := benchAnalyzer(b, 1)
+	if err := a.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var n *netlist.Net
+	for _, c := range d.Nets {
+		if c.Driver != nil && len(c.Loads) >= 2 {
+			n = c
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := conformance.InsertBuffer(d, n, n.Loads[:1], "BUF_X2_SVT")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Run(); err != nil {
+			b.Fatal(err)
+		}
+		e.Undo(d)
+		if err := a.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // surveyEngine builds the two-scenario survey fixture on a fresh design.
 func surveyEngine(name string, workers int) *core.Engine {

@@ -131,13 +131,13 @@ func Registry() []Invariant {
 		},
 		{
 			Name:  "survey-resident-identical",
-			Law:   "a closure engine that keeps its analyzers between surveys is indistinguishable from one built per survey: across retyped cells, an NDR, useful-skew offsets and an inserted buffer, every survey and every analyzer's full timing state are bit-identical to a fresh engine's",
+			Law:   "a closure engine that keeps its analyzers between surveys is indistinguishable from one built per survey: across retyped cells, an NDR, useful-skew offsets and an inserted buffer — none of which may cost it an analyzer — every survey and every analyzer's full timing state are bit-identical to a fresh engine's",
 			Scope: PerDesign,
 			Check: checkSurveyResident,
 		},
 		{
 			Name:  "checks-resident-identical",
-			Law:   "endpoint checks evaluated once per re-time are what any reader would compute: along resizes, a routing rule and an inserted buffer, the lists and summaries an analyzer kept through incremental updates equal a freshly built and run analyzer's, and each summary equals its recomputation from the list",
+			Law:   "endpoint checks evaluated once per re-time are what any reader would compute: along resizes, a routing rule and a buffer inserted and taken out again, the lists and summaries an analyzer kept through incremental updates and in-place re-runs equal a freshly built and run analyzer's, and each summary equals its recomputation from the list",
 			Scope: PerDesign,
 			Check: checkChecksResident,
 		},

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
@@ -106,6 +107,170 @@ func FuzzConstraintsAndRun(f *testing.F) {
 						kind, i, eps[i].Slack, eps[i-1].Slack)
 				}
 			}
+		}
+	})
+}
+
+// FuzzStructuralRerun decodes arbitrary bytes into a small design and an
+// edit script that moves the graph under a living analyzer — buffers
+// inserted (and chained onto one pin, as hold padding chains them), edits
+// taken back in reverse, valid and bogus retypes, an input pin left
+// floating, looped onto its own cell's output or moved to another net —
+// with a full Run after every op. The contract: nothing panics; a Run that
+// succeeds leaves the analyzer bit-identical to one built from nothing over
+// the same netlist, a Run that fails fails there too; and once every edit
+// has been taken back the analyzer runs and is identical again.
+func FuzzStructuralRerun(f *testing.F) {
+	// seed(8) gates(1) ffs(1), then (op, arg) pairs; see the switch below.
+	head := []byte{3, 0, 0, 0, 0, 0, 0, 0, 20, 2}
+	for _, ops := range [][]byte{
+		{0, 5},                               // one buffer
+		{0, 5, 1, 0},                         // buffer, undo
+		{4, 1 | 9<<2},                        // a combinational cycle
+		{4, 1 | 9<<2, 0, 7, 1, 0, 1, 0},      // buffer behind a cycle, both undone
+		{3, 11, 0, 5},                        // bogus master, then a buffer
+		{3, 11, 0, 5, 1, 0, 1, 0},            // ... both taken back
+		{0, 5, 5, 0, 5, 0, 5, 0},             // chained pads on one pin
+		{0, 5, 5, 0, 1, 0, 5, 0, 1, 0, 1, 0}, // pads coming and going
+		{4, 0 | 4<<2, 2, 30, 0, 9},           // floating pin, retype, buffer
+		{4, 2 | 13<<2, 2, 8, 0, 3, 4, 3 | 21<<2, 1, 0},    // rewires around a buffer
+		{2, 1, 2, 2, 0, 40, 2, 3, 1, 0, 3, 4, 5, 0, 1, 0}, // a long mix
+	} {
+		f.Add(append(append([]byte(nil), head...), ops...))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 10 {
+			return
+		}
+		spec := SpecFor(int64(binary.LittleEndian.Uint64(raw)))
+		spec.Gates = 30 + int(raw[8])%50
+		spec.FFs = 3 + int(raw[9])%8
+		lib := Lib()
+		d := spec.Build(lib)
+		cons := sta.NewConstraints()
+		ck := cons.AddClock("clk", units.Ps(spec.Period), d.Port("clk"))
+		for _, p := range d.Ports {
+			if p.Dir == netlist.Output {
+				cons.OutputDelay[p] = sta.IODelay{Clock: ck, Min: 5, Max: 40}
+			}
+		}
+		cfg := sta.Config{
+			Lib: lib, Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), spec.Seed),
+			SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: 1,
+		}
+		a, err := sta.New(d, cons, cfg)
+		if err != nil {
+			t.Fatalf("generated design rejected: %v", err)
+		}
+		check := func(ctx string) bool {
+			runErr := a.Run()
+			fresh, err := sta.New(d, cons, cfg)
+			if err == nil {
+				err = fresh.Run()
+			}
+			switch {
+			case runErr != nil && err == nil:
+				t.Fatalf("%s: kept analyzer's Run fails (%v) where a fresh New+Run succeeds", ctx, runErr)
+			case runErr == nil && err != nil:
+				t.Fatalf("%s: kept analyzer's Run succeeds where a fresh one fails: %v", ctx, err)
+			case runErr == nil && Fingerprint(a) != Fingerprint(fresh):
+				t.Fatalf("%s: kept analyzer differs from a fresh New+Run", ctx)
+			}
+			return runErr == nil
+		}
+		check("initial")
+
+		var undo []func() // LIFO, so every entry finds the netlist as it left it
+		var lastBuf *netlist.Cell
+		buffer := func(n *netlist.Net, moved []*netlist.Pin) {
+			e, err := InsertBuffer(d, n, moved, "BUF_X1_HVT")
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := lastBuf
+			lastBuf = e.Buf
+			undo = append(undo, func() {
+				e.Undo(d)
+				lastBuf = prev
+			})
+		}
+		ops := raw[10:]
+		for i := 0; i+1 < len(ops) && i < 24; i += 2 {
+			op, arg := ops[i]%6, int(ops[i+1])
+			ctx := fmt.Sprintf("op %d (%d,%d)", i/2, op, arg)
+			switch op {
+			case 5: // pad the last buffer's input again
+				if lastBuf != nil && lastBuf.Pin("A").Net != nil {
+					in := lastBuf.Pin("A")
+					buffer(in.Net, []*netlist.Pin{in})
+					break
+				}
+				fallthrough
+			case 0:
+				for k := range d.Nets {
+					if n := d.Nets[(arg+k)%len(d.Nets)]; len(n.Loads) > 0 {
+						buffer(n, n.Loads[:1+(arg>>4)%len(n.Loads)])
+						break
+					}
+				}
+			case 1:
+				if len(undo) > 0 {
+					undo[len(undo)-1]()
+					undo = undo[:len(undo)-1]
+				}
+			case 2, 3:
+				c := d.Cells[arg%len(d.Cells)]
+				old, to := c.TypeName, fmt.Sprintf("BOGUS_%d", arg)
+				if op == 2 {
+					m := lib.Cell(old)
+					if m == nil {
+						continue // already bogus
+					}
+					v := lib.Variant(m, m.Drive, liberty.VtClass(arg%3))
+					if v == nil {
+						continue
+					}
+					to = v.Name
+				}
+				c.SetType(to)
+				undo = append(undo, func() { c.SetType(old) })
+			case 4:
+				c := d.Cells[(arg>>2)%len(d.Cells)]
+				ins := c.Inputs()
+				if len(ins) == 0 || ins[0].Net == nil {
+					continue
+				}
+				p, was := ins[0], ins[0].Net
+				d.Disconnect(p)
+				to := d.Nets[(arg>>2)%len(d.Nets)]
+				switch arg & 3 {
+				case 0:
+					to = nil // left floating
+				case 1:
+					if out := c.Output(); out != nil && out.Net != nil {
+						to = out.Net // a loop through its own cell
+					}
+				}
+				if to != nil {
+					if err := d.Connect(c, p.Name, to); err != nil {
+						t.Fatal(err)
+					}
+				}
+				undo = append(undo, func() {
+					d.Disconnect(p)
+					if err := d.Connect(c, p.Name, was); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			check(ctx)
+		}
+		for len(undo) > 0 {
+			undo[len(undo)-1]()
+			undo = undo[:len(undo)-1]
+		}
+		if !check("everything taken back") {
+			t.Fatal("the original netlist no longer runs once every edit is taken back")
 		}
 	})
 }

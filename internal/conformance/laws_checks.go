@@ -21,8 +21,9 @@ import (
 // and every bit — and if the summaries served in O(1) are what anyone
 // would recompute from the list. The script mixes the edits a daemon
 // session sees: resizes (InvalidateCell + Update), a routing rule
-// (InvalidateNet + Update) and a buffer insertion (the scenario set is
-// rebuilt, then edited on).
+// (InvalidateNet + Update), and a buffer inserted and later taken out again
+// the way a what-if's rollback does (the same analyzers re-run in place,
+// then edited on).
 func checkChecksResident(cx *Ctx) error {
 	recipe := labRecipe(cx)
 	d := cx.Design.Clone()
@@ -72,6 +73,7 @@ func checkChecksResident(cx *Ctx) error {
 		script = randomEditScript(cx, d)
 	}
 	cx.AppliedEdits = script
+	var buf *BufferEdit
 	for i, op := range script {
 		step := fmt.Sprintf("edit %d (%s -> %s)", i, op.Cell, op.To)
 		c := d.Cell(op.Cell)
@@ -99,12 +101,11 @@ func checkChecksResident(cx *Ctx) error {
 				return fmt.Errorf("no multi-load net to buffer")
 			}
 			step += " + buffer"
-			if _, err := d.InsertBuffer(n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
+			if buf, err = InsertBuffer(d, n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
 				return err
 			}
-			// New vertices: analyzers cannot be kept across this one.
-			if kept, err = build(); err != nil {
-				return fmt.Errorf("%s: rebuild: %v", step, err)
+			if err := kept.Rerun(context.Background()); err != nil {
+				return fmt.Errorf("%s: re-run: %v", step, err)
 			}
 		}
 		if err := kept.Update(context.Background()); err != nil {
@@ -114,7 +115,50 @@ func checkChecksResident(cx *Ctx) error {
 			return err
 		}
 	}
-	return nil
+	if buf == nil {
+		return nil
+	}
+	// The graph shrinks back: timingd's exact undo, then the same re-run.
+	buf.Undo(d)
+	if err := kept.Rerun(context.Background()); err != nil {
+		return fmt.Errorf("buffer removal: re-run: %v", err)
+	}
+	return compare("buffer removal")
+}
+
+// BufferEdit is one inserted buffer together with what timingd's rollback
+// keeps in order to take it out again (session.undo): the net it split and
+// that net's load list as it was.
+type BufferEdit struct {
+	Net   *netlist.Net
+	Saved []*netlist.Pin
+	Buf   *netlist.Cell
+}
+
+// InsertBuffer splits moved off n behind a new buffer of the given master.
+func InsertBuffer(d *netlist.Design, n *netlist.Net, moved []*netlist.Pin, master string) (*BufferEdit, error) {
+	e := &BufferEdit{Net: n, Saved: append([]*netlist.Pin(nil), n.Loads...)}
+	// InsertBuffer edits n.Loads in place; moved may be a view of it.
+	buf, err := d.InsertBuffer(n, append([]*netlist.Pin(nil), moved...), master)
+	e.Buf = buf
+	return e, err
+}
+
+// Undo is timingd's session.undo for one buffer, step for step: the buffer's
+// loads disconnected, the cell removed, its net cleaned away, and the split
+// net's load list restored, so the netlist is pointer- and order-identical
+// to what it was — and the graph has shrunk. Buffers come out in reverse
+// order of going in.
+func (e *BufferEdit) Undo(d *netlist.Design) {
+	for _, m := range append([]*netlist.Pin(nil), e.Buf.Pin("Z").Net.Loads...) {
+		d.Disconnect(m)
+	}
+	d.RemoveCell(e.Buf)
+	d.CleanDanglingNets()
+	e.Net.Loads = e.Saved
+	for _, l := range e.Saved {
+		l.Net = e.Net
+	}
 }
 
 // summarize recomputes a check summary from a worst-first endpoint list the

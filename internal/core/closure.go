@@ -214,12 +214,11 @@ func (e *Engine) views(scen []Scenario, each func(Scenario, int, *sta.Constraint
 }
 
 // analyzerInputs is everything views and tune read from the engine that a
-// built analyzer holds on to, the scenarios aside. The netlist enters by identity
-// and structural revision: retyped cells, NDRs and the skew schedule are
-// picked up by a re-run, a changed graph is not.
+// built analyzer holds on to, the scenarios aside. The netlist enters by
+// identity alone: retyped cells, NDRs, the skew schedule and structural edits
+// — inserted buffers included — are all picked up by a re-run.
 type analyzerInputs struct {
 	d            *netlist.Design
-	revision     uint64
 	clockPort    *netlist.Port
 	basePeriod   units.Ps
 	inputArrival units.Ps
@@ -274,13 +273,13 @@ func (e *Engine) surveyScenario(s Scenario, g int, cons *sta.Constraints, cfg *s
 // have generated it.
 //
 // The set stays with the engine between surveys. While nothing it was built
-// from has changed — the engine's fields, the scenarios, the netlist's
-// structural revision — a survey re-runs it in place and pays only for the
-// nets and masters that moved; otherwise it is rebuilt.
+// from has changed — the engine's fields, the scenarios — a survey re-runs it
+// in place and pays only for the nets, masters and graph that moved;
+// otherwise it is rebuilt.
 func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	e.store.Warm(e.D.Nets)
 	in := analyzerInputs{
-		d: e.D, revision: e.D.Revision(), clockPort: e.ClockPort,
+		d: e.D, clockPort: e.ClockPort,
 		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
 		workers: e.Workers, obs: e.Obs, place: e.Place, store: e.store,
 	}

@@ -5,11 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"newgame/internal/circuits"
+	"newgame/internal/cts"
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/obs"
+	"newgame/internal/opt"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
+	"newgame/internal/units"
 )
 
 // freshSurvey surveys a clone of e's design with a new engine configured
@@ -53,10 +57,9 @@ func sameAnalyzers(a, b []*sta.Analyzer) bool {
 	return true
 }
 
-// A survey keeps its analyzers for the next one across retyped cells, and
-// gives them up when the netlist's structure moves; either way the result is
-// a fresh engine's.
-func TestSurveyKeepsAnalyzersUntilStructureChanges(t *testing.T) {
+// A survey keeps its analyzers for the next one across retyped cells and
+// across an inserted buffer alike; either way the result is a fresh engine's.
+func TestSurveyKeepsAnalyzersAcrossStructuralEdits(t *testing.T) {
 	const seed = 42
 	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
 	lib := recipe.Scenarios[0].Lib
@@ -99,11 +102,9 @@ func TestSurveyKeepsAnalyzersUntilStructureChanges(t *testing.T) {
 	if _, err := d.InsertBuffer(net, net.Loads[:1], lib.Variant(lib.Cell("BUF_X1_SVT"), 1, liberty.SVT).Name); err != nil {
 		t.Fatal(err)
 	}
-	got, rebuilt := survey(t, e)
-	for i := range rebuilt {
-		if rebuilt[i] == as[i] {
-			t.Errorf("scenario %d: analyzer survived a buffer insertion", i)
-		}
+	got, kept = survey(t, e)
+	if !sameAnalyzers(kept, as) {
+		t.Error("a buffer insertion must not cost the analyzers")
 	}
 	if want := freshSurvey(t, e, seed); !reflect.DeepEqual(got, want) {
 		t.Errorf("after InsertBuffer: resident survey\n %+v\nfresh engine\n %+v", got, want)
@@ -213,5 +214,122 @@ func TestWarmSurveyAllocations(t *testing.T) {
 	const limit = 300
 	if n := testing.AllocsPerRun(5, func() { survey(t, e) }); n > limit {
 		t.Errorf("warm survey allocates %v objects, want at most %d", n, limit)
+	}
+}
+
+// closeOnce is Close for a single trip round the Figure 1 loop with one
+// difference: every fix phase after the first starts from analyzers built
+// from nothing over the netlist as the earlier phases left it. Close hands
+// those phases the survey's own analyzers, so the two agree only if a pass's
+// opening Run really does see the buffers inserted before it.
+func closeOnce(t *testing.T, e *Engine) []Iteration {
+	t.Helper()
+	must := func(rep opt.Report, err error) opt.Report {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rebuilt := func(a *sta.Analyzer) *sta.Analyzer {
+		if a == nil {
+			return nil
+		}
+		na, err := sta.New(a.D, a.Cons, a.Cfg)
+		if err == nil {
+			err = na.Run()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return na
+	}
+	e.store, e.uskew = opt.NewStore(e.Parasitics), map[*netlist.Cell]units.Ps{}
+	it, worstSetup, worstHold, worstDRC, err := e.survey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.Index = 1
+	if worstSetup != nil && it.MergedSetupWNS < 0 {
+		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place, Store: e.store}
+		vopts := opt.DefaultVtSwap()
+		vopts.MinIAAware = e.Recipe.MinIAAware
+		for _, pass := range []func() (opt.Report, error){
+			func() (opt.Report, error) { return opt.VtSwap(ctx, vopts) },
+			func() (opt.Report, error) { return opt.Resize(ctx, opt.DefaultResize()) },
+			func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) },
+			func() (opt.Report, error) { return opt.ApplyNDR(ctx, 30) },
+		} {
+			it.Fixes = append(it.Fixes, must(pass()))
+			if ctx.A.WorstSlack(sta.Setup) >= 0 {
+				break
+			}
+		}
+		if e.Recipe.UseUsefulSkew && ctx.A.WorstSlack(sta.Setup) < 0 {
+			us, err := cts.ScheduleUsefulSkew(ctx.A, ctx.Lib, cts.DefaultUsefulSkew())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ff, off := range us.Offsets {
+				e.uskew[ff] = off
+			}
+			it.Fixes = append(it.Fixes, opt.Report{Pass: "useful_skew", Changed: us.Adjusted, WNSBefore: us.WNSBefore, WNSAfter: us.WNSAfter})
+		}
+	}
+	if worstHold != nil && it.MergedHoldWNS < 0 {
+		ctx := &opt.Context{A: rebuilt(worstHold), Lib: worstHold.Cfg.Lib, Store: e.store, SetupGuard: rebuilt(worstSetup)}
+		it.Fixes = append(it.Fixes, must(opt.FixHold(ctx, 100)))
+	}
+	if a := worstDRC; a != nil && it.Breakdown.MaxTran+it.Breakdown.MaxCap+it.Breakdown.Noise > 0 {
+		ctx := &opt.Context{A: rebuilt(a), Lib: a.Cfg.Lib, Store: e.store}
+		if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
+			it.Fixes = append(it.Fixes, must(opt.FixDRC(ctx, opt.DefaultBuffer())))
+		}
+		if it.Breakdown.Noise > 0 {
+			it.Fixes = append(it.Fixes, must(opt.FixNoise(ctx, 60)))
+		}
+	}
+	fin, _, _, _, err := e.survey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin.Index = 2
+	return []Iteration{it, fin}
+}
+
+// Under the new goal posts the setup phase's DRC buffers and the hold
+// phase's pads land in the netlist before the hold and DRC/noise phases of
+// the same iteration open: those phases must time the graph as it then is,
+// not the one the survey saw (which cost seed 42 the whole MaxFixes budget
+// in iteration 1, on violations that were no longer there).
+func TestCloseFixPhasesSeeCurrentGraph(t *testing.T) {
+	recipe := detRecipes(t)["new"]
+	recipe.MaxIterations, recipe.RecoverAfterClose = 1, false
+	const seed = 42
+	engine := func() *Engine {
+		d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+			Name: "soc", Inputs: 24, Outputs: 24, FFs: 96, Gates: 1400,
+			MaxDepth: 13, Seed: seed, ClockBufferLevels: 3,
+			VtMix: [3]float64{0, 0.4, 0.6},
+		})
+		return &Engine{
+			D: d, Recipe: recipe, BasePeriod: 560, ClockPort: d.Port("clk"),
+			Parasitics: sta.NewNetBinder(parasitics.Stack16(), seed), Workers: 1,
+		}
+	}
+	res, err := engine().Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := closeOnce(t, engine())
+	buffered := false
+	for _, f := range want[0].Fixes {
+		buffered = buffered || (f.Pass == "hold_fix" && f.Changed > 0)
+	}
+	if !buffered || len(want[0].Fixes) < 3 {
+		t.Fatalf("fixture no longer buffers before its last fix phase: %+v", want[0].Fixes)
+	}
+	if !reflect.DeepEqual(res.Iterations, want) {
+		t.Errorf("Close:\n %+v\nwith every fix phase's analyzers rebuilt first:\n %+v", res.Iterations, want)
 	}
 }

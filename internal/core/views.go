@@ -19,10 +19,9 @@ import (
 // and the conformance laws all hold one.
 //
 // The exported fields are what every analyzer is built from; the caller
-// sets them once, and Build reads them again on every call, so a rebuild
-// after a structural netlist edit takes no arguments. Whatever the
-// scenario fan-out, results are identical: each scenario writes only its
-// own slot and errors are reported in recipe order.
+// sets them once and Build and Rerun read them again on every call.
+// Whatever the scenario fan-out, results are identical: each scenario
+// writes only its own slot and errors are reported in recipe order.
 type Views struct {
 	D            *netlist.Design
 	ClockPort    *netlist.Port
@@ -37,8 +36,8 @@ type Views struct {
 	// Each, when non-nil, sees every scenario's constraints and analyzer
 	// config just before worker g builds or re-runs it, and may add to
 	// either; the func it returns, if any, is called when that run ends. A
-	// re-run adopts the constraints, CellDerate and ObsSpan it leaves —
-	// everything else in the config is fixed at Build.
+	// re-run adopts the constraints, CellDerate, ObsSpan and Topology it
+	// leaves — everything else in the config is fixed at Build.
 	Each func(s Scenario, g int, cons *sta.Constraints, cfg *sta.Config) (done func())
 
 	as []*sta.Analyzer
@@ -97,16 +96,21 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 }
 
 // Rerun fully re-times every analyzer in place under freshly assembled
-// constraints: every master is re-resolved and exactly the nets whose tree
-// or sink caps moved are recomputed, which equals a Build as long as the
-// netlist's structure has not changed since the last one. A failed Rerun
-// leaves the analyzers half-timed.
+// constraints, which equals a Build whatever has been edited since the last
+// one: every master is re-resolved, exactly the nets whose tree or sink caps
+// moved are recomputed, and after a structural edit each analyzer re-derives
+// its graph on its own storage — the first levelizing, the rest adopting its
+// topology, as in Build. A failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
 	return v.each(func(i, g int) error {
 		a := v.as[i]
-		cons, cfg, done := v.inputs(i, g, nil)
+		var topo *sta.Topology
+		if i > 0 {
+			topo = v.as[0].Topology()
+		}
+		cons, cfg, done := v.inputs(i, g, topo)
 		defer done()
-		a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan = cons, cfg.CellDerate, cfg.ObsSpan
+		a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan, a.Cfg.Topology = cons, cfg.CellDerate, cfg.ObsSpan, cfg.Topology
 		return a.RunCtx(ctx)
 	})
 }

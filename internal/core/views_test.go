@@ -45,8 +45,9 @@ func fingerprints(v *core.Views) []string {
 }
 
 // Every operation leaves each analyzer in the state a freshly built one
-// reaches on the same netlist, at any worker count; a cancelled Build leaves
-// the set exactly as it was.
+// reaches on the same netlist, at any worker count — a buffer going in and
+// coming out again included, which only Build replaces analyzers for; a
+// cancelled Build leaves the set exactly as it was.
 func TestViewsMatchFreshBuild(t *testing.T) {
 	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
 	lib := recipe.Scenarios[0].Lib
@@ -85,13 +86,15 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 			return cells
 		}
 
+		var buf *conformance.BufferEdit
 		for _, step := range []struct {
 			name   string
 			hooked bool // the step passes every scenario through Each
+			kept   bool // the step re-times the analyzers it found
 			run    func() error
 		}{
-			{"build", true, func() error { return v.Build(context.Background(), nil) }},
-			{"update", false, func() error {
+			{"build", true, false, func() error { return v.Build(context.Background(), nil) }},
+			{"update", false, true, func() error {
 				for _, c := range retype(10) {
 					for _, a := range v.Analyzers() {
 						a.InvalidateCell(c)
@@ -99,26 +102,39 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 				}
 				return v.Update(context.Background())
 			}},
-			{"re-run", true, func() error {
+			{"re-run", true, true, func() error {
 				retype(10)
 				return v.Rerun(context.Background())
 			}},
-			{"rebuild after InsertBuffer", true, func() error {
+			{"re-run after InsertBuffer", true, true, func() (err error) {
 				for _, n := range d.Nets {
 					if n.Driver != nil && len(n.Loads) >= 2 {
-						if _, err := d.InsertBuffer(n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
+						if buf, err = conformance.InsertBuffer(d, n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
 							return err
 						}
 						break
 					}
 				}
-				return v.Build(context.Background(), nil)
+				return v.Rerun(context.Background())
+			}},
+			{"re-run after removing it", true, true, func() error {
+				buf.Undo(d)
+				return v.Rerun(context.Background())
 			}},
 		} {
 			hooked.Store(0)
 			finished.Store(0)
+			found := append([]*sta.Analyzer(nil), v.Analyzers()...)
 			if err := step.run(); err != nil {
 				t.Fatalf("workers %d, %s: %v", workers, step.name, err)
+			}
+			for i, a := range v.Analyzers() {
+				if step.kept && a != found[i] {
+					t.Errorf("workers %d, %s: scenario %d's analyzer was replaced", workers, step.name, i)
+				}
+				if i > 0 && a.Topology() != v.Topology() {
+					t.Errorf("workers %d, %s: scenario %d does not share scenario 0's topology", workers, step.name, i)
+				}
 			}
 			if want := int32(len(v.Scenarios)); step.hooked && (hooked.Load() != want || finished.Load() != want) {
 				t.Errorf("workers %d, %s: Each ran %d times and finished %d, want %d each",

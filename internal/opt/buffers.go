@@ -99,12 +99,7 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 		if fixed == 0 {
 			break
 		}
-		// Netlist changed: rebuild the analysis graph.
-		na, err := sta.New(ctx.A.D, ctx.A.Cons, ctx.A.Cfg)
-		if err != nil {
-			return rep, err
-		}
-		ctx.A = na
+		// Netlist changed: the full Run re-derives the analysis graph.
 		if err := ctx.A.Run(); err != nil {
 			return rep, err
 		}
@@ -325,24 +320,16 @@ func FixHold(ctx *Context, maxFixes int) (Report, error) {
 		if acted == 0 {
 			break
 		}
-		na, err := sta.New(ctx.A.D, ctx.A.Cons, ctx.A.Cfg)
-		if err != nil {
-			return rep, err
-		}
-		ctx.A = na
+		// The pads changed the netlist: each full Run re-derives its graph,
+		// the guard adopting the levelization ctx.A has just done.
 		if err := ctx.A.Run(); err != nil {
 			return rep, err
 		}
 		if guard != nil {
-			ng, err := sta.New(guard.D, guard.Cons, guard.Cfg)
-			if err != nil {
-				return rep, err
-			}
-			guard = ng
+			guard.Cfg.Topology = ctx.A.Topology()
 			if err := guard.Run(); err != nil {
 				return rep, err
 			}
-			ctx.SetupGuard = guard
 		}
 	}
 	rep.WNSAfter = ctx.A.WorstSlack(sta.Hold)

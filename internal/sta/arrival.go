@@ -24,16 +24,22 @@ const (
 // Levels fan out across Cfg.Workers goroutines when the design is large
 // enough; every vertex is recomputed by exactly one goroutine from
 // already-finalized earlier levels, so results are bit-identical to a
-// serial run. Run may be called again after netlist edits (full re-time);
-// buffers and the per-net cache are reused across calls. Under RunCtx a
-// cancellation abandons the run (ran stays false, so the next query
-// re-times from scratch).
+// serial run. Run may be called again after any netlist edit (full re-time):
+// retyped cells are re-resolved, a structural edit — the design's Revision
+// moved — re-derives the graph in place (see regraph), and buffers and the
+// per-net cache are reused across calls either way. It fails, with nothing
+// timed, on what New fails on: an unknown master or a combinational cycle.
+// Under RunCtx a cancellation abandons the run (ran stays false, so the next
+// query re-times from scratch).
 func (a *Analyzer) Run() error {
 	run := a.Cfg.Obs.Start("sta.run", a.Cfg.ObsSpan)
 	defer run.End()
 	a.stats = RunStats{}
 	a.ran = false
-	a.refreshMasters()
+	if err := a.refreshGraph(); err != nil {
+		return err
+	}
+	a.buildSites()
 	// One memclr per state array replaces the per-vertex reset loops.
 	clear(a.fValid)
 	clear(a.fArr)
@@ -115,6 +121,9 @@ func (a *Analyzer) buildNets() {
 			a.nets[n] = &netData{}
 		}
 	}
+	if len(a.nets) > len(nets) {
+		a.pruneNets()
+	}
 	a.bindVertexNets()
 	w := a.workers()
 	if len(a.calc) < w {
@@ -153,6 +162,22 @@ func (a *Analyzer) buildNets() {
 	})
 	a.stats.NetCacheHits += hits.Load()
 	a.stats.NetsFilled += fills.Load()
+}
+
+// pruneNets drops the cache entries of nets that have left the design, so an
+// analyzer that lives through any number of insert/remove cycles (every
+// buffer what-if makes a net and its rollback removes it) holds exactly one
+// entry per net.
+func (a *Analyzer) pruneNets() {
+	for _, n := range a.D.Nets {
+		a.nets[n].live = true
+	}
+	for n, nd := range a.nets {
+		if !nd.live {
+			delete(a.nets, n)
+		}
+		nd.live = false
+	}
 }
 
 // countNetFill accumulates one fillNetData outcome from a serial caller.

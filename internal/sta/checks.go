@@ -116,10 +116,10 @@ type residentChecks struct {
 
 // buildSites freezes the check-site table in emission order: flip-flops in
 // cell order, then ICG enables in cell order, then constrained output ports
-// in port order. It runs wherever a full Run re-resolves masters: a retype
-// Update can absorb keeps its cell's binding (sameArcShape), anything else
-// — and a constraint added since — waits for the next Run, as it always has
-// for the graph itself.
+// in port order. Every full Run rebuilds it, once the masters are re-resolved
+// and the graph is current: a retype Update can absorb keeps its cell's
+// binding (sameArcShape), anything else — and a constraint added since —
+// waits for the next Run, as it always has for the graph itself.
 func (a *Analyzer) buildSites() {
 	a.sites = a.sites[:0]
 	for _, class := range [...]siteClass{siteFF, siteGate} {

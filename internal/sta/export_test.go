@@ -1,0 +1,14 @@
+package sta
+
+// Hooks for the external test package: regraph_test.go compares analyzers
+// through conformance.Fingerprint, and conformance imports sta.
+
+// CheckFixture is the internal tests' two-design fixture, VtSwapVariant
+// their in-place retype target.
+var (
+	CheckFixture  = checkFixture
+	VtSwapVariant = vtSwapVariant
+)
+
+// NetCacheLen is the number of nets the per-net delay-calc cache holds.
+func (a *Analyzer) NetCacheLen() int { return len(a.nets) }

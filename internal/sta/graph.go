@@ -80,13 +80,15 @@ type Config struct {
 	// bit-identical at every setting — each vertex is recomputed by exactly
 	// one goroutine from already-finalized earlier levels.
 	Workers int
-	// Topology, when non-nil, is a frozen graph built by a previous New on
-	// the same design (or a Clone of it) under shape-compatible libraries
-	// and constraints. Adopting it skips CSR construction, levelization and
-	// clock marking — the per-scenario cost MCMM surveys and timingd's
-	// dual-session snapshots avoid by sharing one read-only Topology. An
-	// incompatible value is detected and ignored (a private topology is
-	// built), so sharing can never change results.
+	// Topology, when non-nil, is a frozen graph another analyzer derived
+	// over the same design (or a Clone of it) under shape-compatible
+	// libraries and constraints. Adopting it skips CSR construction,
+	// levelization and clock marking — the per-scenario cost MCMM surveys
+	// and timingd's dual-session snapshots avoid by sharing one read-only
+	// Topology. It is consulted whenever the graph is derived: at New, and
+	// again by the Run that follows a structural edit. An incompatible
+	// value is detected and ignored (a private topology is built), so
+	// sharing can never change results.
 	Topology *Topology
 	// Obs, when non-nil, records spans and metrics for this analyzer's
 	// runs and incremental updates (see internal/obs). Recording never
@@ -175,6 +177,8 @@ type netData struct {
 	capsTmp  []float64 // gather scratch, swapped with capsIn on refill
 	portSink bool
 	filled   bool
+
+	live bool // pruneNets' mark; false in between
 }
 
 // arcRef is one prebuilt cell-arc binding: the timing arc plus the vertex
@@ -202,8 +206,11 @@ type Analyzer struct {
 	pinIdx  map[*netlist.Pin]int
 	portIdx map[*netlist.Port]int
 
+	// topo is nil only after a failed regraph; revision is D.Revision() as of
+	// the graph's derivation.
 	topo       *Topology
 	sharedTopo bool
+	revision   uint64
 
 	// Per-cell master caches: masters[i] is the resolved library cell for
 	// D.Cells[i], refreshed at every full Run and through InvalidateCell so
@@ -259,7 +266,6 @@ type Analyzer struct {
 	siteSeen            []bool  // per-site TNS dedupe
 	seedMoved           []int32 // data vertices whose seed the last sweep changed
 	fwQ, bwQ            *levelQueue
-	changed             []bool
 	changedList         []int
 
 	// Incremental re-timing state (see incremental.go).
@@ -291,7 +297,10 @@ type Analyzer struct {
 	obsConeVerts       *obs.Histogram // vertices recomputed per incremental Update
 	obsConeRatio       *obs.Histogram // recomputed / graph size per incremental Update
 	obsVertsRecomputed *obs.Counter
-	obsTopoShared      *obs.Counter // analyzers that adopted a shared Topology
+	obsTopoShared      *obs.Counter // graph derivations that adopted a shared Topology
+	obsRegraphs        *obs.Counter // full Runs that re-derived the graph in place
+	obsGraphVerts      *obs.Gauge
+	obsGraphLevels     *obs.Gauge
 }
 
 // New builds the analysis graph. It fails on unknown cell masters or
@@ -305,56 +314,157 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 	}
 	a := &Analyzer{
 		D: d, Cons: cons, Cfg: cfg,
-		pinIdx:     make(map[*netlist.Pin]int),
-		portIdx:    make(map[*netlist.Port]int),
-		cellIdx:    make(map[*netlist.Cell]int32, len(d.Cells)),
 		nets:       make(map[*netlist.Net]*netData),
 		dirtyNets:  make(map[*netlist.Net]bool),
 		dirtyVerts: make(map[int]bool),
 		dirtyReq:   make(map[int]bool),
 	}
+	a.bindObs()
+	if err := a.regraph(); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// resize returns s with length n on s's own storage when it fits. A first
+// allocation is exact; only a slab that has been outgrown is replaced with
+// headroom (n/8), so a netlist that keeps growing by a buffer at a time does
+// not reallocate per buffer and one that never grows carries no slack. The
+// contents are unspecified: callers overwrite or clear.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case n <= cap(s):
+		return s[:n]
+	case s == nil:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/8)
+}
+
+// regraph derives the graph half of the analyzer — everything that depends
+// on which cells, pins, nets and ports the design has and how they connect —
+// from the design as it stands, on the receiver's own storage. It is the one
+// graph derivation: New runs it on an empty analyzer, and a full Run runs it
+// again whenever the design's structural revision has moved since (see
+// refreshGraph), which is what lets an inserted or removed buffer be
+// answered by re-timing the analyzer that exists.
+//
+// Rebuilt: the vertex table and its three index maps (cleared and refilled
+// in design order, so numbering stays the pure function of design order the
+// Topology sharing contract needs), the resolved masters, the Topology
+// (Cfg.Topology adopted when compatible, else built — always a new value,
+// since the old one may be shared), arc groups and pin caps, the fanin net
+// bindings, and the length of every per-vertex plane (the check-site table
+// follows in Run). Everything keyed by vertex number is dropped. What survives is the per-net
+// delay-calc cache: fillNetData reuses an entry only when its tree pointer,
+// sink caps and port load match exactly, so a full Run over a regraphed
+// analyzer is bit-identical to a fresh New + Run while refilling only the
+// nets whose loads actually moved.
+//
+// On error the analyzer is left with no graph at all — nothing indexed into
+// a numbering that no longer exists — and the next Run derives it again.
+func (a *Analyzer) regraph() (err error) {
+	defer func() {
+		if err != nil {
+			a.dropGraph()
+		}
+	}()
+	d := a.D
+	nv := len(d.Ports)
+	for _, c := range d.Cells {
+		nv += len(c.Pins)
+	}
+	if a.pinIdx == nil {
+		a.pinIdx = make(map[*netlist.Pin]int, nv-len(d.Ports))
+		a.portIdx = make(map[*netlist.Port]int, len(d.Ports))
+		a.cellIdx = make(map[*netlist.Cell]int32, len(d.Cells))
+	} else {
+		clear(a.pinIdx)
+		clear(a.portIdx)
+		clear(a.cellIdx)
+	}
+	a.verts = resize(a.verts, nv)
+	a.cells = resize(a.cells, len(d.Cells))
+	a.masters = resize(a.masters, len(d.Cells))
 	// Vertices: every cell pin, every port — in design iteration order, so
 	// numbering is identical across Clones (the sharing contract).
+	vi := 0
 	for ci, c := range d.Cells {
 		master := a.resolveMaster(c)
 		if master == nil {
-			return nil, fmt.Errorf("sta: cell %q has unknown master %q", c.Name, c.TypeName)
+			return unknownMaster(c)
 		}
-		a.cells = append(a.cells, c)
+		a.cells[ci], a.masters[ci] = c, master
 		a.cellIdx[c] = int32(ci)
-		a.masters = append(a.masters, master)
 		for _, p := range c.Pins {
-			a.pinIdx[p] = len(a.verts)
-			a.verts = append(a.verts, vref{pin: p})
+			a.pinIdx[p] = vi
+			a.verts[vi] = vref{pin: p}
+			vi++
 		}
 	}
 	for _, p := range d.Ports {
-		a.portIdx[p] = len(a.verts)
-		a.verts = append(a.verts, vref{port: p})
+		a.portIdx[p] = vi
+		a.verts[vi] = vref{port: p}
+		vi++
 	}
-	if t := cfg.Topology; t != nil && t.compatible(a) {
-		a.topo = t
-		a.sharedTopo = true
+	if t := a.Cfg.Topology; t != nil && t.compatible(a) {
+		a.topo, a.sharedTopo = t, true
+		a.obsTopoShared.Add(1)
 	} else {
-		t, err := a.buildTopologyCSR()
-		if err != nil {
-			return nil, err
+		if t, err = a.buildTopologyCSR(); err != nil {
+			return err
 		}
-		a.topo = t
+		a.topo, a.sharedTopo = t, false
 	}
 	a.buildArcGroups()
-	a.faninNets = make([]*netlist.Net, len(a.verts))
-	for i := range a.verts {
-		if ni := a.topo.faninNet[i]; ni >= 0 {
+	a.faninNets = resize(a.faninNets, nv)
+	for i, ni := range a.topo.faninNet {
+		if ni >= 0 {
 			a.faninNets[i] = d.Nets[ni]
+		} else {
+			a.faninNets[i] = nil
 		}
 	}
-	a.allocState()
-	a.bindObs()
-	if a.sharedTopo {
-		a.obsTopoShared.Add(1)
+	// Per-vertex planes: Run clears the nine state arrays and rebinds vnd
+	// before reading any of them.
+	a.fValid = resize(a.fValid, 4*nv)
+	a.fArr = resize(a.fArr, 4*nv)
+	a.fSlew = resize(a.fSlew, 4*nv)
+	a.fDepth = resize(a.fDepth, 4*nv)
+	a.fPred = resize(a.fPred, 4*nv)
+	a.rValid = resize(a.rValid, 4*nv)
+	a.fReq = resize(a.fReq, 4*nv)
+	a.seedReq = resize(a.seedReq, 2*nv)
+	a.seedValid = resize(a.seedValid, 2*nv)
+	a.vnd = resize(a.vnd, nv)
+	// The incremental worklists are sized by vertex and level count and the
+	// dirty sets keyed by vertex number.
+	a.fwQ, a.bwQ = nil, nil
+	a.clearDirty()
+	a.revision = d.Revision()
+	a.obsGraphVerts.Set(float64(nv))
+	a.obsGraphLevels.Set(float64(a.topo.NumLevels()))
+	return nil
+}
+
+// dropGraph forgets a half-derived graph: no vertex, cell or check site
+// resolves, so every query answers "not in the design" instead of indexing
+// planes sized for another numbering, and topo == nil makes the next Run
+// derive the graph again.
+func (a *Analyzer) dropGraph() {
+	clear(a.pinIdx)
+	clear(a.portIdx)
+	clear(a.cellIdx)
+	a.verts, a.cells, a.masters = a.verts[:0], a.cells[:0], a.masters[:0]
+	a.topo, a.sharedTopo = nil, false
+	a.sites = a.sites[:0]
+	for k := range a.checks {
+		a.checks[k].list = a.checks[k].list[:0]
 	}
-	return a, nil
+}
+
+func unknownMaster(c *netlist.Cell) error {
+	return fmt.Errorf("sta: cell %q has unknown master %q", c.Name, c.TypeName)
 }
 
 // Topology returns the analyzer's frozen graph half, for sharing with
@@ -365,21 +475,6 @@ func (a *Analyzer) Topology() *Topology { return a.topo }
 // SharedTopology reports whether this analyzer adopted a Config.Topology
 // rather than building its own (test/diagnostic hook).
 func (a *Analyzer) SharedTopology() bool { return a.sharedTopo }
-
-// allocState sizes the flat SoA state arrays.
-func (a *Analyzer) allocState() {
-	n := len(a.verts)
-	a.fValid = make([]bool, 4*n)
-	a.fArr = make([]timeVar, 4*n)
-	a.fSlew = make([]float64, 4*n)
-	a.fDepth = make([]int32, 4*n)
-	a.fPred = make([]pred, 4*n)
-	a.rValid = make([]bool, 4*n)
-	a.fReq = make([]float64, 4*n)
-	a.seedReq = make([]float64, 2*n)
-	a.seedValid = make([]bool, 2*n)
-	a.vnd = make([]*netData, n)
-}
 
 // bindObs registers and caches this analyzer's instruments. Registration
 // at New (not first hit) makes every metric name appear in exports even
@@ -403,8 +498,9 @@ func (a *Analyzer) bindObs() {
 	a.obsConeRatio = r.Histogram("sta.update.cone_ratio", 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1)
 	a.obsVertsRecomputed = r.Counter("sta.update.vertices_recomputed")
 	a.obsTopoShared = r.Counter("sta.topology_shared")
-	r.Gauge("sta.graph_vertices").Set(float64(len(a.verts)))
-	r.Gauge("sta.graph_levels").Set(float64(a.topo.NumLevels()))
+	a.obsRegraphs = r.Counter("sta.run.regraphs")
+	a.obsGraphVerts = r.Gauge("sta.graph_vertices")
+	a.obsGraphLevels = r.Gauge("sta.graph_levels")
 }
 
 // resolveMaster looks up a cell's library master, honoring per-cell
@@ -430,41 +526,44 @@ func (a *Analyzer) master(c *netlist.Cell) *liberty.Cell {
 	return a.resolveMaster(c)
 }
 
-// refreshMasters re-resolves every cell's master at the start of a full
-// Run, preserving the pre-SoA live-resolution semantics: a SetType that was
-// never flagged through InvalidateCell is still picked up by the next Run.
-// A changed master with the same arc shape patches its arc groups and pin
-// caps in place; a shape change (different From/To pairs) rebuilds the arc
-// groups and privatizes the topology, since the shared CSR no longer
-// matches.
-func (a *Analyzer) refreshMasters() {
-	reshaped := false
+// refreshGraph brings the graph half current at the start of a full Run.
+// While the design's structural revision stands where regraph recorded it,
+// that is refreshMasters; a moved revision — cells, nets or pins added,
+// removed or reconnected — or a retype that changes a cell's arc shape
+// re-derives the graph in place.
+func (a *Analyzer) refreshGraph() error {
+	if a.topo != nil && a.D.Revision() == a.revision {
+		if reshaped, err := a.refreshMasters(); err != nil || !reshaped {
+			return err
+		}
+	}
+	a.obsRegraphs.Add(1)
+	return a.regraph()
+}
+
+// refreshMasters re-resolves every cell's master, preserving the pre-SoA
+// live-resolution semantics: a SetType that was never flagged through
+// InvalidateCell is still picked up by the next Run. A changed master with
+// the same arc shape patches its arc groups and pin caps in place; a shape
+// change (different From/To pairs or check binding) is reported, since the
+// CSR and the site table no longer describe the cell. An unknown master
+// fails the Run with the cell's caches still on its last known one.
+func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 	for ci, c := range a.cells {
 		m := a.resolveMaster(c)
 		if m == a.masters[ci] {
 			continue
 		}
 		if m == nil {
-			// Unknown master: fail the same way the live resolution did, at
-			// first use.
-			a.masters[ci] = nil
-			continue
+			return false, unknownMaster(c)
 		}
-		if a.masters[ci] != nil && !sameArcShape(a.masters[ci], m) {
-			reshaped = true
+		if !sameArcShape(a.masters[ci], m) {
+			return true, nil
 		}
 		a.masters[ci] = m
-		if !reshaped {
-			a.refreshCellCaches(int32(ci), m)
-		}
+		a.refreshCellCaches(int32(ci), m)
 	}
-	if reshaped {
-		if t, err := a.buildTopologyCSR(); err == nil {
-			a.topo, a.sharedTopo = t, false
-		}
-		a.buildArcGroups()
-	}
-	a.buildSites()
+	return false, nil
 }
 
 // refreshCellCaches re-derives one cell's pin caps and arc-group pointers
@@ -534,10 +633,9 @@ func (a *Analyzer) fillVertexArcs(i int, m *liberty.Cell) {
 // cache from the current masters.
 func (a *Analyzer) buildArcGroups() {
 	n := len(a.verts)
-	if a.arcOff == nil {
-		a.arcOff = make([]int32, n+1)
-		a.pinCap = make([]float64, n)
-	}
+	a.arcOff = resize(a.arcOff, n+1)
+	a.pinCap = resize(a.pinCap, n)
+	clear(a.pinCap) // only input pins are written below
 	a.arcs = a.arcs[:0]
 	for i := 0; i < n; i++ {
 		a.arcOff[i] = int32(len(a.arcs))

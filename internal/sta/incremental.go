@@ -11,9 +11,10 @@ import "newgame/internal/netlist"
 // required times backward from the endpoints and edges that actually
 // moved. Because Update re-runs the exact same per-vertex recompute the
 // full pass uses, its results are bit-identical to a fresh Run. Structural
-// edits (changed connectivity, new cells/nets) are detected and fall back
-// to a full Run — and genuinely new graph shapes still need a new Analyzer,
-// exactly as before.
+// edits (new or removed cells and nets, moved pins — anything that moves the
+// design's Revision — and retypes that change a cell's arc shape) fall back
+// to a full Run, which re-derives the graph on this analyzer's own storage:
+// no edit needs a new Analyzer.
 
 // InvalidateNet marks a net's delay calculation stale (load caps, NDR,
 // or parasitics changed).
@@ -41,10 +42,10 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 		return
 	}
 	if m != a.masters[ci] {
-		if a.masters[ci] != nil && !sameArcShape(a.masters[ci], m) {
+		if !sameArcShape(a.masters[ci], m) {
 			// The arc footprint moved: prebuilt groups and the CSR no
 			// longer describe the cell. Leave the cache stale — the full
-			// Run this forces re-resolves and rebuilds everything.
+			// Run this forces re-resolves and re-derives the graph.
 			a.structDirty = true
 			return
 		}
@@ -98,8 +99,9 @@ func (a *Analyzer) netDriverVertex(n *netlist.Net) int {
 }
 
 // incrementalSafe verifies the dirty nets still have the connectivity the
-// analysis graph was built from; loads or drivers moving between nets is a
-// structural edit that needs a rebuilt Analyzer, so Update falls back.
+// analysis graph was built from. Edits through the Design's methods move its
+// Revision, which Update checks first; this catches loads or drivers moved
+// by direct field writes on the nets an Update is about to recompute.
 func (a *Analyzer) incrementalSafe() bool {
 	for n := range a.dirtyNets {
 		if _, ok := a.nets[n]; !ok {
@@ -230,13 +232,14 @@ func (a *Analyzer) pushFanins(i int, fn func(j int)) {
 
 // Update incrementally re-times the design after InvalidateCell /
 // InvalidateNet calls. It falls back to a full Run when no prior Run
-// exists or a structural edit is detected, and is a no-op when nothing is
-// dirty. Results are bit-identical to a fresh Run on the same netlist.
-// Under UpdateCtx a cancellation abandons the update mid-cone and marks
-// the analyzer structurally dirty, so the next Update falls back to a
-// full Run rather than trusting half-propagated state.
+// exists or a structural edit is detected (the design's Revision moved, or
+// an invalidation said so), and is a no-op when nothing is dirty. Results
+// are bit-identical to a fresh Run on the same netlist. Under UpdateCtx a
+// cancellation abandons the update mid-cone and marks the analyzer
+// structurally dirty, so the next Update falls back to a full Run rather
+// than trusting half-propagated state.
 func (a *Analyzer) Update() error {
-	if !a.ran || a.structDirty || !a.incrementalSafe() {
+	if !a.ran || a.structDirty || a.D.Revision() != a.revision || !a.incrementalSafe() {
 		a.obsFullRunFallback.Add(1)
 		return a.Run()
 	}
@@ -288,9 +291,6 @@ func (a *Analyzer) Update() error {
 		seedFwd(i)
 	}
 	a.changedList = a.changedList[:0]
-	if a.changed == nil {
-		a.changed = make([]bool, len(a.verts))
-	}
 	for li := 0; li < len(fw.buckets); li++ {
 		if err := a.canceled(); err != nil {
 			return abort(err)
@@ -302,10 +302,8 @@ func (a *Analyzer) Update() error {
 			a.relaxVertex(i)
 			recomputed++
 			if a.fwdChanged(i, old) {
-				if !a.changed[i] {
-					a.changed[i] = true
-					a.changedList = append(a.changedList, i)
-				}
+				// The queue hands each vertex out once, so the list is a set.
+				a.changedList = append(a.changedList, i)
 				a.successors(i, func(j int) { fw.push(j, int(level[j])) })
 			}
 		}
@@ -368,9 +366,6 @@ func (a *Analyzer) Update() error {
 				}
 			}
 		}
-	}
-	for _, i := range a.changedList {
-		a.changed[i] = false
 	}
 	a.clearDirty()
 	a.stats.NodesRelaxed = int64(recomputed)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"newgame/internal/circuits"
+	"newgame/internal/netlist"
 	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 )
@@ -126,5 +127,60 @@ func TestRecordingDoesNotPerturbAnalysis(t *testing.T) {
 	}
 	if dump.Spans["sta.update"].Count != 4 {
 		t.Fatalf("sta.update spans = %d, want 4", dump.Spans["sta.update"].Count)
+	}
+}
+
+// The graph gauges follow the graph and every in-place re-derivation is
+// counted: New's own derivation is not one, so a dump that says 0 regraphs
+// means no Run ever met a structural edit; an adoption made by a regraph
+// counts as an adoption.
+func TestRegraphIsObservable(t *testing.T) {
+	lib := testLib()
+	rec := obs.NewRecorder()
+	d, cons := checkFixture(lib, "ports", 11)
+	first, err := New(d, cons, Config{Lib: lib, Workers: 1, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := first.Cfg
+	cfg.Topology = first.Topology()
+	second, err := New(d, cons, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regraphs, shared, verts := rec.Counter("sta.run.regraphs"), rec.Counter("sta.topology_shared"), rec.Gauge("sta.graph_vertices")
+	for _, a := range []*Analyzer{first, second} {
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if regraphs.Value() != 0 || shared.Value() != 1 || verts.Value() != float64(first.NumVerts()) {
+		t.Fatalf("before any edit: regraphs %d, adoptions %d, graph_vertices %v (graph has %d)",
+			regraphs.Value(), shared.Value(), verts.Value(), first.NumVerts())
+	}
+	for _, n := range d.Nets {
+		if n.Driver != nil && len(n.Loads) >= 2 {
+			if _, err := d.InsertBuffer(n, []*netlist.Pin{n.Loads[0]}, "BUF_X1_SVT"); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	before := first.NumVerts()
+	if err := first.Run(); err != nil {
+		t.Fatal(err)
+	}
+	second.Cfg.Topology = first.Topology()
+	if err := second.Update(); err != nil { // falls back: the revision moved
+		t.Fatal(err)
+	}
+	if first.NumVerts() != before+2 || !second.SharedTopology() || first.SharedTopology() {
+		t.Fatalf("after the buffer: %d vertices (had %d), second shares = %v, first shares = %v",
+			first.NumVerts(), before, second.SharedTopology(), first.SharedTopology())
+	}
+	if regraphs.Value() != 2 || shared.Value() != 2 || verts.Value() != float64(before+2) ||
+		rec.Gauge("sta.graph_levels").Value() != float64(first.Topology().NumLevels()) {
+		t.Fatalf("after the buffer: regraphs %d, adoptions %d, graph_vertices %v, want 2, 2, %d",
+			regraphs.Value(), shared.Value(), verts.Value(), before+2)
 	}
 }

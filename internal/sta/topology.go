@@ -30,10 +30,11 @@ const (
 // for every clone of the design it was built from. That is what lets all
 // MCMM scenario analyzers and both timingd session snapshots share a single
 // read-only Topology instead of each re-levelizing its own copy: pass it
-// via Config.Topology and New adopts it after a cheap shape validation
-// (vertex/cell/net/port counts, per-master arc signatures, clock-root
-// indices). On any mismatch New silently builds a private topology, so an
-// incompatible hint can never change results.
+// via Config.Topology and the graph derivation (New, or the Run after a
+// structural edit) adopts it after a shape validation (vertex/cell/net/port
+// counts, per-master arc signatures, clock-root indices, per-net
+// connectivity). On any mismatch it silently builds a private topology, so
+// an incompatible hint can never change results.
 type Topology struct {
 	numCells, numNets, numPorts int
 

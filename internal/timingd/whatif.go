@@ -153,14 +153,15 @@ func (s *session) undo(edits []*edit, nameMark int) error {
 }
 
 // settle brings every analyzer current after edits were applied or undone.
-// A batch with a buffer insertion changed the graph (vertex sets are fixed
-// at sta.New), so the set is rebuilt from the netlist as it now stands;
-// cancellation leaves the old analyzers in place. A resize-only batch
+// A batch with a buffer insertion changed the graph, so every analyzer is
+// fully re-run: each re-derives its graph in place and refills only the nets
+// whose loads moved. A cancelled re-run leaves them untimed, which the undo
+// the caller then owes puts right by the same route. A resize-only batch
 // invalidates each retyped cell and re-times incrementally — the coalescing
 // point: ten resizes cost one cone re-propagation per scenario, not ten.
 func (s *session) settle(ctx context.Context, edits []*edit) error {
 	if slices.ContainsFunc(edits, (*edit).structural) {
-		return s.views.Build(ctx, nil)
+		return s.views.Rerun(ctx)
 	}
 	for _, e := range edits {
 		for _, a := range s.views.Analyzers() {
