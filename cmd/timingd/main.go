@@ -4,14 +4,7 @@
 // down. ECO commits advance an epoch; every response is tagged with the
 // epoch it was computed at.
 //
-// Serve mode:
-//
 //	timingd -addr :8374 -recipe old -gates 1400 -ffs 96 -period 560
-//
-// Load-generator mode (drives a running daemon and prints a latency
-// table):
-//
-//	timingd -loadgen -target http://localhost:8374 -duration 5s -clients 8
 //
 // Shutdown is graceful: SIGINT/SIGTERM stop admission, drain in-flight
 // queries, then exit.
@@ -19,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -38,12 +30,11 @@ import (
 	"newgame/internal/pack"
 	"newgame/internal/parasitics"
 	"newgame/internal/timingd"
-	"newgame/internal/timingd/loadgen"
 	"newgame/internal/variation"
 )
 
 func main() {
-	addr := flag.String("addr", ":8374", "listen address (serve mode)")
+	addr := flag.String("addr", ":8374", "listen address")
 	recipeName := flag.String("recipe", "old", "signoff recipe: old, new")
 	period := flag.Float64("period", 560, "functional clock period, ps")
 	gates := flag.Int("gates", 1400, "combinational gate count")
@@ -64,22 +55,8 @@ func main() {
 	nodeID := flag.String("node-id", "", "worker: stable cluster identity (default derived from the advertise URL)")
 	scenarioNames := flag.String("scenarios", "", "worker: comma-separated scenario subset to serve (empty = all in the recipe)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
-
-	loadgenMode := flag.Bool("loadgen", false, "run as load generator against -target instead of serving")
-	target := flag.String("target", "http://localhost:8374", "loadgen target base URL")
-	duration := flag.Duration("duration", 3*time.Second, "loadgen run duration")
-	clients := flag.Int("clients", 8, "loadgen concurrent clients")
-	qps := flag.Int("qps", 0, "loadgen target aggregate QPS (0 = unpaced)")
-	minQPS := flag.Float64("min-qps", 0, "loadgen: exit nonzero if achieved QPS falls below this")
-	whatIfCell := flag.String("whatif-cell", "", "loadgen: cell for the what-if mix (empty disables what-ifs)")
-	whatIfTo := flag.String("whatif-to", "", "loadgen: replacement master for -whatif-cell")
-	jsonOut := flag.Bool("json", false, "loadgen: emit the run report as JSON on stdout (table goes to stderr)")
 	flag.Parse()
 
-	if *loadgenMode {
-		runLoadgen(*target, *duration, *clients, *qps, *minQPS, *whatIfCell, *whatIfTo, *jsonOut)
-		return
-	}
 	switch *role {
 	case "single", "worker", "coordinator":
 	default:
@@ -265,36 +242,6 @@ func runCoordinator(addr, restore, recipeName string, heartbeat time.Duration) {
 	httpSrv.Shutdown(shutCtx)
 	c.Close()
 	fmt.Println("timingd: bye")
-}
-
-func runLoadgen(target string, duration time.Duration, clients, qps int, minQPS float64, whatIfCell, whatIfTo string, jsonOut bool) {
-	cfg := loadgen.Config{
-		Base: target, Clients: clients, Duration: duration, TargetQPS: qps,
-		SlackWeight: 8, PathsWeight: 2,
-	}
-	if whatIfCell != "" && whatIfTo != "" {
-		cfg.WhatIfWeight = 1
-		cfg.WhatIfOps = []timingd.Op{{Kind: "resize", Cell: whatIfCell, To: whatIfTo}}
-	}
-	rep, err := loadgen.Run(context.Background(), cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		// JSON alone on stdout (pipe/archive-friendly); the human table
-		// still goes to stderr so interactive runs lose nothing.
-		fmt.Fprint(os.Stderr, rep)
-		b, err := json.MarshalIndent(rep.JSON(), "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(b))
-	} else {
-		fmt.Print(rep)
-	}
-	if minQPS > 0 && rep.QPS < minQPS {
-		fatal(fmt.Errorf("achieved %.0f qps, below required %.0f", rep.QPS, minQPS))
-	}
 }
 
 func buildRecipe(name string, stack *parasitics.Stack) core.Recipe {

@@ -21,11 +21,6 @@ type Config struct {
 	// normally copies it from the pack's recipe so workers restored from
 	// the same pack validate trivially.
 	Scenarios []string
-	// ReplicaFanout caps how many ring owners a read tries per scenario
-	// before declaring it stale (default 2: primary + one replica).
-	ReplicaFanout int
-	// Vnodes is the virtual nodes per member on the hash ring (default 64).
-	Vnodes int
 	// ShardTimeout bounds one read fan-out leg (default 5s).
 	ShardTimeout time.Duration
 	// WriteTimeout bounds one prepare/commit/what-if leg (default 30s).
@@ -38,8 +33,6 @@ type Config struct {
 	// RetryDelay is the base jittered pause before a replica retry
 	// (default 25ms).
 	RetryDelay time.Duration
-	// FlightBarriers sizes the barrier flight-recorder ring (default 128).
-	FlightBarriers int
 	// Seed feeds the retry-jitter PRNG, making test runs reproducible.
 	Seed uint64
 	// Obs, when non-nil, records coordinator counters and latencies.
@@ -52,6 +45,16 @@ type Config struct {
 	HTTP *http.Client
 }
 
+const (
+	// replicaFanout caps how many ring owners a read tries per scenario
+	// before declaring it stale: primary + one replica.
+	replicaFanout = 2
+	// ringVnodes is the virtual nodes per member on the hash ring.
+	ringVnodes = 64
+	// flightBarriers sizes the barrier flight-recorder ring.
+	flightBarriers = 128
+)
+
 // Hooks are test-only interception points in the barrier state machine.
 type Hooks struct {
 	// BetweenPrepareAndCommit runs after every shard acked prepare and
@@ -61,12 +64,6 @@ type Hooks struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ReplicaFanout <= 0 {
-		c.ReplicaFanout = 2
-	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 5 * time.Second
 	}
@@ -81,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 25 * time.Millisecond
-	}
-	if c.FlightBarriers <= 0 {
-		c.FlightBarriers = 128
 	}
 	return c
 }
@@ -181,9 +175,9 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		start:   time.Now(),
-		flight:  obs.NewRing[BarrierRecord](cfg.FlightBarriers),
+		flight:  obs.NewRing[BarrierRecord](flightBarriers),
 		members: map[string]*member{},
-		ring:    buildRing(nil, cfg.Vnodes),
+		ring:    buildRing(nil, ringVnodes),
 		cache:   serve.NewCache(replyCacheSize),
 		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
 		stopc:   make(chan struct{}),
@@ -404,7 +398,7 @@ func (c *Coordinator) rebuildLocked() {
 		}
 	}
 	sort.Strings(ids)
-	c.ring = buildRing(ids, c.cfg.Vnodes)
+	c.ring = buildRing(ids, ringVnodes)
 }
 
 // candidatesFor returns the live members able to serve scenario index

@@ -35,9 +35,6 @@ func fnv1a(s string) uint64 {
 // buildRing places vnodes points per member. Members may be in any
 // order; the ring is identical for identical member sets.
 func buildRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	r := &ring{points: make([]ringPoint, 0, len(members)*vnodes)}
 	for _, m := range members {
 		for v := 0; v < vnodes; v++ {

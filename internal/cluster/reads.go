@@ -73,7 +73,7 @@ func (c *Coordinator) gatherSlack(ctx context.Context) (*SlackReport, error) {
 		epochs = append(epochs, rep.Epoch)
 	}
 
-	for round := 0; round < c.cfg.ReplicaFanout; round++ {
+	for round := 0; round < replicaFanout; round++ {
 		// Distinct member set for this round: the round-th candidate of
 		// every still-uncovered scenario.
 		targets := map[string]*member{}
@@ -191,8 +191,8 @@ func (c *Coordinator) proxyScenario(ctx context.Context, idx int, fn func(ctx co
 	if len(cands) == 0 {
 		return serve.Errorf(503, "scenario %q stale: no live shard serves it", name)
 	}
-	if len(cands) > c.cfg.ReplicaFanout {
-		cands = cands[:c.cfg.ReplicaFanout]
+	if len(cands) > replicaFanout {
+		cands = cands[:replicaFanout]
 	}
 	var last error
 	for i, m := range cands {

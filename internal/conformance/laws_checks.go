@@ -126,40 +126,25 @@ func checkChecksResident(cx *Ctx) error {
 	return compare("buffer removal")
 }
 
-// BufferEdit is one inserted buffer together with what timingd's rollback
-// keeps in order to take it out again (session.undo): the net it split and
-// that net's load list as it was.
+// BufferEdit is one inserted buffer and the load list its removal needs.
 type BufferEdit struct {
-	Net   *netlist.Net
-	Saved []*netlist.Pin
 	Buf   *netlist.Cell
+	saved []*netlist.Pin
 }
 
 // InsertBuffer splits moved off n behind a new buffer of the given master.
 func InsertBuffer(d *netlist.Design, n *netlist.Net, moved []*netlist.Pin, master string) (*BufferEdit, error) {
-	e := &BufferEdit{Net: n, Saved: append([]*netlist.Pin(nil), n.Loads...)}
+	e := &BufferEdit{saved: append([]*netlist.Pin(nil), n.Loads...)}
 	// InsertBuffer edits n.Loads in place; moved may be a view of it.
 	buf, err := d.InsertBuffer(n, append([]*netlist.Pin(nil), moved...), master)
 	e.Buf = buf
 	return e, err
 }
 
-// Undo is timingd's session.undo for one buffer, step for step: the buffer's
-// loads disconnected, the cell removed, its net cleaned away, and the split
-// net's load list restored, so the netlist is pointer- and order-identical
-// to what it was — and the graph has shrunk. Buffers come out in reverse
-// order of going in.
-func (e *BufferEdit) Undo(d *netlist.Design) {
-	for _, m := range append([]*netlist.Pin(nil), e.Buf.Pin("Z").Net.Loads...) {
-		d.Disconnect(m)
-	}
-	d.RemoveCell(e.Buf)
-	d.CleanDanglingNets()
-	e.Net.Loads = e.Saved
-	for _, l := range e.Saved {
-		l.Net = e.Net
-	}
-}
+// Undo takes the buffer out the way timingd's rollback does, so the netlist
+// is pointer- and order-identical to what it was — and the graph has shrunk.
+// Buffers come out in reverse order of going in.
+func (e *BufferEdit) Undo(d *netlist.Design) { d.RemoveBuffer(e.Buf, e.saved) }
 
 // summarize recomputes a check summary from a worst-first endpoint list the
 // way readers did before summaries were resident: worst from the head, TNS

@@ -3,8 +3,7 @@ package netlist
 import "fmt"
 
 // Blueprint is a design flattened into plain index-linked slices — the
-// exchange form snapshot packs and the text netlist format rebuild designs
-// from. It captures everything a Design holds, including the slice orders
+// exchange form snapshot packs rebuild designs from. It captures everything a Design holds, including the slice orders
 // that downstream analysis depends on: vertex numbering in the SoA timing
 // graph is a pure function of (Cells order, per-cell Pins order, Ports
 // order) and net delay results are indexed by load order, so a rebuilt

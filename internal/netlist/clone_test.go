@@ -147,16 +147,7 @@ func TestNameMarkRewind(t *testing.T) {
 	}
 	name1 := buf.Name
 	// Undo the insertion and rewind.
-	moved := buf.Pin("Z").Net.Loads
-	for _, m := range append([]*Pin(nil), moved...) {
-		d.Disconnect(m)
-	}
-	d.RemoveCell(buf)
-	d.CleanDanglingNets()
-	n.Loads = loads
-	for _, l := range loads {
-		l.Net = n
-	}
+	d.RemoveBuffer(buf, loads)
 	d.RewindNames(mark)
 	buf2, err := d.InsertBuffer(n, []*Pin{loads[0]}, "BUF_X1_SVT")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -11,8 +12,9 @@ import (
 // arbitrary op script decoded from fuzz bytes. The contract under test:
 // no API sequence may panic (misuse answers with an error), Validate
 // never panics, a Clone of any reachable design validates identically
-// to its original, and RemoveCell/CleanDanglingNets leave consistent
-// driver/load structure behind.
+// to its original, RemoveCell/CleanDanglingNets leave consistent
+// driver/load structure behind, and InsertBuffer → RemoveBuffer is an exact
+// round trip on whatever design the script reached.
 func FuzzDesignOps(f *testing.F) {
 	dir := filepath.Join("testdata", "corpus", "designops")
 	entries, err := os.ReadDir(dir)
@@ -100,6 +102,24 @@ func FuzzDesignOps(f *testing.F) {
 					d.InsertBuffer(n, []*Pin{n.Loads[int(arg)%len(n.Loads)]}, "BUF_X2_SVT")
 				}
 			}
+		}
+		// Whatever the script built, a buffer goes in and comes out again
+		// without a trace.
+		for _, n := range d.Nets {
+			if len(n.Loads) == 0 {
+				continue
+			}
+			before, saved := shapeOf(d), slices.Clone(n.Loads)
+			buf, err := d.InsertBuffer(n, saved[:(len(saved)+1)/2], "BUF_X1_SVT")
+			if err != nil {
+				t.Fatalf("InsertBuffer on net %q: %v", n.Name, err)
+			}
+			d.RemoveBuffer(buf, saved)
+			d.RewindNames(before.mark)
+			if err := before.diff(d); err != nil {
+				t.Fatalf("insert → remove on net %q: %v", n.Name, err)
+			}
+			break
 		}
 		errsBefore := len(d.Validate())
 		clone := d.Clone()

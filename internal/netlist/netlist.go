@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -315,6 +316,28 @@ func (d *Design) InsertBuffer(n *Net, moved []*Pin, bufType string) (*Cell, erro
 		return nil, err
 	}
 	return buf, nil
+}
+
+// RemoveBuffer is InsertBuffer's exact inverse. loads must be the split
+// net's Loads as copied before the insertion (InsertBuffer loses the moved
+// pins' positions; the design adopts the slice). Afterwards cells, nets and
+// load order are pointer-identical to the pre-insert design — which is what
+// keeps a rolled-back what-if bit-identical to a session that never ran it —
+// and RewindNames to a NameMark from before the insert restores the name
+// sequence. Several buffers come out in reverse order of going in.
+func (d *Design) RemoveBuffer(buf *Cell, loads []*Pin) {
+	n, bufNet := buf.Pin("A").Net, buf.Pin("Z").Net
+	for len(bufNet.Loads) > 0 {
+		d.Disconnect(bufNet.Loads[0])
+	}
+	d.RemoveCell(buf)
+	delete(d.netsByName, bufNet.Name)
+	i := slices.Index(d.Nets, bufNet)
+	d.Nets = slices.Delete(d.Nets, i, i+1)
+	n.Loads = loads
+	for _, l := range loads {
+		l.Net = n
+	}
 }
 
 // RemoveCell deletes a cell, disconnecting all of its pins. Nets are left in

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -150,8 +152,10 @@ func TestInsertBuffer(t *testing.T) {
 		}
 		sinks = append(sinks, c)
 	}
-	// Move the last two sinks behind a buffer.
-	moved := []*Pin{sinks[2].Pin("A"), sinks[3].Pin("A")}
+	// Move the middle two sinks behind a buffer, so putting them back has
+	// an order to get wrong.
+	moved := []*Pin{sinks[1].Pin("A"), sinks[2].Pin("A")}
+	before, mark, saved := shapeOf(d), d.NameMark(), slices.Clone(net.Loads)
 	buf, err := d.InsertBuffer(net, moved, "BUF_X2_SVT")
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +171,21 @@ func TestInsertBuffer(t *testing.T) {
 		if m.Net != bufNet {
 			t.Errorf("moved pin %s not on buffer net", m.FullName())
 		}
+	}
+	// Taking the buffer out again leaves no trace, and the rewound name
+	// sequence hands the next insertion the same names.
+	names := [2]string{buf.Name, bufNet.Name}
+	d.RemoveBuffer(buf, saved)
+	d.RewindNames(mark)
+	if err := before.diff(d); err != nil {
+		t.Fatalf("insert → remove: %v", err)
+	}
+	again, err := d.InsertBuffer(net, moved, "BUF_X2_SVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := [2]string{again.Name, again.Pin("Z").Net.Name}; got != names {
+		t.Errorf("re-insertion named %v, first insertion %v", got, names)
 	}
 	// Moving a pin that is not on the net must fail.
 	other, _ := d.AddNet("other")
@@ -253,4 +272,51 @@ func TestNetFanoutCountsOutputPort(t *testing.T) {
 	if got := out.Net.Fanout(); got != 1 {
 		t.Errorf("fanout = %d, want 1 (output port counts)", got)
 	}
+}
+
+// shape records every pointer, order and name binding a design holds: two
+// shapes of one design differ exactly when an edit left a trace.
+type shape struct {
+	cells   []*Cell
+	nets    []*Net
+	links   []*Pin // per net: its driver, its loads in order, nil
+	pinNets []*Net // per cell pin, in cell then pin order
+	mark    int
+	named   [2]int // entries in the cell and net name maps
+}
+
+func shapeOf(d *Design) shape {
+	s := shape{
+		cells: slices.Clone(d.Cells), nets: slices.Clone(d.Nets), mark: d.NameMark(),
+		named: [2]int{len(d.cellsByName), len(d.netsByName)},
+	}
+	for _, n := range d.Nets {
+		s.links = append(append(append(s.links, n.Driver), n.Loads...), nil)
+	}
+	for _, c := range d.Cells {
+		for _, p := range c.Pins {
+			s.pinNets = append(s.pinNets, p.Net)
+		}
+	}
+	return s
+}
+
+// diff reports the first way d departs from the recorded shape.
+func (s shape) diff(d *Design) error {
+	now := shapeOf(d)
+	switch {
+	case !slices.Equal(s.cells, now.cells):
+		return fmt.Errorf("cell list changed: %d cells, were %d", len(now.cells), len(s.cells))
+	case !slices.Equal(s.nets, now.nets):
+		return fmt.Errorf("net list changed: %d nets, were %d", len(now.nets), len(s.nets))
+	case !slices.Equal(s.links, now.links):
+		return fmt.Errorf("a net's driver or load order changed")
+	case !slices.Equal(s.pinNets, now.pinNets):
+		return fmt.Errorf("a pin changed nets")
+	case s.mark != now.mark:
+		return fmt.Errorf("NameMark %d, was %d", now.mark, s.mark)
+	case s.named != now.named:
+		return fmt.Errorf("name maps hold %v cells/nets, held %v", now.named, s.named)
+	}
+	return nil
 }

@@ -177,8 +177,8 @@ type metricsDump struct {
 	Spans      map[string]*spanStat `json:"spans"`
 }
 
-// WriteMetricsJSON writes the metrics dump consumed by trajectory
-// tracking (BENCH_*.json-style): counters, gauges, histograms with their
+// WriteMetricsJSON writes the metrics dump behind the CLIs' -metrics flag
+// and the daemons' /metrics: counters, gauges, histograms with their
 // bucket boundaries, and per-name span rollups. Map keys sort, so two runs
 // of the same workload diff cleanly. A nil Recorder writes "{}".
 func (r *Recorder) WriteMetricsJSON(w io.Writer) error {

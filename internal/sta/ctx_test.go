@@ -160,16 +160,7 @@ func TestKeyedNetBinderRerouteRoundTrip(t *testing.T) {
 		t.Fatal("fanout change did not re-route")
 	}
 	// Undo the insertion exactly.
-	bufNet := buf.Pin("Z").Net
-	for _, m := range append([]*netlist.Pin(nil), bufNet.Loads...) {
-		d.Disconnect(m)
-	}
-	d.RemoveCell(buf)
-	d.CleanDanglingNets()
-	target.Loads = savedLoads
-	for _, l := range savedLoads {
-		l.Net = target
-	}
+	d.RemoveBuffer(buf, savedLoads)
 	d.RewindNames(mark)
 	after := binder(target)
 	if len(after.Sinks) != len(before.Sinks) {

@@ -1,31 +1,15 @@
 package timingd
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
 	"newgame/internal/circuits"
 	"newgame/internal/core"
-	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/pack"
 	"newgame/internal/parasitics"
 )
-
-// The boot benchmark pair measures the same outcome — a server answering
-// queries at the snapshot epoch — by the two available roads. Text boot is
-// the honest cold path: parse every scenario library and the netlist from
-// their text interchange forms, then build the server (tree synthesis plus
-// levelization included). Pack restore reads one binary snapshot and
-// adopts the frozen topology and saved trees. cmd/benchdiff guards the
-// ratio via scripts/bench_snapshot.sh.
-//
-// The bench design is deliberately modest: boot cost on a small block is
-// dominated by the fixed multi-megabyte library payload, which is exactly
-// the asymmetry the pack exploits (binary slabs vs float text parsing).
-// STA run time is identical on both roads and would only dilute the
-// comparison.
 
 var (
 	benchOnce   sync.Once
@@ -44,55 +28,14 @@ func benchFixture(b *testing.B) (core.Recipe, *parasitics.Stack, *netlist.Design
 	return recipe, stack, benchDesign
 }
 
-func BenchmarkBootTextParse(b *testing.B) {
-	recipe, stack, d := benchFixture(b)
-	var libTexts []*bytes.Buffer
-	libAt := map[*liberty.Library]int{}
-	for _, sc := range recipe.Scenarios {
-		if _, ok := libAt[sc.Lib]; ok {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := liberty.WriteLib(&buf, sc.Lib); err != nil {
-			b.Fatal(err)
-		}
-		libAt[sc.Lib] = len(libTexts)
-		libTexts = append(libTexts, &buf)
-	}
-	var designText bytes.Buffer
-	if err := netlist.WriteText(&designText, d); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		libs := make([]*liberty.Library, len(libTexts))
-		for j, txt := range libTexts {
-			lib, err := liberty.ParseLib(bytes.NewReader(txt.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			libs[j] = lib
-		}
-		pd, err := netlist.ParseText(bytes.NewReader(designText.Bytes()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec := recipe
-		rec.Scenarios = append([]core.Scenario(nil), recipe.Scenarios...)
-		for j := range rec.Scenarios {
-			rec.Scenarios[j].Lib = libs[libAt[recipe.Scenarios[j].Lib]]
-		}
-		s, err := NewServer(Config{
-			Design: pd, Recipe: rec, Stack: stack,
-			BasePeriod: 560, Seed: 7, QueryWorkers: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Close()
-	}
-}
-
+// BenchmarkBootPackRestore measures a warm boot: read one binary snapshot,
+// adopt its frozen topology and saved trees, answer queries at the snapshot
+// epoch. The cold road it is compared with (generate, characterize,
+// levelize) is bench/'s timingd.boot_ms beside timingd.boot_restore_ms.
+//
+// The bench design is deliberately modest: boot cost on a small block is
+// dominated by the fixed multi-megabyte library payload, which is what the
+// pack's binary slabs are for. STA run time would only dilute the figure.
 func BenchmarkBootPackRestore(b *testing.B) {
 	dir := b.TempDir()
 	recipe, stack, d := benchFixture(b)

@@ -367,10 +367,7 @@ func TestMetricsPromFormat(t *testing.T) {
 // /healthz reports the operator dashboard fields: served epoch, degraded
 // flag, uptime and flight-recorder occupancy against capacity.
 func TestHealthzReportsEpochAndFlightState(t *testing.T) {
-	_, hs := newTestServer(t, func(c *Config) {
-		c.FlightRequests = 8
-		c.FlightCommits = 4
-	})
+	_, hs := newTestServer(t, nil)
 	get(t, hs.URL, "/slack")
 	cell, to := resizeTarget(t)
 	post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
@@ -392,7 +389,7 @@ func TestHealthzReportsEpochAndFlightState(t *testing.T) {
 	if h.UptimeSec <= 0 {
 		t.Fatalf("uptime %v", h.UptimeSec)
 	}
-	if h.FlightRequestsCap != 8 || h.FlightCommitsCap != 4 {
+	if h.FlightRequestsCap != flightRequests || h.FlightCommitsCap != flightCommits {
 		t.Fatalf("flight caps: %+v", h)
 	}
 	if h.FlightRequests != 2 || h.FlightCommits != 1 {

@@ -287,7 +287,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:    "ok",
 		Epoch:     sess.epoch,
 		Scenarios: len(sess.views.Scenarios),
-		Cells:     len(sess.d.Cells),
+		Cells:     len(sess.views.D.Cells),
 		Role:      s.role(),
 	}
 	sess.mu.RUnlock()

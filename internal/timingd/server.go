@@ -40,10 +40,6 @@ type Config struct {
 	// Workers bounds scenario-level fan-out (initial builds, rebuilds);
 	// 0 = all CPUs.
 	Workers int
-	// AnalysisWorkers bounds each analyzer's internal level-parallelism.
-	// Per-scenario analyzers already run concurrently, so the default of 1
-	// avoids oversubscription; raise it for single-scenario servers.
-	AnalysisWorkers int
 	// QueueDepth bounds the admission queue; a full queue answers 429.
 	// Default 64.
 	QueueDepth int
@@ -58,11 +54,6 @@ type Config struct {
 	// Obs, when non-nil, records request counters, latency histograms and
 	// sta-level spans, served at /metrics.
 	Obs *obs.Recorder
-	// FlightRequests / FlightCommits size the always-on flight-recorder
-	// rings (last N requests at /debug/requests, last M commits at
-	// /debug/epochs), rounded up to powers of two. Defaults 256 and 64.
-	FlightRequests int
-	FlightCommits  int
 	// Hooks, when non-nil, injects faults at writer and cache seams.
 	// Test-only; leave nil in production.
 	Hooks *Hooks
@@ -123,20 +114,19 @@ func (c *Config) withDefaults() *Config {
 	if out.RequestTimeout == 0 {
 		out.RequestTimeout = 30 * time.Second
 	}
-	if out.AnalysisWorkers == 0 {
-		out.AnalysisWorkers = 1
-	}
-	if out.FlightRequests == 0 {
-		out.FlightRequests = 256
-	}
-	if out.FlightCommits == 0 {
-		out.FlightCommits = 64
-	}
 	if out.PrepareTimeout == 0 {
 		out.PrepareTimeout = 15 * time.Second
 	}
 	return &out
 }
+
+// flightRequests and flightCommits size the always-on flight-recorder rings:
+// the last N requests at /debug/requests, the last M commits at
+// /debug/epochs.
+const (
+	flightRequests = 256
+	flightCommits  = 64
+)
 
 // Server is the resident daemon: two epoch-snapshot sessions (current and
 // shadow), a bounded admission queue, and the query cache.
@@ -244,7 +234,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:         c,
 		pool:        workpool.NewPool(c.QueryWorkers, c.QueueDepth),
 		cache:       serve.NewCache(c.CacheSize),
-		flight:      obs.NewFlightRecorder(c.FlightRequests, c.FlightCommits),
+		flight:      obs.NewFlightRecorder(flightRequests, flightCommits),
 		start:       time.Now(),
 		scenarioSet: kept,
 		triagePlan:  triage.PlanFor(fullScenarios, c.BasePeriod),

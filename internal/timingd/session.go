@@ -6,16 +6,15 @@ import (
 
 	"newgame/internal/core"
 	"newgame/internal/netlist"
-	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 	"sync"
 )
 
-// session is one epoch snapshot: a private clone of the design, its
-// parasitics binder, and the timed scenario set over them (core.Views). The
-// server keeps exactly two — the current snapshot readers resolve through
-// an atomic pointer, and the shadow the writer edits — and flips their
-// roles on every commit. Because both are built from clones of one netlist
+// session is one epoch snapshot: the timed scenario set (core.Views) over a
+// private clone of the design and its own parasitics binder. The server
+// keeps exactly two — the current snapshot readers resolve through an
+// atomic pointer, and the shadow the writer edits — and flips their roles
+// on every commit. Because both are built from clones of one netlist
 // with name-keyed parasitics binders (sta.NewKeyedNetBinder), they stay
 // bit-identical no matter how different their edit/re-time histories are.
 //
@@ -25,12 +24,14 @@ import (
 // a fully consistent newer snapshot — tagged with the newer epoch it
 // actually read.
 type session struct {
-	mu     sync.RWMutex
-	epoch  int64
-	d      *netlist.Design
-	binder func(*netlist.Net) *parasitics.Tree
-	views  *core.Views
+	mu    sync.RWMutex
+	epoch int64
+	views *core.Views
 }
+
+// analysisWorkers is each analyzer's level-parallelism: a session's scenarios
+// already run concurrently (Config.Workers), so more would oversubscribe.
+const analysisWorkers = 1
 
 // newSession clones the design and builds its scenario set. topo seeds the
 // build: the frozen graph of another session over a Clone of the same
@@ -42,12 +43,11 @@ func newSession(cfg *Config, src *netlist.Design, topo *sta.Topology) (*session,
 	if ck == nil {
 		return nil, fmt.Errorf("timingd: design has no clock port %q", cfg.ClockPort)
 	}
-	s := &session{d: d, binder: cfg.newBinder()}
-	s.views = &core.Views{
+	s := &session{views: &core.Views{
 		D: d, ClockPort: ck, BasePeriod: cfg.BasePeriod, InputArrival: cfg.InputArrival,
-		Scenarios: cfg.Recipe.Scenarios, Parasitics: s.binder,
-		Workers: cfg.Workers, AnalysisWorkers: cfg.AnalysisWorkers, Obs: cfg.Obs,
-	}
+		Scenarios: cfg.Recipe.Scenarios, Parasitics: cfg.newBinder(),
+		Workers: cfg.Workers, AnalysisWorkers: analysisWorkers, Obs: cfg.Obs,
+	}}
 	if err := s.views.Build(context.Background(), topo); err != nil {
 		return nil, err
 	}

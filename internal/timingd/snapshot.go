@@ -131,8 +131,8 @@ func opsFromRecord(rec pack.EpochRecord) []Op {
 // binder is deterministic, so this only moves cost, never changes a tree.
 func (s *session) collectTrees() []pack.NetTree {
 	var out []pack.NetTree
-	for _, n := range s.d.Nets {
-		if t := s.binder(n); t != nil {
+	for _, n := range s.views.D.Nets {
+		if t := s.views.Parasitics(n); t != nil {
 			out = append(out, pack.NetTree{Net: n.Name, Need: len(t.Sinks), Tree: t})
 		}
 	}
@@ -157,7 +157,7 @@ func (s *Server) save() (*SaveReport, error) {
 	defer sh.mu.Unlock()
 	epoch := s.epoch.Load()
 	snap := &pack.Snapshot{
-		Design:       sh.d,
+		Design:       sh.views.D,
 		Recipe:       &s.cfg.Recipe,
 		Stack:        s.cfg.Stack,
 		ClockPort:    s.cfg.ClockPort,

@@ -103,7 +103,7 @@ func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
 		return err
 	}
 	p.rep.Before = sh.slacks()
-	p.mark = sh.d.NameMark()
+	p.mark = sh.views.D.NameMark()
 	if err := s.fire(SiteCommitApply); err != nil {
 		return err
 	}

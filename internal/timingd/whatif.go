@@ -48,7 +48,7 @@ func (s *session) resolve(ops []Op) ([]*edit, error) {
 		}
 		switch op.Kind {
 		case "resize":
-			c := s.d.Cell(op.Cell)
+			c := s.views.D.Cell(op.Cell)
 			if c == nil {
 				return nil, serve.BadRequest("op %d: unknown cell %q", i, op.Cell)
 			}
@@ -63,7 +63,7 @@ func (s *session) resolve(ops []Op) ([]*edit, error) {
 			}
 			e.cell, e.oldType = c, c.TypeName
 		case "buffer":
-			n := s.d.Net(op.Net)
+			n := s.views.D.Net(op.Net)
 			if n == nil {
 				return nil, serve.BadRequest("op %d: unknown net %q", i, op.Net)
 			}
@@ -111,7 +111,7 @@ func (s *session) apply(ctx context.Context, edits []*edit) error {
 		case "buffer":
 			e.savedLoads = append([]*netlist.Pin(nil), e.net.Loads...)
 			var err error
-			if e.buf, err = s.d.InsertBuffer(e.net, e.moved, e.op.To); err != nil {
+			if e.buf, err = s.views.D.InsertBuffer(e.net, e.moved, e.op.To); err != nil {
 				return err
 			}
 		}
@@ -120,11 +120,12 @@ func (s *session) apply(ctx context.Context, edits []*edit) error {
 }
 
 // undo reverses apply exactly, in reverse order, and re-times: resizes
-// restore the old master, buffer insertions are unwound to the saved load
-// list and name sequence so the netlist is pointer- and name-identical to
-// the pre-edit state. It is not cancellable — a half-undone shadow has
-// diverged from the published snapshot. Must run with s.mu held for
-// writing, with the NameMark taken before apply.
+// restore the old master, inserted buffers come out again
+// (netlist.Design.RemoveBuffer) and the name sequence is rewound, so the
+// netlist is pointer- and name-identical to the pre-edit state. It is not
+// cancellable — a half-undone shadow has diverged from the published
+// snapshot. Must run with s.mu held for writing, with the NameMark taken
+// before apply.
 func (s *session) undo(edits []*edit, nameMark int) error {
 	for i := len(edits) - 1; i >= 0; i-- {
 		e := edits[i]
@@ -135,20 +136,11 @@ func (s *session) undo(edits []*edit, nameMark int) error {
 			if e.buf == nil {
 				continue
 			}
-			bufNet := e.buf.Pin("Z").Net
-			for _, m := range append([]*netlist.Pin(nil), bufNet.Loads...) {
-				s.d.Disconnect(m)
-			}
-			s.d.RemoveCell(e.buf)
-			s.d.CleanDanglingNets()
-			e.net.Loads = e.savedLoads
-			for _, l := range e.savedLoads {
-				l.Net = e.net
-			}
+			s.views.D.RemoveBuffer(e.buf, e.savedLoads)
 			e.buf = nil
 		}
 	}
-	s.d.RewindNames(nameMark)
+	s.views.D.RewindNames(nameMark)
 	return s.settle(context.Background(), edits)
 }
 
