@@ -162,38 +162,11 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "power: %.1f -> %.1f uW total (leak %.1f -> %.1f uW, clock share %.0f%%)\n",
 		pBefore.Total/1000, pAfter.Total/1000, pBefore.Leakage/1000, pAfter.Leakage/1000,
 		100*pAfter.ClockFrac)
-	if rec != nil {
-		fmt.Fprintln(out)
-		rec.WriteSummary(out)
-		if err := exportFile(*metricsPath, out, rec.WriteMetricsJSON); err != nil {
-			return err
-		}
-		if err := exportFile(*tracePath, out, rec.WriteChromeTrace); err != nil {
-			return err
-		}
+	if err := rec.Export(out, *metricsPath, *tracePath); err != nil {
+		return err
 	}
 	if !res.Closed {
 		return errNotClosed
 	}
 	return nil
-}
-
-// exportFile writes one exporter's output to path ("" skips; "-" reaches
-// the run's own output writer).
-func exportFile(path string, out io.Writer, write func(w io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return write(out)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

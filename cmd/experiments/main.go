@@ -16,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -77,37 +76,9 @@ func main() {
 			exit = 1
 		}
 	}
-	if rec != nil {
-		fmt.Println()
-		rec.WriteSummary(os.Stdout)
-		if err := exportFile(*metricsPath, rec.WriteMetricsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := exportFile(*tracePath, rec.WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
+	if err := rec.Export(os.Stdout, *metricsPath, *tracePath); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 	os.Exit(exit)
-}
-
-// exportFile writes one exporter's output to path ("" skips; "-" and
-// /dev/stdout both reach the terminal).
-func exportFile(path string, write func(w io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -189,15 +189,8 @@ func run(args []string, out io.Writer) error {
 			i+1, p.Endpoint.Name(), p.Depth(), p.GBASlack, r.Slack, r.Pessimism)
 	}
 
-	if rec != nil {
-		fmt.Fprintln(out)
-		rec.WriteSummary(out)
-		if err := exportFile(*metricsPath, out, rec.WriteMetricsJSON); err != nil {
-			return err
-		}
-		if err := exportFile(*tracePath, out, rec.WriteChromeTrace); err != nil {
-			return err
-		}
+	if err := rec.Export(out, *metricsPath, *tracePath); err != nil {
+		return err
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -214,26 +207,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// exportFile writes one exporter's output to path ("" skips; "-" reaches
-// the run's own output writer).
-func exportFile(path string, out io.Writer, write func(w io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return write(out)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func buildLibrary(corner, derate string) *liberty.Library {

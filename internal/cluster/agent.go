@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"newgame/internal/timingd"
+	"newgame/internal/timingd/client"
 )
 
 // Source is what the agent announces to the coordinator — implemented
@@ -44,6 +42,7 @@ type AgentConfig struct {
 // stops recognizing it (eviction, coordinator restart).
 type Agent struct {
 	cfg    AgentConfig
+	cl     *client.Client // the coordinator, over the one outbound path
 	stopc  chan struct{}
 	done   chan struct{}
 	once   sync.Once
@@ -59,7 +58,11 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	a := &Agent{cfg: cfg, stopc: make(chan struct{}), done: make(chan struct{})}
+	a := &Agent{
+		cfg:   cfg,
+		cl:    &client.Client{Base: cfg.CoordinatorURL, HTTP: cfg.HTTP},
+		stopc: make(chan struct{}), done: make(chan struct{}),
+	}
 	go a.run()
 	return a, nil
 }
@@ -138,7 +141,7 @@ func (a *Agent) register() error {
 		Scenarios: a.cfg.Source.ScenarioSet(),
 	}
 	var resp RegisterResponse
-	if err := a.post(ctx, "/cluster/register", req, &resp); err != nil {
+	if err := a.cl.Do(ctx, http.MethodPost, "/cluster/register", req, &resp); err != nil {
 		return err
 	}
 	a.logf("cluster agent %s: registered at epoch %d (%d replayed)", a.cfg.ID, resp.Epoch, resp.Replayed)
@@ -149,44 +152,8 @@ func (a *Agent) beat() (reRegister bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.Interval)
 	defer cancel()
 	var resp HeartbeatResponse
-	if err := a.post(ctx, "/cluster/heartbeat", HeartbeatRequest{ID: a.cfg.ID, Epoch: a.cfg.Source.Epoch()}, &resp); err != nil {
+	if err := a.cl.Do(ctx, http.MethodPost, "/cluster/heartbeat", HeartbeatRequest{ID: a.cfg.ID, Epoch: a.cfg.Source.Epoch()}, &resp); err != nil {
 		return false, err
 	}
 	return resp.Register, nil
-}
-
-func (a *Agent) post(ctx context.Context, path string, body, out any) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.CoordinatorURL+path, bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	hc := a.cfg.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		json.Unmarshal(data, &eb)
-		return fmt.Errorf("coordinator: %d: %s", resp.StatusCode, eb.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
 }

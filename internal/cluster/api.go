@@ -61,11 +61,11 @@ type MemberHealth struct {
 
 // ClusterHealth answers the coordinator's GET /healthz.
 type ClusterHealth struct {
-	Status    string         `json:"status"` // "ok" | "degraded"
-	Role      string         `json:"role"`   // always "coordinator"
-	Epoch     int64          `json:"epoch"`
-	Scenarios int            `json:"scenarios"`
-	Degraded  bool           `json:"degraded"`
+	Status    string `json:"status"` // "ok" | "degraded"
+	Role      string `json:"role"`   // always "coordinator"
+	Epoch     int64  `json:"epoch"`
+	Scenarios int    `json:"scenarios"`
+	Degraded  bool   `json:"degraded"`
 	// Stale names scenarios currently served by no live worker.
 	Stale     []string       `json:"stale,omitempty"`
 	Members   []MemberHealth `json:"members"`

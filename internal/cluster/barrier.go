@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"newgame/internal/obs"
@@ -68,29 +67,19 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	// expiry timer so a coordinator death cannot wedge it.
 	phase := time.Now()
 	reports := make([]*timingd.PrepareResponse, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.WriteTimeout)
-			defer cancel()
-			rep, err := m.cl.Prepare(cctx, txn, base, ops)
-			if err != nil {
-				errs[i] = err
-				return
-			}
+	errs := scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, i int, m *member) error {
+		rep, err := m.cl.Prepare(ctx, txn, base, ops)
+		if err == nil {
 			reports[i] = &rep
-		}(i, m)
-	}
-	wg.Wait()
+		}
+		return err
+	})
 	rec.PrepareMs = obs.MsSince(phase)
 	for i, err := range errs {
 		if err == nil {
 			continue
 		}
-		c.abortAll(members, txn)
+		c.abortAll(ctx, members, txn)
 		c.count("cluster.barrier.prepare_failures")
 		if se, ok := err.(*client.StatusError); ok && se.Code < 500 {
 			// The ops themselves were rejected (validation, epoch
@@ -117,20 +106,14 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	if verifyTimeout > 2*time.Second {
 		verifyTimeout = 2 * time.Second
 	}
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, verifyTimeout)
-			defer cancel()
-			_, errs[i] = m.cl.Health(cctx)
-		}(i, m)
-	}
-	wg.Wait()
+	errs = scatter(ctx, members, verifyTimeout, func(ctx context.Context, _ int, m *member) error {
+		_, err := m.cl.Health(ctx)
+		return err
+	})
 	rec.VerifyMs = obs.MsSince(phase)
 	for i, err := range errs {
 		if err != nil {
-			c.abortAll(members, txn)
+			c.abortAll(ctx, members, txn)
 			c.markDead(members[i], "failed verify")
 			c.count("cluster.barrier.verify_failures")
 			c.logf("cluster: barrier %s aborted, worker %s failed verify: %v", txn, members[i].id, err)
@@ -143,16 +126,10 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	// commit stands, the failed worker is evicted, and catch-up replay
 	// repairs it on re-registration (see DESIGN.md §15).
 	phase = time.Now()
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.WriteTimeout)
-			defer cancel()
-			_, errs[i] = m.cl.CommitTxn(cctx, txn)
-		}(i, m)
-	}
-	wg.Wait()
+	errs = scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, _ int, m *member) error {
+		_, err := m.cl.CommitTxn(ctx, txn)
+		return err
+	})
 	rec.CommitMs = obs.MsSince(phase)
 
 	c.mu.Lock()
@@ -209,21 +186,15 @@ func (c *Coordinator) mergeBarrierReports(epoch int64, members []*member, report
 	return out, nil
 }
 
-// abortAll best-effort aborts txn on every member in parallel. Worker
-// aborts are idempotent (unknown txn answers Done=false), so members
+// abortAll best-effort aborts txn on every member in parallel, whether or
+// not the request that started the barrier is still there to wait for it.
+// Worker aborts are idempotent (unknown txn answers Done=false), so members
 // that never prepared are safe to hit too.
-func (c *Coordinator) abortAll(members []*member, txn string) {
-	var wg sync.WaitGroup
-	for _, m := range members {
-		wg.Add(1)
-		go func(m *member) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShardTimeout)
-			defer cancel()
-			m.cl.AbortTxn(cctx, txn)
-		}(m)
-	}
-	wg.Wait()
+func (c *Coordinator) abortAll(ctx context.Context, members []*member, txn string) {
+	scatter(context.WithoutCancel(ctx), members, c.cfg.ShardTimeout, func(ctx context.Context, _ int, m *member) error {
+		_, err := m.cl.AbortTxn(ctx, txn)
+		return err
+	})
 	c.count("cluster.barrier.aborts")
 }
 

@@ -66,6 +66,8 @@ func FuzzCoordinatorHandlers(f *testing.F) {
 		"GET\n/endpoints?scenario=nope&limit=3\n",
 		"GET\n/endpoints?kind=hold&limit=-1\n",
 		"GET\n/paths?k=2&kind=setup\n",
+		"GET\n/paths?k=0\n",
+		"GET\n/endpoints?limit=007&kind=bogus\n",
 		"GET\n/triage?k=0\n",
 		"GET\n/healthz\n",
 		"GET\n/metrics?format=prom\n",

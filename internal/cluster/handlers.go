@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"sort"
-	"strconv"
 	"time"
 
 	"newgame/internal/serve"
@@ -22,14 +22,16 @@ func (c *Coordinator) routes() {
 	}
 	mount("/healthz", "healthz", http.MethodGet, c.handleHealth)
 	mount("/slack", "slack", http.MethodGet, c.handleSlack)
-	mount("/endpoints", "endpoints", http.MethodGet, c.proxiedRead("limit",
-		func(ctx context.Context, cl *client.Client, scenario, kind string, limit int) (any, int64, error) {
-			rep, err := cl.Endpoints(ctx, scenario, kind, limit)
+	mount("/endpoints", "endpoints", http.MethodGet, c.proxiedRead("/endpoints", "limit",
+		func(ctx context.Context, cl *client.Client, uri string) (any, int64, error) {
+			var rep timingd.EndpointsReport
+			err := cl.Do(ctx, http.MethodGet, uri, nil, &rep)
 			return rep, rep.Epoch, err
 		}))
-	mount("/paths", "paths", http.MethodGet, c.proxiedRead("k",
-		func(ctx context.Context, cl *client.Client, scenario, kind string, k int) (any, int64, error) {
-			rep, err := cl.Paths(ctx, scenario, kind, k)
+	mount("/paths", "paths", http.MethodGet, c.proxiedRead("/paths", "k",
+		func(ctx context.Context, cl *client.Client, uri string) (any, int64, error) {
+			var rep timingd.PathsReport
+			err := cl.Do(ctx, http.MethodGet, uri, nil, &rep)
 			return rep, rep.Epoch, err
 		}))
 	mount("/triage", "triage", http.MethodGet, c.handleTriage)
@@ -108,23 +110,26 @@ func (c *Coordinator) handleSlack(ctx context.Context, r *http.Request) ([]byte,
 // proxiedRead is the body behind /endpoints and /paths: the read is sent to
 // the shard owning the requested scenario, replica fallback included, and
 // the shard's own report is re-encoded, so the answer is bit-identical to
-// single-node timingd. param names the route's integer knob (?limit=, ?k=).
-func (c *Coordinator) proxiedRead(param string, fetch func(ctx context.Context, cl *client.Client, scenario, kind string, n int) (rep any, epoch int64, err error)) serve.Func {
+// single-node timingd. The check kind and the route's integer knob (param:
+// ?limit=, ?k=) are forwarded as they arrived — the shard's validation is
+// the only one, so a bad value gets the node's own answer.
+func (c *Coordinator) proxiedRead(path, param string, fetch func(ctx context.Context, cl *client.Client, uri string) (rep any, epoch int64, err error)) serve.Func {
 	return func(ctx context.Context, r *http.Request) ([]byte, error) {
 		q := r.URL.Query()
 		idx, name, err := c.scenarioIdx(q.Get("scenario"))
 		if err != nil {
 			return nil, err
 		}
-		n := 0
-		if s := q.Get(param); s != "" {
-			if n, err = strconv.Atoi(s); err != nil || n < 0 {
-				return nil, serve.Errorf(400, "bad %s %s", param, s)
+		fwd := url.Values{"scenario": {name}}
+		for _, p := range [...]string{"kind", param} {
+			if v := q.Get(p); v != "" {
+				fwd.Set(p, v)
 			}
 		}
+		uri := path + "?" + fwd.Encode()
 		return c.cachedRead(ctx, r, func(ctx context.Context) (rep any, epoch int64, _ bool, err error) {
 			err = c.proxyScenario(ctx, idx, func(ctx context.Context, m *member) (ferr error) {
-				rep, epoch, ferr = fetch(ctx, m.cl, name, q.Get("kind"), n)
+				rep, epoch, ferr = fetch(ctx, m.cl, uri)
 				return ferr
 			})
 			return rep, epoch, true, err
@@ -132,17 +137,12 @@ func (c *Coordinator) proxiedRead(param string, fetch func(ctx context.Context, 
 	}
 }
 
-// opsBody is the request body of /whatif and /eco.
-type opsBody struct {
-	Ops []timingd.Op `json:"ops"`
-}
-
 func (c *Coordinator) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, error) {
-	var req opsBody
-	if err := serve.Decode(r, &req); err != nil {
+	ops, err := timingd.DecodeOps(r)
+	if err != nil {
 		return nil, err
 	}
-	rep, err := c.gatherWhatIf(ctx, req.Ops)
+	rep, err := c.gatherWhatIf(ctx, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -151,11 +151,11 @@ func (c *Coordinator) handleWhatIf(ctx context.Context, r *http.Request) ([]byte
 }
 
 func (c *Coordinator) handleECO(ctx context.Context, r *http.Request) ([]byte, error) {
-	var req opsBody
-	if err := serve.Decode(r, &req); err != nil {
+	ops, err := timingd.DecodeOps(r)
+	if err != nil {
 		return nil, err
 	}
-	rep, err := c.commitBarrier(ctx, req.Ops)
+	rep, err := c.commitBarrier(ctx, ops)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,6 +30,25 @@ func shardErr(err error) *serve.Error {
 func isTimeout(err error) bool {
 	var t interface{ Timeout() bool }
 	return errors.As(err, &t) && t.Timeout()
+}
+
+// scatter runs fn once per member, concurrently, each leg under its own
+// timeout below ctx, and returns the legs' errors in member order — the one
+// fan-out every phase of the barrier and every merged read is built on.
+func scatter(ctx context.Context, members []*member, timeout time.Duration, fn func(ctx context.Context, i int, m *member) error) []error {
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func(i int, m *member) {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			errs[i] = fn(cctx, i, m)
+		}(i, m)
+	}
+	wg.Wait()
+	return errs
 }
 
 // scenarioPlan is one scenario's fetch plan: its canonical slot and the
@@ -75,14 +95,15 @@ func (c *Coordinator) gatherSlack(ctx context.Context) (*SlackReport, error) {
 
 	for round := 0; round < replicaFanout; round++ {
 		// Distinct member set for this round: the round-th candidate of
-		// every still-uncovered scenario.
-		targets := map[string]*member{}
+		// every still-uncovered scenario, in scenario order.
+		var targets []*member
 		for p := range plans {
 			if slots[p] != nil || round >= len(plans[p].candidates) {
 				continue
 			}
-			m := plans[p].candidates[round]
-			targets[m.id] = m
+			if m := plans[p].candidates[round]; !slices.Contains(targets, m) {
+				targets = append(targets, m)
+			}
 		}
 		if len(targets) == 0 {
 			continue
@@ -96,24 +117,17 @@ func (c *Coordinator) gatherSlack(ctx context.Context) (*SlackReport, error) {
 			c.count("cluster.slack.replica_retries")
 		}
 		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for _, m := range targets {
-			wg.Add(1)
-			go func(m *member) {
-				defer wg.Done()
-				cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-				defer cancel()
-				rep, err := m.cl.Slack(cctx)
-				if err != nil {
-					c.count("cluster.slack.shard_errors")
-					return
-				}
-				mu.Lock()
-				fill(rep)
-				mu.Unlock()
-			}(m)
-		}
-		wg.Wait()
+		scatter(ctx, targets, c.cfg.ShardTimeout, func(ctx context.Context, _ int, m *member) error {
+			rep, err := m.cl.Slack(ctx)
+			if err != nil {
+				c.count("cluster.slack.shard_errors")
+				return err
+			}
+			mu.Lock()
+			fill(rep)
+			mu.Unlock()
+			return nil
+		})
 	}
 
 	// Every response we merged must have been computed at one epoch; a
@@ -248,23 +262,13 @@ func (c *Coordinator) gatherWhatIf(ctx context.Context, ops []timingd.Op) (*timi
 	}
 
 	reports := make([]*timingd.WhatIfReport, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, m := range targets {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.WriteTimeout)
-			defer cancel()
-			rep, err := m.cl.WhatIf(cctx, ops)
-			if err != nil {
-				errs[i] = err
-				return
-			}
+	errs := scatter(ctx, targets, c.cfg.WriteTimeout, func(ctx context.Context, i int, m *member) error {
+		rep, err := m.cl.WhatIf(ctx, ops)
+		if err == nil {
 			reports[i] = &rep
-		}(i, m)
-	}
-	wg.Wait()
+		}
+		return err
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, shardErr(err)

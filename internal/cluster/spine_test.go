@@ -16,10 +16,12 @@ import (
 )
 
 // spineMount is one role under the conformance table: its base URL, its
-// metric namespace, and every route that reads a request body.
+// metric namespace, every route that reads a request body and, for the
+// coordinator, the shards behind it in scenario order.
 type spineMount struct {
 	role, base, ns string
 	bodyRoutes     []string
+	shards         []string
 }
 
 // spineMounts boots an in-process worker and an in-process coordinator
@@ -29,15 +31,17 @@ func spineMounts(t *testing.T) []spineMount {
 	f := testFixture(t)
 	_, whs := startWorker(t, nil, func(c *timingd.Config) { c.Obs = obs.NewRecorder() })
 	_, chs := startCoordinator(t, func(c *Config) { c.Obs = obs.NewRecorder() })
+	var shards []string
 	for i := range f.names {
 		srv, hs := startWorker(t, []string{f.names[i]}, nil)
 		registerWorker(t, chs.URL, fmt.Sprintf("w%d", i), srv, hs.URL)
+		shards = append(shards, hs.URL)
 	}
 	return []spineMount{
 		{"worker", whs.URL, "timingd",
-			[]string{"/whatif", "/eco", "/cluster/prepare", "/cluster/commit", "/cluster/abort"}},
+			[]string{"/whatif", "/eco", "/cluster/prepare", "/cluster/commit", "/cluster/abort"}, nil},
 		{"coordinator", chs.URL, "cluster",
-			[]string{"/whatif", "/eco", "/cluster/register", "/cluster/heartbeat"}},
+			[]string{"/whatif", "/eco", "/cluster/register", "/cluster/heartbeat"}, shards},
 	}
 }
 
@@ -109,7 +113,8 @@ func newestRequest(t *testing.T, base, traceID string) obs.RequestRecord {
 // TestSpineConformance holds a timingd node and a coordinator to the same
 // table: whatever the serving spine promises, it promises on both mounts.
 func TestSpineConformance(t *testing.T) {
-	for _, m := range spineMounts(t) {
+	mounts := spineMounts(t)
+	for _, m := range mounts {
 		t.Run(m.role, func(t *testing.T) {
 			// Trace identity: echoed verbatim, minted when absent.
 			code, echoed, plain := do(t, http.MethodGet, m.base+"/slack", "deadbeefcafe0001", nil)
@@ -181,4 +186,52 @@ func TestSpineConformance(t *testing.T) {
 			}
 		})
 	}
+
+	// A coordinator is a node seen through a cluster: what a node refuses, it
+	// refuses in the node's words, and what a node reads leniently (an empty
+	// or zero-padded knob) it reads the same way — it forwards what it was
+	// sent and validates nothing a shard validates.
+	node, coord := mounts[0], mounts[1]
+	t.Run("parity", func(t *testing.T) {
+		for _, tc := range []struct{ method, target, body string }{
+			{"GET", "/endpoints?limit=0", ""},
+			{"GET", "/endpoints?limit=abc", ""},
+			{"GET", "/endpoints?limit=", ""},
+			{"GET", "/endpoints?limit=007", ""},
+			{"GET", "/endpoints?kind=bogus", ""},
+			{"GET", "/endpoints?scenario=nope", ""},
+			{"GET", "/paths?k=0", ""},
+			{"GET", "/paths?k=1001", ""},
+			{"GET", "/paths?kind=bogus", ""},
+			{"GET", "/paths?scenario=nope", ""},
+			{"POST", "/whatif", `{"ops":[]}`},
+			{"POST", "/eco", `{"ops":[]}`},
+		} {
+			nc, _, nb := do(t, tc.method, node.base+tc.target, "", strings.NewReader(tc.body))
+			cc, _, cb := do(t, tc.method, coord.base+tc.target, "", strings.NewReader(tc.body))
+			if nc != cc || !bytes.Equal(bytes.TrimSpace(nb), bytes.TrimSpace(cb)) {
+				t.Errorf("%s %s %s: node answers %d %q, coordinator %d %q",
+					tc.method, tc.target, tc.body, nc, clip(nb), cc, clip(cb))
+			}
+		}
+		// The empty /eco above was refused before any barrier began.
+		_, _, body := do(t, http.MethodGet, coord.base+"/debug/barriers", "", nil)
+		var rep DebugBarriersReport
+		if err := json.Unmarshal(body, &rep); err != nil || len(rep.Barriers) != 0 {
+			t.Fatalf("/debug/barriers after a refused empty /eco: %v %q, want no rows", err, clip(body))
+		}
+	})
+
+	// One trace ID follows a request into the shard that served it.
+	t.Run("trace-forwarded", func(t *testing.T) {
+		f := testFixture(t)
+		const id = "c0ffee00c0ffee01"
+		code, _, body := do(t, http.MethodGet, coord.base+"/endpoints?limit=2&scenario="+f.names[1], id, nil)
+		if code != 200 {
+			t.Fatalf("/endpoints through the coordinator: %d %q", code, clip(body))
+		}
+		if rec := newestRequest(t, coord.shards[1], id); rec.Route != "endpoints" || rec.Status != 200 {
+			t.Fatalf("owning shard's flight record %+v, want route endpoints under the caller's trace ID", rec)
+		}
+	})
 }

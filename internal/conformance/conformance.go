@@ -142,6 +142,14 @@ func Registry() []Invariant {
 			Check: checkChecksResident,
 		},
 		{
+			// Registered last among the per-design laws: it draws from the
+			// design's rng, and every law before it keeps its stream.
+			Name:  "slack-conserved-across-nets",
+			Law:   "the forward and the backward pass charge a net edge the same: with useful-skew offsets on a third of the flops, every net's driver carries exactly the worst setup slack among its sinks",
+			Scope: PerDesign,
+			Check: checkSlackConservedAcrossNets,
+		},
+		{
 			Name:  "delay-monotone-load-slew",
 			Law:   "NLDM cell delay and output slew are nondecreasing in output load and input slew over every characterized arc",
 			Scope: PerRun,

@@ -11,12 +11,13 @@ import (
 
 // Fingerprint renders the complete externally observable analysis state
 // of an analyzer — every pin/port arrival and slew at all four
-// rise/fall × early/late views, every endpoint check, WNS and TNS — into
-// one digest. Two analyzers agree on timing iff their fingerprints are
-// equal: float bits are hashed raw, so this is byte-equality, not
-// tolerance comparison. The iteration order is the design's own slice
-// order, which clones preserve, so fingerprints are comparable across
-// independently built analyzers of identical netlists.
+// rise/fall × early/late views, every pin/port setup slack (so the backward
+// pass is pinned too), every endpoint check, WNS and TNS — into one digest.
+// Two analyzers agree on timing iff their fingerprints are equal: float
+// bits are hashed raw, so this is byte-equality, not tolerance comparison.
+// The iteration order is the design's own slice order, which clones
+// preserve, so fingerprints are comparable across independently built
+// analyzers of identical netlists.
 func Fingerprint(a *sta.Analyzer) string {
 	h := sha256.New()
 	buf := make([]byte, 8)
@@ -49,6 +50,7 @@ func Fingerprint(a *sta.Analyzer) string {
 				v, ok := a.PinSlew(pin, rf, el)
 				return float64(v), ok
 			})
+			f(float64(a.PinSetupSlack(pin)))
 		}
 	}
 	for _, p := range a.D.Ports {
@@ -62,6 +64,7 @@ func Fingerprint(a *sta.Analyzer) string {
 			v, ok := a.PortSlew(port, rf, el)
 			return float64(v), ok
 		})
+		f(float64(a.PortSetupSlack(port)))
 	}
 	for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
 		for _, e := range a.EndpointSlacks(kind) {

@@ -3,9 +3,11 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 
 	"newgame/internal/liberty"
+	"newgame/internal/netlist"
 	"newgame/internal/sta"
 	"newgame/internal/units"
 )
@@ -285,6 +287,52 @@ func checkLibgenWorkers(cx *Ctx) error {
 	}
 	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
 		return fmt.Errorf("serial and parallel characterization differ: %d vs %d bytes", bs.Len(), bp.Len())
+	}
+	return nil
+}
+
+// checkSlackConservedAcrossNets: a load has one driver, so its arrival is the
+// driver's plus the edge delay, and the driver's required time is the
+// minimum over its loads of theirs minus the same delay — the edge cancels
+// and a net's driver carries exactly the worst setup slack among its sinks.
+// That holds iff the forward and the backward pass charge a net edge the
+// same, which useful skew on a third of the flops puts to the test on the
+// clock network: a backward pass that forgets the offset shows up as a gap
+// of exactly that offset.
+func checkSlackConservedAcrossNets(cx *Ctx) error {
+	cons := cx.constraintsFor(cx.Design, cx.Cons.Clocks[0].Period)
+	for _, c := range cx.Design.Cells {
+		if m := cx.Lib.Cell(c.TypeName); m != nil && m.IsSequential() && cx.rng.Intn(3) == 0 {
+			cons.ExtraCKLatency[c] = units.Ps(5 + cx.rng.Intn(60))
+		}
+	}
+	a, err := sta.New(cx.Design, cons, cx.fullCfg(1))
+	if err != nil {
+		return err
+	}
+	if err := a.Run(); err != nil {
+		return err
+	}
+	for _, n := range cx.Design.Nets {
+		var driver float64
+		switch {
+		case n.Driver != nil:
+			driver = float64(a.PinSetupSlack(n.Driver))
+		case n.Port != nil && n.Port.Dir == netlist.Input:
+			driver = float64(a.PortSetupSlack(n.Port))
+		default:
+			continue
+		}
+		sinks := math.Inf(1)
+		for _, l := range n.Loads {
+			sinks = math.Min(sinks, float64(a.PinSetupSlack(l)))
+		}
+		if n.Port != nil && n.Port.Dir == netlist.Output {
+			sinks = math.Min(sinks, float64(a.PortSetupSlack(n.Port)))
+		}
+		if !(driver == sinks || math.Abs(driver-sinks) <= 1e-9) { // == covers +Inf on both sides
+			return fmt.Errorf("net %s: driver setup slack %v, worst sink %v (gap %v)", n.Name, driver, sinks, driver-sinks)
+		}
 	}
 	return nil
 }

@@ -381,14 +381,19 @@ func (e *Engine) survey() (Iteration, *sta.Analyzer, *sta.Analyzer, *sta.Analyze
 // anything — the "run STA, break down failures" step alone, also useful
 // for signoff-only comparisons between recipes.
 func (e *Engine) Survey() (Iteration, error) {
+	e.lazyInit()
+	it, _, _, _, err := e.survey()
+	return it, err
+}
+
+// lazyInit creates the state Survey and Close both need before a first survey.
+func (e *Engine) lazyInit() {
 	if e.store == nil {
 		e.store = opt.NewStore(e.Parasitics)
 	}
 	if e.uskew == nil {
 		e.uskew = map[*netlist.Cell]units.Ps{}
 	}
-	it, _, _, _, err := e.survey()
-	return it, err
 }
 
 // Analyzers returns the last survey's analyzers in recipe order, each timed
@@ -417,12 +422,7 @@ func (e *Engine) Close() (*Result, error) {
 	if err := e.Recipe.Validate(); err != nil {
 		return nil, err
 	}
-	if e.store == nil {
-		e.store = opt.NewStore(e.Parasitics)
-	}
-	if e.uskew == nil {
-		e.uskew = map[*netlist.Cell]units.Ps{}
-	}
+	e.lazyInit()
 	root := e.Obs.Start("close."+e.Recipe.Name, nil)
 	defer root.End()
 	defer func() { e.obsParent = nil }()
@@ -437,15 +437,7 @@ func (e *Engine) Close() (*Result, error) {
 		}
 		it.Index = iter
 		e.recordIteration(it, itSp)
-		clean := it.MergedSetupWNS >= 0 && it.MergedHoldWNS >= 0 && it.Breakdown.Total() == 0
-		// PBA-only violations do not need fixing.
-		if e.Recipe.UsePBA && it.Breakdown.SetupEndpoints > 0 &&
-			it.Breakdown.SetupEndpoints <= it.Breakdown.PBAReclassified &&
-			it.MergedHoldWNS >= 0 &&
-			it.Breakdown.MaxTran+it.Breakdown.MaxCap+it.Breakdown.Noise == 0 {
-			clean = true
-		}
-		if clean {
+		if e.Recipe.closed(it) {
 			itSp.End()
 			res.Iterations = append(res.Iterations, it)
 			res.Closed = true
@@ -456,103 +448,11 @@ func (e *Engine) Close() (*Result, error) {
 			}
 			return res, nil
 		}
-		// Fix phase: the Figure 1 ordering.
-		if worstSetup != nil && it.MergedSetupWNS < 0 {
-			ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place, Store: e.store}
-			vopts := opt.DefaultVtSwap()
-			vopts.MinIAAware = e.Recipe.MinIAAware
-			for _, step := range []struct {
-				name string
-				run  func() (opt.Report, error)
-			}{
-				{"vt_swap", func() (opt.Report, error) { return opt.VtSwap(ctx, vopts) }},
-				{"resize", func() (opt.Report, error) { return opt.Resize(ctx, opt.DefaultResize()) }},
-				{"fix_drc", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }},
-				{"ndr", func() (opt.Report, error) { return opt.ApplyNDR(ctx, 30) }},
-			} {
-				fsp := e.Obs.Start("fix."+step.name, itSp)
-				rep, err := step.run()
-				fsp.SetFloat("changed", float64(rep.Changed)).End()
-				if err != nil {
-					itSp.End()
-					return nil, err
-				}
-				it.Fixes = append(it.Fixes, rep)
-				res.AreaDelta += rep.AreaDelta
-				res.LeakageDelta += rep.LeakageDelta
-				if ctx.A.WorstSlack(sta.Setup) >= 0 {
-					break
-				}
-			}
-			if e.Recipe.UseUsefulSkew && ctx.A.WorstSlack(sta.Setup) < 0 {
-				ssp := e.Obs.Start("fix.useful_skew", itSp)
-				us, err := cts.ScheduleUsefulSkew(ctx.A, ctx.Lib, cts.DefaultUsefulSkew())
-				ssp.End()
-				if err != nil {
-					itSp.End()
-					return nil, err
-				}
-				for ff, off := range us.Offsets {
-					e.uskew[ff] = off
-				}
-				it.Fixes = append(it.Fixes, opt.Report{
-					Pass: "useful_skew", Changed: us.Adjusted,
-					WNSBefore: us.WNSBefore, WNSAfter: us.WNSAfter,
-				})
-			}
-		}
-		if worstHold != nil && it.MergedHoldWNS < 0 {
-			ctx := &opt.Context{A: worstHold, Lib: worstHold.Cfg.Lib, Store: e.store,
-				SetupGuard: worstSetup}
-			hsp := e.Obs.Start("fix.hold", itSp)
-			rep, err := opt.FixHold(ctx, 100)
-			hsp.End()
-			if err != nil {
-				itSp.End()
-				return nil, err
-			}
-			it.Fixes = append(it.Fixes, rep)
-			res.AreaDelta += rep.AreaDelta
-			res.LeakageDelta += rep.LeakageDelta
-		}
-		// DRC and noise closure run regardless of timing state (the "last
-		// set of manual noise and DRC fixes" never waits for slack), on the
-		// scenario that actually reports them.
-		if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 || it.Breakdown.Noise > 0 {
-			a := worstDRC
-			if a == nil {
-				a = worstSetup
-			}
-			if a == nil {
-				a = worstHold
-			}
-			if a != nil {
-				ctx := &opt.Context{A: a, Lib: a.Cfg.Lib, Store: e.store}
-				if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
-					dsp := e.Obs.Start("fix.drc_closure", itSp)
-					rep, err := opt.FixDRC(ctx, opt.DefaultBuffer())
-					dsp.End()
-					if err != nil {
-						itSp.End()
-						return nil, err
-					}
-					it.Fixes = append(it.Fixes, rep)
-					res.AreaDelta += rep.AreaDelta
-					res.LeakageDelta += rep.LeakageDelta
-				}
-				if it.Breakdown.Noise > 0 {
-					nsp := e.Obs.Start("fix.noise", itSp)
-					rep, err := opt.FixNoise(ctx, 60)
-					nsp.End()
-					if err != nil {
-						itSp.End()
-						return nil, err
-					}
-					it.Fixes = append(it.Fixes, rep)
-				}
-			}
-		}
+		err = e.repair(&it, res, itSp, worstSetup, worstHold, worstDRC)
 		itSp.End()
+		if err != nil {
+			return nil, err
+		}
 		res.Iterations = append(res.Iterations, it)
 	}
 	// Final signoff after the last repair pass.
@@ -564,13 +464,7 @@ func (e *Engine) Close() (*Result, error) {
 	fin.Index = e.Recipe.MaxIterations + 1
 	e.recordIteration(fin, nil)
 	res.Final = fin
-	res.Closed = fin.MergedSetupWNS >= 0 && fin.MergedHoldWNS >= 0 && fin.Breakdown.Total() == 0
-	if !res.Closed && e.Recipe.UsePBA &&
-		fin.MergedHoldWNS >= 0 &&
-		fin.Breakdown.SetupEndpoints <= fin.Breakdown.PBAReclassified &&
-		fin.Breakdown.MaxTran+fin.Breakdown.MaxCap+fin.Breakdown.Noise == 0 {
-		res.Closed = true
-	}
+	res.Closed = e.Recipe.closed(fin)
 	res.Iterations = append(res.Iterations, fin)
 	if res.Closed {
 		if err := e.recoverMargin(res); err != nil {
@@ -578,6 +472,106 @@ func (e *Engine) Close() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// closed reports whether a survey meets signoff under the recipe: nothing
+// violates, or — when the recipe signs off path-based — the only violations
+// left are setup endpoints PBA reclassified as pessimism, which do not need
+// fixing.
+func (r Recipe) closed(it Iteration) bool {
+	b := it.Breakdown
+	if it.MergedSetupWNS >= 0 && it.MergedHoldWNS >= 0 && b.Total() == 0 {
+		return true
+	}
+	return r.UsePBA && it.MergedHoldWNS >= 0 &&
+		b.SetupEndpoints <= b.PBAReclassified && b.MaxTran+b.MaxCap+b.Noise == 0
+}
+
+// repair is one iteration's fix phase, in the Figure 1 ordering, on the
+// views the survey found worst. Every pass runs under its own span and is
+// booked the same way: its report joins the iteration, its cost the result.
+func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, worstHold, worstDRC *sta.Analyzer) error {
+	fix := func(span string, pass func() (opt.Report, error)) error {
+		sp := e.Obs.Start(span, itSp)
+		rep, err := pass()
+		sp.SetFloat("changed", float64(rep.Changed)).End()
+		if err != nil {
+			return err
+		}
+		it.Fixes = append(it.Fixes, rep)
+		res.AreaDelta += rep.AreaDelta
+		res.LeakageDelta += rep.LeakageDelta
+		return nil
+	}
+	if worstSetup != nil && it.MergedSetupWNS < 0 {
+		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place, Store: e.store}
+		vopts := opt.DefaultVtSwap()
+		vopts.MinIAAware = e.Recipe.MinIAAware
+		for _, step := range []struct {
+			name string
+			run  func() (opt.Report, error)
+		}{
+			{"vt_swap", func() (opt.Report, error) { return opt.VtSwap(ctx, vopts) }},
+			{"resize", func() (opt.Report, error) { return opt.Resize(ctx, opt.DefaultResize()) }},
+			{"fix_drc", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }},
+			{"ndr", func() (opt.Report, error) { return opt.ApplyNDR(ctx, 30) }},
+		} {
+			if err := fix("fix."+step.name, step.run); err != nil {
+				return err
+			}
+			if ctx.A.WorstSlack(sta.Setup) >= 0 {
+				break
+			}
+		}
+		if e.Recipe.UseUsefulSkew && ctx.A.WorstSlack(sta.Setup) < 0 {
+			err := fix("fix.useful_skew", func() (opt.Report, error) {
+				us, err := cts.ScheduleUsefulSkew(ctx.A, ctx.Lib, cts.DefaultUsefulSkew())
+				if err != nil {
+					return opt.Report{}, err
+				}
+				for ff, off := range us.Offsets {
+					e.uskew[ff] = off
+				}
+				return opt.Report{
+					Pass: "useful_skew", Changed: us.Adjusted,
+					WNSBefore: us.WNSBefore, WNSAfter: us.WNSAfter,
+				}, nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if worstHold != nil && it.MergedHoldWNS < 0 {
+		ctx := &opt.Context{A: worstHold, Lib: worstHold.Cfg.Lib, Store: e.store,
+			SetupGuard: worstSetup}
+		if err := fix("fix.hold", func() (opt.Report, error) { return opt.FixHold(ctx, 100) }); err != nil {
+			return err
+		}
+	}
+	// DRC and noise closure run regardless of timing state (the "last
+	// set of manual noise and DRC fixes" never waits for slack), on the
+	// scenario that actually reports them.
+	a := worstDRC
+	if a == nil {
+		a = worstSetup
+	}
+	if a == nil {
+		a = worstHold
+	}
+	if a == nil {
+		return nil
+	}
+	ctx := &opt.Context{A: a, Lib: a.Cfg.Lib, Store: e.store}
+	if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
+		if err := fix("fix.drc_closure", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }); err != nil {
+			return err
+		}
+	}
+	if it.Breakdown.Noise > 0 {
+		return fix("fix.noise", func() (opt.Report, error) { return opt.FixNoise(ctx, 60) })
+	}
+	return nil
 }
 
 // recoverMargin spends surplus slack on leakage and area once signoff is
@@ -617,17 +611,7 @@ func (e *Engine) recoverMargin(res *Result) error {
 	// MCMM survey clean, not just the recovery view (§2.3's ping-pong).
 	ctx.Verify = func() bool {
 		it, _, _, _, err := e.survey()
-		if err != nil {
-			return false
-		}
-		ok := it.MergedSetupWNS >= 0 && it.MergedHoldWNS >= 0 && it.Breakdown.Total() == 0
-		if !ok && e.Recipe.UsePBA &&
-			it.MergedHoldWNS >= 0 &&
-			it.Breakdown.SetupEndpoints <= it.Breakdown.PBAReclassified &&
-			it.Breakdown.MaxTran+it.Breakdown.MaxCap+it.Breakdown.Noise == 0 {
-			ok = true
-		}
-		return ok
+		return err == nil && e.Recipe.closed(it)
 	}
 	leak, err := opt.LeakageRecovery(ctx, floor, 600)
 	if err != nil {
@@ -647,12 +631,6 @@ func (e *Engine) recoverMargin(res *Result) error {
 	fin.Fixes = []opt.Report{leak, area}
 	res.Final = fin
 	res.Iterations = append(res.Iterations, fin)
-	res.Closed = fin.MergedSetupWNS >= 0 && fin.MergedHoldWNS >= 0 && fin.Breakdown.Total() == 0
-	if !res.Closed && e.Recipe.UsePBA &&
-		fin.MergedHoldWNS >= 0 &&
-		fin.Breakdown.SetupEndpoints <= fin.Breakdown.PBAReclassified &&
-		fin.Breakdown.MaxTran+fin.Breakdown.MaxCap+fin.Breakdown.Noise == 0 {
-		res.Closed = true
-	}
+	res.Closed = e.Recipe.closed(fin)
 	return nil
 }

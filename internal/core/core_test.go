@@ -28,6 +28,23 @@ func engine(t *testing.T, recipe Recipe, period float64, seed int64) *Engine {
 	}
 }
 
+// wantCostsBooked asserts a closure result's cost totals are exactly what its
+// iterations' fix reports add up to, pass by pass in the order they ran.
+func wantCostsBooked(t *testing.T, res *Result) {
+	t.Helper()
+	var area, leak float64
+	for _, it := range res.Iterations {
+		for _, f := range it.Fixes {
+			area += f.AreaDelta
+			leak += f.LeakageDelta
+		}
+	}
+	if math.Abs(res.AreaDelta-area) > 1e-9 || math.Abs(res.LeakageDelta-leak) > 1e-9 {
+		t.Errorf("result books area %v leakage %v, its fix reports sum to area %v leakage %v",
+			res.AreaDelta, res.LeakageDelta, area, leak)
+	}
+}
+
 func TestRecipeValidation(t *testing.T) {
 	if err := (Recipe{Name: "empty"}).Validate(); err == nil {
 		t.Error("empty recipe accepted")
@@ -87,6 +104,7 @@ func TestClosureConvergesOldRecipe(t *testing.T) {
 	if res.LeakageDelta <= 0 {
 		t.Errorf("closure claimed zero/negative leakage cost: %v", res.LeakageDelta)
 	}
+	wantCostsBooked(t, res)
 }
 
 func TestClosureNewRecipe(t *testing.T) {
@@ -113,6 +131,7 @@ func TestClosureNewRecipe(t *testing.T) {
 	if got := len(first.Scenarios); got != 4 {
 		t.Errorf("scenario count = %d, want 4", got)
 	}
+	wantCostsBooked(t, res)
 }
 
 func TestPBAReclassification(t *testing.T) {
@@ -226,6 +245,7 @@ func TestClosureAlreadyClean(t *testing.T) {
 	if res.Final.MergedSetupWNS < 0 || res.Final.MergedHoldWNS < 0 {
 		t.Error("recovery broke timing")
 	}
+	wantCostsBooked(t, res)
 }
 
 func TestSkewScaleDefinition(t *testing.T) {

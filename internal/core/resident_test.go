@@ -321,6 +321,7 @@ func TestCloseFixPhasesSeeCurrentGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCostsBooked(t, res)
 	want := closeOnce(t, engine())
 	buffered := false
 	for _, f := range want[0].Fixes {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -292,4 +293,39 @@ func sortedInts(m map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// Export is the tail a CLI ends a recorded run with: a blank line and the
+// summary on out, then the metrics dump to metricsPath and the Chrome trace
+// to tracePath ("" skips one, "-" is out itself). A nil Recorder writes
+// nothing.
+func (r *Recorder) Export(out io.Writer, metricsPath, tracePath string) error {
+	if r == nil {
+		return nil
+	}
+	fmt.Fprintln(out)
+	r.WriteSummary(out)
+	if err := exportFile(metricsPath, out, r.WriteMetricsJSON); err != nil {
+		return err
+	}
+	return exportFile(tracePath, out, r.WriteChromeTrace)
+}
+
+// exportFile writes one exporter's output to path ("" skips; "-" is out).
+func exportFile(path string, out io.Writer, write func(w io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	if path == "-" {
+		return write(out)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"sort"
+	"strings"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -43,13 +44,9 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 			if rep.Changed >= opts.MaxFixes {
 				break
 			}
-			var net *netlist.Net
-			if v.Kind == "max_cap" {
-				net = v.Pin.Net
-			} else {
-				// max_tran at an input pin: fix the driving net.
-				net = v.Pin.Net
-			}
+			// max_cap at a driver or max_tran at an input pin: either way the
+			// net to fix is the pin's.
+			net := v.Pin.Net
 			if net == nil || seenNet[net] {
 				continue
 			}
@@ -218,16 +215,6 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 	return rep, nil
 }
 
-// pinNameOf extracts the pin name from a "cell/pin" step name.
-func pinNameOf(full string) string {
-	for i := len(full) - 1; i >= 0; i-- {
-		if full[i] == '/' {
-			return full[i+1:]
-		}
-	}
-	return full
-}
-
 // FixHold pads hold-violating endpoints with delay buffers on the D input,
 // guarded by the endpoint's setup headroom.
 func FixHold(ctx *Context, maxFixes int) (Report, error) {
@@ -281,7 +268,8 @@ func FixHold(ctx *Context, maxFixes int) (Report, error) {
 				if st.IsCell || st.Cell == nil || st.Net == nil {
 					continue
 				}
-				pin := st.Cell.Pin(pinNameOf(st.Name))
+				// A step is named "cell/pin".
+				pin := st.Cell.Pin(st.Name[strings.LastIndexByte(st.Name, '/')+1:])
 				if pin == nil || pin.Net != st.Net {
 					continue
 				}

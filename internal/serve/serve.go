@@ -49,10 +49,12 @@ func BadRequest(format string, args ...any) error {
 // recorder: the epoch the answer came from and the reply-cache outcome. It
 // rides the context so bodies report without their signature changing;
 // unlike a full obs.Trace it costs one small allocation, so every request
-// affords one.
+// affords one. TraceID is the spine's to set: the request's identity, which
+// outbound calls made on its behalf carry on (TraceIDFrom).
 type Info struct {
-	Epoch int64
-	Cache string // "hit", "miss", or "" for routes that bypass the cache
+	Epoch   int64
+	Cache   string // "hit", "miss", or "" for routes that bypass the cache
+	TraceID string
 }
 
 type infoKey struct{}
@@ -64,6 +66,15 @@ func InfoFrom(ctx context.Context) *Info {
 		return info
 	}
 	return &Info{}
+}
+
+// TraceIDFrom returns the trace ID of the spine request ctx descends from,
+// or "" off the spine. It never allocates: every outbound client call asks.
+func TraceIDFrom(ctx context.Context) string {
+	if info, ok := ctx.Value(infoKey{}).(*Info); ok {
+		return info.TraceID
+	}
+	return ""
 }
 
 // TraceReport wraps a route's normal response when ?debug=trace is set:
@@ -123,7 +134,7 @@ func (s *Spine) Handle(route, method string, fn Func) http.HandlerFunc {
 			traceID = obs.NewTraceID()
 		}
 		w.Header().Set("X-Trace-Id", traceID)
-		info := &Info{Epoch: -1}
+		info := &Info{Epoch: -1, TraceID: traceID}
 		status := http.StatusOK
 		defer func() {
 			ms := obs.MsSince(start)

@@ -352,7 +352,7 @@ func (a *Analyzer) seedVertex(i int) {
 		return // set_false_path -from: no arrival, no checks
 	}
 	slew := a.Cons.InputSlew
-	if ck := a.Cons.ClockOf(p); ck != nil {
+	if ck := a.Cons.clockOf(p); ck != nil {
 		// Clock root: rising edge at source latency.
 		for el := 0; el < 2; el++ {
 			k := ix4(i, rise, el)
@@ -390,7 +390,7 @@ func (a *Analyzer) seedVertex(i int) {
 func (a *Analyzer) propagateArrivals() error {
 	w := a.workers()
 	t := a.topo
-	for l := 0; l < t.NumLevels(); l++ {
+	for l := 0; l < t.numLevels(); l++ {
 		lvl := t.levelRange(l)
 		if err := a.canceled(); err != nil {
 			return err
@@ -430,7 +430,7 @@ func (a *Analyzer) relaxVertex(j int) {
 		return
 	}
 	if di := a.topo.faninDriver[j]; di >= 0 {
-		a.relaxNetEdge(int(di), j, a.vnd[j], int(a.topo.faninSink[j]))
+		a.relaxNetEdge(int(di), j)
 	}
 }
 
@@ -503,28 +503,18 @@ func (a *Analyzer) merge(i, rf, el int, cand timeVar, slew float64, depth int32,
 	return better
 }
 
-func (a *Analyzer) relaxNetEdge(i, j int, nd *netData, sink int) {
-	// Useful-skew offsets: an intentional delay element on this flip-flop's
-	// clock pin shifts both early and late clock arrivals.
-	extra := 0.0
-	if a.topo.isCKPin[j] && a.Cons != nil {
-		extra = a.Cons.ExtraCKLatency[a.verts[j].pin.Cell]
-		if s := a.Cfg.CKLatencyScale; s > 0 {
-			extra *= s
-		}
-	}
-	srcClock := a.topo.clockPath[i]
+// relaxNetEdge folds driver i's arrivals into sink j across their net edge
+// (netEdgeDelay), degrading the slew by the sink's wire slew.
+func (a *Analyzer) relaxNetEdge(i, j int) {
+	ws := a.vnd[j].sinkSlew[a.topo.faninSink[j]]
 	for rf := 0; rf < 2; rf++ {
 		for el := 0; el < 2; el++ {
 			k := ix4(i, rf, el)
 			if !a.fValid[k] {
 				continue
 			}
-			wire := nd.sinkDelay[el][sink]
-			f := a.Cfg.Derate.Factor(NetDelay, srcClock, el == late, int(a.fDepth[k]))
-			d := wire*f + extra
+			d := a.netEdgeDelay(i, j, rf, el)
 			cand := timeVar{T: a.fArr[k].T + d, Var: a.fArr[k].Var}
-			ws := nd.sinkSlew[sink]
 			s := a.fSlew[k]
 			slew := math.Sqrt(s*s + ws*ws)
 			a.merge(j, rf, el, cand, slew, a.fDepth[k], pred{
@@ -553,20 +543,9 @@ func (a *Analyzer) relaxArc(i, j int, arc *liberty.TimingArc, rfIn, rfOut, el in
 	slewIn := a.fSlew[k]
 	load := nd.totalCap[el]
 	outRise := rfOut == rise
-	d := arc.Delay(outRise, slewIn, load)
 	outSlew := arc.Slew(outRise, slewIn, load)
 	depth := a.fDepth[k] + 1
-	f := a.Cfg.Derate.Factor(CellDelay, a.topo.clockPath[i], el == late, int(depth))
-	d *= f
-	if a.Cfg.MIS {
-		if el == early && arc.MISFactorFast > 0 {
-			d *= arc.MISFactorFast
-		}
-		if el == late && arc.MISFactorSlow > 0 {
-			d *= arc.MISFactorSlow
-		}
-	}
-	d *= a.cellDerate(a.verts[i].pin.Cell, el == late)
+	d := a.arcDelay(arc, i, outRise, el, slewIn, int(depth), load)
 	sigma := a.Cfg.Derate.Sigma(arc, outRise, el == late, slewIn, load, d)
 	cand := timeVar{
 		T:   a.fArr[k].T + d,
@@ -575,21 +554,4 @@ func (a *Analyzer) relaxArc(i, j int, arc *liberty.TimingArc, rfIn, rfOut, el in
 	a.merge(j, rfOut, el, cand, outSlew, depth, pred{
 		v: i, rf: rfIn, cell: true, arc: arc, delay: d, sigma: sigma,
 	})
-}
-
-// cellDerate evaluates the per-instance (IR-drop) derate for a cell, with
-// the late/early clamping documented on Config.CellDerate.
-func (a *Analyzer) cellDerate(c *netlist.Cell, lateSide bool) float64 {
-	if a.Cfg.CellDerate == nil || c == nil {
-		return 1
-	}
-	f := a.Cfg.CellDerate(c)
-	if lateSide {
-		if f < 1 {
-			return 1
-		}
-	} else if f > 1 {
-		return 1
-	}
-	return f
 }

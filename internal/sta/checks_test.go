@@ -380,7 +380,7 @@ func TestResidentChecksMatchReferenceBitwise(t *testing.T) {
 								swapped++
 							}
 						}
-						if a.structDirty || !a.Dirty() {
+						if a.structDirty || !a.dirty() {
 							t.Fatalf("%s round %d: script did not stay incremental", ctx, round)
 						}
 						if err := a.Update(); err != nil {

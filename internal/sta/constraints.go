@@ -79,8 +79,8 @@ func (c *Constraints) AddClock(name string, period units.Ps, roots ...*netlist.P
 	return ck
 }
 
-// ClockOf returns the clock rooted at the port, or nil.
-func (c *Constraints) ClockOf(p *netlist.Port) *Clock {
+// clockOf returns the clock rooted at the port, or nil.
+func (c *Constraints) clockOf(p *netlist.Port) *Clock {
 	for _, ck := range c.Clocks {
 		for _, r := range ck.Roots {
 			if r == p {

@@ -443,7 +443,7 @@ func (a *Analyzer) regraph() (err error) {
 	a.clearDirty()
 	a.revision = d.Revision()
 	a.obsGraphVerts.Set(float64(nv))
-	a.obsGraphLevels.Set(float64(a.topo.NumLevels()))
+	a.obsGraphLevels.Set(float64(a.topo.numLevels()))
 	return nil
 }
 

@@ -69,8 +69,8 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 	}
 }
 
-// Dirty reports whether invalidations are pending.
-func (a *Analyzer) Dirty() bool {
+// dirty reports whether invalidations are pending.
+func (a *Analyzer) dirty() bool {
 	return a.structDirty || len(a.dirtyNets) > 0 || len(a.dirtyVerts) > 0 || len(a.dirtyReq) > 0
 }
 
@@ -139,7 +139,7 @@ type levelQueue struct {
 
 func (a *Analyzer) newLevelQueue() *levelQueue {
 	return &levelQueue{
-		buckets: make([][]int, a.topo.NumLevels()),
+		buckets: make([][]int, a.topo.numLevels()),
 		mark:    make([]uint32, len(a.verts)),
 		gen:     1,
 	}
@@ -243,7 +243,7 @@ func (a *Analyzer) Update() error {
 		a.obsFullRunFallback.Add(1)
 		return a.Run()
 	}
-	if !a.Dirty() {
+	if !a.dirty() {
 		return nil
 	}
 	sp := a.Cfg.Obs.Start("sta.update", a.Cfg.ObsSpan)

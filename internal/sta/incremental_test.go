@@ -155,7 +155,7 @@ func TestIncrementalUpdateMatchesFullRun(t *testing.T) {
 			if swapped == 0 {
 				t.Fatalf("seed %d round %d: no swappable cells", seed, round)
 			}
-			if !inc.Dirty() {
+			if !inc.dirty() {
 				t.Fatalf("seed %d round %d: analyzer not dirty after invalidation", seed, round)
 			}
 			if err := inc.Update(); err != nil {
@@ -173,7 +173,7 @@ func TestIncrementalUpdateMatchesFullRun(t *testing.T) {
 			}
 			compareState(t, inc, fresh, "incremental vs full run")
 			// With nothing dirty, Update must be a no-op.
-			if inc.Dirty() {
+			if inc.dirty() {
 				t.Fatal("dirty after Update")
 			}
 			if err := inc.Update(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"newgame/internal/liberty"
-	"newgame/internal/netlist"
 	"newgame/internal/units"
 )
 
@@ -118,49 +117,13 @@ type inEdge struct {
 	arc   *liberty.TimingArc
 }
 
-// inEdgesLate enumerates the in-edges of vertex i for output transition rf,
-// with delays recomputed exactly as the forward late pass used them,
+// inEdgesLate enumerates the in-edges of vertex i for output transition rf
+// at the delays the forward late pass charged them (netEdgeDelay, arcDelay),
 // ordered by decreasing (source arrival + delay).
 func (a *Analyzer) inEdgesLate(i, rf int) []inEdge {
-	v := a.verts[i]
 	var out []inEdge
-	switch a.topo.kind[i] {
-	case vkInPin, vkOutPort:
-		// Net edge from the driver.
-		var net *netlist.Net
-		if v.pin != nil {
-			net = v.pin.Net
-		} else {
-			net = v.port.Net
-		}
-		if net == nil {
-			return nil
-		}
-		nd := a.nets[net]
-		var srcV int = -1
-		if net.Driver != nil {
-			srcV = a.pinIdx[net.Driver]
-		} else if net.Port != nil && net.Port.Dir == netlist.Input {
-			srcV = a.portIdx[net.Port]
-		}
-		if srcV < 0 || nd == nil {
-			return nil
-		}
-		sink := a.sinkIndexOf(net, i)
-		if sink < 0 || sink >= len(nd.sinkDelay[late]) {
-			return nil
-		}
-		extra := 0.0
-		if a.topo.isCKPin[i] && a.Cons != nil {
-			extra = a.Cons.ExtraCKLatency[v.pin.Cell]
-			if s := a.Cfg.CKLatencyScale; s > 0 {
-				extra *= s
-			}
-		}
-		f := a.Cfg.Derate.Factor(NetDelay, a.topo.clockPath[srcV], true, int(a.fDepth[ix4(srcV, rf, late)]))
-		out = append(out, inEdge{v: srcV, rf: rf, delay: nd.sinkDelay[late][sink]*f + extra})
-	case vkOutPin:
-		nd := a.nets[v.pin.Net]
+	if a.topo.kind[i] == vkOutPin {
+		nd := a.vnd[i]
 		for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
 			fv := int(ar.other)
 			for _, rfIn := range inTransitions(ar.arc.Sense, rf) {
@@ -171,6 +134,9 @@ func (a *Analyzer) inEdgesLate(i, rf int) []inEdge {
 				out = append(out, inEdge{v: fv, rf: rfIn, delay: d, cell: true, arc: ar.arc})
 			}
 		}
+	} else if src := int(a.topo.faninDriver[i]); src >= 0 {
+		// Input pin or output port: the one net edge from its driver.
+		out = append(out, inEdge{v: src, rf: rf, delay: a.netEdgeDelay(src, i, rf, late)})
 	}
 	sort.SliceStable(out, func(x, y int) bool {
 		ax := a.fArr[ix4(out[x].v, out[x].rf, late)].T + out[x].delay
@@ -191,17 +157,4 @@ func inTransitions(s liberty.ArcSense, rfOut int) []int {
 	default:
 		return []int{rise, fall}
 	}
-}
-
-// sinkIndexOf locates vertex i's sink index on a net.
-func (a *Analyzer) sinkIndexOf(net *netlist.Net, i int) int {
-	if p := a.verts[i].pin; p != nil {
-		for si, l := range net.Loads {
-			if l == p {
-				return si
-			}
-		}
-		return -1
-	}
-	return len(net.Loads) // output port sink is last
 }

@@ -179,7 +179,7 @@ func TestRegraphIsObservable(t *testing.T) {
 			first.NumVerts(), before, second.SharedTopology(), first.SharedTopology())
 	}
 	if regraphs.Value() != 2 || shared.Value() != 2 || verts.Value() != float64(before+2) ||
-		rec.Gauge("sta.graph_levels").Value() != float64(first.Topology().NumLevels()) {
+		rec.Gauge("sta.graph_levels").Value() != float64(first.Topology().numLevels()) {
 		t.Fatalf("after the buffer: regraphs %d, adoptions %d, graph_vertices %v, want 2, 2, %d",
 			regraphs.Value(), shared.Value(), verts.Value(), before+2)
 	}

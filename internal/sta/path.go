@@ -180,30 +180,15 @@ func (a *Analyzer) PBA(p Path) PBAResult {
 			// Wire edge: delay independent of slew; reuse GBA delay and
 			// degrade slew along this path only.
 			t += st.Delay
-			ws := a.wireSlewInto(st.vid)
+			ws := a.vnd[st.vid].sinkSlew[a.topo.faninSink[st.vid]]
 			slew = math.Sqrt(slew*slew + ws*ws)
 			continue
 		}
 		depth++
 		arc := st.arc
 		outRise := st.RF == rise
-		nd := a.netOfVertex(st.vid)
-		load := 0.0
-		if nd != nil {
-			load = nd.totalCap[el]
-		}
-		d := arc.Delay(outRise, slew, load)
-		f := a.Cfg.Derate.Factor(CellDelay, a.topo.clockPath[st.vid], lateSide, depth)
-		d *= f
-		if a.Cfg.MIS {
-			if el == early && arc.MISFactorFast > 0 {
-				d *= arc.MISFactorFast
-			}
-			if el == late && arc.MISFactorSlow > 0 {
-				d *= arc.MISFactorSlow
-			}
-		}
-		d *= a.cellDerate(st.Cell, lateSide)
+		load := a.vnd[st.vid].totalCap[el]
+		d := a.arcDelay(arc, p.Steps[k-1].vid, outRise, el, slew, depth, load)
 		sg := a.Cfg.Derate.Sigma(arc, outRise, lateSide, slew, load, d)
 		variance += sg * sg
 		t += d
@@ -219,47 +204,4 @@ func (a *Analyzer) PBA(p Path) PBAResult {
 	}
 	res.Pessimism = res.Slack - p.GBASlack
 	return res
-}
-
-// netOfVertex returns the net data of the net driving into vertex i's cell
-// output (for cell-arc steps, i is the output pin vertex).
-func (a *Analyzer) netOfVertex(i int) *netData {
-	v := a.verts[i]
-	if v.pin != nil && v.pin.Net != nil {
-		return a.nets[v.pin.Net]
-	}
-	return nil
-}
-
-// wireSlewInto returns the wire slew degradation of the net edge ending at
-// vertex i (a load pin or output port).
-func (a *Analyzer) wireSlewInto(i int) float64 {
-	v := a.verts[i]
-	var net *netlist.Net
-	var me *netlist.Pin
-	if v.pin != nil {
-		net = v.pin.Net
-		me = v.pin
-	} else if v.port != nil {
-		net = v.port.Net
-	}
-	if net == nil {
-		return 0
-	}
-	nd := a.nets[net]
-	if nd == nil {
-		return 0
-	}
-	if me != nil {
-		for si, l := range net.Loads {
-			if l == me {
-				return nd.sinkSlew[si]
-			}
-		}
-	}
-	// Output port sink is last.
-	if len(nd.sinkSlew) > 0 {
-		return nd.sinkSlew[len(nd.sinkSlew)-1]
-	}
-	return 0
 }

@@ -19,7 +19,7 @@ func (a *Analyzer) propagateRequired() error {
 	}
 	w := a.workers()
 	t := a.topo
-	for li := t.NumLevels() - 1; li >= 0; li-- {
+	for li := t.numLevels() - 1; li >= 0; li-- {
 		lvl := t.levelRange(li)
 		if err := a.canceled(); err != nil {
 			return err
@@ -79,34 +79,24 @@ func (a *Analyzer) lowerReq(i, rf int, r float64) {
 	}
 }
 
-// pullNetRequired pulls sink required times back to driving vertex i. For a
-// driver the CSR successor position doubles as the sink index into the
-// net's delay results (loads in order, then the output port), so the pull
-// is one pass over the frozen successor range.
+// pullNetRequired pulls sink required times back to driving vertex i across
+// the net edges the forward pass relaxed (netEdgeDelay), one pass over the
+// frozen successor range.
 func (a *Analyzer) pullNetRequired(i int) {
 	t := a.topo
-	succ := t.succ[t.succOff[i]:t.succOff[i+1]]
-	if len(succ) == 0 {
-		return // unloaded driver
-	}
-	nd := a.vnd[i]
-	srcClock := t.clockPath[i]
-	for sink, j32 := range succ {
+	for _, j32 := range t.succ[t.succOff[i]:t.succOff[i+1]] {
 		j := int(j32)
 		for rf := 0; rf < 2; rf++ {
-			ki := ix4(i, rf, late)
-			if !a.rValid[ix4(j, rf, late)] || !a.fValid[ki] {
+			if !a.rValid[ix4(j, rf, late)] || !a.fValid[ix4(i, rf, late)] {
 				continue
 			}
-			f := a.Cfg.Derate.Factor(NetDelay, srcClock, true, int(a.fDepth[ki]))
-			a.lowerReq(i, rf, a.fReq[ix4(j, rf, late)]-nd.sinkDelay[late][sink]*f)
+			a.lowerReq(i, rf, a.fReq[ix4(j, rf, late)]-a.netEdgeDelay(i, j, rf, late))
 		}
 	}
 }
 
 // pullArcRequired pulls output-pin required times back through the prebuilt
-// cell-arc group to input pin i, recomputing the same derated delays the
-// forward pass used.
+// cell-arc group to input pin i.
 func (a *Analyzer) pullArcRequired(i int) {
 	for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
 		j := int(ar.other)
@@ -131,17 +121,9 @@ func (a *Analyzer) pullArcRequired(i int) {
 	}
 }
 
-// lateArcDelay recomputes the derated late delay of an arc out of input
-// vertex i exactly as the forward pass did.
+// lateArcDelay is arcDelay at input vertex i's merged late slew and depth:
+// what the forward late pass charged the arc into the output driving nd.
 func (a *Analyzer) lateArcDelay(arc *liberty.TimingArc, i, rfIn, rfOut int, nd *netData) float64 {
 	k := ix4(i, rfIn, late)
-	slewIn := a.fSlew[k]
-	load := nd.totalCap[late]
-	d := arc.Delay(rfOut == rise, slewIn, load)
-	d *= a.Cfg.Derate.Factor(CellDelay, a.topo.clockPath[i], true, int(a.fDepth[k])+1)
-	if a.Cfg.MIS && arc.MISFactorSlow > 0 {
-		d *= arc.MISFactorSlow
-	}
-	d *= a.cellDerate(a.verts[i].pin.Cell, true)
-	return d
+	return a.arcDelay(arc, i, rfOut == rise, late, a.fSlew[k], int(a.fDepth[k])+1, nd.totalCap[late])
 }

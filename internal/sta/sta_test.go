@@ -409,31 +409,96 @@ func TestTNSAndWNSConsistency(t *testing.T) {
 
 func TestPinSlackConsistentWithEndpoint(t *testing.T) {
 	lib := testLib()
-	a, d, _ := chainSetup(t, lib, 10, 400, Config{})
-	eps := a.EndpointSlacks(Setup)
-	if len(eps) == 0 {
-		t.Fatal("no endpoints")
-	}
-	worst := eps[0]
-	if worst.Pin == nil {
-		t.Skip("worst endpoint is a port")
-	}
-	ps := a.PinSetupSlack(worst.Pin)
-	if math.Abs(ps-worst.Slack) > 1e-6 {
-		t.Errorf("pin slack (%v) != endpoint slack (%v)", ps, worst.Slack)
-	}
-	// Slack at cells on the worst path must not exceed... they must be <=
-	// any non-path cell's best possible? Check simply that every chain
-	// gate sees the same worst slack (single path).
-	for i := 0; i < 10; i++ {
-		g := d.Cell("g" + string(rune('0'+i)))
-		if g == nil {
-			continue
+	for _, skew := range []float64{0, 50} {
+		a, d, cons := chainSetup(t, lib, 10, 400, Config{})
+		if skew != 0 {
+			cons.ExtraCKLatency[d.Cell("ff_launch")] = skew
+			if err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		cs := a.CellSetupSlack(g)
-		if math.Abs(cs-worst.Slack) > 1 {
-			t.Errorf("chain gate %s slack %v != endpoint %v", g.Name, cs, worst.Slack)
+		eps := a.EndpointSlacks(Setup)
+		if len(eps) == 0 {
+			t.Fatal("no endpoints")
 		}
+		worst := eps[0]
+		if worst.Pin == nil {
+			t.Skip("worst endpoint is a port")
+		}
+		ps := a.PinSetupSlack(worst.Pin)
+		if math.Abs(ps-worst.Slack) > 1e-6 {
+			t.Errorf("skew %v: pin slack (%v) != endpoint slack (%v)", skew, ps, worst.Slack)
+		}
+		// Single path: every chain gate, and the clock port that launches
+		// it, sees the endpoint's slack.
+		for i := 0; i < 10; i++ {
+			g := d.Cell("g" + string(rune('0'+i)))
+			cs := a.CellSetupSlack(g)
+			if math.Abs(cs-worst.Slack) > 1 {
+				t.Errorf("skew %v: chain gate %s slack %v != endpoint %v", skew, g.Name, cs, worst.Slack)
+			}
+		}
+		if cs := a.PortSetupSlack(d.Port("clk")); math.Abs(cs-worst.Slack) > 1e-6 {
+			t.Errorf("skew %v: clock port slack %v != endpoint %v", skew, cs, worst.Slack)
+		}
+	}
+}
+
+// TestUsefulSkewReachesRequiredTimes: the required-time pull charges a clock
+// pin's net edge the useful-skew offset the forward pass added to it, so the
+// port driving a skewed flop reports that flop's slack — after a full Run and
+// after an incremental Update alike.
+func TestUsefulSkewReachesRequiredTimes(t *testing.T) {
+	lib := testLib()
+	a, d, cons := chainSetup(t, lib, 6, 400, Config{})
+	launch := d.Cell("ff_launch")
+	cons.ExtraCKLatency[launch] = 50
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		port, pin := a.PortSetupSlack(d.Port("clk")), a.PinSetupSlack(launch.Pin("CK"))
+		if math.Abs(port-pin) > 1e-9 {
+			t.Errorf("%s: clk port slack %v != ff_launch/CK slack %v", when, port, pin)
+		}
+		if wns := a.WorstSlack(Setup); math.Abs(pin-wns) > 1e-9 {
+			t.Errorf("%s: ff_launch/CK slack %v != WNS %v", when, pin, wns)
+		}
+	}
+	check("after Run")
+	g := d.Cell("g3")
+	g.SetType(liberty.CellName("INV", 2, liberty.SVT))
+	a.InvalidateCell(g)
+	if err := a.Update(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Update")
+}
+
+// clockCellDerate slows clock-network cells only: a Derater that reads the
+// clockPath flag no shipped one does.
+type clockCellDerate struct{ NoDerate }
+
+func (clockCellDerate) Factor(kind DelayKind, clockPath, late bool, depth int) float64 {
+	if kind == CellDelay && clockPath {
+		return 1.25
+	}
+	return 1
+}
+
+// TestPBAAppliesTheGBADelayRule: on a single-path chain there is no merged
+// slew or depth to recover, so PBA must reproduce the GBA arrival exactly —
+// including which arcs (the launch flop's CK→Q) count as clock-path.
+func TestPBAAppliesTheGBADelayRule(t *testing.T) {
+	a, _, _ := chainSetup(t, testLib(), 6, 400, Config{Derate: clockCellDerate{}})
+	paths := a.WorstPaths(Setup, 1)
+	if len(paths) == 0 {
+		t.Fatal("no setup path")
+	}
+	if r := a.PBA(paths[0]); math.Abs(r.Pessimism) > 1e-9 {
+		t.Errorf("PBA pessimism on a single-path chain = %v, want 0 (GBA %v, PBA %v)",
+			r.Pessimism, r.GBAArrival, r.PBAArrival)
 	}
 }
 

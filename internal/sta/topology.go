@@ -74,8 +74,8 @@ type Topology struct {
 // NumVerts returns the vertex count of the frozen graph.
 func (t *Topology) NumVerts() int { return len(t.kind) }
 
-// NumLevels returns the number of level wavefronts.
-func (t *Topology) NumLevels() int { return len(t.levelOff) - 1 }
+// numLevels returns the number of level wavefronts.
+func (t *Topology) numLevels() int { return len(t.levelOff) - 1 }
 
 // levelRange returns level l's vertices.
 func (t *Topology) levelRange(l int) []int32 {

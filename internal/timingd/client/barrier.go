@@ -13,7 +13,7 @@ import (
 // shard answers 409.
 func (c *Client) Prepare(ctx context.Context, txn string, baseEpoch int64, ops []timingd.Op) (timingd.PrepareResponse, error) {
 	var out timingd.PrepareResponse
-	err := c.do(ctx, http.MethodPost, "/cluster/prepare",
+	err := c.Do(ctx, http.MethodPost, "/cluster/prepare",
 		timingd.PrepareRequest{Txn: txn, BaseEpoch: baseEpoch, Ops: ops}, &out)
 	return out, err
 }
@@ -22,7 +22,7 @@ func (c *Client) Prepare(ctx context.Context, txn string, baseEpoch int64, ops [
 // epoch. Committing an unknown (expired or aborted) txn is a 409.
 func (c *Client) CommitTxn(ctx context.Context, txn string) (timingd.TxnResponse, error) {
 	var out timingd.TxnResponse
-	err := c.do(ctx, http.MethodPost, "/cluster/commit", timingd.TxnRequest{Txn: txn}, &out)
+	err := c.Do(ctx, http.MethodPost, "/cluster/commit", timingd.TxnRequest{Txn: txn}, &out)
 	return out, err
 }
 
@@ -30,7 +30,7 @@ func (c *Client) CommitTxn(ctx context.Context, txn string) (timingd.TxnResponse
 // unknown txn answers Done=false with status 200.
 func (c *Client) AbortTxn(ctx context.Context, txn string) (timingd.TxnResponse, error) {
 	var out timingd.TxnResponse
-	err := c.do(ctx, http.MethodPost, "/cluster/abort", timingd.TxnRequest{Txn: txn}, &out)
+	err := c.Do(ctx, http.MethodPost, "/cluster/abort", timingd.TxnRequest{Txn: txn}, &out)
 	return out, err
 }
 
@@ -38,6 +38,6 @@ func (c *Client) AbortTxn(ctx context.Context, txn string) (timingd.TxnResponse,
 // scenario set and any pending transaction.
 func (c *Client) ClusterInfo(ctx context.Context) (timingd.ClusterInfo, error) {
 	var out timingd.ClusterInfo
-	err := c.do(ctx, http.MethodGet, "/cluster/info", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/cluster/info", nil, &out)
 	return out, err
 }

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"time"
 
+	"newgame/internal/serve"
 	"newgame/internal/timingd"
 )
 
@@ -59,12 +60,16 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues the request, transparently retrying backpressure refusals
-// within the client's RetryPolicy: exponential backoff from BaseDelay,
-// floored at the server's Retry-After advice, jittered, bounded by
-// MaxAttempts and MaxElapsed. An exhausted budget returns the last 429
-// unchanged, so IsBackpressure still classifies it.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// Do issues one API call — body JSON-encoded when non-nil, a 2xx answer
+// decoded into out when non-nil, anything else a *StatusError — and is the
+// one outbound request path of the repository: the typed methods, the
+// cluster coordinator's verbatim forwards and the worker agent all end
+// here. Backpressure refusals are retried within the client's RetryPolicy:
+// exponential backoff from BaseDelay, floored at the server's Retry-After
+// advice, jittered, bounded by MaxAttempts and MaxElapsed. An exhausted
+// budget returns the last 429 unchanged, so IsBackpressure still classifies
+// it.
+func (c *Client) Do(ctx context.Context, method, path string, body, out any) error {
 	p := c.Retry.withDefaults()
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
@@ -86,6 +91,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
+// maxResponseBytes caps how much of an answer doOnce reads: several times
+// the largest report the daemon renders (/triage, /paths?k=1000), small
+// enough that a misbehaving peer cannot exhaust the caller's memory.
+const maxResponseBytes = 64 << 20
+
 func (c *Client) doOnce(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -102,14 +112,22 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	// A call made while serving a spine request carries that request's
+	// trace ID on, so one ID follows it through every process it touches.
+	if id := serve.TraceIDFrom(ctx); id != "" {
+		req.Header.Set("X-Trace-Id", id)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return err
+	}
+	if len(data) > maxResponseBytes {
+		return fmt.Errorf("timingd: %s %s: response exceeds the %d-byte limit", method, path, maxResponseBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		var eb struct {
@@ -131,7 +149,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 // Slack fetches the merged per-scenario WNS/TNS summary.
 func (c *Client) Slack(ctx context.Context) (timingd.SlackReport, error) {
 	var out timingd.SlackReport
-	err := c.do(ctx, http.MethodGet, "/slack", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/slack", nil, &out)
 	return out, err
 }
 
@@ -149,7 +167,7 @@ func (c *Client) Endpoints(ctx context.Context, scenario, kind string, limit int
 		q.Set("limit", strconv.Itoa(limit))
 	}
 	var out timingd.EndpointsReport
-	err := c.do(ctx, http.MethodGet, "/endpoints?"+q.Encode(), nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/endpoints?"+q.Encode(), nil, &out)
 	return out, err
 }
 
@@ -167,7 +185,7 @@ func (c *Client) Paths(ctx context.Context, scenario, kind string, k int) (timin
 		q.Set("k", strconv.Itoa(k))
 	}
 	var out timingd.PathsReport
-	err := c.do(ctx, http.MethodGet, "/paths?"+q.Encode(), nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/paths?"+q.Encode(), nil, &out)
 	return out, err
 }
 
@@ -188,31 +206,27 @@ func (c *Client) TriageExtract(ctx context.Context, scenario, k, window string) 
 		q.Set("window", window)
 	}
 	var out timingd.TriageExtract
-	err := c.do(ctx, http.MethodGet, "/triage/extract?"+q.Encode(), nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/triage/extract?"+q.Encode(), nil, &out)
 	return out, err
 }
 
 // WhatIf evaluates ops against the current baseline and rolls them back.
 func (c *Client) WhatIf(ctx context.Context, ops []timingd.Op) (timingd.WhatIfReport, error) {
 	var out timingd.WhatIfReport
-	err := c.do(ctx, http.MethodPost, "/whatif", struct {
-		Ops []timingd.Op `json:"ops"`
-	}{ops}, &out)
+	err := c.Do(ctx, http.MethodPost, "/whatif", timingd.OpsBody{Ops: ops}, &out)
 	return out, err
 }
 
 // Commit applies ops as an ECO, advancing the epoch.
 func (c *Client) Commit(ctx context.Context, ops []timingd.Op) (timingd.WhatIfReport, error) {
 	var out timingd.WhatIfReport
-	err := c.do(ctx, http.MethodPost, "/eco", struct {
-		Ops []timingd.Op `json:"ops"`
-	}{ops}, &out)
+	err := c.Do(ctx, http.MethodPost, "/eco", timingd.OpsBody{Ops: ops}, &out)
 	return out, err
 }
 
 // Health fetches the liveness summary (never queued server-side).
 func (c *Client) Health(ctx context.Context) (timingd.Health, error) {
 	var out timingd.Health
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	err := c.Do(ctx, http.MethodGet, "/healthz", nil, &out)
 	return out, err
 }

@@ -164,9 +164,9 @@ func TestTracedECOCarriesSTASpans(t *testing.T) {
 // status and latency filled in.
 func TestDebugRequestsRecordsTraffic(t *testing.T) {
 	_, hs := newTestServer(t, nil)
-	get(t, hs.URL, "/slack")             // miss
-	get(t, hs.URL, "/slack")             // hit
-	get(t, hs.URL, "/paths?k=zero")      // 400
+	get(t, hs.URL, "/slack")        // miss
+	get(t, hs.URL, "/slack")        // hit
+	get(t, hs.URL, "/paths?k=zero") // 400
 	code, b := get(t, hs.URL, "/debug/requests")
 	if code != 200 {
 		t.Fatalf("/debug/requests answered %d", code)

@@ -230,13 +230,17 @@ func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]by
 	})
 }
 
-// opsBody is the request body of /whatif and /eco.
-type opsBody struct {
+// OpsBody is the request body of /whatif and /eco.
+type OpsBody struct {
 	Ops []Op `json:"ops"`
 }
 
-func decodeOps(r *http.Request) ([]Op, error) {
-	var body opsBody
+// DecodeOps reads a /whatif or /eco request: the bounded, strict decode of
+// the serving spine, then the one rule every role applies before acting —
+// a request must carry at least one op. A coordinator decodes with it too,
+// so a request refused here is refused identically through a cluster.
+func DecodeOps(r *http.Request) ([]Op, error) {
+	var body OpsBody
 	if err := serve.Decode(r, &body); err != nil {
 		return nil, err
 	}
@@ -247,7 +251,7 @@ func decodeOps(r *http.Request) ([]Op, error) {
 }
 
 func (s *Server) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, error) {
-	ops, err := decodeOps(r)
+	ops, err := DecodeOps(r)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +266,7 @@ func (s *Server) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, err
 }
 
 func (s *Server) handleECO(ctx context.Context, r *http.Request) ([]byte, error) {
-	ops, err := decodeOps(r)
+	ops, err := DecodeOps(r)
 	if err != nil {
 		return nil, err
 	}

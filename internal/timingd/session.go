@@ -3,11 +3,11 @@ package timingd
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"newgame/internal/core"
 	"newgame/internal/netlist"
 	"newgame/internal/sta"
-	"sync"
 )
 
 // session is one epoch snapshot: the timed scenario set (core.Views) over a

@@ -21,7 +21,7 @@ type Cluster struct {
 	DominantSegment string `json:"dominant_segment"`
 	// DominantScenario is the member scenario contributing the most
 	// negative summed slack.
-	DominantScenario string `json:"dominant_scenario"`
+	DominantScenario string      `json:"dominant_scenario"`
 	Violations       []Violation `json:"violations"`
 }
 
