@@ -56,39 +56,32 @@ func (d *Design) Blueprint() *Blueprint {
 		Nets:    make([]BlueprintNet, len(d.Nets)),
 		Ports:   make([]BlueprintPort, len(d.Ports)),
 	}
-	pinRef := make(map[*Pin]PinRef)
 	for ci, c := range d.Cells {
 		bc := BlueprintCell{Name: c.Name, TypeName: c.TypeName, Pins: make([]PinDecl, len(c.Pins))}
 		for pi, p := range c.Pins {
 			bc.Pins[pi] = PinDecl{Name: p.Name, Dir: p.Dir}
-			pinRef[p] = PinRef{Cell: int32(ci), Pin: int32(pi)}
 		}
 		bp.Cells[ci] = bc
 	}
-	portIdx := make(map[*Port]int32, len(d.Ports))
-	for pi, p := range d.Ports {
-		portIdx[p] = int32(pi)
-	}
-	netIdx := make(map[*Net]int32, len(d.Nets))
+	pinRef := func(p *Pin) PinRef { return PinRef{Cell: int32(p.Cell.idx), Pin: int32(p.ord)} }
 	for ni, n := range d.Nets {
-		netIdx[n] = int32(ni)
 		bn := BlueprintNet{Name: n.Name, Driver: PinRef{Cell: -1, Pin: -1}, Port: -1}
 		if n.Driver != nil {
-			bn.Driver = pinRef[n.Driver]
+			bn.Driver = pinRef(n.Driver)
 		}
 		if len(n.Loads) > 0 {
 			bn.Loads = make([]PinRef, len(n.Loads))
 			for li, l := range n.Loads {
-				bn.Loads[li] = pinRef[l]
+				bn.Loads[li] = pinRef(l)
 			}
 		}
 		if n.Port != nil {
-			bn.Port = portIdx[n.Port]
+			bn.Port = int32(n.Port.idx)
 		}
 		bp.Nets[ni] = bn
 	}
 	for pi, p := range d.Ports {
-		bp.Ports[pi] = BlueprintPort{Name: p.Name, Dir: p.Dir, Net: netIdx[p.Net]}
+		bp.Ports[pi] = BlueprintPort{Name: p.Name, Dir: p.Dir, Net: int32(p.Net.idx)}
 	}
 	return bp
 }
@@ -128,7 +121,7 @@ func FromBlueprint(bp *Blueprint) (*Design, error) {
 		if n.Port != nil {
 			return nil, fmt.Errorf("netlist: blueprint net %q claimed by two ports", n.Name)
 		}
-		p := &Port{Name: bport.Name, Dir: bport.Dir, Net: n}
+		p := &Port{Name: bport.Name, Dir: bport.Dir, Net: n, idx: len(d.Ports)}
 		n.Port = p
 		d.Ports = append(d.Ports, p)
 		d.portsByName[p.Name] = p

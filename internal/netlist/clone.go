@@ -10,45 +10,48 @@ package netlist
 func (d *Design) Clone() *Design {
 	nd := New(d.Name)
 	nd.nameSeq = d.nameSeq
-	netMap := make(map[*Net]*Net, len(d.Nets))
-	pinMap := make(map[*Pin]*Pin)
 	// Nets first (empty shells), preserving slice order — optimization
 	// passes and delay calculation iterate d.Nets, so clone analysis must
 	// see the exact same order.
 	for _, n := range d.Nets {
-		nn := &Net{Name: n.Name}
+		nn := &Net{Name: n.Name, idx: n.idx}
 		nd.Nets = append(nd.Nets, nn)
 		nd.netsByName[nn.Name] = nn
-		netMap[n] = nn
+	}
+	netOf := func(n *Net) *Net {
+		if n == nil {
+			return nil
+		}
+		return nd.Nets[n.idx]
 	}
 	for _, c := range d.Cells {
-		nc := &Cell{Name: c.Name, TypeName: c.TypeName, pinsByName: make(map[string]*Pin, len(c.Pins))}
+		nc := &Cell{Name: c.Name, TypeName: c.TypeName, pinsByName: make(map[string]*Pin, len(c.Pins)), idx: c.idx}
 		for _, p := range c.Pins {
-			np := &Pin{Name: p.Name, Dir: p.Dir, Cell: nc, Net: netMap[p.Net]}
+			np := &Pin{Name: p.Name, Dir: p.Dir, Cell: nc, Net: netOf(p.Net), ord: p.ord}
 			nc.Pins = append(nc.Pins, np)
 			nc.pinsByName[np.Name] = np
-			pinMap[p] = np
 		}
 		nd.Cells = append(nd.Cells, nc)
 		nd.cellsByName[nc.Name] = nc
 	}
 	for _, p := range d.Ports {
-		np := &Port{Name: p.Name, Dir: p.Dir, Net: netMap[p.Net]}
+		np := &Port{Name: p.Name, Dir: p.Dir, Net: netOf(p.Net), idx: p.idx}
 		nd.Ports = append(nd.Ports, np)
 		nd.portsByName[np.Name] = np
 		if np.Net != nil {
 			np.Net.Port = np
 		}
 	}
-	for _, n := range d.Nets {
-		nn := netMap[n]
+	pinOf := func(p *Pin) *Pin { return nd.Cells[p.Cell.idx].Pins[p.ord] }
+	for i, n := range d.Nets {
+		nn := nd.Nets[i]
 		if n.Driver != nil {
-			nn.Driver = pinMap[n.Driver]
+			nn.Driver = pinOf(n.Driver)
 		}
 		if len(n.Loads) > 0 {
 			nn.Loads = make([]*Pin, len(n.Loads))
-			for i, l := range n.Loads {
-				nn.Loads[i] = pinMap[l]
+			for li, l := range n.Loads {
+				nn.Loads[li] = pinOf(l)
 			}
 		}
 	}

@@ -128,16 +128,40 @@ func FuzzDesignOps(f *testing.F) {
 		}
 		checkStructure(t, d)
 		checkStructure(t, clone)
+		rebuilt, err := FromBlueprint(d.Blueprint())
+		if err != nil {
+			t.Fatalf("FromBlueprint(Blueprint()): %v", err)
+		}
+		checkStructure(t, rebuilt)
 		d.Stats()
 	})
 }
 
 // checkStructure asserts the bidirectional pin↔net bookkeeping every op
 // must preserve: a connected pin appears in exactly the right role on
-// its net, and every driver/load the net lists points back at it.
+// its net, and every driver/load the net lists points back at it — and that
+// the design's numbering is dense: every object's Index is its position.
 func checkStructure(t *testing.T, d *Design) {
 	t.Helper()
-	for _, n := range d.Nets {
+	for i, c := range d.Cells {
+		if c.Index() != i {
+			t.Fatalf("cell %q at position %d has Index %d", c.Name, i, c.Index())
+		}
+		for k, p := range c.Pins {
+			if p.Index() != k {
+				t.Fatalf("pin %s at position %d has Index %d", p.FullName(), k, p.Index())
+			}
+		}
+	}
+	for i, p := range d.Ports {
+		if p.Index() != i {
+			t.Fatalf("port %q at position %d has Index %d", p.Name, i, p.Index())
+		}
+	}
+	for i, n := range d.Nets {
+		if n.Index() != i {
+			t.Fatalf("net %q at position %d has Index %d", n.Name, i, n.Index())
+		}
 		if n.Driver != nil && n.Driver.Net != n {
 			t.Fatalf("net %q driver %s points at net %v", n.Name, n.Driver.FullName(), n.Driver.Net)
 		}

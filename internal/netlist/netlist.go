@@ -39,7 +39,12 @@ type Pin struct {
 	Dir  PinDir
 	Cell *Cell
 	Net  *Net
+
+	ord int
 }
+
+// Index returns the pin's position in its cell's Pins.
+func (p *Pin) Index() int { return p.ord }
 
 // FullName returns "cell/pin", the conventional hierarchical pin name.
 func (p *Pin) FullName() string { return p.Cell.Name + "/" + p.Name }
@@ -52,7 +57,15 @@ type Cell struct {
 	Pins     []*Pin
 
 	pinsByName map[string]*Pin
+	idx        int
 }
+
+// Index returns the cell's position in its design's Cells, or -1 once the
+// cell has been removed. The design keeps the numbering dense: a removal
+// renumbers the cells behind it, so whoever holds an index across one checks
+// that Cells[i] is still the cell before trusting it. Net.Index and
+// Port.Index follow the same rule.
+func (c *Cell) Index() int { return c.idx }
 
 // Pin returns the cell's pin with the given name, or nil.
 func (c *Cell) Pin(name string) *Pin { return c.pinsByName[name] }
@@ -91,7 +104,12 @@ type Net struct {
 	// PortDir records primary-port attachment: nil if internal, otherwise
 	// points at the design port.
 	Port *Port
+
+	idx int
 }
+
+// Index returns the net's position in its design's Nets.
+func (n *Net) Index() int { return n.idx }
 
 // Fanout returns the number of load pins plus one if the net reaches an
 // output port.
@@ -108,7 +126,12 @@ type Port struct {
 	Name string
 	Dir  PinDir // Input: port drives its net; Output: port is a load.
 	Net  *Net
+
+	idx int
 }
+
+// Index returns the port's position in its design's Ports.
+func (p *Port) Index() int { return p.idx }
 
 // Design is a flat gate-level netlist.
 type Design struct {
@@ -155,12 +178,12 @@ func (d *Design) AddCell(name, typeName string, pins ...PinDecl) (*Cell, error) 
 	if _, dup := d.cellsByName[name]; dup {
 		return nil, fmt.Errorf("netlist: duplicate cell %q", name)
 	}
-	c := &Cell{Name: name, TypeName: typeName, pinsByName: make(map[string]*Pin, len(pins))}
+	c := &Cell{Name: name, TypeName: typeName, pinsByName: make(map[string]*Pin, len(pins)), idx: len(d.Cells)}
 	for _, pd := range pins {
 		if _, dup := c.pinsByName[pd.Name]; dup {
 			return nil, fmt.Errorf("netlist: duplicate pin %q on cell %q", pd.Name, name)
 		}
-		p := &Pin{Name: pd.Name, Dir: pd.Dir, Cell: c}
+		p := &Pin{Name: pd.Name, Dir: pd.Dir, Cell: c, ord: len(c.Pins)}
 		c.Pins = append(c.Pins, p)
 		c.pinsByName[pd.Name] = p
 	}
@@ -187,7 +210,7 @@ func (d *Design) AddNet(name string) (*Net, error) {
 	if _, dup := d.netsByName[name]; dup {
 		return nil, fmt.Errorf("netlist: duplicate net %q", name)
 	}
-	n := &Net{Name: name}
+	n := &Net{Name: name, idx: len(d.Nets)}
 	d.Nets = append(d.Nets, n)
 	d.netsByName[name] = n
 	d.revision++
@@ -204,7 +227,7 @@ func (d *Design) AddPort(name string, dir PinDir) (*Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Port{Name: name, Dir: dir, Net: n}
+	p := &Port{Name: name, Dir: dir, Net: n, idx: len(d.Ports)}
 	n.Port = p
 	d.Ports = append(d.Ports, p)
 	d.portsByName[name] = p
@@ -332,8 +355,13 @@ func (d *Design) RemoveBuffer(buf *Cell, loads []*Pin) {
 	}
 	d.RemoveCell(buf)
 	delete(d.netsByName, bufNet.Name)
-	i := slices.Index(d.Nets, bufNet)
-	d.Nets = slices.Delete(d.Nets, i, i+1)
+	if i := bufNet.idx; i >= 0 && i < len(d.Nets) && d.Nets[i] == bufNet {
+		d.Nets = slices.Delete(d.Nets, i, i+1)
+		for _, nn := range d.Nets[i:] {
+			nn.idx--
+		}
+		bufNet.idx = -1
+	}
 	n.Loads = loads
 	for _, l := range loads {
 		l.Net = n
@@ -348,11 +376,12 @@ func (d *Design) RemoveCell(c *Cell) {
 		d.Disconnect(p)
 	}
 	delete(d.cellsByName, c.Name)
-	for i, cc := range d.Cells {
-		if cc == c {
-			d.Cells = append(d.Cells[:i], d.Cells[i+1:]...)
-			break
+	if i := c.idx; i >= 0 && i < len(d.Cells) && d.Cells[i] == c {
+		d.Cells = slices.Delete(d.Cells, i, i+1)
+		for _, cc := range d.Cells[i:] {
+			cc.idx--
 		}
+		c.idx = -1
 	}
 	d.revision++
 }
@@ -364,9 +393,11 @@ func (d *Design) CleanDanglingNets() int {
 	for _, n := range d.Nets {
 		if n.Driver == nil && len(n.Loads) == 0 && n.Port == nil {
 			delete(d.netsByName, n.Name)
+			n.idx = -1
 			removed++
 			continue
 		}
+		n.idx = len(kept)
 		kept = append(kept, n)
 	}
 	d.Nets = kept

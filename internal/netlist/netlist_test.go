@@ -215,7 +215,8 @@ func TestRemoveCellAndClean(t *testing.T) {
 		t.Errorf("CleanDanglingNets removed %d, want 0", removed)
 	}
 	// A truly dangling net goes away.
-	if _, err := d.AddNet("dangle"); err != nil {
+	dangle, err := d.AddNet("dangle")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if removed := d.CleanDanglingNets(); removed != 1 {
@@ -224,6 +225,11 @@ func TestRemoveCellAndClean(t *testing.T) {
 	if d.Net("dangle") != nil {
 		t.Error("dangling net still resolvable")
 	}
+	// What left the design has no position in it; what stayed is dense.
+	if inv2.Index() != -1 || dangle.Index() != -1 {
+		t.Errorf("removed cell and net have Index %d and %d, want -1", inv2.Index(), dangle.Index())
+	}
+	checkStructure(t, d)
 }
 
 func TestFreshNameUnique(t *testing.T) {

@@ -84,24 +84,16 @@ func TestRandomEditSequencesPreserveInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// Bookkeeping consistency: every pin's net membership is mutual.
-		for _, c := range d.Cells {
-			for _, p := range c.Pins {
-				if p.Net == nil {
-					continue
-				}
-				found := p.Net.Driver == p
-				for _, l := range p.Net.Loads {
-					if l == p {
-						found = true
-					}
-				}
-				if !found {
-					t.Logf("seed %d: pin %s not in its net's lists", seed, p.FullName())
-					return false
-				}
-			}
+		// Bookkeeping consistency and dense numbering, on the design and on
+		// both of its copies.
+		checkStructure(t, d)
+		checkStructure(t, d.Clone())
+		rebuilt, err := FromBlueprint(d.Blueprint())
+		if err != nil {
+			t.Logf("seed %d: FromBlueprint(Blueprint()): %v", seed, err)
+			return false
 		}
+		checkStructure(t, rebuilt)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

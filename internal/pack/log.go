@@ -18,14 +18,23 @@ const logVersion = 1
 
 const logHeaderSize = 4 + 2 // magic + version
 
-// EpochOp mirrors one committed edit — the same shape timingd's /eco ops
-// take on the wire (pack cannot import timingd, so it owns the type).
+// EpochOp is one netlist edit: what a timingd what-if or ECO request
+// carries on the wire (timingd.Op is this type) and what the log records
+// for a committed one.
 type EpochOp struct {
-	Kind  string
-	Cell  string
-	Net   string
-	Loads []string
-	To    string
+	// Kind selects the edit: "resize" retypes Cell in place to the master
+	// To (pin-compatible variant — Vt swap or drive change); "buffer"
+	// splits the loads named in Loads off net Net behind a new buffer of
+	// master To.
+	Kind string `json:"op"`
+	// Cell names the resize target ("resize").
+	Cell string `json:"cell,omitempty"`
+	// Net names the buffered net ("buffer").
+	Net string `json:"net,omitempty"`
+	// Loads names the moved load pins as "cell/pin" ("buffer").
+	Loads []string `json:"loads,omitempty"`
+	// To is the replacement or buffer master name.
+	To string `json:"to"`
 }
 
 // EpochRecord is one committed epoch: the epoch number the commit produced

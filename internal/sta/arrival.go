@@ -7,6 +7,7 @@ import (
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
+	"newgame/internal/workpool"
 )
 
 const (
@@ -102,9 +103,12 @@ func (a *Analyzer) resetRequired(i int) {
 	a.seedValid[ix2(i, fall)] = false
 }
 
-// buildNets refreshes per-net delay-calculation results, reusing the map
-// and slices allocated by earlier runs. Per-net work is independent, so
-// large designs fan it out across the worker pool.
+// buildNets refreshes per-net delay-calculation results on the entries and
+// slices earlier runs allocated: the cache is kept one entry per D.Nets
+// position, so a removed net's entry goes with the truncation and a
+// renumbered net meets a neighbour's old entry, which fillNetData's input
+// key turns into a refill. Per-net work is independent, so large designs
+// fan it out through workpool.
 func (a *Analyzer) buildNets() {
 	nets := a.D.Nets
 	maxSinks := 0
@@ -114,24 +118,22 @@ func (a *Analyzer) buildNets() {
 		}
 	}
 	a.growZeroBuf(maxSinks)
-	// Map writes stay serial; the parallel phase only fills the pointed-to
-	// structs, each from exactly one goroutine.
-	for _, n := range nets {
-		if a.nets[n] == nil {
-			a.nets[n] = &netData{}
+	for i, n := range nets {
+		if i == len(a.nets) {
+			a.nets = append(a.nets, &netData{})
 		}
+		a.nets[i].net = n
 	}
-	if len(a.nets) > len(nets) {
-		a.pruneNets()
-	}
+	clear(a.nets[len(nets):])
+	a.nets = a.nets[:len(nets)]
 	a.bindVertexNets()
-	w := a.workers()
+	w := workpool.Workers(a.Cfg.Workers)
 	if len(a.calc) < w {
 		a.calc = append(a.calc, make([]parasitics.Scratch, w-len(a.calc))...)
 	}
 	if w <= 1 || len(nets) < minParallelNets {
-		for _, n := range nets {
-			a.countNetFill(a.fillNetData(a.nets[n], n, &a.calc[0]))
+		for _, nd := range a.nets {
+			a.countNetFill(a.fillNetData(nd, &a.calc[0]))
 		}
 		return
 	}
@@ -148,10 +150,10 @@ func (a *Analyzer) buildNets() {
 	// one atomic add per chunk, folded into the plain stats fields after
 	// the barrier — the hot per-net loop itself stays atomic-free.
 	var hits, fills atomic.Int64
-	parallelFor(w, len(nets), func(k, lo, hi int) {
+	workpool.DoChunksObs(nil, nil, "", w, len(nets), func(lo, hi, k int) {
 		h, f := int64(0), int64(0)
-		for _, n := range nets[lo:hi] {
-			if a.fillNetData(a.nets[n], n, &a.calc[k]) {
+		for _, nd := range a.nets[lo:hi] {
+			if a.fillNetData(nd, &a.calc[k]) {
 				h++
 			} else {
 				f++
@@ -162,22 +164,6 @@ func (a *Analyzer) buildNets() {
 	})
 	a.stats.NetCacheHits += hits.Load()
 	a.stats.NetsFilled += fills.Load()
-}
-
-// pruneNets drops the cache entries of nets that have left the design, so an
-// analyzer that lives through any number of insert/remove cycles (every
-// buffer what-if makes a net and its rollback removes it) holds exactly one
-// entry per net.
-func (a *Analyzer) pruneNets() {
-	for _, n := range a.D.Nets {
-		a.nets[n].live = true
-	}
-	for n, nd := range a.nets {
-		if !nd.live {
-			delete(a.nets, n)
-		}
-		nd.live = false
-	}
 }
 
 // countNetFill accumulates one fillNetData outcome from a serial caller.
@@ -196,19 +182,16 @@ func (a *Analyzer) countNetFill(hit bool) {
 func (a *Analyzer) bindVertexNets() {
 	for i := range a.verts {
 		v := a.verts[i]
-		var n *netlist.Net
 		switch a.topo.kind[i] {
 		case vkOutPin:
-			n = v.pin.Net
+			a.vnd[i] = a.netDataOf(v.pin.Net)
 		case vkInPort:
-			n = v.port.Net
+			a.vnd[i] = a.netDataOf(v.port.Net)
 		default: // vkInPin, vkOutPort
-			n = a.faninNets[i]
-		}
-		if n != nil {
-			a.vnd[i] = a.nets[n]
-		} else {
 			a.vnd[i] = nil
+			if ni := a.topo.faninNet[i]; ni >= 0 {
+				a.vnd[i] = a.nets[ni]
+			}
 		}
 	}
 }
@@ -232,11 +215,12 @@ func (a *Analyzer) growZeroBuf(n int) {
 // previous fill exactly the cached results are returned untouched —
 // bit-identical to recomputation, and the reason a warm full Run does
 // almost no delay calculation at all.
-func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net, sc *parasitics.Scratch) bool {
+func (a *Analyzer) fillNetData(nd *netData, sc *parasitics.Scratch) bool {
+	n := nd.net
 	// Receiver pin caps in load order, plus output port load.
 	caps := nd.capsTmp[:0]
 	for _, l := range n.Loads {
-		caps = append(caps, a.pinCap[a.pinIdx[l]])
+		caps = append(caps, a.pinCap[a.pinVertex(l)])
 	}
 	portSink := n.Port != nil && n.Port.Dir == netlist.Output
 	if portSink && a.Cons != nil {
@@ -255,10 +239,7 @@ func (a *Analyzer) fillNetData(nd *netData, n *netlist.Net, sc *parasitics.Scrat
 	nd.capsTmp, nd.capsIn = nd.capsIn[:0], caps
 	nd.srcTree, nd.portSink, nd.filled = tree, portSink, true
 	nd.coupling = 0
-	nSinks := len(n.Loads)
-	if portSink {
-		nSinks++
-	}
+	nSinks := n.Fanout()
 	millerE, millerL := 1.0, 1.0
 	if a.Cfg.SI.Enabled {
 		millerE = 1 - a.Cfg.SI.SwitchingFraction
@@ -335,7 +316,7 @@ func (a *Analyzer) seedSources() {
 	}
 	for _, p := range a.D.Ports {
 		if p.Dir == netlist.Input {
-			a.seedVertex(a.portIdx[p])
+			a.seedVertex(a.portVertex(p))
 		}
 	}
 }
@@ -388,7 +369,7 @@ func (a *Analyzer) seedVertex(i int) {
 // goroutines is race-free and order-independent. Cancellation (RunCtx) is
 // polled once per wavefront.
 func (a *Analyzer) propagateArrivals() error {
-	w := a.workers()
+	w := workpool.Workers(a.Cfg.Workers)
 	t := a.topo
 	for l := 0; l < t.numLevels(); l++ {
 		lvl := t.levelRange(l)
@@ -412,7 +393,7 @@ func (a *Analyzer) propagateArrivals() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		parallelFor(w, len(lvl), func(_, lo, hi int) {
+		workpool.DoChunks(w, len(lvl), func(lo, hi int) {
 			for _, j := range lvl[lo:hi] {
 				a.relaxVertex(int(j))
 			}

@@ -27,20 +27,11 @@ func NewNetBinder(stack *parasitics.Stack, seed int64) func(*netlist.Net) *paras
 	return func(n *netlist.Net) *parasitics.Tree {
 		mu.Lock()
 		defer mu.Unlock()
-		if t, ok := cache[n]; ok {
-			// Fanout may have changed (loads moved to a buffer): re-route
-			// only when the sink count no longer matches.
-			need := len(n.Loads)
-			if n.Port != nil && n.Port.Dir == netlist.Output {
-				need++
-			}
-			if len(t.Sinks) == need {
-				return t
-			}
-		}
-		need := len(n.Loads)
-		if n.Port != nil && n.Port.Dir == netlist.Output {
-			need++
+		need := n.Fanout()
+		// Fanout may have changed (loads moved to a buffer): re-route only
+		// when the sink count no longer matches.
+		if t, ok := cache[n]; ok && len(t.Sinks) == need {
+			return t
 		}
 		if need == 0 {
 			return nil
@@ -95,10 +86,7 @@ func NewSnapshotNetBinder(stack *parasitics.Stack, seed int64, saved map[string]
 	return func(n *netlist.Net) *parasitics.Tree {
 		mu.Lock()
 		defer mu.Unlock()
-		need := len(n.Loads)
-		if n.Port != nil && n.Port.Dir == netlist.Output {
-			need++
-		}
+		need := n.Fanout()
 		if e, ok := cache[n]; ok && e.need == need {
 			return e.tree
 		}

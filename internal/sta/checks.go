@@ -133,14 +133,14 @@ func (a *Analyzer) buildSites() {
 				continue
 			}
 			a.sites = append(a.sites, checkSite{
-				data: int32(a.pinIdx[d]), clock: int32(a.pinIdx[ck]), cell: int32(ci), class: class,
+				data: int32(a.pinVertex(d)), clock: int32(a.pinVertex(ck)), cell: int32(ci), class: class,
 			})
 		}
 	}
 	if a.Cons != nil {
 		for _, p := range a.D.Ports {
 			if io, ok := a.Cons.OutputDelay[p]; ok && io.Clock != nil && p.Dir == netlist.Output {
-				a.sites = append(a.sites, checkSite{data: int32(a.portIdx[p]), clock: -1, cell: -1, class: sitePort})
+				a.sites = append(a.sites, checkSite{data: int32(a.portVertex(p)), clock: -1, cell: -1, class: sitePort})
 			}
 		}
 	}
@@ -447,10 +447,10 @@ func (a *Analyzer) DRCViolations() []DRCViolation {
 	if !a.ran {
 		return out
 	}
-	for _, c := range a.D.Cells {
-		m := a.master(c)
-		for _, p := range c.Pins {
-			i := a.pinIdx[p]
+	for ci, c := range a.cells {
+		m := a.masters[ci]
+		for k, p := range c.Pins {
+			i := int(a.cellBase[ci]) + k
 			if p.Dir == netlist.Input {
 				kr := ix4(i, rise, late)
 				kf := ix4(i, fall, late)
@@ -458,12 +458,12 @@ func (a *Analyzer) DRCViolations() []DRCViolation {
 				if m.MaxTran > 0 && sl > m.MaxTran && (a.fValid[kr] || a.fValid[kf]) {
 					out = append(out, DRCViolation{Kind: "max_tran", Pin: p, Value: sl, Limit: m.MaxTran})
 				}
-			} else if p.Net != nil {
+			} else if nd := a.netDataOf(p.Net); nd != nil {
 				spec := m.Pin(p.Name)
 				if spec == nil || spec.MaxCap <= 0 {
 					continue
 				}
-				load := a.nets[p.Net].totalCap[late]
+				load := nd.totalCap[late]
 				if load > spec.MaxCap {
 					out = append(out, DRCViolation{Kind: "max_cap", Pin: p, Value: load, Limit: spec.MaxCap})
 				}
@@ -481,8 +481,8 @@ func (a *Analyzer) DRCViolations() []DRCViolation {
 // PinArrival returns the (mean) arrival at a pin for the given transition
 // and side, and whether it is valid.
 func (a *Analyzer) PinArrival(p *netlist.Pin, rf, el int) (units.Ps, bool) {
-	i, ok := a.pinIdx[p]
-	if !ok {
+	i := a.pinVertex(p)
+	if i < 0 {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
@@ -491,8 +491,8 @@ func (a *Analyzer) PinArrival(p *netlist.Pin, rf, el int) (units.Ps, bool) {
 
 // PinSlew returns the pin slew for the transition/side.
 func (a *Analyzer) PinSlew(p *netlist.Pin, rf, el int) (units.Ps, bool) {
-	i, ok := a.pinIdx[p]
-	if !ok {
+	i := a.pinVertex(p)
+	if i < 0 {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
@@ -502,8 +502,8 @@ func (a *Analyzer) PinSlew(p *netlist.Pin, rf, el int) (units.Ps, bool) {
 // PinSetupSlack returns the worst setup (late) slack at a pin from the
 // required-time propagation, or +Inf if unconstrained.
 func (a *Analyzer) PinSetupSlack(p *netlist.Pin) units.Ps {
-	i, ok := a.pinIdx[p]
-	if !ok {
+	i := a.pinVertex(p)
+	if i < 0 {
 		return math.Inf(1)
 	}
 	return a.vertexSetupSlack(i)
@@ -535,7 +535,7 @@ func (a *Analyzer) CellSetupSlack(c *netlist.Cell) units.Ps {
 
 // NetLoad returns the late total load (fF) on a net.
 func (a *Analyzer) NetLoad(n *netlist.Net) units.FF {
-	if nd, ok := a.nets[n]; ok {
+	if nd := a.netDataOf(n); nd != nil {
 		return nd.totalCap[late]
 	}
 	return 0
@@ -549,8 +549,8 @@ func (a *Analyzer) String() string {
 
 // PortArrival returns the (mean) arrival at a design port.
 func (a *Analyzer) PortArrival(p *netlist.Port, rf, el int) (units.Ps, bool) {
-	i, ok := a.portIdx[p]
-	if !ok {
+	i := a.portVertex(p)
+	if i < 0 {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
@@ -559,8 +559,8 @@ func (a *Analyzer) PortArrival(p *netlist.Port, rf, el int) (units.Ps, bool) {
 
 // PortSlew returns a design port's slew.
 func (a *Analyzer) PortSlew(p *netlist.Port, rf, el int) (units.Ps, bool) {
-	i, ok := a.portIdx[p]
-	if !ok {
+	i := a.portVertex(p)
+	if i < 0 {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
@@ -571,8 +571,8 @@ func (a *Analyzer) PortSlew(p *netlist.Port, rf, el int) (units.Ps, bool) {
 // input port (from the required-time propagation), or +Inf when the port
 // reaches no constrained endpoint.
 func (a *Analyzer) PortSetupSlack(p *netlist.Port) units.Ps {
-	i, ok := a.portIdx[p]
-	if !ok {
+	i := a.portVertex(p)
+	if i < 0 {
 		return math.Inf(1)
 	}
 	return a.vertexSetupSlack(i)

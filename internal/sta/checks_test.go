@@ -34,8 +34,8 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		if dPin == nil || ckPin == nil || dPin.Net == nil || ckPin.Net == nil {
 			continue
 		}
-		di := a.pinIdx[dPin]
-		ci := a.pinIdx[ckPin]
+		di := a.pinVertex(dPin)
+		ci := a.pinVertex(ckPin)
 		for rf := 0; rf < 2; rf++ {
 			if kind == Setup {
 				kd := ix4(di, rf, late)
@@ -112,8 +112,8 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		if enPin == nil || ckPin == nil || enPin.Net == nil || ckPin.Net == nil {
 			continue
 		}
-		ei := a.pinIdx[enPin]
-		ci := a.pinIdx[ckPin]
+		ei := a.pinVertex(enPin)
+		ci := a.pinVertex(ckPin)
 		for rf := 0; rf < 2; rf++ {
 			if kind == Setup {
 				ke := ix4(ei, rf, late)
@@ -168,7 +168,7 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		if !ok || io.Clock == nil {
 			continue
 		}
-		i := a.portIdx[p]
+		i := a.portVertex(p)
 		for rf := 0; rf < 2; rf++ {
 			if kind == Setup && a.fValid[ix4(i, rf, late)] {
 				arr := a.fArr[ix4(i, rf, late)].corner(true, n)

@@ -105,7 +105,7 @@ func TestDelayCalcMatchesLoadedTreeReference(t *testing.T) {
 				}
 				routed := 0
 				for _, n := range d.Nets {
-					nd := a.nets[n]
+					nd := a.netDataOf(n)
 					if nd.srcTree == nil || len(nd.buf) == 0 {
 						continue
 					}
@@ -140,7 +140,7 @@ func TestRefillDirtyNetDoesNotAllocate(t *testing.T) {
 	}
 	var net *netlist.Net
 	for _, n := range a.D.Nets {
-		if nd := a.nets[n]; len(nd.buf) > 0 && len(n.Loads) >= 3 {
+		if nd := a.netDataOf(n); len(nd.buf) > 0 && len(n.Loads) >= 3 {
 			net = n
 			break
 		}
@@ -148,10 +148,10 @@ func TestRefillDirtyNetDoesNotAllocate(t *testing.T) {
 	if net == nil {
 		t.Fatal("no routed multi-sink net")
 	}
-	nd := a.nets[net]
+	nd := a.netDataOf(net)
 	refill := func() {
 		nd.filled = false // what a moved pin cap or tree does to the input key
-		if a.fillNetData(nd, net, &a.calc[0]) {
+		if a.fillNetData(nd, &a.calc[0]) {
 			t.Fatal("dirty net served from the cache")
 		}
 	}

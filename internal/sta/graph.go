@@ -162,6 +162,11 @@ func (a *Analyzer) vname(i int) string {
 // source tree, the gathered sink caps and the analyzer's fixed config, so
 // reuse is bit-identical to recomputation).
 type netData struct {
+	// net is the net this entry was last bound to (buildNets); dirtyGen is
+	// Analyzer.dirtyGen while the net sits on the dirty list.
+	net      *netlist.Net
+	dirtyGen uint64
+
 	totalCap [2]float64 // [early|late] (differ when SI enabled)
 	// per sink (net load order): wire delay and slew degradation. On a
 	// routed net they are views into buf; a lumped net's all point at the
@@ -177,8 +182,6 @@ type netData struct {
 	capsTmp  []float64 // gather scratch, swapped with capsIn on refill
 	portSink bool
 	filled   bool
-
-	live bool // pruneNets' mark; false in between
 }
 
 // arcRef is one prebuilt cell-arc binding: the timing arc plus the vertex
@@ -202,9 +205,11 @@ type Analyzer struct {
 	Cons *Constraints
 	Cfg  Config
 
-	verts   []vref
-	pinIdx  map[*netlist.Pin]int
-	portIdx map[*netlist.Port]int
+	// verts binds vertex numbers to netlist objects. The numbering is the
+	// netlist's own: cell c's pin p is vertex cellBase[c.Index()]+p.Index(),
+	// port q is cellBase[len(cells)]+q.Index() (see pinVertex, portVertex).
+	verts    []vref
+	cellBase []int32
 
 	// topo is nil only after a failed regraph; revision is D.Revision() as of
 	// the graph's derivation.
@@ -216,7 +221,6 @@ type Analyzer struct {
 	// D.Cells[i], refreshed at every full Run and through InvalidateCell so
 	// in-place Vt/drive swaps never leave stale tables behind.
 	cells   []*netlist.Cell
-	cellIdx map[*netlist.Cell]int32
 	masters []*liberty.Cell
 	// Cell-arc groups per vertex (CSR): an output pin's group lists the
 	// arcs into it (in master Arcs order), an input pin's group the arcs
@@ -225,9 +229,6 @@ type Analyzer struct {
 	arcs   []arcRef
 	// pinCap caches input-pin capacitance per vertex (master-resolved).
 	pinCap []float64
-
-	// faninNets resolves Topology.faninNet to this clone's net pointers.
-	faninNets []*netlist.Net
 
 	// Flat mutable per-run state, 4 planes per vertex (ix4 layout).
 	fValid []bool
@@ -244,9 +245,11 @@ type Analyzer struct {
 
 	// vnd binds each vertex to its relevant per-run net data: the driven
 	// net for output pins and input ports (pull side), the fanin net for
-	// input pins and output ports (relax side). Rebound every buildNets.
+	// input pins and output ports (relax side). Rebound every buildNets,
+	// which also keeps nets — the per-net delay-calc cache — one entry per
+	// D.Nets position.
 	vnd  []*netData
-	nets map[*netlist.Net]*netData
+	nets []*netData
 
 	zeroBuf []float64 // shared all-zero slice for lumped-net sink delays
 
@@ -268,10 +271,12 @@ type Analyzer struct {
 	fwQ, bwQ            *levelQueue
 	changedList         []int
 
-	// Incremental re-timing state (see incremental.go).
-	dirtyNets   map[*netlist.Net]bool
-	dirtyVerts  map[int]bool
-	dirtyReq    map[int]bool
+	// Incremental re-timing state (see incremental.go): what was
+	// invalidated since the last Run or Update, in invalidation order.
+	dirtyNets   []*netData
+	dirtyGen    uint64
+	dirtyVerts  []int
+	dirtyReq    []int
 	structDirty bool
 
 	ran bool
@@ -312,13 +317,7 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 	if cfg.Lib == nil {
 		return nil, fmt.Errorf("sta: no library")
 	}
-	a := &Analyzer{
-		D: d, Cons: cons, Cfg: cfg,
-		nets:       make(map[*netlist.Net]*netData),
-		dirtyNets:  make(map[*netlist.Net]bool),
-		dirtyVerts: make(map[int]bool),
-		dirtyReq:   make(map[int]bool),
-	}
+	a := &Analyzer{D: d, Cons: cons, Cfg: cfg, dirtyGen: 1}
 	a.bindObs()
 	if err := a.regraph(); err != nil {
 		return nil, err
@@ -349,17 +348,16 @@ func resize[T any](s []T, n int) []T {
 // refreshGraph), which is what lets an inserted or removed buffer be
 // answered by re-timing the analyzer that exists.
 //
-// Rebuilt: the vertex table and its three index maps (cleared and refilled
-// in design order, so numbering stays the pure function of design order the
-// Topology sharing contract needs), the resolved masters, the Topology
-// (Cfg.Topology adopted when compatible, else built — always a new value,
-// since the old one may be shared), arc groups and pin caps, the fanin net
-// bindings, and the length of every per-vertex plane (the check-site table
-// follows in Run). Everything keyed by vertex number is dropped. What survives is the per-net
-// delay-calc cache: fillNetData reuses an entry only when its tree pointer,
-// sink caps and port load match exactly, so a full Run over a regraphed
-// analyzer is bit-identical to a fresh New + Run while refilling only the
-// nets whose loads actually moved.
+// Rebuilt: the vertex table and the cellBase prefix sum (in design order, so
+// numbering stays the pure function of design order the Topology sharing
+// contract needs), the resolved masters, the Topology (Cfg.Topology adopted
+// when compatible, else built — always a new value, since the old one may be
+// shared), arc groups and pin caps, and the length of every per-vertex plane
+// (the check-site table follows in Run). Everything keyed by vertex number is
+// dropped. What survives is the per-net delay-calc cache: fillNetData reuses
+// an entry only when its tree pointer, sink caps and port load match exactly,
+// so a full Run over a regraphed analyzer is bit-identical to a fresh New +
+// Run while refilling only the nets whose loads actually moved.
 //
 // On error the analyzer is left with no graph at all — nothing indexed into
 // a numbering that no longer exists — and the next Run derives it again.
@@ -374,16 +372,8 @@ func (a *Analyzer) regraph() (err error) {
 	for _, c := range d.Cells {
 		nv += len(c.Pins)
 	}
-	if a.pinIdx == nil {
-		a.pinIdx = make(map[*netlist.Pin]int, nv-len(d.Ports))
-		a.portIdx = make(map[*netlist.Port]int, len(d.Ports))
-		a.cellIdx = make(map[*netlist.Cell]int32, len(d.Cells))
-	} else {
-		clear(a.pinIdx)
-		clear(a.portIdx)
-		clear(a.cellIdx)
-	}
 	a.verts = resize(a.verts, nv)
+	a.cellBase = resize(a.cellBase, len(d.Cells)+1)
 	a.cells = resize(a.cells, len(d.Cells))
 	a.masters = resize(a.masters, len(d.Cells))
 	// Vertices: every cell pin, every port — in design iteration order, so
@@ -394,16 +384,14 @@ func (a *Analyzer) regraph() (err error) {
 		if master == nil {
 			return unknownMaster(c)
 		}
-		a.cells[ci], a.masters[ci] = c, master
-		a.cellIdx[c] = int32(ci)
+		a.cells[ci], a.masters[ci], a.cellBase[ci] = c, master, int32(vi)
 		for _, p := range c.Pins {
-			a.pinIdx[p] = vi
 			a.verts[vi] = vref{pin: p}
 			vi++
 		}
 	}
+	a.cellBase[len(d.Cells)] = int32(vi)
 	for _, p := range d.Ports {
-		a.portIdx[p] = vi
 		a.verts[vi] = vref{port: p}
 		vi++
 	}
@@ -417,14 +405,6 @@ func (a *Analyzer) regraph() (err error) {
 		a.topo, a.sharedTopo = t, false
 	}
 	a.buildArcGroups()
-	a.faninNets = resize(a.faninNets, nv)
-	for i, ni := range a.topo.faninNet {
-		if ni >= 0 {
-			a.faninNets[i] = d.Nets[ni]
-		} else {
-			a.faninNets[i] = nil
-		}
-	}
 	// Per-vertex planes: Run clears the nine state arrays and rebinds vnd
 	// before reading any of them.
 	a.fValid = resize(a.fValid, 4*nv)
@@ -438,7 +418,7 @@ func (a *Analyzer) regraph() (err error) {
 	a.seedValid = resize(a.seedValid, 2*nv)
 	a.vnd = resize(a.vnd, nv)
 	// The incremental worklists are sized by vertex and level count and the
-	// dirty sets keyed by vertex number.
+	// dirty lists hold vertex numbers.
 	a.fwQ, a.bwQ = nil, nil
 	a.clearDirty()
 	a.revision = d.Revision()
@@ -452,15 +432,56 @@ func (a *Analyzer) regraph() (err error) {
 // planes sized for another numbering, and topo == nil makes the next Run
 // derive the graph again.
 func (a *Analyzer) dropGraph() {
-	clear(a.pinIdx)
-	clear(a.portIdx)
-	clear(a.cellIdx)
 	a.verts, a.cells, a.masters = a.verts[:0], a.cells[:0], a.masters[:0]
 	a.topo, a.sharedTopo = nil, false
 	a.sites = a.sites[:0]
 	for k := range a.checks {
 		a.checks[k].list = a.checks[k].list[:0]
 	}
+}
+
+// The four lookups from a netlist object to its place in the graph. Each
+// trusts the object's Index only after finding the object itself there, so
+// one that is not in this graph — it belongs to another Clone, was added
+// after the graph was derived, or was removed or renumbered by a removal
+// since — answers "not here" (-1, nil), never a neighbour's numbers. None
+// allocates.
+
+// cellOf returns c's position in cells and masters, or -1.
+func (a *Analyzer) cellOf(c *netlist.Cell) int {
+	if i := c.Index(); i >= 0 && i < len(a.cells) && a.cells[i] == c {
+		return i
+	}
+	return -1
+}
+
+// pinVertex returns p's vertex, or -1. A cell's pin list never changes, so
+// the cell being in the graph puts its pins there.
+func (a *Analyzer) pinVertex(p *netlist.Pin) int {
+	if ci := a.cellOf(p.Cell); ci >= 0 {
+		return int(a.cellBase[ci]) + p.Index()
+	}
+	return -1
+}
+
+// portVertex returns p's vertex, or -1.
+func (a *Analyzer) portVertex(p *netlist.Port) int {
+	if i := int(a.cellBase[len(a.cells)]) + p.Index(); i < len(a.verts) && a.verts[i].port == p {
+		return i
+	}
+	return -1
+}
+
+// netDataOf returns n's delay-calc entry as of the last buildNets, or nil
+// (n itself may be nil: an unconnected pin's net).
+func (a *Analyzer) netDataOf(n *netlist.Net) *netData {
+	if n == nil {
+		return nil
+	}
+	if i := n.Index(); i >= 0 && i < len(a.nets) && a.nets[i].net == n {
+		return a.nets[i]
+	}
+	return nil
 }
 
 func unknownMaster(c *netlist.Cell) error {
@@ -520,7 +541,7 @@ func (a *Analyzer) resolveMaster(c *netlist.Cell) *liberty.Cell {
 // master returns the library master of a cell (known valid after New) from
 // the per-cell cache; cells outside the analyzed design resolve live.
 func (a *Analyzer) master(c *netlist.Cell) *liberty.Cell {
-	if i, ok := a.cellIdx[c]; ok {
+	if i := a.cellOf(c); i >= 0 {
 		return a.masters[i]
 	}
 	return a.resolveMaster(c)
@@ -561,7 +582,7 @@ func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 			return true, nil
 		}
 		a.masters[ci] = m
-		a.refreshCellCaches(int32(ci), m)
+		a.refreshCellCaches(ci, m)
 	}
 	return false, nil
 }
@@ -569,13 +590,9 @@ func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 // refreshCellCaches re-derives one cell's pin caps and arc-group pointers
 // from master m, which must have the same arc shape as the group was built
 // from.
-func (a *Analyzer) refreshCellCaches(ci int32, m *liberty.Cell) {
-	c := a.cells[ci]
-	for _, p := range c.Pins {
-		i, ok := a.pinIdx[p]
-		if !ok {
-			continue
-		}
+func (a *Analyzer) refreshCellCaches(ci int, m *liberty.Cell) {
+	for k, p := range a.cells[ci].Pins {
+		i := int(a.cellBase[ci]) + k
 		if p.Dir == netlist.Input {
 			a.pinCap[i] = m.InputCap(p.Name)
 		}
@@ -601,7 +618,7 @@ func (a *Analyzer) fillVertexArcs(i int, m *liberty.Cell) {
 				continue
 			}
 			if k < end {
-				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinIdx[in])}
+				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinVertex(in))}
 			}
 			k++
 		}
@@ -616,7 +633,7 @@ func (a *Analyzer) fillVertexArcs(i int, m *liberty.Cell) {
 				continue
 			}
 			if k < end {
-				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinIdx[out])}
+				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinVertex(out))}
 			}
 			k++
 		}
@@ -652,7 +669,7 @@ func (a *Analyzer) buildArcGroups() {
 					continue
 				}
 				if out := v.pin.Cell.Pin(arc.To); out != nil {
-					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinIdx[out])})
+					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinVertex(out))})
 				}
 			}
 		} else {
@@ -662,7 +679,7 @@ func (a *Analyzer) buildArcGroups() {
 					continue
 				}
 				if in := v.pin.Cell.Pin(arc.From); in != nil {
-					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinIdx[in])})
+					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinVertex(in))})
 				}
 			}
 		}
@@ -688,24 +705,24 @@ func (a *Analyzer) successorsPointerWalk(i int, fn func(j int)) {
 	switch {
 	case v.port != nil && v.port.Dir == netlist.Input:
 		for _, l := range v.port.Net.Loads {
-			fn(a.pinIdx[l])
+			fn(a.pinVertex(l))
 		}
 	case v.pin != nil && v.pin.Dir == netlist.Output:
 		if v.pin.Net == nil {
 			return
 		}
 		for _, l := range v.pin.Net.Loads {
-			fn(a.pinIdx[l])
+			fn(a.pinVertex(l))
 		}
 		if p := v.pin.Net.Port; p != nil && p.Dir == netlist.Output {
-			fn(a.portIdx[p])
+			fn(a.portVertex(p))
 		}
 	case v.pin != nil && v.pin.Dir == netlist.Input:
 		m := a.master(v.pin.Cell)
 		for k := range m.Arcs {
 			if m.Arcs[k].From == v.pin.Name {
 				if out := v.pin.Cell.Pin(m.Arcs[k].To); out != nil {
-					fn(a.pinIdx[out])
+					fn(a.pinVertex(out))
 				}
 			}
 		}
@@ -729,5 +746,8 @@ func (a *Analyzer) NumVerts() int { return len(a.verts) }
 // equivalence property.
 func (a *Analyzer) FaninEdge(i int) (driver int, net *netlist.Net, sink int) {
 	t := a.topo
-	return int(t.faninDriver[i]), a.faninNets[i], int(t.faninSink[i])
+	if ni := t.faninNet[i]; ni >= 0 {
+		net = a.D.Nets[ni]
+	}
+	return int(t.faninDriver[i]), net, int(t.faninSink[i])
 }

@@ -19,7 +19,15 @@ import "newgame/internal/netlist"
 // InvalidateNet marks a net's delay calculation stale (load caps, NDR,
 // or parasitics changed).
 func (a *Analyzer) InvalidateNet(n *netlist.Net) {
-	a.dirtyNets[n] = true
+	nd := a.netDataOf(n)
+	if nd == nil {
+		a.structDirty = true // not a net the last Run timed
+		return
+	}
+	if nd.dirtyGen != a.dirtyGen {
+		nd.dirtyGen = a.dirtyGen
+		a.dirtyNets = append(a.dirtyNets, nd)
+	}
 }
 
 // InvalidateCell marks cell c's timing stale after an in-place master swap
@@ -36,8 +44,8 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 		a.structDirty = true
 		return
 	}
-	ci, ok := a.cellIdx[c]
-	if !ok {
+	ci := a.cellOf(c)
+	if ci < 0 {
 		a.structDirty = true
 		return
 	}
@@ -52,19 +60,15 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 		a.masters[ci] = m
 		a.refreshCellCaches(ci, m)
 	}
-	for _, p := range c.Pins {
-		i, ok := a.pinIdx[p]
-		if !ok {
-			a.structDirty = true
-			return
-		}
+	for k, p := range c.Pins {
+		i := int(a.cellBase[ci]) + k
 		if p.Dir == netlist.Input {
 			if p.Net != nil {
 				a.InvalidateNet(p.Net)
 			}
-			a.dirtyReq[i] = true
+			a.dirtyReq = append(a.dirtyReq, i)
 		} else {
-			a.dirtyVerts[i] = true
+			a.dirtyVerts = append(a.dirtyVerts, i)
 		}
 	}
 }
@@ -75,25 +79,23 @@ func (a *Analyzer) dirty() bool {
 }
 
 // clearDirty forgets all pending invalidations (a full Run covers them).
+// Moving the generation takes every net off the dirty list at once.
 func (a *Analyzer) clearDirty() {
 	a.structDirty = false
-	clear(a.dirtyNets)
-	clear(a.dirtyVerts)
-	clear(a.dirtyReq)
+	a.dirtyGen++
+	a.dirtyNets = a.dirtyNets[:0]
+	a.dirtyVerts = a.dirtyVerts[:0]
+	a.dirtyReq = a.dirtyReq[:0]
 }
 
-// netDriverVertex returns the vertex driving net n, or -1.
+// netDriverVertex returns the vertex driving net n — its driver pin's, else
+// its input port's — or -1.
 func (a *Analyzer) netDriverVertex(n *netlist.Net) int {
 	if n.Driver != nil {
-		if i, ok := a.pinIdx[n.Driver]; ok {
-			return i
-		}
-		return -1
+		return a.pinVertex(n.Driver)
 	}
 	if n.Port != nil && n.Port.Dir == netlist.Input {
-		if i, ok := a.portIdx[n.Port]; ok {
-			return i
-		}
+		return a.portVertex(n.Port)
 	}
 	return -1
 }
@@ -103,21 +105,14 @@ func (a *Analyzer) netDriverVertex(n *netlist.Net) int {
 // Revision, which Update checks first; this catches loads or drivers moved
 // by direct field writes on the nets an Update is about to recompute.
 func (a *Analyzer) incrementalSafe() bool {
-	for n := range a.dirtyNets {
-		if _, ok := a.nets[n]; !ok {
+	for _, nd := range a.dirtyNets {
+		n := nd.net
+		if n.Driver != nil && a.pinVertex(n.Driver) < 0 || n.Port != nil && a.portVertex(n.Port) < 0 {
 			return false
 		}
-		if n.Driver != nil {
-			if _, ok := a.pinIdx[n.Driver]; !ok {
-				return false
-			}
-		}
 		for si, l := range n.Loads {
-			i, ok := a.pinIdx[l]
-			if !ok {
-				return false
-			}
-			if a.faninNets[i] != n || int(a.topo.faninSink[i]) != si {
+			i := a.pinVertex(l)
+			if i < 0 || int(a.topo.faninNet[i]) != n.Index() || int(a.topo.faninSink[i]) != si {
 				return false
 			}
 		}
@@ -257,11 +252,11 @@ func (a *Analyzer) Update() error {
 	}
 
 	// Phase 1: redo delay calculation for dirty nets.
-	for n := range a.dirtyNets {
-		a.growZeroBuf(n.Fanout())
+	for _, nd := range a.dirtyNets {
+		a.growZeroBuf(nd.net.Fanout())
 	}
-	for n := range a.dirtyNets {
-		a.countNetFill(a.fillNetData(a.nets[n], n, &a.calc[0]))
+	for _, nd := range a.dirtyNets {
+		a.countNetFill(a.fillNetData(nd, &a.calc[0]))
 	}
 
 	// Phase 2: forward cone. Seed the worklist with every vertex whose
@@ -276,18 +271,19 @@ func (a *Analyzer) Update() error {
 	fw.reset()
 	level := a.topo.level
 	seedFwd := func(i int) { fw.push(i, int(level[i])) }
-	for n := range a.dirtyNets {
+	for _, nd := range a.dirtyNets {
+		n := nd.net
 		if d := a.netDriverVertex(n); d >= 0 {
 			seedFwd(d)
 		}
 		for _, l := range n.Loads {
-			seedFwd(a.pinIdx[l])
+			seedFwd(a.pinVertex(l))
 		}
 		if p := n.Port; p != nil && p.Dir == netlist.Output {
-			seedFwd(a.portIdx[p])
+			seedFwd(a.portVertex(p))
 		}
 	}
-	for i := range a.dirtyVerts {
+	for _, i := range a.dirtyVerts {
 		seedFwd(i)
 	}
 	a.changedList = a.changedList[:0]
@@ -331,24 +327,21 @@ func (a *Analyzer) Update() error {
 		for _, i := range a.changedList {
 			seedBwd(i)
 		}
-		for i := range a.dirtyReq {
+		for _, i := range a.dirtyReq {
 			seedBwd(i)
 		}
-		for n := range a.dirtyNets {
-			d := a.netDriverVertex(n)
+		for _, nd := range a.dirtyNets {
+			d := a.netDriverVertex(nd.net)
 			if d < 0 {
 				continue
 			}
 			seedBwd(d)
 			// The driver cell's input pins see the dirty net's new total
 			// cap through their backward arc-delay recomputation.
-			if dp := a.verts[d].pin; dp != nil {
-				for _, p := range dp.Cell.Pins {
-					if p.Dir != netlist.Input {
-						continue
-					}
-					if pi, ok := a.pinIdx[p]; ok {
-						seedBwd(pi)
+			if ci := a.topo.cellOf[d]; ci >= 0 {
+				for k, p := range a.cells[ci].Pins {
+					if p.Dir == netlist.Input {
+						seedBwd(int(a.cellBase[ci]) + k)
 					}
 				}
 			}

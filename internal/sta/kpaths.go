@@ -18,13 +18,8 @@ func (a *Analyzer) PathsWithin(e EndpointSlack, window units.Ps, maxPaths int) [
 	if e.Kind != Setup || maxPaths <= 0 {
 		return nil
 	}
-	var endV int
-	if e.Pin != nil {
-		endV = a.pinIdx[e.Pin]
-	} else {
-		endV = a.portIdx[e.Port]
-	}
-	if !a.fValid[ix4(endV, e.RF, late)] {
+	endV := a.endpointVertex(e)
+	if endV < 0 || !a.fValid[ix4(endV, e.RF, late)] {
 		return nil
 	}
 	worst := a.fArr[ix4(endV, e.RF, late)].T

@@ -66,18 +66,21 @@ func (p Path) Depth() int {
 	return n
 }
 
+// endpointVertex returns the vertex e's check sits at, or -1.
+func (a *Analyzer) endpointVertex(e EndpointSlack) int {
+	if e.Pin != nil {
+		return a.pinVertex(e.Pin)
+	}
+	return a.portVertex(e.Port)
+}
+
 // WorstPath extracts the GBA worst path into the endpoint of e.
 func (a *Analyzer) WorstPath(e EndpointSlack) Path {
 	el := late
 	if e.Kind == Hold {
 		el = early
 	}
-	var end int
-	if e.Pin != nil {
-		end = a.pinIdx[e.Pin]
-	} else {
-		end = a.portIdx[e.Port]
-	}
+	end := a.endpointVertex(e)
 	// Walk the predecessor chain once for its length, then again filling
 	// Steps back to front, so the root-first result is sized exactly.
 	n := 0

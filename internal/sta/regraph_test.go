@@ -11,6 +11,8 @@ import (
 	"newgame/internal/conformance"
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
+	"newgame/internal/obs"
+	"newgame/internal/opt"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 )
@@ -378,4 +380,158 @@ func TestFailedRegraphLeavesAnalyzerUnrun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualsFresh(t, a, "after breaking the cycle")
+}
+
+// What the graph does not hold reads as absent — never as whatever sits at
+// the same number — and invalidating it costs a full Run: the objects of a
+// Clone, a cell and net added since the last Run, a cell and net a mid-list
+// removal renumbered, and the removed ones themselves.
+func TestObjectsOutsideTheGraph(t *testing.T) {
+	lib := conformance.Lib()
+	// removeMid takes a combinational cell out of the middle of d.Cells and,
+	// once its output net's loads are disconnected too, the net out of the
+	// middle of d.Nets.
+	removeMid := func(d *netlist.Design) (gone *netlist.Cell, goneNet *netlist.Net, next *netlist.Cell, nextNet *netlist.Net) {
+		for i := len(d.Cells) / 2; ; i++ {
+			c := d.Cells[i]
+			if m := lib.Cell(c.TypeName); m.IsSequential() || m.Gate != nil || c.Output().Net.Port != nil {
+				continue
+			}
+			gone, goneNet, next = c, c.Output().Net, d.Cells[i+1]
+			nextNet = d.Nets[goneNet.Index()+1]
+			break
+		}
+		d.RemoveCell(gone)
+		for len(goneNet.Loads) > 0 {
+			d.Disconnect(goneNet.Loads[0])
+		}
+		if d.CleanDanglingNets() == 0 {
+			t.Fatal("no net became dangling")
+		}
+		return
+	}
+	cases := []struct {
+		name string
+		// edit returns a cell and a net the analyzer's graph does not hold.
+		edit func(d *netlist.Design) (*netlist.Cell, *netlist.Net)
+	}{
+		{"another Clone's", func(d *netlist.Design) (*netlist.Cell, *netlist.Net) {
+			c := d.Clone()
+			return c.Cells[len(c.Cells)/2], drivenNet(rand.New(rand.NewSource(3)), c, 2)
+		}},
+		{"added after the Run", func(d *netlist.Design) (*netlist.Cell, *netlist.Net) {
+			n := drivenNet(rand.New(rand.NewSource(3)), d, 2)
+			buf := insertBuffer(t, d, n, n.Loads[:1]).Buf
+			return buf, buf.Pin("Z").Net
+		}},
+		{"renumbered by a mid-list removal", func(d *netlist.Design) (*netlist.Cell, *netlist.Net) {
+			_, _, next, nextNet := removeMid(d)
+			return next, nextNet
+		}},
+		{"removed mid-list", func(d *netlist.Design) (*netlist.Cell, *netlist.Net) {
+			gone, goneNet, _, _ := removeMid(d)
+			return gone, goneNet
+		}},
+	}
+	for _, tc := range cases {
+		for _, byNet := range []bool{false, true} {
+			d, cons := sta.CheckFixture(lib, "ports", 5)
+			rec := obs.NewRecorder()
+			a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), 5), Workers: 1, Obs: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+			c, n := tc.edit(d)
+			for _, p := range c.Pins {
+				if _, ok := a.PinArrival(p, 0, 1); ok {
+					t.Fatalf("%s: PinArrival(%s) answers", tc.name, p.FullName())
+				}
+				if _, ok := a.PinSlew(p, 0, 1); ok {
+					t.Fatalf("%s: PinSlew(%s) answers", tc.name, p.FullName())
+				}
+				if s := a.PinSetupSlack(p); !math.IsInf(s, 1) {
+					t.Fatalf("%s: PinSetupSlack(%s) = %v, want +Inf", tc.name, p.FullName(), s)
+				}
+			}
+			if s := a.CellSetupSlack(c); !math.IsInf(s, 1) {
+				t.Fatalf("%s: CellSetupSlack = %v, want +Inf", tc.name, s)
+			}
+			if l := a.NetLoad(n); l != 0 {
+				t.Fatalf("%s: NetLoad(%s) = %v, want 0", tc.name, n.Name, l)
+			}
+			if byNet {
+				a.InvalidateNet(n)
+			} else {
+				a.InvalidateCell(c)
+			}
+			fallbacks := rec.Counter("sta.update.full_run_fallback")
+			before := fallbacks.Value()
+			if err := a.Update(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fallbacks.Value() - before; got != 1 {
+				t.Fatalf("%s (byNet=%v): Update fell back to a full Run %d times, want 1", tc.name, byNet, got)
+			}
+			assertEqualsFresh(t, a, tc.name)
+		}
+	}
+}
+
+// Update fills and seeds in invalidation order, and what it computes does
+// not depend on that order: the same retypes and one NDR flagged forwards on
+// one analyzer and backwards on another leave equal state and equal work.
+func TestUpdateIsOrderDeterministic(t *testing.T) {
+	lib := conformance.Lib()
+	d, cons := sta.CheckFixture(lib, "ports", 5)
+	store := opt.NewStore(sta.NewKeyedNetBinder(parasitics.Stack16(), 5))
+	rec := obs.NewRecorder()
+	var as [2]*sta.Analyzer
+	for i := range as {
+		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: store.Fn(), SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: 1, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		as[i] = a
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 4; round++ {
+		cells := retype(rng, lib, d, 6)
+		var ndr *netlist.Net
+		for _, i := range rng.Perm(len(d.Nets)) {
+			if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= 2 && !store.HasNDR(n) && store.Fn()(n) != nil {
+				ndr = n
+				break
+			}
+		}
+		store.SetNDR(ndr, opt.WideSpaced)
+		as[0].InvalidateNet(ndr)
+		for _, c := range cells {
+			as[0].InvalidateCell(c)
+		}
+		for i := len(cells) - 1; i >= 0; i-- {
+			as[1].InvalidateCell(cells[i])
+		}
+		as[1].InvalidateNet(ndr)
+		for _, a := range as {
+			if err := a.Update(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f0, f1 := conformance.Fingerprint(as[0]), conformance.Fingerprint(as[1]); f0 != f1 {
+			t.Fatalf("round %d: fingerprints %s and %s", round, f0[:16], f1[:16])
+		}
+		if s0, s1 := as[0].LastRunStats(), as[1].LastRunStats(); s0 != s1 || s0.NetsFilled == 0 {
+			t.Fatalf("round %d: stats %+v and %+v", round, s0, s1)
+		}
+		assertEqualsFresh(t, as[0], fmt.Sprintf("round %d", round))
+	}
+	if n := rec.Counter("sta.update.full_run_fallback").Value(); n != 0 {
+		t.Fatalf("%d Updates fell back to a full Run; the test means to compare incremental ones", n)
+	}
 }

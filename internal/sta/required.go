@@ -2,6 +2,7 @@ package sta
 
 import (
 	"newgame/internal/liberty"
+	"newgame/internal/workpool"
 )
 
 // propagateRequired runs the backward (required-time) pass for setup (late)
@@ -17,7 +18,7 @@ func (a *Analyzer) propagateRequired() error {
 	if a.Cons == nil {
 		return nil
 	}
-	w := a.workers()
+	w := workpool.Workers(a.Cfg.Workers)
 	t := a.topo
 	for li := t.numLevels() - 1; li >= 0; li-- {
 		lvl := t.levelRange(li)
@@ -35,7 +36,7 @@ func (a *Analyzer) propagateRequired() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		parallelFor(w, len(lvl), func(_, lo, hi int) {
+		workpool.DoChunks(w, len(lvl), func(lo, hi int) {
 			for _, i := range lvl[lo:hi] {
 				a.pullRequired(int(i))
 			}

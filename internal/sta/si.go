@@ -40,7 +40,7 @@ func (a *Analyzer) NoiseViolations() []NoiseViolation {
 	}
 	aggSlew := a.referenceAggressorSlew()
 	for _, n := range a.D.Nets {
-		nd := a.nets[n]
+		nd := a.netDataOf(n)
 		if nd == nil || n.Driver == nil || nd.coupling <= 0 {
 			continue
 		}

@@ -136,7 +136,7 @@ func (a *Analyzer) clockRootIndices() []int32 {
 	var roots []int32
 	for _, ck := range a.Cons.Clocks {
 		for _, r := range ck.Roots {
-			if i, ok := a.portIdx[r]; ok {
+			if i := a.portVertex(r); i >= 0 {
 				roots = append(roots, int32(i))
 			}
 		}
@@ -163,7 +163,7 @@ func (t *Topology) compatible(a *Analyzer) bool {
 	}
 	checked := make(map[string]bool, 16)
 	for ci, c := range a.D.Cells {
-		if t.cellOf[a.pinIdx[c.Pins[0]]] != int32(ci) {
+		if t.cellOf[a.cellBase[ci]] != int32(ci) {
 			return false
 		}
 		if checked[c.TypeName] {
@@ -189,32 +189,19 @@ func (t *Topology) compatible(a *Analyzer) bool {
 	// Clone) makes this a formality, but it turns a violated contract into
 	// a silently-correct private rebuild instead of wrong timing.
 	for ni, nl := range a.D.Nets {
-		di := -1
-		if nl.Driver != nil {
-			if i, ok := a.pinIdx[nl.Driver]; ok {
-				di = i
-			}
-		} else if nl.Port != nil && nl.Port.Dir == netlist.Input {
-			if i, ok := a.portIdx[nl.Port]; ok {
-				di = i
-			}
-		}
+		di := a.netDriverVertex(nl)
 		if t.netDriver[ni] != int32(di) {
 			return false
 		}
 		if di < 0 {
 			continue
 		}
-		nSinks := len(nl.Loads)
-		if nl.Port != nil && nl.Port.Dir == netlist.Output {
-			nSinks++
-		}
-		if int(t.succOff[di+1]-t.succOff[di]) != nSinks {
+		if int(t.succOff[di+1]-t.succOff[di]) != nl.Fanout() {
 			return false
 		}
 		for si, l := range nl.Loads {
-			li, ok := a.pinIdx[l]
-			if !ok || t.faninDriver[li] != int32(di) ||
+			li := a.pinVertex(l)
+			if li < 0 || t.faninDriver[li] != int32(di) ||
 				t.faninNet[li] != int32(ni) || t.faninSink[li] != int32(si) {
 				return false
 			}
@@ -258,8 +245,8 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		t.kind[i] = a.vertexKind(i)
 		t.cellOf[i] = -1
 		if p := a.verts[i].pin; p != nil {
-			ci := a.cellIdx[p.Cell]
-			t.cellOf[i] = ci
+			ci := a.cellOf(p.Cell)
+			t.cellOf[i] = int32(ci)
 			m := a.masters[ci]
 			// Only *sequential* clock pins terminate clock-network marking
 			// and receive useful-skew offsets; a clock-gating cell's CK pin
@@ -269,9 +256,9 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 			}
 		}
 	}
-	for _, c := range a.D.Cells {
+	for ci, c := range a.cells {
 		if _, ok := t.arcSig[c.TypeName]; !ok {
-			t.arcSig[c.TypeName] = masterArcSig(a.masters[a.cellIdx[c]])
+			t.arcSig[c.TypeName] = masterArcSig(a.masters[ci])
 		}
 	}
 	// CSR successors: count, prefix-sum, fill — in pointer-walk order.
@@ -301,28 +288,19 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	}
 	t.netDriver = make([]int32, len(a.D.Nets))
 	for ni, nl := range a.D.Nets {
-		di := -1
-		if nl.Driver != nil {
-			if i, ok := a.pinIdx[nl.Driver]; ok {
-				di = i
-			}
-		} else if nl.Port != nil && nl.Port.Dir == netlist.Input {
-			if i, ok := a.portIdx[nl.Port]; ok {
-				di = i
-			}
-		}
+		di := a.netDriverVertex(nl)
 		t.netDriver[ni] = int32(di)
 		if di < 0 {
 			continue
 		}
 		for si, l := range nl.Loads {
-			li := a.pinIdx[l]
+			li := a.pinVertex(l)
 			t.faninDriver[li] = int32(di)
 			t.faninNet[li] = int32(ni)
 			t.faninSink[li] = int32(si)
 		}
 		if p := nl.Port; p != nil && p.Dir == netlist.Output {
-			pi := a.portIdx[p]
+			pi := a.portVertex(p)
 			t.faninDriver[pi] = int32(di)
 			t.faninNet[pi] = int32(ni)
 			t.faninSink[pi] = int32(len(nl.Loads))

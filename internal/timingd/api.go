@@ -19,27 +19,15 @@ package timingd
 
 import (
 	"newgame/internal/obs"
+	"newgame/internal/pack"
 	"newgame/internal/serve"
 	"newgame/internal/triage"
 	"newgame/internal/units"
 )
 
-// Op is one netlist edit in a what-if or ECO request.
-type Op struct {
-	// Kind selects the edit: "resize" retypes Cell in place to the master
-	// To (pin-compatible variant — Vt swap or drive change); "buffer"
-	// splits the loads named in Loads off net Net behind a new buffer of
-	// master To.
-	Kind string `json:"op"`
-	// Cell names the resize target ("resize").
-	Cell string `json:"cell,omitempty"`
-	// Net names the buffered net ("buffer").
-	Net string `json:"net,omitempty"`
-	// Loads names the moved load pins as "cell/pin" ("buffer").
-	Loads []string `json:"loads,omitempty"`
-	// To is the replacement or buffer master name.
-	To string `json:"to"`
-}
+// Op is one netlist edit in a what-if or ECO request — the type the epoch
+// log records.
+type Op = pack.EpochOp
 
 // ScenarioSlack is one scenario's merged timing numbers.
 type ScenarioSlack struct {

@@ -75,7 +75,7 @@ func (s *Server) recoverLog() error {
 		if want := s.epoch.Load() + 1; rec.Epoch != want {
 			return fmt.Errorf("timingd: epoch log gap: have epoch %d, next record is %d", want-1, rec.Epoch)
 		}
-		if _, err := s.commit(context.Background(), opsFromRecord(rec)); err != nil {
+		if _, err := s.commit(context.Background(), rec.Ops); err != nil {
 			return fmt.Errorf("timingd: replaying epoch %d: %w", rec.Epoch, err)
 		}
 		kept = append(kept, rec)
@@ -101,29 +101,13 @@ func (s *Server) logCommit(epoch int64, ops []Op) {
 	if s.wal == nil {
 		return
 	}
-	if err := s.wal.Append(pack.EpochRecord{Epoch: epoch, Ops: opsToRecord(ops)}); err != nil {
+	if err := s.wal.Append(pack.EpochRecord{Epoch: epoch, Ops: ops}); err != nil {
 		msg := err.Error()
 		s.walErr.Store(&msg)
 		s.count("timingd.wal.errors")
 		return
 	}
 	s.walAppended.Add(1)
-}
-
-func opsToRecord(ops []Op) []pack.EpochOp {
-	out := make([]pack.EpochOp, len(ops))
-	for i, op := range ops {
-		out[i] = pack.EpochOp{Kind: op.Kind, Cell: op.Cell, Net: op.Net, Loads: op.Loads, To: op.To}
-	}
-	return out
-}
-
-func opsFromRecord(rec pack.EpochRecord) []Op {
-	out := make([]Op, len(rec.Ops))
-	for i, op := range rec.Ops {
-		out[i] = Op{Kind: op.Kind, Cell: op.Cell, Net: op.Net, Loads: op.Loads, To: op.To}
-	}
-	return out
 }
 
 // collectTrees materializes the session's resident parasitic trees in net
