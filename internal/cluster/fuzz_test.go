@@ -69,6 +69,9 @@ func FuzzCoordinatorHandlers(f *testing.F) {
 		"GET\n/paths?k=0\n",
 		"GET\n/endpoints?limit=007&kind=bogus\n",
 		"GET\n/triage?k=0\n",
+		"GET\n/triage?window=NaN\n",
+		"GET\n/triage?window=Inf\n",
+		"GET\n/triage/extract?scenario=func_ss_cw&window=nan\n",
 		"GET\n/healthz\n",
 		"GET\n/metrics?format=prom\n",
 		"GET\n/debug/requests?limit=x\n",

@@ -204,6 +204,9 @@ func TestSpineConformance(t *testing.T) {
 			{"GET", "/paths?k=1001", ""},
 			{"GET", "/paths?kind=bogus", ""},
 			{"GET", "/paths?scenario=nope", ""},
+			{"GET", "/triage?window=NaN", ""},
+			{"GET", "/triage?window=Inf", ""},
+			{"GET", "/triage?window=-1", ""},
 			{"POST", "/whatif", `{"ops":[]}`},
 			{"POST", "/eco", `{"ops":[]}`},
 		} {
@@ -212,6 +215,19 @@ func TestSpineConformance(t *testing.T) {
 			if nc != cc || !bytes.Equal(bytes.TrimSpace(nb), bytes.TrimSpace(cb)) {
 				t.Errorf("%s %s %s: node answers %d %q, coordinator %d %q",
 					tc.method, tc.target, tc.body, nc, clip(nb), cc, clip(cb))
+			}
+		}
+		// A triage window that is not a finite positive number is refused, not
+		// read as "no window": ParseFloat accepts NaN and Inf, and NaN passes
+		// every <= test. (/triage/extract is a node route; a coordinator
+		// forwards the knob to it verbatim.)
+		for _, target := range []string{
+			"/triage?window=NaN", "/triage?window=Inf",
+			"/triage/extract?scenario=" + testFixture(t).names[0] + "&window=nan",
+		} {
+			code, _, body := do(t, http.MethodGet, node.base+target, "", nil)
+			if msg := wantError(t, target, code, 400, body); !strings.HasPrefix(msg, "bad window") {
+				t.Errorf("%s: refused with %q, want the bad-window message", target, msg)
 			}
 		}
 		// The empty /eco above was refused before any barrier began.

@@ -27,7 +27,7 @@ func (d *Design) Clone() *Design {
 	for _, c := range d.Cells {
 		nc := &Cell{Name: c.Name, TypeName: c.TypeName, pinsByName: make(map[string]*Pin, len(c.Pins)), idx: c.idx}
 		for _, p := range c.Pins {
-			np := &Pin{Name: p.Name, Dir: p.Dir, Cell: nc, Net: netOf(p.Net), ord: p.ord}
+			np := &Pin{Name: p.Name, Dir: p.Dir, Cell: nc, Net: netOf(p.Net), ord: p.ord, full: p.full}
 			nc.Pins = append(nc.Pins, np)
 			nc.pinsByName[np.Name] = np
 		}

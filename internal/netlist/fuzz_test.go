@@ -151,6 +151,9 @@ func checkStructure(t *testing.T, d *Design) {
 			if p.Index() != k {
 				t.Fatalf("pin %s at position %d has Index %d", p.FullName(), k, p.Index())
 			}
+			if want := p.Cell.Name + "/" + p.Name; p.FullName() != want {
+				t.Fatalf("pin %s of cell %q has FullName %q", p.Name, c.Name, p.FullName())
+			}
 		}
 	}
 	for i, p := range d.Ports {

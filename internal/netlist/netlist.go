@@ -40,14 +40,17 @@ type Pin struct {
 	Cell *Cell
 	Net  *Net
 
-	ord int
+	ord  int
+	full string
 }
 
 // Index returns the pin's position in its cell's Pins.
 func (p *Pin) Index() int { return p.ord }
 
-// FullName returns "cell/pin", the conventional hierarchical pin name.
-func (p *Pin) FullName() string { return p.Cell.Name + "/" + p.Name }
+// FullName returns "cell/pin", the conventional hierarchical pin name. It is
+// made once, when the cell is added or cloned: a cell is keyed by its name
+// and never renamed.
+func (p *Pin) FullName() string { return p.full }
 
 // Cell is an instance of a library master in the design.
 type Cell struct {
@@ -183,7 +186,7 @@ func (d *Design) AddCell(name, typeName string, pins ...PinDecl) (*Cell, error) 
 		if _, dup := c.pinsByName[pd.Name]; dup {
 			return nil, fmt.Errorf("netlist: duplicate pin %q on cell %q", pd.Name, name)
 		}
-		p := &Pin{Name: pd.Name, Dir: pd.Dir, Cell: c, ord: len(c.Pins)}
+		p := &Pin{Name: pd.Name, Dir: pd.Dir, Cell: c, ord: len(c.Pins), full: name + "/" + pd.Name}
 		c.Pins = append(c.Pins, p)
 		c.pinsByName[pd.Name] = p
 	}

@@ -189,7 +189,11 @@ func (s *Spine) Handle(route, method string, fn Func) http.HandlerFunc {
 				body = append(env, '\n')
 			}
 		}
+		// The body is finished: saying how long it is spares both ends the
+		// chunked framing net/http falls back to past its 2 KB sniff buffer,
+		// and lets the client read it into one buffer of the right size.
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body)
 	}
 }

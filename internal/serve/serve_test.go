@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,6 +98,36 @@ func TestHandleMapsErrors(t *testing.T) {
 	}
 	if n := sp.Obs.Counter("t.full.errors").Value(); n != 1 {
 		t.Fatalf("t.full.errors = %d", n)
+	}
+}
+
+// A finished body goes out with its length — the traced envelope's, when the
+// request asked for one — so a reply past net/http's 2 KB sniff buffer is
+// not chunked and a client can size its read.
+func TestHandleAnnouncesContentLength(t *testing.T) {
+	sp := &Spine{NS: "t", Requests: obs.NewRing[obs.RequestRecord](8), Cache: NewCache(1)}
+	big, _ := JSON(map[string]string{"pad": strings.Repeat("x", 10<<10)})
+	hs := httptest.NewServer(sp.Handle("big", http.MethodGet, func(context.Context, *http.Request) ([]byte, error) {
+		return big, nil
+	}))
+	defer hs.Close()
+	for _, target := range []string{"/", "/?debug=trace"} {
+		resp, err := http.Get(hs.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: %d %v", target, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				target, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if (target == "/") != bytes.Equal(body, big) {
+			t.Errorf("%s: body is %d bytes, the plain one %d", target, len(body), len(big))
+		}
 	}
 }
 

@@ -25,6 +25,15 @@ func (k CheckKind) String() string {
 	return "hold"
 }
 
+// side is the arrival plane the check's data path is timed on: late for
+// setup, early for hold.
+func (k CheckKind) side() int {
+	if k == Hold {
+		return early
+	}
+	return late
+}
+
 // EndpointSlack is a timing check result at one endpoint.
 type EndpointSlack struct {
 	Kind CheckKind
@@ -343,6 +352,17 @@ func (a *Analyzer) EndpointSlacks(kind CheckKind) []EndpointSlack {
 	out := make([]EndpointSlack, len(src))
 	copy(out, src)
 	return out
+}
+
+// EachEndpoint calls yield with kind's endpoint slacks, worst first, until it
+// returns false: EndpointSlacks for a reader that wants a prefix of the list
+// and keeps none of it, without the copy.
+func (a *Analyzer) EachEndpoint(kind CheckKind, yield func(EndpointSlack) bool) {
+	for _, e := range a.resident(kind) {
+		if !yield(e) {
+			return
+		}
+	}
 }
 
 // Summary returns kind's worst slack, TNS and counts as of the last

@@ -7,7 +7,7 @@ import (
 
 // The two delay rules. Everything that asks what an edge of the timing graph
 // costs — the forward pass (relaxArc, relaxNetEdge), the required-time pull
-// (pullArcRequired, pullNetRequired), k-worst enumeration (inEdgesLate) and
+// (pullArcRequired, pullNetRequired), k-worst enumeration (pushInEdges) and
 // PBA — asks here, so a margin is stacked on a delay in exactly one place and
 // the backward pass cannot charge an edge differently from the forward one.
 

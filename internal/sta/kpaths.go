@@ -1,155 +1,253 @@
 package sta
 
 import (
-	"sort"
-
 	"newgame/internal/liberty"
+	"newgame/internal/netlist"
 	"newgame/internal/units"
 )
 
-// PathsWithin enumerates the distinct late paths into an endpoint whose
-// arrival is within `window` ps of the endpoint's worst arrival — the
-// report_timing -slack_lesser_than view a closure engineer works from (the
-// worst path alone under-reports how much logic needs fixing). Paths are
-// returned worst-first, at most maxPaths of them. Only setup (late)
-// endpoints are supported; arrivals are mean-based under statistical
-// deraters.
-func (a *Analyzer) PathsWithin(e EndpointSlack, window units.Ps, maxPaths int) []Path {
+// PathWalker extracts timing paths from one analyzer's last Run/Update. It
+// owns the storage a walk needs — the DFS step stack, the stacked in-edge
+// lists and the steps of the paths it hands out — and keeps all of it
+// between calls, so a caller that walks many endpoints allocates only while
+// the walker is still growing to the longest path it has met.
+//
+// Whatever Worst or Within returns (the paths and their Steps) is valid until
+// the walker's next call. A walker belongs to one goroutine: make one per
+// render or per extraction (Analyzer.Walker) and drop it afterwards. The
+// analyzer never holds one — readers share an analyzer concurrently.
+type PathWalker struct {
+	a     *Analyzer
+	stack []PathStep // the path under construction, endpoint-first
+	edges []inEdge   // in-edge lists of the vertices on the stack, back to back
+	steps []PathStep // storage of the emitted paths' Steps
+	paths []Path
+
+	// The walk in progress (Within).
+	e            EndpointSlack
+	worst, floor float64
+	max          int
+}
+
+// Walker returns a new path walker over a.
+func (a *Analyzer) Walker() *PathWalker { return &PathWalker{a: a} }
+
+func (w *PathWalker) reset() {
+	w.steps, w.paths = w.steps[:0], w.paths[:0]
+}
+
+// take hands out room for one path of n steps. Paths handed out earlier keep
+// the chunk they were cut from, so growing never copies.
+func (w *PathWalker) take(n int) []PathStep {
+	if cap(w.steps)-len(w.steps) < n {
+		w.steps = make([]PathStep, 0, max(n, 2*cap(w.steps)))
+	}
+	lo := len(w.steps)
+	w.steps = w.steps[:lo+n]
+	return w.steps[lo : lo+n : lo+n]
+}
+
+// Worst extracts the GBA worst path into the endpoint of e.
+func (w *PathWalker) Worst(e EndpointSlack) Path {
+	w.reset()
+	return w.worstPath(e)
+}
+
+// chainLen is the number of steps on e's worst path: the length of the
+// predecessor chain from its endpoint vertex.
+func (a *Analyzer) chainLen(e EndpointSlack) int {
+	el := e.Kind.side()
+	n := 0
+	for i, rf := a.endpointVertex(e), e.RF; i >= 0 && a.fValid[ix4(i, rf, el)]; n++ {
+		pr := a.fPred[ix4(i, rf, el)]
+		i, rf = pr.v, pr.rf
+	}
+	return n
+}
+
+// worstPath walks e's predecessor chain once for its length and again
+// filling Steps back to front, so the root-first result is sized exactly.
+func (w *PathWalker) worstPath(e EndpointSlack) Path {
+	a := w.a
+	el := e.Kind.side()
+	p := Path{Endpoint: e, GBASlack: e.Slack, Steps: w.take(a.chainLen(e))}
+	for i, rf, k := a.endpointVertex(e), e.RF, len(p.Steps)-1; k >= 0; k-- {
+		kk := ix4(i, rf, el)
+		pr := a.fPred[kk]
+		st := PathStep{
+			Name:    a.vname(i),
+			RF:      rf,
+			Delay:   pr.delay,
+			IsCell:  pr.cell,
+			Arrival: a.fArr[kk].T,
+			Slew:    a.fSlew[kk],
+			vid:     i,
+			arc:     pr.arc,
+		}
+		st.Cell, st.Net = a.stepOwner(i, !pr.cell && pr.v >= 0)
+		p.Steps[k] = st
+		i, rf = pr.v, pr.rf
+	}
+	return p
+}
+
+// stepOwner returns the cell owning vertex i (nil for a port) and, when the
+// edge into it is a wire, the net that edge traverses.
+func (a *Analyzer) stepOwner(i int, wire bool) (c *netlist.Cell, n *netlist.Net) {
+	switch v := a.verts[i]; {
+	case v.pin != nil:
+		c, n = v.pin.Cell, v.pin.Net
+	case v.port != nil:
+		n = v.port.Net
+	}
+	if !wire {
+		n = nil
+	}
+	return c, n
+}
+
+// Within enumerates the distinct late paths into an endpoint whose arrival
+// is within `window` ps of the endpoint's worst arrival — the report_timing
+// -slack_lesser_than view a closure engineer works from (the worst path
+// alone under-reports how much logic needs fixing). Paths are returned
+// worst-first, at most maxPaths of them. Only setup (late) endpoints are
+// supported; arrivals are mean-based under statistical deraters.
+func (w *PathWalker) Within(e EndpointSlack, window units.Ps, maxPaths int) []Path {
+	w.reset()
 	if e.Kind != Setup || maxPaths <= 0 {
 		return nil
 	}
+	a := w.a
 	endV := a.endpointVertex(e)
 	if endV < 0 || !a.fValid[ix4(endV, e.RF, late)] {
 		return nil
 	}
-	worst := a.fArr[ix4(endV, e.RF, late)].T
-	floor := worst - window
+	w.e, w.max = e, maxPaths
+	w.worst = a.fArr[ix4(endV, e.RF, late)].T
+	w.floor = w.worst - window
+	w.descend(endV, e.RF, 0)
+	// The walk leans worst-first; a stable insertion sort over the at most
+	// maxPaths results restores the exact order.
+	ps := w.paths
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].GBASlack < ps[j-1].GBASlack; j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+	if len(ps) == 0 {
+		return nil
+	}
+	return ps
+}
 
-	// Backward DFS enumerating suffix arrivals: a partial path from the
-	// endpoint back to vertex (v, rf) has accumulated delay `suffix`; its
-	// best possible total arrival is arr(v) + suffix, prunable against
-	// floor. Each in-edge candidate is explored in decreasing contribution
-	// order so results lean worst-first (exact global order is restored by
-	// the final sort).
-	type frame struct {
-		v, rf  int
-		suffix float64
+// descend is the backward DFS enumerating suffix arrivals: the partial path
+// from the endpoint back to vertex (v, rf) sits on the stack and has
+// accumulated delay `suffix`; its best possible total arrival is
+// arr(v) + suffix, prunable against floor. In-edges are explored in
+// decreasing contribution order.
+func (w *PathWalker) descend(v, rf int, suffix float64) {
+	a := w.a
+	k := ix4(v, rf, late)
+	if a.fPred[k].v < 0 || !a.fValid[k] {
+		w.emit(v, rf, suffix)
+		return
 	}
-	var out []Path
-	var steps []PathStep // endpoint-last, built root-ward then reversed
+	lo := len(w.edges)
+	w.pushInEdges(v, rf)
+	// Deeper levels append behind hi and cut back to it; they may move
+	// w.edges, so this level's list is read by index.
+	for i, hi := lo, len(w.edges); i < hi && len(w.paths) < w.max; i++ {
+		in := w.edges[i]
+		if in.at+suffix < w.floor-1e-9 {
+			continue
+		}
+		st := PathStep{
+			Name: a.vname(v), RF: rf, Delay: in.delay,
+			IsCell: in.cell, Slew: a.fSlew[k],
+			vid: v, arc: in.arc,
+		}
+		st.Cell, st.Net = a.stepOwner(v, !in.cell)
+		w.stack = append(w.stack, st)
+		w.descend(in.v, in.rf, suffix+in.delay)
+		w.stack = w.stack[:len(w.stack)-1]
+	}
+	w.edges = w.edges[:lo]
+}
 
-	var dfs func(fr frame)
-	dfs = func(fr frame) {
-		if len(out) >= maxPaths {
-			return
-		}
-		k := ix4(fr.v, fr.rf, late)
-		pr := a.fPred[k]
-		if pr.v < 0 || !a.fValid[k] {
-			// Reached a source: emit the path (steps are endpoint-first).
-			p := Path{Endpoint: e, GBASlack: e.Slack + (worst - (a.fArr[k].T + fr.suffix))}
-			p.Steps = append(p.Steps, PathStep{
-				Name: a.vname(fr.v), RF: fr.rf,
-				Arrival: a.fArr[k].T,
-				Slew:    a.fSlew[k],
-				vid:     fr.v,
-			})
-			for i := len(steps) - 1; i >= 0; i-- {
-				p.Steps = append(p.Steps, steps[i])
-			}
-			// Recompute cumulative arrivals along this specific path.
-			cum := a.fArr[k].T
-			for i := 1; i < len(p.Steps); i++ {
-				cum += p.Steps[i].Delay
-				p.Steps[i].Arrival = cum
-			}
-			out = append(out, p)
-			return
-		}
-		for _, in := range a.inEdgesLate(fr.v, fr.rf) {
-			ku := ix4(in.v, in.rf, late)
-			if !a.fValid[ku] {
-				continue
-			}
-			total := a.fArr[ku].T + in.delay + fr.suffix
-			if total < floor-1e-9 {
-				continue
-			}
-			st := PathStep{
-				Name: a.vname(fr.v), RF: fr.rf, Delay: in.delay,
-				IsCell: in.cell, Slew: a.fSlew[k],
-				vid: fr.v, arc: in.arc,
-			}
-			if vv := a.verts[fr.v]; vv.pin != nil {
-				st.Cell = vv.pin.Cell
-				if !in.cell {
-					st.Net = vv.pin.Net
-				}
-			} else if vv.port != nil && !in.cell {
-				st.Net = vv.port.Net
-			}
-			steps = append(steps, st)
-			dfs(frame{v: in.v, rf: in.rf, suffix: fr.suffix + in.delay})
-			steps = steps[:len(steps)-1]
-			if len(out) >= maxPaths {
-				return
-			}
-		}
+// emit records the path the stack spells out, rooted at source (v, rf).
+func (w *PathWalker) emit(v, rf int, suffix float64) {
+	a := w.a
+	k := ix4(v, rf, late)
+	root := a.fArr[k].T
+	p := Path{
+		Endpoint: w.e,
+		GBASlack: w.e.Slack + (w.worst - (root + suffix)),
+		Steps:    w.take(len(w.stack) + 1),
 	}
-	dfs(frame{v: endV, rf: e.RF})
-	sort.SliceStable(out, func(i, j int) bool { return out[i].GBASlack < out[j].GBASlack })
-	if len(out) > maxPaths {
-		out = out[:maxPaths]
+	p.Steps[0] = PathStep{Name: a.vname(v), RF: rf, Arrival: root, Slew: a.fSlew[k], vid: v}
+	// The stack is endpoint-first; arrivals are re-accumulated along this
+	// specific path.
+	cum := root
+	for i := 1; i < len(p.Steps); i++ {
+		st := w.stack[len(w.stack)-i]
+		cum += st.Delay
+		st.Arrival = cum
+		p.Steps[i] = st
 	}
-	return out
+	w.paths = append(w.paths, p)
 }
 
 // inEdge is one timing edge into a vertex with its late delay.
 type inEdge struct {
 	v, rf int
 	delay float64
+	at    float64 // source arrival + delay: the edge's contribution
 	cell  bool
 	arc   *liberty.TimingArc
 }
 
-// inEdgesLate enumerates the in-edges of vertex i for output transition rf
-// at the delays the forward late pass charged them (netEdgeDelay, arcDelay),
-// ordered by decreasing (source arrival + delay).
-func (a *Analyzer) inEdgesLate(i, rf int) []inEdge {
-	var out []inEdge
+// pushInEdges appends the valid in-edges of vertex i for output transition
+// rf to w.edges, at the delays the forward late pass charged them
+// (netEdgeDelay, arcDelay), ordered by decreasing contribution. Edges of
+// equal contribution keep enumeration order (arc order, then rise before
+// fall): a vertex has a handful of in-edges, so the order is made by a
+// stable insertion as each is pushed.
+func (w *PathWalker) pushInEdges(i, rf int) {
+	a := w.a
+	lo := len(w.edges)
+	push := func(in inEdge) {
+		in.at = a.fArr[ix4(in.v, in.rf, late)].T + in.delay
+		w.edges = append(w.edges, in)
+		for j := len(w.edges) - 1; j > lo && w.edges[j].at > w.edges[j-1].at; j-- {
+			w.edges[j], w.edges[j-1] = w.edges[j-1], w.edges[j]
+		}
+	}
 	if a.topo.kind[i] == vkOutPin {
 		nd := a.vnd[i]
 		for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
 			fv := int(ar.other)
-			for _, rfIn := range inTransitions(ar.arc.Sense, rf) {
-				if !a.fValid[ix4(fv, rfIn, late)] {
-					continue
+			first, last := inTransitions(ar.arc.Sense, rf)
+			for rfIn := first; rfIn <= last; rfIn++ {
+				if a.fValid[ix4(fv, rfIn, late)] {
+					push(inEdge{v: fv, rf: rfIn, delay: a.lateArcDelay(ar.arc, fv, rfIn, rf, nd), cell: true, arc: ar.arc})
 				}
-				d := a.lateArcDelay(ar.arc, fv, rfIn, rf, nd)
-				out = append(out, inEdge{v: fv, rf: rfIn, delay: d, cell: true, arc: ar.arc})
 			}
 		}
-	} else if src := int(a.topo.faninDriver[i]); src >= 0 {
+	} else if src := int(a.topo.faninDriver[i]); src >= 0 && a.fValid[ix4(src, rf, late)] {
 		// Input pin or output port: the one net edge from its driver.
-		out = append(out, inEdge{v: src, rf: rf, delay: a.netEdgeDelay(src, i, rf, late)})
+		push(inEdge{v: src, rf: rf, delay: a.netEdgeDelay(src, i, rf, late)})
 	}
-	sort.SliceStable(out, func(x, y int) bool {
-		ax := a.fArr[ix4(out[x].v, out[x].rf, late)].T + out[x].delay
-		ay := a.fArr[ix4(out[y].v, out[y].rf, late)].T + out[y].delay
-		return ax > ay
-	})
-	return out
 }
 
-// inTransitions inverts senseOuts: which input transitions produce the
-// given output transition through an arc's sense.
-func inTransitions(s liberty.ArcSense, rfOut int) []int {
+// inTransitions inverts senseOuts: the inclusive range of input transitions
+// that produce the given output transition through an arc's sense.
+func inTransitions(s liberty.ArcSense, rfOut int) (first, last int) {
 	switch s {
 	case liberty.PositiveUnate:
-		return []int{rfOut}
+		return rfOut, rfOut
 	case liberty.NegativeUnate:
-		return []int{1 - rfOut}
+		return 1 - rfOut, 1 - rfOut
 	default:
-		return []int{rise, fall}
+		return rise, fall
 	}
 }

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"newgame/internal/circuits"
@@ -38,8 +39,9 @@ func TestPathsWithinSinglePathChain(t *testing.T) {
 }
 
 // diamond builds FF -> {short branch, long branch} -> AND2 -> FF so the
-// endpoint has exactly two distinct paths with different arrivals.
-func diamondDesign(t *testing.T, lib *liberty.Library) (*netlist.Design, *Constraints) {
+// endpoint has exactly two distinct paths: one inverter into join/A, and
+// `long` inverters of longType into join/B.
+func diamondDesign(t *testing.T, lib *liberty.Library, long int, longType string) (*netlist.Design, *Constraints) {
 	t.Helper()
 	d := netlist.New("diamond")
 	clk, _ := d.AddPort("clk", netlist.Input)
@@ -65,10 +67,9 @@ func diamondDesign(t *testing.T, lib *liberty.Library) (*netlist.Design, *Constr
 	sn, _ := d.AddNet("sn")
 	mustConn(s1, "A", q)
 	mustConn(s1, "Z", sn)
-	// Long branch: three inverters.
 	prev := q
-	for i := 0; i < 3; i++ {
-		g, _ := circuits.AddCell(d, lib, d.FreshName("l"), "INV_X1_HVT")
+	for i := 0; i < long; i++ {
+		g, _ := circuits.AddCell(d, lib, d.FreshName("l"), longType)
 		mustConn(g, "A", prev)
 		n, _ := d.AddNet(d.FreshName("ln"))
 		mustConn(g, "Z", n)
@@ -88,9 +89,10 @@ func diamondDesign(t *testing.T, lib *liberty.Library) (*netlist.Design, *Constr
 	return d, cons
 }
 
-func TestPathsWithinDiamond(t *testing.T) {
-	lib := testLib()
-	d, cons := diamondDesign(t, lib)
+// diamondEndpoint times a diamond and returns ff2's worst setup check.
+func diamondEndpoint(t *testing.T, lib *liberty.Library, long int, longType string) (*Analyzer, EndpointSlack) {
+	t.Helper()
+	d, cons := diamondDesign(t, lib, long, longType)
 	a, err := New(d, cons, Config{Lib: lib})
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +100,18 @@ func TestPathsWithinDiamond(t *testing.T) {
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var ep *EndpointSlack
 	for _, e := range a.EndpointSlacks(Setup) {
 		if e.Pin != nil && e.Pin.Cell.Name == "ff2" {
-			ec := e
-			ep = &ec
-			break
+			return a, e
 		}
 	}
-	if ep == nil {
-		t.Fatal("no ff2 endpoint")
-	}
+	t.Fatal("no ff2 endpoint")
+	return nil, EndpointSlack{}
+}
+
+func TestPathsWithinDiamond(t *testing.T) {
+	a, e := diamondEndpoint(t, testLib(), 3, "INV_X1_HVT")
+	ep := &e
 	// Wide window: both branches appear.
 	paths := a.PathsWithin(*ep, 10000, 10)
 	if len(paths) != 2 {
@@ -139,6 +142,104 @@ func TestPathsWithinDiamond(t *testing.T) {
 			want := p.Steps[i-1].Arrival + p.Steps[i].Delay
 			if math.Abs(p.Steps[i].Arrival-want) > 1e-6 {
 				t.Fatalf("path arrival chain broken at step %d", i)
+			}
+		}
+	}
+}
+
+// Two in-edges of equal contribution are explored, and reported, in
+// enumeration order — join's A arc before its B arc — however often the
+// in-edge order and the result order are re-sorted on the way: both sorts
+// are stable.
+func TestPathsWithinTieKeepsEnumerationOrder(t *testing.T) {
+	// Make join's two inputs indistinguishable, so the branches tie exactly.
+	lib := testLib()
+	and := lib.Cell("AND2_X1_SVT")
+	b := and.Arc("B", "Z")
+	*b = *and.Arc("A", "Z")
+	b.From = "B"
+	and.Pin("B").Cap = and.Pin("A").Cap
+	a, e := diamondEndpoint(t, lib, 1, "INV_X1_SVT")
+	paths := a.PathsWithin(e, 10000, 10)
+	if len(paths) != 2 {
+		t.Fatalf("symmetric diamond has %d paths, want 2", len(paths))
+	}
+	if paths[0].GBASlack != paths[1].GBASlack {
+		t.Fatalf("branches are not tied: %v vs %v", paths[0].GBASlack, paths[1].GBASlack)
+	}
+	via := func(p Path) string { return p.Steps[len(p.Steps)-3].Name } // …, join/?, join/Z, ff2/D
+	if via(paths[0]) != "join/A" || via(paths[1]) != "join/B" {
+		t.Errorf("tied paths come back through %s then %s, want join/A then join/B", via(paths[0]), via(paths[1]))
+	}
+}
+
+// One walker reused across every violating endpoint of a design, setup and
+// hold, returns what the one-shot calls return — and a one-shot result is
+// the caller's: later walks leave it as it was.
+func TestWalkerReuseMatchesOneShot(t *testing.T) {
+	lib := testLib()
+	d, cons := checkFixture(lib, "ports", 11)
+	cons.Clocks[0].Period, cons.Clocks[0].HoldUncertainty = 110, 60
+	a, err := New(d, cons, Config{Lib: lib, Derate: DefaultAOCV()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var eps []EndpointSlack
+	for _, kind := range []CheckKind{Setup, Hold} {
+		n := len(eps)
+		a.EachEndpoint(kind, func(e EndpointSlack) bool {
+			if e.Slack < 0 {
+				eps = append(eps, e)
+			}
+			return e.Slack < 0
+		})
+		if len(eps)-n < 10 {
+			t.Fatalf("fixture has %d %v violations, want at least 10", len(eps)-n, kind)
+		}
+	}
+	clonePaths := func(ps []Path) []Path {
+		out := append([]Path(nil), ps...)
+		for i := range out {
+			out[i].Steps = append([]PathStep(nil), out[i].Steps...)
+		}
+		return out
+	}
+	// One-shot results first, each with a private copy to compare it to later.
+	within, worst := make([][]Path, len(eps)), make([]Path, len(eps))
+	withinCopy, worstCopy := make([][]Path, len(eps)), make([]Path, len(eps))
+	multi := 0
+	for i, e := range eps {
+		within[i], worst[i] = a.PathsWithin(e, 25, 4), a.WorstPath(e)
+		withinCopy[i], worstCopy[i] = clonePaths(within[i]), clonePaths([]Path{worst[i]})[0]
+		if len(within[i]) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no endpoint has a second path inside the window")
+	}
+	w := a.Walker()
+	for i, e := range eps {
+		if got := w.Within(e, 25, 4); !reflect.DeepEqual(got, within[i]) {
+			t.Fatalf("%s %v: reused walker's Within differs from PathsWithin:\n%v\n%v", e.Name(), e.Kind, got, within[i])
+		}
+		if got := w.Worst(e); !reflect.DeepEqual(got, worst[i]) {
+			t.Fatalf("%s %v: reused walker's Worst differs from WorstPath:\n%v\n%v", e.Name(), e.Kind, got, worst[i])
+		}
+	}
+	for i, e := range eps {
+		if !reflect.DeepEqual(within[i], withinCopy[i]) || !reflect.DeepEqual(worst[i], worstCopy[i]) {
+			t.Fatalf("%s %v: a one-shot result changed under later walks", e.Name(), e.Kind)
+		}
+	}
+	// WorstPaths is the same walk, all paths kept at once.
+	for _, kind := range []CheckKind{Setup, Hold} {
+		for _, p := range a.WorstPaths(kind, 15) {
+			if want := a.WorstPath(p.Endpoint); !reflect.DeepEqual(p, want) {
+				t.Fatalf("WorstPaths(%v) path into %s differs from WorstPath", kind, p.Endpoint.Name())
 			}
 		}
 	}

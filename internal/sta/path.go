@@ -34,6 +34,11 @@ type PathStep struct {
 	arc *liberty.TimingArc
 }
 
+// Vertex returns the step's vertex number in the analyzer that produced the
+// path: an identity for the pin or port that costs no name, good for as long
+// as that analyzer's graph stands.
+func (s PathStep) Vertex() int { return s.vid }
+
 // Path is an extracted worst path to an endpoint.
 type Path struct {
 	Endpoint EndpointSlack
@@ -74,51 +79,19 @@ func (a *Analyzer) endpointVertex(e EndpointSlack) int {
 	return a.portVertex(e.Port)
 }
 
-// WorstPath extracts the GBA worst path into the endpoint of e.
-func (a *Analyzer) WorstPath(e EndpointSlack) Path {
-	el := late
-	if e.Kind == Hold {
-		el = early
-	}
-	end := a.endpointVertex(e)
-	// Walk the predecessor chain once for its length, then again filling
-	// Steps back to front, so the root-first result is sized exactly.
-	n := 0
-	for i, rf := end, e.RF; i >= 0 && a.fValid[ix4(i, rf, el)]; n++ {
-		pr := a.fPred[ix4(i, rf, el)]
-		i, rf = pr.v, pr.rf
-	}
-	p := Path{Endpoint: e, GBASlack: e.Slack, Steps: make([]PathStep, n)}
-	for i, rf, k := end, e.RF, n-1; k >= 0; k-- {
-		kk := ix4(i, rf, el)
-		pr := a.fPred[kk]
-		v := a.verts[i]
-		st := PathStep{
-			Name:    a.vname(i),
-			RF:      rf,
-			Delay:   pr.delay,
-			IsCell:  pr.cell,
-			Arrival: a.fArr[kk].T,
-			Slew:    a.fSlew[kk],
-			vid:     i,
-			arc:     pr.arc,
-		}
-		if v.pin != nil {
-			st.Cell = v.pin.Cell
-			if !pr.cell && pr.v >= 0 {
-				st.Net = v.pin.Net
-			}
-		} else if v.port != nil && !pr.cell && pr.v >= 0 {
-			st.Net = v.port.Net
-		}
-		p.Steps[k] = st
-		i, rf = pr.v, pr.rf
-	}
-	return p
+// WorstPath extracts the GBA worst path into the endpoint of e: a walker
+// used once, so the path is the caller's to keep.
+func (a *Analyzer) WorstPath(e EndpointSlack) Path { return a.Walker().Worst(e) }
+
+// PathsWithin is PathWalker.Within on a walker used once, so the paths are
+// the caller's to keep.
+func (a *Analyzer) PathsWithin(e EndpointSlack, window units.Ps, maxPaths int) []Path {
+	return a.Walker().Within(e, window, maxPaths)
 }
 
 // WorstPaths returns the worst path for each of the n worst endpoints of
-// the check (one per endpoint, sorted worst-first).
+// the check (one per endpoint, sorted worst-first). All n share one walker's
+// storage, sized once for the lot.
 func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path {
 	slacks := a.resident(kind)
 	if n > len(slacks) {
@@ -129,6 +102,7 @@ func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path {
 	}
 	seen := make([]bool, len(a.sites))
 	out := make([]Path, 0, n)
+	total := 0
 	for _, e := range slacks {
 		if len(out) >= n {
 			break
@@ -137,7 +111,13 @@ func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path {
 			continue
 		}
 		seen[e.site] = true
-		out = append(out, a.WorstPath(e))
+		out = append(out, Path{Endpoint: e})
+		total += a.chainLen(e)
+	}
+	w := a.Walker()
+	w.steps = make([]PathStep, 0, total)
+	for i := range out {
+		out[i] = w.worstPath(out[i].Endpoint)
 	}
 	return out
 }
@@ -161,10 +141,7 @@ type PBAResult struct {
 // ("the need to use STA with path-based analysis"), bought at the cost of
 // per-path recomputation — the runtime overhead measured in experiment E11.
 func (a *Analyzer) PBA(p Path) PBAResult {
-	el := late
-	if p.Endpoint.Kind == Hold {
-		el = early
-	}
+	el := p.Endpoint.Kind.side()
 	lateSide := el == late
 	n := a.Cfg.Derate.NSigma()
 	if len(p.Steps) == 0 {

@@ -65,7 +65,10 @@ func benchPost(b *testing.B, url, body string) {
 //
 //   - slack cached vs cold (cold purges the query cache every iteration,
 //     forcing a render from the resident graphs);
-//   - paths cold (k-worst + PBA re-time, the heaviest read);
+//   - paths cold (k-worst + PBA re-time), triage cold (path extraction per
+//     violation, every scenario, plus the merge — the heaviest read) and
+//     endpoints cold (a prefix of the resident list), the last two with
+//     allocations reported;
 //   - whatif (resize + incremental re-time forward and back, serialized by
 //     the writer lock), whatif_buffer (a structural edit: the scenario set
 //     is rebuilt in and again on rollback) and eco (evaluate, swap, replay
@@ -116,6 +119,20 @@ func BenchmarkTimingdQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.cache.Purge()
 			benchGet(b, hs.URL+"/paths?k=5")
+		}
+	})
+	b.Run("triage_cold_serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.cache.Purge()
+			benchGet(b, hs.URL+"/triage")
+		}
+	})
+	b.Run("endpoints_cold_serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.cache.Purge()
+			benchGet(b, hs.URL+"/endpoints?limit=50")
 		}
 	})
 	b.Run("whatif_serial", func(b *testing.B) {

@@ -122,7 +122,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	data, err := readBody(resp)
 	if err != nil {
 		return err
 	}
@@ -144,6 +144,18 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// readBody reads an answer of at most maxResponseBytes+1 bytes: into one
+// buffer of the announced size when the peer said how long the body is (the
+// spine does), by io.ReadAll's doubling otherwise.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 }
 
 // Slack fetches the merged per-scenario WNS/TNS summary.

@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -111,5 +113,40 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if IsBackpressure(err) {
 		t.Fatal("validation error misclassified as backpressure")
+	}
+}
+
+// Do reads an answer whether or not the peer says how long it is — the
+// spine does, a proxy in between may re-chunk — and a body shorter than
+// announced is an error, not a truncated decode.
+func TestDoReadsAnnouncedAndChunkedBodies(t *testing.T) {
+	want := strings.Repeat("x", 100<<10)
+	body := fmt.Sprintf(`{"error":%q}`, want)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/announced", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		w.Write([]byte(body))
+	})
+	mux.HandleFunc("/chunked", func(w http.ResponseWriter, _ *http.Request) {
+		w.(http.Flusher).Flush()
+		w.Write([]byte(body))
+	})
+	mux.HandleFunc("/short", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		w.Write([]byte(body[:len(body)/2]))
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	cl := New(hs.URL)
+	for _, path := range []string{"/announced", "/chunked"} {
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := cl.Do(context.Background(), http.MethodGet, path, nil, &out); err != nil || out.Error != want {
+			t.Errorf("%s: err %v, %d of %d bytes decoded", path, err, len(out.Error), len(want))
+		}
+	}
+	if err := cl.Do(context.Background(), http.MethodGet, "/short", nil, nil); err == nil {
+		t.Error("/short: a body cut off before its announced length read as a success")
 	}
 }

@@ -2,6 +2,7 @@ package timingd
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -182,7 +183,7 @@ func parseTriageOptions(q url.Values) (triage.Options, error) {
 	opts.Window = 10
 	if v := q.Get("window"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0) || math.IsInf(f, 1) { // NaN fails every comparison
 			return opts, serve.BadRequest("bad window %q (want positive ps)", v)
 		}
 		opts.Window = units.Ps(f)

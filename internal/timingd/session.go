@@ -80,17 +80,21 @@ func (s *session) slacks() []ScenarioSlack {
 // endpoints renders the k worst endpoint checks of one kind in one
 // scenario.
 func endpoints(a *sta.Analyzer, kind sta.CheckKind, limit int) []EndpointReport {
-	es := a.EndpointSlacks(kind)
-	if limit > 0 && len(es) > limit {
-		es = es[:limit]
+	n := a.Summary(kind).Endpoints
+	if limit > 0 && n > limit {
+		n = limit
 	}
-	out := make([]EndpointReport, len(es))
-	for i, e := range es {
-		out[i] = EndpointReport{
+	out := make([]EndpointReport, 0, n)
+	a.EachEndpoint(kind, func(e sta.EndpointSlack) bool {
+		if len(out) == n {
+			return false
+		}
+		out = append(out, EndpointReport{
 			Endpoint: e.Name(), Kind: kind.String(),
 			Slack: e.Slack, Arrival: e.Arrival, Required: e.Required, CRPR: e.CRPR,
-		}
-	}
+		})
+		return true
+	})
 	return out
 }
 

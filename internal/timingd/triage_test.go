@@ -3,8 +3,13 @@ package timingd
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
+
+	"newgame/internal/circuits"
+	"newgame/internal/sta"
+	"newgame/internal/triage"
 )
 
 func TestTriageReport(t *testing.T) {
@@ -204,4 +209,66 @@ func TestTriageTimeout504(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out /triage answered %d, want 504", code)
 	}
+}
+
+// TestTriageAllocations: what /triage renders — one extraction per scenario
+// and the merge — allocates per violation, not per path step: the walker, the
+// segment-key table and the pins' names are made once. And /endpoints reads
+// its rows off the resident list without copying the list.
+func TestTriageAllocations(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) {
+		c.Design = circuits.Block(c.Recipe.Scenarios[0].Lib, circuits.BlockSpec{
+			Name: "tri", Inputs: 16, Outputs: 16, FFs: 96, Gates: 900,
+			MaxDepth: 12, Seed: 11, ClockBufferLevels: 2,
+			VtMix: [3]float64{0, 0.5, 0.5},
+		})
+		c.BasePeriod = 480
+	})
+	sess := s.cur.Load()
+	var rep triage.Report
+	render := func() {
+		extracts := make([]triage.ScenarioExtract, len(s.scenarioSet))
+		for i, a := range sess.views.Analyzers() {
+			extracts[i] = triage.ExtractScenario(a, s.triagePlan, s.scenarioSet[i].Index, triage.Options{})
+		}
+		rep = triage.BuildReport(extracts)
+	}
+	n := testing.AllocsPerRun(5, render)
+	if rep.Stats.Violations < 100 || rep.Stats.AnalyzedPairs != rep.Stats.Violations {
+		t.Fatalf("fixture too small to say anything: %+v", rep.Stats)
+	}
+	t.Logf("triage: %v allocs, %+v, per %.2f", n, rep.Stats, n/float64(rep.Stats.Violations))
+	if per := n / float64(rep.Stats.Violations); per > 16 {
+		t.Errorf("triage allocates %.1f objects per violation (%v for %d), want at most 16", per, n, rep.Stats.Violations)
+	}
+
+	a := sess.views.Analyzers()[0]
+	resident := a.Summary(sta.Setup).Endpoints
+	if resident < 40 {
+		t.Fatalf("fixture has %d setup checks, too few to tell a copy from a prefix", resident)
+	}
+	var rows []EndpointReport
+	few := testing.AllocsPerRun(20, func() { rows = endpoints(a, sta.Setup, 5) })
+	if len(rows) != 5 {
+		t.Fatalf("endpoints(…, 5) returned %d rows", len(rows))
+	}
+	bytesFew := allocBytes(func() { rows = endpoints(a, sta.Setup, 5) })
+	bytesAll := allocBytes(func() { rows = endpoints(a, sta.Setup, 0) })
+	if len(rows) != resident {
+		t.Fatalf("endpoints(…, 0) returned %d rows of %d", len(rows), resident)
+	}
+	t.Logf("endpoints: few %v allocs %d bytes, all %d bytes, resident %d", few, bytesFew, bytesAll, resident)
+	if few > 2 || bytesFew*4 > bytesAll {
+		t.Errorf("endpoints(…, 5) allocates %v objects / %d bytes against %d bytes for all %d rows: it pays for the whole resident list",
+			few, bytesFew, bytesAll, resident)
+	}
+}
+
+// allocBytes is the heap fn allocates, in bytes.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

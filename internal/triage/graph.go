@@ -89,8 +89,14 @@ func Clusters(vs []Violation) []Cluster {
 		return nil
 	}
 	d := newDSU(len(vs))
+	// feature is one thing about an endpoint that links its violations: its
+	// clock pair or its derate class.
+	type feature struct {
+		endpoint, value string
+		ocv             bool
+	}
 	bySeg := map[string]int{}
-	byEndpointFeature := map[string]int{}
+	byEndpointFeature := map[feature]int{}
 	for i, v := range vs {
 		for _, seg := range v.Segments {
 			if first, ok := bySeg[seg]; ok {
@@ -99,9 +105,9 @@ func Clusters(vs []Violation) []Cluster {
 				bySeg[seg] = i
 			}
 		}
-		for _, feat := range []string{
-			v.Endpoint + "\x00clk\x00" + v.ClockPair,
-			v.Endpoint + "\x00ocv\x00" + v.DerateClass,
+		for _, feat := range [...]feature{
+			{v.Endpoint, v.ClockPair, false},
+			{v.Endpoint, v.DerateClass, true},
 		} {
 			if first, ok := byEndpointFeature[feat]; ok {
 				d.union(first, i)
@@ -187,20 +193,24 @@ func Clusters(vs []Violation) []Cluster {
 // The merge is a pure function of the extracts, so a coordinator merging
 // shard responses produces exactly the bytes a single node would.
 func BuildReport(extracts []ScenarioExtract) Report {
-	analyzed := map[string]*Violation{}
+	// check names one (scenario, kind, endpoint) check.
+	type check struct{ scenario, kind, endpoint string }
+	analyzed := map[check]*Violation{}
+	total := 0
 	for ei := range extracts {
 		ex := &extracts[ei]
+		total += len(ex.Violations)
 		for vi := range ex.Violations {
 			v := &ex.Violations[vi]
 			if v.PrunedBy == "" {
-				analyzed[v.Scenario+"\x00"+v.Kind+"\x00"+v.Endpoint] = v
+				analyzed[check{v.Scenario, v.Kind, v.Endpoint}] = v
 			}
 		}
 	}
 
 	var rep Report
 	rep.Stats.Scenarios = len(extracts)
-	var all []Violation
+	all := make([]Violation, 0, total)
 	for _, ex := range extracts {
 		rep.Stats.AnalyzedPairs += ex.AnalyzedPairs
 		rep.Stats.PrunedPairs += ex.PrunedPairs
@@ -210,7 +220,7 @@ func BuildReport(extracts []ScenarioExtract) Report {
 				// The dominator is uniformly tighter, so it violates at
 				// every endpoint the dominated scenario does; a missing
 				// entry (hostile input) just leaves the features empty.
-				if src, ok := analyzed[v.PrunedBy+"\x00"+v.Kind+"\x00"+v.Endpoint]; ok {
+				if src, ok := analyzed[check{v.PrunedBy, v.Kind, v.Endpoint}]; ok {
 					v.Segments = src.Segments
 					v.Depth = src.Depth
 					v.Pessimism = src.Pessimism

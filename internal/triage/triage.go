@@ -23,6 +23,7 @@ package triage
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"newgame/internal/core"
@@ -282,22 +283,50 @@ type endpointID struct {
 	port *netlist.Port
 }
 
+// segment identifies one edge of a timing path inside one analyzer: the
+// vertices of its tail and head. Segments are the linking currency of
+// cross-scenario triage — two violations that traverse the same segment
+// share a physical root cause no matter which corner or endpoint surfaced
+// them. Outside the analyzer a segment goes by its key, "from>to": stable
+// across scenarios and analyzer instances because it is built from netlist
+// names only.
+type segment struct{ from, to int }
+
+// extraction is the state of one ExtractScenario call: the walker every
+// violation's paths come from, and per segment met so far its key and the
+// last violation that listed it. Violations of one scenario share most of
+// their segments, so a key is built once per call.
+type extraction struct {
+	a        *sta.Analyzer
+	w        *sta.PathWalker
+	opts     Options
+	capture  string
+	segments map[segment]segmentEntry
+	keys     []string // the violation in hand's keys, first-traversal order
+	n        int      // violations featured so far
+}
+
+type segmentEntry struct {
+	key    string
+	listed int
+}
+
 // ExtractScenario computes scenario idx's violations against its resident
 // analyzer, honoring the plan: a kind dominated by a sibling skips path
 // extraction and tags its violations PrunedBy for BuildReport to resolve.
 // The scenario's own slacks are always reported — pruning trades the
 // per-endpoint k-worst path walk, not a number.
 func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) ScenarioExtract {
-	opts = opts.withDefaults()
 	name := plan.Names[idx]
 	out := ScenarioExtract{Scenario: name}
 	derate := DerateClassOf(a.Cfg.Derate)
-	capture := ""
+	x := extraction{a: a, w: a.Walker(), opts: opts.withDefaults(), segments: map[segment]segmentEntry{}}
 	if a.Cons != nil {
 		if clk := a.Cons.DefaultClock(); clk != nil {
-			capture = clk.Name
+			x.capture = clk.Name
 		}
 	}
+	seen := map[endpointID]bool{}
 	for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
 		active, dom := plan.SetupActive[idx], plan.SetupDominator[idx]
 		if kind == sta.Hold {
@@ -306,15 +335,18 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 		if !active {
 			continue
 		}
-		seen := map[endpointID]bool{}
-		for _, e := range a.EndpointSlacks(kind) {
+		// The summary counts violating checks, one per transition: an upper
+		// bound on the violations, which take each endpoint's worst only.
+		out.Violations = slices.Grow(out.Violations, a.Summary(kind).Violations)
+		clear(seen)
+		a.EachEndpoint(kind, func(e sta.EndpointSlack) bool {
 			if e.Slack >= 0 {
-				break // worst-first: the first met endpoint ends the violations
+				return false // worst-first: the first met endpoint ends the violations
 			}
 			// Each endpoint's worst transition only.
 			id := endpointID{e.Pin, e.Port}
 			if seen[id] {
-				continue
+				return true
 			}
 			seen[id] = true
 			v := Violation{
@@ -325,11 +357,12 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 				v.PrunedBy = plan.Names[dom]
 				out.PrunedPairs++
 			} else {
-				fillPathFeatures(&v, a, e, kind, opts, capture)
+				x.fillPathFeatures(&v, e)
 				out.AnalyzedPairs++
 			}
 			out.Violations = append(out.Violations, v)
-		}
+			return true
+		})
 	}
 	for _, rec := range plan.Prunes {
 		if rec.Scenario == name {
@@ -342,22 +375,24 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 // fillPathFeatures runs the expensive per-endpoint analysis: k-worst path
 // enumeration (setup) or the worst path (hold), PBA re-timing of the
 // worst path, and segment extraction across all enumerated paths.
-func fillPathFeatures(v *Violation, a *sta.Analyzer, e sta.EndpointSlack, kind sta.CheckKind, opts Options, capture string) {
+func (x *extraction) fillPathFeatures(v *Violation, e sta.EndpointSlack) {
 	var paths []sta.Path
-	if kind == sta.Setup {
-		paths = a.PathsWithin(e, opts.Window, opts.K)
+	if e.Kind == sta.Setup {
+		paths = x.w.Within(e, x.opts.Window, x.opts.K)
 	}
+	var one [1]sta.Path
 	if len(paths) == 0 {
-		paths = []sta.Path{a.WorstPath(e)}
+		one[0] = x.w.Worst(e)
+		paths = one[:]
 	}
 	worst := paths[0]
 	v.Depth = worst.Depth()
-	r := a.PBA(worst)
+	r := x.a.PBA(worst)
 	// Raw arrival delta, not PBAResult.Pessimism: the delta is a pure
 	// function of the (delay-identical) arrival state, so a dominated
 	// sibling inheriting it is bit-exact; Pessimism re-derived from the
 	// shifted slack would differ in the last ulp.
-	if kind == sta.Setup {
+	if e.Kind == sta.Setup {
 		v.Pessimism = r.GBAArrival - r.PBAArrival
 	} else {
 		v.Pessimism = r.PBAArrival - r.GBAArrival
@@ -366,15 +401,25 @@ func fillPathFeatures(v *Violation, a *sta.Analyzer, e sta.EndpointSlack, kind s
 	if len(worst.Steps) > 0 {
 		launch = worst.Steps[0].Name
 	}
-	v.ClockPair = launch + ">" + capture
-	seen := map[string]bool{}
+	v.ClockPair = launch + ">" + x.capture
+	x.n++
+	x.keys = x.keys[:0]
 	for _, p := range paths {
-		for _, s := range p.Segments() {
-			key := s.Key()
-			if !seen[key] {
-				seen[key] = true
-				v.Segments = append(v.Segments, key)
+		for i := 1; i < len(p.Steps); i++ {
+			seg := segment{p.Steps[i-1].Vertex(), p.Steps[i].Vertex()}
+			ent := x.segments[seg]
+			if ent.listed == x.n {
+				continue
 			}
+			if ent.key == "" {
+				ent.key = p.Steps[i-1].Name + ">" + p.Steps[i].Name
+			}
+			ent.listed = x.n
+			x.segments[seg] = ent
+			x.keys = append(x.keys, ent.key)
 		}
+	}
+	if len(x.keys) > 0 {
+		v.Segments = append(make([]string, 0, len(x.keys)), x.keys...)
 	}
 }

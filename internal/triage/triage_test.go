@@ -1,7 +1,9 @@
 package triage
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,7 +158,9 @@ const fixPeriod = units.Ps(480)
 
 // analyzers brings up one warm analyzer per scenario over a shared design
 // clone, keyed binder and frozen topology — the timingd session shape.
-func analyzers(t testing.TB) []*sta.Analyzer {
+func analyzers(t testing.TB) []*sta.Analyzer { return analyzersAt(t, fixPeriod) }
+
+func analyzersAt(t testing.TB, period units.Ps) []*sta.Analyzer {
 	t.Helper()
 	scens, src, stack := fixture(t)
 	d := src.Clone()
@@ -165,7 +169,7 @@ func analyzers(t testing.TB) []*sta.Analyzer {
 	out := make([]*sta.Analyzer, len(scens))
 	var topo *sta.Topology
 	for i, sc := range scens {
-		cons := core.ConstraintsFor(d, ck, fixPeriod, 0, sc)
+		cons := core.ConstraintsFor(d, ck, period, 0, sc)
 		a, err := sta.New(d, cons, sta.Config{
 			Lib: sc.Lib, Parasitics: binder, Scaling: sc.Scaling,
 			Derate: sc.Derate, SI: sc.SI, MIS: sc.MIS, Topology: topo,
@@ -264,6 +268,26 @@ func TestExtractDeterministic(t *testing.T) {
 		if len(v.Segments) == 0 || v.ClockPair == "" || v.Depth == 0 {
 			t.Fatalf("analyzed violation missing path features: %+v", v)
 		}
+	}
+}
+
+// A kind that is active and clean contributes nothing — and "nothing" is the
+// nil list the wire has always carried as "violations":null, whatever the
+// extraction presizes.
+func TestExtractCleanScenarioIsNull(t *testing.T) {
+	scens, _, _ := fixture(t)
+	var idx int
+	for idx = range scens {
+		if scens[idx].ForSetup && !scens[idx].ForHold {
+			break
+		}
+	}
+	ex := ExtractScenario(analyzersAt(t, 5000)[idx], PlanFor(scens, 5000), idx, Options{})
+	if ex.Violations != nil || ex.AnalyzedPairs+ex.PrunedPairs != 0 {
+		t.Fatalf("setup-only scenario %s at a 5 ns period extracted %+v", scens[idx].Name, ex)
+	}
+	if b, _ := json.Marshal(ex); !strings.Contains(string(b), `"violations":null`) {
+		t.Fatalf("clean extract encodes as %s", b)
 	}
 }
 
