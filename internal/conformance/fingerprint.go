@@ -12,7 +12,9 @@ import (
 // Fingerprint renders the complete externally observable analysis state
 // of an analyzer — every pin/port arrival and slew at all four
 // rise/fall × early/late views, every pin/port setup slack (so the backward
-// pass is pinned too), every endpoint check, WNS and TNS — into one digest.
+// pass is pinned too), every endpoint check with its worst path's steps
+// (name, transition, delay: which edge each vertex took and what the delay
+// rule charges for it), WNS and TNS — into one digest.
 // Two analyzers agree on timing iff their fingerprints are equal: float
 // bits are hashed raw, so this is byte-equality, not tolerance comparison.
 // The iteration order is the design's own slice order, which clones
@@ -67,6 +69,7 @@ func Fingerprint(a *sta.Analyzer) string {
 		f(float64(a.PortSetupSlack(port)))
 	}
 	for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
+		w := a.Walker()
 		for _, e := range a.EndpointSlacks(kind) {
 			s(e.Name())
 			h.Write([]byte{byte(e.RF)})
@@ -74,6 +77,11 @@ func Fingerprint(a *sta.Analyzer) string {
 			f(float64(e.Arrival))
 			f(float64(e.Required))
 			f(float64(e.CRPR))
+			for _, st := range w.Worst(e).Steps {
+				s(st.Name)
+				h.Write([]byte{byte(st.RF)})
+				f(float64(st.Delay))
+			}
 		}
 		f(float64(a.WNS(kind)))
 		f(float64(a.TNS(kind)))

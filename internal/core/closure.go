@@ -365,6 +365,8 @@ func (e *Engine) survey() (Iteration, *sta.Analyzer, *sta.Analyzer, *sta.Analyze
 		if n == 0 {
 			n = 50
 		}
+		// Only violating paths are reclassified, so only those are walked.
+		n = min(n, worstSetup.Summary(sta.Setup).Violations)
 		for _, p := range worstSetup.WorstPaths(sta.Setup, n) {
 			if p.GBASlack >= 0 {
 				break

@@ -184,7 +184,7 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 	}
 	var cands []wn
 	seen := map[*netlist.Net]bool{}
-	for _, p := range ctx.A.WorstPaths(sta.Setup, 30) {
+	for _, p := range ctx.A.WorstPaths(sta.Setup, min(30, ctx.A.Summary(sta.Setup).Violations)) {
 		if p.GBASlack >= 0 {
 			break
 		}

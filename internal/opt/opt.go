@@ -192,7 +192,7 @@ func negativeSlackCells(ctx *Context) []*netlist.Cell {
 	}
 	var cands []cs
 	seen := map[*netlist.Cell]bool{}
-	for _, p := range ctx.A.WorstPaths(sta.Setup, 40) {
+	for _, p := range ctx.A.WorstPaths(sta.Setup, min(40, ctx.A.Summary(sta.Setup).Violations)) {
 		if p.GBASlack >= 0 {
 			break
 		}

@@ -340,7 +340,7 @@ func (a *Analyzer) seedVertex(i int) {
 			a.fValid[k] = true
 			a.fArr[k] = timeVar{T: ck.SourceLatency}
 			a.fSlew[k] = slew
-			a.fPred[k] = pred{v: -1}
+			a.fPred[k] = seedPred
 		}
 		return
 	}
@@ -354,12 +354,12 @@ func (a *Analyzer) seedVertex(i int) {
 		a.fValid[ke] = true
 		a.fArr[ke] = timeVar{T: min}
 		a.fSlew[ke] = slew
-		a.fPred[ke] = pred{v: -1}
+		a.fPred[ke] = seedPred
 		kl := ix4(i, rf, late)
 		a.fValid[kl] = true
 		a.fArr[kl] = timeVar{T: max}
 		a.fSlew[kl] = slew
-		a.fPred[kl] = pred{v: -1}
+		a.fPred[kl] = seedPred
 	}
 }
 
@@ -417,24 +417,26 @@ func (a *Analyzer) relaxVertex(j int) {
 
 // relaxCellArcs gathers output pin vertex j from every arc of its cell that
 // terminates at this pin, using the prebuilt arc group — no master lookup
-// or arc scan on the hot path. The group is refreshed by InvalidateCell /
-// refreshMasters, so in-place retyping (Vt swap, resizing) is picked up
-// without rebuild.
+// or arc scan on the hot path. The group is patched in place by
+// InvalidateCell / refreshMasters only under sameArcShape, so in-place
+// retyping (Vt swap, resizing) is picked up without rebuild and an arc's
+// index in a.arcs — what a predecessor records — names the same pin pair
+// until the graph is re-derived.
 func (a *Analyzer) relaxCellArcs(j int) {
 	nd := a.vnd[j]
 	if nd == nil {
 		return // unloaded output: no delay calc context, same as before
 	}
-	for _, ar := range a.arcs[a.arcOff[j]:a.arcOff[j+1]] {
-		i := int(ar.other)
+	for ai := a.arcOff[j]; ai < a.arcOff[j+1]; ai++ {
+		i := int(a.arcs[ai].other)
 		for rfIn := 0; rfIn < 2; rfIn++ {
-			outs, no := senseOuts(ar.arc.Sense, rfIn)
+			outs, no := senseOuts(a.arcs[ai].arc.Sense, rfIn)
 			for oi := 0; oi < no; oi++ {
 				for el := 0; el < 2; el++ {
 					if !a.fValid[ix4(i, rfIn, el)] {
 						continue
 					}
-					a.relaxArc(i, j, ar.arc, rfIn, outs[oi], el, nd)
+					a.relaxArc(i, j, ai, rfIn, outs[oi], el, nd)
 				}
 			}
 		}
@@ -498,9 +500,7 @@ func (a *Analyzer) relaxNetEdge(i, j int) {
 			cand := timeVar{T: a.fArr[k].T + d, Var: a.fArr[k].Var}
 			s := a.fSlew[k]
 			slew := math.Sqrt(s*s + ws*ws)
-			a.merge(j, rf, el, cand, slew, a.fDepth[k], pred{
-				v: i, rf: rf, cell: false, delay: d,
-			})
+			a.merge(j, rf, el, cand, slew, a.fDepth[k], pred{from: int32(i<<1 | rf), arc: -1})
 		}
 	}
 }
@@ -519,20 +519,21 @@ func senseOuts(s liberty.ArcSense, rfIn int) ([2]int, int) {
 	}
 }
 
-func (a *Analyzer) relaxArc(i, j int, arc *liberty.TimingArc, rfIn, rfOut, el int, nd *netData) {
+// relaxArc folds input vertex i's arrival into output vertex j across cell
+// arc a.arcs[ai] (arcDelay), recording the arc's index as j's predecessor.
+func (a *Analyzer) relaxArc(i, j int, ai int32, rfIn, rfOut, el int, nd *netData) {
+	arc := a.arcs[ai].arc
 	k := ix4(i, rfIn, el)
 	slewIn := a.fSlew[k]
 	load := nd.totalCap[el]
 	outRise := rfOut == rise
 	outSlew := arc.Slew(outRise, slewIn, load)
 	depth := a.fDepth[k] + 1
-	d := a.arcDelay(arc, i, outRise, el, slewIn, int(depth), load)
+	d := a.mergedArcDelay(arc, i, rfIn, rfOut, el, nd)
 	sigma := a.Cfg.Derate.Sigma(arc, outRise, el == late, slewIn, load, d)
 	cand := timeVar{
 		T:   a.fArr[k].T + d,
 		Var: a.fArr[k].Var + sigma*sigma,
 	}
-	a.merge(j, rfOut, el, cand, outSlew, depth, pred{
-		v: i, rf: rfIn, cell: true, arc: arc, delay: d, sigma: sigma,
-	})
+	a.merge(j, rfOut, el, cand, outSlew, depth, pred{from: int32(i<<1 | rfIn), arc: ai})
 }

@@ -381,11 +381,10 @@ func (a *Analyzer) backtraceChain(buf []int, i, rf, el int) []int {
 	for i >= 0 {
 		rev = append(rev, i)
 		k := ix4(i, rf, el)
-		p := a.fPred[k]
 		if !a.fValid[k] {
 			break
 		}
-		i, rf = p.v, p.rf
+		i, rf = a.fPred[k].source()
 	}
 	// Reverse to root-first.
 	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {

@@ -7,9 +7,10 @@ import (
 
 // The two delay rules. Everything that asks what an edge of the timing graph
 // costs — the forward pass (relaxArc, relaxNetEdge), the required-time pull
-// (pullArcRequired, pullNetRequired), k-worst enumeration (pushInEdges) and
-// PBA — asks here, so a margin is stacked on a delay in exactly one place and
-// the backward pass cannot charge an edge differently from the forward one.
+// (pullArcRequired, pullNetRequired), k-worst enumeration (pushInEdges), the
+// worst-path backtrace (worstPath, through edgeDelay) and PBA — asks here, so
+// a margin is stacked on a delay in exactly one place and no pass can charge
+// an edge differently from the forward one.
 
 // arcDelay is what cell arc `arc` out of input-pin vertex in costs on side el
 // (early|late) for the given output transition: the table delay at
@@ -30,6 +31,29 @@ func (a *Analyzer) arcDelay(arc *liberty.TimingArc, in int, outRise bool, el int
 		}
 	}
 	return d * a.cellDerate(a.verts[in].pin.Cell, el == late)
+}
+
+// mergedArcDelay is arcDelay at input vertex i's merged slew and depth on
+// side el, into the output driving nd: what the forward pass charges the arc
+// (GBA).
+func (a *Analyzer) mergedArcDelay(arc *liberty.TimingArc, i, rfIn, rfOut, el int, nd *netData) float64 {
+	k := ix4(i, rfIn, el)
+	return a.arcDelay(arc, i, rfOut == rise, el, a.fSlew[k], int(a.fDepth[k])+1, nd.totalCap[el])
+}
+
+// edgeDelay is what the edge predecessor p names into vertex j costs on side
+// el for j's transition rf — asked with the inputs the forward pass relaxed
+// it with, so it is bit-identical to what that pass charged. A seed has no
+// edge and costs 0.
+func (a *Analyzer) edgeDelay(p pred, j, rf, el int) float64 {
+	v, rfIn := p.source()
+	switch {
+	case v < 0:
+		return 0
+	case !p.cell():
+		return a.netEdgeDelay(v, j, rf, el)
+	}
+	return a.mergedArcDelay(a.arcs[p.arc].arc, v, rfIn, rf, el, a.vnd[j])
 }
 
 // netEdgeDelay is what the net edge from driving vertex i to sink vertex j

@@ -130,15 +130,23 @@ func (tv timeVar) corner(lateSide bool, n float64) float64 {
 	return tv.T - s
 }
 
-// pred records how a vertex's worst arrival was produced, for backtrace.
+// pred records which edge produced a vertex's worst arrival, for backtrace:
+// the choice only. What the edge cost is the delay rule's answer (edgeDelay),
+// asked again by whoever walks the chain.
 type pred struct {
-	v     int // source vertex (-1 = none)
-	rf    int // source transition
-	cell  bool
-	arc   *liberty.TimingArc
-	delay float64 // derated mean delay of the edge
-	sigma float64
+	from int32 // source vertex and transition, v<<1 | rf; -1 at a seed
+	arc  int32 // index in Analyzer.arcs of the cell arc taken; -1 = the net edge
 }
+
+// seedPred marks an arrival that was seeded, not relaxed.
+var seedPred = pred{from: -1, arc: -1}
+
+// source returns the vertex and transition the edge leaves (v = -1 at a
+// seed).
+func (p pred) source() (v, rf int) { return int(p.from >> 1), int(p.from & 1) }
+
+// cell reports whether the edge is a cell arc.
+func (p pred) cell() bool { return p.arc >= 0 }
 
 // vref binds a vertex index back to its netlist object: a cell pin or a
 // design port. It is the only per-vertex pointer state left — everything
@@ -270,6 +278,7 @@ type Analyzer struct {
 	seedMoved           []int32 // data vertices whose seed the last sweep changed
 	fwQ, bwQ            *levelQueue
 	changedList         []int
+	topoScratch         []int32 // buildTopologyCSR's cursors, in-degrees and Kahn queue
 
 	// Incremental re-timing state (see incremental.go): what was
 	// invalidated since the last Run or Update, in invalidation order.

@@ -59,14 +59,15 @@ func (a *Analyzer) chainLen(e EndpointSlack) int {
 	el := e.Kind.side()
 	n := 0
 	for i, rf := a.endpointVertex(e), e.RF; i >= 0 && a.fValid[ix4(i, rf, el)]; n++ {
-		pr := a.fPred[ix4(i, rf, el)]
-		i, rf = pr.v, pr.rf
+		i, rf = a.fPred[ix4(i, rf, el)].source()
 	}
 	return n
 }
 
 // worstPath walks e's predecessor chain once for its length and again
 // filling Steps back to front, so the root-first result is sized exactly.
+// Each step's Delay is the delay rule's answer for the edge its predecessor
+// names (edgeDelay).
 func (w *PathWalker) worstPath(e EndpointSlack) Path {
 	a := w.a
 	el := e.Kind.side()
@@ -74,19 +75,22 @@ func (w *PathWalker) worstPath(e EndpointSlack) Path {
 	for i, rf, k := a.endpointVertex(e), e.RF, len(p.Steps)-1; k >= 0; k-- {
 		kk := ix4(i, rf, el)
 		pr := a.fPred[kk]
+		src, srcRF := pr.source()
 		st := PathStep{
 			Name:    a.vname(i),
 			RF:      rf,
-			Delay:   pr.delay,
-			IsCell:  pr.cell,
+			Delay:   a.edgeDelay(pr, i, rf, el),
+			IsCell:  pr.cell(),
 			Arrival: a.fArr[kk].T,
 			Slew:    a.fSlew[kk],
 			vid:     i,
-			arc:     pr.arc,
 		}
-		st.Cell, st.Net = a.stepOwner(i, !pr.cell && pr.v >= 0)
+		if st.IsCell {
+			st.arc = a.arcs[pr.arc].arc
+		}
+		st.Cell, st.Net = a.stepOwner(i, !st.IsCell && src >= 0)
 		p.Steps[k] = st
-		i, rf = pr.v, pr.rf
+		i, rf = src, srcRF
 	}
 	return p
 }
@@ -148,7 +152,7 @@ func (w *PathWalker) Within(e EndpointSlack, window units.Ps, maxPaths int) []Pa
 func (w *PathWalker) descend(v, rf int, suffix float64) {
 	a := w.a
 	k := ix4(v, rf, late)
-	if a.fPred[k].v < 0 || !a.fValid[k] {
+	if src, _ := a.fPred[k].source(); src < 0 || !a.fValid[k] {
 		w.emit(v, rf, suffix)
 		return
 	}
@@ -229,7 +233,7 @@ func (w *PathWalker) pushInEdges(i, rf int) {
 			first, last := inTransitions(ar.arc.Sense, rf)
 			for rfIn := first; rfIn <= last; rfIn++ {
 				if a.fValid[ix4(fv, rfIn, late)] {
-					push(inEdge{v: fv, rf: rfIn, delay: a.lateArcDelay(ar.arc, fv, rfIn, rf, nd), cell: true, arc: ar.arc})
+					push(inEdge{v: fv, rf: rfIn, delay: a.mergedArcDelay(ar.arc, fv, rfIn, rf, late, nd), cell: true, arc: ar.arc})
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"newgame/internal/circuits"
 	"newgame/internal/liberty"
@@ -254,5 +255,13 @@ func TestPathsWithinRejectsHold(t *testing.T) {
 	}
 	if got := a.PathsWithin(holds[0], 100, 5); got != nil {
 		t.Error("hold endpoint should return nil")
+	}
+}
+
+// The predecessor plane is four records per vertex in every analyzer; a
+// record is the edge's source and arc index and nothing else.
+func TestPredIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(pred{}); n != 8 {
+		t.Fatalf("pred is %d bytes, want 8", n)
 	}
 }

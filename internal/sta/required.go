@@ -1,9 +1,6 @@
 package sta
 
-import (
-	"newgame/internal/liberty"
-	"newgame/internal/workpool"
-)
+import "newgame/internal/workpool"
 
 // propagateRequired runs the backward (required-time) pass for setup (late)
 // analysis, giving per-pin slacks for optimization and breakdown reports.
@@ -115,16 +112,9 @@ func (a *Analyzer) pullArcRequired(i int) {
 				if !a.rValid[ix4(j, rfOut, late)] {
 					continue
 				}
-				d := a.lateArcDelay(ar.arc, i, rfIn, rfOut, nd)
+				d := a.mergedArcDelay(ar.arc, i, rfIn, rfOut, late, nd)
 				a.lowerReq(i, rfIn, a.fReq[ix4(j, rfOut, late)]-d)
 			}
 		}
 	}
-}
-
-// lateArcDelay is arcDelay at input vertex i's merged late slew and depth:
-// what the forward late pass charged the arc into the output driving nd.
-func (a *Analyzer) lateArcDelay(arc *liberty.TimingArc, i, rfIn, rfOut int, nd *netData) float64 {
-	k := ix4(i, rfIn, late)
-	return a.arcDelay(arc, i, rfOut == rise, late, a.fSlew[k], int(a.fDepth[k])+1, nd.totalCap[late])
 }

@@ -229,9 +229,14 @@ func (a *Analyzer) vertexKind(i int) uint8 {
 // pointer walk per vertex to lay out the CSR, then Kahn levelization, clock
 // marking and level bucketing over the int32 arrays — the same enumeration
 // orders the per-vertex walk produced, so levels and wavefront order are
-// identical to the pre-SoA implementation.
+// identical to the pre-SoA implementation. The Topology is always a new
+// value (it may be shared); the fill cursors, in-degrees, Kahn queue and
+// bucket cursors live in the writer's scratch, 2n int32s reused across
+// derivations.
 func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	n := len(a.verts)
+	a.topoScratch = resize(a.topoScratch, 2*n)
+	scratch := a.topoScratch
 	t := &Topology{
 		numCells: len(a.D.Cells),
 		numNets:  len(a.D.Nets),
@@ -270,7 +275,7 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		t.succOff[i+1] += t.succOff[i]
 	}
 	t.succ = make([]int32, t.succOff[n])
-	fill := make([]int32, n)
+	fill := scratch[:n]
 	copy(fill, t.succOff[:n])
 	for i := 0; i < n; i++ {
 		a.successorsPointerWalk(i, func(j int) {
@@ -306,7 +311,7 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 			t.faninSink[pi] = int32(len(nl.Loads))
 		}
 	}
-	if err := t.levelize(a); err != nil {
+	if err := t.levelize(a, scratch); err != nil {
 		return nil, err
 	}
 	t.markClockPaths(a)
@@ -334,7 +339,7 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		t.levelOff[l+1] += t.levelOff[l]
 	}
 	t.levelVerts = make([]int32, n)
-	place := make([]int32, maxL+1)
+	place := scratch[:maxL+1]
 	copy(place, t.levelOff[:maxL+1])
 	for _, i := range t.order {
 		l := t.level[i]
@@ -345,23 +350,23 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 }
 
 // levelize computes a topological order via Kahn's algorithm; a leftover
-// vertex means a combinational cycle.
-func (t *Topology) levelize(a *Analyzer) error {
+// vertex means a combinational cycle. scratch (2n long) holds the in-degrees
+// and the queue, which sees every vertex at most once.
+func (t *Topology) levelize(a *Analyzer, scratch []int32) error {
 	n := t.NumVerts()
-	indeg := make([]int32, n)
+	indeg, queue := scratch[:n], scratch[n:n:2*n]
+	clear(indeg)
 	for _, j := range t.succ {
 		indeg[j]++
 	}
-	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
 	t.order = make([]int32, 0, n)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
 		t.order = append(t.order, i)
 		for _, j := range t.succ[t.succOff[i]:t.succOff[i+1]] {
 			indeg[j]--
