@@ -25,6 +25,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"newgame/internal/circuits"
@@ -85,40 +86,17 @@ func run(args []string, out io.Writer) error {
 		rec = obs.NewRecorder()
 	}
 
-	stack := parasitics.Stack16()
-	var recipe core.Recipe
-	switch *recipeName {
-	case "new":
-		libs := core.GenerateNewLibs(liberty.Node16)
-		for _, l := range []*liberty.Library{libs.SlowHot, libs.SlowCold, libs.FastCold} {
-			variation.CharacterizeLVF(l, 0.02, 2000, 5)
-		}
-		recipe = core.NewGoalPosts(libs, stack)
-	default:
-		recipe = core.OldGoalPosts(liberty.Node16, stack)
-	}
-
-	lib := recipe.Scenarios[0].Lib
-	d := circuits.Block(lib, circuits.BlockSpec{
-		Name: "soc", Inputs: 24, Outputs: 24, FFs: *ffs, Gates: *gates,
-		MaxDepth: 13, Seed: *seed, ClockBufferLevels: 3,
-		VtMix: [3]float64{0, 0.4, 0.6},
-	})
-	// One binder serves both the closure engine and the power analyzer:
-	// they see identical RC trees and the generation work happens once.
-	binder := sta.NewNetBinder(stack, *seed)
-	e := &core.Engine{
-		D: d, Recipe: recipe, BasePeriod: *period, ClockPort: d.Port("clk"),
-		Parasitics: binder,
-		Workers:    *workers,
-		Obs:        rec,
-	}
+	e := newEngine(*recipeName, *period, *gates, *ffs, *seed)
+	e.Workers, e.Obs = *workers, rec
+	recipe, d, lib := e.Recipe, e.D, e.Recipe.Scenarios[0].Lib
 	cons := sta.NewConstraints()
 	cons.AddClock("clk", *period, d.Port("clk"))
 	powerOf := func() (power.Report, error) {
 		sp := rec.Start("power", nil)
 		defer sp.End()
-		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: binder, Obs: rec})
+		// The engine's binder: the power analyzer sees its RC trees, and
+		// the generation work happens once.
+		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: e.Parasitics, Obs: rec})
 		if err != nil {
 			return power.Report{}, err
 		}
@@ -169,4 +147,36 @@ func run(args []string, out io.Writer) error {
 		return errNotClosed
 	}
 	return nil
+}
+
+// newLibs are the new goal posts' corner libraries with LVF characterized,
+// built at most once per process.
+var newLibs = sync.OnceValue(func() core.NewLibs {
+	libs := core.GenerateNewLibs(liberty.Node16)
+	for _, l := range []*liberty.Library{libs.SlowHot, libs.SlowCold, libs.FastCold} {
+		variation.CharacterizeLVF(l, 0.02, 2000, 5)
+	}
+	return libs
+})
+
+// newEngine is the closure engine run drives: the named recipe ("new", or
+// the old goal posts) over a generated SoC block, with parasitics
+// synthesized from the block's seed.
+func newEngine(recipeName string, period float64, gates, ffs int, seed int64) *core.Engine {
+	stack := parasitics.Stack16()
+	var recipe core.Recipe
+	if recipeName == "new" {
+		recipe = core.NewGoalPosts(newLibs(), stack)
+	} else {
+		recipe = core.OldGoalPosts(liberty.Node16, stack)
+	}
+	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "soc", Inputs: 24, Outputs: 24, FFs: ffs, Gates: gates,
+		MaxDepth: 13, Seed: seed, ClockBufferLevels: 3,
+		VtMix: [3]float64{0, 0.4, 0.6},
+	})
+	return &core.Engine{
+		D: d, Recipe: recipe, BasePeriod: period, ClockPort: d.Port("clk"),
+		Parasitics: sta.NewNetBinder(stack, seed),
+	}
 }

@@ -2,11 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/sta.golden")
 
 // smoke analyzes the small chain circuit with cheap settings.
 func smoke(t *testing.T, args ...string) string {
@@ -78,5 +83,45 @@ func TestRunBadFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-definitely-not-a-flag"}, &b); err == nil {
 		t.Fatal("want flag parse error")
+	}
+}
+
+// TestOutputGolden holds the default report under each of the five derates,
+// and the -triage report, to testdata/sta.golden; -update rewrites it. The
+// reports print rounded numbers, but which numbers round where is an amd64
+// fact, so other architectures skip.
+func TestOutputGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden holds amd64 arithmetic; GOARCH=%s may round differently", runtime.GOARCH)
+	}
+	var got strings.Builder
+	for _, args := range [][]string{
+		{"-derate", "none"}, {"-derate", "flat"}, {"-derate", "aocv"}, {"-derate", "pocv"}, {"-derate", "lvf"},
+		{"-triage"},
+	} {
+		fmt.Fprintf(&got, "######## sta %s ########\n", strings.Join(args, " "))
+		if err := run(args, &got); err != nil {
+			t.Fatalf("sta %v: %v", args, err)
+		}
+	}
+	const path = "testdata/sta.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test -run TestOutputGolden -update writes it)", err)
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("%s differs at line %d:\n got  %s\n want %s", path, i+1, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d lines, golden has %d", path, len(g), len(w))
 	}
 }

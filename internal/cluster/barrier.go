@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"newgame/internal/obs"
@@ -46,6 +47,9 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	for _, m := range c.members {
 		members = append(members, m)
 	}
+	// In id order, so that which shard's refusal a client sees, and the
+	// barrier record's member list, do not depend on map order.
+	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
 	c.txnSeq++
 	txn := fmt.Sprintf("eco-%d-%d", base+1, c.txnSeq)
 	c.mu.Unlock()

@@ -1,21 +1,33 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/all.golden")
+
 // TestAllExperimentsRun executes every experiment end-to-end and checks
 // the headline numbers land on the paper's side of each claim. This is the
-// repository's reproduction gate.
+// repository's reproduction gate. On amd64 every report — what
+// cmd/experiments -run all prints, less fig11's wall-time rows — must also
+// equal testdata/all.golden; -update rewrites it.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short")
 	}
+	var all bytes.Buffer
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			r := e.Run()
+			fmt.Fprintf(&all, "\n######## %s: %s ########\n%s", e.ID, e.Title, stable(r.Text))
 			if r.Title == "error" {
 				t.Fatalf("experiment failed: %s", r.Text)
 			}
@@ -27,6 +39,50 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		})
 	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden holds floats as amd64 rounds them; GOARCH=%s may not", runtime.GOARCH)
+	}
+	const path = "testdata/all.golden"
+	if *update {
+		if err := os.WriteFile(path, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test -run TestAllExperimentsRun -update writes it)", err)
+	}
+	got, wantLines := strings.Split(all.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("%s differs at line %d:\n got  %s\n want %s", path, i+1, got[i], wantLines[i])
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%s: %d lines, golden has %d", path, len(got), len(wantLines))
+	}
+}
+
+// wallTime names fig11's rows that report wall-clock time.
+var wallTime = []string{"GBA full-update time (ms)", "-path time (ms)", "PBA/GBA runtime ratio"}
+
+// stable is a report as the golden holds it: wall-time rows dropped,
+// trailing blanks trimmed, and each table rule cut to its header's width —
+// a dropped row may have widened the last column.
+func stable(text string) string {
+	var out []string
+	for _, l := range strings.Split(text, "\n") {
+		if slices.ContainsFunc(wallTime, func(s string) bool { return strings.Contains(l, s) }) {
+			continue
+		}
+		l = strings.TrimRight(l, " ")
+		if n := len(out); n > 0 && l != "" && strings.Trim(l, "- ") == "" {
+			l = l[:min(len(l), len(out[n-1]))]
+		}
+		out = append(out, l)
+	}
+	return strings.Join(out, "\n")
 }
 
 func TestFind(t *testing.T) {
