@@ -94,8 +94,8 @@ func run(args []string, out io.Writer) error {
 	powerOf := func() (power.Report, error) {
 		sp := rec.Start("power", nil)
 		defer sp.End()
-		// The engine's binder: the power analyzer sees its RC trees, and
-		// the generation work happens once.
+		// The engine's parasitics table: the power analyzer sees its RC
+		// trees, and the generation work happens once.
 		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: e.Parasitics, Obs: rec})
 		if err != nil {
 			return power.Report{}, err

@@ -161,8 +161,7 @@ func run(args []string, out io.Writer) error {
 
 	drc := a.DRCViolations()
 	noise := a.NoiseViolations()
-	binder := cfg.Parasitics
-	emViols := em.Check(a, lib, stack, binder, em.DefaultConfig())
+	emViols := em.Check(a, lib, stack, cfg.Parasitics, em.DefaultConfig())
 	fmt.Fprintf(out, "\nDRC: %d violations, noise: %d, EM: %d\n", len(drc), len(noise), len(emViols))
 	pw := power.Compute(a, lib, power.DefaultConfig())
 	fmt.Fprintf(out, "power: %.1f uW (leakage %.1f, data %.1f, clock %.1f — clock share %.0f%%)\n\n",

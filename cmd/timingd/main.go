@@ -138,7 +138,7 @@ func main() {
 	}
 	fmt.Printf("timingd: listening on %s\n", *addr)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -179,6 +179,19 @@ func main() {
 	httpSrv.Shutdown(shutCtx)
 	srv.Close()
 	fmt.Println("timingd: bye")
+}
+
+// The listener's own limits, for both roles: a client has readHeaderTimeout
+// to send its request line and headers, and a keep-alive connection idle for
+// idleTimeout is closed. Request bodies are bounded by the serving spine.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is how both roles listen: h on addr, under the limits above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // advertiseFromAddr derives a reachable base URL from a listen address:
@@ -226,7 +239,7 @@ func runCoordinator(addr, restore, recipeName string, heartbeat time.Duration) {
 		time.Since(start).Seconds(), len(names), strings.Join(names, ", "))
 	fmt.Printf("timingd: coordinator listening on %s\n", addr)
 
-	httpSrv := &http.Server{Addr: addr, Handler: c.Handler()}
+	httpSrv := newHTTPServer(addr, c.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -28,11 +28,11 @@ func checkChecksResident(cx *Ctx) error {
 	recipe := labRecipe(cx)
 	d := cx.Design.Clone()
 	rng := rand.New(rand.NewSource(mix(cx.Spec.Seed, 0xc4ec5)))
-	store := opt.NewStore(sta.NewNetBinder(cx.Stack, cx.Spec.Seed))
+	trees := sta.NewNetBinder(cx.Stack, cx.Spec.Seed)
 	build := func() (*core.Views, error) {
 		v := &core.Views{
 			D: d, ClockPort: d.Port("clk"), BasePeriod: units.Ps(cx.Spec.Period),
-			Scenarios: recipe.Scenarios, Parasitics: store.Fn(), Workers: 1, AnalysisWorkers: 1,
+			Scenarios: recipe.Scenarios, Parasitics: trees, Workers: 1, AnalysisWorkers: 1,
 		}
 		return v, v.Build(context.Background(), nil)
 	}
@@ -40,7 +40,7 @@ func checkChecksResident(cx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	routed := func(min int) *netlist.Net { return routedNet(rng, d, store, min) }
+	routed := func(min int) *netlist.Net { return routedNet(rng, d, trees, min) }
 	compare := func(step string) error {
 		fresh, err := build()
 		if err != nil {
@@ -91,7 +91,7 @@ func checkChecksResident(cx *Ctx) error {
 				return fmt.Errorf("no routed net for an NDR")
 			}
 			step += " + ndr"
-			store.SetNDR(n, opt.WideSpaced)
+			trees.SetNDR(n, opt.WideSpaced)
 			for _, a := range kept.Analyzers() {
 				a.InvalidateNet(n)
 			}

@@ -31,12 +31,6 @@ func checkPackRoundTrip(cx *Ctx) error {
 	}
 	want := Fingerprint(a1)
 
-	var trees []pack.NetTree
-	for _, n := range cx.Design.Nets {
-		if t := binder(n); t != nil {
-			trees = append(trees, pack.NetTree{Net: n.Name, Need: len(t.Sinks), Tree: t})
-		}
-	}
 	snap := &pack.Snapshot{
 		Design: cx.Design,
 		Recipe: &core.Recipe{
@@ -52,7 +46,7 @@ func checkPackRoundTrip(cx *Ctx) error {
 		BasePeriod: period,
 		Seed:       cx.Spec.Seed,
 		Topology:   a1.Topology(),
-		Trees:      trees,
+		Parasitics: binder,
 	}
 	data, err := pack.Encode(snap)
 	if err != nil {
@@ -69,7 +63,7 @@ func checkPackRoundTrip(cx *Ctx) error {
 	cons2 := cx.constraintsFor(dec.Design, period)
 	a2, err := sta.New(dec.Design, cons2, sta.Config{
 		Lib:        dec.Recipe.Scenarios[0].Lib,
-		Parasitics: sta.NewSnapshotNetBinder(dec.Stack, dec.Seed, dec.SavedTrees()),
+		Parasitics: dec.Parasitics,
 		SI:         sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true,
 		Topology: dec.Topology,
 	})

@@ -27,14 +27,14 @@ func checkSurveyResident(cx *Ctx) error {
 	// was mapped to, so the clone and the edit scripts carry over.
 	d := cx.Design.Clone()
 	rng := rand.New(rand.NewSource(mix(cx.Spec.Seed, 0x5e51de)))
-	// Both engines bind through one store (so an NDR is an edit to the
+	// Both engines share one parasitics table (so an NDR is an edit to the
 	// parasitics they share) and survey the same netlist object.
-	store := opt.NewStore(sta.NewNetBinder(cx.Stack, cx.Spec.Seed))
+	trees := sta.NewNetBinder(cx.Stack, cx.Spec.Seed)
 	var skew map[*netlist.Cell]units.Ps
 	engine := func() *core.Engine {
 		e := &core.Engine{
 			D: d, Recipe: *recipe, BasePeriod: units.Ps(cx.Spec.Period),
-			ClockPort: d.Port("clk"), Parasitics: store.Fn(), Workers: 1,
+			ClockPort: d.Port("clk"), Parasitics: trees, Workers: 1,
 		}
 		e.SetUsefulSkew(skew)
 		return e
@@ -66,7 +66,7 @@ func checkSurveyResident(cx *Ctx) error {
 		at++ // after the initial survey
 		steps = append(steps[:at], append([]step{s}, steps[at:]...)...)
 	}
-	routed := func(min int) *netlist.Net { return routedNet(rng, d, store, min) }
+	routed := func(min int) *netlist.Net { return routedNet(rng, d, trees, min) }
 	// Inserted back to front so the earlier positions stay put.
 	insert(3*len(script)/4, step{name: "insert buffer", apply: func() error {
 		n := routed(2)
@@ -94,7 +94,7 @@ func checkSurveyResident(cx *Ctx) error {
 		if n == nil {
 			return fmt.Errorf("no routed net for an NDR")
 		}
-		store.SetNDR(n, opt.WideSpaced)
+		trees.SetNDR(n, opt.WideSpaced)
 		return nil
 	}})
 
@@ -131,10 +131,10 @@ func checkSurveyResident(cx *Ctx) error {
 }
 
 // routedNet picks, in rng order, a cell-driven net with at least min loads
-// that the store routes — a target for an NDR or a buffer insertion.
-func routedNet(rng *rand.Rand, d *netlist.Design, store *opt.Store, min int) *netlist.Net {
+// that trees routes — a target for an NDR or a buffer insertion.
+func routedNet(rng *rand.Rand, d *netlist.Design, trees *sta.Parasitics, min int) *netlist.Net {
 	for _, i := range rng.Perm(len(d.Nets)) {
-		if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= min && store.Fn()(n) != nil {
+		if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= min && trees.Tree(n) != nil {
 			return n
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"newgame/internal/netlist"
 	"newgame/internal/obs"
 	"newgame/internal/opt"
-	"newgame/internal/parasitics"
 	"newgame/internal/place"
 	"newgame/internal/sta"
 	"newgame/internal/units"
@@ -27,8 +26,9 @@ type Engine struct {
 	BasePeriod units.Ps
 	// ClockPort roots the clock.
 	ClockPort *netlist.Port
-	// Parasitics is the base binder (wrapped in an NDR store internally).
-	Parasitics func(*netlist.Net) *parasitics.Tree
+	// Parasitics is the design's RC trees; the fix passes assign their
+	// non-default rules on it.
+	Parasitics *sta.Parasitics
 	// Place enables MinIA awareness (optional).
 	Place *place.Placement
 	// InputArrival is the external arrival window applied to every data
@@ -48,7 +48,6 @@ type Engine struct {
 	// analyzer (see internal/obs). Recording never alters results.
 	Obs *obs.Recorder
 
-	store *opt.Store
 	uskew map[*netlist.Cell]units.Ps
 	// resident holds the last survey's scenario set and the engine state it
 	// was built from; the next survey re-runs it in place while that still
@@ -202,12 +201,12 @@ func (e *Engine) tune(s Scenario, cons *sta.Constraints, cfg *sta.Config, parent
 	}
 }
 
-// views describes a scenario set over the engine's current netlist, NDR
-// store and placement.
+// views describes a scenario set over the engine's current netlist,
+// parasitics and placement.
 func (e *Engine) views(scen []Scenario, each func(Scenario, int, *sta.Constraints, *sta.Config) func()) *Views {
 	return &Views{
 		D: e.D, ClockPort: e.ClockPort, BasePeriod: e.BasePeriod, InputArrival: e.InputArrival,
-		Scenarios: scen, Parasitics: e.store.Fn(),
+		Scenarios: scen, Parasitics: e.Parasitics,
 		Workers: e.Workers, AnalysisWorkers: e.Workers, Obs: e.Obs,
 		Each: each,
 	}
@@ -225,7 +224,7 @@ type analyzerInputs struct {
 	workers      int
 	obs          *obs.Recorder
 	place        *place.Placement
-	store        *opt.Store
+	parasitics   *sta.Parasitics
 }
 
 // sameScenario reports whether two scenarios configure identical analyzers.
@@ -268,20 +267,17 @@ func (e *Engine) surveyScenario(s Scenario, g int, cons *sta.Constraints, cfg *s
 }
 
 // runScenarios brings the engine's resident scenario set (see Views) up to
-// date. The shared parasitics store is warmed serially first so stateful
-// tree synthesis happens in net order, exactly as a serial survey would
-// have generated it.
+// date.
 //
 // The set stays with the engine between surveys. While nothing it was built
 // from has changed — the engine's fields, the scenarios — a survey re-runs it
 // in place and pays only for the nets, masters and graph that moved;
 // otherwise it is rebuilt.
 func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
-	e.store.Warm(e.D.Nets)
 	in := analyzerInputs{
 		d: e.D, clockPort: e.ClockPort,
 		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
-		workers: e.Workers, obs: e.Obs, place: e.Place, store: e.store,
+		workers: e.Workers, obs: e.Obs, place: e.Place, parasitics: e.Parasitics,
 	}
 	var err error
 	if e.residentsCurrent(in) {
@@ -383,19 +379,8 @@ func (e *Engine) survey() (Iteration, *sta.Analyzer, *sta.Analyzer, *sta.Analyze
 // anything — the "run STA, break down failures" step alone, also useful
 // for signoff-only comparisons between recipes.
 func (e *Engine) Survey() (Iteration, error) {
-	e.lazyInit()
 	it, _, _, _, err := e.survey()
 	return it, err
-}
-
-// lazyInit creates the state Survey and Close both need before a first survey.
-func (e *Engine) lazyInit() {
-	if e.store == nil {
-		e.store = opt.NewStore(e.Parasitics)
-	}
-	if e.uskew == nil {
-		e.uskew = map[*netlist.Cell]units.Ps{}
-	}
 }
 
 // Analyzers returns the last survey's analyzers in recipe order, each timed
@@ -424,7 +409,9 @@ func (e *Engine) Close() (*Result, error) {
 	if err := e.Recipe.Validate(); err != nil {
 		return nil, err
 	}
-	e.lazyInit()
+	if e.uskew == nil {
+		e.uskew = map[*netlist.Cell]units.Ps{}
+	}
 	root := e.Obs.Start("close."+e.Recipe.Name, nil)
 	defer root.End()
 	defer func() { e.obsParent = nil }()
@@ -506,7 +493,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 		return nil
 	}
 	if worstSetup != nil && it.MergedSetupWNS < 0 {
-		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place, Store: e.store}
+		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place}
 		vopts := opt.DefaultVtSwap()
 		vopts.MinIAAware = e.Recipe.MinIAAware
 		for _, step := range []struct {
@@ -545,8 +532,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 		}
 	}
 	if worstHold != nil && it.MergedHoldWNS < 0 {
-		ctx := &opt.Context{A: worstHold, Lib: worstHold.Cfg.Lib, Store: e.store,
-			SetupGuard: worstSetup}
+		ctx := &opt.Context{A: worstHold, Lib: worstHold.Cfg.Lib, SetupGuard: worstSetup}
 		if err := fix("fix.hold", func() (opt.Report, error) { return opt.FixHold(ctx, 100) }); err != nil {
 			return err
 		}
@@ -564,7 +550,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 	if a == nil {
 		return nil
 	}
-	ctx := &opt.Context{A: a, Lib: a.Cfg.Lib, Store: e.store}
+	ctx := &opt.Context{A: a, Lib: a.Cfg.Lib}
 	if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
 		if err := fix("fix.drc_closure", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }); err != nil {
 			return err
@@ -608,7 +594,7 @@ func (e *Engine) recoverMargin(res *Result) error {
 		return err
 	}
 	a := rv.Analyzers()[0]
-	ctx := &opt.Context{A: a, Lib: setupScen.Lib, Place: e.Place, Store: e.store}
+	ctx := &opt.Context{A: a, Lib: setupScen.Lib, Place: e.Place}
 	// Cross-scenario acceptance: every recovery batch must keep the whole
 	// MCMM survey clean, not just the recovery view (§2.3's ping-pong).
 	ctx.Verify = func() bool {

@@ -244,14 +244,14 @@ func closeOnce(t *testing.T, e *Engine) []Iteration {
 		}
 		return na
 	}
-	e.store, e.uskew = opt.NewStore(e.Parasitics), map[*netlist.Cell]units.Ps{}
+	e.uskew = map[*netlist.Cell]units.Ps{}
 	it, worstSetup, worstHold, worstDRC, err := e.survey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	it.Index = 1
 	if worstSetup != nil && it.MergedSetupWNS < 0 {
-		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place, Store: e.store}
+		ctx := &opt.Context{A: worstSetup, Lib: worstSetup.Cfg.Lib, Place: e.Place}
 		vopts := opt.DefaultVtSwap()
 		vopts.MinIAAware = e.Recipe.MinIAAware
 		for _, pass := range []func() (opt.Report, error){
@@ -277,11 +277,11 @@ func closeOnce(t *testing.T, e *Engine) []Iteration {
 		}
 	}
 	if worstHold != nil && it.MergedHoldWNS < 0 {
-		ctx := &opt.Context{A: rebuilt(worstHold), Lib: worstHold.Cfg.Lib, Store: e.store, SetupGuard: rebuilt(worstSetup)}
+		ctx := &opt.Context{A: rebuilt(worstHold), Lib: worstHold.Cfg.Lib, SetupGuard: rebuilt(worstSetup)}
 		it.Fixes = append(it.Fixes, must(opt.FixHold(ctx, 100)))
 	}
 	if a := worstDRC; a != nil && it.Breakdown.MaxTran+it.Breakdown.MaxCap+it.Breakdown.Noise > 0 {
-		ctx := &opt.Context{A: rebuilt(a), Lib: a.Cfg.Lib, Store: e.store}
+		ctx := &opt.Context{A: rebuilt(a), Lib: a.Cfg.Lib}
 		if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
 			it.Fixes = append(it.Fixes, must(opt.FixDRC(ctx, opt.DefaultBuffer())))
 		}

@@ -6,7 +6,6 @@ import (
 
 	"newgame/internal/netlist"
 	"newgame/internal/obs"
-	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 	"newgame/internal/units"
 	"newgame/internal/workpool"
@@ -28,7 +27,7 @@ type Views struct {
 	BasePeriod   units.Ps
 	InputArrival units.Ps
 	Scenarios    []Scenario
-	Parasitics   func(*netlist.Net) *parasitics.Tree
+	Parasitics   *sta.Parasitics
 	// Workers bounds the scenario fan-out, AnalysisWorkers each analyzer's
 	// level-parallel propagation (both as workpool.Workers reads them).
 	Workers, AnalysisWorkers int
@@ -68,12 +67,14 @@ func (v *Views) Find(name string) (int, error) {
 }
 
 // Build constructs and fully times a fresh analyzer per scenario against
-// the design as it is now. The first scenario adopts seed when it is
+// the design as it is now, the parasitics table refreshed once before the
+// scenarios fan out. The first scenario adopts seed when it is
 // compatible and levelizes otherwise; either way the rest adopt the first's
 // topology read-only, so the graph is built at most once per Build. On
 // error — cancellation included — the set is left as it was.
 func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 	as := make([]*sta.Analyzer, len(v.Scenarios))
+	v.Parasitics.Refresh(v.D)
 	err := v.each(func(i, g int) error {
 		topo := seed
 		if i > 0 {
@@ -97,11 +98,13 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 
 // Rerun fully re-times every analyzer in place under freshly assembled
 // constraints, which equals a Build whatever has been edited since the last
-// one: every master is re-resolved, exactly the nets whose tree or sink caps
-// moved are recomputed, and after a structural edit each analyzer re-derives
-// its graph on its own storage — the first levelizing, the rest adopting its
-// topology, as in Build. A failed Rerun leaves the analyzers half-timed.
+// one: the parasitics table is refreshed once, every master is re-resolved,
+// exactly the nets whose tree or sink caps moved are recomputed, and after a
+// structural edit each analyzer re-derives its graph on its own storage —
+// the first levelizing, the rest adopting its topology, as in Build. A
+// failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
+	v.Parasitics.Refresh(v.D)
 	return v.each(func(i, g int) error {
 		a := v.as[i]
 		var topo *sta.Topology

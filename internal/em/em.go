@@ -55,15 +55,15 @@ type Violation struct {
 	Layer string
 }
 
-// Check scans every net of a run analyzer. The binding layer is the
-// lowest-capacity layer the net's tree routes on. Clock nets (driving
-// flip-flop CK pins) see activity 1 — every cycle switches — which is why
-// clock EM dominates real reports.
+// Check scans every net of a run analyzer, routed as trees routes it. The
+// binding layer is the lowest-capacity layer the net's tree routes on.
+// Clock nets (driving flip-flop CK pins) see activity 1 — every cycle
+// switches — which is why clock EM dominates real reports.
 func Check(a *sta.Analyzer, lib *liberty.Library, stack *parasitics.Stack,
-	trees func(*netlist.Net) *parasitics.Tree, cfg Config) []Violation {
+	trees *sta.Parasitics, cfg Config) []Violation {
 	var out []Violation
 	for _, n := range a.D.Nets {
-		t := trees(n)
+		t := trees.Tree(n)
 		if t == nil || n.Driver == nil {
 			continue
 		}

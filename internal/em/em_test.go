@@ -15,8 +15,8 @@ func lib() *liberty.Library {
 		liberty.PVT{Process: liberty.TT, Voltage: 0.8, Temp: 105}, liberty.GenOptions{})
 }
 
-// analyzer over a block with a remembered binder for tree lookups.
-func setup(t *testing.T, seed int64) (*sta.Analyzer, *liberty.Library, func(*netlist.Net) *parasitics.Tree) {
+// analyzer over a block, with the parasitics table it was timed over.
+func setup(t *testing.T, seed int64) (*sta.Analyzer, *liberty.Library, *sta.Parasitics) {
 	t.Helper()
 	l := lib()
 	d := circuits.Block(l, circuits.BlockSpec{

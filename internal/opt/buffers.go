@@ -87,8 +87,8 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 				continue
 			}
 			// Last resort: improve the wire itself (repeater-class NDR).
-			if ctx.Store != nil && !ctx.Store.HasNDR(net) {
-				ctx.Store.SetNDR(net, WideSpaced)
+			if trees := ctx.A.Cfg.Parasitics; trees != nil && !trees.HasNDR(net) {
+				trees.SetNDR(net, WideSpaced)
 				rep.Changed++
 				fixed++
 			}
@@ -106,8 +106,8 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 }
 
 // FixNoise repairs crosstalk glitch violations by upsizing victim drivers
-// (stronger holding resistance) and, when a Store is present, assigning the
-// wide/spaced NDR to the victim net (less coupling).
+// (stronger holding resistance) and, when the analyzer has a parasitics
+// table, assigning the wide/spaced NDR to the victim net (less coupling).
 func FixNoise(ctx *Context, maxFixes int) (Report, error) {
 	rep := Report{Pass: "noise_fix"}
 	if err := ctx.A.Run(); err != nil {
@@ -125,13 +125,13 @@ func FixNoise(ctx *Context, maxFixes int) (Report, error) {
 				break
 			}
 			did := false
-			if ctx.Store != nil {
-				if r, ok := ctx.Store.NDROf(v.Net); !ok {
-					ctx.Store.SetNDR(v.Net, WideSpaced)
+			if trees := ctx.A.Cfg.Parasitics; trees != nil {
+				if r, ok := trees.NDROf(v.Net); !ok {
+					trees.SetNDR(v.Net, WideSpaced)
 					did = true
 				} else if r.Name == WideSpaced.Name {
 					// Spacing was not enough: shield the victim.
-					ctx.Store.SetNDR(v.Net, Shielded)
+					trees.SetNDR(v.Net, Shielded)
 					did = true
 				}
 			}
@@ -170,7 +170,8 @@ func FixNoise(ctx *Context, maxFixes int) (Report, error) {
 // violating setup paths — Figure 1's fourth lever.
 func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 	rep := Report{Pass: "ndr"}
-	if ctx.Store == nil {
+	trees := ctx.A.Cfg.Parasitics
+	if trees == nil {
 		return rep, nil
 	}
 	if err := ctx.A.Run(); err != nil {
@@ -189,7 +190,7 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 			break
 		}
 		for _, st := range p.Steps {
-			if st.IsCell || st.Net == nil || seen[st.Net] || ctx.Store.HasNDR(st.Net) {
+			if st.IsCell || st.Net == nil || seen[st.Net] || trees.HasNDR(st.Net) {
 				continue
 			}
 			seen[st.Net] = true
@@ -204,7 +205,7 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 		if c.delay < 1 { // not worth a routing rule
 			continue
 		}
-		ctx.Store.SetNDR(c.net, WideSpaced)
+		trees.SetNDR(c.net, WideSpaced)
 		rep.Changed++
 	}
 	if err := ctx.A.Run(); err != nil {

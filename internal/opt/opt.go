@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
-	"newgame/internal/parasitics"
 	"newgame/internal/place"
 	"newgame/internal/sta"
 	"newgame/internal/units"
@@ -22,13 +20,13 @@ import (
 
 // Context carries the design state a fix pass operates on.
 type Context struct {
+	// A is the analyzer a pass re-times. Non-default rules go on its
+	// parasitics table; without one, passes assign none.
 	A   *sta.Analyzer
 	Lib *liberty.Library
 	// Place, when non-nil, enables MinIA-aware Vt moves (paper §2.4: below
 	// 20nm, post-route Vt swap is no longer placement-independent).
 	Place *place.Placement
-	// Store, when non-nil, enables NDR assignment.
-	Store *Store
 	// SetupGuard, when non-nil, is a second analysis view (typically the
 	// slow setup corner) that hold fixing must not break — the cross-corner
 	// ping-pong guard of paper §2.3 ("fix timing violations without
@@ -332,83 +330,11 @@ func LeakageRecovery(ctx *Context, slackFloor units.Ps, maxMoves int) (Report, e
 	return rep, err
 }
 
-// Store wraps a parasitics binder with per-net non-default-rule overrides.
-type Store struct {
-	base func(*netlist.Net) *parasitics.Tree
-	ndr  map[*netlist.Net]NDR
-
-	// ruled memoises each NDR'd net's re-ruled tree together with the base
-	// tree it was scaled from: analyzers key their per-net delay cache on
-	// the tree pointer, so a net must keep one tree for as long as its rule
-	// and its route stand. Scenario analyzers call Fn's binder concurrently.
-	mu    sync.Mutex
-	ruled map[*netlist.Net]ruledTree
-}
-
-type ruledTree struct{ base, scaled *parasitics.Tree }
-
-// NDR is a non-default routing rule.
-type NDR struct {
-	Name string
-	// R/C/Cc multipliers relative to default-rule routing.
-	R, C, Cc float64
-}
-
-// WideSpaced is the classic 2W2S rule: half the resistance, modestly more
-// ground cap, much less coupling.
-var WideSpaced = NDR{Name: "2W2S", R: 0.52, C: 1.12, Cc: 0.45}
+// WideSpaced is the classic 2W2S non-default rule: half the resistance,
+// modestly more ground cap, much less coupling.
+var WideSpaced = sta.NDR{Name: "2W2S", R: 0.52, C: 1.12, Cc: 0.45}
 
 // Shielded adds grounded shield wires alongside the net: coupling nearly
 // eliminated, ground cap up — the escalation for nets whose coupling
 // fraction no spacing rule can save.
-var Shielded = NDR{Name: "shield", R: 0.52, C: 1.30, Cc: 0.10}
-
-// NDROf returns the net's rule, if any.
-func (s *Store) NDROf(n *netlist.Net) (NDR, bool) { r, ok := s.ndr[n]; return r, ok }
-
-// NewStore wraps a base binder.
-func NewStore(base func(*netlist.Net) *parasitics.Tree) *Store {
-	return &Store{base: base, ndr: map[*netlist.Net]NDR{}, ruled: map[*netlist.Net]ruledTree{}}
-}
-
-// Warm touches every net through the base binder, in order. A stateful
-// binder (the seeded NetGen cache) assigns trees in call order, so warming
-// serially before concurrent scenario analyzers share the store keeps tree
-// assignment — and therefore every timing number — deterministic.
-func (s *Store) Warm(nets []*netlist.Net) {
-	for _, n := range nets {
-		s.base(n)
-	}
-}
-
-// Fn returns the binder function to hand to sta.Config.
-func (s *Store) Fn() func(*netlist.Net) *parasitics.Tree {
-	return func(n *netlist.Net) *parasitics.Tree {
-		t := s.base(n)
-		if t == nil {
-			return nil
-		}
-		rule, ok := s.ndr[n]
-		if !ok {
-			return t
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rt := s.ruled[n]
-		if rt.base != t {
-			rt = ruledTree{base: t, scaled: t.ScaledCopy(rule.R, rule.C, rule.Cc)}
-			s.ruled[n] = rt
-		}
-		return rt.scaled
-	}
-}
-
-// SetNDR assigns a rule to a net. It must not run concurrently with the
-// binder (fix passes assign rules between surveys, never during one).
-func (s *Store) SetNDR(n *netlist.Net, rule NDR) {
-	s.ndr[n] = rule
-	delete(s.ruled, n)
-}
-
-// HasNDR reports whether a net carries a rule.
-func (s *Store) HasNDR(n *netlist.Net) bool { _, ok := s.ndr[n]; return ok }
+var Shielded = sta.NDR{Name: "shield", R: 0.52, C: 1.30, Cc: 0.10}

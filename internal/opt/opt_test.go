@@ -28,9 +28,8 @@ func testCtx(t *testing.T, l *liberty.Library, period float64, seed int64) *Cont
 	})
 	cons := sta.NewConstraints()
 	cons.AddClock("clk", period, d.Port("clk"))
-	store := NewStore(sta.NewNetBinder(parasitics.Stack16(), seed))
 	a, err := sta.New(d, cons, sta.Config{
-		Lib: l, Parasitics: store.Fn(), Derate: sta.DefaultAOCV(),
+		Lib: l, Parasitics: sta.NewNetBinder(parasitics.Stack16(), seed), Derate: sta.DefaultAOCV(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +37,7 @@ func testCtx(t *testing.T, l *liberty.Library, period float64, seed int64) *Cont
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return &Context{A: a, Lib: l, Store: store}
+	return &Context{A: a, Lib: l}
 }
 
 func TestVtSwapImprovesTiming(t *testing.T) {
@@ -309,22 +308,17 @@ func TestNoiseFixReducesViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := parasitics.Stack16()
-	base := func(n *netlist.Net) *parasitics.Tree {
-		if n == victim {
-			return parasitics.PointToPoint(st, 1, 600, 0.85)
-		}
-		return nil
-	}
-	store := NewStore(base)
+	trees := sta.NewKeyedNetBinder(st, 1)
+	trees.Fill(victim, parasitics.PointToPoint(st, 1, 600, 0.85))
 	cons := sta.NewConstraints()
-	a, err := sta.New(d, cons, sta.Config{Lib: l, SI: sta.DefaultSI(), Parasitics: store.Fn()})
+	a, err := sta.New(d, cons, sta.Config{Lib: l, SI: sta.DefaultSI(), Parasitics: trees})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ctx := &Context{A: a, Lib: l, Store: store}
+	ctx := &Context{A: a, Lib: l}
 	before := len(ctx.A.NoiseViolations())
 	if before == 0 {
 		t.Fatal("constructed victim not flagged; noise model inert")
@@ -337,7 +331,7 @@ func TestNoiseFixReducesViolations(t *testing.T) {
 		t.Errorf("noise violations %d -> %d", before, after)
 	}
 	// The fix should have used both levers: driver upsize and NDR.
-	if !ctx.Store.HasNDR(victim) {
+	if !trees.HasNDR(victim) {
 		t.Error("victim net did not receive an NDR")
 	}
 	if m := l.Cell(drv.TypeName); m.Drive <= 1 {
@@ -404,21 +398,22 @@ func TestDefaultOptionCtors(t *testing.T) {
 }
 
 func TestStoreNDRAccessors(t *testing.T) {
-	st := NewStore(func(*netlist.Net) *parasitics.Tree { return nil })
+	st := sta.NewNetBinder(parasitics.Stack16(), 1)
 	d := netlist.New("x")
 	n, _ := d.AddNet("n")
 	if st.HasNDR(n) {
-		t.Error("fresh store has rules")
+		t.Error("fresh table has rules")
 	}
 	if _, ok := st.NDROf(n); ok {
-		t.Error("NDROf on empty store")
+		t.Error("NDROf on empty table")
 	}
 	st.SetNDR(n, WideSpaced)
 	if r, ok := st.NDROf(n); !ok || r.Name != WideSpaced.Name {
 		t.Error("rule lost")
 	}
-	// Nil base tree passes through.
-	if st.Fn()(n) != nil {
+	// A net with no route stays unrouted under a rule.
+	st.Refresh(d)
+	if st.Tree(n) != nil {
 		t.Error("nil tree should stay nil")
 	}
 }
@@ -428,30 +423,37 @@ func TestStoreNDRAccessors(t *testing.T) {
 func TestStoreNDRTreeIsStable(t *testing.T) {
 	route := parasitics.NewTree()
 	route.MarkSink(route.AddNode(0, 2, 3, 1, 0))
-	st := NewStore(func(*netlist.Net) *parasitics.Tree { return route })
+	st := sta.NewKeyedNetBinder(parasitics.Stack16(), 1)
 	d := netlist.New("x")
 	n, _ := d.AddNet("n")
-	bind := st.Fn()
-	if bind(n) != route {
+	sink, _ := d.AddCell("sink", "INV_X1_SVT", netlist.In("A"), netlist.Out("Z"))
+	if err := d.Connect(sink, "A", n); err != nil {
+		t.Fatal(err)
+	}
+	st.Fill(n, route)
+	if st.Tree(n) != route {
 		t.Fatal("net without a rule must see the base tree")
 	}
 	st.SetNDR(n, WideSpaced)
-	wide := bind(n)
+	wide := st.Tree(n)
 	if wide == route || wide.R[1] != route.R[1]*WideSpaced.R {
 		t.Fatalf("rule not applied: R %v", wide.R[1])
 	}
-	if bind(n) != wide || st.Fn()(n) != wide {
+	st.Refresh(d)
+	st.SetNDR(n, WideSpaced)
+	if st.Tree(n) != wide {
 		t.Error("same rule, same route: the scaled tree must be reused")
 	}
 	st.SetNDR(n, Shielded)
-	shielded := bind(n)
+	shielded := st.Tree(n)
 	if shielded == wide || shielded.Cc[1] != route.Cc[1]*Shielded.Cc {
 		t.Error("a new rule must produce a new tree")
 	}
 	old := route
 	route = parasitics.NewTree()
 	route.MarkSink(route.AddNode(0, 4, 3, 1, 0))
-	if rerouted := bind(n); rerouted == shielded || rerouted.R[1] != route.R[1]*Shielded.R {
+	st.Fill(n, route)
+	if rerouted := st.Tree(n); rerouted == shielded || rerouted.R[1] != route.R[1]*Shielded.R {
 		t.Errorf("a re-routed net must be re-scaled from its new tree, not %v's", old.R[1])
 	}
 }

@@ -3,8 +3,10 @@ package pack
 import (
 	"fmt"
 
+	"newgame/internal/netlist"
 	"newgame/internal/pack/wire"
 	"newgame/internal/parasitics"
+	"newgame/internal/sta"
 	"newgame/internal/units"
 )
 
@@ -80,48 +82,55 @@ func decodeScaling(r *wire.Reader, nLayers int) (*parasitics.Scaling, error) {
 	return s, nil
 }
 
-func encodeTrees(w *wire.Writer, trees []NetTree) error {
-	w.U32(uint32(len(trees)))
-	for _, nt := range trees {
-		if nt.Tree == nil {
-			return fmt.Errorf("pack: saved tree for net %q is nil", nt.Net)
+// encodeTrees writes the tree each net of d is timed with under p, in net
+// order, with the net's name and the sink count it was routed for.
+func encodeTrees(w *wire.Writer, d *netlist.Design, p *sta.Parasitics) {
+	n := 0
+	for _, net := range d.Nets {
+		if p.Tree(net) != nil {
+			n++
 		}
-		w.String(nt.Net)
-		w.I64(int64(nt.Need))
-		encodeTree(w, nt.Tree)
 	}
-	return nil
+	w.U32(uint32(n))
+	for _, net := range d.Nets {
+		if t := p.Tree(net); t != nil {
+			w.String(net.Name)
+			w.I64(int64(len(t.Sinks)))
+			encodeTree(w, t)
+		}
+	}
 }
 
-func decodeTrees(r *wire.Reader, nLayers int) ([]NetTree, error) {
+// decodeTrees fills the saved trees into a keyed table over the snapshot's
+// design, stack and seed. Trees come in net order, one per net at most.
+func decodeTrees(r *wire.Reader, s *Snapshot) (*sta.Parasitics, error) {
 	n := r.Count(12)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	trees := make([]NetTree, 0, n)
-	seen := map[string]bool{}
+	p := sta.NewKeyedNetBinder(s.Stack, s.Seed)
+	last := -1
 	for i := 0; i < n; i++ {
-		nt := NetTree{Net: r.String()}
+		name := r.String()
 		need := r.I64()
-		t, err := decodeTree(r, nLayers)
+		t, err := decodeTree(r, len(s.Stack.Layers))
 		if err != nil {
 			return nil, err
 		}
-		if seen[nt.Net] {
-			return nil, fmt.Errorf("pack: duplicate saved tree for net %q", nt.Net)
+		net := s.Design.Net(name)
+		if net == nil || net.Index() <= last {
+			return nil, fmt.Errorf("pack: saved tree for net %q is not the next net of the design", name)
 		}
-		seen[nt.Net] = true
+		last = net.Index()
 		if need < 1 || int(need) != len(t.Sinks) {
-			return nil, fmt.Errorf("pack: net %q tree routed for %d sinks but has %d", nt.Net, need, len(t.Sinks))
+			return nil, fmt.Errorf("pack: net %q tree routed for %d sinks but has %d", name, need, len(t.Sinks))
 		}
-		nt.Need = int(need)
-		nt.Tree = t
-		trees = append(trees, nt)
+		p.Fill(net, t)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return trees, nil
+	return p, nil
 }
 
 func encodeTree(w *wire.Writer, t *parasitics.Tree) {

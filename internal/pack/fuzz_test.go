@@ -7,6 +7,7 @@ import (
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
+	"newgame/internal/sta"
 )
 
 // tinySnapshot is a minimal-but-complete pack: one buffer cell, a two-net
@@ -54,8 +55,9 @@ func tinySnapshot(t testing.TB) *Snapshot {
 		t.Fatal(err)
 	}
 	tr := parasitics.NewTree()
-	n := tr.AddNode(0, 0.02, 1.1, 0.3, 2)
-	tr.MarkSink(n)
+	tr.MarkSink(tr.AddNode(0, 0.02, 1.1, 0.3, 2))
+	trees := sta.NewKeyedNetBinder(parasitics.Stack16(), 1)
+	trees.Fill(d.Net("n_out"), tr)
 	return &Snapshot{
 		Design: d,
 		Recipe: &core.Recipe{
@@ -70,7 +72,7 @@ func tinySnapshot(t testing.TB) *Snapshot {
 		BasePeriod: 500,
 		Seed:       1,
 		Epoch:      0,
-		Trees:      []NetTree{{Net: "n_out", Need: 1, Tree: tr}},
+		Parasitics: trees,
 	}
 }
 

@@ -56,15 +56,6 @@ const (
 	secTrees  = "TREE" // synthesized per-net RC trees
 )
 
-// NetTree is one saved parasitic tree: the net it was synthesized for and
-// the sink count it was routed at (a restored binder serves it only while
-// the net still has that fanout).
-type NetTree struct {
-	Net  string
-	Need int
-	Tree *parasitics.Tree
-}
-
 // Snapshot is the full resident state of a timing session at one epoch.
 type Snapshot struct {
 	Design       *netlist.Design
@@ -79,21 +70,10 @@ type Snapshot struct {
 	// Topology is the frozen timing graph, or nil if none was saved; a
 	// restored server adopts it to skip pointer-walk and levelization.
 	Topology *sta.Topology
-	// Trees holds the parasitic trees that were resident at save time.
-	Trees []NetTree
-}
-
-// SavedTrees converts the snapshot's tree list to the form
-// sta.NewSnapshotNetBinder consumes. Returns nil when no trees were saved.
-func (s *Snapshot) SavedTrees() map[string]sta.SavedTree {
-	if len(s.Trees) == 0 {
-		return nil
-	}
-	m := make(map[string]sta.SavedTree, len(s.Trees))
-	for _, nt := range s.Trees {
-		m[nt.Net] = sta.SavedTree{Need: nt.Need, Tree: nt.Tree}
-	}
-	return m
+	// Parasitics is the design's RC trees. Encode saves the tree each net is
+	// timed with, in net order; Decode fills them into a table that routes
+	// any other net by sta.NewKeyedNetBinder's rule over Stack and Seed.
+	Parasitics *sta.Parasitics
 }
 
 // Encode serializes the snapshot into the container format.
@@ -144,7 +124,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 			}
 			return nil
 		}},
-		{secTrees, func(w *wire.Writer) error { return encodeTrees(w, s.Trees) }},
+		{secTrees, func(w *wire.Writer) error { encodeTrees(w, s.Design, s.Parasitics); return nil }},
 	}
 	for _, st := range steps {
 		if err := add(st.tag, st.fn); err != nil {
@@ -288,7 +268,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if r, err = need(secTrees); err != nil {
 		return nil, err
 	}
-	if s.Trees, err = decodeTrees(r, len(s.Stack.Layers)); err != nil {
+	if s.Parasitics, err = decodeTrees(r, s); err != nil {
 		return nil, err
 	}
 	return s, nil

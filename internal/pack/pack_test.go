@@ -44,12 +44,6 @@ func testSnapshot(t testing.TB) *Snapshot {
 		if err := a.Run(); err != nil {
 			panic(err)
 		}
-		var trees []NetTree
-		for _, n := range d.Nets {
-			if tr := binder(n); tr != nil {
-				trees = append(trees, NetTree{Net: n.Name, Need: len(tr.Sinks), Tree: tr})
-			}
-		}
 		fixSnap = &Snapshot{
 			Design: d,
 			Recipe: &core.Recipe{
@@ -79,7 +73,7 @@ func testSnapshot(t testing.TB) *Snapshot {
 			Seed:         11,
 			Epoch:        3,
 			Topology:     a.Topology(),
-			Trees:        trees,
+			Parasitics:   binder,
 		}
 	})
 	return fixSnap
@@ -113,8 +107,10 @@ func TestRoundTripByteStable(t *testing.T) {
 	if dec.Topology == nil {
 		t.Fatal("topology not decoded")
 	}
-	if len(dec.Trees) != len(snap.Trees) {
-		t.Fatalf("decoded %d trees, saved %d", len(dec.Trees), len(snap.Trees))
+	for i, n := range snap.Design.Nets {
+		if !reflect.DeepEqual(snap.Parasitics.Tree(n), dec.Parasitics.Tree(dec.Design.Nets[i])) {
+			t.Fatalf("net %s: decoded tree differs from the saved one", n.Name)
+		}
 	}
 	if !reflect.DeepEqual(dec.Design.Blueprint(), snap.Design.Blueprint()) {
 		t.Fatal("decoded design blueprint differs")
@@ -136,9 +132,8 @@ func TestDecodedTopologyAdopted(t *testing.T) {
 	}
 	cons := sta.NewConstraints()
 	cons.AddClock("clk", units.Ps(600), dec.Design.Port("clk"))
-	binder := sta.NewSnapshotNetBinder(dec.Stack, dec.Seed, dec.SavedTrees())
 	a, err := sta.New(dec.Design, cons, sta.Config{
-		Lib: dec.Recipe.Scenarios[0].Lib, Parasitics: binder,
+		Lib: dec.Recipe.Scenarios[0].Lib, Parasitics: dec.Parasitics,
 		Derate: sta.DefaultAOCV(), SI: sta.DefaultSI(), MIS: true,
 		Topology: dec.Topology,
 	})

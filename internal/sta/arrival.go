@@ -103,13 +103,16 @@ func (a *Analyzer) resetRequired(i int) {
 	a.seedValid[ix2(i, fall)] = false
 }
 
-// buildNets refreshes per-net delay-calculation results on the entries and
-// slices earlier runs allocated: the cache is kept one entry per D.Nets
+// buildNets brings the parasitics table up to date with the design — the
+// only step here that may synthesize a tree, so it runs serially and in net
+// order — then refreshes per-net delay-calculation results on the entries
+// and slices earlier runs allocated: the cache is kept one entry per D.Nets
 // position, so a removed net's entry goes with the truncation and a
 // renumbered net meets a neighbour's old entry, which fillNetData's input
 // key turns into a refill. Per-net work is independent, so large designs
 // fan it out through workpool.
 func (a *Analyzer) buildNets() {
+	a.Cfg.Parasitics.Refresh(a.D)
 	nets := a.D.Nets
 	maxSinks := 0
 	for _, n := range nets {
@@ -136,15 +139,6 @@ func (a *Analyzer) buildNets() {
 			a.countNetFill(a.fillNetData(nd, &a.calc[0]))
 		}
 		return
-	}
-	// Tree synthesis may be stateful: a seeded generator behind
-	// Cfg.Parasitics hands out trees in call order. Touch every net
-	// serially first so tree assignment matches a serial run exactly, then
-	// redo the pure per-net delay calc concurrently (cache hits only).
-	if a.Cfg.Parasitics != nil {
-		for _, n := range nets {
-			a.Cfg.Parasitics(n)
-		}
 	}
 	// Cache-hit accounting under the fan-out: plain chunk-local counts,
 	// one atomic add per chunk, folded into the plain stats fields after
@@ -226,12 +220,7 @@ func (a *Analyzer) fillNetData(nd *netData, sc *parasitics.Scratch) bool {
 	if portSink && a.Cons != nil {
 		caps = append(caps, a.Cons.PortLoad)
 	}
-	var tree *parasitics.Tree
-	if a.Cfg.Parasitics != nil {
-		// Always consulted, even on a cache hit: binders may be stateful
-		// and hand out trees in call order.
-		tree = a.Cfg.Parasitics(n)
-	}
+	tree := a.Cfg.Parasitics.Tree(n)
 	if nd.filled && tree == nd.srcTree && portSink == nd.portSink && floatsEqual(caps, nd.capsIn) {
 		nd.capsTmp = caps[:0]
 		return true

@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"cmp"
 	"hash/fnv"
 	"sync"
 
@@ -8,107 +9,180 @@ import (
 	"newgame/internal/parasitics"
 )
 
-// NewNetBinder returns a Parasitics callback that synthesizes and caches an
-// RC tree per net (fanout-driven topology from the NetGen model). The cache
-// keeps trees stable across repeated Run calls and across netlist edits:
-// optimization changing a driver does not re-roll its wires, while newly
-// created nets (buffer insertions) get fresh short trees.
+// Parasitics is one design's RC trees: a table with one entry per net,
+// indexed by Net.Index(). An entry holds the net's name, the fanout it was
+// routed for, its tree and, when the net carries a non-default routing rule,
+// the rule and the tree re-ruled under it. One table serves every analyzer
+// over the design — each scenario of a survey, both sessions of a timingd
+// server — and an analyzer reads it without a lock.
 //
-// The binder is safe for concurrent use by analyzers running in parallel
-// (one per MCMM scenario). Tree *generation* order still determines which
-// tree a net gets — the generator draws from one seeded stream — so
-// callers that need run-to-run determinism warm the cache serially in net
-// order before fanning out; a Run's own parallel delay calc does this
-// automatically.
-func NewNetBinder(stack *parasitics.Stack, seed int64) func(*netlist.Net) *parasitics.Tree {
-	gen := parasitics.NewNetGen(stack, seed)
-	cache := map[*netlist.Net]*parasitics.Tree{}
-	var mu sync.Mutex
-	return func(n *netlist.Net) *parasitics.Tree {
-		mu.Lock()
-		defer mu.Unlock()
-		need := n.Fanout()
-		// Fanout may have changed (loads moved to a buffer): re-route only
-		// when the sink count no longer matches.
-		if t, ok := cache[n]; ok && len(t.Sinks) == need {
-			return t
+// Trees are synthesized only by Refresh, which every full Run calls before
+// its delay calculation. Analyzers over the same design may share a table
+// and Run concurrently: the first Refresh routes whatever is stale, and the
+// rest find nothing to write.
+type Parasitics struct {
+	mu   sync.Mutex
+	nets []netTrees
+
+	// The synthesis rule. gen draws every tree from one seeded stream, in
+	// the order Refresh routes nets: net order. Without it a net's tree
+	// depends only on (seed, net name, fanout).
+	gen   *parasitics.NetGen
+	stack *parasitics.Stack
+	seed  int64
+}
+
+// netTrees is one net's entry.
+type netTrees struct {
+	name  string
+	need  int // the fanout tree was routed for
+	tree  *parasitics.Tree
+	ndr   NDR
+	ruled *parasitics.Tree // tree under ndr; nil without a rule
+}
+
+// NDR is a non-default routing rule: R, C and Cc multipliers relative to a
+// default-rule route. A rule is named; the zero NDR is no rule.
+type NDR struct {
+	Name     string
+	R, C, Cc float64
+}
+
+// NewNetBinder returns a table that synthesizes each net's tree from one
+// seeded stream (fanout-driven topology from the NetGen model), drawing in
+// net order. A net keeps its tree across Runs and netlist edits until its
+// fanout changes (loads moved to a buffer), and nets created by an edit get
+// fresh trees.
+func NewNetBinder(stack *parasitics.Stack, seed int64) *Parasitics {
+	return &Parasitics{gen: parasitics.NewNetGen(stack, seed)}
+}
+
+// NewKeyedNetBinder returns a table whose tree for a net depends only on
+// (seed, net name, fanout), never on what else was routed before it. Two
+// clones of a design, edited along different histories, get the same tree
+// for the same net at the same fanout, in any process; a re-route after a
+// fanout change is as deterministic as the first route.
+func NewKeyedNetBinder(stack *parasitics.Stack, seed int64) *Parasitics {
+	return &Parasitics{stack: stack, seed: seed}
+}
+
+// Refresh brings the table up to date with d, walking its nets in order
+// under one lock: a net whose entry is missing, or was routed under another
+// name or for another fanout, gets a new tree, and a net that only changed
+// fanout keeps its rule. A net without sinks keeps whatever entry it had
+// and reads as unrouted. When nothing is stale Refresh writes nothing, so
+// every tree stays the pointer it was. A nil table has nothing to refresh.
+func (p *Parasitics) Refresh(d *netlist.Design) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.nets) > len(d.Nets) {
+		p.nets = p.nets[:len(d.Nets)]
+	} else if len(p.nets) < len(d.Nets) {
+		p.nets = append(p.nets, make([]netTrees, len(d.Nets)-len(p.nets))...)
+	}
+	for i, n := range d.Nets {
+		e, need := &p.nets[i], n.Fanout()
+		if need == 0 || e.name == n.Name && e.need == need {
+			continue
 		}
-		if need == 0 {
-			return nil
+		if e.name != n.Name {
+			*e = netTrees{name: n.Name}
 		}
-		t := gen.Net(need)
-		cache[n] = t
-		return t
+		e.need, e.tree = need, p.route(n.Name, need)
+		e.rule()
 	}
 }
 
-// NewKeyedNetBinder returns a Parasitics callback whose synthesized tree
-// for a net depends only on (seed, net name, sink count) — never on the
-// order nets are first touched. NewNetBinder draws from one sequential
-// stream, so two analyzers whose query histories differ can assign
-// different trees to the same net; a resident signoff service keeping
-// multiple epoch snapshots of one design (a read session and an ECO shadow)
-// needs both snapshots to see bit-identical parasitics regardless of what
-// each has computed so far. Keying the generator per net delivers that:
-// clones of a design get the same tree for the same net name at the same
-// fanout, on any call order, in any process.
-//
-// Like NewNetBinder, trees are cached per net and re-routed only when the
-// sink count changes (loads moved to a buffer); unlike it, the re-route is
-// also deterministic — the replacement tree depends on the new sink count,
-// not on how many nets were generated in between.
-func NewKeyedNetBinder(stack *parasitics.Stack, seed int64) func(*netlist.Net) *parasitics.Tree {
-	return NewSnapshotNetBinder(stack, seed, nil)
-}
-
-// SavedTree pairs a previously synthesized RC tree with the sink count it
-// was routed for, keyed by net name in a snapshot binder.
-type SavedTree struct {
-	Need int
-	Tree *parasitics.Tree
-}
-
-// NewSnapshotNetBinder is NewKeyedNetBinder seeded with trees decoded from
-// a state snapshot: a net whose name and sink count match a saved entry is
-// served the saved tree verbatim; everything else (new nets from later
-// ECOs, re-routes after load splitting) falls back to keyed synthesis.
-// Because the keyed generator is a pure function of (seed, name, fanout),
-// the saved trees are exactly what synthesis would produce — the snapshot
-// only skips the generation cost — so a restored server and a live one
-// stay bit-identical. saved may be shared across binders; it is read-only.
-func NewSnapshotNetBinder(stack *parasitics.Stack, seed int64, saved map[string]SavedTree) func(*netlist.Net) *parasitics.Tree {
-	type entry struct {
-		need int
-		tree *parasitics.Tree
+// route synthesizes a tree for need sinks under the table's rule.
+func (p *Parasitics) route(name string, need int) *parasitics.Tree {
+	if p.gen != nil {
+		return p.gen.Net(need)
 	}
-	cache := map[*netlist.Net]entry{}
-	var mu sync.Mutex
-	return func(n *netlist.Net) *parasitics.Tree {
-		mu.Lock()
-		defer mu.Unlock()
-		need := n.Fanout()
-		if e, ok := cache[n]; ok && e.need == need {
-			return e.tree
-		}
-		if need == 0 {
-			return nil
-		}
-		if s, ok := saved[n.Name]; ok && s.Need == need && len(s.Tree.Sinks) == need {
-			cache[n] = entry{need: need, tree: s.Tree}
-			return s.Tree
-		}
-		t := keyedTree(stack, seed, n.Name, need)
-		cache[n] = entry{need: need, tree: t}
-		return t
-	}
-}
-
-// keyedTree synthesizes the deterministic tree for (seed, name, need).
-func keyedTree(stack *parasitics.Stack, seed int64, name string, need int) *parasitics.Tree {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	// Mix the fanout into the key so a re-route after load-splitting
 	// draws a fresh topology instead of a re-scaled copy of the old one.
 	h.Write([]byte{byte(need), byte(need >> 8)})
-	return parasitics.NewNetGen(stack, seed^int64(h.Sum64())).Net(need)
+	return parasitics.NewNetGen(p.stack, p.seed^int64(h.Sum64())).Net(need)
+}
+
+// rule re-rules the entry's tree under its NDR.
+func (e *netTrees) rule() {
+	e.ruled = nil
+	if e.ndr.Name != "" && e.tree != nil {
+		e.ruled = e.tree.ScaledCopy(e.ndr.R, e.ndr.C, e.ndr.Cc)
+	}
+}
+
+// entry returns n's entry, or nil when the table holds none under n's name.
+func (p *Parasitics) entry(n *netlist.Net) *netTrees {
+	if i := n.Index(); p != nil && i >= 0 && i < len(p.nets) && p.nets[i].name == n.Name {
+		return &p.nets[i]
+	}
+	return nil
+}
+
+// slot returns n's entry, starting one — unrouted, no rule — when the table
+// holds none under n's name. The caller holds mu.
+func (p *Parasitics) slot(n *netlist.Net) *netTrees {
+	if e := p.entry(n); e != nil {
+		return e
+	}
+	i := n.Index()
+	if i >= len(p.nets) {
+		p.nets = append(p.nets, make([]netTrees, i+1-len(p.nets))...)
+	}
+	p.nets[i] = netTrees{name: n.Name}
+	return &p.nets[i]
+}
+
+// Tree returns the tree net n is timed with — re-ruled when n carries a
+// rule — or nil when the table has not routed n as it now stands.
+func (p *Parasitics) Tree(n *netlist.Net) *parasitics.Tree {
+	if e := p.entry(n); e != nil && e.need == n.Fanout() {
+		return cmp.Or(e.ruled, e.tree)
+	}
+	return nil
+}
+
+// Fill installs t as net n's route, for len(t.Sinks) sinks, keeping n's
+// rule: how a pack's saved trees come back, and how a hand-built route is
+// given to a net. A later Refresh replaces it only if n's fanout does not
+// match.
+func (p *Parasitics) Fill(n *netlist.Net, t *parasitics.Tree) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.slot(n)
+	e.need, e.tree = len(t.Sinks), t
+	e.rule()
+}
+
+// SetNDR assigns rule to net n. The re-ruled tree is made here, once per
+// rule and route, so an analyzer's per-net cache keeps hitting it. It must
+// not run while an analyzer of n's design does (fix passes assign rules
+// between re-times).
+func (p *Parasitics) SetNDR(n *netlist.Net, rule NDR) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e := p.slot(n); e.ndr != rule || e.ruled == nil {
+		e.ndr = rule
+		e.rule()
+	}
+}
+
+// NDROf returns net n's rule, if it carries one.
+func (p *Parasitics) NDROf(n *netlist.Net) (NDR, bool) {
+	if e := p.entry(n); e != nil && e.ndr.Name != "" {
+		return e.ndr, true
+	}
+	return NDR{}, false
+}
+
+// HasNDR reports whether net n carries a rule.
+func (p *Parasitics) HasNDR(n *netlist.Net) bool {
+	_, ok := p.NDROf(n)
+	return ok
 }

@@ -87,8 +87,8 @@ func TestUpdateCtxCancellationFallsBack(t *testing.T) {
 	compareState(t, a, ref, "update after canceled update")
 }
 
-// Two keyed binders over two clones of one design must yield bit-identical
-// timing even when the sessions touch nets in completely different orders.
+// Two keyed tables over two clones of one design must yield bit-identical
+// timing even when one was routed along a different edit history first.
 func TestKeyedNetBinderOrderIndependent(t *testing.T) {
 	lib := testLib()
 	stack := parasitics.Stack16()
@@ -101,13 +101,20 @@ func TestKeyedNetBinderOrderIndependent(t *testing.T) {
 
 	b1 := NewKeyedNetBinder(stack, 42)
 	b2 := NewKeyedNetBinder(stack, 42)
-	// Skew binder 2's generation history: touch the nets in reverse order
-	// first. A sequential-stream binder would now assign different trees.
-	for i := len(d2.Nets) - 1; i >= 0; i-- {
-		b2(d2.Nets[i])
+	// Skew table 2's history: first route a clone in which every net of
+	// three or more loads has two of them split off behind a buffer. A
+	// sequential-stream table would now assign different trees.
+	skew := d2.Clone()
+	for _, n := range append([]*netlist.Net(nil), skew.Nets...) {
+		if n.Driver != nil && len(n.Loads) >= 3 {
+			if _, err := skew.InsertBuffer(n, []*netlist.Pin{n.Loads[0], n.Loads[1]}, "BUF_X1_SVT"); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	b2.Refresh(skew)
 
-	mkRun := func(d *netlist.Design, binder func(*netlist.Net) *parasitics.Tree) *Analyzer {
+	mkRun := func(d *netlist.Design, binder *Parasitics) *Analyzer {
 		cons := NewConstraints()
 		cons.AddClock("clk", 600, d.Port("clk"))
 		a, err := New(d, cons, Config{Lib: lib, Parasitics: binder, SI: DefaultSI(), Derate: DefaultAOCV(), MIS: true})
@@ -126,7 +133,7 @@ func TestKeyedNetBinderOrderIndependent(t *testing.T) {
 
 // Re-routing after a fanout change must depend only on the new sink count:
 // splitting a load off a net and moving it back restores the original tree
-// bit-for-bit (a sequential-stream binder would draw a fresh random tree).
+// bit-for-bit (a sequential-stream table would draw a fresh random tree).
 func TestKeyedNetBinderRerouteRoundTrip(t *testing.T) {
 	lib := testLib()
 	stack := parasitics.Stack16()
@@ -146,7 +153,8 @@ func TestKeyedNetBinderRerouteRoundTrip(t *testing.T) {
 	if target == nil {
 		t.Fatal("no high-fanout net in fixture")
 	}
-	before := binder(target)
+	binder.Refresh(d)
+	before := binder.Tree(target)
 	savedLoads := append([]*netlist.Pin(nil), target.Loads...)
 	// Move two loads: the buffer's input pin replaces them, so the net's
 	// sink count drops by one and the binder must re-route.
@@ -156,13 +164,15 @@ func TestKeyedNetBinderRerouteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shrunk := binder(target); shrunk == before {
+	binder.Refresh(d)
+	if shrunk := binder.Tree(target); shrunk == before {
 		t.Fatal("fanout change did not re-route")
 	}
 	// Undo the insertion exactly.
 	d.RemoveBuffer(buf, savedLoads)
 	d.RewindNames(mark)
-	after := binder(target)
+	binder.Refresh(d)
+	after := binder.Tree(target)
 	if len(after.Sinks) != len(before.Sinks) {
 		t.Fatalf("restored tree has %d sinks, want %d", len(after.Sinks), len(before.Sinks))
 	}

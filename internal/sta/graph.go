@@ -45,9 +45,10 @@ func DefaultSI() SIConfig {
 // BEOL corner scaling, wire model, variation model, SI and MIS switches.
 type Config struct {
 	Lib *liberty.Library
-	// Parasitics returns the RC tree for a net (pin caps excluded), or nil
-	// to treat the net as lumped pin capacitance only.
-	Parasitics func(*netlist.Net) *parasitics.Tree
+	// Parasitics holds each net's RC tree (pin caps excluded); a net it has
+	// no tree for, or a nil table, is lumped pin capacitance only. Analyzers
+	// of one design share it.
+	Parasitics *Parasitics
 	// Scaling is the BEOL corner applied to all trees (nil = typical).
 	Scaling *parasitics.Scaling
 	Wire    WireModel

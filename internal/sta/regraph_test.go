@@ -486,11 +486,11 @@ func TestObjectsOutsideTheGraph(t *testing.T) {
 func TestUpdateIsOrderDeterministic(t *testing.T) {
 	lib := conformance.Lib()
 	d, cons := sta.CheckFixture(lib, "ports", 5)
-	store := opt.NewStore(sta.NewKeyedNetBinder(parasitics.Stack16(), 5))
+	trees := sta.NewKeyedNetBinder(parasitics.Stack16(), 5)
 	rec := obs.NewRecorder()
 	var as [2]*sta.Analyzer
 	for i := range as {
-		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: store.Fn(), SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: 1, Obs: rec})
+		a, err := sta.New(d, cons, sta.Config{Lib: lib, Parasitics: trees, SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: 1, Obs: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,12 +504,12 @@ func TestUpdateIsOrderDeterministic(t *testing.T) {
 		cells := retype(rng, lib, d, 6)
 		var ndr *netlist.Net
 		for _, i := range rng.Perm(len(d.Nets)) {
-			if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= 2 && !store.HasNDR(n) && store.Fn()(n) != nil {
+			if n := d.Nets[i]; n.Driver != nil && len(n.Loads) >= 2 && !trees.HasNDR(n) && trees.Tree(n) != nil {
 				ndr = n
 				break
 			}
 		}
-		store.SetNDR(ndr, opt.WideSpaced)
+		trees.SetNDR(ndr, opt.WideSpaced)
 		as[0].InvalidateNet(ndr)
 		for _, c := range cells {
 			as[0].InvalidateCell(c)

@@ -579,18 +579,10 @@ func TestNoiseViolationsOnHighCouplingNet(t *testing.T) {
 	}
 	// Parasitics: a long, heavily coupled victim wire.
 	st := parasitics.Stack16()
-	hot := parasitics.PointToPoint(st, 1, 600, 0.85)
+	trees := NewKeyedNetBinder(st, 1)
+	trees.Fill(victim, parasitics.PointToPoint(st, 1, 600, 0.85))
 	cons := NewConstraints()
-	a, err := New(d, cons, Config{
-		Lib: lib,
-		SI:  DefaultSI(),
-		Parasitics: func(n *netlist.Net) *parasitics.Tree {
-			if n == victim {
-				return hot
-			}
-			return nil
-		},
-	})
+	a, err := New(d, cons, Config{Lib: lib, SI: DefaultSI(), Parasitics: trees})
 	if err != nil {
 		t.Fatal(err)
 	}

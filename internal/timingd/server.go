@@ -82,8 +82,8 @@ type Config struct {
 	SnapshotDir string
 	// Restore, when non-nil, boots from a decoded snapshot pack: Design,
 	// Recipe, Stack, clocking and seed are taken from it, the frozen
-	// timing topology is adopted (skipping levelization), and the saved
-	// parasitic trees seed the binders.
+	// timing topology is adopted (skipping levelization), and the server
+	// takes its parasitics table over, saved trees and all.
 	Restore *pack.Snapshot
 	// RestorePath is the pack the snapshot came from, for /healthz
 	// provenance.
@@ -92,9 +92,6 @@ type Config struct {
 	// (point-in-time rewind) and truncates the log there; 0 replays the
 	// whole log.
 	RestoreToEpoch int64
-
-	// savedTrees seeds the session binders from a restored snapshot.
-	savedTrees map[string]sta.SavedTree
 }
 
 func (c *Config) withDefaults() *Config {
@@ -129,9 +126,16 @@ const (
 )
 
 // Server is the resident daemon: two epoch-snapshot sessions (current and
-// shadow), a bounded admission queue, and the query cache.
+// shadow) over one parasitics table, a bounded admission queue, and the
+// query cache.
 type Server struct {
 	cfg *Config
+
+	// trees is the sessions' one parasitics table. Its keyed rule makes a
+	// net's tree independent of which session routes it first, and every
+	// route happens in a re-time under writerMu (or at boot), so the
+	// sessions share it without further locking.
+	trees *sta.Parasitics
 
 	// cur is the snapshot readers resolve; shadow is the writer's working
 	// copy. writerMu serializes what-if evaluation and ECO commits —
@@ -232,6 +236,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         c,
+		trees:       sta.NewKeyedNetBinder(c.Stack, c.Seed),
 		pool:        workpool.NewPool(c.QueryWorkers, c.QueueDepth),
 		cache:       serve.NewCache(c.CacheSize),
 		flight:      obs.NewFlightRecorder(flightRequests, flightCommits),
@@ -239,19 +244,21 @@ func NewServer(cfg Config) (*Server, error) {
 		scenarioSet: kept,
 		triagePlan:  triage.PlanFor(fullScenarios, c.BasePeriod),
 	}
-	// Both snapshots are full builds from clones of the source design;
-	// the keyed binder guarantees they are bit-identical despite being
-	// built independently. The frozen timing topology is shared: the back
+	if c.Restore != nil && c.Restore.Parasitics != nil {
+		s.trees = c.Restore.Parasitics
+	}
+	// Both snapshots are full builds from clones of the source design over
+	// the one table, so the back session's build routes nothing the
+	// front's did not. The frozen timing topology is shared too: the back
 	// session adopts the front's (clones preserve vertex numbering), so
 	// the dual-snapshot scheme levelizes the graph once, not 2×scenarios
-	// times.
-	// A restored boot seeds the first build with the snapshot's frozen
-	// topology, so even the initial session skips Kahn levelization.
-	front, err := newSession(c, c.Design, restoreTopo)
+	// times. A restored boot seeds the first build with the snapshot's
+	// frozen topology, so even the initial session skips Kahn levelization.
+	front, err := newSession(c, c.Design, s.trees, restoreTopo)
 	if err != nil {
 		return nil, err
 	}
-	back, err := newSession(c, c.Design, front.views.Topology())
+	back, err := newSession(c, c.Design, s.trees, front.views.Topology())
 	if err != nil {
 		return nil, err
 	}

@@ -11,12 +11,12 @@ import (
 )
 
 // session is one epoch snapshot: the timed scenario set (core.Views) over a
-// private clone of the design and its own parasitics binder. The server
-// keeps exactly two — the current snapshot readers resolve through an
-// atomic pointer, and the shadow the writer edits — and flips their roles
-// on every commit. Because both are built from clones of one netlist
-// with name-keyed parasitics binders (sta.NewKeyedNetBinder), they stay
-// bit-identical no matter how different their edit/re-time histories are.
+// private clone of the design and the server's parasitics table. The
+// server keeps exactly two — the current snapshot readers resolve through
+// an atomic pointer, and the shadow the writer edits — and flips their
+// roles on every commit. Because both are clones of one netlist timed over
+// one name-keyed table (sta.NewKeyedNetBinder), they stay bit-identical no
+// matter how different their edit/re-time histories are.
 //
 // mu orders readers against the post-swap replay: queries hold RLock while
 // rendering, the writer holds Lock while editing. A reader that loaded the
@@ -33,11 +33,11 @@ type session struct {
 // already run concurrently (Config.Workers), so more would oversubscribe.
 const analysisWorkers = 1
 
-// newSession clones the design and builds its scenario set. topo seeds the
-// build: the frozen graph of another session over a Clone of the same
-// design (the server passes the front session's to the back) or of a
+// newSession clones the design and builds its scenario set over trees. topo
+// seeds the build: the frozen graph of another session over a Clone of the
+// same design (the server passes the front session's to the back) or of a
 // restored snapshot.
-func newSession(cfg *Config, src *netlist.Design, topo *sta.Topology) (*session, error) {
+func newSession(cfg *Config, src *netlist.Design, trees *sta.Parasitics, topo *sta.Topology) (*session, error) {
 	d := src.Clone()
 	ck := d.Port(cfg.ClockPort)
 	if ck == nil {
@@ -45,7 +45,7 @@ func newSession(cfg *Config, src *netlist.Design, topo *sta.Topology) (*session,
 	}
 	s := &session{views: &core.Views{
 		D: d, ClockPort: ck, BasePeriod: cfg.BasePeriod, InputArrival: cfg.InputArrival,
-		Scenarios: cfg.Recipe.Scenarios, Parasitics: cfg.newBinder(),
+		Scenarios: cfg.Recipe.Scenarios, Parasitics: trees,
 		Workers: cfg.Workers, AnalysisWorkers: analysisWorkers, Obs: cfg.Obs,
 	}}
 	if err := s.views.Build(context.Background(), topo); err != nil {

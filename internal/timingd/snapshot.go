@@ -6,23 +6,12 @@ import (
 	"net/http"
 	"path/filepath"
 
-	"newgame/internal/netlist"
 	"newgame/internal/pack"
-	"newgame/internal/parasitics"
 	"newgame/internal/serve"
-	"newgame/internal/sta"
 )
 
 // LogName is the epoch log's filename inside the snapshot directory.
 const LogName = "epochs.log"
-
-// newBinder builds the session parasitics binder: keyed synthesis, seeded
-// with any trees carried in from a restored snapshot. Every session of one
-// server shares the saved map (read-only), so restored and freshly built
-// snapshots serve bit-identical trees.
-func (c *Config) newBinder() func(*netlist.Net) *parasitics.Tree {
-	return sta.NewSnapshotNetBinder(c.Stack, c.Seed, c.savedTrees)
-}
 
 // snapshotInfo is the boot-time provenance healthz reports.
 type snapshotInfo struct {
@@ -44,7 +33,6 @@ func (c *Config) applyRestore() {
 	c.BasePeriod = snap.BasePeriod
 	c.InputArrival = snap.InputArrival
 	c.Seed = snap.Seed
-	c.savedTrees = snap.SavedTrees()
 }
 
 // recoverLog replays the epoch log's tail onto the freshly built sessions
@@ -110,19 +98,6 @@ func (s *Server) logCommit(epoch int64, ops []Op) {
 	s.walAppended.Add(1)
 }
 
-// collectTrees materializes the session's resident parasitic trees in net
-// order. Nets not yet touched by any analysis are synthesized now — the
-// binder is deterministic, so this only moves cost, never changes a tree.
-func (s *session) collectTrees() []pack.NetTree {
-	var out []pack.NetTree
-	for _, n := range s.views.D.Nets {
-		if t := s.views.Parasitics(n); t != nil {
-			out = append(out, pack.NetTree{Net: n.Name, Need: len(t.Sinks), Tree: t})
-		}
-	}
-	return out
-}
-
 // save snapshots the full resident state at the current epoch into
 // SnapshotDir as epoch-<N>.pack. It serializes against the writer (the
 // shadow is bit-identical to the served snapshot between writer operations,
@@ -150,7 +125,7 @@ func (s *Server) save() (*SaveReport, error) {
 		Seed:         s.cfg.Seed,
 		Epoch:        epoch,
 		Topology:     sh.views.Topology(),
-		Trees:        sh.collectTrees(),
+		Parasitics:   s.trees,
 	}
 	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("epoch-%06d.pack", epoch))
 	n, err := pack.Save(path, snap)
