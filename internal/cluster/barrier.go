@@ -66,9 +66,9 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		return nil, status
 	}
 
-	// Phase one: prepare everywhere. Each shard applies and re-times the
-	// ops on its shadow and holds them pending, guarded by its own
-	// expiry timer so a coordinator death cannot wedge it.
+	// Phase one: prepare everywhere. Each shard evaluates the ops as a
+	// what-if and holds its writer pending, guarded by its own expiry
+	// timer so a coordinator death cannot wedge it.
 	phase := time.Now()
 	reports := make([]*timingd.PrepareResponse, len(members))
 	errs := scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, i int, m *member) error {

@@ -169,8 +169,9 @@ type CommitRecord struct {
 	// CachePurged counts query-cache entries invalidated by the swap.
 	CachePurged int `json:"cache_purged"`
 	// Per-phase durations of the writer pipeline: resolving ops against
-	// the shadow, applying edits + re-timing, the snapshot swap (epoch
-	// publish + cache purge), and the replay onto the retired snapshot.
+	// the session, applying edits + re-timing, and publishing the epoch
+	// (cache purge + epoch bump). ReplayMs stays 0: a commit is applied
+	// once; the field is kept so readers of the record keep decoding it.
 	ResolveMs float64 `json:"resolve_ms"`
 	ApplyMs   float64 `json:"apply_ms"`
 	SwapMs    float64 `json:"swap_ms"`

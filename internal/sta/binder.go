@@ -13,8 +13,8 @@ import (
 // indexed by Net.Index(). An entry holds the net's name, the fanout it was
 // routed for, its tree and, when the net carries a non-default routing rule,
 // the rule and the tree re-ruled under it. One table serves every analyzer
-// over the design — each scenario of a survey, both sessions of a timingd
-// server — and an analyzer reads it without a lock.
+// over the design — each scenario of a survey or of a timingd server — and
+// an analyzer reads it without a lock.
 //
 // Trees are synthesized only by Refresh, which every full Run calls before
 // its delay calculation. Analyzers over the same design may share a table

@@ -9,12 +9,14 @@
 // amortizes the load once and serves every subsequent question from warm
 // graphs, with incremental re-timing for the what-ifs.
 //
-// Concurrency model (see DESIGN.md §10): reads run against an immutable
-// epoch snapshot behind an atomic pointer and never block behind an ECO
-// commit; the single writer mutates a shadow snapshot and swaps it in,
-// then replays the committed ops onto the retired snapshot, which becomes
-// the next shadow. Every response carries the epoch it was computed at,
-// which is what makes concurrent runs replayable byte-for-byte.
+// Concurrency model (see DESIGN.md §10): the server keeps one session,
+// edited in place by a single writer. Readers render under the session's
+// read lock; the writer takes the write lock only while it edits and
+// re-times — a what-if evaluates and rolls back, a commit applies and
+// publishes the next epoch — so between writer steps the session is
+// exactly the published epoch. A cached answer is served without the lock
+// and never waits on the writer. Every response carries the epoch it was
+// computed at, which is what makes concurrent runs replayable byte-for-byte.
 package timingd
 
 import (
@@ -185,8 +187,8 @@ type ScenarioRef struct {
 }
 
 // PrepareRequest is phase one of the cluster epoch barrier (POST
-// /cluster/prepare): apply and re-time Ops on the shadow, hold the result
-// pending the coordinator's decision. BaseEpoch must match the shard's
+// /cluster/prepare): evaluate Ops as a what-if and hold the writer pending
+// the coordinator's decision. BaseEpoch must match the shard's
 // current epoch — a stale coordinator gets a clean 409 instead of a
 // diverging commit.
 type PrepareRequest struct {

@@ -71,16 +71,16 @@ func benchPost(b *testing.B, url, body string) {
 //     allocations reported;
 //   - whatif (resize + incremental re-time forward and back, serialized by
 //     the writer lock), whatif_buffer (a structural edit: the scenario set
-//     is rebuilt in and again on rollback) and eco (evaluate, swap, replay
-//     on the retired snapshot), the last two with allocations reported;
-//   - slack while a writer goroutine commits ECOs in a loop (reads resolve
-//     epoch snapshots and must not stall behind the writer).
+//     is re-derived in and again on rollback) and eco (evaluate, publish,
+//     log), the last two with allocations reported;
+//   - slack while a writer goroutine commits ECOs in a loop (cached reads
+//     never take the session's lock; cold ones wait only for a re-time).
 //
-// The serial/parallel pairs quantify what the epoch-snapshot design buys
-// and what commit churn costs: cached reads scale with client count, while
+// The serial/parallel pairs quantify what the epoch cache buys and what
+// commit churn costs: cached reads scale with client count, while
 // back-to-back commits purge the cache every iteration, so reads degrade
-// to cold renders that sometimes wait behind the retired-snapshot replay —
-// but they keep answering; nothing fails or stalls unboundedly.
+// to cold renders that sometimes wait behind the writer's re-time — but
+// they keep answering; nothing fails or stalls unboundedly.
 func BenchmarkTimingdQuery(b *testing.B) {
 	s, hs := newTestServer(b, func(c *Config) {
 		c.QueryWorkers = 0 // all CPUs

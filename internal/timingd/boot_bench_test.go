@@ -1,6 +1,7 @@
 package timingd
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -28,6 +29,43 @@ func benchFixture(b *testing.B) (core.Recipe, *parasitics.Stack, *netlist.Design
 	return recipe, stack, benchDesign
 }
 
+// heapAfterGC is the live heap: HeapAlloc once a collection has run twice,
+// the second freeing what sync.Pools kept through the first.
+func heapAfterGC() float64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+// reportRetained boots one more server outside the timer and reports what it
+// keeps live, in MB: the per-server resident figure.
+func reportRetained(b *testing.B, boot func() *Server) {
+	b.StopTimer()
+	before := heapAfterGC()
+	s := boot()
+	b.ReportMetric((heapAfterGC()-before)/1e6, "retained_MB")
+	s.Close()
+}
+
+// BenchmarkBootBuild measures a cold boot from an in-memory design: clone,
+// levelize, route and time every scenario.
+func BenchmarkBootBuild(b *testing.B) {
+	recipe, stack, d := benchFixture(b)
+	boot := func() *Server {
+		s, err := NewServer(Config{Design: d, Recipe: recipe, Stack: stack, BasePeriod: 560, Seed: 7, QueryWorkers: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	for i := 0; i < b.N; i++ {
+		boot().Close()
+	}
+	reportRetained(b, boot)
+}
+
 // BenchmarkBootPackRestore measures a warm boot: read one binary snapshot,
 // adopt its frozen topology and saved trees, answer queries at the snapshot
 // epoch. The cold road it is compared with (generate, characterize,
@@ -52,8 +90,7 @@ func BenchmarkBootPackRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	boot := func() *Server {
 		snap, err := pack.Load(rep.Path)
 		if err != nil {
 			b.Fatal(err)
@@ -62,6 +99,11 @@ func BenchmarkBootPackRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Close()
+		return s
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boot().Close()
+	}
+	reportRetained(b, boot)
 }

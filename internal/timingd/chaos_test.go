@@ -1,6 +1,7 @@
 package timingd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -56,9 +57,9 @@ func TestChaosMixedLoad(t *testing.T) {
 	oldType := cellType(t, cell)
 
 	// byEpoch pins the replay guarantee: /slack bodies carry their epoch,
-	// so two equal-epoch answers must be byte-equal even when one was
-	// served pre-swap and the other from the replayed shadow after the
-	// next commit made it current again.
+	// so two equal-epoch answers must be byte-equal whether one was served
+	// from the cache and the other rendered after a what-if or a failed
+	// commit rolled the session back.
 	var mu sync.Mutex
 	byEpoch := map[int64]string{}
 	record := func(body []byte) {
@@ -149,73 +150,69 @@ func cellType(t testing.TB, name string) string {
 	return ""
 }
 
-// TestChaosReplayPanicDegrades injects a panic into the replay that
-// follows a successful swap. The commit must stand (it was already
-// visible), reads must keep serving the new epoch, and the server must
-// refuse further writes as degraded rather than let the snapshots drift.
-func TestChaosReplayPanicDegrades(t *testing.T) {
-	var armed atomic.Bool
-	armed.Store(true)
-	s, hs := newTestServer(t, func(c *Config) {
-		c.Hooks = &Hooks{Fire: func(site FaultSite) error {
-			if site == SiteCommitReplay && armed.Swap(false) {
-				panic("injected replay panic")
-			}
-			return nil
-		}}
-	})
-	cell, to := resizeTarget(t)
-
-	code, body := post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
-	if code != http.StatusOK {
-		t.Fatalf("commit should survive a replay panic (already visible): %d %s", code, body)
-	}
-	var rep WhatIfReport
-	if err := json.Unmarshal(body, &rep); err != nil || !rep.Committed || rep.Epoch != 1 {
-		t.Fatalf("bad commit report: %v %s", err, body)
-	}
-	if got := s.Epoch(); got != 1 {
-		t.Fatalf("epoch = %d, want 1", got)
-	}
-
-	if code, body := get(t, hs.URL, "/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"degraded"`) {
-		t.Fatalf("want degraded health after replay panic: %d %s", code, body)
-	}
-	code, body = post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
-	if code != http.StatusInternalServerError || !strings.Contains(string(body), "degraded") {
-		t.Fatalf("degraded server must refuse writes: %d %s", code, body)
-	}
-	code, body = post(t, hs.URL, "/whatif", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
-	if code != http.StatusInternalServerError || !strings.Contains(string(body), "degraded") {
-		t.Fatalf("degraded server must refuse what-ifs: %d %s", code, body)
-	}
-
-	// Reads still answer, from the committed epoch.
-	code, body = get(t, hs.URL, "/slack")
-	if code != http.StatusOK {
-		t.Fatalf("degraded server must keep serving reads: %d %s", code, body)
-	}
-	var sr SlackReport
-	if err := json.Unmarshal(body, &sr); err != nil || sr.Epoch != 1 {
-		t.Fatalf("reads must serve the committed epoch: %v %s", err, body)
-	}
-}
-
-// TestChaosCommitPanicDegrades injects a panic just before the swap: the
-// shadow was edited and re-timed but never published, so the server can't
-// trust it and must degrade without bumping the epoch.
-func TestChaosCommitPanicDegrades(t *testing.T) {
+// TestChaosCommitPanicRecovers injects a panic just before a commit
+// publishes: the session was edited and re-timed, so the recovery undoes the
+// edits and re-runs every analyzer. The commit is a clean 500, the epoch does
+// not move, the server stays healthy and the next commit lands at epoch 1 —
+// and every read answers what a never-faulted server answers.
+func TestChaosCommitPanicRecovers(t *testing.T) {
 	var armed atomic.Bool
 	armed.Store(true)
 	s, hs := newTestServer(t, func(c *Config) {
 		c.Hooks = &Hooks{Fire: func(site FaultSite) error {
 			if site == SiteCommitSwap && armed.Swap(false) {
-				panic("injected pre-swap panic")
+				panic("injected pre-publish panic")
+			}
+			return nil
+		}}
+	})
+	_, never := newTestServer(t, nil)
+	cell, to := resizeTarget(t)
+	eco := opsJSON(Op{Kind: "resize", Cell: cell, To: to})
+
+	code, body := post(t, hs.URL, "/eco", eco)
+	if code != http.StatusInternalServerError || !strings.Contains(string(body), "recovered panic") {
+		t.Fatalf("want recovered panic answer: %d %s", code, body)
+	}
+	if got := s.Epoch(); got != 0 {
+		t.Fatalf("failed commit must not bump the epoch: got %d", got)
+	}
+	if code, body := get(t, hs.URL, "/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"status":"ok"`) {
+		t.Fatalf("a recovered panic must not degrade: %d %s", code, body)
+	}
+	sameReads := func() {
+		t.Helper()
+		for _, path := range []string{"/slack", "/endpoints?limit=50", "/paths?k=5"} {
+			_, got := get(t, hs.URL, path)
+			_, want := get(t, never.URL, path)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s after a recovered panic:\n%s\nnever-faulted server:\n%s", path, got, want)
+			}
+		}
+	}
+	sameReads()
+	_, got := post(t, hs.URL, "/eco", eco)
+	_, want := post(t, never.URL, "/eco", eco)
+	if !bytes.Equal(got, want) || s.Epoch() != 1 {
+		t.Fatalf("/eco after a recovered panic (epoch %d):\n%s\nnever-faulted server:\n%s", s.Epoch(), got, want)
+	}
+	sameReads()
+}
+
+// TestChaosRecoveryPanicDegrades makes the recovery itself panic. Only then
+// is the session's state unknown: the server degrades, refuses writes and
+// cold reads with 503, and still answers what it had already cached.
+func TestChaosRecoveryPanicDegrades(t *testing.T) {
+	s, hs := newTestServer(t, func(c *Config) {
+		c.Hooks = &Hooks{Fire: func(site FaultSite) error {
+			if site == SiteCommitSwap || site == SiteCommitRecover {
+				panic("injected panic at " + string(site))
 			}
 			return nil
 		}}
 	})
 	cell, to := resizeTarget(t)
+	_, cached := get(t, hs.URL, "/slack")
 
 	code, body := post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
 	if code != http.StatusInternalServerError || !strings.Contains(string(body), "recovered panic") {
@@ -224,11 +221,23 @@ func TestChaosCommitPanicDegrades(t *testing.T) {
 	if got := s.Epoch(); got != 0 {
 		t.Fatalf("failed commit must not bump the epoch: got %d", got)
 	}
-	if code, body := get(t, hs.URL, "/healthz"); !strings.Contains(string(body), `"status":"degraded"`) {
-		t.Fatalf("want degraded after mid-commit panic: %d %s", code, body)
+	if code, body := get(t, hs.URL, "/healthz"); code != http.StatusOK || !strings.Contains(string(body), `"degraded":true`) {
+		t.Fatalf("want degraded health after a failed recovery: %d %s", code, body)
 	}
-	if code, body := get(t, hs.URL, "/slack"); code != http.StatusOK {
-		t.Fatalf("reads must survive: %d %s", code, body)
+	for _, req := range []struct{ method, path string }{
+		{"POST", "/eco"}, {"POST", "/whatif"}, {"GET", "/endpoints?limit=3"}, {"GET", "/paths?k=2"},
+	} {
+		if req.method == "POST" {
+			code, body = post(t, hs.URL, req.path, opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
+		} else {
+			code, body = get(t, hs.URL, req.path)
+		}
+		if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "degraded") {
+			t.Errorf("degraded server answered %s %s with %d %s, want 503", req.method, req.path, code, body)
+		}
+	}
+	if code, body := get(t, hs.URL, "/slack"); code != http.StatusOK || !bytes.Equal(body, cached) {
+		t.Fatalf("a cached read must still answer its pre-fault bytes: %d %s", code, body)
 	}
 }
 

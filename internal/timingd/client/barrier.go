@@ -8,7 +8,7 @@ import (
 )
 
 // Prepare runs phase one of the cluster epoch barrier on this shard:
-// apply and re-time ops on the shadow, hold the result pending
+// evaluate ops as a what-if and hold the shard's writer pending
 // commit/abort. BaseEpoch must equal the shard's current epoch or the
 // shard answers 409.
 func (c *Client) Prepare(ctx context.Context, txn string, baseEpoch int64, ops []timingd.Op) (timingd.PrepareResponse, error) {

@@ -75,31 +75,35 @@ func (s *Server) admit(fn serve.Func) serve.Func {
 	}
 }
 
-// readSnapshot resolves the current epoch snapshot, serves the query from
-// the cache when the rendered answer for this epoch is already known, and
-// renders + caches it otherwise. The RLock spans the render, ordering it
-// against the post-swap replay; the epoch tag read under the same lock is
-// exactly the epoch the data belongs to.
+// readSnapshot serves the query from the cache when the rendered answer for
+// the published epoch is already known — without taking the session's lock,
+// so a cached read never waits on the writer — and otherwise renders and
+// caches it under the session's RLock, at the epoch read again under that
+// lock, which is exactly the epoch the data belongs to.
 func (s *Server) readSnapshot(ctx context.Context, r *http.Request, render func(sess *session, epoch int64) (any, error)) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	uri := serve.CacheKey(r)
-	sess := s.cur.Load()
-	sess.mu.RLock()
-	defer sess.mu.RUnlock()
-	epoch := sess.epoch
 	info := serve.InfoFrom(ctx)
-	info.Epoch = epoch
 	// A faulty cache degrades to a render, never to a wrong or failed
 	// response: a get fault is a miss, a put fault skips caching.
+	epoch := s.epoch.Load()
 	if err := s.fire(SiteCacheGet); err != nil {
 		s.count("timingd.cache.faults")
 	} else if b, ok := s.cache.Get(epoch, uri); ok {
 		s.count("timingd.cache.hits")
-		info.Cache = "hit"
+		info.Epoch, info.Cache = epoch, "hit"
 		return b, nil
 	}
+	sess := s.sess
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	if s.degraded.Load() {
+		return nil, errDegraded
+	}
+	epoch = s.epoch.Load()
+	info.Epoch = epoch
 	s.count("timingd.cache.misses")
 	info.Cache = "miss"
 	sp := obs.TraceFrom(ctx).Start("render", nil)
@@ -286,11 +290,11 @@ func (s *Server) handleECO(ctx context.Context, r *http.Request) ([]byte, error)
 // served epoch, the degraded flag, uptime, and flight-recorder occupancy,
 // so one probe tells an operator what state the daemon is actually in.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	sess := s.cur.Load()
+	sess := s.sess
 	sess.mu.RLock()
 	h := Health{
 		Status:    "ok",
-		Epoch:     sess.epoch,
+		Epoch:     s.epoch.Load(),
 		Scenarios: len(sess.views.Scenarios),
 		Cells:     len(sess.views.D.Cells),
 		Role:      s.role(),

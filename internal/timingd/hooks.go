@@ -4,26 +4,28 @@ import "fmt"
 
 // FaultSite names an injection point on the server's write and cache
 // paths. The sites are the seams where a resident daemon actually breaks
-// in production: resolving and applying an edit batch, the moment before
-// the snapshot swap publishes it, the replay that rebuilds the retired
-// snapshot, and the query cache on the read path.
+// in production: resolving and applying an edit batch, the moment before a
+// commit publishes its epoch, the recovery after a writer panic, and the
+// query cache on the read path.
 type FaultSite string
 
 const (
 	// SiteCommitResolve fires at the top of Server.evaluate — the half of
 	// the writer pipeline a commit, a cluster prepare and a what-if all
-	// run — before the op batch is resolved against the shadow.
+	// run — before the op batch is resolved against the session.
 	SiteCommitResolve FaultSite = "commit.resolve"
 	// SiteCommitApply fires in evaluate after resolution, before edits
-	// touch the shadow netlist; like SiteCommitResolve, a what-if reaches it.
+	// touch the session's netlist; like SiteCommitResolve, a what-if
+	// reaches it, holding the session's write lock.
 	SiteCommitApply FaultSite = "commit.apply"
-	// SiteCommitSwap fires after the shadow is edited and re-timed,
-	// immediately before the snapshot swap publishes the new epoch. A
-	// what-if rolls back instead and never reaches it.
+	// SiteCommitSwap fires after a commit's edits are applied and
+	// re-timed, immediately before the new epoch is published. A what-if
+	// or a cluster prepare rolls back instead and never reaches it.
 	SiteCommitSwap FaultSite = "commit.swap"
-	// SiteCommitReplay fires before the committed batch is replayed onto
-	// the retired snapshot. The commit is already visible at this point.
-	SiteCommitReplay FaultSite = "commit.replay"
+	// SiteCommitRecover fires when a writer panic left edits live, before
+	// they are undone and every analyzer is re-run. A failure here is the
+	// one thing that degrades the server.
+	SiteCommitRecover FaultSite = "commit.recover"
 	// SiteCacheGet and SiteCachePut fire around the per-epoch query
 	// cache. An error here must degrade to a fresh render, never to a
 	// wrong or failed response.
@@ -54,7 +56,7 @@ func (s *Server) fire(site FaultSite) error {
 
 // panicError marks an error that was recovered from a panic, so callers
 // can distinguish "the site failed" from "the site crashed" — the latter
-// leaves state unknown and must degrade the server.
+// leaves the session's state unknown until it is recovered.
 type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.val) }

@@ -61,9 +61,9 @@ func findResize(t testing.TB, exclude string) (cell, to string) {
 // the whole log is replayed serially against a fresh, identically
 // configured server — applying the commits in epoch order. Every replayed
 // response must be byte-identical to the logged one. Run it under -race:
-// it exercises reads racing the pointer swap, stragglers racing the replay
-// onto the retired snapshot, and what-ifs racing commits for the writer
-// lock.
+// it exercises lock-free cache hits racing the epoch publish, cold renders
+// waiting on the session's write lock, and what-ifs racing commits for the
+// writer lock.
 func TestConcurrentQueriesReplayByteIdentical(t *testing.T) {
 	_, hs := newTestServer(t, func(c *Config) {
 		c.QueryWorkers = 4

@@ -3,6 +3,7 @@ package timingd
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,8 @@ import (
 
 // Config assembles one timingd instance.
 type Config struct {
-	// Design is the netlist to serve. The server never mutates it: each
-	// epoch snapshot works on its own clone.
+	// Design is the netlist to serve. The server never mutates it: the
+	// session works on its own clone.
 	Design *netlist.Design
 	// Recipe supplies the MCMM scenario set (libraries, corners, derates).
 	Recipe core.Recipe
@@ -31,9 +32,11 @@ type Config struct {
 	Stack *parasitics.Stack
 	// ClockPort names the clock root port ("clk" when empty).
 	ClockPort string
-	// BasePeriod is the functional-mode clock period, ps.
+	// BasePeriod is the functional-mode clock period, ps (0 = 700). A
+	// negative or non-finite period is a configuration error.
 	BasePeriod units.Ps
 	// InputArrival is the external arrival on data inputs (0 = default).
+	// A negative or non-finite arrival is a configuration error.
 	InputArrival units.Ps
 	// Seed keys parasitics synthesis.
 	Seed int64
@@ -125,26 +128,21 @@ const (
 	flightCommits  = 64
 )
 
-// Server is the resident daemon: two epoch-snapshot sessions (current and
-// shadow) over one parasitics table, a bounded admission queue, and the
-// query cache.
+// Server is the resident daemon: one timed session, a bounded admission
+// queue, and the query cache.
 type Server struct {
 	cfg *Config
 
-	// trees is the sessions' one parasitics table. Its keyed rule makes a
-	// net's tree independent of which session routes it first, and every
-	// route happens in a re-time under writerMu (or at boot), so the
-	// sessions share it without further locking.
-	trees *sta.Parasitics
-
-	// cur is the snapshot readers resolve; shadow is the writer's working
-	// copy. writerMu serializes what-if evaluation and ECO commits —
-	// between writer operations shadow and cur are bit-identical (only
-	// their epoch histories differ in how they got there).
-	cur      atomic.Pointer[session]
+	// sess is the one session, edited in place by the single writer.
+	// writerMu serializes writer operations — what-ifs, commits, a prepared
+	// transaction's whole window and saves — so between them the session is
+	// exactly the published epoch.
+	sess     *session
 	writerMu sync.Mutex
-	shadow   *session
 
+	// epoch is the published epoch. It moves only under the session's write
+	// lock, so a reader holding RLock renders the epoch it reads; a cache
+	// lookup reads it without any lock.
 	epoch atomic.Int64
 	pool  *workpool.Pool
 	cache *serve.Cache
@@ -157,9 +155,9 @@ type Server struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// degraded is set when a commit failed half-way (e.g. canceled during
-	// the replay onto the retired snapshot) and the two sessions can no
-	// longer be guaranteed identical; writes are refused from then on.
+	// degraded is set when a writer panic could not be recovered from (or a
+	// rollback failed), so the session may no longer be the published
+	// epoch: writes and cold reads are refused from then on.
 	degraded atomic.Bool
 
 	// pending is the at-most-one prepared-but-uncommitted cluster
@@ -194,7 +192,7 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// NewServer loads the design once and brings both epoch snapshots up. With
+// NewServer loads the design once and times its one session. With
 // Config.Restore set it boots from the decoded snapshot instead — no text
 // parsing, no levelization — and with a SnapshotDir it then replays the
 // epoch log's tail onto the restored state and opens the log for appends.
@@ -213,6 +211,14 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if c.Stack == nil {
 		return nil, fmt.Errorf("timingd: Config.Stack is nil")
+	}
+	// A zero period survives only a restored pack (withDefaults fills the
+	// configured one in); none may reach the triage plan or the analyzers.
+	if p := float64(c.BasePeriod); !(p > 0) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("timingd: clock period %v ps is not a positive finite number", c.BasePeriod)
+	}
+	if a := float64(c.InputArrival); !(a >= 0) || math.IsInf(a, 1) {
+		return nil, fmt.Errorf("timingd: input arrival %v ps is not a non-negative finite number", c.InputArrival)
 	}
 	// Resolve the scenario shard AFTER a restore: workers booting from one
 	// shared pack each keep their own subset of the pack's full recipe.
@@ -236,7 +242,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         c,
-		trees:       sta.NewKeyedNetBinder(c.Stack, c.Seed),
 		pool:        workpool.NewPool(c.QueryWorkers, c.QueueDepth),
 		cache:       serve.NewCache(c.CacheSize),
 		flight:      obs.NewFlightRecorder(flightRequests, flightCommits),
@@ -244,30 +249,19 @@ func NewServer(cfg Config) (*Server, error) {
 		scenarioSet: kept,
 		triagePlan:  triage.PlanFor(fullScenarios, c.BasePeriod),
 	}
+	// The table's keyed rule gives a net the same tree whatever history of
+	// edits routes it. A restored boot takes the pack's table, saved trees
+	// and all, and seeds the build with its frozen topology, skipping Kahn
+	// levelization.
+	trees := sta.NewKeyedNetBinder(c.Stack, c.Seed)
 	if c.Restore != nil && c.Restore.Parasitics != nil {
-		s.trees = c.Restore.Parasitics
+		trees = c.Restore.Parasitics
 	}
-	// Both snapshots are full builds from clones of the source design over
-	// the one table, so the back session's build routes nothing the
-	// front's did not. The frozen timing topology is shared too: the back
-	// session adopts the front's (clones preserve vertex numbering), so
-	// the dual-snapshot scheme levelizes the graph once, not 2×scenarios
-	// times. A restored boot seeds the first build with the snapshot's
-	// frozen topology, so even the initial session skips Kahn levelization.
-	front, err := newSession(c, c.Design, s.trees, restoreTopo)
-	if err != nil {
+	if s.sess, err = newSession(c, c.Design, trees, restoreTopo); err != nil {
 		return nil, err
 	}
-	back, err := newSession(c, c.Design, s.trees, front.views.Topology())
-	if err != nil {
-		return nil, err
-	}
-	s.cur.Store(front)
-	s.shadow = back
 	if c.Restore != nil {
 		s.epoch.Store(c.Restore.Epoch)
-		front.epoch = c.Restore.Epoch
-		back.epoch = c.Restore.Epoch
 		s.snap.restoredFrom = c.RestorePath
 		s.snap.snapshotEpoch = c.Restore.Epoch
 	}
@@ -322,46 +316,34 @@ func (s *Server) count(name string) {
 	}
 }
 
-// commit applies a validated edit batch to the shadow, swaps it in as the
-// new current snapshot, and replays the batch onto the retired snapshot so
-// it can serve as the next shadow. Reads never wait on any of this: they
-// keep resolving the old pointer until the swap, and the replay locks only
-// the retired session.
-//
-// The implementation is the two-phase pipeline of twophase.go run
-// back-to-back: prepare (resolve + apply + re-time the shadow) immediately
-// followed by commitPrepared (epoch bump, swap, log, replay) — the cluster
-// barrier drives the same two halves with a coordinator decision in
-// between. Every commit — successful or not — leaves a CommitRecord with
-// per-phase durations in the flight recorder, so /debug/epochs
-// reconstructs the writer pipeline's audit timeline post hoc.
+// commit applies a validated edit batch to the session and publishes it as
+// the next epoch: resolve, apply, re-time, epoch bump and cache purge under
+// one hold of the session's write lock, then the epoch-log append (see
+// publish). Every commit — successful or not — leaves a CommitRecord with
+// per-phase durations in the flight recorder, so /debug/epochs reconstructs
+// the writer pipeline's audit timeline post hoc.
 func (s *Server) commit(ctx context.Context, ops []Op) (*WhatIfReport, error) {
-	p, err := s.prepare(ctx, ops, nil)
+	s.writerMu.Lock()
+	defer s.writerMu.Unlock()
+	p, err := s.begin(ctx, ops, nil)
 	if err != nil {
+		s.finishRecord(p, err)
 		return nil, err
 	}
-	return s.commitPrepared(p), nil
+	return s.publish(ctx, p)
 }
 
-// whatIf evaluates an edit batch against the shadow and rolls it back,
-// never publishing anything: the evaluate half of prepare, then the
-// rollback half of an abort, under one hold of the shadow's lock. The
-// response is tagged with the epoch whose baseline it was evaluated against.
+// whatIf evaluates an edit batch on the session and rolls it back under one
+// hold of its write lock, never publishing anything. The response is tagged
+// with the epoch whose baseline it was evaluated against.
 func (s *Server) whatIf(ctx context.Context, ops []Op) (*WhatIfReport, error) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	if s.degraded.Load() {
 		return nil, errDegraded
 	}
-	p := &preparedTxn{sh: s.shadow, ops: ops, rep: &WhatIfReport{Epoch: s.epoch.Load()}}
-	err := s.onShadow(p.sh, func() error {
-		if err := s.evaluate(ctx, p); err != nil {
-			return err
-		}
-		s.rollback(p)
-		return nil
-	})
-	if err != nil {
+	p := &preparedTxn{ops: ops, rep: &WhatIfReport{Epoch: s.epoch.Load()}}
+	if err := s.tryOps(ctx, p); err != nil {
 		return nil, err
 	}
 	s.count("timingd.whatifs")

@@ -10,22 +10,15 @@ import (
 	"newgame/internal/sta"
 )
 
-// session is one epoch snapshot: the timed scenario set (core.Views) over a
-// private clone of the design and the server's parasitics table. The
-// server keeps exactly two — the current snapshot readers resolve through
-// an atomic pointer, and the shadow the writer edits — and flips their
-// roles on every commit. Because both are clones of one netlist timed over
-// one name-keyed table (sta.NewKeyedNetBinder), they stay bit-identical no
-// matter how different their edit/re-time histories are.
+// session is the server's one timed state: the scenario set (core.Views)
+// over a private clone of the design and the server's parasitics table.
 //
-// mu orders readers against the post-swap replay: queries hold RLock while
-// rendering, the writer holds Lock while editing. A reader that loaded the
-// pointer just before a swap and acquired RLock just after the replay sees
-// a fully consistent newer snapshot — tagged with the newer epoch it
-// actually read.
+// mu orders readers against the writer: queries hold RLock while rendering,
+// and the writer holds Lock while it edits and re-times. Between writer
+// steps the session is exactly the published epoch — a what-if's edits are
+// rolled back, and a commit's epoch bump, under the same hold of Lock.
 type session struct {
 	mu    sync.RWMutex
-	epoch int64
 	views *core.Views
 }
 
@@ -33,10 +26,8 @@ type session struct {
 // already run concurrently (Config.Workers), so more would oversubscribe.
 const analysisWorkers = 1
 
-// newSession clones the design and builds its scenario set over trees. topo
-// seeds the build: the frozen graph of another session over a Clone of the
-// same design (the server passes the front session's to the back) or of a
-// restored snapshot.
+// newSession clones the design and builds its scenario set over trees. topo,
+// when non-nil, seeds the build with a restored snapshot's frozen graph.
 func newSession(cfg *Config, src *netlist.Design, trees *sta.Parasitics, topo *sta.Topology) (*session, error) {
 	d := src.Clone()
 	ck := d.Port(cfg.ClockPort)

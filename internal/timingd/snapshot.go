@@ -35,7 +35,7 @@ func (c *Config) applyRestore() {
 	c.Seed = snap.Seed
 }
 
-// recoverLog replays the epoch log's tail onto the freshly built sessions
+// recoverLog replays the epoch log's tail onto the freshly built session
 // and opens it for appending. Records at or before the boot epoch (already
 // inside the restored snapshot) are kept as history; each later record must
 // advance the epoch by exactly one — a gap means the log belongs to a
@@ -99,9 +99,9 @@ func (s *Server) logCommit(epoch int64, ops []Op) {
 }
 
 // save snapshots the full resident state at the current epoch into
-// SnapshotDir as epoch-<N>.pack. It serializes against the writer (the
-// shadow is bit-identical to the served snapshot between writer operations,
-// so encoding the shadow never blocks readers).
+// SnapshotDir as epoch-<N>.pack. It holds the writer lock, so the session is
+// the published epoch, and only the session's read lock, so readers keep
+// answering while it encodes.
 func (s *Server) save() (*SaveReport, error) {
 	if s.cfg.SnapshotDir == "" {
 		return nil, serve.BadRequest("snapshot persistence disabled: server started without a snapshot directory")
@@ -109,14 +109,14 @@ func (s *Server) save() (*SaveReport, error) {
 	s.writerMu.Lock()
 	defer s.writerMu.Unlock()
 	if s.degraded.Load() {
-		return nil, fmt.Errorf("server degraded by earlier failed commit; refusing to snapshot")
+		return nil, errDegraded
 	}
-	sh := s.shadow
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sess := s.sess
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
 	epoch := s.epoch.Load()
 	snap := &pack.Snapshot{
-		Design:       sh.views.D,
+		Design:       sess.views.D,
 		Recipe:       &s.cfg.Recipe,
 		Stack:        s.cfg.Stack,
 		ClockPort:    s.cfg.ClockPort,
@@ -124,8 +124,8 @@ func (s *Server) save() (*SaveReport, error) {
 		InputArrival: s.cfg.InputArrival,
 		Seed:         s.cfg.Seed,
 		Epoch:        epoch,
-		Topology:     sh.views.Topology(),
-		Parasitics:   s.trees,
+		Topology:     sess.views.Topology(),
+		Parasitics:   sess.views.Parasitics,
 	}
 	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("epoch-%06d.pack", epoch))
 	n, err := pack.Save(path, snap)

@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +22,10 @@ import (
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/obs"
+	"newgame/internal/pack"
 	"newgame/internal/parasitics"
+	"newgame/internal/sta"
+	"newgame/internal/units"
 )
 
 // The test fixture is shared: library generation dominates setup cost, and
@@ -299,12 +305,12 @@ func TestBufferWhatIfAndECO(t *testing.T) {
 	}
 }
 
-// A what-if mixing a resize with a buffer insertion must leave the shadow
+// A what-if mixing a resize with a buffer insertion must leave the session
 // exactly as it found it: after an unrelated ECO the server answers byte for
 // byte what a fresh server given only the ECO answers. (A rollback that
 // restores analyzers saved before the edit keeps the resized cell's new
 // master in their cache, and the ECO's incremental update then times it.)
-func TestMixedWhatIfLeavesShadowExact(t *testing.T) {
+func TestMixedWhatIfLeavesSessionExact(t *testing.T) {
 	_, hs := newTestServer(t, nil)
 	_, fresh := newTestServer(t, nil)
 	u, uTo := resizeTarget(t)
@@ -334,7 +340,7 @@ func TestMixedWhatIfLeavesShadowExact(t *testing.T) {
 
 // A buffer what-if whose request is cancelled mid-apply — after the buffer
 // is in the netlist, while the analyzers are re-deriving their graphs — is
-// rolled back onto those same, now half-timed, analyzers. The shadow must
+// rolled back onto those same, now half-timed, analyzers. The session must
 // come out exact: the next ECO answers byte for byte what a server that
 // never saw the what-if answers.
 func TestCancelledBufferWhatIfLeavesShadowExact(t *testing.T) {
@@ -349,15 +355,15 @@ func TestCancelledBufferWhatIfLeavesShadowExact(t *testing.T) {
 	})
 	_, fresh := newTestServer(t, nil)
 	net, loads := bufferTarget(t)
-	before := s.shadow.views.Analyzers()[0]
+	before := s.sess.views.Analyzers()[0]
 	if _, err := s.whatIf(ctx, []Op{{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled buffer what-if returned %v", err)
 	}
 	if s.degraded.Load() {
 		t.Fatal("rolling back a cancelled what-if degraded the server")
 	}
-	if s.shadow.views.Analyzers()[0] != before {
-		t.Error("the rollback replaced the shadow's analyzers")
+	if s.sess.views.Analyzers()[0] != before {
+		t.Error("the rollback replaced the session's analyzers")
 	}
 	cell, to := resizeTarget(t)
 	eco := opsJSON(Op{Kind: "resize", Cell: cell, To: to})
@@ -375,7 +381,7 @@ func TestCancelledBufferWhatIfLeavesShadowExact(t *testing.T) {
 	}
 }
 
-// A buffer what-if re-times the analyzers the shadow has, twice (apply and
+// A buffer what-if re-times the analyzers the session has, twice (apply and
 // rollback): it measures 700 objects on this fixture, where building eight
 // analyzers measured 7 263.
 func TestBufferWhatIfAllocations(t *testing.T) {
@@ -411,6 +417,47 @@ func TestQueryCacheEpochScoped(t *testing.T) {
 	_, afterMisses1 := s.cache.Stats()
 	if afterMisses1 != afterMisses0+1 {
 		t.Fatalf("post-commit query did not miss (misses %d -> %d)", afterMisses0, afterMisses1)
+	}
+}
+
+// A cached read never waits on the writer: while a what-if holds the
+// session's write lock (parked at SiteCommitApply), a cached /slack answers
+// its pre-what-if bytes.
+func TestCachedReadsNeverWaitOnWriter(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	_, hs := newTestServer(t, func(c *Config) {
+		c.Hooks = &Hooks{Fire: func(site FaultSite) error {
+			if site == SiteCommitApply {
+				close(parked)
+				<-release
+			}
+			return nil
+		}}
+	})
+	_, before := get(t, hs.URL, "/slack")
+	cell, to := resizeTarget(t)
+	whatIf := make(chan int)
+	go func() {
+		code, _ := post(t, hs.URL, "/whatif", opsJSON(Op{Kind: "resize", Cell: cell, To: to}))
+		whatIf <- code
+	}()
+	<-parked
+	read := make(chan []byte)
+	go func() {
+		_, b := get(t, hs.URL, "/slack")
+		read <- b
+	}()
+	select {
+	case b := <-read:
+		if !bytes.Equal(b, before) {
+			t.Errorf("cached /slack during a what-if:\n%s\nbefore it:\n%s", b, before)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a cached /slack waited on the what-if holding the session")
+	}
+	close(release)
+	if code := <-whatIf; code != http.StatusOK {
+		t.Fatalf("what-if answered %d", code)
 	}
 }
 
@@ -622,7 +669,7 @@ func TestBootRefusesDesignWithoutEndpoints(t *testing.T) {
 // result slice, whatever the design size.
 func TestSlacksAllocations(t *testing.T) {
 	s, _ := newTestServer(t, nil)
-	sess := s.cur.Load()
+	sess := s.sess
 	var rows []ScenarioSlack
 	if n := testing.AllocsPerRun(50, func() { rows = sess.slacks() }); n > 2 {
 		t.Errorf("session.slacks() allocates %v times per call, want at most 2", n)
@@ -630,4 +677,89 @@ func TestSlacksAllocations(t *testing.T) {
 	if len(rows) != len(sess.views.Scenarios) || rows[0].HoldViolations == 0 {
 		t.Fatalf("fixture summary looks empty: %+v", rows)
 	}
+}
+
+// Only one session is resident: what NewServer keeps live after a GC is at
+// most 1.3× what one core.Views Build of the same design and recipe keeps.
+// Each figure is the median of three builds, since garbage an earlier test
+// left may be freed during any one of them.
+func TestServerRetainsOneSession(t *testing.T) {
+	cfg := testConfig(t)
+	retained := func(build func() func()) float64 {
+		var trials [3]float64
+		for i := range trials {
+			before := heapAfterGC()
+			drop := build()
+			trials[i] = heapAfterGC() - before
+			drop()
+		}
+		slices.Sort(trials[:])
+		return trials[1]
+	}
+	server := retained(func() func() {
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Close
+	})
+	views := retained(func() func() {
+		d := cfg.Design.Clone()
+		v := &core.Views{
+			D: d, ClockPort: d.Port("clk"), BasePeriod: cfg.BasePeriod,
+			Scenarios: cfg.Recipe.Scenarios, Parasitics: sta.NewKeyedNetBinder(cfg.Stack, cfg.Seed),
+			AnalysisWorkers: analysisWorkers,
+		}
+		if err := v.Build(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		return func() { runtime.KeepAlive(v) }
+	})
+	t.Logf("NewServer retains %.2f MB, one Views Build %.2f MB (%.2f×)", server/1e6, views/1e6, server/views)
+	if server > 1.3*views {
+		t.Errorf("NewServer retains %.0f B, more than 1.3 × one Views Build's %.0f B", server, views)
+	}
+}
+
+// A clock period or input arrival that is negative or not finite is a
+// configuration error, and so is a zero period a restored pack carries: no
+// such clock reaches the triage plan or the analyzers.
+func TestNewServerRefusesBadClock(t *testing.T) {
+	recipe, stack, d := fixture(t)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"negative period", func(c *Config) { c.BasePeriod = -560 }},
+		{"NaN period", func(c *Config) { c.BasePeriod = units.Ps(math.NaN()) }},
+		{"+Inf period", func(c *Config) { c.BasePeriod = units.Ps(math.Inf(1)) }},
+		{"-Inf period", func(c *Config) { c.BasePeriod = units.Ps(math.Inf(-1)) }},
+		{"negative arrival", func(c *Config) { c.InputArrival = -1 }},
+		{"NaN arrival", func(c *Config) { c.InputArrival = units.Ps(math.NaN()) }},
+		{"+Inf arrival", func(c *Config) { c.InputArrival = units.Ps(math.Inf(1)) }},
+		{"restored zero period", func(c *Config) {
+			c.Restore = &pack.Snapshot{Design: d, Recipe: &recipe, Stack: stack, ClockPort: "clk", Seed: 7}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			tc.mut(&cfg)
+			s, err := NewServer(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatal("server booted")
+			}
+			if !strings.Contains(err.Error(), "period") && !strings.Contains(err.Error(), "arrival") {
+				t.Fatalf("error %q names neither the period nor the arrival", err)
+			}
+		})
+	}
+	// 0 still means the default period.
+	cfg := testConfig(t)
+	cfg.BasePeriod = 0
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("a zero configured period must default: %v", err)
+	}
+	s.Close()
 }

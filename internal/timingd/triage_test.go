@@ -224,7 +224,7 @@ func TestTriageAllocations(t *testing.T) {
 		})
 		c.BasePeriod = 480
 	})
-	sess := s.cur.Load()
+	sess := s.sess
 	var rep triage.Report
 	render := func() {
 		extracts := make([]triage.ScenarioExtract, len(s.scenarioSet))

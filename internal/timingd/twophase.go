@@ -12,37 +12,37 @@ import (
 	"newgame/internal/serve"
 )
 
-// This file splits the writer pipeline into an explicit two-phase protocol
-// so a cluster coordinator can drive an epoch barrier across shards:
+// This file holds the writer pipeline and the two-phase protocol a cluster
+// coordinator drives an epoch barrier across shards with:
 //
-//	prepare  — evaluate the op batch on the shadow (resolve + apply +
-//	           re-time), keep the edits live and the writer lock held,
-//	           publish nothing;
-//	commit   — bump the epoch, swap the shadow in, log and replay;
-//	abort    — roll the edits back exactly and release the writer.
+//	prepare  — evaluate the op batch on the session (resolve + apply +
+//	           re-time), report, roll it back, and keep the writer lock;
+//	commit   — apply the batch again, publish the next epoch, log it;
+//	abort    — release the writer lock.
 //
-// The single-node commit() is prepare immediately followed by commit, and a
-// what-if is evaluate immediately followed by rollback, so every writer path
-// shares one implementation and the chaos-test semantics (fault sites,
-// degraded transitions, flight-recorder audit) are identical.
+// A what-if is evaluate immediately followed by rollback, a single-node
+// commit is evaluate immediately followed by publish, and a prepare is a
+// what-if that keeps the writer, so every writer path shares one
+// implementation and the chaos-test semantics (fault sites, panic recovery,
+// flight-recorder audit) are identical.
 //
 // A prepared transaction holds writerMu across the prepare→commit/abort
 // window — sync.Mutex explicitly permits unlocking from a different
-// goroutine, which is exactly what the commit/abort HTTP handlers do. A
-// coordinator that dies between phases cannot wedge the worker: every
-// registered prepare carries an abort timer (Config.PrepareTimeout) that
-// rolls the shadow back and releases the writer.
+// goroutine, which is exactly what the commit/abort HTTP handlers do.
+// Because nothing else can write in between, the commit's re-application
+// reaches exactly the state prepare reported. The session itself is never
+// left edited between phases: readers keep answering the published epoch,
+// and a coordinator that dies between phases costs only the writer lock,
+// which every registered prepare's timer (Config.PrepareTimeout) releases.
 
-// preparedTxn is one edit batch in flight on the shadow. A what-if's lives
+// preparedTxn is one edit batch in the writer pipeline. A what-if's lives
 // inside one whatIf call; a prepared-but-uncommitted one holds the writer
 // lock from prepare until exactly one of commitPrepared or abortPrepared
 // consumes it.
 type preparedTxn struct {
-	id        string
-	baseEpoch int64
-	newEpoch  int64
-	sh        *session
-	// edits is non-nil from the moment apply may have touched the shadow;
+	id       string
+	newEpoch int64
+	// edits is non-nil from the moment apply may have touched the session;
 	// mark is the netlist's name sequence just before.
 	edits []*edit
 	mark  int
@@ -56,8 +56,10 @@ type preparedTxn struct {
 // with a commit or abort inside PrepareTimeout.
 var errPrepareExpired = fmt.Errorf("prepared transaction expired without commit or abort")
 
-// errDegraded refuses writer work once the two sessions may have diverged.
-var errDegraded = fmt.Errorf("server degraded by earlier failed commit; restart required")
+// errDegraded refuses writes and cold reads once recovering from a writer
+// panic failed, so the session may no longer be the published epoch.
+var errDegraded error = serve.Errorf(http.StatusServiceUnavailable,
+	"server degraded: recovering from a writer panic failed; restart required")
 
 // finishRecord completes the transaction's flight-recorder entry.
 func (s *Server) finishRecord(p *preparedTxn, err error) {
@@ -68,180 +70,182 @@ func (s *Server) finishRecord(p *preparedTxn, err error) {
 	s.flight.Commits.Put(p.cr)
 }
 
-// onShadow runs one step of the writer pipeline on the shadow: under its
-// lock, and guarded — a panic means the shadow's state is unknown, so the
-// server degrades rather than risk publishing or reusing a half-edited
-// snapshot. The lock is deferred so the panic path cannot leak it. The
-// caller holds writerMu.
-func (s *Server) onShadow(sh *session, fn func() error) error {
-	err := guard(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return fn()
-	})
+// onSession runs one writer step on the session under its write lock, and
+// guarded. A panic may leave p's edits live, so before the lock is released
+// they are undone exactly and every analyzer is re-run in full: readers never
+// see them, and the session is back at the published epoch. Only a failure
+// of that recovery degrades the server. The caller holds writerMu.
+func (s *Server) onSession(p *preparedTxn, fn func() error) error {
+	s.sess.mu.Lock()
+	defer s.sess.mu.Unlock()
+	err := guard(fn)
 	if isRecoveredPanic(err) {
-		s.degraded.Store(true)
 		s.count("timingd.panics_recovered")
+		if rerr := guard(func() error { return s.recoverSession(p) }); rerr != nil {
+			s.degraded.Store(true)
+		}
 	}
 	return err
 }
 
-// evaluate is the half of the writer pipeline a what-if and a prepare
-// share: resolve p.ops against the shadow, record the baseline, apply the
-// edits and re-time, record the outcome. On success the edits stay live for
-// the caller to publish or roll back; on failure they are already rolled
-// back. Runs inside onShadow.
+// recoverSession undoes whatever of p's edits may be live and re-runs every
+// analyzer from scratch. Runs inside onSession.
+func (s *Server) recoverSession(p *preparedTxn) error {
+	if p.edits == nil {
+		return nil // the panic came before anything was edited
+	}
+	if err := s.fire(SiteCommitRecover); err != nil {
+		return err
+	}
+	s.sess.revert(p.edits, p.mark)
+	return s.sess.views.Rerun(context.Background())
+}
+
+// evaluate is the half of the writer pipeline every writer path shares:
+// resolve p.ops against the session, record the baseline, apply the edits
+// and re-time, record the outcome. On success the edits stay live for the
+// caller to publish or roll back; on failure they are already rolled back.
+// Runs inside onSession.
 func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
-	sh := p.sh
+	sess := s.sess
 	phase := time.Now()
 	if err := s.fire(SiteCommitResolve); err != nil {
 		return err
 	}
-	edits, err := sh.resolve(p.ops)
+	edits, err := sess.resolve(p.ops)
 	p.cr.ResolveMs = obs.MsSince(phase)
 	if err != nil {
 		return err
 	}
-	p.rep.Before = sh.slacks()
-	p.mark = sh.views.D.NameMark()
+	p.rep.Before = sess.slacks()
+	p.mark = sess.views.D.NameMark()
 	if err := s.fire(SiteCommitApply); err != nil {
 		return err
 	}
 	phase = time.Now()
 	p.edits = edits
-	err = sh.apply(ctx, edits)
+	err = sess.apply(ctx, edits)
 	p.cr.ApplyMs = obs.MsSince(phase)
 	if err != nil {
 		s.rollback(p)
 		return err
 	}
-	p.rep.After = sh.slacks()
+	p.rep.After = sess.slacks()
 	return nil
 }
 
-// rollback is the one way an evaluated edit batch leaves the shadow: exact
-// netlist undo plus a non-cancellable re-time, after a what-if, a failed
-// prepare, a coordinator abort, an expiry and Close alike. A failure
-// degrades the server — the shadow can no longer be trusted to match the
-// published snapshot. Runs inside onShadow.
+// rollback is the one way an evaluated edit batch leaves the session
+// unpublished: exact netlist undo plus a non-cancellable re-time, after a
+// what-if, a prepare and a failed commit alike. A failure degrades the
+// server — the session can no longer be trusted to be the published epoch.
+// Runs inside onSession.
 func (s *Server) rollback(p *preparedTxn) {
-	if err := p.sh.undo(p.edits, p.mark); err != nil {
+	s.sess.revert(p.edits, p.mark)
+	if err := s.sess.settle(context.Background(), p.edits); err != nil {
 		s.degraded.Store(true)
 	}
+	p.edits = nil
 }
 
-// prepare runs the pre-publish half of a commit: it takes the writer lock,
-// evaluates ops on the shadow, and returns with the lock STILL HELD and the
-// edits live. baseEpoch, when non-nil, must match the current epoch (the
-// cluster barrier's staleness check); a mismatch is a clean 409. On any
-// error the shadow is rolled back and the lock released.
-func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch *int64) (*preparedTxn, error) {
-	s.writerMu.Lock()
-	p := &preparedTxn{
-		sh:  s.shadow,
-		ops: ops,
-		cr:  obs.CommitRecord{Start: time.Now(), OpsApplied: len(ops)},
-	}
+// tryOps evaluates p.ops and rolls them back under one hold of the
+// session's write lock: a what-if, and the first phase of the barrier.
+func (s *Server) tryOps(ctx context.Context, p *preparedTxn) error {
+	return s.onSession(p, func() error {
+		if err := s.evaluate(ctx, p); err != nil {
+			return err
+		}
+		s.rollback(p)
+		return nil
+	})
+}
+
+// begin opens a commit's flight record and checks the server may take it:
+// not degraded and, when baseEpoch is non-nil (the cluster barrier's
+// staleness check), at that epoch — a mismatch is a clean 409. The caller
+// holds writerMu and owes finishRecord on error.
+func (s *Server) begin(ctx context.Context, ops []Op, baseEpoch *int64) (*preparedTxn, error) {
+	p := &preparedTxn{ops: ops, cr: obs.CommitRecord{Start: time.Now(), OpsApplied: len(ops)}}
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		p.cr.TraceID = tr.ID
 	}
-	fail := func(err error) (*preparedTxn, error) {
+	if s.degraded.Load() {
+		return p, errDegraded
+	}
+	base := s.epoch.Load()
+	if baseEpoch != nil && *baseEpoch != base {
+		return p, serve.Errorf(http.StatusConflict,
+			"epoch mismatch: shard at epoch %d, prepare wants base %d", base, *baseEpoch)
+	}
+	p.newEpoch = base + 1
+	p.rep = &WhatIfReport{Epoch: p.newEpoch, Committed: true}
+	return p, nil
+}
+
+// publish commits p: evaluate, then — under the same hold of the session's
+// write lock, so it re-times once — purge the query cache and publish the
+// next epoch. The epoch-log append follows under writerMu alone, so its
+// record order is the epoch order but readers do not wait on the fsync. A
+// failure leaves the session at the published epoch. The caller holds
+// writerMu; the flight record is finished here.
+func (s *Server) publish(ctx context.Context, p *preparedTxn) (*WhatIfReport, error) {
+	err := s.onSession(p, func() error {
+		if err := s.evaluate(ctx, p); err != nil {
+			return err
+		}
+		if err := s.fire(SiteCommitSwap); err != nil {
+			s.rollback(p)
+			return err
+		}
+		phase := time.Now()
+		p.cr.CachePurged = s.cache.Purge()
+		s.epoch.Store(p.newEpoch)
+		p.cr.SwapMs = obs.MsSince(phase)
+		return nil
+	})
+	if err != nil {
+		s.finishRecord(p, err)
+		return nil, err
+	}
+	p.cr.Epoch = p.newEpoch
+	s.count("timingd.commits")
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.Gauge("timingd.epoch").Set(float64(p.newEpoch))
+	}
+	s.logCommit(p.newEpoch, p.ops)
+	s.finishRecord(p, nil)
+	return p.rep, nil
+}
+
+// prepare is phase one of the barrier: it takes the writer lock, evaluates
+// ops on the session and rolls them back, and returns with the lock STILL
+// HELD. On any error the lock is released.
+func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch int64) (*preparedTxn, error) {
+	s.writerMu.Lock()
+	p, err := s.begin(ctx, ops, &baseEpoch)
+	if err == nil {
+		err = s.tryOps(ctx, p)
+	}
+	if err != nil {
 		s.finishRecord(p, err)
 		s.writerMu.Unlock()
 		return nil, err
 	}
-	if s.degraded.Load() {
-		return fail(errDegraded)
-	}
-	p.baseEpoch = s.epoch.Load()
-	if baseEpoch != nil && *baseEpoch != p.baseEpoch {
-		return fail(serve.Errorf(http.StatusConflict,
-			"epoch mismatch: shard at epoch %d, prepare wants base %d", p.baseEpoch, *baseEpoch))
-	}
-	p.newEpoch = p.baseEpoch + 1
-	p.rep = &WhatIfReport{Epoch: p.newEpoch, Committed: true}
-	err := s.onShadow(p.sh, func() error {
-		err := s.evaluate(ctx, p)
-		if err == nil {
-			if err = s.fire(SiteCommitSwap); err != nil {
-				s.rollback(p)
-			}
-		}
-		return err
-	})
-	if err != nil {
-		return fail(err)
-	}
 	return p, nil
 }
 
-// commitPrepared publishes a prepared transaction: epoch bump, snapshot
-// swap, cache purge, epoch-log append, replay onto the retired snapshot,
-// writer lock release. The commit is irrevocable once the swap happens; a
-// replay failure degrades the server but the commit stands, exactly as in
-// the single-node pipeline.
-func (s *Server) commitPrepared(p *preparedTxn) *WhatIfReport {
+// commitPrepared applies a prepared transaction's ops again and publishes
+// them, then releases the writer lock. It is not cancellable: the
+// coordinator has decided. The report prepare answered with is left alone.
+func (s *Server) commitPrepared(p *preparedTxn) (*WhatIfReport, error) {
 	defer s.writerMu.Unlock()
-	sh := p.sh
-	phase := time.Now()
-	newEpoch := s.epoch.Add(1)
-	// The retiring snapshot may still have straggler readers holding RLock;
-	// the shadow about to be published may too (from two swaps ago), so its
-	// epoch tag is written under the lock.
-	sh.mu.Lock()
-	sh.epoch = newEpoch
-	sh.mu.Unlock()
-	old := s.cur.Swap(sh)
-	p.cr.CachePurged = s.cache.Purge()
-	p.cr.Epoch = newEpoch
-	p.cr.SwapMs = obs.MsSince(phase)
-	s.count("timingd.commits")
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.Gauge("timingd.epoch").Set(float64(newEpoch))
-	}
-	// The commit is visible; make it durable. Runs under writerMu, so the
-	// log's record order is the epoch order.
-	s.logCommit(newEpoch, p.ops)
-
-	// Replay onto the retired snapshot. Stragglers still reading it hold
-	// RLock; the edit waits for them. Not cancellable: the commit is
-	// already visible. Guarded for the same reason as prepare — a panic
-	// mid-replay leaves the retired snapshot unusable as the next shadow.
-	phase = time.Now()
-	rerr := guard(func() error {
-		if err := s.fire(SiteCommitReplay); err != nil {
-			return err
-		}
-		old.mu.Lock()
-		defer old.mu.Unlock()
-		oldEdits, err := old.resolve(p.ops)
-		if err == nil {
-			err = old.apply(context.Background(), oldEdits)
-		}
-		old.epoch = newEpoch
-		return err
-	})
-	p.cr.ReplayMs = obs.MsSince(phase)
-	if rerr != nil {
-		if isRecoveredPanic(rerr) {
-			s.count("timingd.panics_recovered")
-		}
-		s.degraded.Store(true)
-		s.finishRecord(p, rerr)
-		return p.rep // the commit itself succeeded
-	}
-	s.shadow = old
-	s.finishRecord(p, nil)
-	return p.rep
+	p.rep = &WhatIfReport{Epoch: p.newEpoch, Committed: true}
+	return s.publish(context.Background(), p)
 }
 
-// abortPrepared rolls a prepared transaction back and releases the writer.
+// abortPrepared releases the writer lock a prepared transaction holds; its
+// edits were rolled back when it was prepared.
 func (s *Server) abortPrepared(p *preparedTxn, cause error) {
 	defer s.writerMu.Unlock()
-	s.onShadow(p.sh, func() error {
-		s.rollback(p)
-		return nil
-	})
 	s.count("timingd.barrier.aborts")
 	s.finishRecord(p, cause)
 }
@@ -299,9 +303,9 @@ func (s *Server) clusterRoutes() {
 	s.mux.HandleFunc("/cluster/info", s.handleClusterInfo)
 }
 
-// handleClusterPrepare is phase one of the epoch barrier: validate, apply
-// and re-time the batch on the shadow, answer with the epoch this shard
-// will move to, and hold everything pending the coordinator's decision.
+// handleClusterPrepare is phase one of the epoch barrier: validate, apply,
+// re-time and roll back the batch, answer with the epoch this shard will
+// move to, and hold the writer pending the coordinator's decision.
 func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]byte, error) {
 	var req PrepareRequest
 	if err := serve.Decode(r, &req); err != nil {
@@ -318,7 +322,7 @@ func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]b
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	p, err := s.prepare(ctx, req.Ops, &req.BaseEpoch)
+	p, err := s.prepare(ctx, req.Ops, req.BaseEpoch)
 	if err != nil {
 		return nil, err
 	}
@@ -341,12 +345,15 @@ func (s *Server) handleClusterCommit(ctx context.Context, r *http.Request) ([]by
 		return nil, serve.Errorf(http.StatusConflict, "no prepared transaction %q (expired or aborted)", txn)
 	}
 	p.timer.Stop()
-	rep := s.commitPrepared(p)
+	rep, err := s.commitPrepared(p)
+	if err != nil {
+		return nil, err
+	}
 	serve.InfoFrom(ctx).Epoch = rep.Epoch
 	return serve.JSON(TxnResponse{Txn: txn, Epoch: rep.Epoch, Done: true})
 }
 
-// handleClusterAbort rolls a prepared transaction back. Aborting an
+// handleClusterAbort releases a prepared transaction. Aborting an
 // unknown txn is idempotent success — the expiry timer may have won.
 func (s *Server) handleClusterAbort(ctx context.Context, r *http.Request) ([]byte, error) {
 	txn, err := decodeTxn(r)

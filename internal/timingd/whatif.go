@@ -102,7 +102,7 @@ func findLoad(n *netlist.Net, name string) (*netlist.Pin, error) {
 
 // apply performs the batch's netlist edits on the session and brings every
 // analyzer current with them. Must run with s.mu held for writing; on error
-// the caller owes an undo.
+// the caller owes a rollback.
 func (s *session) apply(ctx context.Context, edits []*edit) error {
 	for _, e := range edits {
 		switch e.op.Kind {
@@ -119,14 +119,13 @@ func (s *session) apply(ctx context.Context, edits []*edit) error {
 	return s.settle(ctx, edits)
 }
 
-// undo reverses apply exactly, in reverse order, and re-times: resizes
-// restore the old master, inserted buffers come out again
+// revert takes apply's netlist edits back in reverse order: resizes restore
+// the old master, inserted buffers come out again
 // (netlist.Design.RemoveBuffer) and the name sequence is rewound, so the
-// netlist is pointer- and name-identical to the pre-edit state. It is not
-// cancellable — a half-undone shadow has diverged from the published
-// snapshot. Must run with s.mu held for writing, with the NameMark taken
-// before apply.
-func (s *session) undo(edits []*edit, nameMark int) error {
+// netlist is pointer- and name-identical to the pre-edit state. nameMark is
+// the NameMark taken before apply. It is idempotent, so a panic recovery may
+// run it after a rollback already did. Must run with s.mu held for writing.
+func (s *session) revert(edits []*edit, nameMark int) {
 	for i := len(edits) - 1; i >= 0; i-- {
 		e := edits[i]
 		switch e.op.Kind {
@@ -141,14 +140,13 @@ func (s *session) undo(edits []*edit, nameMark int) error {
 		}
 	}
 	s.views.D.RewindNames(nameMark)
-	return s.settle(context.Background(), edits)
 }
 
 // settle brings every analyzer current after edits were applied or undone.
 // A batch with a buffer insertion changed the graph, so every analyzer is
 // fully re-run: each re-derives its graph in place and refills only the nets
-// whose loads moved. A cancelled re-run leaves them untimed, which the undo
-// the caller then owes puts right by the same route. A resize-only batch
+// whose loads moved. A cancelled re-run leaves them untimed, which the
+// rollback the caller then owes puts right by the same route. A resize-only batch
 // invalidates each retyped cell and re-times incrementally — the coalescing
 // point: ten resizes cost one cone re-propagation per scenario, not ten.
 func (s *session) settle(ctx context.Context, edits []*edit) error {
