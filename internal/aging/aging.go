@@ -45,22 +45,6 @@ func (m BTIModel) DeltaVt(years float64, v units.Volt, temp units.Celsius) units
 	return m.A * math.Exp(m.Gamma*v) * math.Exp(-m.EaOverK/units.Kelvin(temp)) * math.Pow(years, m.N)
 }
 
-// DeltaVtAC returns the shift under AC stress with the given duty cycle
-// (fraction of time the device is under bias). Recovery during the off
-// phase makes AC aging milder than DC at the same wall-clock time: the
-// standard approximation scales the effective stress time by the duty
-// cycle, so ΔVt_AC = ΔVt_DC · duty^N. The paper's Figure 9 assumes DC
-// stress — the conservative end of this knob.
-func (m BTIModel) DeltaVtAC(years float64, v units.Volt, temp units.Celsius, duty float64) units.Volt {
-	if duty <= 0 {
-		return 0
-	}
-	if duty > 1 {
-		duty = 1
-	}
-	return m.DeltaVt(years*duty, v, temp)
-}
-
 // EquivalentStressYears inverts the model: the stress time at (v, temp)
 // that would produce the given ΔVt. Used to accumulate aging across a
 // varying-voltage history (the standard reaction-diffusion bookkeeping).

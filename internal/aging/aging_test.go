@@ -161,24 +161,3 @@ func TestSweepDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestACStressMilderThanDC(t *testing.T) {
-	m := DefaultBTI
-	dc := m.DeltaVt(10, 0.8, 105)
-	for _, duty := range []float64{0.25, 0.5, 0.75} {
-		ac := m.DeltaVtAC(10, 0.8, 105, duty)
-		if ac >= dc {
-			t.Errorf("AC (duty %v) shift %v not below DC %v", duty, ac, dc)
-		}
-	}
-	if m.DeltaVtAC(10, 0.8, 105, 1) != dc {
-		t.Error("duty 1 should equal DC")
-	}
-	if m.DeltaVtAC(10, 0.8, 105, 0) != 0 {
-		t.Error("duty 0 should not age")
-	}
-	// Clamping above 1.
-	if m.DeltaVtAC(10, 0.8, 105, 1.5) != dc {
-		t.Error("duty > 1 should clamp to DC")
-	}
-}

@@ -32,11 +32,6 @@ func DDROFor(c aging.CircuitModel) Monitor {
 	return Monitor{Tech: c.Tech, Stages: c.Stages, Vt: liberty.SVT, WireFrac: c.WireFrac}
 }
 
-// GenericMonitor is an unmatched, all-gate LVT ring oscillator.
-func GenericMonitor(tech liberty.TechParams) Monitor {
-	return Monitor{Tech: tech, Stages: 15, Vt: liberty.LVT, WireFrac: 0}
-}
-
 // Delay returns the monitor delay (ps) on a die at the given process
 // corner, supply, temperature and accumulated aging.
 func (m Monitor) Delay(pc liberty.ProcessCorner, v units.Volt, temp units.Celsius, dvt units.Volt) units.Ps {

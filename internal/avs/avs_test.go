@@ -92,25 +92,3 @@ func TestCompareAVSSavesPowerAndMeetsTiming(t *testing.T) {
 		t.Errorf("DC margin = %v ps, want positive", cmp.DCMarginPs)
 	}
 }
-
-func TestGenericMonitorNeedsMoreMargin(t *testing.T) {
-	// With equal controller margins, a generic (mismatched) monitor should
-	// mistrack the DDRO on at least some die/condition: its chosen voltage
-	// differs from the matched monitor's.
-	c := aging.MPEG2Model().SizeFor(0.8, 0.03)
-	ddro := controller(DDROFor(c))
-	ddro.Calibrate(c, 105)
-	gen := controller(GenericMonitor(c.Tech))
-	gen.Calibrate(c, 105)
-	diff := 0
-	for _, pc := range []liberty.ProcessCorner{liberty.SS, liberty.TT, liberty.FF} {
-		v1, _ := ddro.PickVoltage(pc, 105, 0.02)
-		v2, _ := gen.PickVoltage(pc, 105, 0.02)
-		if math.Abs(v1-v2) > 1e-9 {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("generic monitor tracked identically to DDRO across corners; mismatch model inert")
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"newgame/internal/parasitics"
 	"newgame/internal/units"
@@ -324,12 +323,4 @@ func lengthForElmore(st *parasitics.Stack, layer int, t units.Ps) units.Um {
 		return 0
 	}
 	return math.Sqrt(2 * t / rc)
-}
-
-// SortByWireFraction orders stats by relative RC-worst delta (a proxy for
-// wire dominance), useful for reporting the Figure 8 scatter.
-func SortByWireFraction(stats []Stats) {
-	sort.Slice(stats, func(i, j int) bool {
-		return stats[i].DeltaRelRCw() < stats[j].DeltaRelRCw()
-	})
 }

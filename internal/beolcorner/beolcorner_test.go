@@ -133,15 +133,3 @@ func TestEvaluateDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestSortByWireFraction(t *testing.T) {
-	an := analysis()
-	paths := GeneratePaths(an.Stack, 20, 4)
-	stats := an.Evaluate(paths)
-	SortByWireFraction(stats)
-	for i := 1; i < len(stats); i++ {
-		if stats[i].DeltaRelRCw() < stats[i-1].DeltaRelRCw() {
-			t.Fatal("not sorted by wire fraction")
-		}
-	}
-}

@@ -186,45 +186,3 @@ func TestAddCellUnknownMaster(t *testing.T) {
 		t.Error("unknown master accepted")
 	}
 }
-
-func TestC17ExactFunction(t *testing.T) {
-	l := lib(t)
-	d := C17(l)
-	if errs := d.Validate(); len(errs) != 0 {
-		t.Fatalf("c17 invalid: %v", errs[0])
-	}
-	if got := len(d.Cells); got != 13 { // 6 NANDs + 7 FFs
-		t.Errorf("c17 has %d cells, want 13", got)
-	}
-	sim, err := NewSimulator(d, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exhaustive truth-table check against the reference equations.
-	ref := func(i1, i2, i3, i6, i7 bool) (bool, bool) {
-		nand := func(a, b bool) bool { return !(a && b) }
-		g10 := nand(i1, i3)
-		g11 := nand(i3, i6)
-		g16 := nand(i2, g11)
-		g19 := nand(g11, i7)
-		return nand(g10, g16), nand(g16, g19)
-	}
-	names := []string{"i1", "i2", "i3", "i6", "i7"}
-	for v := 0; v < 32; v++ {
-		st := State{}
-		bits := make([]bool, 5)
-		for k := range bits {
-			bits[k] = v&(1<<k) != 0
-			st[d.Cell("ff_"+names[k])] = bits[k]
-		}
-		val, next := sim.Eval(nil, st)
-		_ = val
-		w22, w23 := ref(bits[0], bits[1], bits[2], bits[3], bits[4])
-		if got := next[d.Cell("ffo_g22")]; got != w22 {
-			t.Fatalf("vector %05b: g22 = %v, want %v", v, got, w22)
-		}
-		if got := next[d.Cell("ffo_g23")]; got != w23 {
-			t.Fatalf("vector %05b: g23 = %v, want %v", v, got, w23)
-		}
-	}
-}

@@ -441,54 +441,3 @@ func SoCBlock(lib *liberty.Library) *netlist.Design {
 		VtMix: [3]float64{0.1, 0.7, 0.2},
 	})
 }
-
-// C17 builds the exact ISCAS-85 c17 benchmark: six NAND2 gates, five
-// inputs, two outputs — the canonical tiny netlist, registered here behind
-// input/output flip-flops so it exercises the full launch/capture flow.
-//
-//	g10 = NAND(i1, i3)      g11 = NAND(i3, i6)
-//	g16 = NAND(i2, g11)     g19 = NAND(g11, i7)
-//	g22 = NAND(g10, g16)    g23 = NAND(g16, g19)
-//	outputs: g22, g23
-func C17(lib *liberty.Library) *netlist.Design {
-	d := netlist.New("c17")
-	clk := mustPort(d, "clk", netlist.Input)
-	ffM := liberty.CellName("DFF", 1, liberty.SVT)
-	nandM := liberty.CellName("NAND2", 1, liberty.SVT)
-
-	// Input registers: ports feed FFs; FF outputs are the c17 inputs.
-	ins := []string{"i1", "i2", "i3", "i6", "i7"}
-	sig := map[string]*netlist.Net{}
-	for _, name := range ins {
-		p := mustPort(d, name, netlist.Input)
-		ff := mustCell(d, lib, "ff_"+name, ffM)
-		connect(d, ff, "CK", clk.Net)
-		connect(d, ff, "D", p.Net)
-		q := mustNet(d, name+"_q")
-		connect(d, ff, "Q", q)
-		sig[name] = q
-	}
-	nand := func(name string, a, b *netlist.Net) *netlist.Net {
-		g := mustCell(d, lib, name, nandM)
-		connect(d, g, "A", a)
-		connect(d, g, "B", b)
-		out := mustNet(d, name+"_z")
-		connect(d, g, "Z", out)
-		return out
-	}
-	g10 := nand("g10", sig["i1"], sig["i3"])
-	g11 := nand("g11", sig["i3"], sig["i6"])
-	g16 := nand("g16", sig["i2"], g11)
-	g19 := nand("g19", g11, sig["i7"])
-	g22 := nand("g22", g10, g16)
-	g23 := nand("g23", g16, g19)
-	// Output registers.
-	for name, n := range map[string]*netlist.Net{"g22": g22, "g23": g23} {
-		ff := mustCell(d, lib, "ffo_"+name, ffM)
-		connect(d, ff, "CK", clk.Net)
-		connect(d, ff, "D", n)
-		p := mustPort(d, "o_"+name, netlist.Output)
-		connect(d, ff, "Q", p.Net)
-	}
-	return d
-}

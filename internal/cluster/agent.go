@@ -73,14 +73,6 @@ func (a *Agent) Stop() {
 	<-a.done
 }
 
-// Synced reports whether the last register/heartbeat round-trip
-// succeeded — i.e. the coordinator currently counts this worker in.
-func (a *Agent) Synced() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.synced
-}
-
 func (a *Agent) setSynced(v bool) {
 	a.mu.Lock()
 	a.synced = v

@@ -82,6 +82,14 @@ func workerConfig(t testing.TB, filter []string) timingd.Config {
 	}
 }
 
+// isSynced reports whether the agent's last register/heartbeat round-trip
+// succeeded — i.e. the coordinator currently counts this worker in.
+func (a *Agent) isSynced() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.synced
+}
+
 // startWorker boots one timingd shard over the fixture, optionally
 // filtered to a scenario subset.
 func startWorker(t *testing.T, filter []string, mut func(*timingd.Config)) (*timingd.Server, *httptest.Server) {
@@ -521,7 +529,7 @@ func TestAgentLifecycle(t *testing.T) {
 	defer a.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for !a.Synced() {
+	for !a.isSynced() {
 		if time.Now().After(deadline) {
 			t.Fatal("agent never synced")
 		}

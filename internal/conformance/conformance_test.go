@@ -1,8 +1,12 @@
 package conformance
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,10 +24,42 @@ func TestRegistrySweep(t *testing.T) {
 	t.Log("\n" + res.String())
 }
 
+// loadRepros reads every reproducer under dir (testdata/repros), sorted
+// by filename for deterministic replay order.
+func loadRepros(dir string) ([]Repro, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	out := make([]Repro, 0, len(names))
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		var r Repro
+		if err := json.Unmarshal(b, &r); err != nil {
+			return nil, fmt.Errorf("%s: %v", name, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 // TestReproCorpus replays every committed reproducer: each records a
 // once-failing (or demonstrative) case that must hold forever.
 func TestReproCorpus(t *testing.T) {
-	repros, err := LoadRepros("testdata/repros")
+	repros, err := loadRepros("testdata/repros")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,6 @@ package conformance
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"newgame/internal/parasitics"
 )
@@ -67,38 +63,6 @@ func Minimize(r Repro, check func(Repro) error) Repro {
 	}
 	r.Edits = edits
 	return r
-}
-
-// LoadRepros reads every reproducer under dir (testdata/repros), sorted
-// by filename for deterministic replay order.
-func LoadRepros(dir string) ([]Repro, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	out := make([]Repro, 0, len(names))
-	for _, name := range names {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		var r Repro
-		if err := json.Unmarshal(b, &r); err != nil {
-			return nil, fmt.Errorf("%s: %v", name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Format renders a repro as the indented JSON developers commit to

@@ -74,7 +74,7 @@ func ScheduleUsefulSkew(a *sta.Analyzer, lib *liberty.Library, opts UsefulSkewOp
 			}
 			// Move half the imbalance, damped.
 			delta := opts.Step * (qSlack - dSlack) / 2
-			offset[ff] = clamp(offset[ff]+delta, 0, opts.MaxSkew)
+			offset[ff] = units.Clamp(offset[ff]+delta, 0, opts.MaxSkew)
 		}
 		// Normalize: only delays ≥ 0 are implementable.
 		minOff := math.Inf(1)
@@ -102,7 +102,7 @@ func ScheduleUsefulSkew(a *sta.Analyzer, lib *liberty.Library, opts UsefulSkewOp
 			}
 			ff := e.Pin.Cell
 			if offset[ff] > 0 {
-				offset[ff] = clamp(offset[ff]-(opts.HoldMargin-e.Slack), 0, opts.MaxSkew)
+				offset[ff] = units.Clamp(offset[ff]-(opts.HoldMargin-e.Slack), 0, opts.MaxSkew)
 				a.Cons.ExtraCKLatency[ff] = offset[ff]
 				backed = true
 			}
@@ -122,16 +122,6 @@ func ScheduleUsefulSkew(a *sta.Analyzer, lib *liberty.Library, opts UsefulSkewOp
 		}
 	}
 	return res, nil
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // JitterModel decomposes clock jitter margin per paper §3.4: the flat

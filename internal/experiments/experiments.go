@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -659,20 +658,11 @@ func Fig11PBAvsGBA() Result {
 func Fig12CornerExplosion() Result {
 	volts := []float64{0.50, 0.60, 0.72, 0.80, 0.90, 1.00}
 	temps := []float64{-30, 25, 125}
-	stack := parasitics.Stack16()
 	sp := mcmm.Space{
-		Modes: mcmm.DefaultModes(),
-		PVTs:  mcmm.VoltageTempGrid(volts, temps),
-		BEOLs: append([]parasitics.CornerKind{parasitics.Typical}, parasitics.AllCorners...),
-		MaskShiftCombos: func() int {
-			n := 1
-			for _, l := range stack.Layers {
-				if l.MultiPatterned {
-					n *= 2
-				}
-			}
-			return n
-		}(),
+		Modes:           mcmm.DefaultModes(),
+		PVTs:            mcmm.VoltageTempGrid(volts, temps),
+		BEOLs:           append([]parasitics.CornerKind{parasitics.Typical}, parasitics.AllCorners...),
+		MaskShiftCombos: parasitics.Stack16().MaskShiftCombos(),
 	}
 	full := sp.Count()
 	tb := report.NewTable("Corner super-explosion (Section 2.3)", "stage", "count")
@@ -779,14 +769,4 @@ func timeIt(f func()) float64 {
 	t0 := time.Now()
 	f()
 	return time.Since(t0).Seconds()
-}
-
-// sortKeys renders a Keys map deterministically (used by tests).
-func sortKeys(keys map[string]float64) []string {
-	out := make([]string, 0, len(keys))
-	for k := range keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -14,8 +14,8 @@ import (
 // than served from the serial run's cache.
 func TestWorkerDeterminism(t *testing.T) {
 	type result struct {
-		setup, hold units.Ps
-		curve       []Point
+		setup units.Ps
+		curve []Point
 	}
 	run := func(w int) result {
 		c := Default65()
@@ -25,24 +25,17 @@ func TestWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := c.HoldTime()
-		if err != nil {
-			t.Fatal(err)
-		}
 		curve, err := c.SetupVsHold([]units.Ps{60, 30, 10, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result{setup: s, hold: h, curve: curve}
+		return result{setup: s, curve: curve}
 	}
 	ref := run(1)
 	for _, w := range []int{4, 0} {
 		got := run(w)
 		if math.Float64bits(got.setup) != math.Float64bits(ref.setup) {
 			t.Fatalf("SetupTime differs between workers=1 (%v) and workers=%d (%v)", ref.setup, w, got.setup)
-		}
-		if math.Float64bits(got.hold) != math.Float64bits(ref.hold) {
-			t.Fatalf("HoldTime differs between workers=1 (%v) and workers=%d (%v)", ref.hold, w, got.hold)
 		}
 		if len(got.curve) != len(ref.curve) {
 			t.Fatalf("SetupVsHold length differs: %d vs %d at workers=%d", len(ref.curve), len(got.curve), w)

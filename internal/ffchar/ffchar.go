@@ -207,24 +207,6 @@ func (c Config) SetupTime() (units.Ps, error) {
 	return c.searchDown(ok, -20, 300, 0.5)
 }
 
-// HoldTime finds the minimum hold (at generous setup) meeting the pushout
-// criterion.
-func (c Config) HoldTime() (units.Ps, error) {
-	ref, err := c.ReferenceC2Q()
-	if err != nil {
-		return 0, err
-	}
-	limit := ref * (1 + c.Pushout)
-	ok := func(h float64) (bool, error) {
-		d, err := c.captureRise(300, h)
-		if err != nil {
-			return false, err
-		}
-		return !math.IsNaN(d) && d <= limit, nil
-	}
-	return c.searchDown(ok, -20, 500, 0.5)
-}
-
 // SetupVsHold traces the interdependency contour — Figure 10's right
 // panel: for each hold time, the minimum setup at which the flip-flop still
 // captures within the pushout limit. Shrinking hold forces larger setup.

@@ -122,9 +122,6 @@ func Run(p *place.Placement, lib *liberty.Library, cfg Config) *Analysis {
 	return an
 }
 
-// Droop returns a cell's supply droop, V.
-func (an *Analysis) Droop(c *netlist.Cell) units.Volt { return an.droop[c] }
-
 // DerateFn returns the per-cell delay factor for sta.Config.CellDerate:
 // the device-model slowdown of running at V − droop instead of V.
 func (an *Analysis) DerateFn() func(*netlist.Cell) float64 {

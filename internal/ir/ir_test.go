@@ -64,7 +64,7 @@ func TestDroopMidSpanWorst(t *testing.T) {
 		x := (float64(loc.Site) + float64(loc.Width)/2) * p.SiteWidth
 		span := DefaultConfig().StrapPitch
 		xs := x - span*float64(int(x/span))
-		d := an.Droop(c)
+		d := an.droop[c]
 		if xs < span*0.1 || xs > span*0.9 {
 			nearStrap = &d
 		}

@@ -152,27 +152,6 @@ func (c *Cell) InputCap(name string) units.FF {
 	return 0
 }
 
-// Output returns the name of the cell's output pin.
-func (c *Cell) OutputPin() string {
-	for i := range c.Pins {
-		if !c.Pins[i].Input {
-			return c.Pins[i].Name
-		}
-	}
-	return ""
-}
-
-// ArcsTo returns all arcs ending at the given output pin.
-func (c *Cell) ArcsTo(out string) []*TimingArc {
-	var arcs []*TimingArc
-	for i := range c.Arcs {
-		if c.Arcs[i].To == out {
-			arcs = append(arcs, &c.Arcs[i])
-		}
-	}
-	return arcs
-}
-
 // Arc returns the arc from→to, or nil.
 func (c *Cell) Arc(from, to string) *TimingArc {
 	for i := range c.Arcs {

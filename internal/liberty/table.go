@@ -107,21 +107,17 @@ func (t *Table2D) Map(f func(float64) float64) *Table2D {
 	return out
 }
 
-// Validate checks the structural invariants of the table: strictly
-// increasing axes and rectangular value storage.
+// Validate checks the structural invariants of the table: finite, strictly
+// increasing axes and rectangular storage of finite values.
 func (t *Table2D) Validate() error {
 	if len(t.RowAxis) == 0 || len(t.ColAxis) == 0 {
 		return fmt.Errorf("liberty: empty table axis")
 	}
-	for i := 1; i < len(t.RowAxis); i++ {
-		if t.RowAxis[i] <= t.RowAxis[i-1] {
-			return fmt.Errorf("liberty: row axis not increasing at %d", i)
-		}
+	if err := validateAxis("row", t.RowAxis); err != nil {
+		return err
 	}
-	for i := 1; i < len(t.ColAxis); i++ {
-		if t.ColAxis[i] <= t.ColAxis[i-1] {
-			return fmt.Errorf("liberty: col axis not increasing at %d", i)
-		}
+	if err := validateAxis("col", t.ColAxis); err != nil {
+		return err
 	}
 	if len(t.Values) != len(t.RowAxis) {
 		return fmt.Errorf("liberty: %d value rows for %d axis rows", len(t.Values), len(t.RowAxis))
@@ -134,6 +130,21 @@ func (t *Table2D) Validate() error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("liberty: non-finite value at (%d,%d)", i, j)
 			}
+		}
+	}
+	return nil
+}
+
+// validateAxis checks that every point of an axis is finite and greater
+// than the one before: a NaN compares false both ways, so the order test
+// alone would let it through.
+func validateAxis(name string, ax []float64) error {
+	for i, x := range ax {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("liberty: non-finite %s axis value at %d", name, i)
+		}
+		if i > 0 && x <= ax[i-1] {
+			return fmt.Errorf("liberty: %s axis not increasing at %d", name, i)
 		}
 	}
 	return nil

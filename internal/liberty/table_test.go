@@ -102,6 +102,22 @@ func TestTableValidate(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Error("empty table accepted")
 	}
+	// A NaN axis point compares false both ways, so it must be refused as
+	// non-finite: between two points, and as the only point of an axis.
+	for _, ax := range [][]float64{{1, math.NaN(), 3}, {math.NaN()}, {math.Inf(1)}} {
+		vals := make([][]float64, len(ax))
+		for i := range vals {
+			vals[i] = []float64{1}
+		}
+		tb := &Table2D{RowAxis: ax, ColAxis: []float64{1}, Values: vals}
+		if err := tb.Validate(); err == nil {
+			t.Errorf("row axis %v accepted", ax)
+		}
+		tb = &Table2D{RowAxis: []float64{1}, ColAxis: ax, Values: [][]float64{make([]float64, len(ax))}}
+		if err := tb.Validate(); err == nil {
+			t.Errorf("col axis %v accepted", ax)
+		}
+	}
 }
 
 // Property: lookup of a monotone table is monotone along both axes within

@@ -12,8 +12,8 @@ import (
 // arbitrary op script decoded from fuzz bytes. The contract under test:
 // no API sequence may panic (misuse answers with an error), Validate
 // never panics, a Clone of any reachable design validates identically
-// to its original, RemoveCell/CleanDanglingNets leave consistent
-// driver/load structure behind, and InsertBuffer → RemoveBuffer is an exact
+// to its original, RemoveCell leaves consistent driver/load structure
+// behind, and InsertBuffer → RemoveBuffer is an exact
 // round trip on whatever design the script reached.
 func FuzzDesignOps(f *testing.F) {
 	dir := filepath.Join("testdata", "corpus", "designops")
@@ -85,7 +85,8 @@ func FuzzDesignOps(f *testing.F) {
 					d.RemoveCell(c)
 				}
 			case 7:
-				d.CleanDanglingNets()
+				// Retired: the op it named is gone. A no-op keeps every
+				// committed corpus entry meaning the same for the other ops.
 			case 8:
 				if c := cell(arg); c != nil {
 					c.SetType(fmt.Sprintf("T%d", arg%4))

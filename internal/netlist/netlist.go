@@ -372,8 +372,7 @@ func (d *Design) RemoveBuffer(buf *Cell, loads []*Pin) {
 }
 
 // RemoveCell deletes a cell, disconnecting all of its pins. Nets are left in
-// place even if they become danglingly undriven; CleanDanglingNets removes
-// those.
+// place even if they become undriven.
 func (d *Design) RemoveCell(c *Cell) {
 	for _, p := range c.Pins {
 		d.Disconnect(p)
@@ -387,27 +386,6 @@ func (d *Design) RemoveCell(c *Cell) {
 		c.idx = -1
 	}
 	d.revision++
-}
-
-// CleanDanglingNets removes nets with no driver, no loads and no port.
-func (d *Design) CleanDanglingNets() int {
-	kept := d.Nets[:0]
-	removed := 0
-	for _, n := range d.Nets {
-		if n.Driver == nil && len(n.Loads) == 0 && n.Port == nil {
-			delete(d.netsByName, n.Name)
-			n.idx = -1
-			removed++
-			continue
-		}
-		n.idx = len(kept)
-		kept = append(kept, n)
-	}
-	d.Nets = kept
-	if removed > 0 {
-		d.revision++
-	}
-	return removed
 }
 
 // Stats summarizes a design's size.

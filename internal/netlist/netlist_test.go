@@ -209,25 +209,13 @@ func TestRemoveCellAndClean(t *testing.T) {
 	if len(mid.Loads) != 0 {
 		t.Error("removed cell still loads mid net")
 	}
-	// out net is now undriven but attached to a port, so it must survive.
-	removed := d.CleanDanglingNets()
-	if removed != 0 {
-		t.Errorf("CleanDanglingNets removed %d, want 0", removed)
-	}
-	// A truly dangling net goes away.
-	dangle, err := d.AddNet("dangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed := d.CleanDanglingNets(); removed != 1 {
-		t.Errorf("CleanDanglingNets removed %d, want 1", removed)
-	}
-	if d.Net("dangle") != nil {
-		t.Error("dangling net still resolvable")
+	// The out net is now undriven but stays, attached to its port.
+	if d.Net("out") == nil {
+		t.Error("undriven port net removed with its driver")
 	}
 	// What left the design has no position in it; what stayed is dense.
-	if inv2.Index() != -1 || dangle.Index() != -1 {
-		t.Errorf("removed cell and net have Index %d and %d, want -1", inv2.Index(), dangle.Index())
+	if inv2.Index() != -1 {
+		t.Errorf("removed cell has Index %d, want -1", inv2.Index())
 	}
 	checkStructure(t, d)
 }

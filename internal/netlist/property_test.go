@@ -76,7 +76,6 @@ func TestRandomEditSequencesPreserveInvariants(t *testing.T) {
 				}
 				if len(sinks) > 0 {
 					d.RemoveCell(sinks[rng.Intn(len(sinks))])
-					d.CleanDanglingNets()
 				}
 			}
 			if errs := d.Validate(); len(errs) != 0 {

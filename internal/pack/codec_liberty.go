@@ -292,14 +292,17 @@ func decodeTable(r *wire.Reader) (*liberty.Table2D, error) {
 		return nil, err
 	}
 	rows, cols := len(t.RowAxis), len(t.ColAxis)
-	// Lookup indexes the axes unconditionally, so an empty table is as
-	// hostile as a mis-sized one.
-	if rows == 0 || cols == 0 || len(flat) != rows*cols {
+	if len(flat) != rows*cols {
 		return nil, fmt.Errorf("pack: table %dx%d with %d values", rows, cols, len(flat))
 	}
 	t.Values = make([][]float64, rows)
 	for i := 0; i < rows; i++ {
 		t.Values[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	// A pack table passes the same check as a parsed one: Lookup indexes
+	// the axes unconditionally and trusts their order.
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("pack: %w", err)
 	}
 	return t, nil
 }

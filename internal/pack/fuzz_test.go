@@ -1,6 +1,7 @@
 package pack
 
 import (
+	"math"
 	"testing"
 
 	"newgame/internal/core"
@@ -76,6 +77,32 @@ func tinySnapshot(t testing.TB) *Snapshot {
 	}
 }
 
+// invalidTablePacks encodes tinySnapshot with its buffer's rise-delay table
+// replaced by one that liberty.Table2D.Validate refuses: one NaN value, or
+// one axis point out of order. Encode writes tables as raw slabs, so only
+// the decoder can refuse them.
+func invalidTablePacks(t testing.TB) (names []string, packs [][]byte) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		tbl  *liberty.Table2D
+	}{
+		{"NaN value", &liberty.Table2D{RowAxis: []float64{10, 20}, ColAxis: []float64{1, 2},
+			Values: [][]float64{{12, 13}, {math.NaN(), 15}}}},
+		{"axis out of order", &liberty.Table2D{RowAxis: []float64{10, 30, 20}, ColAxis: []float64{1, 2},
+			Values: [][]float64{{12, 13}, {14, 15}, {16, 17}}}},
+	} {
+		snap := tinySnapshot(t)
+		snap.Recipe.Scenarios[0].Lib.Cell("BUF_X1_SVT").Arcs[0].DelayRise = c.tbl
+		b, err := Encode(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, packs = append(names, c.name), append(packs, b)
+	}
+	return names, packs
+}
+
 // FuzzPackDecode feeds hostile bytes to the full decode stack. The contract
 // under attack: never panic, never over-allocate (wire.Reader caps every
 // count by remaining bytes), and anything that decodes must re-encode.
@@ -94,6 +121,10 @@ func FuzzPackDecode(f *testing.F) {
 		f.Add(tiny[:len(tiny)/2])
 	}
 	f.Add([]byte("NGTP"))
+	_, invalid := invalidTablePacks(f)
+	for _, b := range invalid {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {

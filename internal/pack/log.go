@@ -53,8 +53,7 @@ type EpochRecord struct {
 // u32 CRC-32 of the payload, then the payload (epoch i64, op count u32,
 // ops as length-prefixed strings).
 type Log struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // OpenLog opens (creating if needed) the epoch log at path for appending.
@@ -92,7 +91,7 @@ func OpenLog(path string) (*Log, error) {
 			return nil, err
 		}
 	}
-	return &Log{f: f, path: path}, nil
+	return &Log{f: f}, nil
 }
 
 func checkLogHeader(hdr []byte) error {
@@ -118,9 +117,6 @@ func (l *Log) Append(rec EpochRecord) error {
 	}
 	return l.f.Sync()
 }
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // Close closes the underlying file.
 func (l *Log) Close() error { return l.f.Close() }

@@ -203,6 +203,16 @@ func TestDecodeBitFlips(t *testing.T) {
 	}
 }
 
+// A pack's library tables pass the check a parsed table passes.
+func TestDecodeRejectsInvalidTables(t *testing.T) {
+	names, packs := invalidTablePacks(t)
+	for i, b := range packs {
+		if _, err := Decode(b); err == nil {
+			t.Errorf("%s: decoded without error", names[i])
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

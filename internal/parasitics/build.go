@@ -51,16 +51,6 @@ func Trunk(st *Stack, trunkLayer, tapLayer int, trunkLen, tapLen units.Um, nSink
 	return t
 }
 
-// Star builds a star net: every sink gets its own spoke from the root.
-func Star(st *Stack, layer int, spokeLen units.Um, nSinks int, ccFrac float64) *Tree {
-	t := NewTree()
-	for i := 0; i < nSinks; i++ {
-		end := addWire(t, 0, st, layer, spokeLen, ccFrac)
-		t.MarkSink(end)
-	}
-	return t
-}
-
 // NetGen deterministically synthesizes net parasitics for a design when no
 // placement-driven extraction exists: wire length grows with fanout
 // (Rent-style), layers are assigned short-net-low / long-net-high.

@@ -1,11 +1,6 @@
 package parasitics
 
-import (
-	"math"
-	"math/rand"
-
-	"newgame/internal/units"
-)
+import "math"
 
 // PatterningKind is how a wire segment's two line edges are defined in
 // spacer-is-dielectric (SID) self-aligned double patterning — the four
@@ -79,32 +74,13 @@ func RCImpact(cdSigmaNm, nominalCDNm float64) (rSigmaRel, cSigmaRel float64) {
 	return rel, 0.55 * rel
 }
 
-// LineEndExtension models the cut-mask restriction impact of paper Fig 5(b):
-// rectangular cut shapes force line-end extensions and floating fill wires,
-// adding unpredictable grounded and coupling capacitance to a net. The
-// returned extra caps (fF) are per line-end, for a layer with the given
-// per-micron caps.
-func LineEndExtension(l Layer, extensionUm units.Um) (groundFF, couplingFF units.FF) {
-	return l.CPerUm * extensionUm, l.CcPerUm * extensionUm * 1.6
-}
-
 // BimodalCD models LELE double-patterning CD populations (paper refs [9],
 // [14]): mask-A and mask-B wires form two CD populations offset by ±shift
-// around the target, each with its own sigma. Sample draws a CD (nm) for a
-// wire on the given mask.
+// around the target, each with its own sigma.
 type BimodalCD struct {
 	TargetNm float64
 	ShiftNm  float64 // mask A at +shift, mask B at −shift
 	SigmaNm  float64
-}
-
-// Sample draws one CD for a wire on mask (0 = A, 1 = B).
-func (b BimodalCD) Sample(rng *rand.Rand, mask int) float64 {
-	mean := b.TargetNm + b.ShiftNm
-	if mask == 1 {
-		mean = b.TargetNm - b.ShiftNm
-	}
-	return mean + rng.NormFloat64()*b.SigmaNm
 }
 
 // PopulationSigma returns the standard deviation of the merged two-mask CD

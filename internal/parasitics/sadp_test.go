@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"newgame/internal/units"
 )
 
 func TestSADPSigmaFormulas(t *testing.T) {
@@ -55,48 +57,19 @@ func TestRCImpact(t *testing.T) {
 	}
 }
 
-func TestLineEndExtension(t *testing.T) {
-	l := Stack16().Layers[1]
-	g, cc := LineEndExtension(l, 0.04)
-	if g <= 0 || cc <= 0 {
-		t.Fatalf("extension caps = %v, %v", g, cc)
-	}
-	// Line ends couple more than they ground (facing a neighbor line end).
-	if cc <= g*l.CcPerUm/l.CPerUm {
-		t.Errorf("coupling boost missing: cc=%v g=%v", cc, g)
-	}
-}
-
 func TestBimodalCD(t *testing.T) {
 	b := BimodalCD{TargetNm: 32, ShiftNm: 1.2, SigmaNm: 0.8}
 	rng := rand.New(rand.NewSource(42))
 	n := 20000
-	var sumA, sumB float64
 	all := make([]float64, 0, 2*n)
 	for i := 0; i < n; i++ {
-		a := b.Sample(rng, 0)
-		c := b.Sample(rng, 1)
-		sumA += a
-		sumB += c
-		all = append(all, a, c)
-	}
-	meanA, meanB := sumA/float64(n), sumB/float64(n)
-	if math.Abs(meanA-33.2) > 0.05 || math.Abs(meanB-30.8) > 0.05 {
-		t.Errorf("mask means = %v, %v; want ≈33.2, ≈30.8", meanA, meanB)
+		all = append(all,
+			b.TargetNm+b.ShiftNm+rng.NormFloat64()*b.SigmaNm,
+			b.TargetNm-b.ShiftNm+rng.NormFloat64()*b.SigmaNm)
 	}
 	// Merged population sigma matches the analytic √(σ²+Δ²).
-	var m, s2 float64
-	for _, x := range all {
-		m += x
-	}
-	m /= float64(len(all))
-	for _, x := range all {
-		s2 += (x - m) * (x - m)
-	}
-	s2 /= float64(len(all))
-	want := b.PopulationSigma()
-	if math.Abs(math.Sqrt(s2)-want) > 0.03 {
-		t.Errorf("merged σ = %v, want %v", math.Sqrt(s2), want)
+	if got, want := units.Stddev(all), b.PopulationSigma(); math.Abs(got-want) > 0.03 {
+		t.Errorf("merged σ = %v, want %v", got, want)
 	}
 }
 
@@ -118,7 +91,7 @@ func TestNetGenTopologies(t *testing.T) {
 		if len(tr.Sinks) != fo {
 			t.Fatalf("fanout %d: %d sinks", fo, len(tr.Sinks))
 		}
-		if tr.TotalCap(nil) <= 0 {
+		if tr.TotalCapM(nil, MillerFactor) <= 0 {
 			t.Fatalf("fanout %d: non-positive cap", fo)
 		}
 	}
@@ -133,17 +106,6 @@ func TestBuilders(t *testing.T) {
 	p2p := PointToPoint(st, 2, 100, 0.4)
 	if len(p2p.Sinks) != 1 || p2p.Validate() != nil {
 		t.Error("PointToPoint malformed")
-	}
-	star := Star(st, 1, 20, 5, 0.4)
-	if len(star.Sinks) != 5 || star.Validate() != nil {
-		t.Error("Star malformed")
-	}
-	// Star sinks are symmetric: identical Elmore.
-	d := star.Elmore(nil)
-	for i := 1; i < len(d); i++ {
-		if math.Abs(d[i]-d[0]) > 1e-9 {
-			t.Errorf("star sink %d delay %v != %v", i, d[i], d[0])
-		}
 	}
 	tr := Trunk(st, 2, 0, 120, 2, 6, 0.4)
 	if len(tr.Sinks) != 6 || tr.Validate() != nil {

@@ -186,24 +186,18 @@ func (s *Stack) SampleScaling(rng *rand.Rand) *Scaling {
 	return sc
 }
 
-// CornerCount returns the number of BEOL extraction corners signoff must
-// cover given the stack's multi-patterned layer count: the base corner set
-// plus the per-MP-layer C/Cc axes (paper §2.3's "combinatorial explosion").
-func (s *Stack) CornerCount() int {
-	mp := 0
+// MaskShiftCombos returns the number of mask-shift combinations BEOL
+// signoff must cover on top of the corner set: each multi-patterned layer
+// doubles the C-corner choices (mask A/B shift direction) — paper §2.3's
+// "combinatorial explosion".
+func (s *Stack) MaskShiftCombos() int {
+	n := 1
 	for _, l := range s.Layers {
 		if l.MultiPatterned {
-			mp++
+			n *= 2
 		}
 	}
-	// typ + 6 CBCs, then each multi-patterned layer doubles the C-corner
-	// choices (mask A/B shift direction).
-	base := 1 + len(AllCorners)
-	mult := 1
-	for i := 0; i < mp; i++ {
-		mult *= 2
-	}
-	return base * mult
+	return n
 }
 
 // Layer returns the index of the named layer, or an error.
@@ -221,26 +215,4 @@ func (s *Stack) LayerIndex(name string) (int, error) {
 func (s *Stack) WireRC(layer int, length units.Um) (units.KOhm, units.FF) {
 	l := s.Layers[layer]
 	return l.RPerUm * length, l.CPerUm * length
-}
-
-// FillModel represents metal-fill capacitance impact (paper §4 Comment 2:
-// "oncoming worries include metal fill effects"). Fill raises ground and
-// coupling cap on signal wires by a density-dependent factor, except inside
-// exclude windows (e.g. around clock routes).
-type FillModel struct {
-	// DensityTarget is the required metal density (0..1).
-	DensityTarget float64
-	// ExcludeFactor discounts the fill impact for nets granted an exclude
-	// window (0 = fully shielded from fill, 1 = full impact).
-	ExcludeFactor float64
-}
-
-// CapFactor returns the multiplicative ground-cap impact of fill on a net,
-// with excluded nets (clock routes) seeing the discounted factor.
-func (f FillModel) CapFactor(excluded bool) float64 {
-	impact := 1 + 0.18*f.DensityTarget
-	if excluded {
-		return 1 + (impact-1)*f.ExcludeFactor
-	}
-	return impact
 }

@@ -44,7 +44,7 @@ func TestCornerDirections(t *testing.T) {
 	st := Stack16()
 	wire := PointToPoint(st, 2, 200, 0.4)
 	typElm := wire.Elmore(st.Corner(Typical, 3))[0]
-	typCap := wire.TotalCap(st.Corner(Typical, 3))
+	typCap := wire.TotalCapM(st.Corner(Typical, 3), MillerFactor)
 	// RC-worst/best bound the wire's own delay.
 	if d := wire.Elmore(st.Corner(RCWorst, 3))[0]; d <= typElm {
 		t.Errorf("RCw Elmore %v not slower than typ %v", d, typElm)
@@ -56,12 +56,12 @@ func TestCornerDirections(t *testing.T) {
 	// *wider* wire, whose lower R can make the wire's own Elmore faster —
 	// the anti-correlation behind Figure 8's per-path corner dominance.
 	for _, k := range []CornerKind{CWorst, CcWorst} {
-		if c := wire.TotalCap(st.Corner(k, 3)); c <= typCap {
+		if c := wire.TotalCapM(st.Corner(k, 3), MillerFactor); c <= typCap {
 			t.Errorf("%v TotalCap %v not larger than typ %v", k, c, typCap)
 		}
 	}
 	for _, k := range []CornerKind{CBest, CcBest} {
-		if c := wire.TotalCap(st.Corner(k, 3)); c >= typCap {
+		if c := wire.TotalCapM(st.Corner(k, 3), MillerFactor); c >= typCap {
 			t.Errorf("%v TotalCap %v not smaller than typ %v", k, c, typCap)
 		}
 	}
@@ -78,8 +78,8 @@ func TestRCWorstDominatesForResistiveNets(t *testing.T) {
 		t.Errorf("long wire: RCw (%v) should exceed Cw (%v)", dRCw, dCw)
 	}
 	// Total cap, the part a gate-dominated path cares about, is worst at Cw.
-	cCw := long.TotalCap(st.Corner(CWorst, 3))
-	cRCw := long.TotalCap(st.Corner(RCWorst, 3))
+	cCw := long.TotalCapM(st.Corner(CWorst, 3), MillerFactor)
+	cRCw := long.TotalCapM(st.Corner(RCWorst, 3), MillerFactor)
 	if cCw <= cRCw {
 		t.Errorf("Cw total cap (%v) should exceed RCw (%v)", cCw, cRCw)
 	}
@@ -129,25 +129,13 @@ func TestSampleScalingStatistics(t *testing.T) {
 }
 
 func TestCornerCountExplosion(t *testing.T) {
-	c16 := Stack16().CornerCount()
-	c65 := Stack65().CornerCount()
+	corners := func(st *Stack) int { return (1 + len(AllCorners)) * st.MaskShiftCombos() }
+	c16, c65 := corners(Stack16()), corners(Stack65())
 	if c65 != 7 { // typ + 6, no multi-patterned layers
 		t.Errorf("65nm corner count = %d, want 7", c65)
 	}
 	if c16 <= 4*c65 {
 		t.Errorf("16nm corner count (%d) should explode vs 65nm (%d)", c16, c65)
-	}
-}
-
-func TestFillModel(t *testing.T) {
-	f := FillModel{DensityTarget: 0.5, ExcludeFactor: 0.25}
-	full := f.CapFactor(false)
-	shielded := f.CapFactor(true)
-	if full <= 1 {
-		t.Errorf("fill must increase cap: %v", full)
-	}
-	if !(shielded > 1 && shielded < full) {
-		t.Errorf("excluded net factor %v should be between 1 and %v", shielded, full)
 	}
 }
 

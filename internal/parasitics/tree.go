@@ -1,8 +1,7 @@
 // Package parasitics models interconnect: RC trees with per-layer segment
-// tagging, moment-based delay and slew metrics (Elmore, D2M), O'Brien–
-// Savarino pi-model driver loads, a BEOL metal stack with conventional and
-// tightened corners, and the SADP/SAQP CD-variation statistics of the
-// paper's Figure 5.
+// tagging, moment-based delay and slew metrics (Elmore, D2M), a BEOL metal
+// stack with conventional and tightened corners, and the SADP/SAQP
+// CD-variation statistics of the paper's Figure 5.
 package parasitics
 
 import (
@@ -109,16 +108,6 @@ func (t *Tree) nodeCap(i int, s *Scaling, miller float64) float64 {
 	return t.C[i]*s.cAt(l) + t.Cc[i]*s.ccAt(l)*miller
 }
 
-// TotalCap returns the total capacitance seen by the driver under scaling —
-// the lumped load for max-cap DRC checks and first-order delay.
-func (t *Tree) TotalCap(s *Scaling) units.FF {
-	sum := 0.0
-	for i := 0; i < t.N(); i++ {
-		sum += t.nodeCap(i, s, MillerFactor)
-	}
-	return sum
-}
-
 // Elmore returns the Elmore delay (ps) from root to every sink, in sink
 // order.
 func (t *Tree) Elmore(s *Scaling) []units.Ps {
@@ -134,7 +123,9 @@ func (t *Tree) ElmoreM(s *Scaling, miller float64) []units.Ps {
 	return sc.atSinks(nil, sc.m1)
 }
 
-// TotalCapM is TotalCap with an explicit Miller factor.
+// TotalCapM returns the total capacitance seen by the driver under scaling,
+// coupling counted with the given Miller factor — the lumped load for
+// max-cap DRC checks and first-order delay.
 func (t *Tree) TotalCapM(s *Scaling, miller float64) units.FF {
 	sum := 0.0
 	for i := 0; i < t.N(); i++ {
@@ -195,70 +186,6 @@ func WireSlew(m1, m2 float64) units.Ps {
 		v = 0
 	}
 	return 2.2 * math.Sqrt(v)
-}
-
-// PiModel is the O'Brien–Savarino reduced driver load: C1 at the driver, R
-// to C2. Delay calculators use Ceff ≈ C1 + C2 weighting; the generator-based
-// NLDM lookup in this repository uses CEff directly.
-type PiModel struct {
-	C1, C2 units.FF
-	R      units.KOhm
-}
-
-// DriverPi reduces the tree (under scaling) to an O'Brien–Savarino pi model
-// by matching the first three admittance moments at the root.
-func (t *Tree) DriverPi(s *Scaling) PiModel {
-	y1, y2, y3 := t.admittanceMoments(s)
-	if y2 == 0 || y3 == 0 {
-		return PiModel{C1: y1}
-	}
-	c2 := y2 * y2 / y3
-	r := -y3 * y3 / (y2 * y2 * y2)
-	c1 := y1 - c2
-	if c1 < 0 {
-		c1 = 0
-	}
-	if r < 0 {
-		r = 0
-	}
-	return PiModel{C1: c1, C2: c2, R: r}
-}
-
-// CEff returns a first-order effective capacitance for the pi model: the
-// near cap plus the far cap derated by how much the interconnect resistance
-// shields it from a driver with the given output resistance.
-func (p PiModel) CEff(driverR units.KOhm) units.FF {
-	if p.R <= 0 || driverR <= 0 {
-		return p.C1 + p.C2
-	}
-	shield := driverR / (driverR + p.R)
-	return p.C1 + p.C2*shield
-}
-
-// admittanceMoments returns (y1, y2, y3) of the driving-point admittance
-// Y(s) ≈ y1·s + y2·s² + y3·s³ at the root, via the standard recursive
-// subtree reduction.
-func (t *Tree) admittanceMoments(s *Scaling) (float64, float64, float64) {
-	n := t.N()
-	var sc Scratch
-	sc.bind(t, nil, s)
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	y3 := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		a1 := t.nodeCap(i, s, MillerFactor)
-		a2, a3 := 0.0, 0.0
-		for ch := sc.head[i]; ch >= 0; ch = sc.next[ch] {
-			r := t.R[ch] * s.rAt(t.Layer[ch])
-			// Propagate child admittance through series R.
-			b1, b2, b3 := y1[ch], y2[ch], y3[ch]
-			a1 += b1
-			a2 += b2 - r*b1*b1
-			a3 += b3 - 2*r*b1*b2 + r*r*b1*b1*b1
-		}
-		y1[i], y2[i], y3[i] = a1, a2, a3
-	}
-	return y1[0], y2[0], y3[0]
 }
 
 // Validate checks structural invariants.

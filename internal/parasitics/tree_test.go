@@ -55,11 +55,11 @@ func TestElmoreBranching(t *testing.T) {
 
 func TestTotalCapAndScaling(t *testing.T) {
 	tr := ladder(1, 3, 1, 7)
-	if got := tr.TotalCap(nil); math.Abs(got-10) > 1e-9 {
+	if got := tr.TotalCapM(nil, MillerFactor); math.Abs(got-10) > 1e-9 {
 		t.Errorf("TotalCap = %v, want 10", got)
 	}
 	s := Uniform(1, 2, 3, 1) // layer 0: R×2, C×3
-	if got := tr.TotalCap(s); math.Abs(got-30) > 1e-9 {
+	if got := tr.TotalCapM(s, MillerFactor); math.Abs(got-30) > 1e-9 {
 		t.Errorf("scaled TotalCap = %v, want 30", got)
 	}
 	// Elmore scales as R×C: factor 6.
@@ -74,12 +74,12 @@ func TestCouplingCapCountsWithMiller(t *testing.T) {
 	tr := NewTree()
 	n := tr.AddNode(0, 1, 2, 3, 0) // 2 fF ground + 3 fF coupling
 	tr.MarkSink(n)
-	if got := tr.TotalCap(nil); math.Abs(got-5) > 1e-9 {
+	if got := tr.TotalCapM(nil, MillerFactor); math.Abs(got-5) > 1e-9 {
 		t.Errorf("TotalCap with coupling = %v, want 5 (Miller=1)", got)
 	}
 	// Cc-only scaling changes delay.
 	s := Uniform(1, 1, 1, 2)
-	if got := tr.TotalCap(s); math.Abs(got-8) > 1e-9 {
+	if got := tr.TotalCapM(s, MillerFactor); math.Abs(got-8) > 1e-9 {
 		t.Errorf("Cc-scaled TotalCap = %v, want 8", got)
 	}
 }
@@ -119,47 +119,6 @@ func TestSlewDegradationGrowsWithLength(t *testing.T) {
 	}
 	if !(mk(4) < mk(8) && mk(8) < mk(16)) {
 		t.Errorf("slew degradation not increasing with length: %v %v %v", mk(4), mk(8), mk(16))
-	}
-}
-
-func TestDriverPiMatchesTotalCap(t *testing.T) {
-	tr := NewTree()
-	at := 0
-	for i := 0; i < 8; i++ {
-		at = tr.AddNode(at, 0.4, 1.5, 0.3, 0)
-	}
-	tr.MarkSink(at)
-	pi := tr.DriverPi(nil)
-	if pi.C1 < 0 || pi.C2 < 0 || pi.R < 0 {
-		t.Fatalf("negative pi element: %+v", pi)
-	}
-	total := tr.TotalCap(nil)
-	if math.Abs(pi.C1+pi.C2-total) > 1e-6 {
-		t.Errorf("pi C1+C2 = %v, want total cap %v", pi.C1+pi.C2, total)
-	}
-	// Shielding: Ceff with a strong driver is close to total; with a weak
-	// driver it must shrink but never below C1.
-	strong := pi.CEff(1e6)
-	weak := pi.CEff(0.01)
-	if math.Abs(strong-total) > 0.01*total {
-		t.Errorf("strong-driver Ceff = %v, want ≈ %v", strong, total)
-	}
-	if weak >= strong || weak < pi.C1 {
-		t.Errorf("weak-driver Ceff = %v, want in [C1=%v, %v)", weak, pi.C1, strong)
-	}
-}
-
-func TestPiModelLumpedCapNet(t *testing.T) {
-	// A net with zero R must reduce to pure C1 (no shielding possible).
-	tr := NewTree()
-	n := tr.AddNode(0, 0, 5, 0, 0)
-	tr.MarkSink(n)
-	pi := tr.DriverPi(nil)
-	if math.Abs(pi.C1+pi.C2-5) > 1e-9 {
-		t.Errorf("lumped pi total = %v, want 5", pi.C1+pi.C2)
-	}
-	if got := pi.CEff(1.0); math.Abs(got-5) > 1e-6 {
-		t.Errorf("lumped Ceff = %v, want 5", got)
 	}
 }
 
@@ -225,7 +184,7 @@ func TestSinkCapsLoadTheNet(t *testing.T) {
 		t.Errorf("corner-scaled cap = %v, want 25 (pin cap unscaled)", got)
 	}
 	// The tree itself is untouched.
-	if got := tr.TotalCap(nil); math.Abs(got-10) > 1e-9 || tr.N() != 3 {
+	if got := tr.TotalCapM(nil, MillerFactor); math.Abs(got-10) > 1e-9 || tr.N() != 3 {
 		t.Errorf("tree mutated: cap %v, %d nodes", got, tr.N())
 	}
 }

@@ -101,28 +101,6 @@ func (p *Placement) VtOf(c *netlist.Cell) liberty.VtClass {
 	return p.Lib.Cell(c.TypeName).Vt
 }
 
-// Neighbors returns the cells immediately left and right of c in its row
-// (nil at row ends).
-func (p *Placement) Neighbors(c *netlist.Cell) (left, right *netlist.Cell) {
-	l := p.loc[c]
-	if l == nil {
-		return nil, nil
-	}
-	row := p.rows[l.Row]
-	for i, cc := range row {
-		if cc == c {
-			if i > 0 {
-				left = row[i-1]
-			}
-			if i < len(row)-1 {
-				right = row[i+1]
-			}
-			return left, right
-		}
-	}
-	return nil, nil
-}
-
 // MinIARule is the implant minimum-width constraint.
 type MinIARule struct {
 	// MinWidthSites is the minimum same-Vt island width, in sites.

@@ -51,27 +51,6 @@ func TestPlacementLegal(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	l := lib()
-	d := mixedDesign(l, 2)
-	p, err := New(d, l, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := p.RowCells(0)
-	if len(row) < 3 {
-		t.Skip("row too short")
-	}
-	lft, rgt := p.Neighbors(row[1])
-	if lft != row[0] || rgt != row[2] {
-		t.Error("middle-cell neighbors wrong")
-	}
-	lft, _ = p.Neighbors(row[0])
-	if lft != nil {
-		t.Error("row-start cell has a left neighbor")
-	}
-}
-
 func TestMinIAViolationsExistWithMixedVt(t *testing.T) {
 	l := lib()
 	d := mixedDesign(l, 3)

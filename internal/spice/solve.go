@@ -113,20 +113,6 @@ func (r *Result) Cross(node string, level float64, rising bool, after float64) f
 	return math.NaN()
 }
 
-// Slew returns the 10–90% transition time of the node's edge that crosses
-// 50% of vdd after 'after' in the given direction, or NaN.
-func (r *Result) Slew(node string, vdd float64, rising bool, after float64) float64 {
-	var t10, t90 float64
-	if rising {
-		t10 = r.Cross(node, 0.1*vdd, true, after)
-		t90 = r.Cross(node, 0.9*vdd, true, after)
-		return t90 - t10
-	}
-	t90 = r.Cross(node, 0.9*vdd, false, after)
-	t10 = r.Cross(node, 0.1*vdd, false, after)
-	return t10 - t90
-}
-
 // Final returns the node voltage at the end of the run.
 func (r *Result) Final(node string) float64 {
 	if len(r.Times) == 0 {

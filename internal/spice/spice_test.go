@@ -60,13 +60,6 @@ func TestPWLWaveform(t *testing.T) {
 	if got := p.At(21); got != 1 {
 		t.Errorf("Pulse top = %v", got)
 	}
-	ck := Clock(1, 100, 200, 5, 3)
-	if got := ck.At(50); got != 0 {
-		t.Errorf("Clock before first rise = %v", got)
-	}
-	if got := ck.At(150); got != 1 {
-		t.Errorf("Clock high phase = %v", got)
-	}
 }
 
 func TestInverterStatics(t *testing.T) {
@@ -112,10 +105,6 @@ func TestInverterSwitchingDelay(t *testing.T) {
 	d := tout - tin
 	if d <= 0 || d > 100 {
 		t.Errorf("FO4-class inverter delay = %v ps, want small positive", d)
-	}
-	slew := res.Slew("out", Tech28.VDD, false, 90)
-	if math.IsNaN(slew) || slew <= 0 || slew > 200 {
-		t.Errorf("output slew = %v ps", slew)
 	}
 }
 
@@ -189,7 +178,7 @@ func TestDFFCapturesOnRisingEdge(t *testing.T) {
 	// D goes high well before the clock edge at t=400; Q must be high
 	// shortly after the edge and not before.
 	b.C.V("d", Ground, Ramp(0, vdd, 200, 30))
-	b.C.V("ck", Ground, Clock(vdd, 400, 600, 20, 2))
+	b.C.V("ck", Ground, Pulse(0, vdd, 400, 280, 20))
 	b.DFF("d", "ck", "q", CellOpts{})
 	res, err := b.C.Transient(TranOpts{Stop: 900, Step: 0.5})
 	if err != nil {
@@ -213,7 +202,7 @@ func TestDFFIgnoresLateData(t *testing.T) {
 	b := NewBuilder(Tech65)
 	// D rises long after the edge: Q must stay low through the cycle.
 	b.C.V("d", Ground, Ramp(0, vdd, 550, 30))
-	b.C.V("ck", Ground, Clock(vdd, 400, 1200, 20, 1))
+	b.C.V("ck", Ground, Pulse(0, vdd, 400, 580, 20))
 	b.DFF("d", "ck", "q", CellOpts{})
 	res, err := b.C.Transient(TranOpts{Stop: 950, Step: 0.5})
 	if err != nil {
@@ -314,77 +303,5 @@ func TestTrapezoidalConvergenceOrder(t *testing.T) {
 	ratio := e1 / e2
 	if ratio < 2.5 {
 		t.Errorf("error ratio for step halving = %v, want ≈4 (second order)", ratio)
-	}
-}
-
-func TestNOR2Truth(t *testing.T) {
-	vdd := Tech28.VDD
-	cases := []struct{ a, b, want float64 }{
-		{0, 0, vdd}, {0, vdd, 0}, {vdd, 0, 0}, {vdd, vdd, 0},
-	}
-	for _, cse := range cases {
-		b := NewBuilder(Tech28)
-		b.C.V("a", Ground, DC(cse.a))
-		b.C.V("b", Ground, DC(cse.b))
-		b.NOR2("a", "b", "out", CellOpts{})
-		res, err := b.C.Transient(TranOpts{Stop: 300, Step: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Final("out"); math.Abs(got-cse.want) > 0.05 {
-			t.Errorf("NOR(%v,%v) = %v, want %v", cse.a, cse.b, got, cse.want)
-		}
-	}
-}
-
-func TestNORMISMirrorsNAND(t *testing.T) {
-	// NOR under MIS mirrors NAND: simultaneous *rising* inputs speed the
-	// fall (parallel NMOS); simultaneous *falling* inputs starve the
-	// series PMOS and slow the rise.
-	vdd := Tech28.VDD
-	arc := func(rising bool, off float64) float64 {
-		b := NewBuilder(Tech28)
-		const tEdge = 150.0
-		var inW, in1W Waveform
-		if rising {
-			inW = Ramp(0, vdd, tEdge, 30)
-		} else {
-			inW = Ramp(vdd, 0, tEdge, 30)
-		}
-		if math.IsInf(off, 1) {
-			in1W = DC(0) // SIS: other input low (NOR sensitized)
-		} else if rising {
-			in1W = Ramp(0, vdd, tEdge+off, 30)
-		} else {
-			in1W = Ramp(vdd, 0, tEdge+off, 30)
-		}
-		b.NOR2("in", "in1", "out", CellOpts{})
-		b.C.V("in", Ground, inW)
-		b.C.V("in1", Ground, in1W)
-		b.FanoutLoad("out", 3)
-		res, err := b.C.Transient(TranOpts{Stop: tEdge + 250, Step: 0.2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		half := vdd / 2
-		tin := res.Cross("in", half, rising, tEdge-1)
-		tout := res.Cross("out", half, !rising, tEdge-1)
-		if math.IsNaN(tin) || math.IsNaN(tout) {
-			return math.NaN()
-		}
-		return tout - tin
-	}
-	inf := math.Inf(1)
-	// Rising inputs: MIS fall faster than SIS fall.
-	sisFall := arc(true, inf)
-	misFall := arc(true, 0)
-	if !(misFall > 0) || misFall >= sisFall {
-		t.Errorf("NOR rising-input MIS fall %v should beat SIS %v", misFall, sisFall)
-	}
-	// Falling inputs: MIS rise slower than SIS rise.
-	sisRise := arc(false, inf)
-	misRise := arc(false, 0)
-	if misRise <= sisRise {
-		t.Errorf("NOR falling-input MIS rise %v should exceed SIS %v", misRise, sisRise)
 	}
 }

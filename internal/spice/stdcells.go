@@ -93,9 +93,6 @@ func NewBuilder(t Tech) *Builder {
 	return b
 }
 
-// VDD returns the rail node name.
-func (b *Builder) VDD() string { return b.vdd }
-
 func (b *Builder) fresh(prefix string) string {
 	b.seq++
 	return fmt.Sprintf("%s_%d", prefix, b.seq)
@@ -134,29 +131,6 @@ func (b *Builder) NAND2(a, bb, out string, o CellOpts) {
 	// Miller coupling input→output (both inputs drive PMOS at the output).
 	b.C.C(a, out, t.CgPerW*(o.WN+o.WP)*0.15)
 	b.C.C(bb, out, t.CgPerW*o.WP*0.12)
-}
-
-// NOR2 adds a two-input NOR: inputs a (outer PMOS, nearer VDD) and bb
-// (inner PMOS, nearer the output), output out. The series PMOS stack
-// mirrors NAND2's NMOS stack: rising inputs see a parallel-NMOS speed-up
-// under multi-input switching, falling inputs a series-PMOS slow-down —
-// the complementary MIS case to Figure 4's NAND study.
-func (b *Builder) NOR2(a, bb, out string, o CellOpts) {
-	o = o.fill()
-	t := b.T
-	mid := b.fresh("nor_mid")
-	// Series PMOS stack, widened to compensate stacking.
-	b.C.M(mid, a, b.vdd, t.pmos(o.WP*2, o.DVtP))
-	b.C.M(out, bb, mid, t.pmos(o.WP*2, o.DVtP))
-	// Parallel NMOS.
-	b.C.M(out, a, Ground, t.nmos(o.WN, o.DVtN))
-	b.C.M(out, bb, Ground, t.nmos(o.WN, o.DVtN))
-	b.C.C(a, Ground, t.CgPerW*(o.WN+o.WP*2)*0.5)
-	b.C.C(bb, Ground, t.CgPerW*(o.WN+o.WP*2)*0.5)
-	b.C.C(mid, Ground, t.CdPerW*o.WP*2*0.7)
-	b.C.C(out, Ground, t.CdPerW*(o.WP*2+2*o.WN)*0.5)
-	b.C.C(a, out, t.CgPerW*(o.WN+o.WP)*0.15)
-	b.C.C(bb, out, t.CgPerW*o.WN*0.12)
 }
 
 // TGate adds a transmission gate between x and y controlled by clk (NMOS

@@ -73,18 +73,3 @@ func Pulse(v0, v1, start, width, trans float64) PWL {
 		V: []float64{v0, v1, v1, v0},
 	}
 }
-
-// Clock builds nCycles of a clock with the given period, 50% duty cycle and
-// edge time, starting low with the first rise at firstRise.
-func Clock(v1, firstRise, period, trans float64, nCycles int) PWL {
-	var ts, vs []float64
-	ts = append(ts, 0)
-	vs = append(vs, 0)
-	t := firstRise
-	for i := 0; i < nCycles; i++ {
-		ts = append(ts, t, t+trans, t+period/2, t+period/2+trans)
-		vs = append(vs, 0, v1, v1, 0)
-		t += period
-	}
-	return PWL{T: ts, V: vs}
-}

@@ -90,19 +90,6 @@ func (a *Analyzer) resetForward(i int) {
 	}
 }
 
-// resetRequired clears vertex i's required-side state and endpoint seeds.
-func (a *Analyzer) resetRequired(i int) {
-	k := ix4(i, 0, 0)
-	for p := k; p < k+4; p++ {
-		a.rValid[p] = false
-		a.fReq[p] = 0
-	}
-	a.seedReq[ix2(i, rise)] = 0
-	a.seedReq[ix2(i, fall)] = 0
-	a.seedValid[ix2(i, rise)] = false
-	a.seedValid[ix2(i, fall)] = false
-}
-
 // buildNets brings the parasitics table up to date with the design — the
 // only step here that may synthesize a tree, so it runs serially and in net
 // order — then refreshes per-net delay-calculation results on the entries

@@ -145,13 +145,9 @@ type SaveReport struct {
 	Bytes int    `json:"bytes"`
 }
 
-// The spine's envelope and flight-recorder views, under the names this
-// package's clients have always used.
-type (
-	TraceReport         = serve.TraceReport
-	DebugRequestsReport = serve.DebugRequestsReport
-	DebugSlowReport     = serve.DebugSlowReport
-)
+// TraceReport is the spine's trace envelope, under the name this package's
+// clients have always used.
+type TraceReport = serve.TraceReport
 
 // DebugEpochsReport answers GET /debug/epochs: the last commits with
 // their per-phase durations, newest first.

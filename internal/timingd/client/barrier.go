@@ -33,11 +33,3 @@ func (c *Client) AbortTxn(ctx context.Context, txn string) (timingd.TxnResponse,
 	err := c.Do(ctx, http.MethodPost, "/cluster/abort", timingd.TxnRequest{Txn: txn}, &out)
 	return out, err
 }
-
-// ClusterInfo fetches the shard's cluster-facing identity: role, epoch,
-// scenario set and any pending transaction.
-func (c *Client) ClusterInfo(ctx context.Context) (timingd.ClusterInfo, error) {
-	var out timingd.ClusterInfo
-	err := c.Do(ctx, http.MethodGet, "/cluster/info", nil, &out)
-	return out, err
-}

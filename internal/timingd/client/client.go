@@ -46,13 +46,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("timingd: %d %s: %s", e.Code, http.StatusText(e.Code), e.Msg)
 }
 
-// IsBackpressure reports whether err is the daemon's queue-full refusal —
-// the caller should back off and retry.
-func IsBackpressure(err error) bool {
-	se, ok := err.(*StatusError)
-	return ok && se.Code == http.StatusTooManyRequests
-}
-
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -67,8 +60,7 @@ func (c *Client) httpClient() *http.Client {
 // here. Backpressure refusals are retried within the client's RetryPolicy:
 // exponential backoff from BaseDelay, floored at the server's Retry-After
 // advice, jittered, bounded by MaxAttempts and MaxElapsed. An exhausted
-// budget returns the last 429 unchanged, so IsBackpressure still classifies
-// it.
+// budget returns the last 429 *StatusError unchanged.
 func (c *Client) Do(ctx context.Context, method, path string, body, out any) error {
 	p := c.Retry.withDefaults()
 	start := time.Now()

@@ -111,7 +111,7 @@ func TestClientRoundTrip(t *testing.T) {
 	if !ok || se.Code != 400 {
 		t.Fatalf("unknown-cell error = %v", err)
 	}
-	if IsBackpressure(err) {
+	if isBackpressure(err) {
 		t.Fatal("validation error misclassified as backpressure")
 	}
 }

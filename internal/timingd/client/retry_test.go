@@ -26,6 +26,12 @@ func refuseN(n int, retryAfter string, hits *atomic.Int64) http.Handler {
 	})
 }
 
+// isBackpressure reports whether err is the daemon's 429 refusal.
+func isBackpressure(err error) bool {
+	se, ok := err.(*StatusError)
+	return ok && se.Code == http.StatusTooManyRequests
+}
+
 // noSleep swaps the backoff sleep for a recording no-op so retry tests
 // run instantly and can assert on the computed delays.
 func noSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
@@ -78,7 +84,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, MaxElapsed: time.Minute, sleep: noSleep(&delays)}
 
 	_, err := cl.Slack(context.Background())
-	if !IsBackpressure(err) {
+	if !isBackpressure(err) {
 		t.Fatalf("exhausted retries must stay backpressure, got %v", err)
 	}
 	if hits.Load() != 3 || len(delays) != 2 {
@@ -104,7 +110,7 @@ func TestRetryElapsedCap(t *testing.T) {
 
 	start := time.Now()
 	_, err := cl.Slack(context.Background())
-	if !IsBackpressure(err) {
+	if !isBackpressure(err) {
 		t.Fatalf("want 429, got %v", err)
 	}
 	if hits.Load() != 1 {
@@ -139,7 +145,7 @@ func TestNoRetryOnOtherErrors(t *testing.T) {
 	hs2 := httptest.NewServer(refuseN(1000, "", &hits2))
 	defer hs2.Close()
 	cl2 := New(hs2.URL) // zero policy
-	if _, err := cl2.Slack(context.Background()); !IsBackpressure(err) || hits2.Load() != 1 {
+	if _, err := cl2.Slack(context.Background()); !isBackpressure(err) || hits2.Load() != 1 {
 		t.Fatalf("zero policy: err %v, hits %d", err, hits2.Load())
 	}
 }

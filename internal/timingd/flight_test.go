@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"newgame/internal/obs"
+	"newgame/internal/serve"
 )
 
 // findSpan walks a span forest depth-first for a span named name.
@@ -171,7 +172,7 @@ func TestDebugRequestsRecordsTraffic(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/debug/requests answered %d", code)
 	}
-	var rep DebugRequestsReport
+	var rep serve.DebugRequestsReport
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestDebugRequestsRecordsTraffic(t *testing.T) {
 	if code != 200 {
 		t.Fatal("limited /debug/requests failed")
 	}
-	var lim DebugRequestsReport
+	var lim serve.DebugRequestsReport
 	if err := json.Unmarshal(b, &lim); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestDebugSlowThresholdFilter(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/debug/slow answered %d", code)
 	}
-	var rep DebugSlowReport
+	var rep serve.DebugSlowReport
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestDebugSlowThresholdFilter(t *testing.T) {
 	if code != 200 {
 		t.Fatal("huge threshold rejected")
 	}
-	var none DebugSlowReport
+	var none serve.DebugSlowReport
 	if err := json.Unmarshal(b, &none); err != nil {
 		t.Fatal(err)
 	}

@@ -35,20 +35,12 @@ type (
 	Celsius = float64
 	// Um is a length in microns.
 	Um = float64
-	// FJ is an energy in femtojoules.
-	FJ = float64
 	// NW is a power in nanowatts.
 	NW = float64
 )
 
 // Kelvin converts a Celsius temperature to kelvins.
 func Kelvin(c Celsius) float64 { return c + 273.15 }
-
-// Inf is the positive infinity used for uninitialized required times.
-var Inf = math.Inf(1)
-
-// NegInf is the negative infinity used for uninitialized arrival times.
-var NegInf = math.Inf(-1)
 
 // Lerp linearly interpolates between a and b by t in [0,1]; t outside the
 // range extrapolates, which is the behaviour NLDM table lookup wants at the
@@ -64,18 +56,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// ApproxEqual reports whether a and b agree to within tol absolutely or
-// relatively, whichever is looser. It is the comparison used by tests and by
-// iterative solvers' convergence checks.
-func ApproxEqual(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	if d <= tol {
-		return true
-	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*m
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) of sorted, using linear

@@ -45,19 +45,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("near-identical values should compare equal")
-	}
-	if ApproxEqual(1.0, 2.0, 1e-9) {
-		t.Error("distinct values should not compare equal")
-	}
-	// Relative tolerance on large magnitudes.
-	if !ApproxEqual(1e9, 1e9*(1+1e-10), 1e-9) {
-		t.Error("relative tolerance should apply at large magnitude")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Quantile(xs, 0); got != 1 {

@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"math"
 	"sort"
 
 	"newgame/internal/liberty"
@@ -51,31 +50,8 @@ func CharacterizeLVFOpts(lib *liberty.Library, vtSigma units.Volt, samples int, 
 					ratios[i] = r / base
 				}
 			})
-		mean := 0.0
-		for _, r := range ratios {
-			mean += r
-		}
-		mean /= float64(samples)
-		var se, sl float64
-		var ne, nl int
-		for _, r := range ratios {
-			d := r - mean
-			if d < 0 {
-				se += d * d
-				ne++
-			} else {
-				sl += d * d
-				nl++
-			}
-		}
-		s := spread{}
-		if ne > 0 {
-			s.early = math.Sqrt(se / float64(ne))
-		}
-		if nl > 0 {
-			s.late = math.Sqrt(sl / float64(nl))
-		}
-		cache[vt] = s
+		early, late := units.SemiStddev(ratios)
+		cache[vt] = spread{early, late}
 	}
 	names := make([]string, 0, len(lib.Cells()))
 	for n := range lib.Cells() {

@@ -106,54 +106,16 @@ type Stats struct {
 
 // Summarize computes sample statistics (sorted copy; input untouched).
 func Summarize(samples []units.Ps) Stats {
-	n := len(samples)
-	if n == 0 {
+	if len(samples) == 0 {
 		return Stats{}
 	}
 	xs := append([]float64(nil), samples...)
 	sort.Float64s(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += x
+	st := Stats{
+		Mean: units.Mean(xs), Sigma: units.Stddev(xs), Skewness: units.Skewness(xs),
+		Q0001: units.Quantile(xs, 0.001), Q9999: units.Quantile(xs, 0.999),
 	}
-	mean := sum / float64(n)
-	var m2, m3, se, sl float64
-	var ne, nl int
-	for _, x := range xs {
-		d := x - mean
-		m2 += d * d
-		m3 += d * d * d
-		if d < 0 {
-			se += d * d
-			ne++
-		} else {
-			sl += d * d
-			nl++
-		}
-	}
-	m2 /= float64(n)
-	m3 /= float64(n)
-	st := Stats{Mean: mean, Sigma: math.Sqrt(m2)}
-	if m2 > 0 {
-		st.Skewness = m3 / math.Pow(m2, 1.5)
-	}
-	if ne > 0 {
-		st.SigmaEarly = math.Sqrt(se / float64(ne))
-	}
-	if nl > 0 {
-		st.SigmaLate = math.Sqrt(sl / float64(nl))
-	}
-	q := func(p float64) float64 {
-		i := p * float64(n-1)
-		lo := int(i)
-		if lo >= n-1 {
-			return xs[n-1]
-		}
-		f := i - float64(lo)
-		return xs[lo] + (xs[lo+1]-xs[lo])*f
-	}
-	st.Q0001 = q(0.001)
-	st.Q9999 = q(0.999)
+	st.SigmaEarly, st.SigmaLate = units.SemiStddev(xs)
 	return st
 }
 

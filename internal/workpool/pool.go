@@ -11,9 +11,9 @@ import "sync"
 // caller a backpressure signal it can turn into a 429.
 //
 // Lifecycle safety is part of the contract: Close drains every job already
-// admitted before returning, a second Close is a no-op, and Submit or
-// TrySubmit after (or racing with) Close safely refuses rather than
-// panicking on a closed channel.
+// admitted before returning, a second Close is a no-op, and TrySubmit after
+// (or racing with) Close safely refuses rather than panicking on a closed
+// channel.
 type Pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
@@ -21,10 +21,7 @@ type Pool struct {
 	// mu guards closed and, held shared, protects senders from a
 	// concurrent close(jobs): submitters hold RLock across the send, Close
 	// takes Lock to flip closed before closing the channel, so no send can
-	// be in flight when the channel closes. A Submit blocked on a full
-	// queue holds RLock, which stalls Close — but the workers it is
-	// waiting on are still draining (the channel only closes later), so
-	// the send completes and Close proceeds.
+	// be in flight when the channel closes.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -66,18 +63,6 @@ func (p *Pool) TrySubmit(fn func()) bool {
 	}
 }
 
-// Submit enqueues fn, blocking while the queue is full, and returns false
-// without running fn if the pool has been closed.
-func (p *Pool) Submit(fn func()) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
-	}
-	p.jobs <- fn
-	return true
-}
-
 // Close stops admission, waits for every already-admitted job to finish,
 // and returns. Safe to call more than once; later calls wait for the same
 // drain and return.
@@ -89,11 +74,4 @@ func (p *Pool) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.closed
 }

@@ -1,6 +1,7 @@
 package workpool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,8 @@ func TestPoolRunsEveryJob(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		if !p.Submit(func() { n.Add(1); wg.Done() }) {
-			t.Fatal("Submit refused on open pool")
+		for !p.TrySubmit(func() { n.Add(1); wg.Done() }) {
+			runtime.Gosched() // queue full: wait for the workers to drain it
 		}
 	}
 	wg.Wait()
@@ -28,7 +29,9 @@ func TestPoolTrySubmitBackpressure(t *testing.T) {
 	p := NewPool(1, 2)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit(func() { close(started); <-release })
+	if !p.TrySubmit(func() { close(started); <-release }) {
+		t.Fatal("TrySubmit refused on an empty queue")
+	}
 	<-started
 	// Worker busy; fill the queue.
 	for i := 0; p.TrySubmit(func() {}); i++ {
@@ -48,7 +51,9 @@ func TestPoolCloseDrains(t *testing.T) {
 	p := NewPool(2, 16)
 	var n atomic.Int64
 	for i := 0; i < 16; i++ {
-		p.Submit(func() { n.Add(1) })
+		if !p.TrySubmit(func() { n.Add(1) }) {
+			t.Fatal("TrySubmit refused below queue capacity")
+		}
 	}
 	p.Close()
 	if n.Load() != 16 {
@@ -60,12 +65,6 @@ func TestPoolDoubleCloseAndSubmitAfterClose(t *testing.T) {
 	p := NewPool(2, 4)
 	p.Close()
 	p.Close() // must not panic
-	if !p.Closed() {
-		t.Fatal("Closed() false after Close")
-	}
-	if p.Submit(func() { t.Error("job ran after Close") }) {
-		t.Fatal("Submit accepted after Close")
-	}
 	if p.TrySubmit(func() { t.Error("job ran after Close") }) {
 		t.Fatal("TrySubmit accepted after Close")
 	}
