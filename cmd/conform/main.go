@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"newgame/internal/conformance"
@@ -53,9 +54,17 @@ func run(args []string, out io.Writer) error {
 		Out: out, Verbose: *verbose,
 	}
 	if *only != "" {
+		var known []string
+		for _, inv := range conformance.Registry() {
+			known = append(known, inv.Name)
+		}
 		opts.Only = map[string]bool{}
 		for _, name := range strings.Split(*only, ",") {
-			opts.Only[strings.TrimSpace(name)] = true
+			name = strings.TrimSpace(name)
+			if !slices.Contains(known, name) {
+				return fmt.Errorf("-only: unknown law %q (known: %s)", name, strings.Join(known, ", "))
+			}
+			opts.Only[name] = true
 		}
 	}
 	res := conformance.Run(opts)

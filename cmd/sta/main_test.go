@@ -79,6 +79,14 @@ func TestRunProfileExport(t *testing.T) {
 	}
 }
 
+func TestRunZeroPeriodRefused(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-circuit", "chain", "-corner", "tt", "-derate", "none", "-si=false", "-period", "0"}, &b)
+	if err == nil || !strings.Contains(err.Error(), `clock "clk" period 0 ps`) {
+		t.Fatalf("-period 0: want the period refused, got %v\n%s", err, b.String())
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-definitely-not-a-flag"}, &b); err == nil {

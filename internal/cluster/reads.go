@@ -160,9 +160,9 @@ func (c *Coordinator) gatherSlack(ctx context.Context) (*SlackReport, error) {
 }
 
 // mergeSlacks collapses per-scenario numbers across the set: WNS is the
-// min clamped at zero, TNS the sum — the same semantics the
-// mcmm-merge-min-sum conformance law pins for mcmm.MergedWNS — with the
-// dominating scenario named so the ECO loop knows where to look.
+// min clamped at zero, TNS the sum — what the cluster-merge-identical
+// conformance law pins — with the dominating scenario named so the ECO loop
+// knows where to look.
 func mergeSlacks(scs []timingd.ScenarioSlack) MergedSlack {
 	var m MergedSlack
 	for _, sc := range scs {

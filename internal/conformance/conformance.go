@@ -11,17 +11,23 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http/httptest"
 	"sort"
 	"sync"
 	"time"
 
+	"newgame/internal/cluster"
+	"newgame/internal/core"
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
+	"newgame/internal/timingd"
+	"newgame/internal/timingd/client"
 	"newgame/internal/units"
 )
 
@@ -101,7 +107,7 @@ func Registry() []Invariant {
 		},
 		{
 			Name:  "mcmm-merge-min-sum",
-			Law:   "merged MCMM WNS is the min over scenario WNS (clamped at 0) and merged TNS is the sum; sweep results are worker-count invariant",
+			Law:   "the closure engine's MCMM survey is pure aggregation at any worker count: merged WNS is the min over scenarios, each scenario's WNS (clamped at 0) and TNS (the per-endpoint sum) re-derive from its endpoint list, and surveys and analyzers are identical at 1 and 4 workers",
 			Scope: PerDesign,
 			Check: checkMCMMMerge,
 		},
@@ -202,25 +208,19 @@ type Ctx struct {
 	triagePd units.Ps
 }
 
-// sharedLib memoizes the (expensive) generated characterization library:
-// every design in a sweep shares it, exactly like a real signoff flow.
-var (
-	libOnce   sync.Once
-	sharedLib *liberty.Library
-)
+// Lib returns the process-shared Node16 library the lab analyzes against,
+// generated once: every design in a sweep shares it, exactly like a real
+// signoff flow.
+var Lib = sync.OnceValue(func() *liberty.Library {
+	return liberty.Generate(liberty.Node16,
+		liberty.PVT{Process: liberty.TT, Voltage: 0.8, Temp: 85}, liberty.GenOptions{})
+})
 
-// Lib returns the process-shared Node16 library the lab analyzes against.
-func Lib() *liberty.Library {
-	libOnce.Do(func() {
-		sharedLib = liberty.Generate(liberty.Node16,
-			liberty.PVT{Process: liberty.TT, Voltage: 0.8, Temp: 85}, liberty.GenOptions{})
-	})
-	return sharedLib
-}
-
-// newCtx builds the per-design context: generated block, constraints,
-// deterministic RNG.
-func newCtx(spec DesignSpec, edits int) *Ctx {
+// newCtx builds the context one law evaluation runs in: the shared library,
+// the stack and a deterministic rng keyed by the design seed and, for a
+// per-design law, the generated block and its constraints. Per-run laws get
+// the zero spec.
+func newCtx(scope Scope, spec DesignSpec, edits int) *Ctx {
 	cx := &Ctx{
 		Spec:  spec,
 		Lib:   Lib(),
@@ -228,8 +228,10 @@ func newCtx(spec DesignSpec, edits int) *Ctx {
 		Edits: edits,
 		rng:   rand.New(rand.NewSource(mix(spec.Seed, 0x5eed))),
 	}
-	cx.Design = spec.Build(cx.Lib)
-	cx.Cons = cx.constraintsFor(cx.Design, units.Ps(spec.Period))
+	if scope == PerDesign {
+		cx.Design = spec.Build(cx.Lib)
+		cx.Cons = cx.constraintsFor(cx.Design, units.Ps(spec.Period))
+	}
 	return cx
 }
 
@@ -268,18 +270,147 @@ func (cx *Ctx) fullCfg(workers int) sta.Config {
 
 // Base lazily builds and runs the shared serial reference analyzer.
 func (cx *Ctx) Base() (*sta.Analyzer, error) {
-	if cx.base != nil {
-		return cx.base, nil
+	if cx.base == nil {
+		a, err := analyze(cx.Design, cx.Cons, cx.fullCfg(1))
+		if err != nil {
+			return nil, err
+		}
+		cx.base = a
 	}
-	a, err := sta.New(cx.Design, cx.Cons, cx.fullCfg(1))
+	return cx.base, nil
+}
+
+// analyze builds an analyzer over d and runs it.
+func analyze(d *netlist.Design, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
+	a, err := sta.New(d, cons, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.Run(); err != nil {
+	return a, a.Run()
+}
+
+// sameState is nil when got's timing state is bit-identical to want's, and
+// otherwise an error naming what differed and both fingerprints.
+func sameState(what string, got, want *sta.Analyzer) error {
+	if g, w := Fingerprint(got), Fingerprint(want); g != w {
+		return fmt.Errorf("%s: state %s, want %s", what, g[:16], w[:16])
+	}
+	return nil
+}
+
+// script returns the edit script a law applies to d — the forced one when a
+// reproducer is replayed, a fresh random one otherwise — and records it, so
+// a failure can be minimized and persisted.
+func (cx *Ctx) script(d *netlist.Design) []EditOp {
+	s := cx.ForcedEdits
+	if s == nil {
+		s = randomEditScript(cx, d)
+	}
+	cx.AppliedEdits = s
+	return s
+}
+
+// buildViews times scens over d at the given period: one serial analyzer per
+// scenario, sharing trees and a frozen topology — the arrangement timingd
+// holds.
+func buildViews(d *netlist.Design, scens []core.Scenario, period units.Ps, trees *sta.Parasitics) (*core.Views, error) {
+	v := &core.Views{
+		D: d, ClockPort: d.Port("clk"), BasePeriod: period, Scenarios: scens,
+		Parasitics: trees, Workers: 1, AnalysisWorkers: 1,
+	}
+	return v, v.Build(context.Background(), nil)
+}
+
+// rig is one booted timingd deployment behind one client: a single node
+// holding every scenario, or a coordinator in front of its shards. Laws
+// compare bodies by decoding them into json.RawMessage, which drops the
+// trailing newline a node's encoder writes and a coordinator's re-marshal
+// does not.
+type rig struct {
+	c       *client.Client
+	closers []func()
+}
+
+// close shuts the rig down, shards before their coordinator.
+func (r *rig) close() {
+	for i := len(r.closers) - 1; i >= 0; i-- {
+		r.closers[i]()
+	}
+}
+
+// bootCluster serves cfg's recipe. Zero shards boots the single-node
+// reference; otherwise shards workers, scenario j on worker j%shards, each
+// registered over the wire with a fresh coordinator the rig's client talks
+// to.
+func bootCluster(shards int, cfg timingd.Config) (*rig, error) {
+	r := &rig{}
+	boot := func(cfg timingd.Config) (*timingd.Server, string, error) {
+		srv, err := timingd.NewServer(cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		hs := httptest.NewServer(srv)
+		r.closers = append(r.closers, func() { hs.Close(); srv.Close() })
+		return srv, hs.URL, nil
+	}
+	if shards == 0 {
+		_, url, err := boot(cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.c = client.New(url)
+		return r, nil
+	}
+	names := make([]string, len(cfg.Recipe.Scenarios))
+	for i, sc := range cfg.Recipe.Scenarios {
+		names[i] = sc.Name
+	}
+	c, err := cluster.New(cluster.Config{
+		Scenarios:         names,
+		HeartbeatInterval: time.Hour, // the laws drive membership explicitly
+		RetryDelay:        time.Millisecond,
+		Seed:              7,
+	})
+	if err != nil {
 		return nil, err
 	}
-	cx.base = a
-	return a, nil
+	chs := httptest.NewServer(c.Handler())
+	r.closers = append(r.closers, func() { chs.Close(); c.Close() })
+	r.c = client.New(chs.URL)
+	for i := 0; i < shards; i++ {
+		wc := cfg
+		wc.Role, wc.ScenarioFilter = "worker", []string{}
+		for j := i; j < len(names); j += shards {
+			wc.ScenarioFilter = append(wc.ScenarioFilter, names[j])
+		}
+		srv, url, err := boot(wc)
+		if err == nil {
+			err = r.c.Do(context.Background(), "POST", "/cluster/register", cluster.RegisterRequest{
+				ID: fmt.Sprintf("w%d", i), URL: url, Epoch: srv.Epoch(), Scenarios: srv.ScenarioSet(),
+			}, nil)
+		}
+		if err != nil {
+			r.close()
+			return nil, fmt.Errorf("worker w%d: %v", i, err)
+		}
+	}
+	return r, nil
+}
+
+// acrossShards boots cfg's recipe at 1, 2 and 4 shards in turn and checks
+// each cluster.
+func acrossShards(cfg timingd.Config, check func(*rig) error) error {
+	for _, shards := range []int{1, 2, 4} {
+		r, err := bootCluster(shards, cfg)
+		if err == nil {
+			err = check(r)
+			r.close()
+		}
+		if err != nil {
+			return fmt.Errorf("shards=%d: %v", shards, err)
+		}
+	}
+	return nil
 }
 
 // Options shapes one registry sweep.
@@ -374,8 +505,7 @@ func Run(opts Options) Result {
 	start := time.Now()
 	// Per-run laws first: they gate everything else (a non-deterministic
 	// library would invalidate every per-design comparison).
-	runCtx := &Ctx{Lib: Lib(), Stack: parasitics.Stack16(),
-		rng: rand.New(rand.NewSource(mix(opts.Seed, -1)))}
+	runCtx := newCtx(PerRun, DesignSpec{}, opts.Edits)
 	for i, law := range laws {
 		if law.Scope != PerRun {
 			continue
@@ -394,7 +524,7 @@ func Run(opts Options) Result {
 
 	for d := 0; d < opts.Designs; d++ {
 		spec := SpecFor(mix(opts.Seed, int64(d)))
-		cx := newCtx(spec, opts.Edits)
+		cx := newCtx(PerDesign, spec, opts.Edits)
 		if opts.Verbose {
 			progress(opts, "design %d/%d: %+v", d+1, opts.Designs, spec)
 		}

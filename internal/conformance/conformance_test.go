@@ -137,14 +137,14 @@ func TestSpecForDeterministic(t *testing.T) {
 // state moves (different period ⇒ different required times).
 func TestFingerprintDiscriminates(t *testing.T) {
 	spec := SpecFor(mix(3, 0))
-	cx := newCtx(spec, 0)
+	cx := newCtx(PerDesign, spec, 0)
 	a, err := cx.Base()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec2 := spec
 	spec2.Period += 40
-	cx2 := newCtx(spec2, 0)
+	cx2 := newCtx(PerDesign, spec2, 0)
 	b, err := cx2.Base()
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,10 @@ import (
 // hostile constraint set (zero, negative and absurd clock periods,
 // inverted IO windows) and a short edit script that may name nonexistent
 // masters. The contract: construction and analysis never panic — bad
-// masters answer with an error from sta.New — and when analysis does run,
-// the aggregates stay sane: no NaNs, WNS/TNS clamped at zero, endpoint
-// slacks sorted worst-first.
+// masters and a zero or negative period answer with an error from sta.New,
+// so the zero- and negative-period seeds exercise that refusal — and when
+// analysis does run, the aggregates stay sane: no NaNs, WNS/TNS clamped at
+// zero, endpoint slacks sorted worst-first.
 func FuzzConstraintsAndRun(f *testing.F) {
 	dir := filepath.Join("testdata", "corpus", "constraints")
 	entries, err := os.ReadDir(dir)
@@ -88,6 +89,9 @@ func FuzzConstraintsAndRun(f *testing.F) {
 		})
 		if err != nil {
 			return // rejected cleanly; that is the contract
+		}
+		if period <= 0 {
+			t.Fatalf("sta.New accepted clock period %v", period)
 		}
 		if err := a.Run(); err != nil {
 			return

@@ -25,16 +25,12 @@ import (
 // the way a what-if's rollback does (the same analyzers re-run in place,
 // then edited on).
 func checkChecksResident(cx *Ctx) error {
-	recipe := labRecipe(cx)
+	recipe := labRecipe()
 	d := cx.Design.Clone()
 	rng := rand.New(rand.NewSource(mix(cx.Spec.Seed, 0xc4ec5)))
 	trees := sta.NewNetBinder(cx.Stack, cx.Spec.Seed)
 	build := func() (*core.Views, error) {
-		v := &core.Views{
-			D: d, ClockPort: d.Port("clk"), BasePeriod: units.Ps(cx.Spec.Period),
-			Scenarios: recipe.Scenarios, Parasitics: trees, Workers: 1, AnalysisWorkers: 1,
-		}
-		return v, v.Build(context.Background(), nil)
+		return buildViews(d, recipe.Scenarios, units.Ps(cx.Spec.Period), trees)
 	}
 	kept, err := build()
 	if err != nil {
@@ -68,11 +64,7 @@ func checkChecksResident(cx *Ctx) error {
 	if err := compare("initial run"); err != nil {
 		return err
 	}
-	script := cx.ForcedEdits
-	if script == nil {
-		script = randomEditScript(cx, d)
-	}
-	cx.AppliedEdits = script
+	script := cx.script(d)
 	var buf *BufferEdit
 	for i, op := range script {
 		step := fmt.Sprintf("edit %d (%s -> %s)", i, op.Cell, op.To)

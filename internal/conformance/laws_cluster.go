@@ -2,14 +2,11 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
-	"time"
 
 	"newgame/internal/circuits"
 	"newgame/internal/cluster"
@@ -18,41 +15,29 @@ import (
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
 	"newgame/internal/timingd"
-	"newgame/internal/units"
 )
 
-// clusterFixture memoizes the four-scenario recipe and block the cluster
-// law quantifies over. Four scenarios (the two old-goal-posts views plus
-// scan-mode variants at a doubled period) give every shard count in
+// clusterFixture is the four-scenario recipe and block the cluster law
+// quantifies over, built once. Four scenarios (the two old-goal-posts views
+// plus scan-mode variants at a doubled period) give every shard count in
 // {1, 2, 4} at least one scenario per worker under round-robin sharding.
-var (
-	clusterFixOnce sync.Once
-	clusterRcp     core.Recipe
-	clusterDsn     *netlist.Design
-)
-
-func clusterFixture() (core.Recipe, *netlist.Design) {
-	clusterFixOnce.Do(func() {
-		stack := parasitics.Stack16()
-		r := core.OldGoalPosts(liberty.Node16, stack)
-		scanSS := r.Scenarios[0]
-		scanSS.Name = "scan_ss_cw"
-		scanSS.PeriodScale = 2
-		scanSS.ForHold = true
-		scanSS.HoldUncertainty = 15
-		scanFF := r.Scenarios[1]
-		scanFF.Name = "scan_ff_cb"
-		scanFF.PeriodScale = 2
-		r.Scenarios = append(r.Scenarios, scanSS, scanFF)
-		clusterRcp = r
-		clusterDsn = circuits.Block(r.Scenarios[0].Lib, circuits.BlockSpec{
-			Name: "clx", Inputs: 6, Outputs: 6, FFs: 12, Gates: 140,
-			MaxDepth: 6, Seed: 29, ClockBufferLevels: 2,
-			VtMix: [3]float64{0, 0.5, 0.5},
-		})
+var clusterFixture = sync.OnceValues(func() (core.Recipe, *netlist.Design) {
+	r := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	scanSS := r.Scenarios[0]
+	scanSS.Name = "scan_ss_cw"
+	scanSS.PeriodScale = 2
+	scanSS.ForHold = true
+	scanSS.HoldUncertainty = 15
+	scanFF := r.Scenarios[1]
+	scanFF.Name = "scan_ff_cb"
+	scanFF.PeriodScale = 2
+	r.Scenarios = append(r.Scenarios, scanSS, scanFF)
+	return r, circuits.Block(r.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "clx", Inputs: 6, Outputs: 6, FFs: 12, Gates: 140,
+		MaxDepth: 6, Seed: 29, ClockBufferLevels: 2,
+		VtMix: [3]float64{0, 0.5, 0.5},
 	})
-	return clusterRcp, clusterDsn
-}
+})
 
 // checkClusterMerge: sharding signoff scenarios across a timingd cluster
 // is invisible to the caller — for every shard count, the coordinator's
@@ -63,53 +48,72 @@ func clusterFixture() (core.Recipe, *netlist.Design) {
 // the coordinator lands every shard on the same post-commit state as the
 // single node committing directly.
 func checkClusterMerge(cx *Ctx) error {
+	ctx := context.Background()
 	rcp, d := clusterFixture()
-	names := make([]string, len(rcp.Scenarios))
-	for i, sc := range rcp.Scenarios {
-		names[i] = sc.Name
+	cfg := timingd.Config{
+		Design: d, Recipe: rcp, Stack: parasitics.Stack16(),
+		BasePeriod: 560, Seed: 13, QueryWorkers: 2,
 	}
-
-	newWorker := func(filter []string) (*timingd.Server, *httptest.Server, error) {
-		cfg := timingd.Config{
-			Design: d, Recipe: rcp, Stack: parasitics.Stack16(),
-			BasePeriod: 560, Seed: 13, QueryWorkers: 2,
-		}
-		if filter != nil {
-			cfg.Role = "worker"
-			cfg.ScenarioFilter = filter
-		}
-		srv, err := timingd.NewServer(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return srv, httptest.NewServer(srv), nil
+	endpoints := func(scenario string) string {
+		return "/endpoints?scenario=" + scenario + "&kind=setup&limit=5"
 	}
 
 	// Single-node reference: every scenario in one session.
-	refSrv, refHS, err := newWorker(nil)
+	ref, err := bootCluster(0, cfg)
 	if err != nil {
 		return fmt.Errorf("single-node boot: %v", err)
 	}
-	defer func() { refHS.Close(); refSrv.Close() }()
-
-	var refSlack timingd.SlackReport
-	if err := getJSON(refHS.URL+"/slack", &refSlack); err != nil {
+	defer ref.close()
+	refSlack, err := ref.c.Slack(ctx)
+	if err != nil {
 		return fmt.Errorf("single-node slack: %v", err)
 	}
 	refScen, _ := json.Marshal(refSlack.Scenarios)
-	refEndpoints := make([][]byte, len(names))
-	for i, name := range names {
-		_, body, err := httpGet(refHS.URL + "/endpoints?scenario=" + name + "&kind=setup&limit=5")
-		if err != nil {
-			return fmt.Errorf("single-node endpoints %s: %v", name, err)
+	refEndpoints := make([]json.RawMessage, len(rcp.Scenarios))
+	for i, sc := range rcp.Scenarios {
+		if err := ref.c.Do(ctx, "GET", endpoints(sc.Name), nil, &refEndpoints[i]); err != nil {
+			return fmt.Errorf("single-node endpoints %s: %v", sc.Name, err)
 		}
-		refEndpoints[i] = body
 	}
 
-	for _, shards := range []int{1, 2, 4} {
-		if err := checkClusterShardCount(shards, names, newWorker, refScen, refSlack, refEndpoints); err != nil {
-			return fmt.Errorf("shards=%d: %v", shards, err)
+	// Merged aggregates are pure min/sum over the (identical) scenarios.
+	var want cluster.MergedSlack
+	for _, sc := range refSlack.Scenarios {
+		want.SetupWNS, want.HoldWNS = min(want.SetupWNS, sc.SetupWNS), min(want.HoldWNS, sc.HoldWNS)
+		want.SetupTNS += sc.SetupTNS
+		want.HoldTNS += sc.HoldTNS
+	}
+	err = acrossShards(cfg, func(r *rig) error {
+		var sr cluster.SlackReport
+		if err := r.c.Do(ctx, "GET", "/slack", nil, &sr); err != nil {
+			return fmt.Errorf("cluster slack: %v", err)
 		}
+		if sr.Degraded || len(sr.Stale) != 0 {
+			return fmt.Errorf("healthy cluster answered degraded: %+v", sr)
+		}
+		if got, _ := json.Marshal(sr.Scenarios); !bytes.Equal(got, refScen) {
+			return fmt.Errorf("scenario reports diverge from single node:\n  single: %s\n  cluster: %s", refScen, got)
+		}
+		m := sr.Merged
+		if m.SetupWNS != want.SetupWNS || m.HoldWNS != want.HoldWNS || m.SetupTNS != want.SetupTNS || m.HoldTNS != want.HoldTNS {
+			return fmt.Errorf("merged (%v/%v, %v/%v) is not min/sum (%v/%v, %v/%v)",
+				m.SetupWNS, m.SetupTNS, m.HoldWNS, m.HoldTNS,
+				want.SetupWNS, want.SetupTNS, want.HoldWNS, want.HoldTNS)
+		}
+		for i, sc := range rcp.Scenarios {
+			var body json.RawMessage
+			if err := r.c.Do(ctx, "GET", endpoints(sc.Name), nil, &body); err != nil {
+				return fmt.Errorf("cluster endpoints %s: %v", sc.Name, err)
+			}
+			if !bytes.Equal(body, refEndpoints[i]) {
+				return fmt.Errorf("endpoints %s diverge from single node:\n  single: %s\n  cluster: %s",
+					sc.Name, refEndpoints[i], body)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Barrier identity: the same ECO committed through a two-shard
@@ -119,160 +123,29 @@ func checkClusterMerge(cx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	coord, workers, err := bootCluster(2, names, newWorker)
+	coord, err := bootCluster(2, cfg)
 	if err != nil {
 		return err
 	}
 	defer coord.close()
-	defer workers.close()
-
-	ecoBody, _ := json.Marshal(struct {
-		Ops []timingd.Op `json:"ops"`
-	}{[]timingd.Op{op}})
-	code, body, err := httpPost(coord.url+"/eco", ecoBody)
-	if err != nil || code != 200 {
-		return fmt.Errorf("cluster eco: %d %s (%v)", code, body, err)
+	var after [2]cluster.SlackReport
+	for i, r := range []*rig{ref, coord} {
+		if err := r.c.Do(ctx, "POST", "/eco", timingd.OpsBody{Ops: []timingd.Op{op}}, nil); err != nil {
+			return fmt.Errorf("eco: %v", err)
+		}
+		if err := r.c.Do(ctx, "GET", "/slack", nil, &after[i]); err != nil {
+			return fmt.Errorf("post-eco slack: %v", err)
+		}
 	}
-	code, body, err = httpPost(refHS.URL+"/eco", ecoBody)
-	if err != nil || code != 200 {
-		return fmt.Errorf("single-node eco: %d %s (%v)", code, body, err)
+	if after[0].Epoch != 1 || after[1].Epoch != 1 {
+		return fmt.Errorf("post-eco epochs: single %d, cluster %d, want 1", after[0].Epoch, after[1].Epoch)
 	}
-	var after timingd.SlackReport
-	if err := getJSON(refHS.URL+"/slack", &after); err != nil {
-		return fmt.Errorf("single-node post-eco slack: %v", err)
-	}
-	var clAfter cluster.SlackReport
-	if err := getJSON(coord.url+"/slack", &clAfter); err != nil {
-		return fmt.Errorf("cluster post-eco slack: %v", err)
-	}
-	if clAfter.Epoch != 1 || after.Epoch != 1 {
-		return fmt.Errorf("post-eco epochs: cluster %d, single %d, want 1", clAfter.Epoch, after.Epoch)
-	}
-	wa, _ := json.Marshal(after.Scenarios)
-	ca, _ := json.Marshal(clAfter.Scenarios)
+	wa, _ := json.Marshal(after[0].Scenarios)
+	ca, _ := json.Marshal(after[1].Scenarios)
 	if !bytes.Equal(wa, ca) {
 		return fmt.Errorf("post-eco scenario reports diverge:\n  single: %s\n  cluster: %s", wa, ca)
 	}
 	return nil
-}
-
-// checkClusterShardCount boots one cluster at the given shard count and
-// compares its merged read surface against the single-node reference.
-func checkClusterShardCount(shards int, names []string,
-	newWorker func([]string) (*timingd.Server, *httptest.Server, error),
-	refScen []byte, refSlack timingd.SlackReport, refEndpoints [][]byte) error {
-	coord, workers, err := bootCluster(shards, names, newWorker)
-	if err != nil {
-		return err
-	}
-	defer coord.close()
-	defer workers.close()
-
-	var sr cluster.SlackReport
-	if err := getJSON(coord.url+"/slack", &sr); err != nil {
-		return fmt.Errorf("cluster slack: %v", err)
-	}
-	if sr.Degraded || len(sr.Stale) != 0 {
-		return fmt.Errorf("healthy cluster answered degraded: %+v", sr)
-	}
-	got, _ := json.Marshal(sr.Scenarios)
-	if !bytes.Equal(got, refScen) {
-		return fmt.Errorf("scenario reports diverge from single node:\n  single: %s\n  cluster: %s", refScen, got)
-	}
-
-	// Merged aggregates are pure min/sum over the (identical) scenarios.
-	setupWNS, holdWNS := units.Ps(0), units.Ps(0)
-	var setupTNS, holdTNS units.Ps
-	for _, sc := range refSlack.Scenarios {
-		if sc.SetupWNS < setupWNS {
-			setupWNS = sc.SetupWNS
-		}
-		if sc.HoldWNS < holdWNS {
-			holdWNS = sc.HoldWNS
-		}
-		setupTNS += sc.SetupTNS
-		holdTNS += sc.HoldTNS
-	}
-	m := sr.Merged
-	if m.SetupWNS != setupWNS || m.HoldWNS != holdWNS || m.SetupTNS != setupTNS || m.HoldTNS != holdTNS {
-		return fmt.Errorf("merged (%v/%v, %v/%v) is not min/sum (%v/%v, %v/%v)",
-			m.SetupWNS, m.SetupTNS, m.HoldWNS, m.HoldTNS,
-			setupWNS, setupTNS, holdWNS, holdTNS)
-	}
-
-	for i, name := range names {
-		_, body, err := httpGet(coord.url + "/endpoints?scenario=" + name + "&kind=setup&limit=5")
-		if err != nil {
-			return fmt.Errorf("cluster endpoints %s: %v", name, err)
-		}
-		// The proxy strips the worker encoder's trailing newline; the
-		// payload itself must match byte for byte.
-		if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(refEndpoints[i])) {
-			return fmt.Errorf("endpoints %s diverge from single node:\n  single: %s\n  cluster: %s",
-				name, refEndpoints[i], body)
-		}
-	}
-	return nil
-}
-
-// coordHandle / workerSet bundle the teardown of one booted cluster.
-type coordHandle struct {
-	c   *cluster.Coordinator
-	hs  *httptest.Server
-	url string
-}
-
-func (h coordHandle) close() { h.hs.Close(); h.c.Close() }
-
-type workerSet []func()
-
-func (w workerSet) close() {
-	for _, f := range w {
-		f()
-	}
-}
-
-// bootCluster starts `shards` workers with round-robin scenario filters
-// (scenario j on worker j%shards) behind a fresh coordinator and
-// registers each over the wire.
-func bootCluster(shards int, names []string,
-	newWorker func([]string) (*timingd.Server, *httptest.Server, error)) (coordHandle, workerSet, error) {
-	c, err := cluster.New(cluster.Config{
-		Scenarios:         names,
-		HeartbeatInterval: time.Hour, // the law drives membership explicitly
-		RetryDelay:        time.Millisecond,
-		Seed:              7,
-	})
-	if err != nil {
-		return coordHandle{}, nil, err
-	}
-	chs := httptest.NewServer(c.Handler())
-	coord := coordHandle{c: c, hs: chs, url: chs.URL}
-	var workers workerSet
-	for i := 0; i < shards; i++ {
-		filter := []string{}
-		for j := i; j < len(names); j += shards {
-			filter = append(filter, names[j])
-		}
-		srv, hs, err := newWorker(filter)
-		if err != nil {
-			coord.close()
-			workers.close()
-			return coordHandle{}, nil, fmt.Errorf("worker %d boot: %v", i, err)
-		}
-		workers = append(workers, func() { hs.Close(); srv.Close() })
-		reg, _ := json.Marshal(cluster.RegisterRequest{
-			ID: fmt.Sprintf("w%d", i), URL: hs.URL,
-			Epoch: srv.Epoch(), Scenarios: srv.ScenarioSet(),
-		})
-		code, body, err := httpPost(chs.URL+"/cluster/register", reg)
-		if err != nil || code != 200 {
-			coord.close()
-			workers.close()
-			return coordHandle{}, nil, fmt.Errorf("register w%d: %d %s (%v)", i, code, body, err)
-		}
-	}
-	return coord, workers, nil
 }
 
 // clusterResizeOp finds a pin-compatible Vt swap in the fixture design.
@@ -289,35 +162,4 @@ func clusterResizeOp(rcp core.Recipe, d *netlist.Design) (timingd.Op, error) {
 		}
 	}
 	return timingd.Op{}, fmt.Errorf("no resize target in cluster fixture")
-}
-
-func httpGet(url string) (int, []byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		return resp.StatusCode, body, fmt.Errorf("GET %s: %d %s", url, resp.StatusCode, body)
-	}
-	return resp.StatusCode, body, nil
-}
-
-func httpPost(url string, body []byte) (int, []byte, error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, nil
-}
-
-func getJSON(url string, out any) error {
-	_, body, err := httpGet(url)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, out)
 }

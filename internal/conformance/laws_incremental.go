@@ -5,7 +5,6 @@ import (
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
-	"newgame/internal/sta"
 )
 
 // EditOp is one resize step of an edit script: retype a named cell to a
@@ -27,18 +26,11 @@ func checkIncrementalMatchesFull(cx *Ctx) error {
 	// (and the cached base analyzer) stay valid for other laws.
 	d := cx.Design.Clone()
 	cons := cx.constraintsFor(d, cx.Cons.Clocks[0].Period)
-	inc, err := sta.New(d, cons, cx.fullCfg(1))
+	inc, err := analyze(d, cons, cx.fullCfg(1))
 	if err != nil {
 		return err
 	}
-	if err := inc.Run(); err != nil {
-		return err
-	}
-	script := cx.ForcedEdits
-	if script == nil {
-		script = randomEditScript(cx, d)
-	}
-	cx.AppliedEdits = script
+	script := cx.script(d)
 	for i, op := range script {
 		c := d.Cell(op.Cell)
 		if c == nil {
@@ -56,18 +48,11 @@ func checkIncrementalMatchesFull(cx *Ctx) error {
 	if err := inc.Update(); err != nil {
 		return err
 	}
-	full, err := sta.New(d, cons, cx.fullCfg(1))
+	full, err := analyze(d, cons, cx.fullCfg(1))
 	if err != nil {
 		return err
 	}
-	if err := full.Run(); err != nil {
-		return err
-	}
-	if fi, ff := Fingerprint(inc), Fingerprint(full); fi != ff {
-		return fmt.Errorf("incremental state diverged from full Run after %d edits: %s vs %s",
-			len(script), fi[:16], ff[:16])
-	}
-	return nil
+	return sameState(fmt.Sprintf("incremental analyzer after %d edits", len(script)), inc, full)
 }
 
 // randomEditScript draws cx.Edits resize ops: random cells retyped to a

@@ -18,18 +18,11 @@ import (
 // pack.
 func checkPackRoundTrip(cx *Ctx) error {
 	period := units.Ps(cx.Spec.Period)
-	binder := sta.NewNetBinder(cx.Stack, cx.Spec.Seed)
-	a1, err := sta.New(cx.Design, cx.Cons, sta.Config{
-		Lib: cx.Lib, Parasitics: binder,
-		SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true,
-	})
+	cfg := cx.fullCfg(0)
+	a1, err := analyze(cx.Design, cx.Cons, cfg)
 	if err != nil {
 		return err
 	}
-	if err := a1.Run(); err != nil {
-		return err
-	}
-	want := Fingerprint(a1)
 
 	snap := &pack.Snapshot{
 		Design: cx.Design,
@@ -46,7 +39,7 @@ func checkPackRoundTrip(cx *Ctx) error {
 		BasePeriod: period,
 		Seed:       cx.Spec.Seed,
 		Topology:   a1.Topology(),
-		Parasitics: binder,
+		Parasitics: cfg.Parasitics,
 	}
 	data, err := pack.Encode(snap)
 	if err != nil {
@@ -61,23 +54,13 @@ func checkPackRoundTrip(cx *Ctx) error {
 	// library, saved trees, adopted topology. Constraints are rebuilt the
 	// same way any boot would rebuild them.
 	cons2 := cx.constraintsFor(dec.Design, period)
-	a2, err := sta.New(dec.Design, cons2, sta.Config{
-		Lib:        dec.Recipe.Scenarios[0].Lib,
-		Parasitics: dec.Parasitics,
-		SI:         sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true,
-		Topology: dec.Topology,
-	})
+	cfg.Lib, cfg.Parasitics, cfg.Topology = dec.Recipe.Scenarios[0].Lib, dec.Parasitics, dec.Topology
+	a2, err := analyze(dec.Design, cons2, cfg)
 	if err != nil {
 		return fmt.Errorf("rebuild from decoded pack: %w", err)
 	}
 	if a2.Topology() != dec.Topology {
 		return fmt.Errorf("decoded topology not adopted: analyzer re-levelized instead")
 	}
-	if err := a2.Run(); err != nil {
-		return err
-	}
-	if got := Fingerprint(a2); got != want {
-		return fmt.Errorf("state fingerprint changed across pack round-trip: live %s, restored %s", want[:16], got[:16])
-	}
-	return nil
+	return sameState("restored analyzer across the pack round-trip", a2, a1)
 }

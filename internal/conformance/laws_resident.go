@@ -22,7 +22,7 @@ import (
 // really did keep its analyzers through every one of them — only the initial
 // survey may construct — so it cannot pass by rebuilding.
 func checkSurveyResident(cx *Ctx) error {
-	recipe := labRecipe(cx)
+	recipe := labRecipe()
 	// Recipe libraries share master naming with the lab library the design
 	// was mapped to, so the clone and the edit scripts carry over.
 	d := cx.Design.Clone()
@@ -33,7 +33,7 @@ func checkSurveyResident(cx *Ctx) error {
 	var skew map[*netlist.Cell]units.Ps
 	engine := func() *core.Engine {
 		e := &core.Engine{
-			D: d, Recipe: *recipe, BasePeriod: units.Ps(cx.Spec.Period),
+			D: d, Recipe: recipe, BasePeriod: units.Ps(cx.Spec.Period),
 			ClockPort: d.Port("clk"), Parasitics: trees, Workers: 1,
 		}
 		e.SetUsefulSkew(skew)
@@ -45,11 +45,7 @@ func checkSurveyResident(cx *Ctx) error {
 		name  string
 		apply func() error
 	}
-	script := cx.ForcedEdits
-	if script == nil {
-		script = randomEditScript(cx, d)
-	}
-	cx.AppliedEdits = script
+	script := cx.script(d)
 	steps := []step{{name: "initial survey", apply: func() error { return nil }}}
 	for i, op := range script {
 		op := op
@@ -117,9 +113,8 @@ func checkSurveyResident(cx *Ctx) error {
 		}
 		as := resident.Analyzers()
 		for i, a := range as {
-			if fr, ff := Fingerprint(a), Fingerprint(fresh.Analyzers()[i]); fr != ff {
-				return fmt.Errorf("%s: scenario %s: resident analyzer state %s, fresh %s",
-					s.name, recipe.Scenarios[i].Name, fr[:16], ff[:16])
+			if err := sameState(fmt.Sprintf("%s: scenario %s: resident analyzer", s.name, recipe.Scenarios[i].Name), a, fresh.Analyzers()[i]); err != nil {
+				return err
 			}
 			if before != nil && before[i] != a {
 				return fmt.Errorf("%s: scenario %s: the resident engine replaced its analyzer", s.name, recipe.Scenarios[i].Name)

@@ -77,24 +77,18 @@ func checkTopologySharedIsolated(cx *Ctx) error {
 	cons1 := cx.constraintsFor(d1, period)
 	cons2 := cx.constraintsFor(d2, period)
 
-	a1, err := sta.New(d1, cons1, cx.fullCfg(1))
+	a1, err := analyze(d1, cons1, cx.fullCfg(1))
 	if err != nil {
 		return err
 	}
 	cfg2 := cx.fullCfg(1)
 	cfg2.Topology = a1.Topology()
-	a2, err := sta.New(d2, cons2, cfg2)
+	a2, err := analyze(d2, cons2, cfg2)
 	if err != nil {
 		return err
 	}
 	if !a2.SharedTopology() {
 		return fmt.Errorf("second analyzer over a clone rejected the frozen topology")
-	}
-	if err := a1.Run(); err != nil {
-		return err
-	}
-	if err := a2.Run(); err != nil {
-		return err
 	}
 
 	// Diverge the twins: independent random edit scripts, incremental
@@ -128,16 +122,12 @@ func checkTopologySharedIsolated(cx *Ctx) error {
 		a    *sta.Analyzer
 		cons *sta.Constraints
 	}{{a1, cons1}, {a2, cons2}} {
-		fresh, err := sta.New(pair.a.D, pair.cons, cx.fullCfg(1))
+		fresh, err := analyze(pair.a.D, pair.cons, cx.fullCfg(1))
 		if err != nil {
 			return err
 		}
-		if err := fresh.Run(); err != nil {
+		if err := sameState(fmt.Sprintf("shared-topology analyzer %d after edits", i+1), pair.a, fresh); err != nil {
 			return err
-		}
-		if fs, ff := Fingerprint(pair.a), Fingerprint(fresh); fs != ff {
-			return fmt.Errorf("shared-topology analyzer %d diverged from independent analyzer after edits: %s vs %s",
-				i+1, fs[:16], ff[:16])
 		}
 	}
 	return nil

@@ -33,16 +33,13 @@ func checkCRPR(cx *Ctx) error {
 			return fmt.Errorf("negative CRPR credit %v at %s (kind %v)", e.CRPR, e.Name(), e.Kind)
 		}
 	}
-	flat, err := sta.New(cx.Design, cx.Cons, sta.Config{
+	flat, err := analyze(cx.Design, cx.Cons, sta.Config{
 		Lib:        cx.Lib,
 		Parasitics: sta.NewNetBinder(cx.Stack, cx.Spec.Seed),
 		Derate:     sta.NoDerate{},
 		Workers:    1,
 	})
 	if err != nil {
-		return err
-	}
-	if err := flat.Run(); err != nil {
 		return err
 	}
 	for _, e := range sortedEndpoints(flat) {
@@ -158,11 +155,8 @@ func checkSlackLinearInPeriod(cx *Ctx) error {
 	}
 	const delta = 60
 	cons2 := cx.constraintsFor(cx.Design, units.Ps(cx.Spec.Period+delta))
-	a2, err := sta.New(cx.Design, cons2, cx.fullCfg(1))
+	a2, err := analyze(cx.Design, cons2, cx.fullCfg(1))
 	if err != nil {
-		return err
-	}
-	if err := a2.Run(); err != nil {
 		return err
 	}
 	for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
@@ -203,17 +197,11 @@ func checkSTASerialParallel(cx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	par, err := sta.New(cx.Design, cx.Cons, cx.fullCfg(4))
+	par, err := analyze(cx.Design, cx.Cons, cx.fullCfg(4))
 	if err != nil {
 		return err
 	}
-	if err := par.Run(); err != nil {
-		return err
-	}
-	if fs, fp := Fingerprint(serial), Fingerprint(par); fs != fp {
-		return fmt.Errorf("workers=1 and workers=4 fingerprints differ: %s vs %s", fs[:16], fp[:16])
-	}
-	return nil
+	return sameState("workers=4 against workers=1", par, serial)
 }
 
 // checkDelayMonotone: NLDM characterization must produce physically
@@ -306,11 +294,8 @@ func checkSlackConservedAcrossNets(cx *Ctx) error {
 			cons.ExtraCKLatency[c] = units.Ps(5 + cx.rng.Intn(60))
 		}
 	}
-	a, err := sta.New(cx.Design, cons, cx.fullCfg(1))
+	a, err := analyze(cx.Design, cons, cx.fullCfg(1))
 	if err != nil {
-		return err
-	}
-	if err := a.Run(); err != nil {
 		return err
 	}
 	for _, n := range cx.Design.Nets {

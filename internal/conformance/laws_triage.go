@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 
 	"newgame/internal/core"
 	"newgame/internal/liberty"
@@ -53,7 +52,7 @@ func (cx *Ctx) triagePeriod() (units.Ps, error) {
 		return cx.triagePd, nil
 	}
 	probe := units.Ps(cx.Spec.Period)
-	tight, err := cx.triageViews(triageRecipe(cx.Lib, cx.Stack).Scenarios[:1], probe)
+	tight, err := buildViews(cx.Design, triageRecipe(cx.Lib, cx.Stack).Scenarios[:1], probe, sta.NewNetBinder(cx.Stack, cx.Spec.Seed))
 	if err != nil {
 		return 0, fmt.Errorf("triage period probe: %v", err)
 	}
@@ -67,18 +66,6 @@ func (cx *Ctx) triagePeriod() (units.Ps, error) {
 	}
 	cx.triagePd = pd
 	return pd, nil
-}
-
-// triageViews times scens over the lab design at the given period: one
-// resident analyzer per scenario, sharing parasitics and a frozen topology —
-// the same arrangement timingd holds.
-func (cx *Ctx) triageViews(scens []core.Scenario, period units.Ps) (*core.Views, error) {
-	v := &core.Views{
-		D: cx.Design, ClockPort: cx.Design.Port("clk"), BasePeriod: period, Scenarios: scens,
-		Parasitics: sta.NewNetBinder(cx.Stack, cx.Spec.Seed),
-		Workers:    1, AnalysisWorkers: 1,
-	}
-	return v, v.Build(context.Background(), nil)
 }
 
 // checkDominancePruneSound: scenario-dominance pruning is an optimization,
@@ -111,7 +98,7 @@ func checkDominancePruneSound(cx *Ctx) error {
 		return fmt.Errorf("want 2 prune records, got %+v", plan.Prunes)
 	}
 
-	views, err := cx.triageViews(scens, pd)
+	views, err := buildViews(cx.Design, scens, pd, sta.NewNetBinder(cx.Stack, cx.Spec.Seed))
 	if err != nil {
 		return err
 	}
@@ -209,71 +196,38 @@ func checkTriageClusterMerge(cx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	names := make([]string, len(rcp.Scenarios))
-	for i, sc := range rcp.Scenarios {
-		names[i] = sc.Name
+	cfg := timingd.Config{
+		Design: cx.Design, Recipe: rcp, Stack: cx.Stack,
+		BasePeriod: pd, Seed: cx.Spec.Seed, QueryWorkers: 2,
 	}
-
-	newWorker := func(filter []string) (*timingd.Server, *httptest.Server, error) {
-		cfg := timingd.Config{
-			Design: cx.Design, Recipe: rcp, Stack: cx.Stack,
-			BasePeriod: pd, Seed: cx.Spec.Seed, QueryWorkers: 2,
-		}
-		if filter != nil {
-			cfg.Role = "worker"
-			cfg.ScenarioFilter = filter
-		}
-		srv, err := timingd.NewServer(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return srv, httptest.NewServer(srv), nil
-	}
-
-	refSrv, refHS, err := newWorker(nil)
+	ctx := context.Background()
+	ref, err := bootCluster(0, cfg)
 	if err != nil {
 		return fmt.Errorf("single-node boot: %v", err)
 	}
-	defer func() { refHS.Close(); refSrv.Close() }()
-	_, refBody, err := httpGet(refHS.URL + "/triage")
-	if err != nil {
+	defer ref.close()
+	var refBody json.RawMessage
+	if err := ref.c.Do(ctx, "GET", "/triage", nil, &refBody); err != nil {
 		return fmt.Errorf("single-node triage: %v", err)
 	}
-	var ref timingd.TriageReport
-	if err := json.Unmarshal(refBody, &ref); err != nil {
+	var rep timingd.TriageReport
+	if err := json.Unmarshal(refBody, &rep); err != nil {
 		return fmt.Errorf("single-node triage body: %v", err)
 	}
-	if ref.Stats.Violations == 0 || len(ref.Clusters) == 0 {
+	if rep.Stats.Violations == 0 || len(rep.Clusters) == 0 {
 		return fmt.Errorf("triage lab produced no violations at period %v", pd)
 	}
-	if ref.Stats.PrunedPairs == 0 {
-		return fmt.Errorf("dominance pruning skipped nothing: %+v", ref.Stats)
+	if rep.Stats.PrunedPairs == 0 {
+		return fmt.Errorf("dominance pruning skipped nothing: %+v", rep.Stats)
 	}
-
-	for _, shards := range []int{1, 2, 4} {
-		if err := checkTriageShardCount(shards, names, newWorker, refBody); err != nil {
-			return fmt.Errorf("shards=%d: %v", shards, err)
+	return acrossShards(cfg, func(r *rig) error {
+		var body json.RawMessage
+		if err := r.c.Do(ctx, "GET", "/triage", nil, &body); err != nil {
+			return fmt.Errorf("cluster triage: %v", err)
 		}
-	}
-	return nil
-}
-
-func checkTriageShardCount(shards int, names []string,
-	newWorker func([]string) (*timingd.Server, *httptest.Server, error), refBody []byte) error {
-	coord, workers, err := bootCluster(shards, names, newWorker)
-	if err != nil {
-		return err
-	}
-	defer coord.close()
-	defer workers.close()
-	_, body, err := httpGet(coord.url + "/triage")
-	if err != nil {
-		return fmt.Errorf("cluster triage: %v", err)
-	}
-	// The coordinator re-marshals the merged report without the worker
-	// encoder's trailing newline; the payload must match byte for byte.
-	if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(refBody)) {
-		return fmt.Errorf("triage reports diverge from single node:\n  single: %s\n  cluster: %s", refBody, body)
-	}
-	return nil
+		if !bytes.Equal(body, refBody) {
+			return fmt.Errorf("triage reports diverge from single node:\n  single: %s\n  cluster: %s", refBody, body)
+		}
+		return nil
+	})
 }

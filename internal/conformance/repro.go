@@ -3,8 +3,6 @@ package conformance
 import (
 	"encoding/json"
 	"fmt"
-
-	"newgame/internal/parasitics"
 )
 
 // Repro is a minimized, serializable reproducer for one law violation:
@@ -32,10 +30,7 @@ func Replay(r Repro) error {
 	if law == nil {
 		return fmt.Errorf("repro references unknown invariant %q", r.Invariant)
 	}
-	if law.Scope == PerRun {
-		return law.Check(&Ctx{Lib: Lib(), Stack: parasitics.Stack16()})
-	}
-	cx := newCtx(r.Design, len(r.Edits))
+	cx := newCtx(law.Scope, r.Design, len(r.Edits))
 	cx.ForcedEdits = r.Edits
 	return law.Check(cx)
 }

@@ -38,7 +38,7 @@ type Result struct {
 	Keys map[string]float64
 }
 
-// Obs, when non-nil, is attached to every closure engine and corner sweep
+// Obs, when non-nil, is attached to every closure engine and sampler pool
 // the experiments build — cmd/experiments wires its -metrics/-trace flags
 // here. Nil (the default) records nothing.
 var Obs *obs.Recorder
@@ -672,11 +672,9 @@ func Fig12CornerExplosion() Result {
 	tb.Row("multi-patterning shift combos", sp.MaskShiftCombos)
 	tb.Row("full cross product", full)
 	// Observational pruning on synthetic WNS structure: deeper-V scenarios
-	// dominate shallower ones of the same mode kind. Per-scenario
-	// evaluation goes through the concurrent sweep (results merge in input
-	// order, so the output is identical to a serial loop).
-	swSpan := Obs.Start("experiment:fig12.sweep", nil)
-	rs := mcmm.SweepObs(Obs, swSpan, sp.Enumerate(), 0, func(_ int, sc mcmm.Scenario) mcmm.ScenarioResult {
+	// dominate shallower ones of the same mode kind.
+	var rs []mcmm.ScenarioResult
+	for _, sc := range sp.Enumerate() {
 		// Synthetic severity: lower voltage, higher temp, worse BEOL ->
 		// worse WNS. Structure, not absolute truth; the pruner only needs
 		// ordering.
@@ -687,9 +685,8 @@ func Fig12CornerExplosion() Result {
 		if sc.MaskShift > 0 {
 			sev += 2
 		}
-		return mcmm.ScenarioResult{Scenario: sc, SetupWNS: -sev, HoldWNS: -sev / 8}
-	})
-	swSpan.End()
+		rs = append(rs, mcmm.ScenarioResult{Scenario: sc, SetupWNS: -sev, HoldWNS: -sev / 8})
+	}
 	keep, pruned := mcmm.PruneDominated(rs, 10)
 	tb.Row("after dominance pruning", len(keep))
 	txt := tb.String() + fmt.Sprintf("pruned %d of %d scenarios (%.0f%%)\n",

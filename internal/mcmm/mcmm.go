@@ -12,10 +12,8 @@ import (
 	"sort"
 
 	"newgame/internal/liberty"
-	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 	"newgame/internal/units"
-	"newgame/internal/workpool"
 )
 
 // Mode is a functional or test operating mode with its own constraints.
@@ -156,60 +154,11 @@ func DefaultModes() []Mode {
 	}
 }
 
-// ScenarioResult couples a scenario with its analysis outcome for pruning
-// and merged reporting.
+// ScenarioResult couples a scenario with its analysis outcome for pruning.
 type ScenarioResult struct {
 	Scenario Scenario
 	SetupWNS units.Ps
 	HoldWNS  units.Ps
-	// SetupCritCells/HoldCritCells identify worst-path cells (by name) for
-	// cross-scenario fix planning.
-	SetupCritCells []string
-	HoldCritCells  []string
-}
-
-// Sweep evaluates every scenario with eval across a bounded worker pool
-// and returns the results in input order regardless of completion order —
-// the determinism rule of the concurrent signoff engine. workers == 0
-// means one per available CPU; workers == 1 forces serial evaluation.
-// eval must be safe for concurrent calls (per-corner analyses are
-// independent units of work; any shared state belongs behind the caller's
-// own synchronization).
-func Sweep(scenarios []Scenario, workers int, eval func(idx int, s Scenario) ScenarioResult) []ScenarioResult {
-	return SweepObs(nil, nil, scenarios, workers, eval)
-}
-
-// SweepObs is Sweep with observability: each scenario evaluation gets a
-// span on its worker's trace track (parented under parent, e.g. a survey
-// or experiment span) and bumps that worker's occupancy counter, so the
-// exported trace shows how the corner sweep actually packed the pool. A
-// nil rec records nothing and costs almost nothing.
-func SweepObs(rec *obs.Recorder, parent *obs.Span, scenarios []Scenario, workers int, eval func(idx int, s Scenario) ScenarioResult) []ScenarioResult {
-	out := make([]ScenarioResult, len(scenarios))
-	workpool.DoObs(nil, nil, "", workers, len(scenarios), func(i, g int) {
-		sp := rec.Start("scenario:"+scenarios[i].Name(), parent).OnTrack(g + 1)
-		out[i] = eval(i, scenarios[i])
-		sp.End()
-		if rec != nil {
-			rec.Counter(fmt.Sprintf("mcmm.worker_%02d.scenarios", g)).Add(1)
-		}
-	})
-	return out
-}
-
-// MergedWNS reports the worst setup and hold WNS across scenarios — the
-// number a closure loop drives to zero.
-func MergedWNS(rs []ScenarioResult) (setup, hold units.Ps) {
-	setup, hold = 0, 0
-	for _, r := range rs {
-		if r.SetupWNS < setup {
-			setup = r.SetupWNS
-		}
-		if r.HoldWNS < hold {
-			hold = r.HoldWNS
-		}
-	}
-	return setup, hold
 }
 
 // PruneDominated removes scenarios whose timing is provably covered by a

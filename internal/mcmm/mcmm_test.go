@@ -1,13 +1,9 @@
 package mcmm
 
 import (
-	"bytes"
-	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
-	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 )
 
@@ -85,22 +81,6 @@ func TestVoltageTempGridSetupHoldSplit(t *testing.T) {
 	}
 }
 
-func TestMergedWNS(t *testing.T) {
-	rs := []ScenarioResult{
-		{SetupWNS: -50, HoldWNS: 0},
-		{SetupWNS: -10, HoldWNS: -20},
-		{SetupWNS: 0, HoldWNS: 0},
-	}
-	s, h := MergedWNS(rs)
-	if s != -50 || h != -20 {
-		t.Errorf("merged = (%v, %v), want (-50, -20)", s, h)
-	}
-	s, h = MergedWNS(nil)
-	if s != 0 || h != 0 {
-		t.Errorf("empty merge = (%v, %v)", s, h)
-	}
-}
-
 func TestPruneDominated(t *testing.T) {
 	mkr := func(mode Mode, setup, hold float64) ScenarioResult {
 		return ScenarioResult{
@@ -124,8 +104,14 @@ func TestPruneDominated(t *testing.T) {
 		t.Errorf("wrong scenario pruned: %+v", pruned[0].Scenario)
 	}
 	// The kept set must still realize the merged WNS.
-	s0, h0 := MergedWNS(rs)
-	s1, h1 := MergedWNS(keep)
+	merged := func(rs []ScenarioResult) (setup, hold float64) {
+		for _, r := range rs {
+			setup, hold = min(setup, r.SetupWNS), min(hold, r.HoldWNS)
+		}
+		return setup, hold
+	}
+	s0, h0 := merged(rs)
+	s1, h1 := merged(keep)
 	if s0 != s1 || h0 != h1 {
 		t.Errorf("pruning changed merged WNS: (%v,%v) vs (%v,%v)", s0, h0, s1, h1)
 	}
@@ -136,85 +122,5 @@ func TestModeKindStrings(t *testing.T) {
 		if m.Kind.String() == "" || m.PeriodScale <= 0 {
 			t.Errorf("bad mode %+v", m)
 		}
-	}
-}
-
-// Sweep must return results in input order at any worker count, and the
-// concurrent evaluation must agree with serial exactly.
-func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	sp := space(4, 3, 2)
-	sp.Modes = DefaultModes()
-	scenarios := sp.Enumerate()
-	eval := func(idx int, s Scenario) ScenarioResult {
-		// Depend on both index and scenario so misordered results or a
-		// scenario/slot mismatch is caught.
-		return ScenarioResult{
-			Scenario: s,
-			SetupWNS: -float64(idx) - (1.0-s.PVT.Voltage)*100,
-			HoldWNS:  -s.PVT.Temp / 8,
-		}
-	}
-	serial := Sweep(scenarios, 1, eval)
-	if len(serial) != len(scenarios) {
-		t.Fatalf("got %d results, want %d", len(serial), len(scenarios))
-	}
-	for i, r := range serial {
-		if r.Scenario != scenarios[i] {
-			t.Fatalf("result %d holds scenario %v, want input order", i, r.Scenario)
-		}
-	}
-	for _, workers := range []int{0, 2, 8} {
-		par := Sweep(scenarios, workers, eval)
-		if !reflect.DeepEqual(par, serial) {
-			t.Fatalf("workers=%d: results differ from serial", workers)
-		}
-	}
-}
-
-// SweepObs records one span and one worker-counter bump per scenario
-// evaluation without changing the results, and stays nil-safe when the
-// recorder is absent.
-func TestSweepObsRecordsWithoutPerturbing(t *testing.T) {
-	sp := space(3, 2, 1)
-	sp.Modes = DefaultModes()[:2]
-	scenarios := sp.Enumerate()
-	eval := func(idx int, s Scenario) ScenarioResult {
-		return ScenarioResult{Scenario: s, SetupWNS: -float64(idx), HoldWNS: -1}
-	}
-	bare := Sweep(scenarios, 1, eval)
-	rec := obs.NewRecorder()
-	parent := rec.Start("sweep", nil)
-	got := SweepObs(rec, parent, scenarios, 3, eval)
-	parent.End()
-	if !reflect.DeepEqual(got, bare) {
-		t.Fatal("recorded sweep differs from bare sweep")
-	}
-	var b bytes.Buffer
-	if err := rec.WriteMetricsJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var d struct {
-		Counters map[string]int64 `json:"counters"`
-		Spans    map[string]struct {
-			Count int `json:"count"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &d); err != nil {
-		t.Fatal(err)
-	}
-	spans, counted := 0, int64(0)
-	for name, st := range d.Spans {
-		if strings.HasPrefix(name, "scenario:") {
-			spans += st.Count
-		}
-	}
-	for name, v := range d.Counters {
-		if strings.HasPrefix(name, "mcmm.worker_") {
-			counted += v
-		}
-	}
-	if spans != len(scenarios) || counted != int64(len(scenarios)) {
-		t.Fatalf("recorded %d spans / %d counter bumps, want %d scenarios",
-			spans, counted, len(scenarios))
 	}
 }

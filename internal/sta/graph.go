@@ -318,14 +318,20 @@ type Analyzer struct {
 	obsGraphLevels     *obs.Gauge
 }
 
-// New builds the analysis graph. It fails on unknown cell masters or
-// structural problems (combinational cycles, undriven logic).
+// New builds the analysis graph. It fails on a clock period that is not a
+// positive finite number, unknown cell masters or structural problems
+// (combinational cycles, undriven logic).
 func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 	if cfg.Derate == nil {
 		cfg.Derate = NoDerate{}
 	}
 	if cfg.Lib == nil {
 		return nil, fmt.Errorf("sta: no library")
+	}
+	for _, ck := range cons.Clocks {
+		if p := float64(ck.Period); !(p > 0) || math.IsInf(p, 1) {
+			return nil, fmt.Errorf("sta: clock %q period %v ps is not a positive finite number", ck.Name, ck.Period)
+		}
 	}
 	a := &Analyzer{D: d, Cons: cons, Cfg: cfg, dirtyGen: 1}
 	a.bindObs()

@@ -3,6 +3,7 @@ package sta
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"newgame/internal/circuits"
@@ -554,6 +555,21 @@ func TestUnknownMasterRejected(t *testing.T) {
 	}
 	if _, err := New(d, NewConstraints(), Config{Lib: lib}); err == nil {
 		t.Error("unknown master accepted")
+	}
+}
+
+// A clock period that is not a positive finite number is refused at New, by
+// the clock's name, before it can time anything.
+func TestBadClockPeriodRejected(t *testing.T) {
+	lib := testLib()
+	d := circuits.Chain(lib, circuits.ChainSpec{Stages: 3})
+	for _, period := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		cons := NewConstraints()
+		cons.AddClock("core_clk", period, d.Port("clk"))
+		_, err := New(d, cons, Config{Lib: lib})
+		if err == nil || !strings.Contains(err.Error(), `clock "core_clk"`) {
+			t.Errorf("period %v: want an error naming the clock, got %v", period, err)
+		}
 	}
 }
 

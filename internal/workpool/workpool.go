@@ -1,14 +1,15 @@
-// Package workpool is the bounded worker pool shared by the
-// characterization pipeline (liberty generation, Monte Carlo variation
-// fan-out, flip-flop search sweeps). It follows the determinism rule of the
-// concurrent signoff engine: workers only decide *who* computes an indexed
-// job, never *what* is computed — every job writes to its own index, so
-// results are byte-identical for any worker count, including serial.
+// Package workpool is the bounded worker pool shared by a survey's scenario
+// fan-out (core.Views), sta's net and level sweeps and the characterization
+// pipeline (liberty generation, Monte Carlo variation fan-out, flip-flop
+// search sweeps). It follows the determinism rule of the concurrent signoff
+// engine: workers only decide *who* computes an indexed job, never *what* is
+// computed — every job writes to its own index, so results are
+// byte-identical for any worker count, including serial.
 //
-// Observability piggybacks on the same lane model as mcmm.SweepObs: when a
-// recorder is attached each job gets a span on its worker's trace track and
-// bumps that worker's occupancy counter, so characterization pool packing
-// is visible in Perfetto next to the signoff lanes.
+// Observability piggybacks on the same lane model as a survey's scenarios:
+// when a recorder is attached each job gets a span on its worker's trace
+// track and bumps that worker's occupancy counter, so characterization pool
+// packing is visible in Perfetto next to the signoff lanes.
 package workpool
 
 import (
@@ -42,7 +43,7 @@ func Do(w, n int, fn func(i int)) {
 // i on worker g. When rec is non-nil, each job gets a span named
 // "<name>:<i>" on track g+1 under parent, and worker g's
 // "<name>.worker_NN.jobs" counter is bumped — the characterization
-// equivalent of the mcmm scenario lanes. A nil rec records nothing and
+// equivalent of a survey's scenario lanes. A nil rec records nothing and
 // costs one nil check per job.
 func DoObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn func(i, g int)) {
 	if n <= 0 {
