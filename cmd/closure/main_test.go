@@ -68,6 +68,17 @@ func TestRunMetricsAndTraceExport(t *testing.T) {
 			t.Errorf("%s is not valid JSON: %v", filepath.Base(p), err)
 		}
 	}
+	// The resident-byte split by owner, published by every scenario set.
+	b, _ := os.ReadFile(metrics)
+	var dump struct{ Gauges map[string]float64 }
+	if err := json.Unmarshal(b, &dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"planes_bytes", "net_cache_bytes", "arc_group_bytes", "tree_bytes"} {
+		if v := dump.Gauges["core.views."+g]; !(v > 0) {
+			t.Errorf("gauge core.views.%s = %v, want > 0", g, v)
+		}
+	}
 }
 
 func TestRunBadFlag(t *testing.T) {

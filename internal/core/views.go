@@ -93,6 +93,7 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 		return err
 	}
 	v.as = as
+	v.publishResident()
 	return nil
 }
 
@@ -105,7 +106,7 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 // failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
 	v.Parasitics.Refresh(v.D)
-	return v.each(func(i, g int) error {
+	err := v.each(func(i, g int) error {
 		a := v.as[i]
 		var topo *sta.Topology
 		if i > 0 {
@@ -116,6 +117,29 @@ func (v *Views) Rerun(ctx context.Context) error {
 		a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan, a.Cfg.Topology = cons, cfg.CellDerate, cfg.ObsSpan, cfg.Topology
 		return a.RunCtx(ctx)
 	})
+	if err == nil {
+		v.publishResident()
+	}
+	return err
+}
+
+// publishResident sets the resident-byte gauges: what the set's analyzers
+// hold, summed by owner (sta.Resident), and the parasitics table's trees.
+func (v *Views) publishResident() {
+	if v.Obs == nil {
+		return
+	}
+	var r sta.Resident
+	for _, a := range v.as {
+		b := a.ResidentBytes()
+		r.Planes += b.Planes
+		r.NetCache += b.NetCache
+		r.ArcGroups += b.ArcGroups
+	}
+	v.Obs.Gauge("core.views.planes_bytes").Set(float64(r.Planes))
+	v.Obs.Gauge("core.views.net_cache_bytes").Set(float64(r.NetCache))
+	v.Obs.Gauge("core.views.arc_group_bytes").Set(float64(r.ArcGroups))
+	v.Obs.Gauge("core.views.tree_bytes").Set(float64(v.Parasitics.TreeBytes()))
 }
 
 // Update re-times every analyzer incrementally from the cells and nets

@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"newgame/internal/core"
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
+	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 )
@@ -211,5 +214,58 @@ func TestViewsBuildErrorAndSeed(t *testing.T) {
 		if fp != conformance.Fingerprint(built[i]) {
 			t.Errorf("scenario %d over the adopted topology differs", i)
 		}
+	}
+}
+
+// heapAfterGC is the live heap once two collections have run.
+func heapAfterGC() float64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+// What one more resident scenario costs, per vertex: the difference between
+// a one- and a four-scenario set over the same block, over three. The set's
+// gauges count the analyzers' slabs by owner; the heap (median of three
+// builds) holds those plus the endpoint lists and the scratch, so it may
+// exceed the gauges but only by a little.
+func TestViewsRetainedBytesPerScenario(t *testing.T) {
+	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "retained", Inputs: 24, Outputs: 24, FFs: 96, Gates: 1400,
+		MaxDepth: 13, Seed: 7, ClockBufferLevels: 3, VtMix: [3]float64{0, 0.4, 0.6},
+	})
+	retained := func(n int) (heap, gauges float64, verts int) {
+		var trials [3]float64
+		for i := range trials {
+			v := viewsOver(d.Clone(), recipe, 1)
+			v.Scenarios, v.Obs = v.Scenarios[:n], obs.NewRecorder()
+			before := heapAfterGC()
+			if err := v.Build(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			trials[i] = heapAfterGC() - before
+			gauges = 0
+			for _, g := range []string{"planes_bytes", "net_cache_bytes", "arc_group_bytes"} {
+				gauges += v.Obs.Gauge("core.views." + g).Value()
+			}
+			verts = v.Analyzers()[0].NumVerts()
+			runtime.KeepAlive(v)
+		}
+		slices.Sort(trials[:])
+		return trials[1], gauges, verts
+	}
+	heap1, gauges1, verts := retained(1)
+	heap4, gauges4, _ := retained(4)
+	heap := (heap4 - heap1) / 3 / float64(verts)
+	gauges := (gauges4 - gauges1) / 3 / float64(verts)
+	t.Logf("one more scenario over %d vertices: %.0f B per vertex on the heap, %.0f by the gauges", verts, heap, gauges)
+	if heap > 310 {
+		t.Errorf("a scenario retains %.0f B per vertex, want ≤ 310", heap)
+	}
+	if heap < gauges || heap > 1.1*gauges {
+		t.Errorf("the heap holds %.0f B per vertex per scenario, the gauges count %.0f: want within 10 %%", heap, gauges)
 	}
 }

@@ -75,7 +75,7 @@ func Check(a *sta.Analyzer, lib *liberty.Library, stack *parasitics.Stack,
 		limit := math.Inf(1)
 		layerName := ""
 		for _, li := range t.Layer {
-			if li < 0 || li >= len(stack.Layers) {
+			if li < 0 || int(li) >= len(stack.Layers) {
 				continue
 			}
 			l := stack.Layers[li]

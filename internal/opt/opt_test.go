@@ -421,7 +421,7 @@ func TestStoreNDRAccessors(t *testing.T) {
 // An NDR'd net keeps one scaled tree until its rule or its route changes:
 // analyzers key their per-net delay cache on the pointer.
 func TestStoreNDRTreeIsStable(t *testing.T) {
-	route := parasitics.NewTree()
+	route := parasitics.NewTree(0, 0)
 	route.MarkSink(route.AddNode(0, 2, 3, 1, 0))
 	st := sta.NewKeyedNetBinder(parasitics.Stack16(), 1)
 	d := netlist.New("x")
@@ -450,7 +450,7 @@ func TestStoreNDRTreeIsStable(t *testing.T) {
 		t.Error("a new rule must produce a new tree")
 	}
 	old := route
-	route = parasitics.NewTree()
+	route = parasitics.NewTree(0, 0)
 	route.MarkSink(route.AddNode(0, 4, 3, 1, 0))
 	st.Fill(n, route)
 	if rerouted := st.Tree(n); rerouted == shielded || rerouted.R[1] != route.R[1]*Shielded.R {

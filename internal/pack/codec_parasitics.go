@@ -2,6 +2,7 @@ package pack
 
 import (
 	"fmt"
+	"math"
 
 	"newgame/internal/netlist"
 	"newgame/internal/pack/wire"
@@ -134,10 +135,7 @@ func decodeTrees(r *wire.Reader, s *Snapshot) (*sta.Parasitics, error) {
 }
 
 func encodeTree(w *wire.Writer, t *parasitics.Tree) {
-	w.U32(uint32(len(t.Parent)))
-	for _, p := range t.Parent {
-		w.U32(uint32(int32(p)))
-	}
+	w.I32Slab(t.Parent)
 	w.F64Slab(t.R)
 	w.F64Slab(t.C)
 	w.F64Slab(t.Cc)
@@ -145,42 +143,29 @@ func encodeTree(w *wire.Writer, t *parasitics.Tree) {
 	for _, l := range t.Layer {
 		w.U32(uint32(int32(l)))
 	}
-	w.U32(uint32(len(t.Sinks)))
-	for _, s := range t.Sinks {
-		w.U32(uint32(int32(s)))
-	}
+	w.I32Slab(t.Sinks)
 }
 
+// decodeTree reads one tree. Layers travel as 4-byte words; each must
+// address the decoded stack (or be -1, a virtual node) before it is narrowed
+// to the tree's one byte.
 func decodeTree(r *wire.Reader, nLayers int) (*parasitics.Tree, error) {
-	ints := func() []int {
-		vs := r.I32Slab()
-		if vs == nil {
-			return nil
-		}
-		out := make([]int, len(vs))
-		for i, v := range vs {
-			out[i] = int(v)
-		}
-		return out
-	}
-	t := &parasitics.Tree{Parent: ints()}
-	t.R = r.F64Slab()
-	t.C = r.F64Slab()
-	t.Cc = r.F64Slab()
-	t.Layer = ints()
-	t.Sinks = ints()
+	t := &parasitics.Tree{Parent: r.I32Slab(), R: r.F64Slab(), C: r.F64Slab(), Cc: r.F64Slab()}
+	layers := r.I32Slab()
+	t.Sinks = r.I32Slab()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// Validate covers root/parent topology, array lengths, and sink
-	// ranges; layer indices additionally must address the decoded stack.
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	for i, l := range t.Layer {
-		if l < -1 || l >= nLayers {
+	t.Layer = make([]int8, len(layers))
+	for i, l := range layers {
+		if l < -1 || int(l) >= nLayers || l > math.MaxInt8 {
 			return nil, fmt.Errorf("pack: tree node %d on layer %d of a %d-layer stack", i, l, nLayers)
 		}
+		t.Layer[i] = int8(l)
+	}
+	// Validate covers root/parent topology, array lengths, and sink ranges.
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -1,6 +1,9 @@
 package pack
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -55,7 +58,7 @@ func tinySnapshot(t testing.TB) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := parasitics.NewTree()
+	tr := parasitics.NewTree(0, 0)
 	tr.MarkSink(tr.AddNode(0, 0.02, 1.1, 0.3, 2))
 	trees := sta.NewKeyedNetBinder(parasitics.Stack16(), 1)
 	trees.Fill(d.Net("n_out"), tr)
@@ -103,6 +106,48 @@ func invalidTablePacks(t testing.TB) (names []string, packs [][]byte) {
 	return names, packs
 }
 
+// hostileTreePacks encodes tinySnapshot and rewrites one word of its tree in
+// the TREE section, fixing the section's CRC so that only the tree decoder
+// can refuse it: a layer of 300 (past the stack and past the byte a layer is
+// narrowed to), or a node that is its own parent. The tree is root → node 1
+// on layer 2, so its parent slab is {2, -1, 0} and its layer slab {2, -1, 2}.
+func hostileTreePacks(t testing.TB) (names []string, packs [][]byte) {
+	t.Helper()
+	words := func(vs ...int32) []byte {
+		b := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name     string
+		old, new []byte
+	}{
+		{"layer 300", words(2, -1, 2), words(2, -1, 300)},
+		{"parent not before its node", words(2, -1, 0), words(2, -1, 1)},
+	} {
+		b, err := Encode(tinySnapshot(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := headerSize; e < headerSize+sectionEntrySize*int(binary.LittleEndian.Uint16(b[6:])); e += sectionEntrySize {
+			if string(b[e:e+4]) != secTrees {
+				continue
+			}
+			off, n := binary.LittleEndian.Uint64(b[e+4:]), binary.LittleEndian.Uint64(b[e+12:])
+			payload := b[off : off+n]
+			if k := bytes.Count(payload, c.old); k != 1 {
+				t.Fatalf("%s: the tree words occur %d times in the TREE section, want 1", c.name, k)
+			}
+			copy(payload[bytes.Index(payload, c.old):], c.new)
+			binary.LittleEndian.PutUint32(b[e+20:], crc32.ChecksumIEEE(payload))
+		}
+		names, packs = append(names, c.name), append(packs, b)
+	}
+	return names, packs
+}
+
 // FuzzPackDecode feeds hostile bytes to the full decode stack. The contract
 // under attack: never panic, never over-allocate (wire.Reader caps every
 // count by remaining bytes), and anything that decodes must re-encode.
@@ -122,7 +167,8 @@ func FuzzPackDecode(f *testing.F) {
 	}
 	f.Add([]byte("NGTP"))
 	_, invalid := invalidTablePacks(f)
-	for _, b := range invalid {
+	_, hostile := hostileTreePacks(f)
+	for _, b := range append(invalid, hostile...) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

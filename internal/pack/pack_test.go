@@ -213,6 +213,16 @@ func TestDecodeRejectsInvalidTables(t *testing.T) {
 	}
 }
 
+// A saved tree's layers and parents are checked before the tree is built.
+func TestDecodeRejectsHostileTrees(t *testing.T) {
+	names, packs := hostileTreePacks(t)
+	for i, b := range packs {
+		if _, err := Decode(b); err == nil {
+			t.Errorf("%s: decoded without error", names[i])
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

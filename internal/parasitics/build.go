@@ -24,10 +24,10 @@ func addWire(t *Tree, from int, st *Stack, layer int, length units.Um, ccFrac fl
 }
 
 // PointToPoint builds a single-sink net: length µm of wire on layer, with
-// ccFrac of the wire cap appearing as coupling. The sink pin cap is added
-// by the caller (binder) at the sink node.
+// ccFrac of the wire cap appearing as coupling. The sink's pin cap is not
+// part of the tree (see Tree.C).
 func PointToPoint(st *Stack, layer int, length units.Um, ccFrac float64) *Tree {
-	t := NewTree()
+	t := NewTree(1+segmentsPerWire, 1)
 	end := addWire(t, 0, st, layer, length, ccFrac)
 	t.MarkSink(end)
 	return t
@@ -37,10 +37,10 @@ func PointToPoint(st *Stack, layer int, length units.Um, ccFrac float64) *Tree {
 // trunkLayer with nSinks taps of tapLen µm on tapLayer spaced evenly along
 // it. This is the generic signal-net topology the binder uses.
 func Trunk(st *Stack, trunkLayer, tapLayer int, trunkLen, tapLen units.Um, nSinks int, ccFrac float64) *Tree {
-	t := NewTree()
 	if nSinks < 1 {
 		nSinks = 1
 	}
+	t := NewTree(1+2*segmentsPerWire*nSinks, nSinks)
 	seg := trunkLen / float64(nSinks)
 	at := 0
 	for i := 0; i < nSinks; i++ {

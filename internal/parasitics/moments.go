@@ -29,8 +29,7 @@ type Scratch struct {
 // SI analysis and under the nominal factor 1 the two-moment metrics use.
 // Per-sink slices are in sink order.
 type Moments struct {
-	CapE, CapL float64 // total cap at millerE / millerL, sink caps included
-	Coupling   float64
+	CapE, CapL float64   // total cap at millerE / millerL, sink caps included
 	M1E, M1L   []float64 // Elmore delay at millerE / millerL
 	M1, M2     []float64 // first and second moment at Miller factor 1
 }
@@ -48,7 +47,6 @@ type Moments struct {
 func (sc *Scratch) Moments(t *Tree, caps []float64, s *Scaling, millerE, millerL float64) *Moments {
 	sc.bind(t, caps, s)
 	r := &sc.res
-	r.Coupling = t.TotalCoupling(s)
 	nominal := sc.pass(MillerFactor, 2)
 	r.M1 = sc.atSinks(r.M1, sc.m1)
 	r.M2 = sc.atSinks(r.M2, sc.m2)

@@ -7,6 +7,8 @@ package parasitics
 import (
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"newgame/internal/units"
 )
@@ -18,14 +20,17 @@ import (
 //
 // Base R/C values are stored unscaled; analyses pass a Scaling (per-layer
 // multipliers) so one extraction serves every BEOL corner and Monte Carlo
-// sample without rebuilding.
+// sample without rebuilding. A node costs 29 bytes: three float64 values, a
+// 4-byte parent and a 1-byte layer. Parent, Layer and Sinks are never
+// written once a tree is built, so copies share them (ScaledCopy).
 type Tree struct {
 	// Parent[i] is the parent node of i; Parent[0] is -1.
-	Parent []int
+	Parent []int32
 	// R[i] is the base resistance (kΩ) of the segment from Parent[i] to i.
 	R []float64
-	// C[i] is the base grounded capacitance (fF) at node i: wire cap plus,
-	// at sink nodes, the pin cap added by the binder.
+	// C[i] is the base grounded wire capacitance (fF) at node i. Pin caps
+	// are not in the tree: the moment kernel takes the receivers' caps as
+	// virtual children of the sink nodes (Scratch.Moments).
 	C []float64
 	// Cc[i] is the base coupling capacitance (fF) at node i to neighbor
 	// wires. For delay it is grounded with a Miller factor; SI analysis
@@ -33,32 +38,50 @@ type Tree struct {
 	Cc []float64
 	// Layer[i] is the metal layer of the segment into node i, or -1 for
 	// virtual (pin/via-only) nodes. Layer indices refer to a Stack.
-	Layer []int
+	Layer []int8
 	// Sinks holds node indices of load pins in net load order.
-	Sinks []int
+	Sinks []int32
 }
 
-// NewTree returns a tree containing only the root node.
-func NewTree() *Tree {
-	return &Tree{Parent: []int{-1}, R: []float64{0}, C: []float64{0}, Cc: []float64{0}, Layer: []int{-1}}
+// NewTree returns a tree containing only the root node, with room for
+// nodes nodes and sinks sinks: a builder that knows its size up front
+// allocates each slab once, at its final length.
+func NewTree(nodes, sinks int) *Tree {
+	nodes = max(nodes, 1)
+	t := &Tree{
+		Parent: make([]int32, 1, nodes),
+		R:      make([]float64, 1, nodes),
+		C:      make([]float64, 1, nodes),
+		Cc:     make([]float64, 1, nodes),
+		Layer:  make([]int8, 1, nodes),
+		Sinks:  make([]int32, 0, sinks),
+	}
+	t.Parent[0], t.Layer[0] = -1, -1
+	return t
 }
 
 // AddNode appends a node under parent with the given segment resistance,
 // grounded cap, coupling cap, and layer. It returns the new node index.
 func (t *Tree) AddNode(parent int, r, c, cc float64, layer int) int {
-	t.Parent = append(t.Parent, parent)
+	t.Parent = append(t.Parent, int32(parent))
 	t.R = append(t.R, r)
 	t.C = append(t.C, c)
 	t.Cc = append(t.Cc, cc)
-	t.Layer = append(t.Layer, layer)
+	t.Layer = append(t.Layer, int8(layer))
 	return len(t.Parent) - 1
 }
 
 // MarkSink flags node as a sink pin (appended in net load order).
-func (t *Tree) MarkSink(node int) { t.Sinks = append(t.Sinks, node) }
+func (t *Tree) MarkSink(node int) { t.Sinks = append(t.Sinks, int32(node)) }
 
 // N returns the node count.
 func (t *Tree) N() int { return len(t.Parent) }
+
+// Bytes is what the tree occupies: its header and its slabs, counted from
+// their capacities.
+func (t *Tree) Bytes() int {
+	return int(unsafe.Sizeof(*t)) + 4*cap(t.Parent) + 8*(cap(t.R)+cap(t.C)+cap(t.Cc)) + cap(t.Layer) + 4*cap(t.Sinks)
+}
 
 // Scaling carries per-layer multipliers for R, grounded C, and coupling C.
 // Index -1 (virtual nodes) is implicitly 1.0. A nil *Scaling means nominal.
@@ -76,22 +99,22 @@ func Uniform(nLayers int, r, c, cc float64) *Scaling {
 	return s
 }
 
-func (s *Scaling) rAt(layer int) float64 {
-	if s == nil || layer < 0 || layer >= len(s.R) {
+func (s *Scaling) rAt(layer int8) float64 {
+	if s == nil || layer < 0 || int(layer) >= len(s.R) {
 		return 1
 	}
 	return s.R[layer]
 }
 
-func (s *Scaling) cAt(layer int) float64 {
-	if s == nil || layer < 0 || layer >= len(s.C) {
+func (s *Scaling) cAt(layer int8) float64 {
+	if s == nil || layer < 0 || int(layer) >= len(s.C) {
 		return 1
 	}
 	return s.C[layer]
 }
 
-func (s *Scaling) ccAt(layer int) float64 {
-	if s == nil || layer < 0 || layer >= len(s.Cc) {
+func (s *Scaling) ccAt(layer int8) float64 {
+	if s == nil || layer < 0 || int(layer) >= len(s.Cc) {
 		return 1
 	}
 	return s.Cc[layer]
@@ -198,7 +221,7 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("parasitics: inconsistent array lengths")
 	}
 	for i := 1; i < n; i++ {
-		if t.Parent[i] < 0 || t.Parent[i] >= i {
+		if t.Parent[i] < 0 || int(t.Parent[i]) >= i {
 			return fmt.Errorf("parasitics: node %d parent %d not topologically earlier", i, t.Parent[i])
 		}
 		if t.R[i] < 0 || t.C[i] < 0 || t.Cc[i] < 0 {
@@ -206,7 +229,7 @@ func (t *Tree) Validate() error {
 		}
 	}
 	for _, s := range t.Sinks {
-		if s <= 0 || s >= n {
+		if s <= 0 || int(s) >= n {
 			return fmt.Errorf("parasitics: sink %d out of range", s)
 		}
 	}
@@ -216,15 +239,17 @@ func (t *Tree) Validate() error {
 // ScaledCopy returns a copy of the tree with all segment R, grounded C, and
 // coupling C multiplied by the given factors — the effect of re-routing a
 // net under a non-default rule (wider wire: lower R; extra spacing: lower
-// coupling; some ground-cap increase).
+// coupling; some ground-cap increase). The copy shares t's Parent, Layer
+// and Sinks, clipped so that growing either tree never writes into the
+// other's.
 func (t *Tree) ScaledCopy(r, c, cc float64) *Tree {
 	cp := &Tree{
-		Parent: append([]int(nil), t.Parent...),
+		Parent: slices.Clip(t.Parent),
 		R:      make([]float64, len(t.R)),
 		C:      make([]float64, len(t.C)),
 		Cc:     make([]float64, len(t.Cc)),
-		Layer:  append([]int(nil), t.Layer...),
-		Sinks:  append([]int(nil), t.Sinks...),
+		Layer:  slices.Clip(t.Layer),
+		Sinks:  slices.Clip(t.Sinks),
 	}
 	for i := range t.R {
 		cp.R[i] = t.R[i] * r

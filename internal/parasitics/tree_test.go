@@ -7,7 +7,7 @@ import (
 
 // ladder builds a 2-node RC ladder: root -R1- n1 -R2- n2, caps c1, c2.
 func ladder(r1, c1, r2, c2 float64) *Tree {
-	t := NewTree()
+	t := NewTree(0, 0)
 	n1 := t.AddNode(0, r1, c1, 0, 0)
 	n2 := t.AddNode(n1, r2, c2, 0, 0)
 	t.MarkSink(n2)
@@ -27,7 +27,7 @@ func TestElmoreLadderExact(t *testing.T) {
 func TestElmoreBranching(t *testing.T) {
 	// Root with two branches; sink on branch A must not see branch B's R,
 	// but must see its C through the shared (zero here) path.
-	tr := NewTree()
+	tr := NewTree(0, 0)
 	a := tr.AddNode(0, 4, 2, 0, 0)
 	b := tr.AddNode(0, 9, 5, 0, 0)
 	tr.MarkSink(a)
@@ -41,7 +41,7 @@ func TestElmoreBranching(t *testing.T) {
 	}
 	// Shared trunk: root -Rt- mid, then two branches. Sink A sees
 	// Rt·(all C) + Ra·Ca.
-	tr2 := NewTree()
+	tr2 := NewTree(0, 0)
 	mid := tr2.AddNode(0, 1, 0, 0, 0)
 	a2 := tr2.AddNode(mid, 4, 2, 0, 0)
 	b2 := tr2.AddNode(mid, 9, 5, 0, 0)
@@ -71,7 +71,7 @@ func TestTotalCapAndScaling(t *testing.T) {
 }
 
 func TestCouplingCapCountsWithMiller(t *testing.T) {
-	tr := NewTree()
+	tr := NewTree(0, 0)
 	n := tr.AddNode(0, 1, 2, 3, 0) // 2 fF ground + 3 fF coupling
 	tr.MarkSink(n)
 	if got := tr.TotalCapM(nil, MillerFactor); math.Abs(got-5) > 1e-9 {
@@ -87,7 +87,7 @@ func TestCouplingCapCountsWithMiller(t *testing.T) {
 func TestD2MVsElmore(t *testing.T) {
 	// D2M is a tighter (smaller) estimate than Elmore on RC lines, and both
 	// must be positive.
-	tr := NewTree()
+	tr := NewTree(0, 0)
 	at := 0
 	for i := 0; i < 10; i++ {
 		at = tr.AddNode(at, 0.5, 1.2, 0, 0)
@@ -109,7 +109,7 @@ func TestD2MVsElmore(t *testing.T) {
 
 func TestSlewDegradationGrowsWithLength(t *testing.T) {
 	mk := func(n int) float64 {
-		tr := NewTree()
+		tr := NewTree(0, 0)
 		at := 0
 		for i := 0; i < n; i++ {
 			at = tr.AddNode(at, 0.5, 1.2, 0, 0)
@@ -127,16 +127,16 @@ func TestTreeValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid tree rejected: %v", err)
 	}
-	bad := &Tree{Parent: []int{0}, R: []float64{0}, C: []float64{0}, Cc: []float64{0}, Layer: []int{-1}}
+	bad := &Tree{Parent: []int32{0}, R: []float64{0}, C: []float64{0}, Cc: []float64{0}, Layer: []int8{-1}}
 	if err := bad.Validate(); err == nil {
 		t.Error("malformed root accepted")
 	}
-	neg := NewTree()
+	neg := NewTree(0, 0)
 	neg.AddNode(0, -1, 0, 0, 0)
 	if err := neg.Validate(); err == nil {
 		t.Error("negative R accepted")
 	}
-	sink := NewTree()
+	sink := NewTree(0, 0)
 	sink.MarkSink(0)
 	if err := sink.Validate(); err == nil {
 		t.Error("root marked as sink accepted")
@@ -146,7 +146,7 @@ func TestTreeValidate(t *testing.T) {
 func TestElmoreMonotoneAlongPath(t *testing.T) {
 	// Property: on any chain, Elmore delay increases monotonically toward
 	// the far end.
-	tr := NewTree()
+	tr := NewTree(0, 0)
 	at := 0
 	var sinks []int
 	for i := 0; i < 12; i++ {
@@ -190,7 +190,7 @@ func TestSinkCapsLoadTheNet(t *testing.T) {
 }
 
 func TestElmoreMiller(t *testing.T) {
-	tr := NewTree()
+	tr := NewTree(0, 0)
 	n := tr.AddNode(0, 2, 1, 3, 0)
 	tr.MarkSink(n)
 	d0 := tr.ElmoreM(nil, 0)[0]

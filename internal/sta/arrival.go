@@ -93,7 +93,7 @@ func (a *Analyzer) resetForward(i int) {
 // buildNets brings the parasitics table up to date with the design — the
 // only step here that may synthesize a tree, so it runs serially and in net
 // order — then refreshes per-net delay-calculation results on the entries
-// and slices earlier runs allocated: the cache is kept one entry per D.Nets
+// and storage earlier runs allocated: the cache is kept one entry per D.Nets
 // position, so a removed net's entry goes with the truncation and a
 // renumbered net meets a neighbour's old entry, which fillNetData's input
 // key turns into a refill. Per-net work is independent, so large designs
@@ -101,29 +101,21 @@ func (a *Analyzer) resetForward(i int) {
 func (a *Analyzer) buildNets() {
 	a.Cfg.Parasitics.Refresh(a.D)
 	nets := a.D.Nets
-	maxSinks := 0
-	for _, n := range nets {
-		if s := n.Fanout(); s > maxSinks {
-			maxSinks = s
-		}
+	if len(nets) < len(a.nets) {
+		clear(a.nets[len(nets):])
 	}
-	a.growZeroBuf(maxSinks)
+	a.nets = resize(a.nets, len(nets))
 	for i, n := range nets {
-		if i == len(a.nets) {
-			a.nets = append(a.nets, &netData{})
-		}
 		a.nets[i].net = n
 	}
-	clear(a.nets[len(nets):])
-	a.nets = a.nets[:len(nets)]
 	a.bindVertexNets()
 	w := workpool.Workers(a.Cfg.Workers)
 	if len(a.calc) < w {
-		a.calc = append(a.calc, make([]parasitics.Scratch, w-len(a.calc))...)
+		a.calc = append(a.calc, make([]calcScratch, w-len(a.calc))...)
 	}
 	if w <= 1 || len(nets) < minParallelNets {
-		for _, nd := range a.nets {
-			a.countNetFill(a.fillNetData(nd, &a.calc[0]))
+		for i := range a.nets {
+			a.countNetFill(a.fillNetData(&a.nets[i], &a.calc[0]))
 		}
 		return
 	}
@@ -133,8 +125,8 @@ func (a *Analyzer) buildNets() {
 	var hits, fills atomic.Int64
 	workpool.DoChunksObs(nil, nil, "", w, len(nets), func(lo, hi, k int) {
 		h, f := int64(0), int64(0)
-		for _, nd := range a.nets[lo:hi] {
-			if a.fillNetData(nd, &a.calc[k]) {
+		for i := lo; i < hi; i++ {
+			if a.fillNetData(&a.nets[i], &a.calc[k]) {
 				h++
 			} else {
 				f++
@@ -156,50 +148,44 @@ func (a *Analyzer) countNetFill(hit bool) {
 	}
 }
 
-// bindVertexNets points each vertex at its relevant per-run net data: the
+// bindVertexNets points each vertex at its relevant entry of nets: the
 // driven net for output pins and input ports (the relax/pull context their
-// rules read), the fanin net for input pins and output ports. netData
-// structs are stable once created, so rebinding is a plain slice fill.
+// rules read), the fanin net for input pins and output ports.
 func (a *Analyzer) bindVertexNets() {
-	for i := range a.verts {
-		v := a.verts[i]
-		switch a.topo.kind[i] {
-		case vkOutPin:
-			a.vnd[i] = a.netDataOf(v.pin.Net)
-		case vkInPort:
-			a.vnd[i] = a.netDataOf(v.port.Net)
-		default: // vkInPin, vkOutPort
-			a.vnd[i] = nil
-			if ni := a.topo.faninNet[i]; ni >= 0 {
-				a.vnd[i] = a.nets[ni]
+	for ci, c := range a.cells {
+		for k, p := range c.Pins {
+			i := int(a.cellBase[ci]) + k
+			a.vnd[i] = a.topo.faninNet[i]
+			if p.Dir == netlist.Output {
+				a.vnd[i] = a.netIndex(p.Net)
 			}
+		}
+	}
+	for k, q := range a.ports {
+		i := int(a.cellBase[len(a.cells)]) + k
+		a.vnd[i] = a.topo.faninNet[i]
+		if q.Dir == netlist.Input {
+			a.vnd[i] = a.netIndex(q.Net)
 		}
 	}
 }
 
-// growZeroBuf makes the shared all-zero sink slice at least n long.
-func (a *Analyzer) growZeroBuf(n int) {
-	if len(a.zeroBuf) < n {
-		a.zeroBuf = make([]float64, n)
-	}
-}
-
-// fillNetData runs delay calculation for one net on the kernel scratch sc
-// (owned by the calling goroutine), writing into nd's own storage: a warm
-// refill allocates nothing. Lumped nets share the analyzer's zero slice
-// instead of holding per-net zero vectors. Returns true when the cached
-// results were reused untouched (callers fold the outcome into RunStats —
-// this runs under the buildNets fan-out, so it cannot write shared state).
+// fillNetData runs delay calculation for one net on the calling goroutine's
+// scratch sc, writing into nd's own storage: a warm refill allocates
+// nothing. Returns true when the cached results were reused untouched
+// (callers fold the outcome into RunStats — this runs under the buildNets
+// fan-out, so it cannot write shared state).
 //
 // The results are a pure function of the source RC tree, the gathered sink
 // caps and the analyzer's fixed config, so when those inputs match the
 // previous fill exactly the cached results are returned untouched —
 // bit-identical to recomputation, and the reason a warm full Run does
-// almost no delay calculation at all.
-func (a *Analyzer) fillNetData(nd *netData, sc *parasitics.Scratch) bool {
+// almost no delay calculation at all. The caps are gathered on sc and
+// copied into nd only on a miss.
+func (a *Analyzer) fillNetData(nd *netData, sc *calcScratch) bool {
 	n := nd.net
 	// Receiver pin caps in load order, plus output port load.
-	caps := nd.capsTmp[:0]
+	caps := sc.gather[:0]
 	for _, l := range n.Loads {
 		caps = append(caps, a.pinCap[a.pinVertex(l)])
 	}
@@ -207,50 +193,39 @@ func (a *Analyzer) fillNetData(nd *netData, sc *parasitics.Scratch) bool {
 	if portSink && a.Cons != nil {
 		caps = append(caps, a.Cons.PortLoad)
 	}
+	sc.gather = caps
 	tree := a.Cfg.Parasitics.Tree(n)
-	if nd.filled && tree == nd.srcTree && portSink == nd.portSink && floatsEqual(caps, nd.capsIn) {
-		nd.capsTmp = caps[:0]
+	if nd.filled && tree == nd.srcTree && portSink == nd.portSink && floatsEqual(caps, nd.caps()) {
 		return true
 	}
-	nd.capsTmp, nd.capsIn = nd.capsIn[:0], caps
 	nd.srcTree, nd.portSink, nd.filled = tree, portSink, true
-	nd.coupling = 0
-	nSinks := n.Fanout()
 	millerE, millerL := 1.0, 1.0
 	if a.Cfg.SI.Enabled {
 		millerE = 1 - a.Cfg.SI.SwitchingFraction
 		millerL = 1 + a.Cfg.SI.SwitchingFraction
 	}
-	if tree == nil || a.Cfg.Wire == WireLumped || len(tree.Sinks) < nSinks {
+	if tree == nil || a.Cfg.Wire == WireLumped || len(tree.Sinks) < n.Fanout() {
 		// Lumped: no wire delay, zero wire slew, load = pin caps (+ wire
 		// cap if a tree exists).
+		nd.setResults(0, caps)
 		sum := 0.0
 		for _, c := range caps {
 			sum += c
 		}
 		if tree != nil {
-			nd.coupling = tree.TotalCoupling(a.Cfg.Scaling)
 			nd.totalCap[early] = sum + tree.TotalCapM(a.Cfg.Scaling, millerE)
 			nd.totalCap[late] = sum + tree.TotalCapM(a.Cfg.Scaling, millerL)
 		} else {
 			nd.totalCap[early] = sum
 			nd.totalCap[late] = sum
 		}
-		zero := a.zeroBuf[:nSinks]
-		nd.sinkDelay[early] = zero
-		nd.sinkDelay[late] = zero
-		nd.sinkSlew = zero
 		return false
 	}
 	m := sc.Moments(tree, caps, a.Cfg.Scaling, millerE, millerL)
-	nd.coupling = m.Coupling
 	nd.totalCap[early], nd.totalCap[late] = m.CapE, m.CapL
 	k := len(tree.Sinks)
-	if len(nd.buf) < 3*k {
-		nd.buf = make([]float64, 3*k)
-	}
-	dE, dL, slew := nd.buf[:k:k], nd.buf[k:2*k:2*k], nd.buf[2*k:3*k]
-	nd.sinkDelay[early], nd.sinkDelay[late], nd.sinkSlew = dE, dL, slew
+	nd.setResults(k, caps)
+	dE, dL, slew := nd.res[:k], nd.res[k:2*k], nd.res[2*k:3*k]
 	for i := range slew {
 		slew[i] = parasitics.WireSlew(m.M1[i], m.M2[i])
 	}
@@ -300,11 +275,10 @@ func (a *Analyzer) seedSources() {
 // seedVertex applies the external-constraint arrival seed at vertex i, if
 // it is an input port. Other vertices are untouched.
 func (a *Analyzer) seedVertex(i int) {
-	v := a.verts[i]
-	if v.port == nil || v.port.Dir != netlist.Input || a.Cons == nil {
+	p := a.portAt(i)
+	if p == nil || p.Dir != netlist.Input || a.Cons == nil {
 		return
 	}
-	p := v.port
 	if a.Cons.FalseFrom[p] {
 		return // set_false_path -from: no arrival, no checks
 	}
@@ -392,27 +366,29 @@ func (a *Analyzer) relaxVertex(j int) {
 }
 
 // relaxCellArcs gathers output pin vertex j from every arc of its cell that
-// terminates at this pin, using the prebuilt arc group — no master lookup
-// or arc scan on the hot path. The group is patched in place by
-// InvalidateCell / refreshMasters only under sameArcShape, so in-place
-// retyping (Vt swap, resizing) is picked up without rebuild and an arc's
-// index in a.arcs — what a predecessor records — names the same pin pair
-// until the graph is re-derived.
+// terminates at this pin, using the prebuilt arc group — one master lookup
+// per vertex and no arc scan on the hot path. A group entry names its arc by
+// index in the cell's current master, and InvalidateCell / refreshMasters
+// swap a master in place only under sameArcShape, so in-place retyping (Vt
+// swap, resizing) is picked up without rebuild and an entry's index in
+// a.arcs — what a predecessor records — names the same pin pair until the
+// graph is re-derived.
 func (a *Analyzer) relaxCellArcs(j int) {
-	nd := a.vnd[j]
+	nd := a.vnet(j)
 	if nd == nil {
 		return // unloaded output: no delay calc context, same as before
 	}
+	m := a.masters[a.topo.cellOf[j]]
 	for ai := a.arcOff[j]; ai < a.arcOff[j+1]; ai++ {
-		i := int(a.arcs[ai].other)
+		i, arc := int(a.arcs[ai].other), &m.Arcs[a.arcs[ai].arc]
 		for rfIn := 0; rfIn < 2; rfIn++ {
-			outs, no := senseOuts(a.arcs[ai].arc.Sense, rfIn)
+			outs, no := senseOuts(arc.Sense, rfIn)
 			for oi := 0; oi < no; oi++ {
 				for el := 0; el < 2; el++ {
 					if !a.fValid[ix4(i, rfIn, el)] {
 						continue
 					}
-					a.relaxArc(i, j, ai, rfIn, outs[oi], el, nd)
+					a.relaxArc(arc, i, j, ai, rfIn, outs[oi], el, nd)
 				}
 			}
 		}
@@ -465,7 +441,7 @@ func (a *Analyzer) merge(i, rf, el int, cand timeVar, slew float64, depth int32,
 // relaxNetEdge folds driver i's arrivals into sink j across their net edge
 // (netEdgeDelay), degrading the slew by the sink's wire slew.
 func (a *Analyzer) relaxNetEdge(i, j int) {
-	ws := a.vnd[j].sinkSlew[a.topo.faninSink[j]]
+	ws := a.vnet(j).sinkSlew(int(a.topo.faninSink[j]))
 	for rf := 0; rf < 2; rf++ {
 		for el := 0; el < 2; el++ {
 			k := ix4(i, rf, el)
@@ -496,9 +472,9 @@ func senseOuts(s liberty.ArcSense, rfIn int) ([2]int, int) {
 }
 
 // relaxArc folds input vertex i's arrival into output vertex j across cell
-// arc a.arcs[ai] (arcDelay), recording the arc's index as j's predecessor.
-func (a *Analyzer) relaxArc(i, j int, ai int32, rfIn, rfOut, el int, nd *netData) {
-	arc := a.arcs[ai].arc
+// arc `arc`, entry ai of j's group (arcDelay), recording ai as j's
+// predecessor.
+func (a *Analyzer) relaxArc(arc *liberty.TimingArc, i, j int, ai int32, rfIn, rfOut, el int, nd *netData) {
 	k := ix4(i, rfIn, el)
 	slewIn := a.fSlew[k]
 	load := nd.totalCap[el]

@@ -79,6 +79,7 @@ func (p *Parasitics) Refresh(d *netlist.Design) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.nets) > len(d.Nets) {
+		clear(p.nets[len(d.Nets):]) // a removed net's trees go with its entry
 		p.nets = p.nets[:len(d.Nets)]
 	} else if len(p.nets) < len(d.Nets) {
 		p.nets = append(p.nets, make([]netTrees, len(d.Nets)-len(p.nets))...)
@@ -171,6 +172,27 @@ func (p *Parasitics) SetNDR(n *netlist.Net, rule NDR) {
 		e.ndr = rule
 		e.rule()
 	}
+}
+
+// TreeBytes is what the table holds, in bytes: its entries and its trees,
+// counted from their slabs' capacities. A re-ruled tree counts only what it
+// does not share with its route. A nil table holds nothing.
+func (p *Parasitics) TreeBytes() int {
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := slabBytes(p.nets)
+	for _, e := range p.nets {
+		if e.tree != nil {
+			n += e.tree.Bytes()
+		}
+		if r := e.ruled; r != nil {
+			n += r.Bytes() - slabBytes(r.Parent) - slabBytes(r.Layer) - slabBytes(r.Sinks)
+		}
+	}
+	return n
 }
 
 // NDROf returns net n's rule, if it carries one.

@@ -5,9 +5,11 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"newgame/internal/circuits"
 	"newgame/internal/conformance"
@@ -200,5 +202,84 @@ func TestParasiticsMatchOracles(t *testing.T) {
 		n := drivenNet(rng, dec.Design, 3)
 		insertBuffer(t, dec.Design, n, n.Loads[:2])
 		restored.check(t, fmt.Sprintf("seed %d, decoded, buffer insert", seed), false)
+	}
+}
+
+// A net taken out of the design takes its trees with it: once a buffer is
+// rolled back, the table refreshed over the smaller design holds neither the
+// buffer net's route nor its re-ruled copy.
+func TestRefreshDropsRemovedNetsTrees(t *testing.T) {
+	d := circuits.Block(conformance.Lib(), circuits.BlockSpec{
+		Name: "rm", Inputs: 8, Outputs: 8, FFs: 16, Gates: 200, MaxDepth: 8, Seed: 1, ClockBufferLevels: 2,
+	})
+	p := sta.NewKeyedNetBinder(parasitics.Stack16(), 1)
+	n := drivenNet(rand.New(rand.NewSource(1)), d, 3)
+	e := insertBuffer(t, d, n, n.Loads[:2])
+	p.Refresh(d)
+	bufNet := e.Buf.Pin("Z").Net
+	route := p.Tree(bufNet)
+	p.SetNDR(bufNet, opt.WideSpaced)
+	ruled := p.Tree(bufNet)
+	if route == nil || ruled == route {
+		t.Fatal("the buffer's net has no route and a re-ruled copy")
+	}
+	freed := make(chan struct{}, 2)
+	runtime.SetFinalizer(route, func(*parasitics.Tree) { freed <- struct{}{} })
+	runtime.SetFinalizer(ruled, func(*parasitics.Tree) { freed <- struct{}{} })
+	route, ruled = nil, nil
+	e.Undo(d)
+	p.Refresh(d)
+	deadline := time.After(10 * time.Second)
+	for left := 2; left > 0; {
+		runtime.GC()
+		select {
+		case <-freed:
+			left--
+		case <-deadline:
+			t.Fatalf("%d of the removed net's two trees still reachable", left)
+		}
+	}
+	runtime.KeepAlive(p)
+}
+
+// heapAfterGC is the live heap once two collections have run.
+func heapAfterGC() float64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+// What a routed net costs the table, per tree node, on AES: each tree's
+// slabs sized once at its final length (29 B a node), its header and the
+// table entry. The heap (median of three tables) may exceed what TreeBytes
+// counts only by the allocator's rounding.
+func TestParasiticsRetainedBytes(t *testing.T) {
+	d := circuits.AES(conformance.Lib())
+	var trials [3]float64
+	var p *sta.Parasitics
+	for i := range trials {
+		p = nil
+		before := heapAfterGC()
+		p = sta.NewNetBinder(parasitics.Stack16(), 7)
+		p.Refresh(d)
+		trials[i] = heapAfterGC() - before
+	}
+	slices.Sort(trials[:])
+	heap, counted := trials[1], float64(p.TreeBytes())
+	nodes := 0
+	for _, n := range d.Nets {
+		if tr := p.Tree(n); tr != nil {
+			nodes += tr.N()
+		}
+	}
+	t.Logf("AES: %d tree nodes, %.2f MB on the heap (%.1f B per node), %.2f MB counted",
+		nodes, heap/1e6, heap/float64(nodes), counted/1e6)
+	if heap > 9.5e6 || heap > 47*float64(nodes) {
+		t.Errorf("the table retains %.2f MB, %.1f B per node: want ≤ 9.5 MB and ≤ 47 B per node", heap/1e6, heap/float64(nodes))
+	}
+	if heap < counted || heap > 1.1*counted {
+		t.Errorf("the heap holds %.2f MB of trees, TreeBytes counts %.2f: want within 10 %%", heap/1e6, counted/1e6)
 	}
 }

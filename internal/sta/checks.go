@@ -206,7 +206,7 @@ func (a *Analyzer) sweepSites() {
 		di, ci := int(s.data), int(s.clock)
 		var seed seedRec
 		if s.class == sitePort {
-			p := a.verts[di].port
+			p := a.portAt(di)
 			io := a.Cons.OutputDelay[p]
 			// A constraint dropped since the table was built checks
 			// nothing and loses its seed.
@@ -248,7 +248,7 @@ func (a *Analyzer) sweepSites() {
 			suTab = [2]*liberty.Table2D{m.Gate.SetupRise, m.Gate.SetupRise}
 			hoTab = [2]*liberty.Table2D{m.Gate.HoldRise, m.Gate.HoldRise}
 		}
-		pin := a.verts[di].pin
+		pin := a.pinAt(di)
 		ce, cl := a.leadEdge(ci, early), a.leadEdge(ci, late)
 		for rf := 0; rf < 2; rf++ {
 			if kd := ix4(di, rf, late); a.fValid[kd] && ce >= 0 && clk != nil {

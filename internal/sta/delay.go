@@ -1,9 +1,6 @@
 package sta
 
-import (
-	"newgame/internal/liberty"
-	"newgame/internal/netlist"
-)
+import "newgame/internal/liberty"
 
 // The two delay rules. Everything that asks what an edge of the timing graph
 // costs — the forward pass (relaxArc, relaxNetEdge), the required-time pull
@@ -30,7 +27,7 @@ func (a *Analyzer) arcDelay(arc *liberty.TimingArc, in int, outRise bool, el int
 			d *= arc.MISFactorSlow
 		}
 	}
-	return d * a.cellDerate(a.verts[in].pin.Cell, el == late)
+	return d * a.cellDerate(in, el == late)
 }
 
 // mergedArcDelay is arcDelay at input vertex i's merged slew and depth on
@@ -53,7 +50,7 @@ func (a *Analyzer) edgeDelay(p pred, j, rf, el int) float64 {
 	case !p.cell():
 		return a.netEdgeDelay(v, j, rf, el)
 	}
-	return a.mergedArcDelay(a.arcs[p.arc].arc, v, rfIn, rf, el, a.vnd[j])
+	return a.mergedArcDelay(a.arcOf(j, p.arc), v, rfIn, rf, el, a.vnet(j))
 }
 
 // netEdgeDelay is what the net edge from driving vertex i to sink vertex j
@@ -64,23 +61,23 @@ func (a *Analyzer) edgeDelay(p pred, j, rf, el int) float64 {
 func (a *Analyzer) netEdgeDelay(i, j, rf, el int) float64 {
 	extra := 0.0
 	if a.topo.isCKPin[j] && a.Cons != nil {
-		extra = a.Cons.ExtraCKLatency[a.verts[j].pin.Cell]
+		extra = a.Cons.ExtraCKLatency[a.cells[a.topo.cellOf[j]]]
 		if s := a.Cfg.CKLatencyScale; s > 0 {
 			extra *= s
 		}
 	}
-	wire := a.vnd[j].sinkDelay[el][a.topo.faninSink[j]]
+	wire := a.vnet(j).sinkDelay(el, int(a.topo.faninSink[j]))
 	f := a.Cfg.Derate.Factor(NetDelay, a.topo.clockPath[i], el == late, int(a.fDepth[ix4(i, rf, el)]))
 	return wire*f + extra
 }
 
-// cellDerate evaluates the per-instance (IR-drop) derate for a cell, with
-// the late/early clamping documented on Config.CellDerate.
-func (a *Analyzer) cellDerate(c *netlist.Cell, lateSide bool) float64 {
-	if a.Cfg.CellDerate == nil || c == nil {
+// cellDerate evaluates the per-instance (IR-drop) derate for the cell of
+// pin vertex i, with the late/early clamping documented on Config.CellDerate.
+func (a *Analyzer) cellDerate(i int, lateSide bool) float64 {
+	if a.Cfg.CellDerate == nil {
 		return 1
 	}
-	f := a.Cfg.CellDerate(c)
+	f := a.Cfg.CellDerate(a.cells[a.topo.cellOf[i]])
 	if lateSide {
 		if f < 1 {
 			return 1

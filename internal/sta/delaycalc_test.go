@@ -13,26 +13,44 @@ import (
 // nodes — the construction delay calculation used before the moment kernel
 // took the caps as an argument.
 func loadedTree(tr *parasitics.Tree, caps []float64) *parasitics.Tree {
-	cp := parasitics.NewTree()
+	cp := parasitics.NewTree(0, 0)
 	cp.R[0], cp.C[0], cp.Cc[0], cp.Layer[0] = tr.R[0], tr.C[0], tr.Cc[0], tr.Layer[0]
 	for i := 1; i < tr.N(); i++ {
-		cp.AddNode(tr.Parent[i], tr.R[i], tr.C[i], tr.Cc[i], tr.Layer[i])
+		cp.AddNode(int(tr.Parent[i]), tr.R[i], tr.C[i], tr.Cc[i], int(tr.Layer[i]))
 	}
 	for _, s := range tr.Sinks {
-		cp.MarkSink(s)
+		cp.MarkSink(int(s))
 	}
 	for i, sink := range tr.Sinks {
 		if i < len(caps) && caps[i] > 0 {
-			cp.AddNode(sink, 0, caps[i], 0, -1)
+			cp.AddNode(int(sink), 0, caps[i], 0, -1)
 		}
 	}
 	return cp
 }
 
+// netResults is a routed net's delay-calc results, per sink in load order.
+type netResults struct {
+	totalCap  [2]float64
+	sinkDelay [2][]float64
+	sinkSlew  []float64
+}
+
+// resultsOf reads an entry's results through its accessors.
+func resultsOf(nd *netData) (r netResults) {
+	r.totalCap = nd.totalCap
+	for s := 0; s < int(nd.k); s++ {
+		r.sinkDelay[early] = append(r.sinkDelay[early], nd.sinkDelay(early, s))
+		r.sinkDelay[late] = append(r.sinkDelay[late], nd.sinkDelay(late, s))
+		r.sinkSlew = append(r.sinkSlew, nd.sinkSlew(s))
+	}
+	return r
+}
+
 // referenceNetData composes a routed net's delay-calc results from the
 // allocating Tree methods on the loaded copy, the way fillNetData did
 // before it ran on the kernel.
-func referenceNetData(a *Analyzer, tree *parasitics.Tree, caps []float64) (nd netData) {
+func referenceNetData(a *Analyzer, tree *parasitics.Tree, caps []float64) (nd netResults) {
 	s := a.Cfg.Scaling
 	millerE, millerL := 1.0, 1.0
 	if a.Cfg.SI.Enabled {
@@ -40,7 +58,6 @@ func referenceNetData(a *Analyzer, tree *parasitics.Tree, caps []float64) (nd ne
 		millerL = 1 + a.Cfg.SI.SwitchingFraction
 	}
 	wt := loadedTree(tree, caps)
-	nd.coupling = wt.TotalCoupling(s)
 	nd.totalCap[early] = wt.TotalCapM(s, millerE)
 	nd.totalCap[late] = wt.TotalCapM(s, millerL)
 	nd.sinkSlew = wt.SlewDegradation(s)
@@ -106,17 +123,17 @@ func TestDelayCalcMatchesLoadedTreeReference(t *testing.T) {
 				routed := 0
 				for _, n := range d.Nets {
 					nd := a.netDataOf(n)
-					if nd.srcTree == nil || len(nd.buf) == 0 {
+					if nd.srcTree == nil || nd.k == 0 {
 						continue
 					}
 					routed++
-					want := referenceNetData(a, nd.srcTree, nd.capsIn)
-					if nd.coupling != want.coupling || nd.totalCap != want.totalCap ||
-						!bitsEqual(nd.sinkDelay[early], want.sinkDelay[early]) ||
-						!bitsEqual(nd.sinkDelay[late], want.sinkDelay[late]) ||
-						!bitsEqual(nd.sinkSlew, want.sinkSlew) {
+					got, want := resultsOf(nd), referenceNetData(a, nd.srcTree, nd.caps())
+					if got.totalCap != want.totalCap ||
+						!bitsEqual(got.sinkDelay[early], want.sinkDelay[early]) ||
+						!bitsEqual(got.sinkDelay[late], want.sinkDelay[late]) ||
+						!bitsEqual(got.sinkSlew, want.sinkSlew) {
 						t.Fatalf("wire %d si %v scaled %v: net %s differs from the reference:\n got  %+v\n want %+v",
-							wire, si.Enabled, scaling != nil, n.Name, *nd, want)
+							wire, si.Enabled, scaling != nil, n.Name, got, want)
 					}
 				}
 				if routed == 0 {
@@ -128,7 +145,7 @@ func TestDelayCalcMatchesLoadedTreeReference(t *testing.T) {
 }
 
 // Refilling a dirty net on an analyzer that has run allocates nothing: the
-// kernel scratch, the net's result storage and its cap-gather buffers are
+// kernel scratch, its cap-gather buffer and the net's result storage are
 // all reused.
 func TestRefillDirtyNetDoesNotAllocate(t *testing.T) {
 	_, a, err := incrTestDesign(testLib(), 11)
@@ -140,7 +157,7 @@ func TestRefillDirtyNetDoesNotAllocate(t *testing.T) {
 	}
 	var net *netlist.Net
 	for _, n := range a.D.Nets {
-		if nd := a.netDataOf(n); len(nd.buf) > 0 && len(n.Loads) >= 3 {
+		if nd := a.netDataOf(n); nd.k > 0 && len(n.Loads) >= 3 {
 			net = n
 			break
 		}

@@ -149,56 +149,89 @@ func (p pred) source() (v, rf int) { return int(p.from >> 1), int(p.from & 1) }
 // cell reports whether the edge is a cell arc.
 func (p pred) cell() bool { return p.arc >= 0 }
 
-// vref binds a vertex index back to its netlist object: a cell pin or a
-// design port. It is the only per-vertex pointer state left — everything
-// hot lives in the flat SoA arrays and the shared Topology.
-type vref struct {
-	pin  *netlist.Pin
-	port *netlist.Port
+// vertexName prints a vertex from its netlist object, exactly one of p and
+// q being non-nil.
+func vertexName(p *netlist.Pin, q *netlist.Port) string {
+	if q != nil {
+		return "port:" + q.Name
+	}
+	return p.FullName()
 }
 
 // vname returns a printable vertex name.
-func (a *Analyzer) vname(i int) string {
-	if v := a.verts[i]; v.port != nil {
-		return "port:" + v.port.Name
-	}
-	return a.verts[i].pin.FullName()
-}
+func (a *Analyzer) vname(i int) string { return vertexName(a.vertex(a.topo.cellOf, i)) }
 
-// netData caches per-net delay-calculation results for one Run, plus the
-// inputs they were computed from so an unchanged net skips the whole moment
-// computation on the next Run (the results are a pure function of the
-// source tree, the gathered sink caps and the analyzer's fixed config, so
-// reuse is bit-identical to recomputation).
+// netData is one net's entry in the per-net delay-calc cache: the results
+// of its last fill, plus the inputs they were computed from, so that an
+// unchanged net skips the whole moment computation on the next Run (the
+// results are a pure function of the source tree, the gathered sink caps and
+// the analyzer's fixed config, so reuse is bit-identical to recomputation).
 type netData struct {
-	// net is the net this entry was last bound to (buildNets); dirtyGen is
-	// Analyzer.dirtyGen while the net sits on the dirty list.
-	net      *netlist.Net
-	dirtyGen uint64
-
+	// net is the net this entry was last bound to (buildNets).
+	net *netlist.Net
+	// srcTree, portSink and the sink caps at the end of res are the input
+	// key of the last fill.
+	srcTree *parasitics.Tree
+	// res is the entry's own storage, reused across fills. For the k sinks
+	// of a routed net it holds their early wire delays, late wire delays
+	// and wire slews, k of each, then the sink caps in load order (plus the
+	// port load when bound). A lumped net (k = 0) holds only the caps: its
+	// wire delays and slews are 0.
+	res      []float64
 	totalCap [2]float64 // [early|late] (differ when SI enabled)
-	// per sink (net load order): wire delay and slew degradation. On a
-	// routed net they are views into buf; a lumped net's all point at the
-	// analyzer's shared zero slice.
-	sinkDelay [2][]float64
-	sinkSlew  []float64
-	coupling  float64
-	buf       []float64 // the net's own result storage, reused across fills
-
-	// Delay-calc input key of the last fill.
-	srcTree  *parasitics.Tree
-	capsIn   []float64 // sink caps in load order (+ port load when bound)
-	capsTmp  []float64 // gather scratch, swapped with capsIn on refill
+	// dirtyGen is Analyzer.dirtyGen while the net sits on the dirty list.
+	dirtyGen uint32
+	k        int32
 	portSink bool
 	filled   bool
 }
 
-// arcRef is one prebuilt cell-arc binding: the timing arc plus the vertex
-// at its other end (the input pin for an output pin's group, the output pin
-// for an input pin's group).
+// sinkDelay is sink s's wire delay on side el.
+func (nd *netData) sinkDelay(el, s int) float64 {
+	if nd.k == 0 {
+		return 0
+	}
+	return nd.res[el*int(nd.k)+s]
+}
+
+// sinkSlew is sink s's wire slew degradation.
+func (nd *netData) sinkSlew(s int) float64 {
+	if nd.k == 0 {
+		return 0
+	}
+	return nd.res[2*int(nd.k)+s]
+}
+
+// caps is the sink caps the entry's results were computed for.
+func (nd *netData) caps() []float64 { return nd.res[3*nd.k:] }
+
+// setResults sizes res for k sinks' results and the key caps, on its own
+// storage when that fits, and copies the key in.
+func (nd *netData) setResults(k int, caps []float64) {
+	n := 3*k + len(caps)
+	if cap(nd.res) < n {
+		nd.res = make([]float64, n)
+	}
+	nd.res, nd.k = nd.res[:n], int32(k)
+	copy(nd.res[3*k:], caps)
+}
+
+// calcScratch is one delay-calc worker's storage: the moment kernel's work
+// area and the buffer a net's sink caps are gathered into, which reaches the
+// net's own entry only when the gather misses its key.
+type calcScratch struct {
+	parasitics.Scratch
+	gather []float64
+}
+
+// arcRef is one prebuilt cell-arc binding: the vertex at the arc's other
+// end (the input pin for an output pin's group, the output pin for an input
+// pin's group) and the arc's index in the cell's master. A group belongs to
+// one cell, so its master resolves the arc — after an in-place master swap
+// too, since a swap keeps the arc shape (sameArcShape).
 type arcRef struct {
-	arc   *liberty.TimingArc
 	other int32
+	arc   int32
 }
 
 // Analyzer binds a design + constraints + config and runs timing.
@@ -214,11 +247,12 @@ type Analyzer struct {
 	Cons *Constraints
 	Cfg  Config
 
-	// verts binds vertex numbers to netlist objects. The numbering is the
+	// The netlist objects behind the vertex numbers, which are the
 	// netlist's own: cell c's pin p is vertex cellBase[c.Index()]+p.Index(),
-	// port q is cellBase[len(cells)]+q.Index() (see pinVertex, portVertex).
-	verts    []vref
+	// port q is cellBase[len(cells)]+q.Index() (see pinVertex, portVertex
+	// and, back, vertex).
 	cellBase []int32
+	ports    []*netlist.Port
 
 	// topo is nil only after a failed regraph; revision is D.Revision() as of
 	// the graph's derivation.
@@ -252,19 +286,17 @@ type Analyzer struct {
 	seedReq   []float64
 	seedValid []bool
 
-	// vnd binds each vertex to its relevant per-run net data: the driven
-	// net for output pins and input ports (pull side), the fanin net for
-	// input pins and output ports (relax side). Rebound every buildNets,
-	// which also keeps nets — the per-net delay-calc cache — one entry per
-	// D.Nets position.
-	vnd  []*netData
-	nets []*netData
+	// vnd binds each vertex to its relevant entry of nets, the per-net
+	// delay-calc cache (-1 for none): the driven net for output pins and
+	// input ports (pull side), the fanin net for input pins and output ports
+	// (relax side). buildNets keeps nets one entry per D.Nets position and
+	// rebinds vnd.
+	vnd  []int32
+	nets []netData
 
-	zeroBuf []float64 // shared all-zero slice for lumped-net sink delays
-
-	// Delay-calc kernel scratch: calc[0] serves every serial fill (small
-	// designs, incremental Updates), buildNets' fan-out gives chunk k calc[k].
-	calc []parasitics.Scratch
+	// Delay-calc scratch: calc[0] serves every serial fill (small designs,
+	// incremental Updates), buildNets' fan-out gives chunk k calc[k].
+	calc []calcScratch
 
 	// Endpoint checks (see checks.go): the site table is rebuilt with the
 	// masters at every full Run; the lists and summaries are refilled by
@@ -283,8 +315,8 @@ type Analyzer struct {
 
 	// Incremental re-timing state (see incremental.go): what was
 	// invalidated since the last Run or Update, in invalidation order.
-	dirtyNets   []*netData
-	dirtyGen    uint64
+	dirtyNets   []int32 // indices into nets
+	dirtyGen    uint32
 	dirtyVerts  []int
 	dirtyReq    []int
 	structDirty bool
@@ -345,7 +377,8 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 // allocation is exact; only a slab that has been outgrown is replaced with
 // headroom (n/8), so a netlist that keeps growing by a buffer at a time does
 // not reallocate per buffer and one that never grows carries no slack. The
-// contents are unspecified: callers overwrite or clear.
+// first min(len(s), n) elements are kept; callers overwrite or clear the
+// rest.
 func resize[T any](s []T, n int) []T {
 	switch {
 	case n <= cap(s):
@@ -353,7 +386,7 @@ func resize[T any](s []T, n int) []T {
 	case s == nil:
 		return make([]T, n)
 	}
-	return make([]T, n, n+n/8)
+	return append(make([]T, 0, n+n/8), s...)[:n]
 }
 
 // regraph derives the graph half of the analyzer — everything that depends
@@ -364,12 +397,12 @@ func resize[T any](s []T, n int) []T {
 // refreshGraph), which is what lets an inserted or removed buffer be
 // answered by re-timing the analyzer that exists.
 //
-// Rebuilt: the vertex table and the cellBase prefix sum (in design order, so
-// numbering stays the pure function of design order the Topology sharing
-// contract needs), the resolved masters, the Topology (Cfg.Topology adopted
-// when compatible, else built — always a new value, since the old one may be
-// shared), arc groups and pin caps, and the length of every per-vertex plane
-// (the check-site table follows in Run). Everything keyed by vertex number is
+// Rebuilt: the cell and port tables and the cellBase prefix sum (in design
+// order, so numbering stays the pure function of design order the Topology
+// sharing contract needs), the resolved masters, the Topology (Cfg.Topology
+// adopted when compatible, else built — always a new value, since the old
+// one may be shared), arc groups and pin caps, and the length of every
+// per-vertex plane (the check-site table follows in Run). Everything keyed by vertex number is
 // dropped. What survives is the per-net delay-calc cache: fillNetData reuses
 // an entry only when its tree pointer, sink caps and port load match exactly,
 // so a full Run over a regraphed analyzer is bit-identical to a fresh New +
@@ -388,10 +421,10 @@ func (a *Analyzer) regraph() (err error) {
 	for _, c := range d.Cells {
 		nv += len(c.Pins)
 	}
-	a.verts = resize(a.verts, nv)
 	a.cellBase = resize(a.cellBase, len(d.Cells)+1)
 	a.cells = resize(a.cells, len(d.Cells))
 	a.masters = resize(a.masters, len(d.Cells))
+	a.ports = resize(a.ports, len(d.Ports))
 	// Vertices: every cell pin, every port — in design iteration order, so
 	// numbering is identical across Clones (the sharing contract).
 	vi := 0
@@ -401,16 +434,10 @@ func (a *Analyzer) regraph() (err error) {
 			return unknownMaster(c)
 		}
 		a.cells[ci], a.masters[ci], a.cellBase[ci] = c, master, int32(vi)
-		for _, p := range c.Pins {
-			a.verts[vi] = vref{pin: p}
-			vi++
-		}
+		vi += len(c.Pins)
 	}
 	a.cellBase[len(d.Cells)] = int32(vi)
-	for _, p := range d.Ports {
-		a.verts[vi] = vref{port: p}
-		vi++
-	}
+	copy(a.ports, d.Ports)
 	if t := a.Cfg.Topology; t != nil && t.compatible(a) {
 		a.topo, a.sharedTopo = t, true
 		a.obsTopoShared.Add(1)
@@ -448,7 +475,7 @@ func (a *Analyzer) regraph() (err error) {
 // planes sized for another numbering, and topo == nil makes the next Run
 // derive the graph again.
 func (a *Analyzer) dropGraph() {
-	a.verts, a.cells, a.masters = a.verts[:0], a.cells[:0], a.masters[:0]
+	a.cells, a.masters, a.ports = a.cells[:0], a.masters[:0], a.ports[:0]
 	a.topo, a.sharedTopo = nil, false
 	a.sites = a.sites[:0]
 	for k := range a.checks {
@@ -482,20 +509,59 @@ func (a *Analyzer) pinVertex(p *netlist.Pin) int {
 
 // portVertex returns p's vertex, or -1.
 func (a *Analyzer) portVertex(p *netlist.Port) int {
-	if i := int(a.cellBase[len(a.cells)]) + p.Index(); i < len(a.verts) && a.verts[i].port == p {
-		return i
+	if k := p.Index(); k >= 0 && k < len(a.ports) && a.ports[k] == p {
+		return int(a.cellBase[len(a.cells)]) + k
 	}
 	return -1
 }
 
-// netDataOf returns n's delay-calc entry as of the last buildNets, or nil
-// (n itself may be nil: an unconnected pin's net).
-func (a *Analyzer) netDataOf(n *netlist.Net) *netData {
+// vertex returns the pin or the port behind vertex i, under cellOf — the
+// current Topology's, or one being built.
+func (a *Analyzer) vertex(cellOf []int32, i int) (*netlist.Pin, *netlist.Port) {
+	if ci := cellOf[i]; ci >= 0 {
+		return a.cells[ci].Pins[i-int(a.cellBase[ci])], nil
+	}
+	return nil, a.ports[i-int(a.cellBase[len(a.cells)])]
+}
+
+// pinAt returns vertex i's pin, or nil for a port's vertex.
+func (a *Analyzer) pinAt(i int) *netlist.Pin {
+	p, _ := a.vertex(a.topo.cellOf, i)
+	return p
+}
+
+// portAt returns vertex i's port, or nil for a pin's vertex.
+func (a *Analyzer) portAt(i int) *netlist.Port {
+	if k := i - int(a.cellBase[len(a.cells)]); k >= 0 {
+		return a.ports[k]
+	}
+	return nil
+}
+
+// netIndex returns n's entry in nets as of the last buildNets, or -1 (n
+// itself may be nil: an unconnected pin's net).
+func (a *Analyzer) netIndex(n *netlist.Net) int32 {
 	if n == nil {
-		return nil
+		return -1
 	}
 	if i := n.Index(); i >= 0 && i < len(a.nets) && a.nets[i].net == n {
-		return a.nets[i]
+		return int32(i)
+	}
+	return -1
+}
+
+// netDataOf returns n's delay-calc entry as of the last buildNets, or nil.
+func (a *Analyzer) netDataOf(n *netlist.Net) *netData {
+	if i := a.netIndex(n); i >= 0 {
+		return &a.nets[i]
+	}
+	return nil
+}
+
+// vnet returns the delay-calc entry vertex i's rules read (see vnd), or nil.
+func (a *Analyzer) vnet(i int) *netData {
+	if ni := a.vnd[i]; ni >= 0 {
+		return &a.nets[ni]
 	}
 	return nil
 }
@@ -581,10 +647,11 @@ func (a *Analyzer) refreshGraph() error {
 // refreshMasters re-resolves every cell's master, preserving the pre-SoA
 // live-resolution semantics: a SetType that was never flagged through
 // InvalidateCell is still picked up by the next Run. A changed master with
-// the same arc shape patches its arc groups and pin caps in place; a shape
-// change (different From/To pairs or check binding) is reported, since the
-// CSR and the site table no longer describe the cell. An unknown master
-// fails the Run with the cell's caches still on its last known one.
+// the same arc shape patches its pin caps in place (its arc groups name arcs
+// by index, which the new master resolves alike); a shape change (different
+// From/To pairs or check binding) is reported, since the CSR and the site
+// table no longer describe the cell. An unknown master fails the Run with
+// the cell's caches still on its last known one.
 func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 	for ci, c := range a.cells {
 		m := a.resolveMaster(c)
@@ -598,109 +665,79 @@ func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 			return true, nil
 		}
 		a.masters[ci] = m
-		a.refreshCellCaches(ci, m)
+		a.refreshPinCaps(ci, m)
 	}
 	return false, nil
 }
 
-// refreshCellCaches re-derives one cell's pin caps and arc-group pointers
-// from master m, which must have the same arc shape as the group was built
-// from.
-func (a *Analyzer) refreshCellCaches(ci int, m *liberty.Cell) {
+// refreshPinCaps re-reads one cell's input-pin caps from master m.
+func (a *Analyzer) refreshPinCaps(ci int, m *liberty.Cell) {
 	for k, p := range a.cells[ci].Pins {
-		i := int(a.cellBase[ci]) + k
 		if p.Dir == netlist.Input {
-			a.pinCap[i] = m.InputCap(p.Name)
+			a.pinCap[int(a.cellBase[ci])+k] = m.InputCap(p.Name)
 		}
-		a.fillVertexArcs(i, m)
 	}
 }
 
-// fillVertexArcs rewrites vertex i's prebuilt arc group in place from
-// master m. Group sizes cannot change under sameArcShape with an unchanged
-// pin set, so the CSR layout stays valid.
-func (a *Analyzer) fillVertexArcs(i int, m *liberty.Cell) {
-	v := a.verts[i]
-	k := a.arcOff[i]
-	end := a.arcOff[i+1]
-	if v.pin.Dir == netlist.Output {
-		for ai := range m.Arcs {
-			arc := &m.Arcs[ai]
-			if arc.To != v.pin.Name {
-				continue
-			}
-			in := v.pin.Cell.Pin(arc.From)
-			if in == nil {
-				continue
-			}
-			if k < end {
-				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinVertex(in))}
-			}
-			k++
+// eachArc calls fn for every arc in pin p's group under p's master m, in
+// master order: the arcs into an output pin, the arcs out of an input pin,
+// each with its index in m.Arcs and the pin at its other end. An arc whose
+// other end the cell lacks is skipped.
+func eachArc(m *liberty.Cell, p *netlist.Pin, fn func(k int, other *netlist.Pin)) {
+	for k := range m.Arcs {
+		arc := &m.Arcs[k]
+		from, to := arc.From, arc.To
+		if p.Dir == netlist.Output {
+			from, to = to, from
 		}
-	} else {
-		for ai := range m.Arcs {
-			arc := &m.Arcs[ai]
-			if arc.From != v.pin.Name {
-				continue
-			}
-			out := v.pin.Cell.Pin(arc.To)
-			if out == nil {
-				continue
-			}
-			if k < end {
-				a.arcs[k] = arcRef{arc: arc, other: int32(a.pinVertex(out))}
-			}
-			k++
+		if from != p.Name {
+			continue
 		}
-	}
-	if k != end {
-		// Resolvable arc count moved (renamed pins): the prebuilt groups no
-		// longer describe the cell; force the next Update to a full Run,
-		// which rebuilds them.
-		a.structDirty = true
+		if other := p.Cell.Pin(to); other != nil {
+			fn(k, other)
+		}
 	}
 }
 
 // buildArcGroups lays out the combined cell-arc CSR and the input-pin cap
-// cache from the current masters.
+// cache from the current masters: one pass counts every group, so the entry
+// slab is sized to its total before the second fills it.
 func (a *Analyzer) buildArcGroups() {
-	n := len(a.verts)
+	n := a.NumVerts()
 	a.arcOff = resize(a.arcOff, n+1)
 	a.pinCap = resize(a.pinCap, n)
 	clear(a.pinCap) // only input pins are written below
-	a.arcs = a.arcs[:0]
-	for i := 0; i < n; i++ {
-		a.arcOff[i] = int32(len(a.arcs))
-		v := a.verts[i]
-		if v.pin == nil {
-			continue
-		}
-		m := a.masters[a.topo.cellOf[i]]
-		if v.pin.Dir == netlist.Input {
-			a.pinCap[i] = m.InputCap(v.pin.Name)
-			for ai := range m.Arcs {
-				arc := &m.Arcs[ai]
-				if arc.From != v.pin.Name {
-					continue
-				}
-				if out := v.pin.Cell.Pin(arc.To); out != nil {
-					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinVertex(out))})
-				}
+	total := int32(0)
+	for ci, c := range a.cells {
+		m := a.masters[ci]
+		for k, p := range c.Pins {
+			i := int(a.cellBase[ci]) + k
+			a.arcOff[i] = total
+			if p.Dir == netlist.Input {
+				a.pinCap[i] = m.InputCap(p.Name)
 			}
-		} else {
-			for ai := range m.Arcs {
-				arc := &m.Arcs[ai]
-				if arc.To != v.pin.Name {
-					continue
-				}
-				if in := v.pin.Cell.Pin(arc.From); in != nil {
-					a.arcs = append(a.arcs, arcRef{arc: arc, other: int32(a.pinVertex(in))})
-				}
-			}
+			eachArc(m, p, func(int, *netlist.Pin) { total++ })
 		}
 	}
-	a.arcOff[n] = int32(len(a.arcs))
+	for i := int(a.cellBase[len(a.cells)]); i <= n; i++ {
+		a.arcOff[i] = total
+	}
+	a.arcs = resize(a.arcs, int(total))
+	for ci, c := range a.cells {
+		for k, p := range c.Pins {
+			at := a.arcOff[int(a.cellBase[ci])+k]
+			eachArc(a.masters[ci], p, func(arc int, other *netlist.Pin) {
+				a.arcs[at] = arcRef{other: int32(a.pinVertex(other)), arc: int32(arc)}
+				at++
+			})
+		}
+	}
+}
+
+// arcOf returns the timing arc of group entry ai, which belongs to vertex
+// i's cell.
+func (a *Analyzer) arcOf(i int, ai int32) *liberty.TimingArc {
+	return &a.masters[a.topo.cellOf[i]].Arcs[a.arcs[ai].arc]
 }
 
 // successors invokes fn for every timing edge out of vertex i, from the
@@ -714,34 +751,27 @@ func (a *Analyzer) successors(i int, fn func(j int)) {
 
 // successorsPointerWalk enumerates vertex i's timing edges by walking the
 // netlist and master-arc pointers — the pre-SoA enumeration the CSR is
-// frozen from. Kept as the independent reference for the CSR equivalence
-// property test.
-func (a *Analyzer) successorsPointerWalk(i int, fn func(j int)) {
-	v := a.verts[i]
+// frozen from (under the cellOf of the Topology being built). Kept as the
+// independent reference for the CSR equivalence property test.
+func (a *Analyzer) successorsPointerWalk(cellOf []int32, i int, fn func(j int)) {
+	pin, port := a.vertex(cellOf, i)
 	switch {
-	case v.port != nil && v.port.Dir == netlist.Input:
-		for _, l := range v.port.Net.Loads {
+	case port != nil && port.Dir == netlist.Input:
+		for _, l := range port.Net.Loads {
 			fn(a.pinVertex(l))
 		}
-	case v.pin != nil && v.pin.Dir == netlist.Output:
-		if v.pin.Net == nil {
+	case pin != nil && pin.Dir == netlist.Output:
+		if pin.Net == nil {
 			return
 		}
-		for _, l := range v.pin.Net.Loads {
+		for _, l := range pin.Net.Loads {
 			fn(a.pinVertex(l))
 		}
-		if p := v.pin.Net.Port; p != nil && p.Dir == netlist.Output {
+		if p := pin.Net.Port; p != nil && p.Dir == netlist.Output {
 			fn(a.portVertex(p))
 		}
-	case v.pin != nil && v.pin.Dir == netlist.Input:
-		m := a.master(v.pin.Cell)
-		for k := range m.Arcs {
-			if m.Arcs[k].From == v.pin.Name {
-				if out := v.pin.Cell.Pin(m.Arcs[k].To); out != nil {
-					fn(a.pinVertex(out))
-				}
-			}
-		}
+	case pin != nil && pin.Dir == netlist.Input:
+		eachArc(a.master(pin.Cell), pin, func(_ int, out *netlist.Pin) { fn(a.pinVertex(out)) })
 	}
 }
 
@@ -751,10 +781,12 @@ func (a *Analyzer) SuccessorsCSR(i int, fn func(j int)) { a.successors(i, fn) }
 
 // SuccessorsPointerWalk invokes fn for every edge out of vertex i by the
 // pre-SoA pointer walk (test hook; reference for CSR equivalence).
-func (a *Analyzer) SuccessorsPointerWalk(i int, fn func(j int)) { a.successorsPointerWalk(i, fn) }
+func (a *Analyzer) SuccessorsPointerWalk(i int, fn func(j int)) {
+	a.successorsPointerWalk(a.topo.cellOf, i, fn)
+}
 
-// NumVerts returns the analyzer's vertex count (test hook).
-func (a *Analyzer) NumVerts() int { return len(a.verts) }
+// NumVerts returns the analyzer's vertex count.
+func (a *Analyzer) NumVerts() int { return int(a.cellBase[len(a.cells)]) + len(a.ports) }
 
 // FaninEdge returns the net edge feeding vertex i: the driver vertex, the
 // net, and i's sink index in that net's delay results (driver -1 when the

@@ -19,14 +19,14 @@ import "newgame/internal/netlist"
 // InvalidateNet marks a net's delay calculation stale (load caps, NDR,
 // or parasitics changed).
 func (a *Analyzer) InvalidateNet(n *netlist.Net) {
-	nd := a.netDataOf(n)
-	if nd == nil {
+	ni := a.netIndex(n)
+	if ni < 0 {
 		a.structDirty = true // not a net the last Run timed
 		return
 	}
-	if nd.dirtyGen != a.dirtyGen {
+	if nd := &a.nets[ni]; nd.dirtyGen != a.dirtyGen {
 		nd.dirtyGen = a.dirtyGen
-		a.dirtyNets = append(a.dirtyNets, nd)
+		a.dirtyNets = append(a.dirtyNets, ni)
 	}
 }
 
@@ -35,9 +35,9 @@ func (a *Analyzer) InvalidateNet(n *netlist.Net) {
 // driving its inputs see new pin caps, its output vertices get new arc
 // tables, and its input pins' required times depend on those tables. It is
 // also the invalidation seam for the per-cell master cache: the cached
-// index entry, pin caps and prebuilt arc groups are refreshed here, so the
-// following Update reads the new master everywhere the old code resolved it
-// live.
+// master and pin caps are refreshed here (the arc groups name arcs by index,
+// which the new master resolves alike), so the following Update reads the
+// new master everywhere the old code resolved it live.
 func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 	m := a.resolveMaster(c)
 	if m == nil {
@@ -58,7 +58,7 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 			return
 		}
 		a.masters[ci] = m
-		a.refreshCellCaches(ci, m)
+		a.refreshPinCaps(ci, m)
 	}
 	for k, p := range c.Pins {
 		i := int(a.cellBase[ci]) + k
@@ -83,6 +83,12 @@ func (a *Analyzer) dirty() bool {
 func (a *Analyzer) clearDirty() {
 	a.structDirty = false
 	a.dirtyGen++
+	if a.dirtyGen == 0 { // wrapped: a stale mark could read as current
+		for i := range a.nets {
+			a.nets[i].dirtyGen = 0
+		}
+		a.dirtyGen = 1
+	}
 	a.dirtyNets = a.dirtyNets[:0]
 	a.dirtyVerts = a.dirtyVerts[:0]
 	a.dirtyReq = a.dirtyReq[:0]
@@ -105,8 +111,8 @@ func (a *Analyzer) netDriverVertex(n *netlist.Net) int {
 // Revision, which Update checks first; this catches loads or drivers moved
 // by direct field writes on the nets an Update is about to recompute.
 func (a *Analyzer) incrementalSafe() bool {
-	for _, nd := range a.dirtyNets {
-		n := nd.net
+	for _, ni := range a.dirtyNets {
+		n := a.nets[ni].net
 		if n.Driver != nil && a.pinVertex(n.Driver) < 0 || n.Port != nil && a.portVertex(n.Port) < 0 {
 			return false
 		}
@@ -135,7 +141,7 @@ type levelQueue struct {
 func (a *Analyzer) newLevelQueue() *levelQueue {
 	return &levelQueue{
 		buckets: make([][]int, a.topo.numLevels()),
-		mark:    make([]uint32, len(a.verts)),
+		mark:    make([]uint32, a.NumVerts()),
 		gen:     1,
 	}
 }
@@ -252,11 +258,8 @@ func (a *Analyzer) Update() error {
 	}
 
 	// Phase 1: redo delay calculation for dirty nets.
-	for _, nd := range a.dirtyNets {
-		a.growZeroBuf(nd.net.Fanout())
-	}
-	for _, nd := range a.dirtyNets {
-		a.countNetFill(a.fillNetData(nd, &a.calc[0]))
+	for _, ni := range a.dirtyNets {
+		a.countNetFill(a.fillNetData(&a.nets[ni], &a.calc[0]))
 	}
 
 	// Phase 2: forward cone. Seed the worklist with every vertex whose
@@ -271,8 +274,8 @@ func (a *Analyzer) Update() error {
 	fw.reset()
 	level := a.topo.level
 	seedFwd := func(i int) { fw.push(i, int(level[i])) }
-	for _, nd := range a.dirtyNets {
-		n := nd.net
+	for _, ni := range a.dirtyNets {
+		n := a.nets[ni].net
 		if d := a.netDriverVertex(n); d >= 0 {
 			seedFwd(d)
 		}
@@ -330,8 +333,8 @@ func (a *Analyzer) Update() error {
 		for _, i := range a.dirtyReq {
 			seedBwd(i)
 		}
-		for _, nd := range a.dirtyNets {
-			d := a.netDriverVertex(nd.net)
+		for _, ni := range a.dirtyNets {
+			d := a.netDriverVertex(a.nets[ni].net)
 			if d < 0 {
 				continue
 			}
@@ -366,7 +369,7 @@ func (a *Analyzer) Update() error {
 	a.obsNodesRelaxed.Add(int64(recomputed))
 	a.publishNetCacheStats()
 	a.obsConeVerts.Observe(float64(recomputed))
-	if n := len(a.verts); n > 0 {
+	if n := a.NumVerts(); n > 0 {
 		a.obsConeRatio.Observe(float64(recomputed) / float64(n))
 	}
 	sp.SetFloat("vertices_recomputed", float64(recomputed))

@@ -15,10 +15,10 @@ import (
 // plus the derived endpoint-slack lists and summary metrics.
 func compareState(t *testing.T, got, want *Analyzer, ctx string) {
 	t.Helper()
-	if len(got.verts) != len(want.verts) {
-		t.Fatalf("%s: vertex count %d vs %d", ctx, len(got.verts), len(want.verts))
+	if got.NumVerts() != want.NumVerts() {
+		t.Fatalf("%s: vertex count %d vs %d", ctx, got.NumVerts(), want.NumVerts())
 	}
-	for i := range got.verts {
+	for i := 0; i < got.NumVerts(); i++ {
 		g, w := got.snapshotFwd(i), want.snapshotFwd(i)
 		if g != w {
 			t.Fatalf("%s: forward state differs at %s:\n got  %+v\n want %+v",

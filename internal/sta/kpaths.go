@@ -86,7 +86,7 @@ func (w *PathWalker) worstPath(e EndpointSlack) Path {
 			vid:     i,
 		}
 		if st.IsCell {
-			st.arc = a.arcs[pr.arc].arc
+			st.arc = a.arcOf(i, pr.arc)
 		}
 		st.Cell, st.Net = a.stepOwner(i, !st.IsCell && src >= 0)
 		p.Steps[k] = st
@@ -98,11 +98,10 @@ func (w *PathWalker) worstPath(e EndpointSlack) Path {
 // stepOwner returns the cell owning vertex i (nil for a port) and, when the
 // edge into it is a wire, the net that edge traverses.
 func (a *Analyzer) stepOwner(i int, wire bool) (c *netlist.Cell, n *netlist.Net) {
-	switch v := a.verts[i]; {
-	case v.pin != nil:
-		c, n = v.pin.Cell, v.pin.Net
-	case v.port != nil:
-		n = v.port.Net
+	if p, q := a.vertex(a.topo.cellOf, i); p != nil {
+		c, n = p.Cell, p.Net
+	} else {
+		n = q.Net
 	}
 	if !wire {
 		n = nil
@@ -227,13 +226,13 @@ func (w *PathWalker) pushInEdges(i, rf int) {
 		}
 	}
 	if a.topo.kind[i] == vkOutPin {
-		nd := a.vnd[i]
+		nd, m := a.vnet(i), a.masters[a.topo.cellOf[i]]
 		for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
-			fv := int(ar.other)
-			first, last := inTransitions(ar.arc.Sense, rf)
+			fv, arc := int(ar.other), &m.Arcs[ar.arc]
+			first, last := inTransitions(arc.Sense, rf)
 			for rfIn := first; rfIn <= last; rfIn++ {
 				if a.fValid[ix4(fv, rfIn, late)] {
-					push(inEdge{v: fv, rf: rfIn, delay: a.mergedArcDelay(ar.arc, fv, rfIn, rf, late, nd), cell: true, arc: ar.arc})
+					push(inEdge{v: fv, rf: rfIn, delay: a.mergedArcDelay(arc, fv, rfIn, rf, late, nd), cell: true, arc: arc})
 				}
 			}
 		}

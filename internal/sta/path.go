@@ -160,14 +160,14 @@ func (a *Analyzer) PBA(p Path) PBAResult {
 			// Wire edge: delay independent of slew; reuse GBA delay and
 			// degrade slew along this path only.
 			t += st.Delay
-			ws := a.vnd[st.vid].sinkSlew[a.topo.faninSink[st.vid]]
+			ws := a.vnet(st.vid).sinkSlew(int(a.topo.faninSink[st.vid]))
 			slew = math.Sqrt(slew*slew + ws*ws)
 			continue
 		}
 		depth++
 		arc := st.arc
 		outRise := st.RF == rise
-		load := a.vnd[st.vid].totalCap[el]
+		load := a.vnet(st.vid).totalCap[el]
 		d := a.arcDelay(arc, p.Steps[k-1].vid, outRise, el, slew, depth, load)
 		sg := a.Cfg.Derate.Sigma(arc, outRise, lateSide, slew, load, d)
 		variance += sg * sg

@@ -96,9 +96,10 @@ func (a *Analyzer) pullNetRequired(i int) {
 // pullArcRequired pulls output-pin required times back through the prebuilt
 // cell-arc group to input pin i.
 func (a *Analyzer) pullArcRequired(i int) {
+	m := a.masters[a.topo.cellOf[i]]
 	for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
-		j := int(ar.other)
-		nd := a.vnd[j]
+		j, arc := int(ar.other), &m.Arcs[ar.arc]
+		nd := a.vnet(j)
 		if nd == nil {
 			continue // arc into an unloaded output
 		}
@@ -106,13 +107,13 @@ func (a *Analyzer) pullArcRequired(i int) {
 			if !a.fValid[ix4(i, rfIn, late)] {
 				continue
 			}
-			outs, no := senseOuts(ar.arc.Sense, rfIn)
+			outs, no := senseOuts(arc.Sense, rfIn)
 			for oi := 0; oi < no; oi++ {
 				rfOut := outs[oi]
 				if !a.rValid[ix4(j, rfOut, late)] {
 					continue
 				}
-				d := a.mergedArcDelay(ar.arc, i, rfIn, rfOut, late, nd)
+				d := a.mergedArcDelay(arc, i, rfIn, rfOut, late, nd)
 				a.lowerReq(i, rfIn, a.fReq[ix4(j, rfOut, late)]-d)
 			}
 		}

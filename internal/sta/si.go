@@ -41,21 +41,22 @@ func (a *Analyzer) NoiseViolations() []NoiseViolation {
 	aggSlew := a.referenceAggressorSlew()
 	for _, n := range a.D.Nets {
 		nd := a.netDataOf(n)
-		if nd == nil || n.Driver == nil || nd.coupling <= 0 {
+		if nd == nil || n.Driver == nil || nd.srcTree == nil {
 			continue
 		}
-		ct := nd.totalCap[late]
-		if ct <= 0 {
+		// The coupling of the tree the net was timed with.
+		cc, ct := nd.srcTree.TotalCoupling(a.Cfg.Scaling), nd.totalCap[late]
+		if cc <= 0 || ct <= 0 {
 			continue
 		}
 		drv := a.master(n.Driver.Cell)
 		r := a.Cfg.Lib.Tech.Req(drv.Vt, drv.Drive, a.Cfg.Lib.PVT)
 		tau := r * ct
-		bump := vdd * (nd.coupling / ct) / (1 + aggSlew/(2*tau))
+		bump := vdd * (cc / ct) / (1 + aggSlew/(2*tau))
 		if bump > thresh*vdd {
 			out = append(out, NoiseViolation{
 				Net: n, Bump: bump, Threshold: thresh * vdd,
-				CouplingFrac: nd.coupling / ct,
+				CouplingFrac: cc / ct,
 			})
 		}
 	}

@@ -1,5 +1,7 @@
 package sta
 
+import "unsafe"
+
 // Per-run propagation statistics, accumulated in plain struct fields
 // inside the SoA hot loops and published to obs exactly once per
 // Run/Update. The forward and backward sweeps drive their levels from one
@@ -54,4 +56,42 @@ func (a *Analyzer) publishRunStats() {
 func (a *Analyzer) publishNetCacheStats() {
 	a.obsNetCacheHits.Add(a.stats.NetCacheHits)
 	a.obsNetsFilled.Add(a.stats.NetsFilled)
+}
+
+// Resident is what one analyzer holds, in bytes, by owner, counted from the
+// capacities of its slabs. The shared Topology and the parasitics table are
+// not in it; neither are the endpoint lists and the writer's scratch.
+type Resident struct {
+	// Planes is the per-vertex and per-cell state: the arrival, slew, depth,
+	// predecessor and required-time planes, the endpoint seeds, the pin-cap
+	// cache and the cell and port tables behind the vertex numbers.
+	Planes int
+	// NetCache is the per-net delay-calc cache: its entries, each entry's
+	// results and input key, and the vertex-to-entry binding.
+	NetCache int
+	// ArcGroups is the cell-arc CSR: the group offsets and the entries.
+	ArcGroups int
+}
+
+// ResidentBytes reports what the analyzer holds by owner. Like the other
+// readers it must not run concurrently with a Run or Update.
+func (a *Analyzer) ResidentBytes() Resident {
+	r := Resident{
+		Planes: slabBytes(a.fValid) + slabBytes(a.fArr) + slabBytes(a.fSlew) + slabBytes(a.fDepth) +
+			slabBytes(a.fPred) + slabBytes(a.rValid) + slabBytes(a.fReq) +
+			slabBytes(a.seedReq) + slabBytes(a.seedValid) + slabBytes(a.pinCap) +
+			slabBytes(a.cellBase) + slabBytes(a.cells) + slabBytes(a.masters) + slabBytes(a.ports),
+		NetCache:  slabBytes(a.nets) + slabBytes(a.vnd),
+		ArcGroups: slabBytes(a.arcOff) + slabBytes(a.arcs),
+	}
+	for i := range a.nets {
+		r.NetCache += slabBytes(a.nets[i].res)
+	}
+	return r
+}
+
+// slabBytes is what s's backing array occupies.
+func slabBytes[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
 }

@@ -150,21 +150,23 @@ func (a *Analyzer) clockRootIndices() []int32 {
 // the counts is the caller's contract (same design or a Clone of it);
 // everything a different library or constraint set could break is checked.
 func (t *Topology) compatible(a *Analyzer) bool {
-	if t.NumVerts() != len(a.verts) ||
+	if t.NumVerts() != a.NumVerts() ||
 		t.numCells != len(a.D.Cells) ||
 		t.numNets != len(a.D.Nets) ||
 		t.numPorts != len(a.D.Ports) {
 		return false
 	}
-	for i := range a.verts {
-		if t.kind[i] != a.vertexKind(i) {
+	for k, q := range a.ports {
+		if i := int(a.cellBase[len(a.cells)]) + k; t.kind[i] != kindOf(nil, q) || t.cellOf[i] != -1 {
 			return false
 		}
 	}
 	checked := make(map[string]bool, 16)
-	for ci, c := range a.D.Cells {
-		if t.cellOf[a.cellBase[ci]] != int32(ci) {
-			return false
+	for ci, c := range a.cells {
+		for k, p := range c.Pins {
+			if i := int(a.cellBase[ci]) + k; t.kind[i] != kindOf(p, nil) || t.cellOf[i] != int32(ci) {
+				return false
+			}
 		}
 		if checked[c.TypeName] {
 			continue
@@ -210,15 +212,15 @@ func (t *Topology) compatible(a *Analyzer) bool {
 	return true
 }
 
-// vertexKind classifies vertex i from its netlist object.
-func (a *Analyzer) vertexKind(i int) uint8 {
-	v := a.verts[i]
+// kindOf classifies a vertex from its netlist object, exactly one of p and
+// q being non-nil.
+func kindOf(p *netlist.Pin, q *netlist.Port) uint8 {
 	switch {
-	case v.pin != nil && v.pin.Dir == netlist.Input:
+	case p != nil && p.Dir == netlist.Input:
 		return vkInPin
-	case v.pin != nil:
+	case p != nil:
 		return vkOutPin
-	case v.port.Dir == netlist.Input:
+	case q.Dir == netlist.Input:
 		return vkInPort
 	default:
 		return vkOutPort
@@ -234,7 +236,7 @@ func (a *Analyzer) vertexKind(i int) uint8 {
 // bucket cursors live in the writer's scratch, 2n int32s reused across
 // derivations.
 func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
-	n := len(a.verts)
+	n := a.NumVerts()
 	a.topoScratch = resize(a.topoScratch, 2*n)
 	scratch := a.topoScratch
 	t := &Topology{
@@ -246,13 +248,11 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		isCKPin:  make([]bool, n),
 		arcSig:   make(map[string]string, 16),
 	}
-	for i := range a.verts {
-		t.kind[i] = a.vertexKind(i)
-		t.cellOf[i] = -1
-		if p := a.verts[i].pin; p != nil {
-			ci := a.cellOf(p.Cell)
-			t.cellOf[i] = int32(ci)
-			m := a.masters[ci]
+	for ci, c := range a.cells {
+		m := a.masters[ci]
+		for k, p := range c.Pins {
+			i := int(a.cellBase[ci]) + k
+			t.kind[i], t.cellOf[i] = kindOf(p, nil), int32(ci)
 			// Only *sequential* clock pins terminate clock-network marking
 			// and receive useful-skew offsets; a clock-gating cell's CK pin
 			// is a through-point (the gated clock continues to the FFs).
@@ -260,16 +260,18 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 				t.isCKPin[i] = true
 			}
 		}
-	}
-	for ci, c := range a.cells {
 		if _, ok := t.arcSig[c.TypeName]; !ok {
-			t.arcSig[c.TypeName] = masterArcSig(a.masters[ci])
+			t.arcSig[c.TypeName] = masterArcSig(m)
 		}
+	}
+	for k, q := range a.ports {
+		i := int(a.cellBase[len(a.cells)]) + k
+		t.kind[i], t.cellOf[i] = kindOf(nil, q), -1
 	}
 	// CSR successors: count, prefix-sum, fill — in pointer-walk order.
 	t.succOff = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		a.successorsPointerWalk(i, func(int) { t.succOff[i+1]++ })
+		a.successorsPointerWalk(t.cellOf, i, func(int) { t.succOff[i+1]++ })
 	}
 	for i := 0; i < n; i++ {
 		t.succOff[i+1] += t.succOff[i]
@@ -278,7 +280,7 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	fill := scratch[:n]
 	copy(fill, t.succOff[:n])
 	for i := 0; i < n; i++ {
-		a.successorsPointerWalk(i, func(j int) {
+		a.successorsPointerWalk(t.cellOf, i, func(j int) {
 			t.succ[fill[i]] = int32(j)
 			fill[i]++
 		})
@@ -378,7 +380,7 @@ func (t *Topology) levelize(a *Analyzer, scratch []int32) error {
 	if len(t.order) != n {
 		for i, d := range indeg {
 			if d > 0 {
-				return fmt.Errorf("sta: combinational cycle through %s", a.vname(i))
+				return fmt.Errorf("sta: combinational cycle through %s", vertexName(a.vertex(t.cellOf, i)))
 			}
 		}
 	}
