@@ -74,7 +74,7 @@ func (v *Views) Find(name string) (int, error) {
 // error — cancellation included — the set is left as it was.
 func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 	as := make([]*sta.Analyzer, len(v.Scenarios))
-	v.Parasitics.Refresh(v.D)
+	v.refresh()
 	err := v.each(func(i, g int) error {
 		topo := seed
 		if i > 0 {
@@ -105,7 +105,7 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 // the first levelizing, the rest adopting its topology, as in Build. A
 // failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
-	v.Parasitics.Refresh(v.D)
+	v.refresh()
 	err := v.each(func(i, g int) error {
 		a := v.as[i]
 		var topo *sta.Topology
@@ -121,6 +121,12 @@ func (v *Views) Rerun(ctx context.Context) error {
 		v.publishResident()
 	}
 	return err
+}
+
+// refresh brings the parasitics table up to date with the design and counts
+// the nets it routed.
+func (v *Views) refresh() {
+	v.Obs.Counter("core.views.nets_routed").Add(int64(v.Parasitics.Refresh(v.D)))
 }
 
 // publishResident sets the resident-byte gauges: what the set's analyzers

@@ -52,6 +52,9 @@ func decodeStack(r *wire.Reader) (*parasitics.Stack, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("pack: %w", err)
+	}
 	return s, nil
 }
 

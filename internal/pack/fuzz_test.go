@@ -12,6 +12,7 @@ import (
 	"newgame/internal/netlist"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
+	"newgame/internal/units"
 )
 
 // tinySnapshot is a minimal-but-complete pack: one buffer cell, a two-net
@@ -148,6 +149,32 @@ func hostileTreePacks(t testing.TB) (names []string, packs [][]byte) {
 	return names, packs
 }
 
+// hostileStackPacks encodes tinySnapshot over a stack no net can be routed
+// on: a single layer (the synthesis rule routes short nets on layer 1), or a
+// NaN per-µm resistance. The packs save no tree, so every net with sinks is
+// routed on the decoded stack at the first Refresh.
+func hostileStackPacks(t testing.TB) (names []string, packs [][]byte) {
+	t.Helper()
+	nanR := parasitics.Stack16()
+	nanR.Layers[0].RPerUm = units.KOhm(math.NaN())
+	for _, c := range []struct {
+		name  string
+		stack *parasitics.Stack
+	}{
+		{"1-layer stack", &parasitics.Stack{Name: "m1", Layers: parasitics.Stack16().Layers[:1]}},
+		{"NaN RPerUm", nanR},
+	} {
+		snap := tinySnapshot(t)
+		snap.Stack, snap.Parasitics = c.stack, sta.NewKeyedNetBinder(c.stack, snap.Seed)
+		b, err := Encode(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, packs = append(names, c.name), append(packs, b)
+	}
+	return names, packs
+}
+
 // FuzzPackDecode feeds hostile bytes to the full decode stack. The contract
 // under attack: never panic, never over-allocate (wire.Reader caps every
 // count by remaining bytes), and anything that decodes must re-encode.
@@ -168,7 +195,8 @@ func FuzzPackDecode(f *testing.F) {
 	f.Add([]byte("NGTP"))
 	_, invalid := invalidTablePacks(f)
 	_, hostile := hostileTreePacks(f)
-	for _, b := range append(invalid, hostile...) {
+	_, stacks := hostileStackPacks(f)
+	for _, b := range append(append(invalid, hostile...), stacks...) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -223,6 +223,16 @@ func TestDecodeRejectsHostileTrees(t *testing.T) {
 	}
 }
 
+// A pack's stack must be one nets can be routed on before any net is.
+func TestDecodeRejectsHostileStack(t *testing.T) {
+	names, packs := hostileStackPacks(t)
+	for i, b := range packs {
+		if _, err := Decode(b); err == nil {
+			t.Errorf("%s: decoded without error", names[i])
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -63,19 +63,39 @@ type NetGen struct {
 	CcFrac float64
 }
 
+// The node-appropriate defaults both rules route with.
+const (
+	defaultUnitLen = 6
+	defaultCcFrac  = 0.45
+)
+
 // NewNetGen returns a generator with node-appropriate defaults.
 func NewNetGen(st *Stack, seed int64) *NetGen {
-	return &NetGen{Stack: st, Rng: rand.New(rand.NewSource(seed)), UnitLen: 6, CcFrac: 0.45}
+	return &NetGen{Stack: st, Rng: rand.New(rand.NewSource(seed)), UnitLen: defaultUnitLen, CcFrac: defaultCcFrac}
 }
 
 // Net synthesizes parasitics for a net with the given fanout. Longer nets
 // route on higher (less resistive) layers, as a router would.
 func (g *NetGen) Net(fanout int) *Tree {
+	return g.build(fanout, g.Rng.Float64())
+}
+
+// KeyedNet returns the tree NewNetGen(st, seed).Net(fanout) returns, but
+// computes the generator's one draw instead of seeding it: a keyed net costs
+// only its tree.
+func KeyedNet(st *Stack, seed int64, fanout int) *Tree {
+	g := NetGen{Stack: st, UnitLen: defaultUnitLen, CcFrac: defaultCcFrac}
+	return g.build(fanout, keyedDraw(seed))
+}
+
+// build synthesizes the tree for fanout sinks from u, a uniform draw in
+// [0, 1) that sets the wire length.
+func (g *NetGen) build(fanout int, u float64) *Tree {
 	if fanout < 1 {
 		fanout = 1
 	}
 	// Lognormal-ish length: most nets short, a tail of long ones.
-	base := g.UnitLen * (0.5 + g.Rng.Float64()) * (1 + 0.6*float64(fanout-1))
+	base := g.UnitLen * (0.5 + u) * (1 + 0.6*float64(fanout-1))
 	layer := 0
 	switch {
 	case base > 12*g.UnitLen:

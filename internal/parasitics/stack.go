@@ -200,6 +200,24 @@ func (s *Stack) MaskShiftCombos() int {
 	return n
 }
 
+// Validate reports whether nets can be routed on the stack: the synthesis
+// rule puts taps on layer 0 and short nets on layer 1, so it needs at least
+// two layers, and every per-µm R, C and Cc and every sigma must be finite and
+// non-negative.
+func (s *Stack) Validate() error {
+	if len(s.Layers) < 2 {
+		return fmt.Errorf("parasitics: stack %s has %d layers, want at least 2", s.Name, len(s.Layers))
+	}
+	for _, l := range s.Layers {
+		for _, v := range [...]float64{float64(l.RPerUm), float64(l.CPerUm), float64(l.CcPerUm), l.RSigma, l.CSigma, l.CcSigma} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("parasitics: layer %s of stack %s has a per-µm R, C or Cc or a sigma of %v", l.Name, s.Name, v)
+			}
+		}
+	}
+	return nil
+}
+
 // Layer returns the index of the named layer, or an error.
 func (s *Stack) LayerIndex(name string) (int, error) {
 	for i, l := range s.Layers {

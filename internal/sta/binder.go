@@ -2,7 +2,6 @@ package sta
 
 import (
 	"cmp"
-	"hash/fnv"
 	"sync"
 
 	"newgame/internal/netlist"
@@ -71,10 +70,11 @@ func NewKeyedNetBinder(stack *parasitics.Stack, seed int64) *Parasitics {
 // name or for another fanout, gets a new tree, and a net that only changed
 // fanout keeps its rule. A net without sinks keeps whatever entry it had
 // and reads as unrouted. When nothing is stale Refresh writes nothing, so
-// every tree stays the pointer it was. A nil table has nothing to refresh.
-func (p *Parasitics) Refresh(d *netlist.Design) {
+// every tree stays the pointer it was. It returns how many nets it routed;
+// a nil table has nothing to refresh.
+func (p *Parasitics) Refresh(d *netlist.Design) (routed int) {
 	if p == nil {
-		return
+		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -94,7 +94,9 @@ func (p *Parasitics) Refresh(d *netlist.Design) {
 		}
 		e.need, e.tree = need, p.route(n.Name, need)
 		e.rule()
+		routed++
 	}
+	return routed
 }
 
 // route synthesizes a tree for need sinks under the table's rule.
@@ -102,12 +104,24 @@ func (p *Parasitics) route(name string, need int) *parasitics.Tree {
 	if p.gen != nil {
 		return p.gen.Net(need)
 	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	// Mix the fanout into the key so a re-route after load-splitting
-	// draws a fresh topology instead of a re-scaled copy of the old one.
-	h.Write([]byte{byte(need), byte(need >> 8)})
-	return parasitics.NewNetGen(p.stack, p.seed^int64(h.Sum64())).Net(need)
+	return parasitics.KeyedNet(p.stack, p.seed^int64(netKey(name, need)), need)
+}
+
+// netKey is the 64-bit FNV-1a hash (hash/fnv's New64a) of the net's name
+// followed by the low two bytes of its fanout. Mixing the fanout in makes a
+// re-route after load-splitting draw a fresh topology instead of a re-scaled
+// copy of the old one.
+func netKey(name string, need int) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	h = (h ^ uint64(byte(need))) * prime64
+	return (h ^ uint64(byte(need>>8))) * prime64
 }
 
 // rule re-rules the entry's tree under its NDR.

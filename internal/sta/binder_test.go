@@ -283,3 +283,60 @@ func TestParasiticsRetainedBytes(t *testing.T) {
 		t.Errorf("the heap holds %.2f MB of trees, TreeBytes counts %.2f: want within 10 %%", heap/1e6, counted/1e6)
 	}
 }
+
+// keyedBlock is the fixed design the keyed-routing budget is held on.
+func keyedBlock() *netlist.Design {
+	return circuits.Block(conformance.Lib(), circuits.BlockSpec{
+		Name: "kb", Inputs: 8, Outputs: 8, FFs: 16, Gates: 200, MaxDepth: 8, Seed: 1, ClockBufferLevels: 2,
+	})
+}
+
+// A keyed Refresh allocates the trees it routes, and beyond them only the
+// table: its header and its entry slab. A net's key and its one random draw
+// are computed, so no generator, no hasher and no name bytes are allocated
+// per net.
+func TestKeyedRefreshAllocs(t *testing.T) {
+	d, stack := keyedBlock(), parasitics.Stack16()
+	trees := make([]*parasitics.Tree, len(d.Nets))
+	// A tree's objects depend only on its fanout.
+	direct := testing.AllocsPerRun(3, func() {
+		for i, n := range d.Nets {
+			if fo := n.Fanout(); fo == 1 {
+				trees[i] = parasitics.PointToPoint(stack, 1, 6, 0.45)
+			} else if fo > 1 {
+				trees[i] = parasitics.Trunk(stack, 1, 0, 6, 1.5, fo, 0.45)
+			}
+		}
+	})
+	// The table is its header and its entry slab, which Refresh grows with
+	// append(s, make(…)...): one allocation, two under -race. Grow a slab of
+	// the same length the same way.
+	var slab []*parasitics.Tree
+	table := 1 + testing.AllocsPerRun(3, func() {
+		slab = append(slab[:0:0], make([]*parasitics.Tree, len(d.Nets))...)
+	})
+	refresh := testing.AllocsPerRun(3, func() {
+		sta.NewKeyedNetBinder(stack, 1).Refresh(d)
+	})
+	if refresh != direct+table {
+		t.Errorf("a keyed Refresh allocates %v objects; its trees take %v and its table %v, so want %v", refresh, direct, table, direct+table)
+	}
+}
+
+// BenchmarkKeyedRefresh routes a fixed design cold under the keyed rule, and
+// reports the cost per routed net.
+func BenchmarkKeyedRefresh(b *testing.B) {
+	d, stack := keyedBlock(), parasitics.Stack16()
+	nets := sta.NewKeyedNetBinder(stack, 1).Refresh(d)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sta.NewKeyedNetBinder(stack, 1).Refresh(d)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	per := float64(b.N * nets)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/net")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/net")
+}

@@ -400,6 +400,53 @@ func TestBufferWhatIfAllocations(t *testing.T) {
 	}
 }
 
+// What each writer step routes, on one fixed script. A boot routes every net
+// with sinks. A resize re-times incrementally and routes nothing. A buffer
+// what-if's apply routes the split net at its new fanout and the buffer's
+// new net; its rollback routes the split net again at its old fanout, a new
+// tree pointer that misses every analyzer's per-net delay cache for that
+// net. A buffer ECO is the apply alone, so the rollback routes 3 − 2 = 1.
+func TestNetsRoutedCounts(t *testing.T) {
+	rec := obs.NewRecorder()
+	s, _ := newTestServer(t, func(c *Config) { c.Obs = rec })
+	routed := rec.Counter("core.views.nets_routed")
+	last := int64(0)
+	step := func(name string, want int64) {
+		t.Helper()
+		if got := routed.Value() - last; got != want {
+			t.Errorf("%s routed %d nets, want %d", name, got, want)
+		}
+		last = routed.Value()
+	}
+	withSinks := 0
+	for _, n := range s.sess.views.D.Nets {
+		if n.Fanout() > 0 {
+			withSinks++
+		}
+	}
+	if withSinks != 312 {
+		t.Fatalf("the fixture has %d nets with sinks, want 312", withSinks)
+	}
+	step("boot", 312)
+
+	ctx := context.Background()
+	cell, to := resizeTarget(t)
+	if _, err := s.whatIf(ctx, []Op{{Kind: "resize", Cell: cell, To: to}}); err != nil {
+		t.Fatal(err)
+	}
+	step("a resize what-if", 0)
+	net, loads := bufferTarget(t)
+	buffer := []Op{{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"}}
+	if _, err := s.whatIf(ctx, buffer); err != nil {
+		t.Fatal(err)
+	}
+	step("a buffer what-if (apply and rollback)", 3)
+	if _, err := s.commit(ctx, buffer); err != nil {
+		t.Fatal(err)
+	}
+	step("a buffer ECO (apply)", 2)
+}
+
 // The query cache serves repeated queries from rendered bytes within an
 // epoch and is dropped on commit.
 func TestQueryCacheEpochScoped(t *testing.T) {
