@@ -12,6 +12,7 @@ import (
 	"newgame/internal/serve"
 	"newgame/internal/timingd"
 	"newgame/internal/timingd/client"
+	"newgame/internal/triage"
 )
 
 // Config parameterizes a Coordinator.
@@ -150,6 +151,9 @@ type Coordinator struct {
 	cache *serve.Cache
 	spine *serve.Spine
 
+	// triage is the /triage merge's workspace, kept between gathers.
+	triage *triage.Graph
+
 	rngMu sync.Mutex
 	rng   uint64
 
@@ -179,6 +183,7 @@ func New(cfg Config) (*Coordinator, error) {
 		members: map[string]*member{},
 		ring:    buildRing(nil, ringVnodes),
 		cache:   serve.NewCache(replyCacheSize),
+		triage:  triage.NewGraph(nil),
 		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
 		stopc:   make(chan struct{}),
 		done:    make(chan struct{}),

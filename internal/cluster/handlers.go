@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"sort"
@@ -90,7 +89,7 @@ func (c *Coordinator) cachedRead(ctx context.Context, r *http.Request, gather fu
 		return nil, err
 	}
 	info.Epoch = epoch
-	body, err := json.Marshal(rep)
+	body, err := serve.JSON(rep)
 	if err == nil && cacheable {
 		c.cache.Put(epoch, key, body)
 	}

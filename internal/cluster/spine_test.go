@@ -238,6 +238,25 @@ func TestSpineConformance(t *testing.T) {
 		}
 	})
 
+	// Merged and proxied reads carry a node's bytes, trailing newline and
+	// all: /triage, /paths and /endpoints equal the node's reply over the
+	// wire, and /slack is the node's with the merge added.
+	t.Run("node-bytes", func(t *testing.T) {
+		f := testFixture(t)
+		for _, target := range []string{"/triage", "/paths?k=3&scenario=" + f.names[1], "/endpoints?limit=4"} {
+			_, _, nb := do(t, http.MethodGet, node.base+target, "", nil)
+			_, _, cb := do(t, http.MethodGet, coord.base+target, "", nil)
+			if !bytes.Equal(nb, cb) {
+				t.Errorf("%s: node answers %q…, coordinator %q…", target, clip(nb), clip(cb))
+			}
+		}
+		_, _, nb := do(t, http.MethodGet, node.base+"/slack", "", nil)
+		_, _, cb := do(t, http.MethodGet, coord.base+"/slack", "", nil)
+		if !bytes.HasSuffix(cb, []byte("}\n")) || !bytes.HasPrefix(cb, bytes.TrimSuffix(nb, []byte("}\n"))) {
+			t.Errorf("/slack: coordinator's %q does not extend the node's %q", clip(cb), clip(nb))
+		}
+	})
+
 	// One trace ID follows a request into the shard that served it.
 	t.Run("trace-forwarded", func(t *testing.T) {
 		f := testFixture(t)

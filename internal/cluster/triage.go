@@ -56,7 +56,7 @@ func (c *Coordinator) gatherTriage(ctx context.Context, k, window string) (*timi
 		}
 		ses[i] = ex.ScenarioExtract
 	}
-	rep.Report = triage.BuildReport(ses)
+	rep.Report = c.triage.Report(ses)
 	return rep, nil
 }
 

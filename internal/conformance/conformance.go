@@ -156,6 +156,13 @@ func Registry() []Invariant {
 			Check: checkSlackConservedAcrossNets,
 		},
 		{
+			// Draws nothing from the design's rng.
+			Name:  "triage-resident-identical",
+			Law:   "what a server keeps between triage renders never shows: along resizes, a buffer ECO and a buffer what-if, one server's /triage and /triage/extract bodies at every epoch equal those of a server booted fresh and taken to the same netlist",
+			Scope: PerDesign,
+			Check: checkTriageResident,
+		},
+		{
 			Name:  "delay-monotone-load-slew",
 			Law:   "NLDM cell delay and output slew are nondecreasing in output load and input slew over every characterized arc",
 			Scope: PerRun,
@@ -323,9 +330,8 @@ func buildViews(d *netlist.Design, scens []core.Scenario, period units.Ps, trees
 
 // rig is one booted timingd deployment behind one client: a single node
 // holding every scenario, or a coordinator in front of its shards. Laws
-// compare bodies by decoding them into json.RawMessage, which drops the
-// trailing newline a node's encoder writes and a coordinator's re-marshal
-// does not.
+// compare bodies by decoding them into json.RawMessage: the JSON value,
+// without the newline every reply ends in.
 type rig struct {
 	c       *client.Client
 	closers []func()

@@ -185,6 +185,126 @@ func stripPrunedBy(cs []triage.Cluster) []triage.Cluster {
 	return out
 }
 
+// checkTriageResident: a server keeps its triage workspace between renders —
+// the segment-key table, the merge's scratch, each scenario's path walker —
+// and none of it may show in an answer. Along resizes, a buffer ECO (a new
+// topology, so the key table starts over) and a buffer what-if (inserted and
+// taken out again: two more topologies), the kept server's /triage and every
+// /triage/extract equal, byte for byte, those of a server booted fresh and
+// taken to the same netlist by the same commits.
+func checkTriageResident(cx *Ctx) error {
+	rcp := triageRecipe(cx.Lib, cx.Stack)
+	pd, err := cx.triagePeriod()
+	if err != nil {
+		return err
+	}
+	cfg := timingd.Config{
+		Design: cx.Design, Recipe: rcp, Stack: cx.Stack,
+		BasePeriod: pd, Seed: cx.Spec.Seed, QueryWorkers: 2,
+	}
+	d := cx.Design
+	var resizes, buffers []timingd.Op
+	for _, c := range d.Cells {
+		if m := cx.Lib.Cell(c.TypeName); m != nil && !m.IsSequential() && len(resizes) < 2 {
+			for _, v := range variantsOf(cx.Lib, m) {
+				if v != c.TypeName {
+					resizes = append(resizes, timingd.Op{Kind: "resize", Cell: c.Name, To: v})
+					break
+				}
+			}
+		}
+	}
+	for _, n := range d.Nets {
+		if n.Driver != nil && len(n.Loads) >= 2 && len(buffers) < 2 {
+			buffers = append(buffers, timingd.Op{Kind: "buffer", Net: n.Name, Loads: []string{n.Loads[0].FullName()}, To: "BUF_X1_SVT"})
+		}
+	}
+	if len(resizes) < 2 || len(buffers) < 2 {
+		return fmt.Errorf("design offers %d resizes and %d buffer sites, want 2 of each", len(resizes), len(buffers))
+	}
+	undo := resizes[0]
+	undo.To = d.Cell(undo.Cell).TypeName
+
+	ctx := context.Background()
+	kept, err := bootCluster(0, cfg)
+	if err != nil {
+		return err
+	}
+	defer kept.close()
+	var committed [][]timingd.Op
+	for _, step := range []struct {
+		name        string
+		whatIf, eco []timingd.Op
+	}{
+		{name: "boot"},
+		{name: "resize", eco: resizes[:1]},
+		{name: "buffer eco", eco: buffers[:1]},
+		{name: "buffer what-if, then a resize", whatIf: buffers[1:], eco: resizes[1:]},
+		{name: "resize undone", eco: []timingd.Op{undo}},
+	} {
+		if step.whatIf != nil {
+			if err := kept.c.Do(ctx, "POST", "/whatif", timingd.OpsBody{Ops: step.whatIf}, nil); err != nil {
+				return fmt.Errorf("%s: what-if: %v", step.name, err)
+			}
+		}
+		if step.eco != nil {
+			if err := kept.c.Do(ctx, "POST", "/eco", timingd.OpsBody{Ops: step.eco}, nil); err != nil {
+				return fmt.Errorf("%s: eco: %v", step.name, err)
+			}
+			committed = append(committed, step.eco)
+		}
+		got, err := triageBodies(ctx, kept, rcp)
+		if err != nil {
+			return fmt.Errorf("%s: %v", step.name, err)
+		}
+		fresh, err := bootCluster(0, cfg)
+		if err != nil {
+			return err
+		}
+		for _, ops := range committed {
+			if err == nil {
+				err = fresh.c.Do(ctx, "POST", "/eco", timingd.OpsBody{Ops: ops}, nil)
+			}
+		}
+		var want []json.RawMessage
+		if err == nil {
+			want, err = triageBodies(ctx, fresh, rcp)
+		}
+		fresh.close()
+		if err != nil {
+			return fmt.Errorf("%s: fresh server: %v", step.name, err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				return fmt.Errorf("%s: %s differs from a fresh server's:\n  kept:  %.300s\n  fresh: %.300s",
+					step.name, triageTargets(rcp)[i], got[i], want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// triageTargets are /triage and every scenario's /triage/extract.
+func triageTargets(rcp core.Recipe) []string {
+	out := []string{"/triage"}
+	for _, sc := range rcp.Scenarios {
+		out = append(out, "/triage/extract?scenario="+sc.Name)
+	}
+	return out
+}
+
+// triageBodies reads triageTargets from one rig.
+func triageBodies(ctx context.Context, r *rig, rcp core.Recipe) ([]json.RawMessage, error) {
+	targets := triageTargets(rcp)
+	out := make([]json.RawMessage, len(targets))
+	for i, target := range targets {
+		if err := r.c.Do(ctx, "GET", target, nil, &out[i]); err != nil {
+			return nil, fmt.Errorf("GET %s: %v", target, err)
+		}
+	}
+	return out, nil
+}
+
 // checkTriageClusterMerge: the relation graph does not care where the
 // scenarios live. A coordinator scattering per-scenario extraction to 1,
 // 2 or 4 shards and merging at the center serves /triage byte-identical

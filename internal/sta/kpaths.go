@@ -12,16 +12,19 @@ import (
 // between calls, so a caller that walks many endpoints allocates only while
 // the walker is still growing to the longest path it has met.
 //
-// Whatever Worst or Within returns (the paths and their Steps) is valid until
-// the walker's next call. A walker belongs to one goroutine: make one per
-// render or per extraction (Analyzer.Walker) and drop it afterwards. The
-// analyzer never holds one — readers share an analyzer concurrently.
+// Whatever Worst, Within or WorstPaths returns (the paths and their Steps) is
+// valid until the walker's next call. A walker is used by one goroutine at a
+// time, and it stays valid across Run and Update of its analyzer, so a holder
+// may keep one per analyzer and lend it to one render after another; a render
+// that cannot have the kept one makes its own (Analyzer.Walker). The analyzer
+// never holds one — readers share an analyzer concurrently.
 type PathWalker struct {
 	a     *Analyzer
 	stack []PathStep // the path under construction, endpoint-first
 	edges []inEdge   // in-edge lists of the vertices on the stack, back to back
 	steps []PathStep // storage of the emitted paths' Steps
 	paths []Path
+	seen  []bool // by check site, all false between calls (WorstPaths)
 
 	// The walk in progress (Within).
 	e            EndpointSlack
@@ -31,6 +34,9 @@ type PathWalker struct {
 
 // Walker returns a new path walker over a.
 func (a *Analyzer) Walker() *PathWalker { return &PathWalker{a: a} }
+
+// Analyzer returns the analyzer the walker walks.
+func (w *PathWalker) Analyzer() *Analyzer { return w.a }
 
 func (w *PathWalker) reset() {
 	w.steps, w.paths = w.steps[:0], w.paths[:0]
@@ -51,6 +57,43 @@ func (w *PathWalker) take(n int) []PathStep {
 func (w *PathWalker) Worst(e EndpointSlack) Path {
 	w.reset()
 	return w.worstPath(e)
+}
+
+// WorstPaths returns the worst path for each of the n worst endpoints of the
+// check (one per endpoint, sorted worst-first). The steps of all n are cut
+// from one slab, grown once to the total the lot needs.
+func (w *PathWalker) WorstPaths(kind CheckKind, n int) []Path {
+	w.reset()
+	a := w.a
+	slacks := a.resident(kind)
+	n = min(n, len(slacks))
+	if n <= 0 {
+		return nil
+	}
+	w.seen = resize(w.seen, len(a.sites))
+	if cap(w.paths) < n {
+		w.paths = make([]Path, 0, n)
+	}
+	total := 0
+	for _, e := range slacks {
+		if len(w.paths) >= n {
+			break
+		}
+		if w.seen[e.site] {
+			continue
+		}
+		w.seen[e.site] = true
+		w.paths = append(w.paths, Path{Endpoint: e})
+		total += a.chainLen(e)
+	}
+	if cap(w.steps) < total {
+		w.steps = make([]PathStep, 0, total)
+	}
+	for i := range w.paths {
+		w.seen[w.paths[i].Endpoint.site] = false
+		w.paths[i] = w.worstPath(w.paths[i].Endpoint)
+	}
+	return w.paths
 }
 
 // chainLen is the number of steps on e's worst path: the length of the

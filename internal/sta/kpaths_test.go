@@ -236,11 +236,19 @@ func TestWalkerReuseMatchesOneShot(t *testing.T) {
 			t.Fatalf("%s %v: a one-shot result changed under later walks", e.Name(), e.Kind)
 		}
 	}
-	// WorstPaths is the same walk, all paths kept at once.
+	// WorstPaths is the same walk, all paths kept at once, and the reused
+	// walker's answer equals a one-shot walker's whatever it walked before.
 	for _, kind := range []CheckKind{Setup, Hold} {
-		for _, p := range a.WorstPaths(kind, 15) {
-			if want := a.WorstPath(p.Endpoint); !reflect.DeepEqual(p, want) {
-				t.Fatalf("WorstPaths(%v) path into %s differs from WorstPath", kind, p.Endpoint.Name())
+		for _, n := range []int{15, 3, 40} {
+			once := a.WorstPaths(kind, n)
+			for _, p := range once {
+				if want := a.WorstPath(p.Endpoint); !reflect.DeepEqual(p, want) {
+					t.Fatalf("WorstPaths(%v) path into %s differs from WorstPath", kind, p.Endpoint.Name())
+				}
+			}
+			w.Within(eps[0], 25, 4)
+			if got := w.WorstPaths(kind, n); !reflect.DeepEqual(got, once) {
+				t.Fatalf("reused walker's WorstPaths(%v, %d) differs from a one-shot walker's", kind, n)
 			}
 		}
 	}

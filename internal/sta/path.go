@@ -89,38 +89,10 @@ func (a *Analyzer) PathsWithin(e EndpointSlack, window units.Ps, maxPaths int) [
 	return a.Walker().Within(e, window, maxPaths)
 }
 
-// WorstPaths returns the worst path for each of the n worst endpoints of
-// the check (one per endpoint, sorted worst-first). All n share one walker's
-// storage, sized once for the lot.
-func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path {
-	slacks := a.resident(kind)
-	if n > len(slacks) {
-		n = len(slacks)
-	}
-	if n <= 0 {
-		return nil
-	}
-	seen := make([]bool, len(a.sites))
-	out := make([]Path, 0, n)
-	total := 0
-	for _, e := range slacks {
-		if len(out) >= n {
-			break
-		}
-		if seen[e.site] {
-			continue
-		}
-		seen[e.site] = true
-		out = append(out, Path{Endpoint: e})
-		total += a.chainLen(e)
-	}
-	w := a.Walker()
-	w.steps = make([]PathStep, 0, total)
-	for i := range out {
-		out[i] = w.worstPath(out[i].Endpoint)
-	}
-	return out
-}
+// WorstPaths is PathWalker.WorstPaths on a walker used once, so the paths
+// are the caller's to keep; their steps share one slab of exactly the size
+// they need.
+func (a *Analyzer) WorstPaths(kind CheckKind, n int) []Path { return a.Walker().WorstPaths(kind, n) }
 
 // PBAResult is a path re-timed with path-specific slews, depths and sigmas.
 type PBAResult struct {

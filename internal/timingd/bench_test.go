@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"newgame/internal/obs"
+	"newgame/internal/serve"
+	"newgame/internal/sta"
+	"newgame/internal/triage"
 )
 
 // benchTimingdQueryObs measures the warm cached-slack query with and
@@ -57,6 +60,31 @@ func benchPost(b *testing.B, url, body string) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		b.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// BenchmarkTriageRender and BenchmarkPathsRender time one render of /triage
+// and of /paths?k=10 with its encoding, bytes per op reported: what a cold
+// read costs a session whose triage graph and walkers are warm.
+func BenchmarkTriageRender(b *testing.B) {
+	s, _ := newTestServer(b, nil)
+	opts := triage.Options{K: 3, Window: 10}
+	benchRender(b, s, func() any { return s.triageReport(s.sess, 0, opts) })
+}
+
+func BenchmarkPathsRender(b *testing.B) {
+	s, _ := newTestServer(b, nil)
+	benchRender(b, s, func() any { return s.sess.pathsReport(0, 0, sta.Setup, 10) })
+}
+
+func benchRender(b *testing.B, s *Server, render func() any) {
+	s.sess.mu.RLock()
+	defer s.sess.mu.RUnlock()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.JSON(render()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

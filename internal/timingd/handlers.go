@@ -167,10 +167,7 @@ func (s *Server) handlePaths(ctx context.Context, r *http.Request) ([]byte, erro
 		if err != nil {
 			return nil, serve.BadRequest("%v", err)
 		}
-		return PathsReport{
-			Epoch: epoch, Scenario: sess.views.Scenarios[i].Name,
-			Paths: paths(sess.views.Analyzers()[i], kind, k),
-		}, nil
+		return sess.pathsReport(epoch, i, kind, k), nil
 	})
 }
 
@@ -205,12 +202,27 @@ func (s *Server) handleTriage(ctx context.Context, r *http.Request) ([]byte, err
 		return nil, err
 	}
 	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		extracts := make([]triage.ScenarioExtract, len(s.scenarioSet))
-		for i, a := range sess.views.Analyzers() {
-			extracts[i] = triage.ExtractScenario(a, s.triagePlan, s.scenarioSet[i].Index, opts)
-		}
-		return TriageReport{Epoch: epoch, Report: triage.BuildReport(extracts)}, nil
+		return s.triageReport(sess, epoch, opts), nil
 	})
+}
+
+// triageReport renders /triage: every served scenario's extract, merged on
+// the session's triage graph.
+func (s *Server) triageReport(sess *session, epoch int64, opts triage.Options) TriageReport {
+	extracts := make([]triage.ScenarioExtract, len(s.scenarioSet))
+	for i := range extracts {
+		extracts[i] = s.triageExtract(sess, i, opts)
+	}
+	return TriageReport{Epoch: epoch, Report: sess.triage.Report(extracts)}
+}
+
+// triageExtract renders scenario i's extract on its lent walker and the
+// session's triage graph.
+func (s *Server) triageExtract(sess *session, i int, opts triage.Options) (ex triage.ScenarioExtract) {
+	sess.walk(i, func(w *sta.PathWalker) {
+		ex = sess.triage.Extract(w, s.triagePlan, s.scenarioSet[i].Index, opts)
+	})
+	return ex
 }
 
 // handleTriageExtract renders one scenario's raw relation-graph extract —
@@ -228,10 +240,7 @@ func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]by
 		if err != nil {
 			return nil, serve.BadRequest("%v", err)
 		}
-		return TriageExtract{
-			Epoch:           epoch,
-			ScenarioExtract: triage.ExtractScenario(sess.views.Analyzers()[i], s.triagePlan, s.scenarioSet[i].Index, opts),
-		}, nil
+		return TriageExtract{Epoch: epoch, ScenarioExtract: s.triageExtract(sess, i, opts)}, nil
 	})
 }
 

@@ -8,6 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"newgame/internal/serve"
+	"newgame/internal/sta"
+	"newgame/internal/triage"
 )
 
 // logged is one response observed during the concurrent phase. Epoch is
@@ -53,6 +57,59 @@ func findResize(t testing.TB, exclude string) (cell, to string) {
 	}
 	t.Fatal("no second resize target")
 	return "", ""
+}
+
+// TestRendersBorrowWithoutWaiting: /triage, /triage/extract and /paths
+// renders on one session at once — each borrowing the session's triage graph
+// and the scenarios' walkers, or working on fresh ones while another render
+// has them — answer byte for byte what one render alone does, and none
+// waits: with every walker held, renders still complete. Run it under -race.
+func TestRendersBorrowWithoutWaiting(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	sess := s.sess
+	opts := triage.Options{K: 3, Window: 10}
+	renders := []func() any{
+		func() any { return s.triageReport(sess, 0, opts) },
+		func() any { return TriageExtract{ScenarioExtract: s.triageExtract(sess, 1, opts)} },
+		func() any { return sess.pathsReport(0, 0, sta.Setup, 10) },
+		func() any { return sess.pathsReport(0, 1, sta.Hold, 10) },
+	}
+	encode := func(v any) string {
+		b, _ := serve.JSON(v)
+		return string(b)
+	}
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	want := make([]string, len(renders))
+	for i, r := range renders {
+		want[i] = encode(r())
+	}
+	for i := range sess.walkers {
+		sess.walkers[i].mu.Lock()
+	}
+	for i, r := range renders {
+		if got := encode(r()); got != want[i] {
+			t.Fatalf("render %d on fresh walkers differs:\n%.300s\n%.300s", i, got, want[i])
+		}
+	}
+	for i := range sess.walkers {
+		sess.walkers[i].mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < 12; j++ {
+				k := (g + j) % len(renders)
+				if got := encode(renders[k]()); got != want[k] {
+					t.Errorf("render %d differs under concurrent renders", k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestConcurrentQueriesReplayByteIdentical is the determinism contract of

@@ -8,6 +8,7 @@ import (
 	"newgame/internal/core"
 	"newgame/internal/netlist"
 	"newgame/internal/sta"
+	"newgame/internal/triage"
 )
 
 // session is the server's one timed state: the scenario set (core.Views)
@@ -20,6 +21,20 @@ import (
 type session struct {
 	mu    sync.RWMutex
 	views *core.Views
+
+	// triage and walkers are what renders borrow under RLock and keep warm
+	// for the next: the relation graph's key table and merge scratch, and
+	// each scenario's path walker. A render that finds one busy works on a
+	// fresh one instead of waiting (triage.Graph does so itself; walk).
+	triage  *triage.Graph
+	walkers []lentWalker
+}
+
+// lentWalker is one scenario's resident path walker and the lock that lends
+// it.
+type lentWalker struct {
+	mu sync.Mutex
+	w  *sta.PathWalker
 }
 
 // analysisWorkers is each analyzer's level-parallelism: a session's scenarios
@@ -49,7 +64,25 @@ func newSession(cfg *Config, src *netlist.Design, trees *sta.Parasitics, topo *s
 			return nil, fmt.Errorf("timingd: design has no timing endpoints in scenario %q", cfg.Recipe.Scenarios[i].Name)
 		}
 	}
+	s.triage = triage.NewGraph(cfg.Obs)
+	s.walkers = make([]lentWalker, len(s.views.Analyzers()))
+	for i, a := range s.views.Analyzers() {
+		s.walkers[i].w = a.Walker()
+	}
 	return s, nil
+}
+
+// walk lends scenario i's resident walker to fn, or a fresh one when another
+// render holds it: what a walk returns is valid only until its walker's
+// next, so two renders never share one, and neither waits for the other.
+func (s *session) walk(i int, fn func(w *sta.PathWalker)) {
+	l := &s.walkers[i]
+	if !l.mu.TryLock() {
+		fn(l.w.Analyzer().Walker())
+		return
+	}
+	defer l.mu.Unlock()
+	fn(l.w)
 }
 
 // slacks reports the merged per-scenario timing summary: field reads off
@@ -89,22 +122,27 @@ func endpoints(a *sta.Analyzer, kind sta.CheckKind, limit int) []EndpointReport 
 	return out
 }
 
-// paths renders the k worst setup paths re-timed path-based, with the CRPR
-// credit each endpoint check carried.
-func paths(a *sta.Analyzer, kind sta.CheckKind, k int) []PathReport {
-	ps := a.WorstPaths(kind, k)
-	out := make([]PathReport, len(ps))
-	for i, p := range ps {
-		r := a.PBA(p)
-		out[i] = PathReport{
-			Endpoint:  p.Endpoint.Name(),
-			Depth:     p.Depth(),
-			GBASlack:  p.GBASlack,
-			PBASlack:  r.Slack,
-			Pessimism: r.Pessimism,
-			CRPR:      p.Endpoint.CRPR,
-			Route:     p.String(),
+// pathsReport renders scenario i's k worst paths of one kind re-timed
+// path-based, with the CRPR credit each endpoint check carried, on the
+// scenario's lent walker.
+func (s *session) pathsReport(epoch int64, i int, kind sta.CheckKind, k int) PathsReport {
+	rep := PathsReport{Epoch: epoch, Scenario: s.views.Scenarios[i].Name}
+	s.walk(i, func(w *sta.PathWalker) {
+		a := w.Analyzer()
+		ps := w.WorstPaths(kind, k)
+		rep.Paths = make([]PathReport, len(ps))
+		for j, p := range ps {
+			r := a.PBA(p)
+			rep.Paths[j] = PathReport{
+				Endpoint:  p.Endpoint.Name(),
+				Depth:     p.Depth(),
+				GBASlack:  p.GBASlack,
+				PBASlack:  r.Slack,
+				Pessimism: r.Pessimism,
+				CRPR:      p.Endpoint.CRPR,
+				Route:     p.String(),
+			}
 		}
-	}
-	return out
+	})
+	return rep
 }

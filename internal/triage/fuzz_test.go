@@ -3,6 +3,7 @@ package triage
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"newgame/internal/units"
@@ -47,10 +48,11 @@ func violationKey(v Violation) string {
 }
 
 // FuzzTriageCluster feeds hostile violation sets to the relation-graph
-// clusterer and checks its structural contract: no panic, the clusters
-// partition the input exactly (multiset-preserving), per-cluster TNS is
-// the member sum, the ranking is monotone, and shared segments never end
-// up split across clusters.
+// clusterer and checks its structural contract: no panic, a graph reused
+// across calls answers what a fresh one does, the clusters partition the
+// input exactly (multiset-preserving), per-cluster TNS is the member sum,
+// the ranking is monotone, and shared segments never end up split across
+// clusters.
 func FuzzTriageCluster(f *testing.F) {
 	f.Add([]byte(""))                         // empty violation list
 	f.Add([]byte("ABCDE"))                    // single violation, one segment
@@ -60,10 +62,12 @@ func FuzzTriageCluster(f *testing.F) {
 	f.Add([]byte("ABCDEFFGHIJKLMNOPQRSTUVWXYZ0123456789abcdef"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vs := violationsFrom(data)
-		cs := Clusters(vs)
-		again := Clusters(vs)
-		if !reflect.DeepEqual(cs, again) {
-			t.Fatal("clustering is not deterministic")
+		g := NewGraph(nil)
+		cs := g.clusters(slices.Clone(vs))
+		again := g.clusters(slices.Clone(vs))
+		fresh := NewGraph(nil).clusters(slices.Clone(vs))
+		if !reflect.DeepEqual(cs, again) || !reflect.DeepEqual(cs, fresh) {
+			t.Fatal("clustering is not deterministic, or a reused graph answers differently")
 		}
 
 		// Partition: every violation lands in exactly one cluster.

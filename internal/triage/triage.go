@@ -23,7 +23,6 @@ package triage
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 
 	"newgame/internal/core"
@@ -214,6 +213,15 @@ func NoPrune(p Plan) Plan {
 	return out
 }
 
+// schedule reports whether scenario idx signs off the kind, and the sibling
+// whose extraction covers it (-1: its own).
+func (p Plan) schedule(idx int, kind sta.CheckKind) (active bool, dom int) {
+	if kind == sta.Hold {
+		return p.HoldActive[idx], p.HoldDominator[idx]
+	}
+	return p.SetupActive[idx], p.SetupDominator[idx]
+}
+
 // Violation is one violating (endpoint, scenario, kind) check with the
 // relation-graph features extracted from its worst paths. For a pruned
 // scenario, Slack is still the scenario's own (computed from its resident
@@ -283,7 +291,7 @@ type endpointID struct {
 	port *netlist.Port
 }
 
-// segment identifies one edge of a timing path inside one analyzer: the
+// segment identifies one edge of a timing path inside one sta.Topology: the
 // vertices of its tail and head. Segments are the linking currency of
 // cross-scenario triage — two violations that traverse the same segment
 // share a physical root cause no matter which corner or endpoint surfaced
@@ -292,63 +300,82 @@ type endpointID struct {
 // names only.
 type segment struct{ from, to int }
 
-// extraction is the state of one ExtractScenario call: the walker every
-// violation's paths come from, and per segment met so far its key and the
-// last violation that listed it. Violations of one scenario share most of
-// their segments, so a key is built once per call.
-type extraction struct {
-	a        *sta.Analyzer
-	w        *sta.PathWalker
-	opts     Options
-	capture  string
-	segments map[segment]segmentEntry
-	keys     []string // the violation in hand's keys, first-traversal order
-	n        int      // violations featured so far
-}
-
 type segmentEntry struct {
 	key    string
 	listed int
 }
 
-// ExtractScenario computes scenario idx's violations against its resident
-// analyzer, honoring the plan: a kind dominated by a sibling skips path
-// extraction and tags its violations PrunedBy for BuildReport to resolve.
-// The scenario's own slacks are always reported — pruning trades the
-// per-endpoint k-worst path walk, not a number.
-func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) ScenarioExtract {
+// extraction is one Extract call: the graph whose table it reads and
+// fills, the walker every violation's paths come from, and its counts.
+type extraction struct {
+	g       *Graph
+	a       *sta.Analyzer
+	w       *sta.PathWalker
+	opts    Options
+	capture string
+	built   int64 // segment keys added to the table
+	walked  int64 // paths the walker returned
+}
+
+// checkKinds is the order an extract lists its violations in.
+var checkKinds = [...]sta.CheckKind{sta.Setup, sta.Hold}
+
+// Extract computes scenario idx's violations against the resident analyzer
+// w walks, honoring the plan: a kind dominated by a sibling skips path
+// extraction and tags its violations PrunedBy for Report to resolve. The
+// scenario's own slacks are always reported — pruning trades the
+// per-endpoint k-worst path walk, not a number. What w returned before is
+// invalid afterwards.
+//
+// The violations of every scenario and epoch share most of their segments,
+// so the graph's table builds a segment's key once for as long as the
+// analyzers' topology is the same value; a buffer inserted or removed
+// derives a new one, and the table starts over.
+func (g *Graph) Extract(w *sta.PathWalker, plan Plan, idx int, opts Options) ScenarioExtract {
+	g, release := g.acquire()
+	defer release()
+	a := w.Analyzer()
+	if t := a.Topology(); t != g.topo {
+		g.topo = t
+		clear(g.segments)
+	}
 	name := plan.Names[idx]
 	out := ScenarioExtract{Scenario: name}
 	derate := DerateClassOf(a.Cfg.Derate)
-	x := extraction{a: a, w: a.Walker(), opts: opts.withDefaults(), segments: map[segment]segmentEntry{}}
+	x := extraction{g: g, a: a, w: w, opts: opts.withDefaults()}
 	if a.Cons != nil {
 		if clk := a.Cons.DefaultClock(); clk != nil {
 			x.capture = clk.Name
 		}
 	}
-	seen := map[endpointID]bool{}
-	for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
-		active, dom := plan.SetupActive[idx], plan.SetupDominator[idx]
-		if kind == sta.Hold {
-			active, dom = plan.HoldActive[idx], plan.HoldDominator[idx]
+	// The summaries count violating checks, one per transition: an upper
+	// bound on the violations, which take each endpoint's worst only. A
+	// clean scenario keeps the nil list the wire carries as null.
+	total := 0
+	for _, kind := range checkKinds {
+		if active, _ := plan.schedule(idx, kind); active {
+			total += a.Summary(kind).Violations
 		}
+	}
+	if total > 0 {
+		out.Violations = make([]Violation, 0, total)
+	}
+	for _, kind := range checkKinds {
+		active, dom := plan.schedule(idx, kind)
 		if !active {
 			continue
 		}
-		// The summary counts violating checks, one per transition: an upper
-		// bound on the violations, which take each endpoint's worst only.
-		out.Violations = slices.Grow(out.Violations, a.Summary(kind).Violations)
-		clear(seen)
+		clear(g.seen)
 		a.EachEndpoint(kind, func(e sta.EndpointSlack) bool {
 			if e.Slack >= 0 {
 				return false // worst-first: the first met endpoint ends the violations
 			}
 			// Each endpoint's worst transition only.
 			id := endpointID{e.Pin, e.Port}
-			if seen[id] {
+			if g.seen[id] {
 				return true
 			}
-			seen[id] = true
+			g.seen[id] = true
 			v := Violation{
 				Scenario: name, Kind: kind.String(), Endpoint: e.Name(),
 				RF: rfName(e.RF), Slack: e.Slack, DerateClass: derate,
@@ -369,7 +396,14 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 			out.Prunes = append(out.Prunes, rec)
 		}
 	}
+	g.rec.Counter("triage.segment_keys_built").Add(x.built)
+	g.rec.Counter("triage.paths_walked").Add(x.walked)
 	return out
+}
+
+// ExtractScenario is Graph.Extract on a fresh graph and walker.
+func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) ScenarioExtract {
+	return NewGraph(nil).Extract(a.Walker(), plan, idx, opts)
 }
 
 // fillPathFeatures runs the expensive per-endpoint analysis: k-worst path
@@ -385,6 +419,7 @@ func (x *extraction) fillPathFeatures(v *Violation, e sta.EndpointSlack) {
 		one[0] = x.w.Worst(e)
 		paths = one[:]
 	}
+	x.walked += int64(len(paths))
 	worst := paths[0]
 	v.Depth = worst.Depth()
 	r := x.a.PBA(worst)
@@ -402,24 +437,26 @@ func (x *extraction) fillPathFeatures(v *Violation, e sta.EndpointSlack) {
 		launch = worst.Steps[0].Name
 	}
 	v.ClockPair = launch + ">" + x.capture
-	x.n++
-	x.keys = x.keys[:0]
+	g := x.g
+	g.n++
+	g.keys = g.keys[:0]
 	for _, p := range paths {
 		for i := 1; i < len(p.Steps); i++ {
 			seg := segment{p.Steps[i-1].Vertex(), p.Steps[i].Vertex()}
-			ent := x.segments[seg]
-			if ent.listed == x.n {
+			ent := g.segments[seg]
+			if ent.listed == g.n {
 				continue
 			}
 			if ent.key == "" {
 				ent.key = p.Steps[i-1].Name + ">" + p.Steps[i].Name
+				x.built++
 			}
-			ent.listed = x.n
-			x.segments[seg] = ent
-			x.keys = append(x.keys, ent.key)
+			ent.listed = g.n
+			g.segments[seg] = ent
+			g.keys = append(g.keys, ent.key)
 		}
 	}
-	if len(x.keys) > 0 {
-		v.Segments = append(make([]string, 0, len(x.keys)), x.keys...)
+	if len(g.keys) > 0 {
+		v.Segments = append(make([]string, 0, len(g.keys)), g.keys...)
 	}
 }

@@ -249,6 +249,68 @@ func TestPruningNeverChangesReportedNumbers(t *testing.T) {
 	}
 }
 
+// A graph kept across calls answers what fresh ones do — its key table read
+// back, its merge scratch reused — and one another call holds answers the
+// same on scratch of its own, without waiting.
+func TestGraphKeptOrBusyAnswersTheSame(t *testing.T) {
+	scens, _, _ := fixture(t)
+	as := analyzers(t)
+	plan := PlanFor(scens, fixPeriod)
+	want := BuildReport(extractAll(t, as, plan))
+	g := NewGraph(nil)
+	render := func() Report {
+		ex := make([]ScenarioExtract, len(as))
+		for i, a := range as {
+			ex[i] = g.Extract(a.Walker(), plan, i, Options{})
+		}
+		return g.Report(ex)
+	}
+	for i := 0; i < 2; i++ {
+		if got := render(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("render %d on a kept graph differs from fresh graphs", i)
+		}
+	}
+	g.mu.Lock()
+	got := render()
+	g.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a busy graph's fallback differs from fresh graphs")
+	}
+}
+
+// A graph that meets another topology starts its key table over: the same
+// vertex pair there names other pins.
+func TestGraphTableStartsOverOnAnotherTopology(t *testing.T) {
+	scens, _, stack := fixture(t)
+	plan := PlanFor(scens, fixPeriod)
+	g := NewGraph(nil)
+	for i, a := range analyzers(t) {
+		g.Extract(a.Walker(), plan, i, Options{})
+	}
+	sc := scens[0]
+	d := circuits.Block(sc.Lib, circuits.BlockSpec{
+		Name: "other", Inputs: 10, Outputs: 10, FFs: 24, Gates: 260,
+		MaxDepth: 9, Seed: 12, ClockBufferLevels: 2,
+		VtMix: [3]float64{0, 0.5, 0.5},
+	})
+	a, err := sta.New(d, core.ConstraintsFor(d, d.Port("clk"), fixPeriod/2, 0, sc), sta.Config{
+		Lib: sc.Lib, Parasitics: sta.NewKeyedNetBinder(stack, 7), Scaling: sc.Scaling, Derate: sc.Derate,
+	})
+	if err == nil {
+		err = a.Run()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ExtractScenario(a, plan, 0, Options{})
+	if len(want.Violations) == 0 {
+		t.Fatal("the other design does not violate")
+	}
+	if got := g.Extract(a.Walker(), plan, 0, Options{}); !reflect.DeepEqual(got, want) {
+		t.Fatal("a graph kept across topologies answers differently from a fresh one")
+	}
+}
+
 func TestExtractDeterministic(t *testing.T) {
 	scens, _, _ := fixture(t)
 	as := analyzers(t)
@@ -340,7 +402,7 @@ func TestClustersLinkRules(t *testing.T) {
 		{Scenario: "s1", Kind: "hold", Endpoint: "ff9/D", Slack: -1,
 			ClockPair: "other>clk", DerateClass: "FlatOCV", Segments: []string{"m>n"}},
 	}
-	cs := Clusters(vs)
+	cs := NewGraph(nil).clusters(vs)
 	if len(cs) != 2 {
 		t.Fatalf("got %d clusters, want 2: %+v", len(cs), cs)
 	}

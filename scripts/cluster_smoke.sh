@@ -105,8 +105,8 @@ echo "cluster smoke: coordinator echoes trace IDs, serves /metrics and /debug/re
 # Triage merge identity: a single node restored from the same pack (all
 # scenarios resident) must serve /triage byte-identical to the 2-shard
 # coordinator merging per-scenario extracts — same clusters, same ranks,
-# same prune audit. tr strips the single node's trailing newline; the
-# JSON bodies themselves contain none.
+# same prune audit, the same trailing newline. The node stays up for the
+# same comparison after the barrier ECO below.
 SN_ADDR="127.0.0.1:18383"
 "$BIN" -addr "$SN_ADDR" -restore "$PACK" >"$WORK/single.log" 2>&1 &
 SNPID=$!
@@ -118,10 +118,8 @@ done
 curl -sf "http://$SN_ADDR/triage" >"$WORK/triage_single.json" || fail "single-node GET /triage"
 curl -sf "$COORD/triage" >"$WORK/triage_cluster.json" || fail "cluster GET /triage"
 grep -q '"stats"' "$WORK/triage_single.json" || fail "single-node /triage has no stats"
-cmp <(tr -d '\n' <"$WORK/triage_single.json") <(tr -d '\n' <"$WORK/triage_cluster.json") \
+cmp "$WORK/triage_single.json" "$WORK/triage_cluster.json" \
   || fail "/triage diverges between single node and 2-shard cluster"
-kill "$SNPID"; wait "$SNPID" 2>/dev/null || true
-unset SNPID
 echo "cluster smoke: /triage byte-identical between single node and 2-shard cluster"
 
 # Concurrent burst, a fixed count and no clock: 8 clients × 20 rounds of
@@ -155,6 +153,18 @@ curl -sf -d "{\"ops\":[$OP_JSON]}" "$COORD/eco" >"$WORK/eco1.json" || fail "POST
 grep -q '"committed":true' "$WORK/eco1.json" || fail "barrier eco not committed"
 grep -q '"epoch":1' "$WORK/eco1.json" || fail "barrier eco epoch did not advance"
 echo "cluster smoke: epoch-barrier ECO committed at epoch 1"
+
+# The same ECO on the single node, and /triage compared once more: both
+# sides now render from key tables and walkers kept across an epoch.
+curl -sf -d "{\"ops\":[$OP_JSON]}" "http://$SN_ADDR/eco" >/dev/null || fail "single-node POST /eco"
+curl -sf "http://$SN_ADDR/triage" >"$WORK/triage_single1.json" || fail "single-node GET /triage at epoch 1"
+curl -sf "$COORD/triage" >"$WORK/triage_cluster1.json" || fail "cluster GET /triage at epoch 1"
+grep -q '^{"epoch":1,' "$WORK/triage_single1.json" || fail "single-node /triage not at epoch 1"
+cmp "$WORK/triage_single1.json" "$WORK/triage_cluster1.json" \
+  || fail "/triage diverges between single node and 2-shard cluster after the ECO"
+kill "$SNPID"; wait "$SNPID" 2>/dev/null || true
+unset SNPID
+echo "cluster smoke: /triage byte-identical across the ECO too"
 
 # Eight readers loop on /slack in the background until told to stop, then
 # kill -9 a worker under them: the cluster must degrade, not die. answered
