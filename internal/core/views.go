@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"newgame/internal/netlist"
 	"newgame/internal/obs"
@@ -68,26 +69,15 @@ func (v *Views) Find(name string) (int, error) {
 
 // Build constructs and fully times a fresh analyzer per scenario against
 // the design as it is now, the parasitics table refreshed once before the
-// scenarios fan out. The first scenario adopts seed when it is
-// compatible and levelizes otherwise; either way the rest adopt the first's
-// topology read-only, so the graph is built at most once per Build. On
-// error — cancellation included — the set is left as it was.
+// scenarios fan out. The first scenario is constructed first, alone,
+// adopting seed when it is compatible and levelizing otherwise; the rest
+// adopt its topology read-only as they are constructed in the fan-out, so
+// the graph is built at most once per Build. On error — cancellation
+// included — the set is left as it was.
 func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
-	as := make([]*sta.Analyzer, len(v.Scenarios))
 	v.refresh()
-	err := v.each(func(i, g int) error {
-		topo := seed
-		if i > 0 {
-			topo = as[0].Topology()
-		}
-		cons, cfg, done := v.inputs(i, g, topo)
-		defer done()
-		a, err := sta.New(v.D, cons, cfg)
-		if err != nil {
-			return err
-		}
-		as[i] = a
-		return a.RunCtx(ctx)
+	as, err := v.each(ctx, seed, func(_ int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
+		return sta.New(v.D, cons, cfg)
 	})
 	if err != nil {
 		return err
@@ -102,20 +92,17 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 // one: the parasitics table is refreshed once, every master is re-resolved,
 // exactly the nets whose tree or sink caps moved are recomputed, and after a
 // structural edit each analyzer re-derives its graph on its own storage —
-// the first levelizing, the rest adopting its topology, as in Build. A
-// failed Rerun leaves the analyzers half-timed.
+// the first brings its graph current alone, the rest adopt its topology as
+// they run, as in Build. A failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
 	v.refresh()
-	err := v.each(func(i, g int) error {
+	_, err := v.each(ctx, nil, func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
 		a := v.as[i]
-		var topo *sta.Topology
-		if i > 0 {
-			topo = v.as[0].Topology()
-		}
-		cons, cfg, done := v.inputs(i, g, topo)
-		defer done()
 		a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan, a.Cfg.Topology = cons, cfg.CellDerate, cfg.ObsSpan, cfg.Topology
-		return a.RunCtx(ctx)
+		if i == 0 {
+			return a, a.RefreshGraph()
+		}
+		return a, nil
 	})
 	if err == nil {
 		v.publishResident()
@@ -150,7 +137,10 @@ func (v *Views) publishResident() {
 
 // Update re-times every analyzer incrementally from the cells and nets
 // invalidated on it since its last run — one cone re-propagation per
-// scenario however many edits were batched.
+// scenario however many edits were batched. The scenarios run one after
+// another on the caller: an update is a cone, not a graph, and on a
+// resident server's writer it runs between reads that a fan-out would
+// compete with for the same cores.
 func (v *Views) Update(ctx context.Context) error {
 	for _, a := range v.as {
 		if err := a.UpdateCtx(ctx); err != nil {
@@ -180,25 +170,45 @@ func (v *Views) inputs(i, g int, topo *sta.Topology) (*sta.Constraints, sta.Conf
 	return cons, cfg, done
 }
 
-// each runs fn(i, g) for every scenario i on worker g: the first on the
-// calling goroutine, the rest — once it has succeeded — across the pool.
-// It returns the first error in recipe order, wrapped with the scenario's
-// name.
-func (v *Views) each(fn func(i, g int) error) error {
+// each readies every scenario's analyzer with ready and times it, in one
+// fan-out. Scenario 0 goes first, alone on the calling goroutine as worker
+// 0: its inputs are assembled against topo0 and ready brings its graph
+// current. Then every scenario is timed across the pool, scenario 0 as
+// worker 0's first job (workpool.DoObs) — so the g its hook saw is the
+// worker that runs it — and each other scenario i is assembled and readied
+// on its worker g against scenario 0's topology first. Each hook's done
+// func runs once, when its scenario's run ends or fails. each returns the
+// analyzers in recipe order, or the first error in recipe order wrapped
+// with the scenario's name; a scenario 0 that fails to ready fans nothing
+// out. A panic in any scenario reaches the caller once the others are done.
+func (v *Views) each(ctx context.Context, topo0 *sta.Topology, ready func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error)) ([]*sta.Analyzer, error) {
 	n := len(v.Scenarios)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
+	as := make([]*sta.Analyzer, n)
 	errs := make([]error, n)
-	if errs[0] = fn(0, 0); errs[0] == nil {
-		workpool.DoObs(nil, nil, "", v.Workers, n-1, func(i, g int) {
-			errs[i+1] = fn(i+1, g)
+	cons, cfg, done0 := v.inputs(0, 0, topo0)
+	end0 := sync.OnceFunc(done0)
+	defer end0()
+	if as[0], errs[0] = ready(0, cons, cfg); errs[0] == nil {
+		workpool.DoObs(nil, nil, "", v.Workers, n, func(i, g int) {
+			if i == 0 {
+				defer end0()
+			} else {
+				cons, cfg, done := v.inputs(i, g, as[0].Topology())
+				defer done()
+				if as[i], errs[i] = ready(i, cons, cfg); errs[i] != nil {
+					return
+				}
+			}
+			errs[i] = as[i].RunCtx(ctx)
 		})
 	}
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("scenario %s: %w", v.Scenarios[i].Name, err)
+			return nil, fmt.Errorf("scenario %s: %w", v.Scenarios[i].Name, err)
 		}
 	}
-	return nil
+	return as, nil
 }

@@ -64,10 +64,19 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 			VtMix: [3]float64{0.1, 0.5, 0.4},
 		})
 		v := viewsOver(d, recipe, workers)
+		// busy[g] is set while worker g runs a scenario: a hook that finds
+		// it set saw a g that another scenario is running on.
 		var hooked, finished atomic.Int32
-		v.Each = func(core.Scenario, int, *sta.Constraints, *sta.Config) func() {
+		var busy [8]atomic.Bool
+		v.Each = func(s core.Scenario, g int, _ *sta.Constraints, _ *sta.Config) func() {
 			hooked.Add(1)
-			return func() { finished.Add(1) }
+			if !busy[g].CompareAndSwap(false, true) {
+				t.Errorf("workers %d: scenario %s overlaps another on worker %d", workers, s.Name, g)
+			}
+			return func() {
+				busy[g].Store(false)
+				finished.Add(1)
+			}
 		}
 		// retype swaps the Vt of up to n combinational cells not yet swapped
 		// and returns them.
@@ -163,6 +172,69 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 				if a != before[i] || conformance.Fingerprint(a) != got[i] {
 					t.Errorf("workers %d, %s: cancelled Build disturbed scenario %d", workers, step.name, i)
 				}
+			}
+		}
+
+		// A Build in which scenarios 1 and 3 fail names the first of them,
+		// keeps the old set and ends every hook it started.
+		before, want := append([]*sta.Analyzer(nil), v.Analyzers()...), fingerprints(v)
+		good := v.Scenarios
+		v.Scenarios = slices.Clone(good)
+		v.Scenarios[1].Lib, v.Scenarios[3].Lib = nil, nil
+		hooked.Store(0)
+		finished.Store(0)
+		err := v.Build(context.Background(), nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario "+good[1].Name+":") {
+			t.Errorf("workers %d: Build with scenarios 1 and 3 broken returned %v", workers, err)
+		}
+		if hooked.Load() != 4 || finished.Load() != 4 {
+			t.Errorf("workers %d: failed Build ran Each %d times and finished %d, want 4 each", workers, hooked.Load(), finished.Load())
+		}
+		v.Scenarios = good
+		for i, a := range v.Analyzers() {
+			if a != before[i] || conformance.Fingerprint(a) != want[i] {
+				t.Errorf("workers %d: failed Build disturbed scenario %d", workers, i)
+			}
+		}
+	}
+}
+
+// A hook that panics in scenario 2 of a Build panics on the caller once the
+// other scenarios are done, whatever worker ran it, and leaves the set as it
+// was; every hook that returned has been ended.
+func TestViewsBuildPanicReachesCaller(t *testing.T) {
+	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "views", Inputs: 6, Outputs: 6, FFs: 8, Gates: 60, MaxDepth: 6, Seed: 3, ClockBufferLevels: 1,
+	})
+	for _, workers := range []int{1, 4} {
+		v := viewsOver(d, recipe, workers)
+		if err := v.Build(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		before, want := append([]*sta.Analyzer(nil), v.Analyzers()...), fingerprints(v)
+		var started, ended atomic.Int32
+		v.Each = func(s core.Scenario, _ int, _ *sta.Constraints, _ *sta.Config) func() {
+			if s.Name == v.Scenarios[2].Name {
+				panic("hook " + s.Name)
+			}
+			started.Add(1)
+			return func() { ended.Add(1) }
+		}
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			v.Build(context.Background(), nil)
+			return nil
+		}()
+		if r != "hook "+v.Scenarios[2].Name {
+			t.Errorf("workers %d: Build's caller recovered %v", workers, r)
+		}
+		if started.Load() != 3 || ended.Load() != 3 {
+			t.Errorf("workers %d: %d hooks returned and %d ended, want 3 each", workers, started.Load(), ended.Load())
+		}
+		for i, a := range v.Analyzers() {
+			if a != before[i] || conformance.Fingerprint(a) != want[i] {
+				t.Errorf("workers %d: a panicking Build disturbed scenario %d", workers, i)
 			}
 		}
 	}

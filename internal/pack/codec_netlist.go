@@ -45,10 +45,12 @@ func encodeDesign(w *wire.Writer, d *netlist.Design) error {
 	return nil
 }
 
-func decodePinDir(r *wire.Reader, what string) (netlist.PinDir, error) {
+// decodePinDir reads the direction of a pin or port (kind) called name; the
+// name is read only into the error.
+func decodePinDir(r *wire.Reader, kind, name string) (netlist.PinDir, error) {
 	d := netlist.PinDir(r.U8())
 	if r.Err() == nil && d != netlist.Input && d != netlist.Output {
-		return 0, fmt.Errorf("pack: %s has bad direction %d", what, d)
+		return 0, fmt.Errorf("pack: %s %s has bad direction %d", kind, name, d)
 	}
 	return d, nil
 }
@@ -74,7 +76,7 @@ func decodeDesign(r *wire.Reader) (*netlist.Design, error) {
 		c.Pins = make([]netlist.PinDecl, 0, nPins)
 		for j := 0; j < nPins; j++ {
 			name := r.String()
-			dir, err := decodePinDir(r, "pin "+name)
+			dir, err := decodePinDir(r, "pin", name)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +110,7 @@ func decodeDesign(r *wire.Reader) (*netlist.Design, error) {
 	bp.Ports = make([]netlist.BlueprintPort, 0, nPorts)
 	for i := 0; i < nPorts; i++ {
 		name := r.String()
-		dir, err := decodePinDir(r, "port "+name)
+		dir, err := decodePinDir(r, "port", name)
 		if err != nil {
 			return nil, err
 		}

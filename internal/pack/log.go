@@ -57,7 +57,8 @@ type Log struct {
 }
 
 // OpenLog opens (creating if needed) the epoch log at path for appending.
-// An empty file gets the header; an existing file must carry it.
+// An empty file gets the header, synced along with the directory that holds
+// it; an existing file must carry it.
 func OpenLog(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -76,7 +77,12 @@ func OpenLog(path string) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
+		// The new file's directory entry must be as durable as its header.
 		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -224,24 +230,10 @@ func RewriteLog(path string, recs []EpochRecord) error {
 		w.U32(crc32.ChecksumIEEE(payload))
 		w.Raw(payload)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".log-*")
-	if err != nil {
+	return writeAtomic(path, ".log-*", func(f io.Writer) error {
+		_, err := w.WriteTo(f)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(w.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 var _ io.Closer = (*Log)(nil)

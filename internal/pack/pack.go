@@ -23,6 +23,7 @@ package pack
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -78,6 +79,24 @@ type Snapshot struct {
 
 // Encode serializes the snapshot into the container format.
 func Encode(s *Snapshot) ([]byte, error) {
+	e, err := encode(s)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(e.head)+e.body.Len())
+	return e.body.AppendTo(append(out, e.head...)), nil
+}
+
+// encoded is a pack laid out but not joined: the header and section table,
+// then the section payloads in the chunks they were written to.
+type encoded struct {
+	head []byte
+	body wire.Writer
+}
+
+// encode writes every section's payload once, into one chunked stream, and
+// records its table entry — offset, length, CRC-32 — as the section ends.
+func encode(s *Snapshot) (*encoded, error) {
 	if s == nil || s.Design == nil || s.Recipe == nil || s.Stack == nil {
 		return nil, fmt.Errorf("pack: snapshot missing design, recipe or stack")
 	}
@@ -88,20 +107,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	type section struct {
-		tag     string
-		payload []byte
-	}
-	var sections []section
-	add := func(tag string, encode func(w *wire.Writer) error) error {
-		var w wire.Writer
-		if err := encode(&w); err != nil {
-			return err
-		}
-		sections = append(sections, section{tag: tag, payload: w.Bytes()})
-		return nil
-	}
-	steps := []struct {
+	sections := []struct {
 		tag string
 		fn  func(w *wire.Writer) error
 	}{
@@ -126,34 +132,31 @@ func Encode(s *Snapshot) ([]byte, error) {
 		}},
 		{secTrees, func(w *wire.Writer) error { encodeTrees(w, s.Design, s.Parasitics); return nil }},
 	}
-	for _, st := range steps {
-		if err := add(st.tag, st.fn); err != nil {
+
+	e := &encoded{}
+	var head wire.Writer
+	head.U8(Magic[0])
+	head.U8(Magic[1])
+	head.U8(Magic[2])
+	head.U8(Magic[3])
+	head.U16(Version)
+	head.U16(uint16(len(sections)))
+	base := uint64(headerSize + sectionEntrySize*len(sections))
+	for _, sec := range sections {
+		from := e.body.Len()
+		if err := sec.fn(&e.body); err != nil {
 			return nil, err
 		}
+		head.U8(sec.tag[0])
+		head.U8(sec.tag[1])
+		head.U8(sec.tag[2])
+		head.U8(sec.tag[3])
+		head.U64(base + uint64(from))
+		head.U64(uint64(e.body.Len() - from))
+		head.U32(e.body.CRC32(from))
 	}
-
-	var out wire.Writer
-	out.U8(Magic[0])
-	out.U8(Magic[1])
-	out.U8(Magic[2])
-	out.U8(Magic[3])
-	out.U16(Version)
-	out.U16(uint16(len(sections)))
-	offset := uint64(headerSize + sectionEntrySize*len(sections))
-	for _, sec := range sections {
-		out.U8(sec.tag[0])
-		out.U8(sec.tag[1])
-		out.U8(sec.tag[2])
-		out.U8(sec.tag[3])
-		out.U64(offset)
-		out.U64(uint64(len(sec.payload)))
-		out.U32(crc32.ChecksumIEEE(sec.payload))
-		offset += uint64(len(sec.payload))
-	}
-	for _, sec := range sections {
-		out.Raw(sec.payload)
-	}
-	return out.Bytes(), nil
+	e.head = head.Bytes()
+	return e, nil
 }
 
 // Decode parses a snapshot pack. It tolerates unknown extra sections but
@@ -274,34 +277,67 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save encodes the snapshot and writes it to path atomically (temp file in
-// the same directory, fsync, rename), returning the byte count written.
+// Save encodes the snapshot and writes it to path atomically (see
+// writeAtomic), streaming the chunks the sections were encoded into without
+// joining them, and returns the byte count written.
 func Save(path string, s *Snapshot) (int, error) {
-	data, err := Encode(s)
+	e, err := encode(s)
 	if err != nil {
 		return 0, err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pack-*")
+	err = writeAtomic(path, ".pack-*", func(f io.Writer) error {
+		if _, err := f.Write(e.head); err != nil {
+			return err
+		}
+		_, err := e.body.WriteTo(f)
+		return err
+	})
 	if err != nil {
 		return 0, err
+	}
+	return len(e.head) + e.body.Len(), nil
+}
+
+// writeAtomic replaces path with what write puts into a temp file beside it
+// (named after pattern): the temp file is synced, closed and renamed over
+// path, then the directory is synced so the rename itself survives a crash.
+// On any error the temp file is removed and path is left as it was.
+func writeAtomic(path, pattern string, write func(f io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return 0, err
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return 0, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
+		return err
 	}
-	return len(data), nil
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads and decodes a snapshot pack from path.

@@ -1,5 +1,5 @@
 // Package wire provides the low-level binary primitives the snapshot pack
-// format is built from: an append-only Writer and a bounds-checked,
+// format is built from: an append-only, chunked Writer and a bounds-checked,
 // sticky-error Reader over explicit little-endian fields, length-prefixed
 // strings and raw numeric slabs.
 //
@@ -14,26 +14,108 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 )
 
-// Writer accumulates an encoded byte stream. The zero value is ready to
-// use; Bytes returns the accumulated buffer.
+// Writer accumulates an encoded byte stream in chunks. A chunk, once full,
+// is never copied or grown: the next field starts a new one, so a stream of
+// any length costs its bytes, the unused tail of its last chunk and at most
+// seven bytes per chunk a fixed-width field did not fit in. Chunks start
+// small and double up to maxChunk, so a short stream — one log frame —
+// costs little more than itself. The zero value is ready to use.
 type Writer struct {
-	buf []byte
+	full [][]byte // the filled chunks, in order
+	cur  []byte   // the chunk being filled
+	n    int      // bytes in full
 }
 
-// Bytes returns the encoded stream.
-func (w *Writer) Bytes() []byte { return w.buf }
+// The first chunk's capacity and the largest any chunk grows to.
+const minChunk, maxChunk = 64, 64 << 10
+
+// space returns the chunk being filled with room for n more bytes (n ≤
+// minChunk), sealing it and starting the next when it has less.
+func (w *Writer) space(n int) []byte {
+	if cap(w.cur)-len(w.cur) >= n {
+		return w.cur
+	}
+	size := minChunk
+	if c := cap(w.cur); c > 0 {
+		w.full = append(w.full, w.cur)
+		w.n += len(w.cur)
+		size = min(2*c, maxChunk)
+	}
+	w.cur = make([]byte, 0, size)
+	return w.cur
+}
+
+// appendBytes copies b onto the stream, spilling into new chunks as each
+// fills.
+func appendBytes[T string | []byte](w *Writer, b T) {
+	for len(b) > 0 {
+		c := w.space(1)
+		k := copy(c[len(c):cap(c)], b)
+		w.cur, b = c[:len(c)+k], b[k:]
+	}
+}
 
 // Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+func (w *Writer) Len() int { return w.n + len(w.cur) }
+
+// Bytes returns the stream as one slice: the only chunk itself when there
+// is one, else the chunks joined into one exactly sized copy.
+func (w *Writer) Bytes() []byte {
+	if len(w.full) == 0 {
+		return w.cur
+	}
+	return w.AppendTo(make([]byte, 0, w.Len()))
+}
+
+// AppendTo appends the stream to dst and returns the result.
+func (w *Writer) AppendTo(dst []byte) []byte {
+	for _, c := range w.full {
+		dst = append(dst, c...)
+	}
+	return append(dst, w.cur...)
+}
+
+// WriteTo writes the stream to dst chunk by chunk, joining nothing.
+func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
+	var total int64
+	for _, c := range w.full {
+		k, err := dst.Write(c)
+		total += int64(k)
+		if err != nil {
+			return total, err
+		}
+	}
+	k, err := dst.Write(w.cur)
+	return total + int64(k), err
+}
+
+// CRC32 returns the CRC-32 (IEEE) of the bytes written since offset from.
+func (w *Writer) CRC32(from int) uint32 {
+	var crc uint32
+	off := 0
+	sum := func(c []byte) {
+		if off+len(c) > from {
+			crc = crc32.Update(crc, crc32.IEEETable, c[max(from-off, 0):])
+		}
+		off += len(c)
+	}
+	for _, c := range w.full {
+		sum(c)
+	}
+	sum(w.cur)
+	return crc
+}
 
 // U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) { w.cur = append(w.space(1), v) }
 
-// Raw appends bytes verbatim (pre-encoded section payloads).
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+// Raw appends bytes verbatim.
+func (w *Writer) Raw(b []byte) { appendBytes(w, b) }
 
 // Bool appends a boolean as one byte (0 or 1).
 func (w *Writer) Bool(v bool) {
@@ -46,17 +128,17 @@ func (w *Writer) Bool(v bool) {
 
 // U16 appends a little-endian uint16.
 func (w *Writer) U16(v uint16) {
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
+	w.cur = binary.LittleEndian.AppendUint16(w.space(2), v)
 }
 
 // U32 appends a little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	w.cur = binary.LittleEndian.AppendUint32(w.space(4), v)
 }
 
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+	w.cur = binary.LittleEndian.AppendUint64(w.space(8), v)
 }
 
 // I64 appends a little-endian int64.
@@ -68,7 +150,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // String appends a u32 length prefix followed by the raw bytes.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+	appendBytes(w, s)
 }
 
 // I32Slab appends a u32 count followed by the values as raw little-endian

@@ -37,7 +37,7 @@ func (a *Analyzer) Run() error {
 	defer run.End()
 	a.stats = RunStats{}
 	a.ran = false
-	if err := a.refreshGraph(); err != nil {
+	if err := a.RefreshGraph(); err != nil {
 		return err
 	}
 	a.buildSites()

@@ -345,6 +345,7 @@ type Analyzer struct {
 	obsConeRatio       *obs.Histogram // recomputed / graph size per incremental Update
 	obsVertsRecomputed *obs.Counter
 	obsTopoShared      *obs.Counter // graph derivations that adopted a shared Topology
+	obsTopoBuilt       *obs.Counter // graph derivations that levelized a Topology of their own
 	obsRegraphs        *obs.Counter // full Runs that re-derived the graph in place
 	obsGraphVerts      *obs.Gauge
 	obsGraphLevels     *obs.Gauge
@@ -394,7 +395,7 @@ func resize[T any](s []T, n int) []T {
 // from the design as it stands, on the receiver's own storage. It is the one
 // graph derivation: New runs it on an empty analyzer, and a full Run runs it
 // again whenever the design's structural revision has moved since (see
-// refreshGraph), which is what lets an inserted or removed buffer be
+// RefreshGraph), which is what lets an inserted or removed buffer be
 // answered by re-timing the analyzer that exists.
 //
 // Rebuilt: the cell and port tables and the cellBase prefix sum (in design
@@ -601,6 +602,7 @@ func (a *Analyzer) bindObs() {
 	a.obsConeRatio = r.Histogram("sta.update.cone_ratio", 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1)
 	a.obsVertsRecomputed = r.Counter("sta.update.vertices_recomputed")
 	a.obsTopoShared = r.Counter("sta.topology_shared")
+	a.obsTopoBuilt = r.Counter("sta.topologies_built")
 	a.obsRegraphs = r.Counter("sta.run.regraphs")
 	a.obsGraphVerts = r.Gauge("sta.graph_vertices")
 	a.obsGraphLevels = r.Gauge("sta.graph_levels")
@@ -629,17 +631,22 @@ func (a *Analyzer) master(c *netlist.Cell) *liberty.Cell {
 	return a.resolveMaster(c)
 }
 
-// refreshGraph brings the graph half current at the start of a full Run.
-// While the design's structural revision stands where regraph recorded it,
-// that is refreshMasters; a moved revision — cells, nets or pins added,
-// removed or reconnected — or a retype that changes a cell's arc shape
-// re-derives the graph in place.
-func (a *Analyzer) refreshGraph() error {
+// RefreshGraph brings the graph half current with the design: the first
+// step of a full Run. While the design's structural revision stands where
+// regraph recorded it, that is refreshMasters; a moved revision — cells,
+// nets or pins added, removed or reconnected — or a retype that changes a
+// cell's arc shape re-derives the graph in place, adopting Cfg.Topology when
+// it fits, and leaves the analyzer untimed until its next Run. It is
+// exported for a set of analyzers over one design (core.Views.Rerun): one
+// brings its graph current alone, the rest adopt its Topology as they run,
+// and the first's own Run then finds nothing left to re-derive.
+func (a *Analyzer) RefreshGraph() error {
 	if a.topo != nil && a.D.Revision() == a.revision {
 		if reshaped, err := a.refreshMasters(); err != nil || !reshaped {
 			return err
 		}
 	}
+	a.ran = false
 	a.obsRegraphs.Add(1)
 	return a.regraph()
 }

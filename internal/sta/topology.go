@@ -234,8 +234,9 @@ func kindOf(p *netlist.Pin, q *netlist.Port) uint8 {
 // identical to the pre-SoA implementation. The Topology is always a new
 // value (it may be shared); the fill cursors, in-degrees, Kahn queue and
 // bucket cursors live in the writer's scratch, 2n int32s reused across
-// derivations.
+// derivations. Each call counts in sta.topologies_built.
 func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
+	a.obsTopoBuilt.Add(1)
 	n := a.NumVerts()
 	a.topoScratch = resize(a.topoScratch, 2*n)
 	scratch := a.topoScratch

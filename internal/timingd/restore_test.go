@@ -33,9 +33,10 @@ func commitResize(t *testing.T, base string) {
 }
 
 // The headline acceptance test: snapshot at epoch 0, commit an ECO (logged
-// at epoch 1), kill the server, boot a new one from the pack. Log replay
-// carries it to epoch 1 and every query endpoint answers byte-identically
-// to the live server it replaced.
+// at epoch 1), kill the server, boot a new one from the pack. The restored
+// server times the snapshot's own design, uncloned; log replay carries it to
+// epoch 1 and every query endpoint answers byte-identically to the live
+// server it replaced.
 func TestRestoreByteIdenticalAfterLogReplay(t *testing.T) {
 	dir := t.TempDir()
 	live, hsLive := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
@@ -44,7 +45,7 @@ func TestRestoreByteIdenticalAfterLogReplay(t *testing.T) {
 		t.Fatalf("save report %+v", rep)
 	}
 	commitResize(t, hsLive.URL)
-	paths := []string{"/slack", "/endpoints", "/paths?k=8"}
+	paths := []string{"/slack", "/endpoints", "/paths?k=8", "/triage"}
 	liveBytes := make([][]byte, len(paths))
 	for i, p := range paths {
 		code, b := get(t, hsLive.URL, p)
@@ -65,6 +66,9 @@ func TestRestoreByteIdenticalAfterLogReplay(t *testing.T) {
 	})
 	if restored.Epoch() != 1 {
 		t.Fatalf("restored epoch %d, want 1 (snapshot 0 + 1 replayed)", restored.Epoch())
+	}
+	if restored.sess.views.D != snap.Design {
+		t.Error("the restored server times a copy of the snapshot's design")
 	}
 	for i, p := range paths {
 		code, b := get(t, hs.URL, p)

@@ -24,7 +24,7 @@ import (
 // Config assembles one timingd instance.
 type Config struct {
 	// Design is the netlist to serve. The server never mutates it: the
-	// session works on its own clone.
+	// session works on its own clone. A restore ignores it.
 	Design *netlist.Design
 	// Recipe supplies the MCMM scenario set (libraries, corners, derates).
 	Recipe core.Recipe
@@ -84,9 +84,11 @@ type Config struct {
 	// state — crash recovery.
 	SnapshotDir string
 	// Restore, when non-nil, boots from a decoded snapshot pack: Design,
-	// Recipe, Stack, clocking and seed are taken from it, the frozen
-	// timing topology is adopted (skipping levelization), and the server
-	// takes its parasitics table over, saved trees and all.
+	// Recipe, Stack, clocking and seed are taken from it and the frozen
+	// timing topology is adopted (skipping levelization). The server takes
+	// the whole snapshot over: it edits the snapshot's design in place,
+	// uncloned, and times it with the snapshot's parasitics table, saved
+	// trees and all, so a snapshot restores at most one server.
 	Restore *pack.Snapshot
 	// RestorePath is the pack the snapshot came from, for /healthz
 	// provenance.
@@ -257,7 +259,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if c.Restore != nil && c.Restore.Parasitics != nil {
 		trees = c.Restore.Parasitics
 	}
-	if s.sess, err = newSession(c, c.Design, trees, restoreTopo); err != nil {
+	if s.sess, err = newSession(c, trees, restoreTopo); err != nil {
 		return nil, err
 	}
 	if c.Restore != nil {

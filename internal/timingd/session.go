@@ -6,13 +6,12 @@ import (
 	"sync"
 
 	"newgame/internal/core"
-	"newgame/internal/netlist"
 	"newgame/internal/sta"
 	"newgame/internal/triage"
 )
 
 // session is the server's one timed state: the scenario set (core.Views)
-// over a private clone of the design and the server's parasitics table.
+// over the server's own design and parasitics table.
 //
 // mu orders readers against the writer: queries hold RLock while rendering,
 // and the writer holds Lock while it edits and re-times. Between writer
@@ -41,10 +40,15 @@ type lentWalker struct {
 // already run concurrently (Config.Workers), so more would oversubscribe.
 const analysisWorkers = 1
 
-// newSession clones the design and builds its scenario set over trees. topo,
-// when non-nil, seeds the build with a restored snapshot's frozen graph.
-func newSession(cfg *Config, src *netlist.Design, trees *sta.Parasitics, topo *sta.Topology) (*session, error) {
-	d := src.Clone()
+// newSession builds the scenario set over trees and the design the session
+// will edit in place: a clone of Config.Design, which the server never
+// edits, or a restored snapshot's own, which the server has taken over.
+// topo, when non-nil, seeds the build with the snapshot's frozen graph.
+func newSession(cfg *Config, trees *sta.Parasitics, topo *sta.Topology) (*session, error) {
+	d := cfg.Design
+	if cfg.Restore == nil {
+		d = d.Clone()
+	}
 	ck := d.Port(cfg.ClockPort)
 	if ck == nil {
 		return nil, fmt.Errorf("timingd: design has no clock port %q", cfg.ClockPort)

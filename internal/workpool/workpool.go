@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"newgame/internal/obs"
 )
@@ -40,16 +41,24 @@ func Do(w, n int, fn func(i int)) {
 }
 
 // DoObs is Do with observability and the worker-lane id: fn(i, g) runs job
-// i on worker g. When rec is non-nil, each job gets a span named
+// i on worker g. Worker 0 is the calling goroutine, and worker g's first job
+// is job g, so job 0 always runs on the caller; the rest are claimed in index
+// order as workers free up. When rec is non-nil, each job gets a span named
 // "<name>:<i>" on track g+1 under parent, and worker g's
 // "<name>.worker_NN.jobs" counter is bumped — the characterization
 // equivalent of a survey's scenario lanes. A nil rec records nothing and
 // costs one nil check per job.
+//
+// A job that panics does not stop the others: every job runs, and then the
+// panic of the lowest job index that panicked is raised again on the caller,
+// its value intact — what a serial loop would have met first.
 func DoObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn func(i, g int)) {
 	if n <= 0 {
 		return
 	}
+	var p firstPanic
 	runOne := func(i, g int) {
+		defer p.catch(i)
 		var sp *obs.Span
 		if rec != nil {
 			sp = rec.Start(fmt.Sprintf("%s:%d", name, i), parent).OnTrack(g + 1)
@@ -60,32 +69,25 @@ func DoObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn func(i
 			rec.Counter(fmt.Sprintf("%s.worker_%02d.jobs", name, g)).Add(1)
 		}
 	}
-	w = Workers(w)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			runOne(i, 0)
+	w = min(Workers(w), n)
+	var next atomic.Int64
+	next.Store(int64(w))
+	lane := func(g int) {
+		for i := g; i < n; i = int(next.Add(1) - 1) {
+			runOne(i, g)
 		}
-		return
 	}
 	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < w; g++ {
+	for g := 1; g < w; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := range next {
-				runOne(i, g)
-			}
+			lane(g)
 		}(g)
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	lane(0)
 	wg.Wait()
+	p.rethrow()
 }
 
 // DoChunks runs fn over contiguous chunks of [0, n) on up to w goroutines
@@ -99,12 +101,16 @@ func DoChunks(w, n int, fn func(lo, hi int)) {
 // DoChunksObs is DoChunks with observability: fn(lo, hi, g) runs chunk g
 // (one per worker) and, when rec is non-nil, gets a span "<name>:lo-hi" on
 // track g+1 under parent — one span per worker lane, cheap even for
-// million-sample Monte Carlo fan-outs.
+// million-sample Monte Carlo fan-outs. A chunk that panics is handled as a
+// job in DoObs is: the other chunks finish, then the lowest chunk's panic is
+// raised on the caller.
 func DoChunksObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn func(lo, hi, g int)) {
 	if n <= 0 {
 		return
 	}
+	var p firstPanic
 	runChunk := func(lo, hi, g int) {
+		defer p.catch(g)
 		var sp *obs.Span
 		if rec != nil {
 			sp = rec.Start(fmt.Sprintf("%s:%d-%d", name, lo, hi), parent).OnTrack(g + 1)
@@ -112,28 +118,46 @@ func DoChunksObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn 
 		fn(lo, hi, g)
 		sp.End()
 	}
-	w = Workers(w)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		runChunk(0, n, 0)
-		return
-	}
+	w = min(Workers(w), n)
 	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
-	g := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for g, lo := 1, chunk; lo < n; g, lo = g+1, lo+chunk {
 		wg.Add(1)
 		go func(lo, hi, g int) {
 			defer wg.Done()
 			runChunk(lo, hi, g)
-		}(lo, hi, g)
-		g++
+		}(lo, min(lo+chunk, n), g)
 	}
+	runChunk(0, min(chunk, n), 0)
 	wg.Wait()
+	p.rethrow()
+}
+
+// firstPanic keeps, of the jobs that panicked, the lowest index's value.
+type firstPanic struct {
+	mu  sync.Mutex
+	hit bool
+	i   int
+	val any
+}
+
+// catch, deferred by job i, recovers its panic and keeps it if no lower job's
+// is kept already.
+func (p *firstPanic) catch(i int) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.hit || i < p.i {
+		p.hit, p.i, p.val = true, i, r
+	}
+}
+
+// rethrow raises the kept panic, if any, on the calling goroutine.
+func (p *firstPanic) rethrow() {
+	if p.hit {
+		panic(p.val)
+	}
 }

@@ -71,3 +71,68 @@ func TestDoObsRecordsLaneSpans(t *testing.T) {
 		t.Fatalf("ran %d of 20 jobs", total)
 	}
 }
+
+// Job 0 runs on the calling goroutine as worker 0, and worker g starts on
+// job g, so a caller may prepare job 0 as worker 0's before the fan-out.
+func TestDoObsFirstJobs(t *testing.T) {
+	for _, w := range []int{1, 3, 8} {
+		first := make([]int32, w)
+		for g := range first {
+			first[g] = -1
+		}
+		DoObs(nil, nil, "", w, 20, func(i, g int) {
+			atomic.CompareAndSwapInt32(&first[g], -1, int32(i))
+		})
+		for g, i := range first {
+			if int(i) != g {
+				t.Errorf("workers %d: worker %d's first job was %d", w, g, i)
+			}
+		}
+	}
+}
+
+type boom struct{ job int }
+
+// A panicking job does not stop the pool: every other job runs, and the
+// caller gets the lowest panicking job's value, intact — serial or not, by
+// index or by chunk.
+func TestPanicReachesCallerAfterEveryJob(t *testing.T) {
+	catch := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	for _, w := range []int{1, 4} {
+		const n = 40
+		var ran [n]atomic.Int32
+		r := catch(func() {
+			DoObs(obs.NewRecorder(), nil, "panic.test", w, n, func(i, _ int) {
+				ran[i].Add(1)
+				if i == 7 || i == 23 {
+					panic(&boom{i})
+				}
+			})
+		})
+		if b, ok := r.(*boom); !ok || b.job != 7 {
+			t.Errorf("workers %d: DoObs re-raised %v, want job 7's *boom", w, r)
+		}
+		for i := range ran {
+			if ran[i].Load() != 1 {
+				t.Errorf("workers %d: job %d ran %d times", w, i, ran[i].Load())
+			}
+		}
+
+		var covered atomic.Int32
+		r = catch(func() {
+			DoChunks(w, n, func(lo, hi int) {
+				covered.Add(int32(hi - lo))
+				if hi == n {
+					panic(boom{hi})
+				}
+			})
+		})
+		if b, ok := r.(boom); !ok || b.job != n || covered.Load() != n {
+			t.Errorf("workers %d: DoChunks re-raised %v after covering %d of %d", w, r, covered.Load(), n)
+		}
+	}
+}

@@ -4,7 +4,7 @@
 # the commit's "after" exactly, push a concurrent burst of reads and
 # what-ifs through it, then snapshot the state, hard-kill the daemon, and
 # verify a -restore boot (snapshot + epoch-log replay) serves byte-identical
-# answers. Fails on any non-2xx answer, on a baseline mismatch, on a restore
+# answers, at the default scenario-worker count and again serially. Fails on any non-2xx answer, on a baseline mismatch, on a restore
 # divergence, or when the burst gets a wrong answer or moves the baseline.
 # It gates on no timing: throughput and latency are bench/'s to report.
 set -euo pipefail
@@ -127,16 +127,30 @@ curl -sf -d "{\"ops\":[$OP_JSON]}" "$BASE/eco" >/dev/null || fail "POST /eco (se
 curl -sf "$BASE/slack" >"$WORK/slack2.json" || fail "GET /slack after second eco"
 kill -9 "$DPID"; wait "$DPID" 2>/dev/null || true
 
-"$BIN" -addr "$ADDR" -restore "$SNAP_PATH" -snapshot-dir "$SNAPDIR" >"$LOG" 2>&1 &
-DPID=$!
-for i in $(seq 1 100); do
-  if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  if ! kill -0 "$DPID" 2>/dev/null; then
-    echo "restored timingd exited during startup:"; cat "$LOG"; exit 1
-  fi
-  sleep 0.2
-done
-grep -q "restored from" "$LOG" || fail "no restore banner"
+# restore boots a daemon from the pack and the log, with any extra flags,
+# and waits for it to answer.
+restore() {
+  "$BIN" -addr "$ADDR" -restore "$SNAP_PATH" -snapshot-dir "$SNAPDIR" "$@" >"$LOG" 2>&1 &
+  DPID=$!
+  for i in $(seq 1 100); do
+    if curl -sf "$BASE/healthz" >/dev/null 2>&1; then break; fi
+    if ! kill -0 "$DPID" 2>/dev/null; then
+      echo "restored timingd exited during startup:"; cat "$LOG"; exit 1
+    fi
+    sleep 0.2
+  done
+  grep -q "restored from" "$LOG" || fail "no restore banner"
+}
+
+# stop shuts the daemon down gracefully.
+stop() {
+  kill -TERM "$DPID"
+  wait "$DPID" || fail "daemon exited nonzero on SIGTERM"
+  grep -q "bye" "$LOG" || fail "no graceful shutdown marker"
+  unset DPID
+}
+
+restore
 curl -sf "$BASE/healthz" >"$WORK/health.json" || fail "GET /healthz after restore"
 grep -q '"restored_from":' "$WORK/health.json" || fail "healthz has no restore provenance"
 grep -q '"log_replayed":1' "$WORK/health.json" || fail "healthz did not count the replayed epoch"
@@ -147,10 +161,17 @@ cmp -s "$WORK/slack2.json" "$WORK/slack_restored.json" || {
   fail "restored /slack differs from the killed daemon's"
 }
 echo "smoke: restore from $SNAP_PATH verified byte-identical at epoch 2"
+curl -sf "$BASE/triage" >"$WORK/triage_restored.json" || fail "GET /triage after restore"
+stop
 
-# Graceful shutdown.
-kill -TERM "$DPID"
-wait "$DPID" || fail "daemon exited nonzero on SIGTERM"
-grep -q "bye" "$LOG" || fail "no graceful shutdown marker"
-unset DPID
+# Serial equals parallel in the real binary: the same pack and log restored
+# with one scenario worker answer /slack and /triage byte for byte as the
+# default-worker restore did.
+restore -workers 1
+curl -sf "$BASE/slack" >"$WORK/slack_serial.json" || fail "GET /slack after -workers 1 restore"
+curl -sf "$BASE/triage" >"$WORK/triage_serial.json" || fail "GET /triage after -workers 1 restore"
+cmp -s "$WORK/slack_restored.json" "$WORK/slack_serial.json" || fail "-workers 1 restore's /slack differs"
+cmp -s "$WORK/triage_restored.json" "$WORK/triage_serial.json" || fail "-workers 1 restore's /triage differs"
+echo "smoke: -workers 1 restore byte-identical on /slack and /triage"
+stop
 echo "smoke OK"
