@@ -1,7 +1,7 @@
 // mcmm_signoff: the corner super-explosion in practice. Enumerates the full
-// scenario space for a wide-voltage-range 16nm-class SOC, analyzes a block
-// under a representative subset, prunes dominated scenarios, and closes
-// timing under the surviving MCMM set.
+// scenario space for a wide-voltage-range 16nm-class SOC, prunes it with
+// the dominance rule, and closes timing on a block under the production
+// MCMM set.
 package main
 
 import (
@@ -30,58 +30,39 @@ func main() {
 	}
 	fmt.Printf("full scenario space: %d views\n", sp.Count())
 
-	// Analyze a block at a handful of candidate corners to get the WNS
-	// observations observational pruning needs.
-	libFor := func(p mcmm.PVTCorner) *liberty.Library {
-		return liberty.Generate(liberty.Node16,
-			liberty.PVT{Process: p.Process, Voltage: p.Voltage, Temp: p.Temp},
-			liberty.GenOptions{})
-	}
-	candidates := mcmm.VoltageTempGrid([]float64{0.60, 0.72}, []float64{-30, 125})
-	seedLib := libFor(candidates[0])
-	d := circuits.Block(seedLib, circuits.BlockSpec{
-		Name: "mcmm_blk", Inputs: 12, Outputs: 12, FFs: 48, Gates: 600,
-		Seed: 77, ClockBufferLevels: 2,
-	})
-	binder := sta.NewNetBinder(stack, 77)
-
-	var results []mcmm.ScenarioResult
-	for _, pc := range candidates {
-		lib := libFor(pc)
-		cons := sta.NewConstraints()
-		cons.AddClock("clk", 900, d.Port("clk"))
-		a, err := sta.New(d, cons, sta.Config{
-			Lib: lib, Parasitics: binder,
-			Scaling: stack.Corner(parasitics.RCWorst, 3),
-			Derate:  sta.DefaultAOCV(),
-		})
-		if err != nil {
-			log.Fatal(err)
+	// Modes that differ only in clock period are ordered by it: within one
+	// PVT/BEOL/mask-shift class, the fastest-clocked mode bounds every
+	// other setup check and one mode covers every hold check.
+	p := sp.Prune()
+	perMode := map[string]int{}
+	for i, sc := range p.Scenarios {
+		if p.Kept(i) {
+			perMode[sc.Mode.Name]++
 		}
-		if err := a.Run(); err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, mcmm.ScenarioResult{
-			Scenario: mcmm.Scenario{
-				Mode: mcmm.DefaultModes()[0], PVT: pc, BEOL: parasitics.RCWorst,
-			},
-			SetupWNS: a.WorstSlack(sta.Setup),
-			HoldWNS:  a.WorstSlack(sta.Hold),
-		})
-		fmt.Printf("  %-18s setup WNS %8.1f  hold WNS %8.1f\n",
-			pc.Name, a.WorstSlack(sta.Setup), a.WorstSlack(sta.Hold))
 	}
-	keep, pruned := mcmm.PruneDominated(results, 10)
-	fmt.Printf("observational pruning: kept %d of %d analyzed corners (%d dominated)\n\n",
-		len(keep), len(results), len(pruned))
+	fmt.Println("dominance pruning keeps, per mode:")
+	for _, m := range sp.Modes {
+		fmt.Printf("  %-16s %5d\n", m.Name, perMode[m.Name])
+	}
+	for j, d := range p.SetupDominator {
+		if d >= 0 {
+			fmt.Printf("e.g. %s bounds the setup check of %s\n\n",
+				p.Scenarios[d].Name(), p.Scenarios[j].Name())
+			break
+		}
+	}
 
 	// Close timing under the production MCMM recipe.
 	libs := core.GenerateNewLibs(liberty.Node16)
+	d := circuits.Block(libs.SlowCold, circuits.BlockSpec{
+		Name: "mcmm_blk", Inputs: 12, Outputs: 12, FFs: 48, Gates: 600,
+		Seed: 77, ClockBufferLevels: 2,
+	})
 	recipe := core.NewGoalPosts(libs, stack)
 	recipe.UsePBA = false // keep the demo fast
 	e := &core.Engine{
 		D: d, Recipe: recipe, BasePeriod: 700, ClockPort: d.Port("clk"),
-		Parasitics: binder,
+		Parasitics: sta.NewNetBinder(stack, 77),
 	}
 	res, err := e.Close()
 	if err != nil {

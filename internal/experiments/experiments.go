@@ -654,16 +654,22 @@ func Fig11PBAvsGBA() Result {
 
 // --------------------------------------------------------------- E12 ----
 
-// Fig12CornerExplosion enumerates the scenario space and prunes it.
-func Fig12CornerExplosion() Result {
+// fig12Space is the signoff space of a wide-voltage-range 16nm-class SOC.
+func fig12Space() mcmm.Space {
 	volts := []float64{0.50, 0.60, 0.72, 0.80, 0.90, 1.00}
 	temps := []float64{-30, 25, 125}
-	sp := mcmm.Space{
+	return mcmm.Space{
 		Modes:           mcmm.DefaultModes(),
 		PVTs:            mcmm.VoltageTempGrid(volts, temps),
 		BEOLs:           append([]parasitics.CornerKind{parasitics.Typical}, parasitics.AllCorners...),
 		MaskShiftCombos: parasitics.Stack16().MaskShiftCombos(),
 	}
+}
+
+// Fig12CornerExplosion enumerates the scenario space and prunes it with
+// the dominance rule.
+func Fig12CornerExplosion() Result {
+	sp := fig12Space()
 	full := sp.Count()
 	tb := report.NewTable("Corner super-explosion (Section 2.3)", "stage", "count")
 	tb.Row("modes", len(sp.Modes))
@@ -671,32 +677,23 @@ func Fig12CornerExplosion() Result {
 	tb.Row("BEOL corners", len(sp.BEOLs))
 	tb.Row("multi-patterning shift combos", sp.MaskShiftCombos)
 	tb.Row("full cross product", full)
-	// Observational pruning on synthetic WNS structure: deeper-V scenarios
-	// dominate shallower ones of the same mode kind.
-	var rs []mcmm.ScenarioResult
-	for _, sc := range sp.Enumerate() {
-		// Synthetic severity: lower voltage, higher temp, worse BEOL ->
-		// worse WNS. Structure, not absolute truth; the pruner only needs
-		// ordering.
-		sev := (1.0-sc.PVT.Voltage)*400 + sc.PVT.Temp/4
-		if sc.BEOL == parasitics.RCWorst || sc.BEOL == parasitics.CWorst {
-			sev += 40
+	p := sp.Prune()
+	kept := 0
+	for i := range p.Scenarios {
+		if p.Kept(i) {
+			kept++
 		}
-		if sc.MaskShift > 0 {
-			sev += 2
-		}
-		rs = append(rs, mcmm.ScenarioResult{Scenario: sc, SetupWNS: -sev, HoldWNS: -sev / 8})
 	}
-	keep, pruned := mcmm.PruneDominated(rs, 10)
-	tb.Row("after dominance pruning", len(keep))
+	pruned := full - kept
+	tb.Row("after dominance pruning", kept)
 	txt := tb.String() + fmt.Sprintf("pruned %d of %d scenarios (%.0f%%)\n",
-		len(pruned), full, 100*float64(len(pruned))/float64(full))
+		pruned, full, 100*float64(pruned)/float64(full))
 	return Result{
 		ID: "fig12", Title: "Corner explosion", Text: txt,
 		Keys: map[string]float64{
 			"full":   float64(full),
-			"pruned": float64(len(pruned)),
-			"kept":   float64(len(keep)),
+			"pruned": float64(pruned),
+			"kept":   float64(kept),
 		},
 	}
 }

@@ -141,8 +141,27 @@ func TestFig12Claims(t *testing.T) {
 	if r.Keys["full"] < 1000 {
 		t.Errorf("corner space = %v, expected an explosion (>1000)", r.Keys["full"])
 	}
-	if r.Keys["kept"] >= r.Keys["full"] {
-		t.Error("pruning kept everything")
+	// One setup scenario per SSG class and one hold scenario per FFG class:
+	// 18 PVT corners × 7 BEOL × 8 mask shifts on each side.
+	if r.Keys["kept"] != 2016 || r.Keys["pruned"] != 10080 {
+		t.Errorf("kept %v, pruned %v; want 2016 and 10080", r.Keys["kept"], r.Keys["pruned"])
+	}
+	// A pruned scenario's dominator has its delays (same PVT, BEOL and mask
+	// shift) and is itself kept.
+	p := fig12Space().Prune()
+	for j, sc := range p.Scenarios {
+		for _, d := range []int{p.SetupDominator[j], p.HoldDominator[j]} {
+			if d < 0 {
+				continue
+			}
+			dom := p.Scenarios[d]
+			if dom.PVT != sc.PVT || dom.BEOL != sc.BEOL || dom.MaskShift != sc.MaskShift {
+				t.Fatalf("%s dominated by %s across classes", sc.Name(), dom.Name())
+			}
+			if !p.Kept(d) {
+				t.Fatalf("%s dominated by %s, which is itself pruned", sc.Name(), dom.Name())
+			}
+		}
 	}
 }
 

@@ -2,14 +2,17 @@
 // of functional/test modes with PVT and BEOL extraction corners that a
 // complex SOC must close timing at. It models the "corner super-explosion"
 // of paper §2.3 — modes × voltages × temperatures × BEOL corners × multi-
-// patterned-layer mask shifts — and provides dominance-based pruning, the
-// practical mitigation the paper notes ("the central engineering team that
-// chooses a subset of PVT corners … has enormous influence").
+// patterned-layer mask shifts — and holds the repository's one scenario-
+// dominance rule, the practical mitigation the paper notes ("the central
+// engineering team that chooses a subset of PVT corners … has enormous
+// influence"). The rule is sound, not observational: it prunes a scenario
+// only when a sibling with identical delays checks it at least as tightly.
+// Space.Prune applies it to a space; triage.PlanFor applies it to a
+// recipe's scenarios.
 package mcmm
 
 import (
 	"fmt"
-	"sort"
 
 	"newgame/internal/liberty"
 	"newgame/internal/parasitics"
@@ -17,36 +20,12 @@ import (
 )
 
 // Mode is a functional or test operating mode with its own constraints.
+// Of its constraints the timing model carries only the clock period.
 type Mode struct {
 	Name string
-	// Kind distinguishes functional from test modes.
-	Kind ModeKind
 	// PeriodScale scales the base clock period in this mode (scan shift
 	// typically runs much slower).
 	PeriodScale float64
-}
-
-// ModeKind classifies modes.
-type ModeKind int
-
-const (
-	Functional ModeKind = iota
-	ScanShift
-	ScanCapture
-	BIST
-)
-
-func (k ModeKind) String() string {
-	switch k {
-	case Functional:
-		return "func"
-	case ScanShift:
-		return "scan_shift"
-	case ScanCapture:
-		return "scan_capture"
-	default:
-		return "bist"
-	}
 }
 
 // PVTCorner is a FEOL process/voltage/temperature point.
@@ -119,9 +98,10 @@ func (sp Space) Count() int {
 // VoltageTempGrid builds PVT corners for the given voltages and
 // temperatures at the slow and fast global process corners — the pattern
 // behind wide-voltage-range FinFET signoff (paper §1.2: supplies scaled
-// "across a range of 0.46V to 1.25V"). Because of temperature inversion
-// (paper Fig 6b), both temperature extremes are emitted per voltage when
-// the voltage is near the inversion point.
+// "across a range of 0.46V to 1.25V"). Every (voltage, temperature) pair
+// is emitted twice: at SSG for setup and at FFG for hold. Temperature
+// inversion (paper Fig 6b) makes the slow temperature flip with the
+// voltage, so neither temperature extreme can be dropped a priori.
 func VoltageTempGrid(volts []units.Volt, temps []units.Celsius) []PVTCorner {
 	var out []PVTCorner
 	for _, v := range volts {
@@ -145,51 +125,131 @@ func VoltageTempGrid(volts []units.Volt, temps []units.Celsius) []PVTCorner {
 // DefaultModes is a representative SOC mode set.
 func DefaultModes() []Mode {
 	return []Mode{
-		{Name: "func_nominal", Kind: Functional, PeriodScale: 1},
-		{Name: "func_overdrive", Kind: Functional, PeriodScale: 0.8},
-		{Name: "func_underdrive", Kind: Functional, PeriodScale: 1.6},
-		{Name: "scan_shift", Kind: ScanShift, PeriodScale: 4},
-		{Name: "scan_capture", Kind: ScanCapture, PeriodScale: 1.2},
-		{Name: "bist", Kind: BIST, PeriodScale: 1},
+		{Name: "func_nominal", PeriodScale: 1},
+		{Name: "func_overdrive", PeriodScale: 0.8},
+		{Name: "func_underdrive", PeriodScale: 1.6},
+		{Name: "scan_shift", PeriodScale: 4},
+		{Name: "scan_capture", PeriodScale: 1.2},
+		{Name: "bist", PeriodScale: 1},
 	}
 }
 
-// ScenarioResult couples a scenario with its analysis outcome for pruning.
-type ScenarioResult struct {
-	Scenario Scenario
-	SetupWNS units.Ps
-	HoldWNS  units.Ps
+// Bound is what the dominance rule reads of one scenario. Class names its
+// delay configuration: two scenarios of one class produce bit-identical
+// arrivals, slews and paths, so only their checks can differ; a mode
+// enters only through PeriodScale.
+type Bound struct {
+	Class                             int
+	PeriodScale                       float64
+	SetupUncertainty, HoldUncertainty units.Ps
+	ForSetup, ForHold                 bool
 }
 
-// PruneDominated removes scenarios whose timing is provably covered by a
-// retained scenario, using per-scenario WNS observations from a calibration
-// analysis run: scenario A dominates B for setup when A's setup WNS is
-// lower (worse) by at least margin and they share mode kind. This is the
-// observational dominance tools and teams actually use (a full proof of
-// dominance is impossible — "pruning of corners is difficult!", paper §2.3
-// footnote 10).
-func PruneDominated(rs []ScenarioResult, margin units.Ps) (keep, pruned []ScenarioResult) {
-	// Sort worst-first by setup WNS so dominators come early.
-	sorted := append([]ScenarioResult(nil), rs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].SetupWNS+sorted[i].HoldWNS < sorted[j].SetupWNS+sorted[j].HoldWNS
-	})
-	for _, r := range sorted {
-		dominated := false
-		for _, k := range keep {
-			if k.Scenario.Mode.Kind != r.Scenario.Mode.Kind {
-				continue
-			}
-			if k.SetupWNS <= r.SetupWNS-margin && k.HoldWNS <= r.HoldWNS-margin {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			pruned = append(pruned, r)
-		} else {
-			keep = append(keep, r)
-		}
+// check is one check kind of a Bound: whether the scenario signs it off,
+// and the period and uncertainty that shift it. A hold check compares a
+// launch and a capture of the same edge, so the period cancels out of it.
+type check struct {
+	on     bool
+	period float64
+	unc    units.Ps
+}
+
+func (b Bound) check(hold bool) check {
+	if hold {
+		return check{b.ForHold, 0, b.HoldUncertainty}
 	}
-	return keep, pruned
+	return check{b.ForSetup, b.PeriodScale, b.SetupUncertainty}
+}
+
+// tighter orders checks by the bound they put on slack: shorter period
+// first, then larger uncertainty, then lower index — a strict total order.
+func tighter(a, b check, i, j int) bool {
+	if a.period != b.period {
+		return a.period < b.period
+	}
+	if a.unc != b.unc {
+		return a.unc > b.unc
+	}
+	return i < j
+}
+
+// dominates is the dominance rule: scenario i's check of the kind bounds
+// scenario j's at every endpoint. Both sign the check off, their delays
+// are identical (one class), and i's bound is uniformly at least as tight
+// — period no longer, uncertainty no smaller — with the order of tighter
+// breaking ties, so dominance is a strict partial order: no cycles.
+func dominates(bs []Bound, hold bool, i, j int) bool {
+	a, b := bs[i].check(hold), bs[j].check(hold)
+	return bs[i].Class == bs[j].Class && a.on && b.on &&
+		a.period <= b.period && a.unc >= b.unc && tighter(a, b, i, j)
+}
+
+// Dominators applies the dominance rule to a scenario list: per scenario
+// and check kind, the index of the tightest scenario that dominates it, or
+// -1 when none does. The tightest dominator is itself undominated (by
+// transitivity, its own dominator would be a tighter one), so resolving a
+// prune never chases a chain.
+func Dominators(bs []Bound) (setup, hold []int) {
+	classes := map[int][]int{}
+	for i, b := range bs {
+		classes[b.Class] = append(classes[b.Class], i)
+	}
+	pick := func(hold bool) []int {
+		dom := make([]int, len(bs))
+		for j, b := range bs {
+			dom[j] = -1
+			for _, i := range classes[b.Class] {
+				if dominates(bs, hold, i, j) &&
+					(dom[j] < 0 || tighter(bs[i].check(hold), bs[dom[j]].check(hold), i, dom[j])) {
+					dom[j] = i
+				}
+			}
+		}
+		return dom
+	}
+	return pick(false), pick(true)
+}
+
+// Pruning is the dominance rule applied to a space's scenarios.
+type Pruning struct {
+	Scenarios []Scenario
+	// SetupDominator/HoldDominator give, per scenario, the index of the
+	// scenario whose check bounds its own, or -1 when none does.
+	SetupDominator, HoldDominator []int
+}
+
+// Prune enumerates the space and applies the dominance rule to it. A
+// scenario's delays are fixed by its PVT corner, BEOL corner and mask
+// shift, which make its class; its mode contributes only its period scale,
+// and the space carries no uncertainty. So in each class the
+// fastest-clocked mode bounds every other setup check, and the first mode
+// every other hold check.
+func (sp Space) Prune() Pruning {
+	type class struct {
+		pvt       PVTCorner
+		beol      parasitics.CornerKind
+		maskShift int
+	}
+	p := Pruning{Scenarios: sp.Enumerate()}
+	ids := map[class]int{}
+	bs := make([]Bound, len(p.Scenarios))
+	for i, sc := range p.Scenarios {
+		k := class{sc.PVT, sc.BEOL, sc.MaskShift}
+		id, ok := ids[k]
+		if !ok {
+			id = len(ids)
+			ids[k] = id
+		}
+		bs[i] = Bound{Class: id, PeriodScale: sc.Mode.PeriodScale,
+			ForSetup: sc.PVT.ForSetup, ForHold: sc.PVT.ForHold}
+	}
+	p.SetupDominator, p.HoldDominator = Dominators(bs)
+	return p
+}
+
+// Kept reports whether scenario i signs off a check that no other scenario
+// bounds.
+func (p Pruning) Kept(i int) bool {
+	pvt := p.Scenarios[i].PVT
+	return pvt.ForSetup && p.SetupDominator[i] < 0 || pvt.ForHold && p.HoldDominator[i] < 0
 }

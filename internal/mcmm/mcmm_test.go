@@ -81,45 +81,45 @@ func TestVoltageTempGridSetupHoldSplit(t *testing.T) {
 	}
 }
 
-func TestPruneDominated(t *testing.T) {
-	mkr := func(mode Mode, setup, hold float64) ScenarioResult {
-		return ScenarioResult{
-			Scenario: Scenario{Mode: mode, PVT: PVTCorner{Name: "p"}, BEOL: parasitics.CWorst},
-			SetupWNS: setup, HoldWNS: hold,
+func TestPruneKeepsOnePerClassAndKind(t *testing.T) {
+	// Modes change only the period, so each (PVT, BEOL, mask shift) class
+	// keeps exactly one scenario per check kind: for setup the
+	// fastest-clocked mode, for hold the first.
+	sp := space(3, 2, 2)
+	p := sp.Prune()
+	type class struct {
+		pvt       string
+		beol      parasitics.CornerKind
+		maskShift int
+	}
+	kept := map[class][]Scenario{}
+	for i, sc := range p.Scenarios {
+		if p.Kept(i) {
+			k := class{sc.PVT.Name, sc.BEOL, sc.MaskShift}
+			kept[k] = append(kept[k], sc)
 		}
 	}
-	fn := Mode{Name: "f", Kind: Functional}
-	scan := Mode{Name: "s", Kind: ScanShift}
-	rs := []ScenarioResult{
-		mkr(fn, -100, -10), // dominator
-		mkr(fn, -40, -1),   // dominated in both checks by > margin
-		mkr(fn, -99, -9),   // within margin of dominator: kept
-		mkr(scan, -10, 0),  // different mode kind: kept
+	// (3V × 2T × 2 proc) × 7 BEOL × 2 shifts.
+	if want := 12 * 7 * 2; len(kept) != want {
+		t.Fatalf("classes with a kept scenario = %d, want %d", len(kept), want)
 	}
-	keep, pruned := PruneDominated(rs, 5)
-	if len(keep) != 3 || len(pruned) != 1 {
-		t.Fatalf("keep %d pruned %d, want 3/1", len(keep), len(pruned))
-	}
-	if pruned[0].SetupWNS != -40 {
-		t.Errorf("wrong scenario pruned: %+v", pruned[0].Scenario)
-	}
-	// The kept set must still realize the merged WNS.
-	merged := func(rs []ScenarioResult) (setup, hold float64) {
-		for _, r := range rs {
-			setup, hold = min(setup, r.SetupWNS), min(hold, r.HoldWNS)
+	for k, scs := range kept {
+		if len(scs) != 1 {
+			t.Fatalf("class %+v keeps %d scenarios, want 1", k, len(scs))
 		}
-		return setup, hold
-	}
-	s0, h0 := merged(rs)
-	s1, h1 := merged(keep)
-	if s0 != s1 || h0 != h1 {
-		t.Errorf("pruning changed merged WNS: (%v,%v) vs (%v,%v)", s0, h0, s1, h1)
+		want := "func_nominal"
+		if scs[0].PVT.ForSetup {
+			want = "func_overdrive"
+		}
+		if scs[0].Mode.Name != want {
+			t.Errorf("class %+v keeps %s, want %s", k, scs[0].Mode.Name, want)
+		}
 	}
 }
 
-func TestModeKindStrings(t *testing.T) {
+func TestDefaultModesHavePeriods(t *testing.T) {
 	for _, m := range DefaultModes() {
-		if m.Kind.String() == "" || m.PeriodScale <= 0 {
+		if m.Name == "" || m.PeriodScale <= 0 {
 			t.Errorf("bad mode %+v", m)
 		}
 	}

@@ -9,15 +9,15 @@
 // shared segments, common launch-capture clock pairs and common derate
 // class, and reports the connected components ranked by summed TNS.
 //
-// Scenario-dominance pruning cuts the extraction bill: when a sibling
-// corner provably bounds an endpoint worse — identical delay
-// configuration (library, BEOL scaling, derates, SI, MIS), uniformly
-// tighter period and uncertainty — the dominated corner's path extraction
-// is skipped and the dominator's segments are inherited. The skipped
-// corner's slacks are still its own (they come from its resident
-// analyzer, one array pass), so pruning changes which endpoints get the
-// expensive k-worst path walk, never a reported number. Every prune
-// decision is recorded so the report stays auditable.
+// Scenario-dominance pruning (mcmm's dominance rule) cuts the extraction
+// bill: when a sibling corner provably bounds an endpoint worse —
+// identical delay configuration (library, BEOL scaling, derates, SI,
+// MIS), uniformly tighter period and uncertainty — the dominated corner's
+// path extraction is skipped and the dominator's segments are inherited.
+// The skipped corner's slacks are still its own (they come from its
+// resident analyzer, one array pass), so pruning changes which endpoints
+// get the expensive k-worst path walk, never a reported number. Every
+// prune decision is recorded so the report stays auditable.
 package triage
 
 import (
@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"newgame/internal/core"
+	"newgame/internal/mcmm"
 	"newgame/internal/netlist"
 	"newgame/internal/sta"
 	"newgame/internal/units"
@@ -95,64 +96,35 @@ func delayIdentical(a, b core.Scenario) bool {
 		a.SI == b.SI && a.MIS == b.MIS && a.DynamicIR == b.DynamicIR
 }
 
-// dominatesSetup: i's setup check is uniformly at least as tight as j's —
-// same delays, period no longer, uncertainty no smaller — and the pair is
-// strictly ordered (period, uncertainty, then index) so dominance is a
-// strict partial order: no cycles, and the lexicographically minimal
-// dominator of any scenario is itself undominated.
-func dominatesSetup(s []core.Scenario, i, j int) bool {
-	if i == j || !s[i].ForSetup || !s[j].ForSetup || !delayIdentical(s[i], s[j]) {
-		return false
-	}
-	if s[i].PeriodScale > s[j].PeriodScale || s[i].SetupUncertainty < s[j].SetupUncertainty {
-		return false
-	}
-	return s[i].PeriodScale < s[j].PeriodScale ||
-		s[i].SetupUncertainty > s[j].SetupUncertainty || i < j
-}
-
-// dominatesHold mirrors dominatesSetup for hold checks, where the clock
-// period cancels out of the check entirely and only the uncertainty
-// margin orders siblings.
-func dominatesHold(s []core.Scenario, i, j int) bool {
-	if i == j || !s[i].ForHold || !s[j].ForHold || !delayIdentical(s[i], s[j]) {
-		return false
-	}
-	if s[i].HoldUncertainty < s[j].HoldUncertainty {
-		return false
-	}
-	return s[i].HoldUncertainty > s[j].HoldUncertainty || i < j
-}
-
 // PlanFor computes the dominance-pruning plan for a recipe's full
-// scenario list. For each dominated scenario the chosen dominator is the
-// lexicographically worst bound (smallest period, largest uncertainty,
-// lowest index) among its dominators; by transitivity that scenario is
-// itself undominated, so prune resolution never chases a chain.
+// scenario list with mcmm's dominance rule. Scenarios are of one delay
+// class when they are delayIdentical; each dominated scenario gets its
+// tightest dominator (smallest period, largest uncertainty, lowest
+// index), which is itself undominated, so prune resolution never chases a
+// chain.
 func PlanFor(scenarios []core.Scenario, basePeriod units.Ps) Plan {
 	p := Plan{
-		Names:          make([]string, len(scenarios)),
-		SetupActive:    make([]bool, len(scenarios)),
-		HoldActive:     make([]bool, len(scenarios)),
-		SetupDominator: make([]int, len(scenarios)),
-		HoldDominator:  make([]int, len(scenarios)),
+		Names:       make([]string, len(scenarios)),
+		SetupActive: make([]bool, len(scenarios)),
+		HoldActive:  make([]bool, len(scenarios)),
 	}
+	bs := make([]mcmm.Bound, len(scenarios))
 	for i, sc := range scenarios {
 		p.Names[i] = sc.Name
 		p.SetupActive[i] = sc.ForSetup
 		p.HoldActive[i] = sc.ForHold
-	}
-	for j := range scenarios {
-		p.SetupDominator[j] = -1
-		p.HoldDominator[j] = -1
-		for i := range scenarios {
-			if dominatesSetup(scenarios, i, j) && betterSetup(scenarios, i, p.SetupDominator[j]) {
-				p.SetupDominator[j] = i
-			}
-			if dominatesHold(scenarios, i, j) && betterHold(scenarios, i, p.HoldDominator[j]) {
-				p.HoldDominator[j] = i
+		bs[i] = mcmm.Bound{Class: i, PeriodScale: sc.PeriodScale,
+			SetupUncertainty: sc.SetupUncertainty, HoldUncertainty: sc.HoldUncertainty,
+			ForSetup: sc.ForSetup, ForHold: sc.ForHold}
+		for k := range i {
+			if delayIdentical(scenarios[k], sc) {
+				bs[i].Class = bs[k].Class
+				break
 			}
 		}
+	}
+	p.SetupDominator, p.HoldDominator = mcmm.Dominators(bs)
+	for j := range scenarios {
 		if d := p.SetupDominator[j]; d >= 0 {
 			p.Prunes = append(p.Prunes, PruneRecord{
 				Scenario: scenarios[j].Name, Kind: "setup", DominatedBy: scenarios[d].Name,
@@ -170,31 +142,6 @@ func PlanFor(scenarios []core.Scenario, basePeriod units.Ps) Plan {
 		}
 	}
 	return p
-}
-
-// betterSetup: is candidate i a lexicographically worse (tighter) setup
-// bound than the current best? best == -1 accepts anything.
-func betterSetup(s []core.Scenario, i, best int) bool {
-	if best < 0 {
-		return true
-	}
-	if s[i].PeriodScale != s[best].PeriodScale {
-		return s[i].PeriodScale < s[best].PeriodScale
-	}
-	if s[i].SetupUncertainty != s[best].SetupUncertainty {
-		return s[i].SetupUncertainty > s[best].SetupUncertainty
-	}
-	return i < best
-}
-
-func betterHold(s []core.Scenario, i, best int) bool {
-	if best < 0 {
-		return true
-	}
-	if s[i].HoldUncertainty != s[best].HoldUncertainty {
-		return s[i].HoldUncertainty > s[best].HoldUncertainty
-	}
-	return i < best
 }
 
 // NoPrune returns the same plan with pruning disabled — every scenario
