@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 
 	"newgame/internal/cts"
@@ -170,6 +171,16 @@ func (e *Engine) skewScale(lib *liberty.Library) float64 {
 // shared by the closure engine and the resident timingd service.
 func ConstraintsFor(d *netlist.Design, clockPort *netlist.Port, basePeriod, inputArrival units.Ps, s Scenario) *sta.Constraints {
 	cons := sta.NewConstraints()
+	// Sized once, for every port: the fill never grows it.
+	cons.InputDelay = make(map[*netlist.Port]sta.IODelay, len(d.Ports))
+	fillConstraints(cons, d, clockPort, basePeriod, inputArrival, s)
+	return cons
+}
+
+// fillConstraints refills cons with ConstraintsFor's view of scenario s, on
+// cons's own storage.
+func fillConstraints(cons *sta.Constraints, d *netlist.Design, clockPort *netlist.Port, basePeriod, inputArrival units.Ps, s Scenario) {
+	cons.Reset()
 	ck := cons.AddClock("clk", basePeriod*s.PeriodScale, clockPort)
 	ck.SetupUncertainty = s.SetupUncertainty
 	ck.HoldUncertainty = s.HoldUncertainty
@@ -182,7 +193,6 @@ func ConstraintsFor(d *netlist.Design, clockPort *netlist.Port, basePeriod, inpu
 			cons.InputDelay[p] = sta.IODelay{Min: arrive, Max: arrive}
 		}
 	}
-	return cons
 }
 
 // tune adds the engine-only inputs to one scenario's constraints and
@@ -563,9 +573,11 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 }
 
 // recoverMargin spends surplus slack on leakage and area once signoff is
-// clean, then re-verifies. Recovery uses the first setup scenario's view;
-// the conservative slack floor keeps every scenario met (confirmed by the
-// appended re-survey).
+// clean, then re-verifies. Recovery edits and re-times the first setup
+// scenario's resident analyzer, which the survey that found signoff clean
+// left current; the conservative slack floor keeps every scenario met, and
+// each batch's Verify survey re-runs that analyzer in place with the rest.
+// A Verify survey that fails ends recovery with its error.
 func (e *Engine) recoverMargin(res *Result) error {
 	if !e.Recipe.RecoverAfterClose {
 		return nil
@@ -574,32 +586,21 @@ func (e *Engine) recoverMargin(res *Result) error {
 	if floor == 0 {
 		floor = 60
 	}
-	var setupScen *Scenario
-	for i := range e.Recipe.Scenarios {
-		if e.Recipe.Scenarios[i].ForSetup {
-			setupScen = &e.Recipe.Scenarios[i]
-			break
-		}
-	}
-	if setupScen == nil {
+	si := slices.IndexFunc(e.Recipe.Scenarios, func(s Scenario) bool { return s.ForSetup })
+	if si < 0 {
 		return nil
 	}
 	rsp := e.Obs.Start("close.recover_margin", e.obsParent)
 	defer rsp.End()
-	rv := e.views([]Scenario{*setupScen}, func(s Scenario, _ int, cons *sta.Constraints, cfg *sta.Config) func() {
-		e.tune(s, cons, cfg, rsp)
-		return nil
-	})
-	if err := rv.Build(context.Background(), nil); err != nil {
-		return err
-	}
-	a := rv.Analyzers()[0]
-	ctx := &opt.Context{A: a, Lib: setupScen.Lib, Place: e.Place}
+	a := e.resident.views.Analyzers()[si]
+	a.Cfg.ObsSpan = rsp
+	ctx := &opt.Context{A: a, Lib: a.Cfg.Lib, Place: e.Place}
 	// Cross-scenario acceptance: every recovery batch must keep the whole
 	// MCMM survey clean, not just the recovery view (§2.3's ping-pong).
-	ctx.Verify = func() bool {
+	ctx.Verify = func() (bool, error) {
 		it, _, _, _, err := e.survey()
-		return err == nil && e.Recipe.closed(it)
+		a.Cfg.ObsSpan = rsp
+		return err == nil && e.Recipe.closed(it), err
 	}
 	leak, err := opt.LeakageRecovery(ctx, floor, 600)
 	if err != nil {

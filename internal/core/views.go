@@ -76,7 +76,7 @@ func (v *Views) Find(name string) (int, error) {
 // included — the set is left as it was.
 func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 	v.refresh()
-	as, err := v.each(ctx, seed, func(_ int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
+	as, err := v.each(ctx, seed, false, func(_ int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
 		return sta.New(v.D, cons, cfg)
 	})
 	if err != nil {
@@ -88,17 +88,18 @@ func (v *Views) Build(ctx context.Context, seed *sta.Topology) error {
 }
 
 // Rerun fully re-times every analyzer in place under freshly assembled
-// constraints, which equals a Build whatever has been edited since the last
-// one: the parasitics table is refreshed once, every master is re-resolved,
-// exactly the nets whose tree or sink caps moved are recomputed, and after a
-// structural edit each analyzer re-derives its graph on its own storage —
-// the first brings its graph current alone, the rest adopt its topology as
-// they run, as in Build. A failed Rerun leaves the analyzers half-timed.
+// constraints, refilled on each analyzer's own maps, which equals a Build
+// whatever has been edited since the last one: the parasitics table is
+// refreshed once, every master is re-resolved, exactly the nets whose tree
+// or sink caps moved are recomputed, and after a structural edit each
+// analyzer re-derives its graph on its own storage — the first brings its
+// graph current alone, the rest adopt its topology as they run, as in Build.
+// A failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
 	v.refresh()
-	_, err := v.each(ctx, nil, func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
+	_, err := v.each(ctx, nil, true, func(i int, _ *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error) {
 		a := v.as[i]
-		a.Cons, a.Cfg.CellDerate, a.Cfg.ObsSpan, a.Cfg.Topology = cons, cfg.CellDerate, cfg.ObsSpan, cfg.Topology
+		a.Cfg.CellDerate, a.Cfg.ObsSpan, a.Cfg.Topology = cfg.CellDerate, cfg.ObsSpan, cfg.Topology
 		if i == 0 {
 			return a, a.RefreshGraph()
 		}
@@ -151,10 +152,17 @@ func (v *Views) Update(ctx context.Context) error {
 }
 
 // inputs assembles scenario i's constraints and analyzer config and passes
-// them through Each.
-func (v *Views) inputs(i, g int, topo *sta.Topology) (*sta.Constraints, sta.Config, func()) {
+// them through Each. With refill the constraints are analyzer i's own,
+// refilled in place; otherwise they are new.
+func (v *Views) inputs(i, g int, topo *sta.Topology, refill bool) (*sta.Constraints, sta.Config, func()) {
 	s := v.Scenarios[i]
-	cons := ConstraintsFor(v.D, v.ClockPort, v.BasePeriod, v.InputArrival, s)
+	var cons *sta.Constraints
+	if refill {
+		cons = v.as[i].Cons
+		fillConstraints(cons, v.D, v.ClockPort, v.BasePeriod, v.InputArrival, s)
+	} else {
+		cons = ConstraintsFor(v.D, v.ClockPort, v.BasePeriod, v.InputArrival, s)
+	}
 	cfg := sta.Config{
 		Lib: s.Lib, Parasitics: v.Parasitics, Scaling: s.Scaling,
 		Derate: s.Derate, SI: s.SI, MIS: s.MIS,
@@ -171,24 +179,25 @@ func (v *Views) inputs(i, g int, topo *sta.Topology) (*sta.Constraints, sta.Conf
 }
 
 // each readies every scenario's analyzer with ready and times it, in one
-// fan-out. Scenario 0 goes first, alone on the calling goroutine as worker
-// 0: its inputs are assembled against topo0 and ready brings its graph
-// current. Then every scenario is timed across the pool, scenario 0 as
-// worker 0's first job (workpool.DoObs) — so the g its hook saw is the
-// worker that runs it — and each other scenario i is assembled and readied
-// on its worker g against scenario 0's topology first. Each hook's done
-// func runs once, when its scenario's run ends or fails. each returns the
-// analyzers in recipe order, or the first error in recipe order wrapped
-// with the scenario's name; a scenario 0 that fails to ready fans nothing
-// out. A panic in any scenario reaches the caller once the others are done.
-func (v *Views) each(ctx context.Context, topo0 *sta.Topology, ready func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error)) ([]*sta.Analyzer, error) {
+// fan-out, assembling its inputs as inputs does with refill. Scenario 0 goes
+// first, alone on the calling goroutine as worker 0: its inputs are
+// assembled against topo0 and ready brings its graph current. Then every
+// scenario is timed across the pool, scenario 0 as worker 0's first job
+// (workpool.DoObs) — so the g its hook saw is the worker that runs it — and
+// each other scenario i is assembled and readied on its worker g against
+// scenario 0's topology first. Each hook's done func runs once, when its
+// scenario's run ends or fails. each returns the analyzers in recipe order,
+// or the first error in recipe order wrapped with the scenario's name; a
+// scenario 0 that fails to ready fans nothing out. A panic in any scenario
+// reaches the caller once the others are done.
+func (v *Views) each(ctx context.Context, topo0 *sta.Topology, refill bool, ready func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error)) ([]*sta.Analyzer, error) {
 	n := len(v.Scenarios)
 	if n == 0 {
 		return nil, nil
 	}
 	as := make([]*sta.Analyzer, n)
 	errs := make([]error, n)
-	cons, cfg, done0 := v.inputs(0, 0, topo0)
+	cons, cfg, done0 := v.inputs(0, 0, topo0, refill)
 	end0 := sync.OnceFunc(done0)
 	defer end0()
 	if as[0], errs[0] = ready(0, cons, cfg); errs[0] == nil {
@@ -196,7 +205,7 @@ func (v *Views) each(ctx context.Context, topo0 *sta.Topology, ready func(i int,
 			if i == 0 {
 				defer end0()
 			} else {
-				cons, cfg, done := v.inputs(i, g, as[0].Topology())
+				cons, cfg, done := v.inputs(i, g, as[0].Topology(), refill)
 				defer done()
 				if as[i], errs[i] = ready(i, cons, cfg); errs[i] != nil {
 					return

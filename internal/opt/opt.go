@@ -34,8 +34,9 @@ type Context struct {
 	SetupGuard *sta.Analyzer
 	// Verify, when non-nil, is the caller's cross-scenario acceptance test
 	// run after each recovery batch (e.g. a full MCMM re-survey): a false
-	// return reverts the batch. Local single-view checks still apply.
-	Verify func() bool
+	// return reverts the batch, and an error ends the pass with it. Local
+	// single-view checks still apply.
+	Verify func() (bool, error)
 }
 
 // Report summarizes one fix pass.
@@ -259,7 +260,11 @@ func runRecovery(ctx *Context, rep *Report, pick func(limit int) []recoveryMove)
 			ctx.A.WorstSlack(sta.Hold) < floorHold-1e-9 ||
 			len(ctx.A.DRCViolations()) > baseDRC
 		if !bad && ctx.Verify != nil {
-			bad = !ctx.Verify()
+			ok, err := ctx.Verify()
+			if err != nil {
+				return err
+			}
+			bad = !ok
 		}
 		if bad {
 			// Revert and shrink the batch to isolate safe moves.

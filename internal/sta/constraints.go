@@ -61,15 +61,28 @@ type Constraints struct {
 
 // NewConstraints returns an empty constraint set with sane defaults.
 func NewConstraints() *Constraints {
-	return &Constraints{
+	c := &Constraints{
 		InputDelay:      make(map[*netlist.Port]IODelay),
 		OutputDelay:     make(map[*netlist.Port]IODelay),
 		ExtraCKLatency:  make(map[*netlist.Cell]units.Ps),
 		MulticycleSetup: make(map[*netlist.Cell]int),
 		FalseFrom:       make(map[*netlist.Port]bool),
-		InputSlew:       20,
-		PortLoad:        4,
 	}
+	c.Reset()
+	return c
+}
+
+// Reset empties c back to the defaults on its own storage: the maps are
+// cleared, not replaced, so a set refilled on every re-time allocates only
+// what outgrows them.
+func (c *Constraints) Reset() {
+	c.Clocks = c.Clocks[:0]
+	clear(c.InputDelay)
+	clear(c.OutputDelay)
+	clear(c.ExtraCKLatency)
+	clear(c.MulticycleSetup)
+	clear(c.FalseFrom)
+	c.InputSlew, c.PortLoad = 20, 4
 }
 
 // AddClock defines a clock on the given root ports.

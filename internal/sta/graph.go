@@ -367,6 +367,7 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 		}
 	}
 	a := &Analyzer{D: d, Cons: cons, Cfg: cfg, dirtyGen: 1}
+	cfg.Obs.Counter("sta.analyzers_built").Add(1)
 	a.bindObs()
 	if err := a.regraph(); err != nil {
 		return nil, err

@@ -288,10 +288,16 @@ func TestTriageAllocations(t *testing.T) {
 	tr, pr := float64(triageBytes)/float64(triageBody), float64(pathsBytes)/float64(pathsBody)
 	t.Logf("per render at a fresh epoch: /triage %d B for a %d B body (%.2f×), /paths?k=10 %d B for %d B (%.2f×)",
 		triageBytes/8, triageBody/8, tr, pathsBytes/8, pathsBody/8, pr)
-	if tr > triageBodyBudget {
+	// The race runtime drops a share of sync.Pool puts, so encoding/json
+	// re-grows its encoder buffers on most renders: the byte budgets hold
+	// only without the race detector.
+	if raceEnabled {
+		t.Log("race detector on: byte budgets not checked")
+	}
+	if !raceEnabled && tr > triageBodyBudget {
 		t.Errorf("/triage allocates %.2f× its body, want at most %v×", tr, triageBodyBudget)
 	}
-	if pr > pathsBodyBudget {
+	if !raceEnabled && pr > pathsBodyBudget {
 		t.Errorf("/paths allocates %.2f× its body, want at most %v×", pr, pathsBodyBudget)
 	}
 

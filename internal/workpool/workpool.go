@@ -104,33 +104,50 @@ func DoChunks(w, n int, fn func(lo, hi int)) {
 // million-sample Monte Carlo fan-outs. A chunk that panics is handled as a
 // job in DoObs is: the other chunks finish, then the lowest chunk's panic is
 // raised on the caller.
+//
+// sta calls it once per parallel level wave, so a call allocates its shared
+// state once and one object per goroutine it starts beyond the caller's.
 func DoChunksObs(rec *obs.Recorder, parent *obs.Span, name string, w, n int, fn func(lo, hi, g int)) {
 	if n <= 0 {
 		return
 	}
-	var p firstPanic
-	runChunk := func(lo, hi, g int) {
-		defer p.catch(g)
-		var sp *obs.Span
-		if rec != nil {
-			sp = rec.Start(fmt.Sprintf("%s:%d-%d", name, lo, hi), parent).OnTrack(g + 1)
-		}
-		fn(lo, hi, g)
-		sp.End()
-	}
+	c := &chunks{rec: rec, parent: parent, name: name, fn: fn}
 	w = min(Workers(w), n)
 	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
 	for g, lo := 1, chunk; lo < n; g, lo = g+1, lo+chunk {
-		wg.Add(1)
-		go func(lo, hi, g int) {
-			defer wg.Done()
-			runChunk(lo, hi, g)
-		}(lo, min(lo+chunk, n), g)
+		c.wg.Add(1)
+		go c.lane(lo, min(lo+chunk, n), g)
 	}
-	runChunk(0, min(chunk, n), 0)
-	wg.Wait()
-	p.rethrow()
+	c.run(0, min(chunk, n), 0)
+	c.wg.Wait()
+	c.p.rethrow()
+}
+
+// chunks is one DoChunksObs call's shared state.
+type chunks struct {
+	p      firstPanic
+	wg     sync.WaitGroup
+	rec    *obs.Recorder
+	parent *obs.Span
+	name   string
+	fn     func(lo, hi, g int)
+}
+
+// lane runs chunk g on a goroutine of its own.
+func (c *chunks) lane(lo, hi, g int) {
+	defer c.wg.Done()
+	c.run(lo, hi, g)
+}
+
+// run runs chunk g, keeping its panic for the caller.
+func (c *chunks) run(lo, hi, g int) {
+	defer c.p.catch(g)
+	var sp *obs.Span
+	if c.rec != nil {
+		sp = c.rec.Start(fmt.Sprintf("%s:%d-%d", c.name, lo, hi), c.parent).OnTrack(g + 1)
+	}
+	c.fn(lo, hi, g)
+	sp.End()
 }
 
 // firstPanic keeps, of the jobs that panicked, the lowest index's value.

@@ -136,3 +136,18 @@ func TestPanicReachesCallerAfterEveryJob(t *testing.T) {
 		}
 	}
 }
+
+// A DoChunks call allocates its shared state once, plus one object per
+// goroutine it starts: sta makes one call per parallel level wave. The
+// counts include fn, a closure as sta's are, and DoChunks' own adapter.
+func TestDoChunksAllocations(t *testing.T) {
+	var sum atomic.Int64
+	for w, want := range map[int]float64{1: 3, 2: 4, 4: 6} {
+		got := testing.AllocsPerRun(100, func() {
+			DoChunks(w, 64, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+		})
+		if got != want {
+			t.Errorf("workers %d: DoChunks allocates %v objects per call, want %v", w, got, want)
+		}
+	}
+}
