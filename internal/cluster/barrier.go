@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -165,27 +166,22 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	c.flight.Put(rec)
 	c.logf("cluster: barrier %s committed epoch %d across %d workers (%.1fms)", txn, base+1, len(members), rec.TotalMs)
 
-	return c.mergeBarrierReports(base+1, members, reports)
-}
-
-// mergeBarrierReports assembles the client-facing WhatIfReport from the
-// shards' prepare reports, canonical scenario order.
-func (c *Coordinator) mergeBarrierReports(epoch int64, members []*member, reports []*timingd.PrepareResponse) (*timingd.WhatIfReport, error) {
-	inner := make([]*timingd.WhatIfReport, 0, len(reports))
-	for _, r := range reports {
-		if r != nil && r.Report != nil {
-			inner = append(inner, r.Report)
+	// Each member prepared its own scenarios; their reports, in canonical
+	// order, are the committed answer.
+	n := len(c.cfg.Scenarios)
+	out := &timingd.WhatIfReport{Epoch: base + 1, Committed: true, Before: make([]timingd.ScenarioSlack, n), After: make([]timingd.ScenarioSlack, n)}
+	for i, m := range members {
+		asked := make([]int, len(m.scenarios))
+		for j, ref := range m.scenarios {
+			asked[j] = ref.Index
 		}
-	}
-	out := &timingd.WhatIfReport{Epoch: epoch, Committed: true}
-	var err error
-	out.Before, err = mergeScenarioOrder(c.cfg.Scenarios, inner, func(r *timingd.WhatIfReport) []timingd.ScenarioSlack { return r.Before })
-	if err != nil {
-		return nil, err
-	}
-	out.After, err = mergeScenarioOrder(c.cfg.Scenarios, inner, func(r *timingd.WhatIfReport) []timingd.ScenarioSlack { return r.After })
-	if err != nil {
-		return nil, err
+		r := reports[i].Report
+		if r == nil {
+			r = &timingd.WhatIfReport{}
+		}
+		if err := cmp.Or(c.pick(out.Before, asked, r.Before), c.pick(out.After, asked, r.After)); err != nil {
+			return nil, shardErr(err)
+		}
 	}
 	return out, nil
 }

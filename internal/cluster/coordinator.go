@@ -127,6 +127,9 @@ type Coordinator struct {
 	start  time.Time
 	mux    *http.ServeMux
 	flight *obs.Ring[BarrierRecord]
+	// every lists each canonical scenario slot: what /slack, /whatif and
+	// /triage gather.
+	every []int
 
 	mu      sync.Mutex
 	members map[string]*member
@@ -187,6 +190,9 @@ func New(cfg Config) (*Coordinator, error) {
 		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
 		stopc:   make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	for idx := range cfg.Scenarios {
+		c.every = append(c.every, idx)
 	}
 	c.spine = &serve.Spine{NS: "cluster", Obs: cfg.Obs, Requests: obs.NewRing[obs.RequestRecord](flightRequests), Cache: c.cache}
 	c.mux = http.NewServeMux()

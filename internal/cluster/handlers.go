@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"net/url"
@@ -96,18 +97,42 @@ func (c *Coordinator) cachedRead(ctx context.Context, r *http.Request, gather fu
 	return body, err
 }
 
+// handleSlack gathers every scenario's slack summary and merges it. A
+// scenario no live shard answered for is reported stale instead of failing
+// the read, and such a degraded reply is not cached.
 func (c *Coordinator) handleSlack(ctx context.Context, r *http.Request) ([]byte, error) {
 	return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
-		rep, err := c.gatherSlack(ctx)
+		slots := make([]timingd.ScenarioSlack, len(c.cfg.Scenarios))
+		epoch, missing, err := c.gather(ctx, c.every, c.cfg.ShardTimeout, "cluster.slack.replica_retries", "cluster.slack.epoch_skew",
+			func(ctx context.Context, m *member, asked []int) (int64, error) {
+				rep, err := m.cl.Slack(ctx)
+				if err != nil {
+					return 0, err
+				}
+				return rep.Epoch, c.pick(slots, asked, rep.Scenarios)
+			})
 		if err != nil {
 			return nil, 0, false, err
 		}
-		return rep, rep.Epoch, !rep.Degraded, nil
+		out := &SlackReport{Epoch: epoch}
+		for idx, err := range missing {
+			if err != nil {
+				out.Stale = append(out.Stale, c.cfg.Scenarios[idx])
+			} else {
+				out.Scenarios = append(out.Scenarios, slots[idx])
+			}
+		}
+		if len(out.Scenarios) == 0 {
+			return nil, 0, false, serve.Errorf(503, "all %d scenarios stale: no live shard answered", len(slots))
+		}
+		out.Degraded = len(out.Stale) > 0
+		out.Merged = mergeSlacks(out.Scenarios)
+		return out, epoch, !out.Degraded, nil
 	})
 }
 
-// proxiedRead is the body behind /endpoints and /paths: the read is sent to
-// the shard owning the requested scenario, replica fallback included, and
+// proxiedRead is the body behind /endpoints and /paths: the read gathers the
+// requested scenario alone, from one shard serving it, and
 // the shard's own report is re-encoded, so the answer is bit-identical to
 // single-node timingd. The check kind and the route's integer knob (param:
 // ?limit=, ?k=) are forwarded as they arrived — the shard's validation is
@@ -126,26 +151,41 @@ func (c *Coordinator) proxiedRead(path, param string, fetch func(ctx context.Con
 			}
 		}
 		uri := path + "?" + fwd.Encode()
-		return c.cachedRead(ctx, r, func(ctx context.Context) (rep any, epoch int64, _ bool, err error) {
-			err = c.proxyScenario(ctx, idx, func(ctx context.Context, m *member) (ferr error) {
-				rep, epoch, ferr = fetch(ctx, m.cl, uri)
-				return ferr
-			})
-			return rep, epoch, true, err
+		return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
+			var rep any
+			epoch, missing, err := c.gather(ctx, []int{idx}, c.cfg.ShardTimeout, "cluster.proxy.replica_retries", "cluster.proxy.epoch_skew",
+				func(ctx context.Context, m *member, _ []int) (epoch int64, err error) {
+					rep, epoch, err = fetch(ctx, m.cl, uri)
+					return epoch, err
+				})
+			return rep, epoch, true, cmp.Or(err, missing[idx])
 		})
 	}
 }
 
+// handleWhatIf gathers a speculative edit from members covering every
+// scenario and merges their reports in canonical order. A what-if is never
+// partial: a scenario no live shard answered for refuses it.
 func (c *Coordinator) handleWhatIf(ctx context.Context, r *http.Request) ([]byte, error) {
 	ops, err := timingd.DecodeOps(r)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.gatherWhatIf(ctx, ops)
-	if err != nil {
+	n := len(c.cfg.Scenarios)
+	rep := &timingd.WhatIfReport{Before: make([]timingd.ScenarioSlack, n), After: make([]timingd.ScenarioSlack, n)}
+	epoch, missing, err := c.gather(ctx, c.every, c.cfg.WriteTimeout, "cluster.whatif.replica_retries", "cluster.whatif.epoch_skew",
+		func(ctx context.Context, m *member, asked []int) (int64, error) {
+			w, err := m.cl.WhatIf(ctx, ops)
+			if err != nil {
+				return 0, err
+			}
+			return w.Epoch, cmp.Or(c.pick(rep.Before, asked, w.Before), c.pick(rep.After, asked, w.After))
+		})
+	if err = cmp.Or(err, cmp.Or(missing...)); err != nil {
 		return nil, err
 	}
-	serve.InfoFrom(ctx).Epoch = rep.Epoch
+	rep.Epoch = epoch
+	serve.InfoFrom(ctx).Epoch = epoch
 	return serve.JSON(rep)
 }
 

@@ -447,6 +447,39 @@ func TestNetsRoutedCounts(t *testing.T) {
 	step("a buffer ECO (apply)", 2)
 }
 
+// How many times each writer request re-times the session
+// (timingd.retimes). A what-if is evaluate + rollback, two; an ECO is the
+// apply alone, one; whether the batch is a resize or a buffer. A shard in a
+// cluster barrier re-times three times for prepare + commit (prepare's
+// evaluate and rollback, commit's apply) and twice for prepare + abort.
+func TestRetimesPerWriterRequest(t *testing.T) {
+	rec := obs.NewRecorder()
+	s, hs := newTestServer(t, func(c *Config) { c.Obs = rec })
+	retimes := rec.Counter("timingd.retimes")
+	step := func(name, path, body string, want int64) {
+		t.Helper()
+		last := retimes.Value()
+		if code, b := post(t, hs.URL, path, body); code != 200 {
+			t.Fatalf("%s: %d %s", name, code, b)
+		}
+		if got := retimes.Value() - last; got != want {
+			t.Errorf("%s re-timed %d times, want %d", name, got, want)
+		}
+	}
+	cell, to := resizeTarget(t)
+	resize := opsJSON(Op{Kind: "resize", Cell: cell, To: to})
+	net, loads := bufferTarget(t)
+	buffer := opsJSON(Op{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"})
+	step("a resize what-if", "/whatif", resize, 2)
+	step("a resize ECO", "/eco", resize, 1)
+	step("a buffer what-if", "/whatif", buffer, 2)
+	step("a buffer ECO", "/eco", buffer, 1)
+	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx1", s.Epoch()), 2)
+	step("its commit", "/cluster/commit", `{"txn":"tx1"}`, 1)
+	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx2", s.Epoch()), 2)
+	step("its abort", "/cluster/abort", `{"txn":"tx2"}`, 0)
+}
+
 // The query cache serves repeated queries from rendered bytes within an
 // epoch and is dropped on commit.
 func TestQueryCacheEpochScoped(t *testing.T) {

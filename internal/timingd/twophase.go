@@ -98,6 +98,7 @@ func (s *Server) recoverSession(p *preparedTxn) error {
 		return err
 	}
 	s.sess.revert(p.edits, p.mark)
+	s.count("timingd.retimes")
 	return s.sess.views.Rerun(context.Background())
 }
 

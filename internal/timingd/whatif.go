@@ -149,7 +149,11 @@ func (s *session) revert(edits []*edit, nameMark int) {
 // rollback the caller then owes puts right by the same route. A resize-only batch
 // invalidates each retyped cell and re-times incrementally — the coalescing
 // point: ten resizes cost one cone re-propagation per scenario, not ten.
+// Each call is one re-time of the session (timingd.retimes).
 func (s *session) settle(ctx context.Context, edits []*edit) error {
+	if s.views.Obs != nil {
+		s.views.Obs.Counter("timingd.retimes").Add(1)
+	}
 	if slices.ContainsFunc(edits, (*edit).structural) {
 		return s.views.Rerun(ctx)
 	}

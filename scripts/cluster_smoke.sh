@@ -120,7 +120,14 @@ curl -sf "$COORD/triage" >"$WORK/triage_cluster.json" || fail "cluster GET /tria
 grep -q '"stats"' "$WORK/triage_single.json" || fail "single-node /triage has no stats"
 cmp "$WORK/triage_single.json" "$WORK/triage_cluster.json" \
   || fail "/triage diverges between single node and 2-shard cluster"
-echo "cluster smoke: /triage byte-identical between single node and 2-shard cluster"
+# The gathered what-if: each shard evaluates the op on its own scenarios,
+# and the merged report must be the single node's, byte for byte.
+curl -sf -d "{\"ops\":[$OP_JSON]}" "http://$SN_ADDR/whatif" >"$WORK/whatif_single.json" \
+  || fail "single-node POST /whatif"
+curl -sf -d "{\"ops\":[$OP_JSON]}" "$COORD/whatif" >"$WORK/whatif_cluster.json" || fail "cluster POST /whatif"
+cmp "$WORK/whatif_single.json" "$WORK/whatif_cluster.json" \
+  || fail "/whatif diverges between single node and 2-shard cluster"
+echo "cluster smoke: /triage and /whatif byte-identical between single node and 2-shard cluster"
 
 # Concurrent burst, a fixed count and no clock: 8 clients × 20 rounds of
 # GET /slack and GET /paths with a POST /whatif every 4th round, all through
