@@ -489,8 +489,16 @@ func (r Recipe) closed(it Iteration) bool {
 // repair is one iteration's fix phase, in the Figure 1 ordering, on the
 // views the survey found worst. Every pass runs under its own span and is
 // booked the same way: its report joins the iteration, its cost the result.
+// A pass on another analyzer than the one before it adopts that one's
+// graph, which timed the netlist as the earlier passes left it: its opening
+// Run then levelizes nothing the set already holds.
 func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, worstHold, worstDRC *sta.Analyzer) error {
-	fix := func(span string, pass func() (opt.Report, error)) error {
+	var last *sta.Analyzer
+	fix := func(span string, a *sta.Analyzer, pass func() (opt.Report, error)) error {
+		if last != nil && last != a {
+			a.Cfg.Topology = last.Topology()
+		}
+		last = a
 		sp := e.Obs.Start(span, itSp)
 		rep, err := pass()
 		sp.SetFloat("changed", float64(rep.Changed)).End()
@@ -515,7 +523,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 			{"fix_drc", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }},
 			{"ndr", func() (opt.Report, error) { return opt.ApplyNDR(ctx, 30) }},
 		} {
-			if err := fix("fix."+step.name, step.run); err != nil {
+			if err := fix("fix."+step.name, ctx.A, step.run); err != nil {
 				return err
 			}
 			if ctx.A.WorstSlack(sta.Setup) >= 0 {
@@ -523,7 +531,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 			}
 		}
 		if e.Recipe.UseUsefulSkew && ctx.A.WorstSlack(sta.Setup) < 0 {
-			err := fix("fix.useful_skew", func() (opt.Report, error) {
+			err := fix("fix.useful_skew", ctx.A, func() (opt.Report, error) {
 				us, err := cts.ScheduleUsefulSkew(ctx.A, ctx.Lib, cts.DefaultUsefulSkew())
 				if err != nil {
 					return opt.Report{}, err
@@ -543,7 +551,7 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 	}
 	if worstHold != nil && it.MergedHoldWNS < 0 {
 		ctx := &opt.Context{A: worstHold, Lib: worstHold.Cfg.Lib, SetupGuard: worstSetup}
-		if err := fix("fix.hold", func() (opt.Report, error) { return opt.FixHold(ctx, 100) }); err != nil {
+		if err := fix("fix.hold", ctx.A, func() (opt.Report, error) { return opt.FixHold(ctx, 100) }); err != nil {
 			return err
 		}
 	}
@@ -562,12 +570,12 @@ func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, 
 	}
 	ctx := &opt.Context{A: a, Lib: a.Cfg.Lib}
 	if it.Breakdown.MaxTran+it.Breakdown.MaxCap > 0 {
-		if err := fix("fix.drc_closure", func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }); err != nil {
+		if err := fix("fix.drc_closure", a, func() (opt.Report, error) { return opt.FixDRC(ctx, opt.DefaultBuffer()) }); err != nil {
 			return err
 		}
 	}
 	if it.Breakdown.Noise > 0 {
-		return fix("fix.noise", func() (opt.Report, error) { return opt.FixNoise(ctx, 60) })
+		return fix("fix.noise", a, func() (opt.Report, error) { return opt.FixNoise(ctx, 60) })
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -334,6 +335,58 @@ func TestCloseFixPhasesSeeCurrentGraph(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Iterations, want) {
 		t.Errorf("Close:\n %+v\nwith every fix phase's analyzers rebuilt first:\n %+v", res.Iterations, want)
+	}
+}
+
+// revisions is a Derater that notes the design's structural revision each
+// time an analyzer asks it for the endpoint sigma multiple, which every Run
+// and Update does: the set of netlist revisions a closure timed.
+type revisions struct {
+	sta.Derater
+	d    *netlist.Design
+	seen map[uint64]bool
+}
+
+func (r *revisions) NSigma() float64 {
+	r.seen[r.d.Revision()] = true
+	return r.Derater.NSigma()
+}
+
+// A closure's fix phase levelizes each netlist revision it times once. Here
+// the hold pass pads endpoints and its analyzer levelizes the padded
+// netlist; the DRC pass then opens on another scenario's analyzer, which
+// must adopt that graph rather than levelize the same netlist again.
+func TestRepairLevelizesEachRevisionOnce(t *testing.T) {
+	recipe := detRecipes(t)["new"]
+	const seed = 42
+	d := detTestDesign(recipe.Scenarios[0].Lib, seed)
+	seen := map[uint64]bool{}
+	for i := range recipe.Scenarios {
+		s := &recipe.Scenarios[i]
+		s.Derate = &revisions{s.Derate, d, seen}
+	}
+	e := detEngine(recipe, d, seed, 1)
+	e.Obs = obs.NewRecorder()
+	e.uskew = map[*netlist.Cell]units.Ps{}
+	it, worstSetup, worstHold, worstDRC, err := e.survey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.repair(&it, &Result{}, nil, worstSetup, worstHold, worstDRC); err != nil {
+		t.Fatal(err)
+	}
+	var passes []string
+	for _, f := range it.Fixes {
+		passes = append(passes, f.Pass)
+		if f.Pass == "hold_fix" && f.Changed == 0 {
+			t.Fatal("fixture no longer pads in its hold pass")
+		}
+	}
+	if !slices.Contains(passes, "hold_fix") || passes[len(passes)-1] != "drc_fix" || worstDRC == worstHold {
+		t.Fatalf("fixture no longer runs its DRC pass on another analyzer after the hold pass: %v", passes)
+	}
+	if got := e.Obs.Counter("sta.topologies_built").Value(); got != int64(len(seen)) {
+		t.Errorf("the fix phase built %d topologies for %d netlist revisions timed", got, len(seen))
 	}
 }
 

@@ -221,6 +221,12 @@ type recoveryMove struct {
 	from, to string
 }
 
+// slackCell is a recovery candidate: a cell and its setup slack.
+type slackCell struct {
+	c *netlist.Cell
+	s float64
+}
+
 // runRecovery is the shared batched engine under leakage and area
 // recovery: apply a batch of downgrades, re-time, and revert the whole
 // batch if setup WNS dips below the safety floor or DRC violations grow —
@@ -293,15 +299,12 @@ func runRecovery(ctx *Context, rep *Report, pick func(limit int) []recoveryMove)
 func LeakageRecovery(ctx *Context, slackFloor units.Ps, maxMoves int) (Report, error) {
 	rep := Report{Pass: "leak_recover"}
 	tried := map[*netlist.Cell]bool{}
+	var cands []slackCell // one list per pass, refilled per batch
 	pick := func(limit int) []recoveryMove {
 		if rep.Changed >= maxMoves {
 			return nil
 		}
-		type cs struct {
-			c *netlist.Cell
-			s float64
-		}
-		var cands []cs
+		cands = cands[:0]
 		for _, c := range ctx.A.D.Cells {
 			m := ctx.Lib.Cell(c.TypeName)
 			if tried[c] || m.IsSequential() || vtSlower(m.Vt) < 0 {
@@ -309,7 +312,7 @@ func LeakageRecovery(ctx *Context, slackFloor units.Ps, maxMoves int) (Report, e
 			}
 			s := ctx.A.CellSetupSlack(c)
 			if !math.IsInf(s, 0) && s > slackFloor {
-				cands = append(cands, cs{c, s})
+				cands = append(cands, slackCell{c, s})
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].s > cands[j].s })

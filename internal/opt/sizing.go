@@ -106,22 +106,19 @@ func Resize(ctx *Context, opts ResizeOptions) (Report, error) {
 func AreaRecovery(ctx *Context, slackFloor float64, maxMoves int) (Report, error) {
 	rep := Report{Pass: "area_recover"}
 	tried := map[*netlist.Cell]bool{}
+	var cands []slackCell // one list per pass, refilled per batch
 	pick := func(limit int) []recoveryMove {
 		if rep.Changed >= maxMoves {
 			return nil
 		}
-		type cs struct {
-			c *netlist.Cell
-			s float64
-		}
-		var cands []cs
+		cands = cands[:0]
 		for _, c := range ctx.A.D.Cells {
 			m := ctx.Lib.Cell(c.TypeName)
 			if tried[c] || m.IsSequential() {
 				continue
 			}
 			if s := ctx.A.CellSetupSlack(c); !math.IsInf(s, 0) && s > slackFloor {
-				cands = append(cands, cs{c, s})
+				cands = append(cands, slackCell{c, s})
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].s > cands[j].s })

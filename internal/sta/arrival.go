@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math"
-	"sync/atomic"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -54,12 +53,19 @@ func (a *Analyzer) Run() error {
 	if err := a.canceled(); err != nil {
 		return err
 	}
+	// One gang serves every fan-out of this Run; its helpers start on the
+	// first wave that splits and are stopped however the Run ends.
+	var g *workpool.Gang
+	if w := workpool.Workers(a.Cfg.Workers); w > 1 {
+		g = workpool.NewGang(nil, nil, "", w)
+		defer g.Stop()
+	}
 	dc := a.Cfg.Obs.Start("sta.delay_calc", run)
-	a.buildNets()
+	a.buildNets(g)
 	dc.End()
 	a.seedSources()
 	fw := a.Cfg.Obs.Start("sta.arrivals", run)
-	err := a.propagateArrivals()
+	err := a.propagateArrivals(g)
 	fw.End()
 	if err != nil {
 		return err
@@ -67,7 +73,7 @@ func (a *Analyzer) Run() error {
 	a.ran = true
 	a.clearDirty()
 	bw := a.Cfg.Obs.Start("sta.required", run)
-	err = a.propagateRequired()
+	err = a.propagateRequired(g)
 	bw.End()
 	if err != nil {
 		a.ran = false
@@ -97,8 +103,8 @@ func (a *Analyzer) resetForward(i int) {
 // position, so a removed net's entry goes with the truncation and a
 // renumbered net meets a neighbour's old entry, which fillNetData's input
 // key turns into a refill. Per-net work is independent, so large designs
-// fan it out through workpool.
-func (a *Analyzer) buildNets() {
+// fan it out on the Run's gang g (nil: serial).
+func (a *Analyzer) buildNets(g *workpool.Gang) {
 	a.Cfg.Parasitics.Refresh(a.D)
 	nets := a.D.Nets
 	if len(nets) < len(a.nets) {
@@ -113,17 +119,16 @@ func (a *Analyzer) buildNets() {
 	if len(a.calc) < w {
 		a.calc = append(a.calc, make([]calcScratch, w-len(a.calc))...)
 	}
-	if w <= 1 || len(nets) < minParallelNets {
+	if g == nil || len(nets) < minParallelNets {
 		for i := range a.nets {
 			a.countNetFill(a.fillNetData(&a.nets[i], &a.calc[0]))
 		}
 		return
 	}
 	// Cache-hit accounting under the fan-out: plain chunk-local counts,
-	// one atomic add per chunk, folded into the plain stats fields after
-	// the barrier — the hot per-net loop itself stays atomic-free.
-	var hits, fills atomic.Int64
-	workpool.DoChunksObs(nil, nil, "", w, len(nets), func(lo, hi, k int) {
+	// left on the chunk's scratch and folded into the plain stats fields
+	// after the wave — the hot per-net loop itself stays atomic-free.
+	g.Wave(len(nets), func(lo, hi, k int) {
 		h, f := int64(0), int64(0)
 		for i := lo; i < hi; i++ {
 			if a.fillNetData(&a.nets[i], &a.calc[k]) {
@@ -132,11 +137,14 @@ func (a *Analyzer) buildNets() {
 				f++
 			}
 		}
-		hits.Add(h)
-		fills.Add(f)
+		a.calc[k].hits, a.calc[k].fills = h, f
 	})
-	a.stats.NetCacheHits += hits.Load()
-	a.stats.NetsFilled += fills.Load()
+	for k := range a.calc {
+		sc := &a.calc[k]
+		a.stats.NetCacheHits += sc.hits
+		a.stats.NetsFilled += sc.fills
+		sc.hits, sc.fills = 0, 0
+	}
 }
 
 // countNetFill accumulates one fillNetData outcome from a serial caller.
@@ -316,10 +324,17 @@ func (a *Analyzer) seedVertex(i int) {
 // propagateArrivals sweeps the level wavefronts in ascending order. Within
 // a level each vertex gathers from its own fanins only (all at lower,
 // finalized levels) and writes only itself, so splitting a level across
-// goroutines is race-free and order-independent. Cancellation (RunCtx) is
-// polled once per wavefront.
-func (a *Analyzer) propagateArrivals() error {
-	w := workpool.Workers(a.Cfg.Workers)
+// the Run's gang g (nil: serial) is race-free and order-independent.
+// Cancellation (RunCtx) is polled once per wavefront.
+func (a *Analyzer) propagateArrivals(g *workpool.Gang) error {
+	var relax func(lo, hi, k int)
+	if g != nil {
+		relax = func(lo, hi, _ int) {
+			for _, j := range a.wave[lo:hi] {
+				a.relaxVertex(int(j))
+			}
+		}
+	}
 	t := a.topo
 	for l := 0; l < t.numLevels(); l++ {
 		lvl := t.levelRange(l)
@@ -333,8 +348,8 @@ func (a *Analyzer) propagateArrivals() error {
 			a.stats.WidestWave = len(lvl)
 		}
 		a.stats.NodesRelaxed += int64(len(lvl))
-		if w <= 1 || len(lvl) < minParallelLevel {
-			if w > 1 {
+		if g == nil || len(lvl) < minParallelLevel {
+			if g != nil {
 				a.stats.SerialLevels++
 			}
 			for _, j := range lvl {
@@ -343,11 +358,8 @@ func (a *Analyzer) propagateArrivals() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		workpool.DoChunks(w, len(lvl), func(lo, hi int) {
-			for _, j := range lvl[lo:hi] {
-				a.relaxVertex(int(j))
-			}
-		})
+		a.wave = lvl
+		g.Wave(len(lvl), relax)
 	}
 	return nil
 }

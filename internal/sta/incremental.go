@@ -130,26 +130,24 @@ func (a *Analyzer) incrementalSafe() bool {
 // Forward sweeps drain ascending (pushes go to higher levels only);
 // backward sweeps drain descending (pushes go to lower levels only), so a
 // bucket is never appended to after it has been drained. The queue is
-// reused across Updates: reset bumps the generation instead of clearing
-// the per-vertex marks.
+// reused across Updates and across graph derivations: reset resizes it to
+// the graph on its own storage, buckets keeping their capacity, and bumps
+// the generation instead of clearing the per-vertex marks.
 type levelQueue struct {
 	buckets [][]int
 	mark    []uint32
 	gen     uint32
 }
 
-func (a *Analyzer) newLevelQueue() *levelQueue {
-	return &levelQueue{
-		buckets: make([][]int, a.topo.numLevels()),
-		mark:    make([]uint32, a.NumVerts()),
-		gen:     1,
-	}
-}
-
-func (q *levelQueue) reset() {
+// reset empties the queue for a graph of levels levels and nv vertices.
+// Every mark left behind, in or beyond the new length, is from an older
+// generation.
+func (q *levelQueue) reset(levels, nv int) {
+	q.buckets = resize(q.buckets, levels)
+	q.mark = resize(q.mark, nv)
 	q.gen++
 	if q.gen == 0 { // wrapped: marks are ambiguous, clear them
-		clear(q.mark)
+		clear(q.mark[:cap(q.mark)])
 		q.gen = 1
 	}
 	for i := range q.buckets {
@@ -267,11 +265,8 @@ func (a *Analyzer) Update() error {
 	// (wire delay), retyped cells touch their output pins (arc tables) —
 	// then sweep ascending; a vertex whose recomputed state is unchanged
 	// does not wake its fanout.
-	if a.fwQ == nil {
-		a.fwQ = a.newLevelQueue()
-	}
-	fw := a.fwQ
-	fw.reset()
+	fw := &a.fwQ
+	fw.reset(a.topo.numLevels(), a.NumVerts())
 	level := a.topo.level
 	seedFwd := func(i int) { fw.push(i, int(level[i])) }
 	for _, ni := range a.dirtyNets {
@@ -315,11 +310,8 @@ func (a *Analyzer) Update() error {
 	// cells' input pins), or (d) a successor's required time moved —
 	// discovered during the descending sweep.
 	if a.Cons != nil {
-		if a.bwQ == nil {
-			a.bwQ = a.newLevelQueue()
-		}
-		bw := a.bwQ
-		bw.reset()
+		bw := &a.bwQ
+		bw.reset(a.topo.numLevels(), a.NumVerts())
 		seedBwd := func(i int) { bw.push(i, int(level[i])) }
 		// Re-evaluate the checks from the (already final) new arrivals; a
 		// site whose seed moved restarts the backward cone at its data vertex.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"newgame/internal/circuits"
 	"newgame/internal/liberty"
@@ -99,6 +100,106 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		compareState(t, par, serial, "parallel second run")
+	}
+}
+
+// A warm full Run allocates the same objects however many of its level
+// waves split: one gang per Run, its channel and Workers-1 helpers, and the
+// three chunk functions it runs (buildNets', the two sweeps'). The two
+// designs differ in depth, so in the number of waves that fan out. At one
+// worker nothing fans out; the six objects are the Run's own.
+func TestWarmParallelRunAllocations(t *testing.T) {
+	lib := testLib()
+	stack := parasitics.Stack16()
+	waves := map[int]int{}
+	for _, depth := range []int{10, 24} {
+		d := circuits.Block(lib, circuits.BlockSpec{
+			Name: "par", Inputs: 12, Outputs: 12, FFs: 48, Gates: 900,
+			MaxDepth: depth, Seed: 3, ClockBufferLevels: 2,
+			VtMix: [3]float64{0.2, 0.5, 0.3},
+		})
+		cons := NewConstraints()
+		cons.AddClock("clk", 550, d.Port("clk"))
+		for w, want := range map[int]float64{1: 6, 2: 12, 4: 14} {
+			a, err := New(d, cons, fullConfig(lib, stack, 3, w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(5, func() { a.Run() }); got != want {
+				t.Errorf("depth %d, workers %d: a warm Run allocates %v objects, want %v (%d parallel waves)",
+					depth, w, got, want, a.stats.ParallelLevels)
+			}
+			if w > 1 {
+				waves[depth] = int(a.stats.ParallelLevels)
+			}
+		}
+	}
+	if waves[10] < 40 || waves[24] <= waves[10] {
+		t.Fatalf("parallel waves per Run %v: want at least 40 at depth 10 and more at depth 24", waves)
+	}
+}
+
+// A structural Run leaves the incremental worklists in place: the first
+// Update after it resizes them on their own storage, buckets included,
+// instead of allocating a pair for the new graph. The first pad is where
+// the marks outgrow their exact first size; the second fits.
+func TestUpdateAfterRegraphKeepsWorklists(t *testing.T) {
+	lib := testLib()
+	_, a, err := incrTestDesign(lib, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := a.D
+	rng := rand.New(rand.NewSource(7))
+	update := func() {
+		t.Helper()
+		for swapped := 0; swapped < 3; {
+			c := d.Cells[rng.Intn(len(d.Cells))]
+			if to := vtSwapVariant(lib, c.TypeName); to != "" {
+				c.SetType(to)
+				a.InvalidateCell(c)
+				swapped++
+			}
+		}
+		if err := a.Update(); err != nil {
+			t.Fatal(err)
+		}
+		if !a.ran || len(a.fwQ.mark) != a.NumVerts() || len(a.bwQ.buckets) != a.topo.numLevels() {
+			t.Fatal("Update did not run incrementally on worklists sized to the graph")
+		}
+	}
+	pad := func() {
+		t.Helper()
+		for _, n := range d.Nets {
+			if n.Driver != nil && len(n.Loads) >= 2 {
+				if _, err := d.InsertBuffer(n, n.Loads[:1], "BUF_X1_SVT"); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storage := func() [4]any {
+		return [4]any{unsafe.SliceData(a.fwQ.mark), unsafe.SliceData(a.fwQ.buckets),
+			unsafe.SliceData(a.bwQ.mark), unsafe.SliceData(a.bwQ.buckets)}
+	}
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	update()
+	pad()
+	update()
+	before := storage()
+	pad()
+	update()
+	if after := storage(); after != before {
+		t.Fatalf("the first Update after a structural Run replaced its worklists: %v -> %v", before, after)
 	}
 }
 

@@ -8,14 +8,21 @@ import "newgame/internal/workpool"
 // endpoints only (documented limitation; endpoint slacks remain exact).
 // The sweep walks the level wavefronts in descending order — a vertex pulls
 // from its successors, which all sit at strictly higher (already finalized)
-// levels, so a level can fan out across workers just like the forward pass.
-// Cancellation (RunCtx) is polled once per wavefront.
-func (a *Analyzer) propagateRequired() error {
+// levels, so a level can split across the Run's gang g (nil: serial) just
+// like the forward pass. Cancellation (RunCtx) is polled once per wavefront.
+func (a *Analyzer) propagateRequired(g *workpool.Gang) error {
 	a.seedRequired()
 	if a.Cons == nil {
 		return nil
 	}
-	w := workpool.Workers(a.Cfg.Workers)
+	var pull func(lo, hi, k int)
+	if g != nil {
+		pull = func(lo, hi, _ int) {
+			for _, i := range a.wave[lo:hi] {
+				a.pullRequired(int(i))
+			}
+		}
+	}
 	t := a.topo
 	for li := t.numLevels() - 1; li >= 0; li-- {
 		lvl := t.levelRange(li)
@@ -23,8 +30,8 @@ func (a *Analyzer) propagateRequired() error {
 			return err
 		}
 		a.stats.NodesRelaxed += int64(len(lvl))
-		if w <= 1 || len(lvl) < minParallelLevel {
-			if w > 1 {
+		if g == nil || len(lvl) < minParallelLevel {
+			if g != nil {
 				a.stats.SerialLevels++
 			}
 			for _, i := range lvl {
@@ -33,11 +40,8 @@ func (a *Analyzer) propagateRequired() error {
 			continue
 		}
 		a.stats.ParallelLevels++
-		workpool.DoChunks(w, len(lvl), func(lo, hi int) {
-			for _, i := range lvl[lo:hi] {
-				a.pullRequired(int(i))
-			}
-		})
+		a.wave = lvl
+		g.Wave(len(lvl), pull)
 	}
 	return nil
 }

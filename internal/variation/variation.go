@@ -79,7 +79,7 @@ func (p PathMC) NominalDelay() units.Ps {
 // fan-out across Workers goroutines is bit-deterministic and prefix-stable.
 func (p PathMC) Run(n int) []units.Ps {
 	out := make([]float64, n)
-	workpool.DoChunks(p.Workers, n, func(lo, hi int) {
+	workpool.DoChunks(p.Workers, n, func(lo, hi, _ int) {
 		smp := newSampler()
 		for i := lo; i < hi; i++ {
 			rng := smp.at(p.Seed, i)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"newgame/internal/obs"
 )
@@ -42,7 +43,7 @@ func TestDoChunksPartition(t *testing.T) {
 	for _, w := range []int{1, 3, 4, 32} {
 		const n = 101
 		counts := make([]int32, n)
-		DoChunks(w, n, func(lo, hi int) {
+		DoChunks(w, n, func(lo, hi, _ int) {
 			if lo < 0 || hi > n || lo >= hi {
 				t.Errorf("bad chunk [%d,%d)", lo, hi)
 			}
@@ -124,7 +125,7 @@ func TestPanicReachesCallerAfterEveryJob(t *testing.T) {
 
 		var covered atomic.Int32
 		r = catch(func() {
-			DoChunks(w, n, func(lo, hi int) {
+			DoChunks(w, n, func(lo, hi, _ int) {
 				covered.Add(int32(hi - lo))
 				if hi == n {
 					panic(boom{hi})
@@ -137,17 +138,129 @@ func TestPanicReachesCallerAfterEveryJob(t *testing.T) {
 	}
 }
 
-// A DoChunks call allocates its shared state once, plus one object per
-// goroutine it starts: sta makes one call per parallel level wave. The
-// counts include fn, a closure as sta's are, and DoChunks' own adapter.
+// A DoChunks call is one wave of a gang of its own: it allocates the gang,
+// plus the channel and one object per goroutine when it starts helpers.
+// The counts include fn, a closure as the callers' are.
 func TestDoChunksAllocations(t *testing.T) {
 	var sum atomic.Int64
-	for w, want := range map[int]float64{1: 3, 2: 4, 4: 6} {
+	for w, want := range map[int]float64{1: 2, 2: 4, 4: 6} {
 		got := testing.AllocsPerRun(100, func() {
-			DoChunks(w, 64, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+			DoChunks(w, 64, func(lo, hi, _ int) { sum.Add(int64(hi - lo)) })
 		})
 		if got != want {
 			t.Errorf("workers %d: DoChunks allocates %v objects per call, want %v", w, got, want)
+		}
+	}
+}
+
+// A gang's waves allocate nothing once its helpers run: the helpers and
+// their channel are the gang's, not the wave's.
+func TestGangWaveAllocations(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(lo, hi, _ int) { sum.Add(int64(hi - lo)) }
+	for _, w := range []int{1, 2, 4} {
+		g := NewGang(nil, nil, "", w)
+		g.Wave(64, fn)
+		if got := testing.AllocsPerRun(100, func() { g.Wave(64, fn) }); got != 0 {
+			t.Errorf("workers %d: a wave allocates %v objects, want 0", w, got)
+		}
+		g.Stop()
+	}
+}
+
+// Across many waves of every width, including waves narrower than the gang
+// and empty ones, each index is covered exactly once per wave and chunk k
+// is the k-th contiguous chunk.
+func TestGangCoversEveryIndexOncePerWave(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 4, 16} {
+		g := NewGang(nil, nil, "", w)
+		for wave := 0; wave < 300; wave++ {
+			n := wave % 101
+			counts := make([]int32, n)
+			var chunks atomic.Int32
+			g.Wave(n, func(lo, hi, k int) {
+				size := (n + w - 1) / w
+				if lo != k*size || hi != min(lo+size, n) {
+					t.Errorf("workers %d, n %d: chunk %d is [%d,%d)", w, n, k, lo, hi)
+				}
+				chunks.Add(1)
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&counts[i], 1)
+				}
+			})
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("workers %d, wave %d: index %d covered %d times", w, wave, i, c)
+				}
+			}
+			if n > 0 && int(chunks.Load()) > w {
+				t.Fatalf("workers %d, n %d: %d chunks", w, n, chunks.Load())
+			}
+		}
+		g.Stop()
+	}
+}
+
+// settledGoroutines waits until the goroutine count falls to want, which a
+// stopped helper reaches just after it signals its exit.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// A panicking chunk is raised on the owner after its wave — every other
+// chunk ran — with the lowest panicking chunk's value, and the gang's
+// helpers are stopped by then.
+func TestGangPanicStopsHelpers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := NewGang(obs.NewRecorder(), nil, "gang.test", 4)
+	g.Wave(40, func(int, int, int) {}) // the helpers are running
+	var ran atomic.Int32
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		g.Wave(40, func(lo, hi, k int) {
+			ran.Add(int32(hi - lo))
+			if k >= 2 {
+				panic(boom{k})
+			}
+		})
+		return nil
+	}()
+	if b, ok := r.(boom); !ok || b.job != 2 || ran.Load() != 40 {
+		t.Fatalf("Wave re-raised %v after covering %d of 40, want chunk 2's boom after 40", r, ran.Load())
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Fatalf("%d goroutines after the panicking wave, want %d", n, base)
+	}
+}
+
+// No goroutine outlives a gang's owner, however its run of waves ends:
+// completed and stopped, abandoned between waves (what a cancelled sta Run
+// does) and stopped, or ended by a panicking wave.
+func TestGangLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	fn := func(int, int, int) {}
+	for _, end := range []string{"complete", "cancel", "panic"} {
+		func() {
+			defer func() { recover() }()
+			g := NewGang(nil, nil, "", 4)
+			defer g.Stop()
+			for wave := 0; wave < 50; wave++ {
+				switch {
+				case end == "cancel" && wave == 10:
+					return
+				case end == "panic" && wave == 10:
+					g.Wave(64, func(int, int, int) { panic("chunk") })
+				}
+				g.Wave(64, fn)
+			}
+		}()
+		if n := settledGoroutines(base); n != base {
+			t.Errorf("%s: %d goroutines after the gang's owner returned, want %d", end, n, base)
 		}
 	}
 }
