@@ -2,7 +2,9 @@ package sta
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"newgame/internal/circuits"
 	"newgame/internal/netlist"
@@ -181,5 +183,61 @@ func TestKeyedNetBinderRerouteRoundTrip(t *testing.T) {
 		if before.R[i] != after.R[i] || before.C[i] != after.C[i] {
 			t.Fatalf("restored tree differs at node %d", i)
 		}
+	}
+}
+
+// cancelAfter is a context whose Err starts reporting cancellation at its
+// n-th call: a RunCtx abandoned part-way through its level sweeps.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A parallel Run's gang does not outlive it: not when the Run completes,
+// and not when it is abandoned between level waves after its helpers
+// started.
+func TestParallelRunStopsItsGang(t *testing.T) {
+	lib := testLib()
+	d := circuits.Block(lib, circuits.BlockSpec{
+		Name: "par", Inputs: 12, Outputs: 12, FFs: 48, Gates: 900,
+		MaxDepth: 10, Seed: 3, ClockBufferLevels: 2,
+		VtMix: [3]float64{0.2, 0.5, 0.3},
+	})
+	cons := NewConstraints()
+	cons.AddClock("clk", 550, d.Port("clk"))
+	a, err := New(d, cons, fullConfig(lib, parasitics.Stack16(), 3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 1000 && n > base; i++ {
+			time.Sleep(time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settled(); n != base {
+		t.Fatalf("%d goroutines after a completed Run, want %d", n, base)
+	}
+	if err := a.RunCtx(&cancelAfter{context.Background(), 12}); err == nil {
+		t.Fatal("RunCtx ran to the end through a cancellation")
+	}
+	if a.stats.ParallelLevels == 0 {
+		t.Fatal("the run was abandoned before any level wave split")
+	}
+	if n := settled(); n != base {
+		t.Fatalf("%d goroutines after a cancelled Run, want %d", n, base)
 	}
 }
