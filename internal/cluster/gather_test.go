@@ -37,9 +37,9 @@ func (t *countingTransport) take() map[string]int {
 }
 
 // The worker requests each coordinator route sends to two disjoint shards of
-// two scenarios each: one per shard for a whole-recipe read or a what-if,
-// one per scenario for /triage's extracts, one for a single-scenario read,
-// and prepare, verify and commit on every shard for an ECO.
+// two scenarios each: one per shard for a whole-recipe read, a what-if or
+// /triage's extracts, one for a single-scenario read, and prepare, verify
+// and commit on every shard for an ECO.
 func TestRequestsPerRoute(t *testing.T) {
 	f := testFixture(t)
 	recipe := f.recipe
@@ -71,7 +71,7 @@ func TestRequestsPerRoute(t *testing.T) {
 	}{
 		{"GET", "/slack", map[string]int{"/slack": 2}},
 		{"POST", "/whatif", map[string]int{"/whatif": 2}},
-		{"GET", "/triage", map[string]int{"/triage/extract": 4}},
+		{"GET", "/triage", map[string]int{"/triage/extract": 2}},
 		{"GET", "/paths?scenario=" + names[3], map[string]int{"/paths": 1}},
 		{"GET", "/endpoints?scenario=" + names[1], map[string]int{"/endpoints": 1}},
 		{"POST", "/eco", map[string]int{"/cluster/prepare": 2, "/healthz": 2, "/cluster/commit": 2}},

@@ -3,6 +3,8 @@ package cluster
 import (
 	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/url"
 	"sort"
@@ -10,7 +12,6 @@ import (
 
 	"newgame/internal/serve"
 	"newgame/internal/timingd"
-	"newgame/internal/timingd/client"
 )
 
 // routes mounts every coordinator route on the serving spine — the same
@@ -22,18 +23,8 @@ func (c *Coordinator) routes() {
 	}
 	mount("/healthz", "healthz", http.MethodGet, c.handleHealth)
 	mount("/slack", "slack", http.MethodGet, c.handleSlack)
-	mount("/endpoints", "endpoints", http.MethodGet, c.proxiedRead("/endpoints", "limit",
-		func(ctx context.Context, cl *client.Client, uri string) (any, int64, error) {
-			var rep timingd.EndpointsReport
-			err := cl.Do(ctx, http.MethodGet, uri, nil, &rep)
-			return rep, rep.Epoch, err
-		}))
-	mount("/paths", "paths", http.MethodGet, c.proxiedRead("/paths", "k",
-		func(ctx context.Context, cl *client.Client, uri string) (any, int64, error) {
-			var rep timingd.PathsReport
-			err := cl.Do(ctx, http.MethodGet, uri, nil, &rep)
-			return rep, rep.Epoch, err
-		}))
+	mount("/endpoints", "endpoints", http.MethodGet, c.proxiedRead("/endpoints", "limit"))
+	mount("/paths", "paths", http.MethodGet, c.proxiedRead("/paths", "k"))
 	mount("/triage", "triage", http.MethodGet, c.handleTriage)
 	mount("/whatif", "whatif", http.MethodPost, c.handleWhatIf)
 	mount("/eco", "eco", http.MethodPost, c.handleECO)
@@ -70,38 +61,36 @@ func (c *Coordinator) handleHealth(ctx context.Context, _ *http.Request) ([]byte
 	return serve.JSON(h)
 }
 
-// cachedRead answers a merged read from the epoch cache, or gathers,
-// encodes and caches it. A barrier landing mid-gather shows up as epoch
-// skew and the whole gather is retried once against the settled epoch. A
-// reply gather marks not cacheable (a degraded /slack) is served but not
-// kept.
-func (c *Coordinator) cachedRead(ctx context.Context, r *http.Request, gather func(context.Context) (rep any, epoch int64, cacheable bool, err error)) ([]byte, error) {
+// cachedRead answers a read from the epoch cache, or gathers, encodes and
+// caches it. A barrier landing mid-gather shows up as epoch skew and the
+// whole gather is retried once against the settled epoch. A reply gather
+// marks not cacheable (a degraded /slack) is served but not kept.
+func (c *Coordinator) cachedRead(ctx context.Context, r *http.Request, gather func(context.Context) (body []byte, epoch int64, cacheable bool, err error)) ([]byte, error) {
 	info, key, epoch := serve.InfoFrom(ctx), serve.CacheKey(r), c.Epoch()
 	if body, ok := c.cache.Get(epoch, key); ok {
 		info.Epoch, info.Cache = epoch, "hit"
 		return body, nil
 	}
 	info.Cache = "miss"
-	rep, epoch, cacheable, err := gather(ctx)
+	body, epoch, cacheable, err := gather(ctx)
 	if err == errEpochSkew {
-		rep, epoch, cacheable, err = gather(ctx)
+		body, epoch, cacheable, err = gather(ctx)
 	}
 	if err != nil {
 		return nil, err
 	}
 	info.Epoch = epoch
-	body, err := serve.JSON(rep)
-	if err == nil && cacheable {
+	if cacheable {
 		c.cache.Put(epoch, key, body)
 	}
-	return body, err
+	return body, nil
 }
 
 // handleSlack gathers every scenario's slack summary and merges it. A
 // scenario no live shard answered for is reported stale instead of failing
 // the read, and such a degraded reply is not cached.
 func (c *Coordinator) handleSlack(ctx context.Context, r *http.Request) ([]byte, error) {
-	return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
+	return c.cachedRead(ctx, r, func(ctx context.Context) ([]byte, int64, bool, error) {
 		slots := make([]timingd.ScenarioSlack, len(c.cfg.Scenarios))
 		epoch, missing, err := c.gather(ctx, c.every, c.cfg.ShardTimeout, "cluster.slack.replica_retries", "cluster.slack.epoch_skew",
 			func(ctx context.Context, m *member, asked []int) (int64, error) {
@@ -127,17 +116,22 @@ func (c *Coordinator) handleSlack(ctx context.Context, r *http.Request) ([]byte,
 		}
 		out.Degraded = len(out.Stale) > 0
 		out.Merged = mergeSlacks(out.Scenarios)
-		return out, epoch, !out.Degraded, nil
+		body, err := serve.JSON(out)
+		return body, epoch, !out.Degraded, err
 	})
 }
 
+// errNotJSON fails a member whose 200 to a proxied read is not JSON.
+var errNotJSON = errors.New("shard answered a body that is not JSON")
+
 // proxiedRead is the body behind /endpoints and /paths: the read gathers the
-// requested scenario alone, from one shard serving it, and
-// the shard's own report is re-encoded, so the answer is bit-identical to
-// single-node timingd. The check kind and the route's integer knob (param:
-// ?limit=, ?k=) are forwarded as they arrived — the shard's validation is
-// the only one, so a bad value gets the node's own answer.
-func (c *Coordinator) proxiedRead(path, param string, fetch func(ctx context.Context, cl *client.Client, uri string) (rep any, epoch int64, err error)) serve.Func {
+// requested scenario alone, from one shard serving it, and passes the
+// shard's body through unchanged once json.Valid accepts it, so the answer
+// is bit-identical to single-node timingd and the coordinator decodes
+// nothing. The check kind and the route's integer knob (param: ?limit=,
+// ?k=) are forwarded as they arrived — the shard's validation is the only
+// one, so a bad value gets the node's own answer.
+func (c *Coordinator) proxiedRead(path, param string) serve.Func {
 	return func(ctx context.Context, r *http.Request) ([]byte, error) {
 		q := r.URL.Query()
 		idx, name, err := c.scenarioIdx(q.Get("scenario"))
@@ -151,14 +145,20 @@ func (c *Coordinator) proxiedRead(path, param string, fetch func(ctx context.Con
 			}
 		}
 		uri := path + "?" + fwd.Encode()
-		return c.cachedRead(ctx, r, func(ctx context.Context) (any, int64, bool, error) {
-			var rep any
+		return c.cachedRead(ctx, r, func(ctx context.Context) ([]byte, int64, bool, error) {
+			var body []byte
 			epoch, missing, err := c.gather(ctx, []int{idx}, c.cfg.ShardTimeout, "cluster.proxy.replica_retries", "cluster.proxy.epoch_skew",
-				func(ctx context.Context, m *member, _ []int) (epoch int64, err error) {
-					rep, epoch, err = fetch(ctx, m.cl, uri)
+				func(ctx context.Context, m *member, _ []int) (int64, error) {
+					b, epoch, err := m.cl.Get(ctx, uri)
+					if err == nil && !json.Valid(b) {
+						err = errNotJSON
+					}
+					if err == nil {
+						body = b
+					}
 					return epoch, err
 				})
-			return rep, epoch, true, cmp.Or(err, missing[idx])
+			return body, epoch, true, cmp.Or(err, missing[idx])
 		})
 	}
 }

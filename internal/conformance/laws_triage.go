@@ -266,7 +266,7 @@ func checkTriageResident(cx *Ctx) error {
 				err = fresh.c.Do(ctx, "POST", "/eco", timingd.OpsBody{Ops: ops}, nil)
 			}
 		}
-		var want []json.RawMessage
+		var want [][]byte
 		if err == nil {
 			want, err = triageBodies(ctx, fresh, rcp)
 		}
@@ -293,12 +293,13 @@ func triageTargets(rcp core.Recipe) []string {
 	return out
 }
 
-// triageBodies reads triageTargets from one rig.
-func triageBodies(ctx context.Context, r *rig, rcp core.Recipe) ([]json.RawMessage, error) {
+// triageBodies reads triageTargets from one rig, each body as sent.
+func triageBodies(ctx context.Context, r *rig, rcp core.Recipe) ([][]byte, error) {
 	targets := triageTargets(rcp)
-	out := make([]json.RawMessage, len(targets))
+	out := make([][]byte, len(targets))
 	for i, target := range targets {
-		if err := r.c.Do(ctx, "GET", target, nil, &out[i]); err != nil {
+		var err error
+		if out[i], _, err = r.c.Get(ctx, target); err != nil {
 			return nil, fmt.Errorf("GET %s: %v", target, err)
 		}
 	}

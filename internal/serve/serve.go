@@ -3,7 +3,8 @@
 // the cluster coordinator. A route body is a plain function from a request
 // to bytes or an error; Handle gives it a trace identity, ?debug=trace, the
 // per-route counters and latency histogram, a flight-recorder entry, the
-// method check, a panic boundary and the uniform {"error":…} mapping. The
+// method check, a panic boundary, the X-Epoch header and the uniform
+// {"error":…} mapping. The
 // spine knows nothing about who mounts it: admission control, snapshots
 // and scatter-gather stay with their owners, composed around the body.
 package serve
@@ -46,15 +47,17 @@ func BadRequest(format string, args ...any) error {
 }
 
 // Info is the per-request carrier a route body fills in for the flight
-// recorder: the epoch the answer came from and the reply-cache outcome. It
-// rides the context so bodies report without their signature changing;
-// unlike a full obs.Trace it costs one small allocation, so every request
-// affords one. TraceID is the spine's to set: the request's identity, which
-// outbound calls made on its behalf carry on (TraceIDFrom).
+// recorder and the reply's headers: the epoch the answer came from, the
+// reply-cache outcome and whether the body is binary. It rides the context
+// so bodies report without their signature changing; unlike a full
+// obs.Trace it costs one small allocation, so every request affords one.
+// TraceID is the spine's to set: the request's identity, which outbound
+// calls made on its behalf carry on (TraceIDFrom).
 type Info struct {
 	Epoch   int64
 	Cache   string // "hit", "miss", or "" for routes that bypass the cache
 	TraceID string
+	Binary  bool // a pack/wire body: sent as application/octet-stream, never wrapped
 }
 
 type infoKey struct{}
@@ -116,9 +119,11 @@ type Spine struct {
 // Handle adapts a route body to HTTP. Every request gets a trace identity:
 // an X-Trace-Id header is accepted verbatim or minted, and always echoed.
 // With ?debug=trace the request additionally records its own private span
-// tree — bodies reach it through obs.TraceFrom(ctx) — and the response is
-// wrapped in a TraceReport carrying that tree inline. Untraced requests pay
-// only the ID, one Info allocation, and a lock-free ring write.
+// tree — bodies reach it through obs.TraceFrom(ctx) — and a JSON response
+// is wrapped in a TraceReport carrying that tree inline. Untraced requests
+// pay only the ID, one Info allocation, and a lock-free ring write. A 200
+// whose body set Info.Epoch says so in X-Epoch, so a caller that forwards
+// the body learns its epoch without decoding it.
 func (s *Spine) Handle(route, method string, fn Func) http.HandlerFunc {
 	name := s.NS + "." + route
 	requests, errs, latency := name+".requests", name+".errors", name+".latency_ms"
@@ -180,6 +185,8 @@ func (s *Spine) Handle(route, method string, fn Func) http.HandlerFunc {
 		}
 		if tr != nil {
 			tr.Root.End()
+		}
+		if tr != nil && !info.Binary {
 			env, err := json.Marshal(TraceReport{
 				TraceID:  traceID,
 				Spans:    tr.Rec.SpanTree(),
@@ -193,6 +200,12 @@ func (s *Spine) Handle(route, method string, fn Func) http.HandlerFunc {
 		// chunked framing net/http falls back to past its 2 KB sniff buffer,
 		// and lets the client read it into one buffer of the right size.
 		w.Header().Set("Content-Type", "application/json")
+		if info.Binary {
+			w.Header().Set("Content-Type", "application/octet-stream")
+		}
+		if info.Epoch >= 0 {
+			w.Header().Set("X-Epoch", strconv.FormatInt(info.Epoch, 10))
+		}
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body)
 	}

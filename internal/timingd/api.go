@@ -165,14 +165,6 @@ type TriageReport struct {
 	triage.Report
 }
 
-// TriageExtract answers GET /triage/extract?scenario=: one scenario's
-// relation-graph contribution, the scatter unit a cluster coordinator
-// gathers from the owning shards before merging.
-type TriageExtract struct {
-	Epoch int64 `json:"epoch"`
-	triage.ScenarioExtract
-}
-
 // ScenarioRef names one scenario this server serves together with its
 // index in the FULL recipe order — the canonical ordering a cluster
 // coordinator merges shard answers in. For an unfiltered server the

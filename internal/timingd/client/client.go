@@ -17,6 +17,7 @@ import (
 
 	"newgame/internal/serve"
 	"newgame/internal/timingd"
+	"newgame/internal/triage"
 )
 
 // Client talks to one timingd instance.
@@ -54,31 +55,55 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // Do issues one API call — body JSON-encoded when non-nil, a 2xx answer
-// decoded into out when non-nil, anything else a *StatusError — and is the
-// one outbound request path of the repository: the typed methods, the
-// cluster coordinator's verbatim forwards and the worker agent all end
-// here. Backpressure refusals are retried within the client's RetryPolicy:
-// exponential backoff from BaseDelay, floored at the server's Retry-After
-// advice, jittered, bounded by MaxAttempts and MaxElapsed. An exhausted
-// budget returns the last 429 *StatusError unchanged.
+// decoded into out when non-nil, anything else a *StatusError. Do and Get
+// are the one outbound request path of the repository: the typed methods,
+// the cluster coordinator's forwards and the worker agent all end in their
+// shared retry loop. Backpressure refusals are retried within the client's
+// RetryPolicy: exponential backoff from BaseDelay, floored at the server's
+// Retry-After advice, jittered, bounded by MaxAttempts and MaxElapsed. An
+// exhausted budget returns the last 429 *StatusError unchanged.
 func (c *Client) Do(ctx context.Context, method, path string, body, out any) error {
+	data, _, err := c.call(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// Get issues a GET and returns the 2xx body as the server sent it, with the
+// epoch its X-Epoch header names: what a caller forwarding or decoding the
+// body itself needs. A 2xx without a well-formed X-Epoch is an error.
+func (c *Client) Get(ctx context.Context, path string) ([]byte, int64, error) {
+	data, hdr, err := c.call(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	epoch, err := strconv.ParseInt(hdr.Get("X-Epoch"), 10, 64)
+	if err != nil {
+		return nil, 0, fmt.Errorf("timingd: GET %s: reply carries no X-Epoch", path)
+	}
+	return data, epoch, nil
+}
+
+// call is the retry loop around one request: the 2xx body and headers.
+func (c *Client) call(ctx context.Context, method, path string, body any) ([]byte, http.Header, error) {
 	p := c.Retry.withDefaults()
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, method, path, body, out)
+		data, hdr, err := c.doOnce(ctx, method, path, body)
 		se, ok := err.(*StatusError)
 		if err == nil || !ok || se.Code != http.StatusTooManyRequests {
-			return err
+			return data, hdr, err
 		}
 		if attempt >= p.MaxAttempts {
-			return err
+			return nil, nil, err
 		}
 		delay := p.backoffDelay(attempt, se.RetryAfter)
 		if time.Since(start)+delay > p.MaxElapsed {
-			return err
+			return nil, nil, err
 		}
 		if serr := p.doSleep(ctx, delay); serr != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 }
@@ -86,20 +111,22 @@ func (c *Client) Do(ctx context.Context, method, path string, body, out any) err
 // maxResponseBytes caps how much of an answer doOnce reads: several times
 // the largest report the daemon renders (/triage, /paths?k=1000), small
 // enough that a misbehaving peer cannot exhaust the caller's memory.
-const maxResponseBytes = 64 << 20
+// readAhead caps the buffer sized from an announced length before a byte
+// of it has arrived.
+const maxResponseBytes, readAhead = 64 << 20, 1 << 20
 
-func (c *Client) doOnce(ctx context.Context, method, path string, body, out any) error {
+func (c *Client) doOnce(ctx context.Context, method, path string, body any) ([]byte, http.Header, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -111,38 +138,41 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out any)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := readBody(resp)
-	if err != nil {
-		return err
+	if err == nil && len(data) > maxResponseBytes {
+		err = fmt.Errorf("response exceeds the %d-byte limit", maxResponseBytes)
 	}
-	if len(data) > maxResponseBytes {
-		return fmt.Errorf("timingd: %s %s: response exceeds the %d-byte limit", method, path, maxResponseBytes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("timingd: %s %s: %w", method, path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		var eb struct {
 			Error string `json:"error"`
 		}
 		json.Unmarshal(data, &eb)
-		return &StatusError{
+		return nil, nil, &StatusError{
 			Code:       resp.StatusCode,
 			Msg:        eb.Error,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return data, resp.Header, nil
 }
 
-// readBody reads an answer of at most maxResponseBytes+1 bytes: into one
-// buffer of the announced size when the peer said how long the body is (the
-// spine does), by io.ReadAll's doubling otherwise.
+// readBody reads an answer of at most maxResponseBytes+1 bytes. A length
+// the peer announces (the spine does) is checked before anything is sized
+// from it: over maxResponseBytes is refused unread, up to readAhead is read
+// into one buffer of that size, and beyond that the buffer grows with the
+// bytes that actually arrive.
 func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+	n := resp.ContentLength
+	if n > maxResponseBytes {
+		return nil, fmt.Errorf("announced %d-byte response exceeds the %d-byte limit", n, maxResponseBytes)
+	}
+	if n >= 0 && n <= readAhead {
 		data := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, data)
 		return data, err
@@ -193,25 +223,24 @@ func (c *Client) Paths(ctx context.Context, scenario, kind string, k int) (timin
 	return out, err
 }
 
-// TriageExtract fetches one scenario's relation-graph extract — the unit
-// a cluster coordinator gathers from the owning shard before merging the
-// triage report. k and window are forwarded verbatim when non-empty so
-// the shard applies exactly the knobs the client sent (defaults
-// otherwise).
-func (c *Client) TriageExtract(ctx context.Context, scenario, k, window string) (timingd.TriageExtract, error) {
-	q := url.Values{}
-	if scenario != "" {
-		q.Set("scenario", scenario)
-	}
+// TriageExtracts fetches the relation-graph extracts of the named
+// scenarios from one session read, in the order asked — the leg a cluster
+// coordinator gathers from a shard before merging the triage report — and
+// the epoch they were rendered at. k and window are forwarded verbatim
+// when non-empty, so the shard applies exactly the knobs the client sent.
+func (c *Client) TriageExtracts(ctx context.Context, scenarios []string, k, window string) (int64, []triage.ScenarioExtract, error) {
+	q := url.Values{"scenario": scenarios}
 	if k != "" {
 		q.Set("k", k)
 	}
 	if window != "" {
 		q.Set("window", window)
 	}
-	var out timingd.TriageExtract
-	err := c.Do(ctx, http.MethodGet, "/triage/extract?"+q.Encode(), nil, &out)
-	return out, err
+	body, _, err := c.Get(ctx, "/triage/extract?"+q.Encode())
+	if err != nil {
+		return 0, nil, err
+	}
+	return triage.DecodeExtracts(body)
 }
 
 // WhatIf evaluates ops against the current baseline and rolls them back.

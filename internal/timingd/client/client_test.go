@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -148,5 +150,58 @@ func TestDoReadsAnnouncedAndChunkedBodies(t *testing.T) {
 	}
 	if err := cl.Do(context.Background(), http.MethodGet, "/short", nil, nil); err == nil {
 		t.Error("/short: a body cut off before its announced length read as a success")
+	}
+}
+
+// liarTransport answers every request 200 with a body of 10 bytes under an
+// announced length of its choosing, then ends it the way net/http ends a
+// body cut short, and counts the bytes read from it.
+type liarTransport struct {
+	announce int64
+	read     int
+}
+
+func (t *liarTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: 200, Header: http.Header{"X-Epoch": {"0"}}, Request: r,
+		ContentLength: t.announce, Body: io.NopCloser(&countingReader{strings.NewReader(`{"epoch":0}`[:10]), &t.read}),
+	}, nil
+}
+
+type countingReader struct {
+	r io.Reader
+	n *int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	*c.n += n
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+// A peer's announced length is checked before anything is sized from it:
+// one that announces the limit and sends 10 bytes costs the caller what
+// arrived, not the announcement, and the call fails; one that announces
+// past the limit is refused unread.
+func TestAnnouncedLengthIsNotTrusted(t *testing.T) {
+	for _, announce := range []int64{maxResponseBytes, maxResponseBytes + 1, 1 << 40} {
+		tr := &liarTransport{announce: announce}
+		cl := &Client{Base: "http://peer", HTTP: &http.Client{Transport: tr}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := cl.Do(context.Background(), http.MethodGet, "/slack", nil, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("announced %d, sent 10 bytes: no error", announce)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("announced %d, sent 10 bytes: allocated %d B", announce, n)
+		}
+		if announce > maxResponseBytes && tr.read > 0 {
+			t.Errorf("announced %d, over the limit: read %d bytes anyway", announce, tr.read)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -79,7 +80,8 @@ func (s *Server) admit(fn serve.Func) serve.Func {
 // the published epoch is already known — without taking the session's lock,
 // so a cached read never waits on the writer — and otherwise renders and
 // caches it under the session's RLock, at the epoch read again under that
-// lock, which is exactly the epoch the data belongs to.
+// lock, which is exactly the epoch the data belongs to. A render that
+// returns []byte has encoded its reply itself.
 func (s *Server) readSnapshot(ctx context.Context, r *http.Request, render func(sess *session, epoch int64) (any, error)) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -112,7 +114,10 @@ func (s *Server) readSnapshot(ctx context.Context, r *http.Request, render func(
 	if err != nil {
 		return nil, err
 	}
-	b, err := serve.JSON(v)
+	b, ok := v.([]byte)
+	if !ok {
+		b, err = serve.JSON(v)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -225,22 +230,34 @@ func (s *Server) triageExtract(sess *session, i int, opts triage.Options) (ex tr
 	return ex
 }
 
-// handleTriageExtract renders one scenario's raw relation-graph extract —
-// the scatter unit a cluster coordinator gathers from the shard that owns
-// the scenario.
+// handleTriageExtract renders the raw relation-graph extracts of the
+// scenarios asked (?scenario=a&scenario=b, none = the first) from one
+// session read, so they share one epoch, encoded on pack/wire — the leg a
+// cluster coordinator gathers from a shard and decodes only to merge.
 func (s *Server) handleTriageExtract(ctx context.Context, r *http.Request) ([]byte, error) {
 	q := r.URL.Query()
 	opts, err := parseTriageOptions(q)
 	if err != nil {
 		return nil, err
 	}
-	name := q.Get("scenario")
-	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
-		i, err := sess.views.Find(name)
-		if err != nil {
-			return nil, serve.BadRequest("%v", err)
+	names := q["scenario"]
+	if len(names) == 0 {
+		names = []string{""}
+	}
+	idx := make([]int, len(names))
+	for j, name := range names {
+		idx[j] = slices.IndexFunc(s.scenarioSet, func(ref ScenarioRef) bool { return ref.Name == name || name == "" })
+		if idx[j] < 0 {
+			return nil, serve.BadRequest("unknown scenario %q", name)
 		}
-		return TriageExtract{Epoch: epoch, ScenarioExtract: s.triageExtract(sess, i, opts)}, nil
+	}
+	serve.InfoFrom(ctx).Binary = true
+	return s.readSnapshot(ctx, r, func(sess *session, epoch int64) (any, error) {
+		exs := make([]triage.ScenarioExtract, len(idx))
+		for j, i := range idx {
+			exs[j] = s.triageExtract(sess, i, opts)
+		}
+		return sess.triage.EncodeExtracts(epoch, exs), nil
 	})
 }
 

@@ -70,7 +70,9 @@ func TestRendersBorrowWithoutWaiting(t *testing.T) {
 	opts := triage.Options{K: 3, Window: 10}
 	renders := []func() any{
 		func() any { return s.triageReport(sess, 0, opts) },
-		func() any { return TriageExtract{ScenarioExtract: s.triageExtract(sess, 1, opts)} },
+		func() any {
+			return sess.triage.EncodeExtracts(0, []triage.ScenarioExtract{s.triageExtract(sess, 1, opts)})
+		},
 		func() any { return sess.pathsReport(0, 0, sta.Setup, 10) },
 		func() any { return sess.pathsReport(0, 1, sta.Hold, 10) },
 	}

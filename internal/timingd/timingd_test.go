@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"newgame/internal/pack"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
+	"newgame/internal/triage"
 	"newgame/internal/units"
 )
 
@@ -497,6 +499,59 @@ func TestQueryCacheEpochScoped(t *testing.T) {
 	_, afterMisses1 := s.cache.Stats()
 	if afterMisses1 != afterMisses0+1 {
 		t.Fatalf("post-commit query did not miss (misses %d -> %d)", afterMisses0, afterMisses1)
+	}
+}
+
+// The header a coordinator forwards a body by: on every read route, on a
+// miss and on the hit that follows, before and after a commit, X-Epoch
+// names the epoch the body carries; an error reply carries none.
+func TestXEpochNamesTheBodysEpoch(t *testing.T) {
+	s, hs := newTestServer(t, nil)
+	sc := s.cfg.Recipe.Scenarios[1].Name
+	check := func(target string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var body struct{ Epoch *int64 }
+		if resp.StatusCode != 200 {
+			if h, ok := resp.Header["X-Epoch"]; ok {
+				t.Errorf("%s answered %d with X-Epoch %v", target, resp.StatusCode, h)
+			}
+			return
+		}
+		if strings.HasPrefix(target, "/triage/extract") {
+			epoch, _, err := triage.DecodeExtracts(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body.Epoch = &epoch
+		} else if err := json.Unmarshal(b, &body); err != nil || body.Epoch == nil {
+			t.Fatalf("%s: no epoch in %.200s", target, b)
+		}
+		if h := resp.Header.Get("X-Epoch"); h != strconv.FormatInt(*body.Epoch, 10) {
+			t.Errorf("%s: X-Epoch %q, body epoch %d", target, h, *body.Epoch)
+		}
+	}
+	targets := []string{"/slack", "/endpoints?scenario=" + sc, "/paths?kind=hold&scenario=" + sc,
+		"/triage", "/triage/extract?scenario=" + sc, "/paths?k=0", "/triage/extract?scenario=nope"}
+	cell, to := resizeTarget(t)
+	_, _, d := fixture(t)
+	for _, to := range []string{to, d.Cell(cell).TypeName} {
+		for range 2 { // a miss, then a hit
+			for _, target := range targets {
+				check(target)
+			}
+		}
+		if code, b := post(t, hs.URL, "/eco", opsJSON(Op{Kind: "resize", Cell: cell, To: to})); code != 200 {
+			t.Fatalf("eco: %d %s", code, b)
+		}
+	}
+	if s.Epoch() != 2 {
+		t.Fatalf("epoch %d after two commits", s.Epoch())
 	}
 }
 

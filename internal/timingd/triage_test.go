@@ -3,7 +3,9 @@ package timingd
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,20 +59,47 @@ func TestTriageReport(t *testing.T) {
 	}
 }
 
+// TestTriageExtract: /triage/extract answers every scenario asked, in the
+// order asked, from one session read — one pack/wire reply at one epoch,
+// each extract the one a request for that scenario alone answers — and
+// refuses an unknown name before rendering any.
 func TestTriageExtract(t *testing.T) {
-	_, hs := newTestServer(t, nil)
-	code, b := get(t, hs.URL, "/triage/extract?scenario=func_ff_cb")
-	if code != 200 {
-		t.Fatalf("/triage/extract answered %d: %s", code, b)
+	s, hs := newTestServer(t, nil)
+	one := func(target string) (int64, []triage.ScenarioExtract) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/octet-stream" {
+			t.Fatalf("%s answered %d %s: %.200s", target, resp.StatusCode, resp.Header.Get("Content-Type"), b)
+		}
+		epoch, exs, err := triage.DecodeExtracts(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return epoch, exs
 	}
-	var ex TriageExtract
-	if err := json.Unmarshal(b, &ex); err != nil {
-		t.Fatal(err)
+	names := []string{s.cfg.Recipe.Scenarios[1].Name, s.cfg.Recipe.Scenarios[0].Name}
+	epoch, exs := one("/triage/extract?scenario=" + names[0] + "&scenario=" + names[1])
+	if epoch != 0 || len(exs) != 2 {
+		t.Fatalf("epoch %d, %d extracts", epoch, len(exs))
 	}
-	if ex.Scenario != "func_ff_cb" || len(ex.Violations) == 0 || ex.AnalyzedPairs == 0 {
-		t.Fatalf("extract shape: %+v", ex.ScenarioExtract)
+	if len(exs[0].Violations) == 0 || exs[0].AnalyzedPairs == 0 {
+		t.Fatalf("%s extracted no violation: %+v", names[0], exs[0])
 	}
-	if code, b := get(t, hs.URL, "/triage/extract?scenario=nope"); code != 400 {
+	for i, name := range names {
+		if exs[i].Scenario != name {
+			t.Fatalf("extract %d is %s's, want %s's", i, exs[i].Scenario, name)
+		}
+		_, alone := one("/triage/extract?scenario=" + name)
+		if !reflect.DeepEqual(alone, exs[i:i+1]) {
+			t.Errorf("%s asked alone differs from %s asked in a leg", name, name)
+		}
+	}
+	if code, b := get(t, hs.URL, "/triage/extract?scenario="+names[0]+"&scenario=nope"); code != 400 {
 		t.Fatalf("unknown scenario answered %d: %s", code, b)
 	}
 	if code, _ := get(t, hs.URL, "/triage?window=bogus"); code != 400 {

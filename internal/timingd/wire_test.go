@@ -15,6 +15,8 @@ import (
 	"text/template"
 
 	"newgame/internal/pack"
+	"newgame/internal/serve"
+	"newgame/internal/triage"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
@@ -53,6 +55,32 @@ func replay(h http.Handler, r wireRequest) (int, []byte) {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
 	return w.Code, w.Body.Bytes()
+}
+
+// transcribe renders a /triage/extract reply, which is pack/wire, as the
+// JSON of what it decodes to: per extract, one line of its fields next to
+// the reply's epoch. Every other body is JSON already and stays as sent.
+func transcribe(t *testing.T, r wireRequest, code int, body []byte) []byte {
+	t.Helper()
+	if code != http.StatusOK || !strings.HasPrefix(r.target, "/triage/extract?") {
+		return body
+	}
+	epoch, exs, err := triage.DecodeExtracts(body)
+	if err != nil {
+		t.Fatalf("%s: %v", r.target, err)
+	}
+	var out []byte
+	for _, ex := range exs {
+		line, err := serve.JSON(struct {
+			Epoch int64 `json:"epoch"`
+			triage.ScenarioExtract
+		}{epoch, ex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, line...)
+	}
+	return out
 }
 
 // checkGolden compares got with the golden file, or rewrites it under
@@ -123,7 +151,7 @@ func TestWireGolden(t *testing.T) {
 			}
 			body = bytes.ReplaceAll(body, []byte(dir), []byte("$SNAPSHOT_DIR"))
 		}
-		fmt.Fprintf(&out, ">>> %s\n%d\n%s", strings.TrimSpace(r.method+" "+r.target+" "+r.body), code, body)
+		fmt.Fprintf(&out, ">>> %s\n%d\n%s", strings.TrimSpace(r.method+" "+r.target+" "+r.body), code, transcribe(t, r, code, body))
 	}
 	packBytes, err := os.ReadFile(save.Path)
 	if err != nil {

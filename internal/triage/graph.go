@@ -53,7 +53,7 @@ type Report struct {
 // table — per segment of the analyzers' shared sta.Topology, its "from>to"
 // key, built the first time any scenario's extraction meets the segment and
 // kept across calls and epochs until the topology is another — and the
-// maps and arrays the merge clears and reuses.
+// maps and arrays the merge and the extract codec clear and reuse.
 //
 // A Graph is safe for concurrent use. A call that finds it busy runs on a
 // fresh one instead of waiting: same answer, its own scratch.
@@ -83,6 +83,10 @@ type Graph struct {
 	scens     []scenStat
 	order     []int // a component's scenarios, first-appearance order
 	bestN     []int // component -> its dominant segment's count
+
+	// The extract reply's string table (EncodeExtracts).
+	strID map[string]uint32
+	strs  []string
 }
 
 // NewGraph returns an empty workspace. rec, when non-nil, counts the keys
@@ -97,6 +101,7 @@ func NewGraph(rec *obs.Recorder) *Graph {
 		segID:     map[string]int{},
 		byFeature: map[feature]int{},
 		scenID:    map[string]int{},
+		strID:     map[string]uint32{},
 	}
 }
 

@@ -52,6 +52,17 @@ wait_until() {
   fail "timed out waiting for $desc"
 }
 
+# same_read TARGET TAG: the coordinator answers GET TARGET with the single
+# node's bytes (the node is booted below).
+same_read() {
+  curl -sf "http://$SN_ADDR$1" >"$WORK/single.$2" || fail "single-node GET $1"
+  curl -sf "$COORD$1" >"$WORK/cluster.$2" || fail "cluster GET $1"
+  cmp "$WORK/single.$2" "$WORK/cluster.$2" \
+    || fail "$1 diverges between single node and 2-shard cluster"
+}
+PATHS_Q="/paths?scenario=$W2_SCEN&kind=setup&k=20"
+ENDPOINTS_Q="/endpoints?scenario=$W1_SCEN&kind=hold&limit=40"
+
 go build -o "$BIN" ./cmd/timingd
 
 # Seed pack: one plain daemon builds the design, saves a snapshot, dies.
@@ -120,6 +131,10 @@ curl -sf "$COORD/triage" >"$WORK/triage_cluster.json" || fail "cluster GET /tria
 grep -q '"stats"' "$WORK/triage_single.json" || fail "single-node /triage has no stats"
 cmp "$WORK/triage_single.json" "$WORK/triage_cluster.json" \
   || fail "/triage diverges between single node and 2-shard cluster"
+# A proxied read is the worker's body passed through unchanged.
+same_read "$PATHS_Q" paths0
+same_read "$ENDPOINTS_Q" endpoints0
+grep -q '^{"epoch":0,' "$WORK/cluster.paths0" || fail "cluster /paths not at epoch 0"
 # The gathered what-if: each shard evaluates the op on its own scenarios,
 # and the merged report must be the single node's, byte for byte.
 curl -sf -d "{\"ops\":[$OP_JSON]}" "http://$SN_ADDR/whatif" >"$WORK/whatif_single.json" \
@@ -127,7 +142,7 @@ curl -sf -d "{\"ops\":[$OP_JSON]}" "http://$SN_ADDR/whatif" >"$WORK/whatif_singl
 curl -sf -d "{\"ops\":[$OP_JSON]}" "$COORD/whatif" >"$WORK/whatif_cluster.json" || fail "cluster POST /whatif"
 cmp "$WORK/whatif_single.json" "$WORK/whatif_cluster.json" \
   || fail "/whatif diverges between single node and 2-shard cluster"
-echo "cluster smoke: /triage and /whatif byte-identical between single node and 2-shard cluster"
+echo "cluster smoke: /triage, /paths, /endpoints and /whatif byte-identical between single node and 2-shard cluster"
 
 # Concurrent burst, a fixed count and no clock: 8 clients × 20 rounds of
 # GET /slack and GET /paths with a POST /whatif every 4th round, all through
@@ -169,9 +184,12 @@ curl -sf "$COORD/triage" >"$WORK/triage_cluster1.json" || fail "cluster GET /tri
 grep -q '^{"epoch":1,' "$WORK/triage_single1.json" || fail "single-node /triage not at epoch 1"
 cmp "$WORK/triage_single1.json" "$WORK/triage_cluster1.json" \
   || fail "/triage diverges between single node and 2-shard cluster after the ECO"
+same_read "$PATHS_Q" paths1
+same_read "$ENDPOINTS_Q" endpoints1
+grep -q '^{"epoch":1,' "$WORK/cluster.endpoints1" || fail "cluster /endpoints not at epoch 1"
 kill "$SNPID"; wait "$SNPID" 2>/dev/null || true
 unset SNPID
-echo "cluster smoke: /triage byte-identical across the ECO too"
+echo "cluster smoke: /triage, /paths and /endpoints byte-identical across the ECO too"
 
 # Eight readers loop on /slack in the background until told to stop, then
 # kill -9 a worker under them: the cluster must degrade, not die. answered
