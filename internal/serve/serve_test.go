@@ -131,6 +131,36 @@ func TestHandleAnnouncesContentLength(t *testing.T) {
 	}
 }
 
+// A pack/wire body goes out as the route made it, as
+// application/octet-stream and with its X-Epoch, and ?debug=trace does not
+// wrap it; an error reply carries no X-Epoch though its body set one.
+func TestHandleBinaryBody(t *testing.T) {
+	sp := &Spine{NS: "t", Requests: obs.NewRing[obs.RequestRecord](8), Cache: NewCache(1)}
+	bin := []byte{0, 1, '{', 0xff}
+	h := sp.Handle("bin", http.MethodGet, func(ctx context.Context, r *http.Request) ([]byte, error) {
+		info := InfoFrom(ctx)
+		info.Binary, info.Epoch = true, 3
+		if r.URL.Query().Has("fail") {
+			return nil, BadRequest("no")
+		}
+		return bin, nil
+	})
+	for _, target := range []string{"/", "/?debug=trace", "/?fail"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		epoch, hasEpoch := w.Header()["X-Epoch"]
+		if target == "/?fail" {
+			if w.Code != 400 || hasEpoch {
+				t.Errorf("%s: %d, X-Epoch %v", target, w.Code, epoch)
+			}
+			continue
+		}
+		if w.Code != 200 || !bytes.Equal(w.Body.Bytes(), bin) || w.Header().Get("Content-Type") != "application/octet-stream" || w.Header().Get("X-Epoch") != "3" {
+			t.Errorf("%s: %d %q, headers %v", target, w.Code, w.Body.Bytes(), w.Header())
+		}
+	}
+}
+
 func TestDecodeBounds(t *testing.T) {
 	var v struct {
 		A string `json:"a"`
