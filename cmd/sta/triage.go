@@ -58,7 +58,7 @@ func runTriage(out io.Writer, d *netlist.Design, lib *liberty.Library, stack *pa
 		Parasitics: sta.NewNetBinder(stack, 1),
 		Workers:    tc.workers, AnalysisWorkers: tc.workers,
 	}
-	if err := views.Build(context.Background(), nil); err != nil {
+	if err := views.Build(context.Background()); err != nil {
 		return err
 	}
 	extracts := make([]triage.ScenarioExtract, len(scens))

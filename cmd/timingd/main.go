@@ -91,8 +91,8 @@ func main() {
 	}
 	if *restore != "" {
 		// Warm boot: the whole resident state — design, libraries, recipe,
-		// parasitics, frozen timing topology — comes from the pack; no
-		// generation, no characterization, no levelization.
+		// parasitics — comes from the pack; no generation and no
+		// characterization. The netlist is levelized as on any boot.
 		snap, err := pack.Load(*restore)
 		if err != nil {
 			fatal(err)

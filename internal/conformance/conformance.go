@@ -119,7 +119,7 @@ func Registry() []Invariant {
 		},
 		{
 			Name:  "pack-roundtrip-identical",
-			Law:   "a snapshot pack round-trip — encode, decode, rebuild from decoded bytes only — reproduces the live analyzer's observable timing state bit-for-bit, with the frozen topology adopted unchanged",
+			Law:   "a snapshot pack round-trip — encode, decode, rebuild from decoded bytes only — reproduces the live analyzer's observable timing state bit-for-bit",
 			Scope: PerDesign,
 			Check: checkPackRoundTrip,
 		},
@@ -325,7 +325,7 @@ func buildViews(d *netlist.Design, scens []core.Scenario, period units.Ps, trees
 		D: d, ClockPort: d.Port("clk"), BasePeriod: period, Scenarios: scens,
 		Parasitics: trees, Workers: 1, AnalysisWorkers: 1,
 	}
-	return v, v.Build(context.Background(), nil)
+	return v, v.Build(context.Background())
 }
 
 // rig is one booted timingd deployment behind one client: a single node

@@ -10,12 +10,11 @@ import (
 )
 
 // checkPackRoundTrip is the persistence law: serializing the complete
-// resident state — design, library, parasitic trees, frozen topology —
-// through the binary pack and rebuilding an analyzer from nothing but the
-// decoded bytes must reproduce the live analyzer's observable timing
-// state bit-for-bit. This is what makes timingd's -restore trustworthy:
-// a warm-started server is indistinguishable from the one that saved the
-// pack.
+// resident state — design, library, parasitic trees — through the binary
+// pack and rebuilding an analyzer from nothing but the decoded bytes must
+// reproduce the live analyzer's observable timing state bit-for-bit. This
+// is what makes timingd's -restore trustworthy: a warm-started server is
+// indistinguishable from the one that saved the pack.
 func checkPackRoundTrip(cx *Ctx) error {
 	period := units.Ps(cx.Spec.Period)
 	cfg := cx.fullCfg(0)
@@ -38,7 +37,6 @@ func checkPackRoundTrip(cx *Ctx) error {
 		ClockPort:  "clk",
 		BasePeriod: period,
 		Seed:       cx.Spec.Seed,
-		Topology:   a1.Topology(),
 		Parasitics: cfg.Parasitics,
 	}
 	data, err := pack.Encode(snap)
@@ -51,16 +49,13 @@ func checkPackRoundTrip(cx *Ctx) error {
 	}
 
 	// The rebuild uses only decoded state: decoded design, decoded
-	// library, saved trees, adopted topology. Constraints are rebuilt the
-	// same way any boot would rebuild them.
+	// library, saved trees. Constraints are rebuilt and the graph levelized
+	// the same way any boot would.
 	cons2 := cx.constraintsFor(dec.Design, period)
-	cfg.Lib, cfg.Parasitics, cfg.Topology = dec.Recipe.Scenarios[0].Lib, dec.Parasitics, dec.Topology
+	cfg.Lib, cfg.Parasitics = dec.Recipe.Scenarios[0].Lib, dec.Parasitics
 	a2, err := analyze(dec.Design, cons2, cfg)
 	if err != nil {
 		return fmt.Errorf("rebuild from decoded pack: %w", err)
-	}
-	if a2.Topology() != dec.Topology {
-		return fmt.Errorf("decoded topology not adopted: analyzer re-levelized instead")
 	}
 	return sameState("restored analyzer across the pack round-trip", a2, a1)
 }

@@ -295,7 +295,7 @@ func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	} else {
 		e.resident.from = in
 		e.resident.views = e.views(append([]Scenario(nil), e.Recipe.Scenarios...), e.surveyScenario)
-		err = e.resident.views.Build(context.Background(), nil)
+		err = e.resident.views.Build(context.Background())
 	}
 	if err != nil {
 		// A failed run leaves the analyzers half-timed: forget them.

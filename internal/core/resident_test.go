@@ -181,7 +181,7 @@ func TestCloseLeavesAnalyzersCurrent(t *testing.T) {
 		e.tune(s, cons, cfg, nil)
 		return nil
 	})
-	if err := rebuilt.Build(context.Background(), nil); err != nil {
+	if err := rebuilt.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range recipe.Scenarios {
@@ -387,6 +387,39 @@ func TestRepairLevelizesEachRevisionOnce(t *testing.T) {
 	}
 	if got := e.Obs.Counter("sta.topologies_built").Value(); got != int64(len(seen)) {
 		t.Errorf("the fix phase built %d topologies for %d netlist revisions timed", got, len(seen))
+	}
+}
+
+// A sibling scenario adopts scenario 0's graph whatever type name a fix
+// pass gave a cell, so long as its arc shape is the one the graph was built
+// with. On C5315 under the new goal posts, a DRC pass upsizes a driver to a
+// type the design did not use before (NOR3_X8_SVT); the re-run after it
+// still levelizes once. One Close() builds ten topologies over six
+// iterations.
+func TestCloseAdoptsTheGraphAcrossUpsizes(t *testing.T) {
+	recipe := detRecipes(t)["new"]
+	d := circuits.C5315(recipe.Scenarios[0].Lib)
+	before := map[string]bool{}
+	for _, c := range d.Cells {
+		before[c.TypeName] = true
+	}
+	e := &Engine{
+		D: d, Recipe: recipe, BasePeriod: 560, ClockPort: d.Port("clk"),
+		Parasitics: sta.NewNetBinder(parasitics.Stack16(), 42), Obs: obs.NewRecorder(),
+	}
+	res, err := e.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upsized := false
+	for _, c := range d.Cells {
+		upsized = upsized || !before[c.TypeName]
+	}
+	if len(res.Iterations) != 6 || !upsized {
+		t.Fatalf("fixture no longer runs six iterations with an upsize to a new type: %d iterations, upsized %v", len(res.Iterations), upsized)
+	}
+	if got := e.Obs.Counter("sta.topologies_built").Value(); got != 10 {
+		t.Errorf("Close built %d topologies, want 10", got)
 	}
 }
 

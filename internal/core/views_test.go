@@ -105,7 +105,7 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 			kept   bool // the step re-times the analyzers it found
 			run    func() error
 		}{
-			{"build", true, false, func() error { return v.Build(context.Background(), nil) }},
+			{"build", true, false, func() error { return v.Build(context.Background()) }},
 			{"update", false, true, func() error {
 				for _, c := range retype(10) {
 					for _, a := range v.Analyzers() {
@@ -144,7 +144,7 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 				if step.kept && a != found[i] {
 					t.Errorf("workers %d, %s: scenario %d's analyzer was replaced", workers, step.name, i)
 				}
-				if i > 0 && a.Topology() != v.Topology() {
+				if i > 0 && a.Topology() != v.Analyzers()[0].Topology() {
 					t.Errorf("workers %d, %s: scenario %d does not share scenario 0's topology", workers, step.name, i)
 				}
 			}
@@ -153,7 +153,7 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 					workers, step.name, hooked.Load(), finished.Load(), want)
 			}
 			fresh := viewsOver(d.Clone(), recipe, 1)
-			if err := fresh.Build(context.Background(), nil); err != nil {
+			if err := fresh.Build(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			got, want := fingerprints(v), fingerprints(fresh)
@@ -164,7 +164,7 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 			}
 
 			before := append([]*sta.Analyzer(nil), v.Analyzers()...)
-			err := v.Build(cancelled, nil)
+			err := v.Build(cancelled)
 			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "scenario "+v.Scenarios[0].Name) {
 				t.Errorf("workers %d, %s: cancelled Build returned %v", workers, step.name, err)
 			}
@@ -183,7 +183,7 @@ func TestViewsMatchFreshBuild(t *testing.T) {
 		v.Scenarios[1].Lib, v.Scenarios[3].Lib = nil, nil
 		hooked.Store(0)
 		finished.Store(0)
-		err := v.Build(context.Background(), nil)
+		err := v.Build(context.Background())
 		if err == nil || !strings.HasPrefix(err.Error(), "scenario "+good[1].Name+":") {
 			t.Errorf("workers %d: Build with scenarios 1 and 3 broken returned %v", workers, err)
 		}
@@ -209,7 +209,7 @@ func TestViewsBuildPanicReachesCaller(t *testing.T) {
 	})
 	for _, workers := range []int{1, 4} {
 		v := viewsOver(d, recipe, workers)
-		if err := v.Build(context.Background(), nil); err != nil {
+		if err := v.Build(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		before, want := append([]*sta.Analyzer(nil), v.Analyzers()...), fingerprints(v)
@@ -223,7 +223,7 @@ func TestViewsBuildPanicReachesCaller(t *testing.T) {
 		}
 		r := func() (r any) {
 			defer func() { r = recover() }()
-			v.Build(context.Background(), nil)
+			v.Build(context.Background())
 			return nil
 		}()
 		if r != "hook "+v.Scenarios[2].Name {
@@ -241,14 +241,14 @@ func TestViewsBuildPanicReachesCaller(t *testing.T) {
 }
 
 // A failing scenario is named, whichever worker ran it, and costs nothing
-// already built; a seed topology from a clone's set is adopted.
-func TestViewsBuildErrorAndSeed(t *testing.T) {
+// already built; Find resolves scenario names.
+func TestViewsBuildErrorAndFind(t *testing.T) {
 	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
 	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
 		Name: "views", Inputs: 6, Outputs: 6, FFs: 8, Gates: 60, MaxDepth: 6, Seed: 3, ClockBufferLevels: 1,
 	})
 	v := viewsOver(d, recipe, 4)
-	if err := v.Build(context.Background(), nil); err != nil {
+	if err := v.Build(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	built := append([]*sta.Analyzer(nil), v.Analyzers()...)
@@ -256,7 +256,7 @@ func TestViewsBuildErrorAndSeed(t *testing.T) {
 	good := v.Scenarios
 	v.Scenarios = append([]core.Scenario(nil), good...)
 	v.Scenarios[2].Lib = nil
-	if err := v.Build(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "scenario "+good[2].Name+":") {
+	if err := v.Build(context.Background()); err == nil || !strings.Contains(err.Error(), "scenario "+good[2].Name+":") {
 		t.Errorf("Build with scenario %s broken returned %v", good[2].Name, err)
 	}
 	for i, a := range v.Analyzers() {
@@ -273,19 +273,6 @@ func TestViewsBuildErrorAndSeed(t *testing.T) {
 	}
 	if _, err := v.Find("nope"); err == nil || err.Error() != `unknown scenario "nope"` {
 		t.Errorf("Find of an unknown scenario returned %v", err)
-	}
-
-	twin := viewsOver(d.Clone(), recipe, 1)
-	if err := twin.Build(context.Background(), v.Topology()); err != nil {
-		t.Fatal(err)
-	}
-	if twin.Topology() != v.Topology() {
-		t.Error("a set over a clone did not adopt the seed topology")
-	}
-	for i, fp := range fingerprints(twin) {
-		if fp != conformance.Fingerprint(built[i]) {
-			t.Errorf("scenario %d over the adopted topology differs", i)
-		}
 	}
 }
 
@@ -315,7 +302,7 @@ func TestViewsRetainedBytesPerScenario(t *testing.T) {
 			v := viewsOver(d.Clone(), recipe, 1)
 			v.Scenarios, v.Obs = v.Scenarios[:n], obs.NewRecorder()
 			before := heapAfterGC()
-			if err := v.Build(context.Background(), nil); err != nil {
+			if err := v.Build(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			trials[i] = heapAfterGC() - before

@@ -42,12 +42,12 @@ func socSnapshot(t testing.TB) *Snapshot {
 			Scenarios: recipe.Scenarios[:1], Parasitics: sta.NewKeyedNetBinder(stack, 42),
 			Workers: 1, AnalysisWorkers: 1,
 		}
-		if err := v.Build(context.Background(), nil); err != nil {
+		if err := v.Build(context.Background()); err != nil {
 			panic(err)
 		}
 		socSnap = &Snapshot{
 			Design: d, Recipe: &recipe, Stack: stack, ClockPort: "clk",
-			BasePeriod: 560, Seed: 42, Topology: v.Topology(), Parasitics: v.Parasitics,
+			BasePeriod: 560, Seed: 42, Parasitics: v.Parasitics,
 		}
 	})
 	return socSnap

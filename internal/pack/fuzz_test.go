@@ -16,7 +16,7 @@ import (
 )
 
 // tinySnapshot is a minimal-but-complete pack: one buffer cell, a two-net
-// design, one parasitic tree, a one-scenario recipe, no topology. Small
+// design, one parasitic tree, a one-scenario recipe. Small
 // enough to seed the fuzz corpus without bloating testdata.
 func tinySnapshot(t testing.TB) *Snapshot {
 	t.Helper()
@@ -175,6 +175,14 @@ func hostileStackPacks(t testing.TB) (names []string, packs [][]byte) {
 	return names, packs
 }
 
+// withVersion is a copy of pack b whose header names format version v. The
+// header carries no checksum, so only the version check can refuse it.
+func withVersion(b []byte, v uint16) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint16(out[4:], v)
+	return out
+}
+
 // FuzzPackDecode feeds hostile bytes to the full decode stack. The contract
 // under attack: never panic, never over-allocate (wire.Reader caps every
 // count by remaining bytes), and anything that decodes must re-encode.
@@ -199,6 +207,7 @@ func FuzzPackDecode(f *testing.F) {
 	for _, b := range append(append(invalid, hostile...), stacks...) {
 		f.Add(b)
 	}
+	f.Add(withVersion(tiny, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {

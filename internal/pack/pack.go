@@ -1,10 +1,11 @@
 // Package pack implements the binary snapshot format for timingd's full
 // resident state — the netlist design, the corner libraries with their NLDM
-// and LVF tables, the synthesized parasitic trees, the signoff recipe, and
-// the frozen SoA timing-graph topology — plus the append-only epoch log of
-// committed edits (log.go). Together they give the daemon O(read) warm
-// starts that skip text parsing and Kahn levelization, crash recovery by
-// replaying the log tail onto the last snapshot, and point-in-time rewind.
+// and LVF tables, the synthesized parasitic trees and the signoff recipe —
+// plus the append-only epoch log of committed edits (log.go). Together they
+// give the daemon warm starts that skip text parsing and library
+// characterization, crash recovery by replaying the log tail onto the last
+// snapshot, and point-in-time rewind. The timing graph is not saved: a
+// restore levelizes the decoded netlist, as every boot does.
 //
 // Container layout (DESIGN.md §14): a 4-byte magic "NGTP", a u16 format
 // version, a u16 section count, then a section table of {tag[4], offset
@@ -38,8 +39,9 @@ import (
 const (
 	// Magic identifies a snapshot pack file.
 	Magic = "NGTP"
-	// Version is the current format version.
-	Version = 1
+	// Version is the current format version. Version 1 packs carried the
+	// timing graph in a TOPO section; they are refused by name.
+	Version = 2
 
 	headerSize       = 4 + 2 + 2 // magic + version + section count
 	sectionEntrySize = 4 + 8 + 8 + 4
@@ -53,7 +55,6 @@ const (
 	secLibs   = "LIBS" // deduplicated corner libraries
 	secRecipe = "SCEN" // signoff recipe; scenarios reference LIBS by index
 	secStack  = "STAK" // BEOL metal stack
-	secTopo   = "TOPO" // frozen SoA timing-graph topology
 	secTrees  = "TREE" // synthesized per-net RC trees
 )
 
@@ -68,9 +69,6 @@ type Snapshot struct {
 	Seed         int64
 	// Epoch is the committed-edit epoch the state reflects.
 	Epoch int64
-	// Topology is the frozen timing graph, or nil if none was saved; a
-	// restored server adopts it to skip pointer-walk and levelization.
-	Topology *sta.Topology
 	// Parasitics is the design's RC trees. Encode saves the tree each net is
 	// timed with, in net order; Decode fills them into a table that routes
 	// any other net by sta.NewKeyedNetBinder's rule over Stack and Seed.
@@ -123,13 +121,6 @@ func encode(s *Snapshot) (*encoded, error) {
 		{secStack, func(w *wire.Writer) error { encodeStack(w, s.Stack); return nil }},
 		{secLibs, func(w *wire.Writer) error { return encodeLibs(w, libs) }},
 		{secRecipe, func(w *wire.Writer) error { return encodeRecipe(w, s.Recipe, libIdx) }},
-		{secTopo, func(w *wire.Writer) error {
-			w.Bool(s.Topology != nil)
-			if s.Topology != nil {
-				sta.PackTopology(w, s.Topology)
-			}
-			return nil
-		}},
 		{secTrees, func(w *wire.Writer) error { encodeTrees(w, s.Design, s.Parasitics); return nil }},
 	}
 
@@ -253,18 +244,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	if s.Recipe, err = decodeRecipe(r, libs, len(s.Stack.Layers)); err != nil {
-		return nil, err
-	}
-
-	if r, err = need(secTopo); err != nil {
-		return nil, err
-	}
-	if r.Bool() {
-		if s.Topology, err = sta.UnpackTopology(r); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.Done(); err != nil {
 		return nil, err
 	}
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,11 +14,10 @@ import (
 	"newgame/internal/liberty"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
-	"newgame/internal/units"
 )
 
 // The fixture snapshot is a real (small) design analyzed by a real run, so
-// the pack carries a genuine frozen topology and genuine synthesized trees.
+// the pack carries genuine synthesized trees.
 var (
 	fixOnce sync.Once
 	fixSnap *Snapshot
@@ -72,7 +72,6 @@ func testSnapshot(t testing.TB) *Snapshot {
 			InputArrival: 20,
 			Seed:         11,
 			Epoch:        3,
-			Topology:     a.Topology(),
 			Parasitics:   binder,
 		}
 	})
@@ -104,9 +103,6 @@ func TestRoundTripByteStable(t *testing.T) {
 		dec.BasePeriod != snap.BasePeriod || dec.InputArrival != snap.InputArrival || dec.Seed != snap.Seed {
 		t.Fatalf("meta mismatch: %+v", dec)
 	}
-	if dec.Topology == nil {
-		t.Fatal("topology not decoded")
-	}
 	for i, n := range snap.Design.Nets {
 		if !reflect.DeepEqual(snap.Parasitics.Tree(n), dec.Parasitics.Tree(dec.Design.Nets[i])) {
 			t.Fatalf("net %s: decoded tree differs from the saved one", n.Name)
@@ -117,34 +113,20 @@ func TestRoundTripByteStable(t *testing.T) {
 	}
 }
 
-// A decoded topology must be adoptable by a fresh analyzer over the decoded
-// design — the warm-start path — and the analyzer must keep the exact
-// pointer (proof it skipped levelization rather than rebuilt).
-func TestDecodedTopologyAdopted(t *testing.T) {
-	snap := testSnapshot(t)
-	b, err := Encode(snap)
+// A pack whose header names another format version is refused by name,
+// both versions in the error: version 1 packs carried the timing graph in a
+// section this version no longer reads.
+func TestOldVersionRefused(t *testing.T) {
+	b, err := Encode(tinySnapshot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Decode(b); err != nil {
+		t.Fatalf("current pack refused: %v", err)
 	}
-	cons := sta.NewConstraints()
-	cons.AddClock("clk", units.Ps(600), dec.Design.Port("clk"))
-	a, err := sta.New(dec.Design, cons, sta.Config{
-		Lib: dec.Recipe.Scenarios[0].Lib, Parasitics: dec.Parasitics,
-		Derate: sta.DefaultAOCV(), SI: sta.DefaultSI(), MIS: true,
-		Topology: dec.Topology,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Topology() != dec.Topology {
-		t.Fatal("analyzer rebuilt the topology instead of adopting the decoded one")
-	}
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
+	_, err = Decode(withVersion(b, 1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
+		t.Fatalf("version 1 pack: %v, want an error naming versions 1 and 2", err)
 	}
 }
 

@@ -154,7 +154,7 @@ func (w *Writer) String(s string) {
 }
 
 // I32Slab appends a u32 count followed by the values as raw little-endian
-// 4-byte words — the bulk-copy layout the topology CSR arrays use.
+// 4-byte words — the bulk-copy layout the RC trees' index arrays use.
 func (w *Writer) I32Slab(vs []int32) {
 	w.U32(uint32(len(vs)))
 	for _, v := range vs {
@@ -167,14 +167,6 @@ func (w *Writer) F64Slab(vs []float64) {
 	w.U32(uint32(len(vs)))
 	for _, v := range vs {
 		w.F64(v)
-	}
-}
-
-// BoolSlab appends a u32 count followed by one byte per value.
-func (w *Writer) BoolSlab(vs []bool) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.Bool(v)
 	}
 }
 
@@ -329,22 +321,6 @@ func (r *Reader) F64Slab() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-// BoolSlab reads a u32-counted slab of booleans.
-func (r *Reader) BoolSlab() []bool {
-	n := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.Bool()
-	}
-	if r.err != nil {
-		return nil
 	}
 	return out
 }

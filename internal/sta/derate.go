@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"fmt"
 	"math"
 
 	"newgame/internal/liberty"
@@ -193,3 +194,33 @@ func (l LVF) Sigma(arc *liberty.TimingArc, outRise, late bool, slew, load, d flo
 
 // NSigma returns the endpoint multiple.
 func (l LVF) NSigma() float64 { return l.N }
+
+// checkDerate refuses a derater of one of this package's models that no
+// delay could be derated by: a FlatOCV or AOCV factor (depth-table entries
+// and net factors included) that is not a positive finite number, or a
+// POCV or LVF sigma term (fraction, multiple, fallback) that is not a
+// non-negative finite one. Other Derater implementations pass through.
+func checkDerate(d Derater) error {
+	var factors, sigmas []float64
+	switch v := d.(type) {
+	case FlatOCV:
+		factors = []float64{v.CellLate, v.CellEarly, v.NetLate, v.NetEarly}
+	case AOCV:
+		factors = append(append([]float64{v.NetLate, v.NetEarly}, v.LateByDepth...), v.EarlyByDepth...)
+	case POCV:
+		sigmas = []float64{v.SigmaFrac, v.N}
+	case LVF:
+		sigmas = []float64{v.N, v.Fallback}
+	}
+	for _, f := range factors {
+		if !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("sta: %T derate factor %v is not a positive finite number", d, f)
+		}
+	}
+	for _, s := range sigmas {
+		if !(s >= 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("sta: %T sigma term %v is not a non-negative finite number", d, s)
+		}
+	}
+	return nil
+}

@@ -84,10 +84,10 @@ type Config struct {
 	// Topology, when non-nil, is a frozen graph another analyzer derived
 	// over the same design (or a Clone of it) under shape-compatible
 	// libraries and constraints. Adopting it skips CSR construction,
-	// levelization and clock marking — the per-scenario cost MCMM surveys
-	// and timingd's dual-session snapshots avoid by sharing one read-only
-	// Topology. It is consulted whenever the graph is derived: at New, and
-	// again by the Run that follows a structural edit. An incompatible
+	// levelization and clock marking — the per-scenario cost an MCMM
+	// scenario set (core.Views) avoids by sharing one read-only Topology.
+	// It is consulted whenever the graph is derived: at New, and again by
+	// the Run that follows a structural edit. An incompatible
 	// value is detected and ignored (a private topology is built), so
 	// sharing can never change results.
 	Topology *Topology
@@ -368,6 +368,9 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 		if p := float64(ck.Period); !(p > 0) || math.IsInf(p, 1) {
 			return nil, fmt.Errorf("sta: clock %q period %v ps is not a positive finite number", ck.Name, ck.Period)
 		}
+	}
+	if err := checkDerate(cfg.Derate); err != nil {
+		return nil, err
 	}
 	a := &Analyzer{D: d, Cons: cons, Cfg: cfg, dirtyGen: 1}
 	cfg.Obs.Counter("sta.analyzers_built").Add(1)

@@ -573,6 +573,118 @@ func TestBadClockPeriodRejected(t *testing.T) {
 	}
 }
 
+// A shared topology is adopted whatever type name a cell's master goes by,
+// so long as the master has the arc shape and sequential clock pins the
+// graph was built with: a clone whose cells were upsized to types the
+// original never used adopts it, one whose cell became another function
+// builds its own. Either way it times like a fresh analyzer.
+func TestTopologyAdoptedAcrossSameShapeRetype(t *testing.T) {
+	lib := testLib()
+	a1, d, _ := chainSetup(t, lib, 6, 800, Config{Lib: lib})
+	for _, c := range []struct {
+		name   string
+		retype map[string]string
+		shared bool
+	}{
+		{"upsized inverter", map[string]string{"g2": "INV_X8_LVT"}, true},
+		{"upsized flip-flop", map[string]string{"ff_capture": "DFF_X4_SVT"}, true},
+		{"inverter to NAND2", map[string]string{"g2": "NAND2_X1_SVT"}, false},
+	} {
+		d2 := d.Clone()
+		for cell, to := range c.retype {
+			for _, orig := range d.Cells {
+				if orig.TypeName == to {
+					t.Fatalf("%s: %s is already in the design", c.name, to)
+				}
+			}
+			d2.Cell(cell).SetType(to)
+		}
+		cons := NewConstraints()
+		cons.AddClock("clk", 800, d2.Port("clk"))
+		a2, err := New(d2, cons, Config{Lib: lib, Topology: a1.Topology()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a2.SharedTopology() != c.shared {
+			t.Errorf("%s: adopted the shared topology = %v, want %v", c.name, a2.SharedTopology(), c.shared)
+		}
+		fresh, err := New(d2.Clone(), cons, Config{Lib: lib})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a2.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := a2.Summary(Setup), fresh.Summary(Setup); got != want {
+			t.Errorf("%s: setup summary %+v, a fresh analyzer's %+v", c.name, got, want)
+		}
+	}
+}
+
+// wrapped is a Derater this package does not define: New leaves its
+// values to it.
+type wrapped struct{ Derater }
+
+// A derater of this package's models that no delay could be derated by is
+// refused at New: a multiplicative factor that is not a positive finite
+// number, or a sigma term that is not a non-negative finite one. Sound
+// values, zero sigma terms and derater types New does not know are taken.
+func TestBadDerateRejected(t *testing.T) {
+	lib := testLib()
+	d := circuits.Chain(lib, circuits.ChainSpec{Stages: 3})
+	cons := NewConstraints()
+	cons.AddClock("clk", 500, d.Port("clk"))
+	nan, inf := math.NaN(), math.Inf(1)
+	aocv := func(edit func(a *AOCV)) AOCV {
+		a := DefaultAOCV()
+		a.LateByDepth = append([]float64(nil), a.LateByDepth...)
+		edit(&a)
+		return a
+	}
+	flat := func(edit func(f *FlatOCV)) FlatOCV {
+		f := DefaultFlatOCV()
+		edit(&f)
+		return f
+	}
+	for _, c := range []struct {
+		name string
+		d    Derater
+		ok   bool
+	}{
+		{"default flat", DefaultFlatOCV(), true},
+		{"default AOCV", DefaultAOCV(), true},
+		{"default POCV", DefaultPOCV(), true},
+		{"default LVF", DefaultLVF(), true},
+		{"zero-sigma POCV", POCV{}, true},
+		{"zero-sigma LVF", LVF{}, true},
+		{"AOCV without tables", AOCV{NetLate: 1, NetEarly: 1}, true},
+		{"unknown type", wrapped{FlatOCV{CellLate: -1}}, true},
+		{"flat zero cell early", flat(func(f *FlatOCV) { f.CellEarly = 0 }), false},
+		{"flat negative cell late", flat(func(f *FlatOCV) { f.CellLate = -1.08 }), false},
+		{"flat NaN net late", flat(func(f *FlatOCV) { f.NetLate = nan }), false},
+		{"flat Inf net early", flat(func(f *FlatOCV) { f.NetEarly = inf }), false},
+		{"AOCV zero table entry", aocv(func(a *AOCV) { a.LateByDepth[3] = 0 }), false},
+		{"AOCV NaN table entry", aocv(func(a *AOCV) { a.EarlyByDepth = []float64{0.9, nan} }), false},
+		{"AOCV negative net factor", aocv(func(a *AOCV) { a.NetEarly = -0.96 }), false},
+		{"AOCV Inf net factor", aocv(func(a *AOCV) { a.NetLate = inf }), false},
+		{"POCV negative fraction", POCV{SigmaFrac: -0.04, N: 3}, false},
+		{"POCV NaN multiple", POCV{SigmaFrac: 0.04, N: nan}, false},
+		{"LVF Inf multiple", LVF{N: inf, Fallback: 0.04}, false},
+		{"LVF negative fallback", LVF{N: 3, Fallback: -0.04}, false},
+	} {
+		_, err := New(d, cons, Config{Lib: lib, Derate: c.d})
+		if c.ok && err != nil {
+			t.Errorf("%s: refused: %v", c.name, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "sta: sta.")) {
+			t.Errorf("%s: want an error naming the derater type, got %v", c.name, err)
+		}
+	}
+}
+
 func TestNoiseViolationsOnHighCouplingNet(t *testing.T) {
 	lib := testLib()
 	d := netlist.New("noise")

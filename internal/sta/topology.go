@@ -2,7 +2,6 @@ package sta
 
 import (
 	"fmt"
-	"strings"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -18,11 +17,11 @@ const (
 	vkOutPort
 )
 
-// Topology is the frozen, pointer-free half of an analysis graph: CSR
-// successor lists, per-vertex net fanins, longest-path levels and the
-// clock-network marking — everything that depends only on the design's
-// connectivity, the constraint clock roots and the library's arc *shape*
-// (From/To pin pairs), never on delay tables or per-run state.
+// Topology is the frozen half of an analysis graph: CSR successor lists,
+// per-vertex net fanins, longest-path levels and the clock-network marking
+// — everything that depends only on the design's connectivity, the
+// constraint clock roots and the library's arc *shape* (From/To pin pairs),
+// never on delay tables or per-run state.
 //
 // Because vertex numbering is a pure function of design iteration order
 // (d.Cells in order, each cell's pins in order, then d.Ports) and
@@ -32,9 +31,10 @@ const (
 // read-only Topology instead of each re-levelizing its own copy: pass it
 // via Config.Topology and the graph derivation (New, or the Run after a
 // structural edit) adopts it after a shape validation (vertex/cell/net/port
-// counts, per-master arc signatures, clock-root indices, per-net
-// connectivity). On any mismatch it silently builds a private topology, so
-// an incompatible hint can never change results.
+// counts, each cell's arc shape, clock-root indices, per-net connectivity).
+// On any mismatch it silently builds a private topology, so an incompatible
+// hint can never change results. A Topology lives only in memory: a
+// restored snapshot levelizes its decoded netlist like any other boot.
 type Topology struct {
 	numCells, numNets, numPorts int
 
@@ -65,10 +65,11 @@ type Topology struct {
 	levelVerts []int32
 
 	clockRoots []int32
-	// arcSig fingerprints the arc shape of every master type used, so a
-	// topology built against one scenario's library is only adopted by
-	// analyzers whose libraries share the same cell footprints.
-	arcSig map[string]string
+	// masters is each cell's master when the graph was built: the arc
+	// shape an adopting analyzer's master must share (sameArcShape, plus
+	// the sequential clock-pin flags isCKPin was built from), whatever
+	// library or type name it comes under.
+	masters []*liberty.Cell
 }
 
 // NumVerts returns the vertex count of the frozen graph.
@@ -80,34 +81,6 @@ func (t *Topology) numLevels() int { return len(t.levelOff) - 1 }
 // levelRange returns level l's vertices.
 func (t *Topology) levelRange(l int) []int32 {
 	return t.levelVerts[t.levelOff[l]:t.levelOff[l+1]]
-}
-
-// masterArcSig fingerprints the topology-relevant shape of a master: its
-// arc (From, To) sequence, FF data/clock binding and clock-pin flags. Two
-// libraries whose masters agree on these produce identical CSR graphs.
-func masterArcSig(m *liberty.Cell) string {
-	var b strings.Builder
-	for k := range m.Arcs {
-		b.WriteString(m.Arcs[k].From)
-		b.WriteByte('>')
-		b.WriteString(m.Arcs[k].To)
-		b.WriteByte(';')
-	}
-	if m.FF != nil {
-		b.WriteString("ff:")
-		b.WriteString(m.FF.Data)
-		b.WriteByte(',')
-		b.WriteString(m.FF.Clock)
-		b.WriteByte(';')
-	}
-	for i := range m.Pins {
-		if m.Pins[i].IsClock {
-			b.WriteString("ck:")
-			b.WriteString(m.Pins[i].Name)
-			b.WriteByte(';')
-		}
-	}
-	return b.String()
 }
 
 // sameArcShape reports whether two masters have the same arc (From, To)
@@ -124,6 +97,15 @@ func sameArcShape(m1, m2 *liberty.Cell) bool {
 		}
 	}
 	return true
+}
+
+// seqClockPin reports whether p is a sequential clock pin under master m.
+// Only those terminate clock-network marking and receive useful-skew
+// offsets; a clock-gating cell's CK pin is a through-point (the gated clock
+// continues to the FFs).
+func seqClockPin(m *liberty.Cell, p *netlist.Pin) bool {
+	mp := m.Pin(p.Name)
+	return m.FF != nil && mp != nil && mp.IsClock
 }
 
 // clockRootIndices collects the constraint clock roots as vertex indices,
@@ -145,10 +127,11 @@ func (a *Analyzer) clockRootIndices() []int32 {
 }
 
 // compatible reports whether t can serve analyzer a unchanged: same vertex
-// universe, same per-vertex kinds, same clock roots, and arc-shape-equal
-// masters for every cell type in the design. Connectivity equality beyond
-// the counts is the caller's contract (same design or a Clone of it);
-// everything a different library or constraint set could break is checked.
+// universe, same per-vertex kinds, same clock roots, and every cell's
+// master arc-shape-equal to the one t was built with. Connectivity equality
+// beyond the counts is the caller's contract (same design or a Clone of
+// it); everything a different library, constraint set or same-shape retype
+// could break is checked.
 func (t *Topology) compatible(a *Analyzer) bool {
 	if t.NumVerts() != a.NumVerts() ||
 		t.numCells != len(a.D.Cells) ||
@@ -161,20 +144,17 @@ func (t *Topology) compatible(a *Analyzer) bool {
 			return false
 		}
 	}
-	checked := make(map[string]bool, 16)
 	for ci, c := range a.cells {
+		m, built := a.masters[ci], t.masters[ci]
+		if m != built && !sameArcShape(built, m) {
+			return false
+		}
 		for k, p := range c.Pins {
-			if i := int(a.cellBase[ci]) + k; t.kind[i] != kindOf(p, nil) || t.cellOf[i] != int32(ci) {
+			i := int(a.cellBase[ci]) + k
+			if t.kind[i] != kindOf(p, nil) || t.cellOf[i] != int32(ci) ||
+				m != built && m.FF != nil && t.isCKPin[i] != seqClockPin(m, p) {
 				return false
 			}
-		}
-		if checked[c.TypeName] {
-			continue
-		}
-		checked[c.TypeName] = true
-		m := a.masters[ci]
-		if sig, ok := t.arcSig[c.TypeName]; !ok || sig != masterArcSig(m) {
-			return false
 		}
 	}
 	roots := a.clockRootIndices()
@@ -247,22 +227,13 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		kind:     make([]uint8, n),
 		cellOf:   make([]int32, n),
 		isCKPin:  make([]bool, n),
-		arcSig:   make(map[string]string, 16),
+		masters:  append([]*liberty.Cell(nil), a.masters...),
 	}
 	for ci, c := range a.cells {
-		m := a.masters[ci]
 		for k, p := range c.Pins {
 			i := int(a.cellBase[ci]) + k
 			t.kind[i], t.cellOf[i] = kindOf(p, nil), int32(ci)
-			// Only *sequential* clock pins terminate clock-network marking
-			// and receive useful-skew offsets; a clock-gating cell's CK pin
-			// is a through-point (the gated clock continues to the FFs).
-			if mp := m.Pin(p.Name); mp != nil && mp.IsClock && m.FF != nil {
-				t.isCKPin[i] = true
-			}
-		}
-		if _, ok := t.arcSig[c.TypeName]; !ok {
-			t.arcSig[c.TypeName] = masterArcSig(m)
+			t.isCKPin[i] = seqClockPin(a.masters[ci], p)
 		}
 	}
 	for k, q := range a.ports {

@@ -67,9 +67,10 @@ func BenchmarkBootBuild(b *testing.B) {
 }
 
 // BenchmarkBootPackRestore measures a warm boot: read one binary snapshot,
-// adopt its frozen topology and saved trees, answer queries at the snapshot
-// epoch. The cold road it is compared with (generate, characterize,
-// levelize) is bench/'s timingd.boot_ms beside timingd.boot_restore_ms.
+// levelize its netlist, take its saved trees, answer queries at the
+// snapshot epoch. The cold road it is compared with (generate,
+// characterize, levelize) is bench/'s timingd.boot_ms beside
+// timingd.boot_restore_ms.
 //
 // The bench design is deliberately modest: boot cost on a small block is
 // dominated by the fixed multi-megabyte library payload, which is what the

@@ -41,8 +41,9 @@ func socConfig(t testing.TB) Config {
 
 // The graph is levelized once per netlist shape, however a scenario set
 // comes up: booting the benchmark's node builds one topology, restoring a
-// two-scenario shard from its pack none, a resize ECO none, and a buffer
-// ECO one — scenario 0's, which the other adopts.
+// two-scenario shard from its pack one (the pack carries no graph), a
+// resize ECO none, and a buffer ECO one — scenario 0's, which the other
+// adopts.
 func TestTopologiesBuiltCounts(t *testing.T) {
 	cfg := socConfig(t)
 	cfg.Obs, cfg.SnapshotDir = obs.NewRecorder(), t.TempDir()
@@ -80,7 +81,7 @@ func TestTopologiesBuiltCounts(t *testing.T) {
 		}
 		last = built.Value()
 	}
-	step("a two-scenario restore", 0)
+	step("a two-scenario restore", 1)
 
 	ctx := context.Background()
 	d := shard.sess.views.D

@@ -2,12 +2,16 @@ package timingd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"newgame/internal/core"
 	"newgame/internal/pack"
+	"newgame/internal/sta"
 )
 
 func saveSnapshot(t *testing.T, base string) SaveReport {
@@ -230,5 +234,62 @@ func TestSaveWithoutSnapshotDir(t *testing.T) {
 	code, body := post(t, hs.URL, "/admin/save", "")
 	if code != 400 {
 		t.Fatalf("/admin/save without dir: %d %s", code, body)
+	}
+}
+
+// A pack whose derater no delay can be derated by decodes, since the pack
+// holds what it was given, but the server restored from it refuses to
+// boot, naming the scenario that carries it.
+func TestRestoreRefusesBadDerate(t *testing.T) {
+	recipe, stack, d := fixture(t)
+	recipe.Scenarios = append([]core.Scenario(nil), recipe.Scenarios...)
+	bad := &recipe.Scenarios[len(recipe.Scenarios)-1]
+	flat := sta.DefaultFlatOCV()
+	flat.NetEarly = -flat.NetEarly
+	bad.Derate = flat
+	b, err := pack.Encode(&pack.Snapshot{
+		Design: d, Recipe: &recipe, Stack: stack, ClockPort: "clk",
+		BasePeriod: 560, Seed: 7, Parasitics: sta.NewKeyedNetBinder(stack, 7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pack.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{Restore: snap})
+	if err == nil {
+		s.Close()
+		t.Fatal("a server restored from a pack with a negative net derate booted")
+	}
+	if !strings.Contains(err.Error(), "scenario "+bad.Name+":") || !strings.Contains(err.Error(), "derate") {
+		t.Errorf("boot error %q does not name scenario %s and its derate", err, bad.Name)
+	}
+}
+
+// A pack written by an older format version is refused by name at load,
+// before the server sees any of it, and a boot from what the load returned
+// fails without a panic.
+func TestRestoreRefusesOldPack(t *testing.T) {
+	dir := t.TempDir()
+	_, hs := newTestServer(t, func(c *Config) { c.SnapshotDir = dir })
+	rep := saveSnapshot(t, hs.URL)
+	b, err := os.ReadFile(rep.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	old := filepath.Join(dir, "old.pack")
+	if err := os.WriteFile(old, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pack.Load(old)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
+		t.Fatalf("loading a version 1 pack: %v, want an error naming versions 1 and 2", err)
+	}
+	if s, err := NewServer(Config{Restore: snap, RestorePath: old}); err == nil {
+		s.Close()
+		t.Error("a server booted from a refused pack")
 	}
 }

@@ -84,9 +84,9 @@ type Config struct {
 	// state — crash recovery.
 	SnapshotDir string
 	// Restore, when non-nil, boots from a decoded snapshot pack: Design,
-	// Recipe, Stack, clocking and seed are taken from it and the frozen
-	// timing topology is adopted (skipping levelization). The server takes
-	// the whole snapshot over: it edits the snapshot's design in place,
+	// Recipe, Stack, clocking and seed are taken from it, and the decoded
+	// netlist is levelized as a fresh boot's is. The server takes the whole
+	// snapshot over: it edits the snapshot's design in place,
 	// uncloned, and times it with the snapshot's parasitics table, saved
 	// trees and all, so a snapshot restores at most one server.
 	Restore *pack.Snapshot
@@ -196,14 +196,13 @@ type Server struct {
 
 // NewServer loads the design once and times its one session. With
 // Config.Restore set it boots from the decoded snapshot instead — no text
-// parsing, no levelization — and with a SnapshotDir it then replays the
-// epoch log's tail onto the restored state and opens the log for appends.
+// parsing, no library generation — and with a SnapshotDir it then replays
+// the epoch log's tail onto the restored state and opens the log for
+// appends.
 func NewServer(cfg Config) (*Server, error) {
 	c := cfg.withDefaults()
-	var restoreTopo *sta.Topology
 	if c.Restore != nil {
 		c.applyRestore()
-		restoreTopo = c.Restore.Topology
 	}
 	if c.Design == nil {
 		return nil, fmt.Errorf("timingd: Config.Design is nil")
@@ -253,13 +252,12 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	// The table's keyed rule gives a net the same tree whatever history of
 	// edits routes it. A restored boot takes the pack's table, saved trees
-	// and all, and seeds the build with its frozen topology, skipping Kahn
-	// levelization.
+	// and all.
 	trees := sta.NewKeyedNetBinder(c.Stack, c.Seed)
 	if c.Restore != nil && c.Restore.Parasitics != nil {
 		trees = c.Restore.Parasitics
 	}
-	if s.sess, err = newSession(c, trees, restoreTopo); err != nil {
+	if s.sess, err = newSession(c, trees); err != nil {
 		return nil, err
 	}
 	if c.Restore != nil {

@@ -43,8 +43,7 @@ const analysisWorkers = 1
 // newSession builds the scenario set over trees and the design the session
 // will edit in place: a clone of Config.Design, which the server never
 // edits, or a restored snapshot's own, which the server has taken over.
-// topo, when non-nil, seeds the build with the snapshot's frozen graph.
-func newSession(cfg *Config, trees *sta.Parasitics, topo *sta.Topology) (*session, error) {
+func newSession(cfg *Config, trees *sta.Parasitics) (*session, error) {
 	d := cfg.Design
 	if cfg.Restore == nil {
 		d = d.Clone()
@@ -58,7 +57,7 @@ func newSession(cfg *Config, trees *sta.Parasitics, topo *sta.Topology) (*sessio
 		Scenarios: cfg.Recipe.Scenarios, Parasitics: trees,
 		Workers: cfg.Workers, AnalysisWorkers: analysisWorkers, Obs: cfg.Obs,
 	}}
-	if err := s.views.Build(context.Background(), topo); err != nil {
+	if err := s.views.Build(context.Background()); err != nil {
 		return nil, err
 	}
 	// A scenario that checks nothing has +Inf for a worst slack, which no

@@ -124,7 +124,6 @@ func (s *Server) save() (*SaveReport, error) {
 		InputArrival: s.cfg.InputArrival,
 		Seed:         s.cfg.Seed,
 		Epoch:        epoch,
-		Topology:     sess.views.Topology(),
 		Parasitics:   sess.views.Parasitics,
 	}
 	path := filepath.Join(s.cfg.SnapshotDir, fmt.Sprintf("epoch-%06d.pack", epoch))

@@ -845,7 +845,7 @@ func TestServerRetainsOneSession(t *testing.T) {
 			Scenarios: cfg.Recipe.Scenarios, Parasitics: sta.NewKeyedNetBinder(cfg.Stack, cfg.Seed),
 			AnalysisWorkers: analysisWorkers,
 		}
-		if err := v.Build(context.Background(), nil); err != nil {
+		if err := v.Build(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return func() { runtime.KeepAlive(v) }
