@@ -156,9 +156,16 @@ func BenchmarkFullRetime(b *testing.B)        { benchRetime(b, false) }
 // BenchmarkStructuralRetime measures re-timing across a structural edit on
 // the analyzer that exists: one buffer inserted, a full Run, the buffer
 // taken out again the way a what-if's rollback does, a full Run. Each Run
-// re-derives the graph in place and refills the two nets whose loads moved;
-// the alternative it replaced is a New + Run per edit.
-func BenchmarkStructuralRetime(b *testing.B) {
+// patches the buffer into the graph (or goes back to the graph it was
+// patched onto) and refills the two nets whose loads moved; the
+// alternative it replaced is a New + Run per edit.
+func BenchmarkStructuralRetime(b *testing.B) { benchStructural(b, (*sta.Analyzer).Run) }
+
+// BenchmarkStructuralUpdate is BenchmarkStructuralRetime re-timed by
+// Update: the patch and the re-time of the buffer's cone, both ways.
+func BenchmarkStructuralUpdate(b *testing.B) { benchStructural(b, (*sta.Analyzer).Update) }
+
+func benchStructural(b *testing.B, retime func(*sta.Analyzer) error) {
 	a, d, _ := benchAnalyzer(b, 1)
 	if err := a.Run(); err != nil {
 		b.Fatal(err)
@@ -177,11 +184,11 @@ func BenchmarkStructuralRetime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := a.Run(); err != nil {
+		if err := retime(a); err != nil {
 			b.Fatal(err)
 		}
 		e.Undo(d)
-		if err := a.Run(); err != nil {
+		if err := retime(a); err != nil {
 			b.Fatal(err)
 		}
 	}

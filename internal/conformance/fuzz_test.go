@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
+	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 	"newgame/internal/units"
@@ -115,15 +117,30 @@ func FuzzConstraintsAndRun(f *testing.F) {
 	})
 }
 
+// independent reports whether two buffer edits touch disjoint nets, so
+// either can be undone first.
+func independent(e, o *BufferEdit) bool {
+	for _, n := range []*netlist.Net{e.Buf.Pin("A").Net, e.Buf.Pin("Z").Net} {
+		if n == o.Buf.Pin("A").Net || n == o.Buf.Pin("Z").Net {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzStructuralRerun decodes arbitrary bytes into a small design and an
 // edit script that moves the graph under a living analyzer — buffers
 // inserted (and chained onto one pin, as hold padding chains them), edits
-// taken back in reverse, valid and bogus retypes, an input pin left
-// floating, looped onto its own cell's output or moved to another net —
-// with a full Run after every op. The contract: nothing panics; a Run that
-// succeeds leaves the analyzer bit-identical to one built from nothing over
-// the same netlist, a Run that fails fails there too; and once every edit
-// has been taken back the analyzer runs and is identical again.
+// taken back in reverse or, for two independent buffers, the older one
+// first, valid and bogus retypes, an input pin left floating, looped onto
+// its own cell's output or moved to another net — re-timed after every op,
+// by an Update after every other buffer op and by a full Run otherwise (a
+// journaled buffer edit is patched into the graph either way; anything else
+// is derived afresh, and the retypes are not flagged for an Update).
+// The contract: nothing panics; a re-time that succeeds leaves the analyzer
+// bit-identical to one built from nothing over the same netlist, one that
+// fails fails there too; and once every edit has been taken back the
+// analyzer runs and is identical again.
 func FuzzStructuralRerun(f *testing.F) {
 	// seed(8) gates(1) ffs(1), then (op, arg) pairs; see the switch below.
 	head := []byte{3, 0, 0, 0, 0, 0, 0, 0, 20, 2}
@@ -137,8 +154,11 @@ func FuzzStructuralRerun(f *testing.F) {
 		{0, 5, 5, 0, 5, 0, 5, 0},             // chained pads on one pin
 		{0, 5, 5, 0, 1, 0, 5, 0, 1, 0, 1, 0}, // pads coming and going
 		{4, 0 | 4<<2, 2, 30, 0, 9},           // floating pin, retype, buffer
-		{4, 2 | 13<<2, 2, 8, 0, 3, 4, 3 | 21<<2, 1, 0},    // rewires around a buffer
-		{2, 1, 2, 2, 0, 40, 2, 3, 1, 0, 3, 4, 5, 0, 1, 0}, // a long mix
+		{4, 2 | 13<<2, 2, 8, 0, 3, 4, 3 | 21<<2, 1, 0},                           // rewires around a buffer
+		{2, 1, 2, 2, 0, 40, 2, 3, 1, 0, 3, 4, 5, 0, 1, 0},                        // a long mix
+		{0, 5, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0}, // a 12-deep pad chain on one pin
+		{4, 250, 0, 62, 1, 0},     // a load onto out2's net, a buffer there beside the port, undone
+		{0, 5, 0, 40, 1, 1, 1, 0}, // two buffers, the older taken out first
 	} {
 		f.Add(append(append([]byte(nil), head...), ops...))
 	}
@@ -162,29 +182,37 @@ func FuzzStructuralRerun(f *testing.F) {
 			Lib: lib, Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), spec.Seed),
 			SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: 1,
 		}
+		cfg.Obs = obs.NewRecorder() // the kept analyzer's derivations, counted
 		a, err := sta.New(d, cons, cfg)
 		if err != nil {
 			t.Fatalf("generated design rejected: %v", err)
 		}
-		check := func(ctx string) bool {
-			runErr := a.Run()
+		built := cfg.Obs.Counter("sta.topologies_built")
+		cfg.Obs = nil
+		check := func(ctx string, update bool) bool {
+			retime := a.Run
+			if update {
+				retime = a.Update
+			}
+			runErr := retime()
 			fresh, err := sta.New(d, cons, cfg)
 			if err == nil {
 				err = fresh.Run()
 			}
 			switch {
 			case runErr != nil && err == nil:
-				t.Fatalf("%s: kept analyzer's Run fails (%v) where a fresh New+Run succeeds", ctx, runErr)
+				t.Fatalf("%s: kept analyzer's re-time fails (%v) where a fresh New+Run succeeds", ctx, runErr)
 			case runErr == nil && err != nil:
-				t.Fatalf("%s: kept analyzer's Run succeeds where a fresh one fails: %v", ctx, err)
+				t.Fatalf("%s: kept analyzer's re-time succeeds where a fresh one fails: %v", ctx, err)
 			case runErr == nil && Fingerprint(a) != Fingerprint(fresh):
 				t.Fatalf("%s: kept analyzer differs from a fresh New+Run", ctx)
 			}
 			return runErr == nil
 		}
-		check("initial")
+		check("initial", false)
 
-		var undo []func() // LIFO, so every entry finds the netlist as it left it
+		var undo []func()      // LIFO, so every entry finds the netlist as it left it
+		var bufs []*BufferEdit // per undo entry, the buffer it takes out, if one
 		var lastBuf *netlist.Cell
 		buffer := func(n *netlist.Net, moved []*netlist.Pin) {
 			e, err := InsertBuffer(d, n, moved, "BUF_X1_HVT")
@@ -197,11 +225,13 @@ func FuzzStructuralRerun(f *testing.F) {
 				e.Undo(d)
 				lastBuf = prev
 			})
+			bufs = append(bufs, e)
 		}
 		ops := raw[10:]
 		for i := 0; i+1 < len(ops) && i < 24; i += 2 {
 			op, arg := ops[i]%6, int(ops[i+1])
 			ctx := fmt.Sprintf("op %d (%d,%d)", i/2, op, arg)
+			bufferOp, older := op == 0 || op == 5, false
 			switch op {
 			case 5: // pad the last buffer's input again
 				if lastBuf != nil && lastBuf.Pin("A").Net != nil {
@@ -218,9 +248,16 @@ func FuzzStructuralRerun(f *testing.F) {
 					}
 				}
 			case 1:
-				if len(undo) > 0 {
-					undo[len(undo)-1]()
-					undo = undo[:len(undo)-1]
+				k := len(undo) - 1
+				if arg&1 == 1 && k > 0 && bufs[k] != nil && bufs[k-1] != nil && independent(bufs[k], bufs[k-1]) {
+					// The older of two buffers on unrelated nets comes out
+					// first: a removal that is not of the newest cell.
+					k, older = k-1, true
+				}
+				if k >= 0 {
+					bufferOp = bufs[k] != nil
+					undo[k]()
+					undo, bufs = slices.Delete(undo, k, k+1), slices.Delete(bufs, k, k+1)
 				}
 			case 2, 3:
 				c := d.Cells[arg%len(d.Cells)]
@@ -238,6 +275,7 @@ func FuzzStructuralRerun(f *testing.F) {
 				}
 				c.SetType(to)
 				undo = append(undo, func() { c.SetType(old) })
+				bufs = append(bufs, nil)
 			case 4:
 				c := d.Cells[(arg>>2)%len(d.Cells)]
 				ins := c.Inputs()
@@ -266,14 +304,18 @@ func FuzzStructuralRerun(f *testing.F) {
 						t.Fatal(err)
 					}
 				})
+				bufs = append(bufs, nil)
 			}
-			check(ctx)
+			before := built.Value()
+			if check(ctx, bufferOp && i/2%2 == 1) && older && built.Value() == before {
+				t.Fatalf("%s: a removal of a buffer older than the newest was patched, not derived", ctx)
+			}
 		}
 		for len(undo) > 0 {
 			undo[len(undo)-1]()
 			undo = undo[:len(undo)-1]
 		}
-		if !check("everything taken back") {
+		if !check("everything taken back", false) {
 			t.Fatal("the original netlist no longer runs once every edit is taken back")
 		}
 	})

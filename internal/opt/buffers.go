@@ -96,7 +96,8 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 		if fixed == 0 {
 			break
 		}
-		// Netlist changed: the full Run re-derives the analysis graph.
+		// Netlist changed: the full Run patches the split nets into the
+		// analysis graph (a driver swap alone keeps it).
 		if err := ctx.A.Run(); err != nil {
 			return rep, err
 		}
@@ -309,14 +310,15 @@ func FixHold(ctx *Context, maxFixes int) (Report, error) {
 		if acted == 0 {
 			break
 		}
-		// The pads changed the netlist: each full Run re-derives its graph,
-		// the guard adopting the levelization ctx.A has just done.
-		if err := ctx.A.Run(); err != nil {
+		// The pads are journaled buffer edits: each Update patches its graph
+		// and re-times the pads' cones, the guard adopting the topology
+		// ctx.A has just patched.
+		if err := ctx.A.Update(); err != nil {
 			return rep, err
 		}
 		if guard != nil {
 			guard.Cfg.Topology = ctx.A.Topology()
-			if err := guard.Run(); err != nil {
+			if err := guard.Update(); err != nil {
 				return rep, err
 			}
 		}

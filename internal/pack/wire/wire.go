@@ -29,6 +29,10 @@ type Writer struct {
 	full [][]byte // the filled chunks, in order
 	cur  []byte   // the chunk being filled
 	n    int      // bytes in full
+	// spare holds the chunks of the streams before the last Reset; a new
+	// chunk is spare[next] while there is one.
+	spare [][]byte
+	next  int
 }
 
 // The first chunk's capacity and the largest any chunk grows to.
@@ -46,8 +50,26 @@ func (w *Writer) space(n int) []byte {
 		w.n += len(w.cur)
 		size = min(2*c, maxChunk)
 	}
+	if w.next < len(w.spare) {
+		w.cur, w.next = w.spare[w.next][:0], w.next+1
+		return w.cur
+	}
 	w.cur = make([]byte, 0, size)
 	return w.cur
+}
+
+// Reset empties the stream and keeps its chunks, which the next stream
+// fills again in the same order: a writer used for one stream after another
+// allocates only when it writes more than it ever has. What Bytes returned
+// before is overwritten.
+func (w *Writer) Reset() {
+	if cap(w.cur) > 0 {
+		w.full = append(w.full, w.cur)
+	}
+	if len(w.full) > len(w.spare) { // it grew past the chunks it had
+		w.spare = append(w.spare[:0], w.full...)
+	}
+	w.full, w.cur, w.n, w.next = w.full[:0], nil, 0, 0
 }
 
 // appendBytes copies b onto the stream, spilling into new chunks as each

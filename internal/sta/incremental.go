@@ -10,18 +10,22 @@ import "newgame/internal/netlist"
 // cone level by level (stopping wherever values settle), and recomputes
 // required times backward from the endpoints and edges that actually
 // moved. Because Update re-runs the exact same per-vertex recompute the
-// full pass uses, its results are bit-identical to a fresh Run. Structural
-// edits (new or removed cells and nets, moved pins — anything that moves the
-// design's Revision — and retypes that change a cell's arc shape) fall back
-// to a full Run, which re-derives the graph on this analyzer's own storage:
-// no edit needs a new Analyzer.
+// full pass uses, its results are bit-identical to a fresh Run. A buffer
+// inserted or taken out through the design's journaled edits is patched into
+// the graph and re-timed as a cone like any other; other structural edits
+// (cells and nets added or removed otherwise, moved pins, retypes that
+// change a cell's arc shape) fall back to a full Run, which re-derives the
+// graph on this analyzer's own storage: no edit needs a new Analyzer.
 
 // InvalidateNet marks a net's delay calculation stale (load caps, NDR,
 // or parasitics changed).
 func (a *Analyzer) InvalidateNet(n *netlist.Net) {
 	ni := a.netIndex(n)
 	if ni < 0 {
-		a.structDirty = true // not a net the last Run timed
+		// Not a net the last re-time timed. Since then the graph either
+		// moves by a patch, which re-times every new net anyway, or is
+		// derived afresh; if nothing moved the net is not this design's.
+		a.structDirty = a.structDirty || a.D.Revision() == a.revision
 		return
 	}
 	if nd := &a.nets[ni]; nd.dirtyGen != a.dirtyGen {
@@ -46,7 +50,7 @@ func (a *Analyzer) InvalidateCell(c *netlist.Cell) {
 	}
 	ci := a.cellOf(c)
 	if ci < 0 {
-		a.structDirty = true
+		a.structDirty = a.structDirty || a.D.Revision() == a.revision // as for a net
 		return
 	}
 	if m != a.masters[ci] {
@@ -116,9 +120,13 @@ func (a *Analyzer) incrementalSafe() bool {
 		if n.Driver != nil && a.pinVertex(n.Driver) < 0 || n.Port != nil && a.portVertex(n.Port) < 0 {
 			return false
 		}
+		d := int32(a.netDriverVertex(n))
+		if d < 0 && len(n.Loads) > 0 {
+			return false
+		}
 		for si, l := range n.Loads {
 			i := a.pinVertex(l)
-			if i < 0 || int(a.topo.faninNet[i]) != n.Index() || int(a.topo.faninSink[i]) != si {
+			if i < 0 || a.topo.faninDriver[i] != d || int(a.topo.faninSink[i]) != si {
 				return false
 			}
 		}
@@ -230,14 +238,21 @@ func (a *Analyzer) pushFanins(i int, fn func(j int)) {
 }
 
 // Update incrementally re-times the design after InvalidateCell /
-// InvalidateNet calls. It falls back to a full Run when no prior Run
-// exists or a structural edit is detected (the design's Revision moved, or
-// an invalidation said so), and is a no-op when nothing is dirty. Results
+// InvalidateNet calls and after buffers inserted or taken out by the
+// design's journaled edits, which it patches into the graph first (see
+// patch): their dirty set is the split nets, the new nets, the buffers and
+// the moved sinks, plus any cell retyped since, flagged or not. It falls
+// back to a full Run when no prior Run exists or any other structural edit
+// is detected (the design's Revision moved past what the journal carries,
+// or an invalidation said so), and is a no-op when nothing is dirty. Results
 // are bit-identical to a fresh Run on the same netlist. Under UpdateCtx a
 // cancellation abandons the update mid-cone and marks the analyzer
 // structurally dirty, so the next Update falls back to a full Run rather
 // than trusting half-propagated state.
 func (a *Analyzer) Update() error {
+	if a.ran && !a.structDirty && a.D.Revision() != a.revision {
+		a.patch(true)
+	}
 	if !a.ran || a.structDirty || a.D.Revision() != a.revision || !a.incrementalSafe() {
 		a.obsFullRunFallback.Add(1)
 		return a.Run()

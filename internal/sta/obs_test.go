@@ -130,10 +130,10 @@ func TestRecordingDoesNotPerturbAnalysis(t *testing.T) {
 	}
 }
 
-// The graph gauges follow the graph and every in-place re-derivation is
-// counted: New's own derivation is not one, so a dump that says 0 regraphs
-// means no Run ever met a structural edit; an adoption made by a regraph
-// counts as an adoption.
+// The graph gauges follow the graph and every graph step is counted: New's
+// own derivation is not a regraph, a buffer is patched in, not re-derived
+// (sta.topologies_patched), and an analyzer that takes up the patched
+// topology counts an adoption.
 func TestRegraphIsObservable(t *testing.T) {
 	lib := testLib()
 	rec := obs.NewRecorder()
@@ -171,16 +171,17 @@ func TestRegraphIsObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	second.Cfg.Topology = first.Topology()
-	if err := second.Update(); err != nil { // falls back: the revision moved
+	if err := second.Update(); err != nil { // patches its tables, adopts first's topology
 		t.Fatal(err)
 	}
 	if first.NumVerts() != before+2 || !second.SharedTopology() || first.SharedTopology() {
 		t.Fatalf("after the buffer: %d vertices (had %d), second shares = %v, first shares = %v",
 			first.NumVerts(), before, second.SharedTopology(), first.SharedTopology())
 	}
-	if regraphs.Value() != 2 || shared.Value() != 2 || verts.Value() != float64(before+2) ||
+	patched := rec.Counter("sta.topologies_patched")
+	if regraphs.Value() != 0 || patched.Value() != 1 || shared.Value() != 2 || verts.Value() != float64(before+2) ||
 		rec.Gauge("sta.graph_levels").Value() != float64(first.Topology().numLevels()) {
-		t.Fatalf("after the buffer: regraphs %d, adoptions %d, graph_vertices %v, want 2, 2, %d",
-			regraphs.Value(), shared.Value(), verts.Value(), before+2)
+		t.Fatalf("after the buffer: regraphs %d, patches %d, adoptions %d, graph_vertices %v, want 0, 1, 2, %d",
+			regraphs.Value(), patched.Value(), shared.Value(), verts.Value(), before+2)
 	}
 }

@@ -2,6 +2,8 @@ package sta
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -35,8 +37,17 @@ const (
 // On any mismatch it silently builds a private topology, so an incompatible
 // hint can never change results. A Topology lives only in memory: a
 // restored snapshot levelizes its decoded netlist like any other boot.
+//
+// A buffer inserted or taken out again is patched in, not re-derived (see
+// patch.go): the cells a derivation numbered come first (baseCells of
+// them), then the ports, then every cell appended since, so a patch only
+// appends vertices at the end or drops them there and no vertex already
+// numbered moves. A patched Topology is a new value; it shares the storage
+// of the one it was patched from wherever that did not change.
 type Topology struct {
 	numCells, numNets, numPorts int
+	// baseCells is how many cells are numbered before the ports.
+	baseCells int
 
 	kind      []uint8
 	cellOf    []int32 // index into d.Cells, -1 for ports
@@ -50,19 +61,21 @@ type Topology struct {
 	succOff []int32
 	succ    []int32
 
-	// Net fanin edge per vertex (-1 = fed by cell arcs or a seed only).
+	// Net fanin edge per vertex (-1 = fed by cell arcs or a seed only): the
+	// driving vertex and the sink's index in its net's delay results.
 	faninDriver []int32
-	faninNet    []int32 // index into d.Nets
 	faninSink   []int32
 	netDriver   []int32 // per net index: driving vertex, -1 if undriven
 
-	order []int32 // Kahn topological order
-	level []int32 // per-vertex longest-path level
+	level   []int32 // per-vertex longest-path level
+	nLevels int
 
-	// Level wavefronts: level l's vertices are
-	// levelVerts[levelOff[l]:levelOff[l+1]], in topological-order sequence.
-	levelOff   []int32
-	levelVerts []int32
+	// waves buckets the vertices by level, built on first use: Update
+	// re-times by level alone, so a patch leaves it to the next full Run.
+	waves *waveIndex
+	// grown is set once a patch has appended into this Topology's spare
+	// capacity: only that one patch may, and any other copies.
+	grown atomic.Bool
 
 	clockRoots []int32
 	// masters is each cell's master when the graph was built: the arc
@@ -72,15 +85,48 @@ type Topology struct {
 	masters []*liberty.Cell
 }
 
+// waveIndex is the level wavefronts: level l's vertices are
+// verts[off[l]:off[l+1]], in vertex order. Which order a level lists its
+// vertices in decides nothing: each vertex pulls from lower (forward) or
+// higher (backward) levels only.
+type waveIndex struct {
+	once  sync.Once
+	off   []int32
+	verts []int32
+}
+
 // NumVerts returns the vertex count of the frozen graph.
 func (t *Topology) NumVerts() int { return len(t.kind) }
 
 // numLevels returns the number of level wavefronts.
-func (t *Topology) numLevels() int { return len(t.levelOff) - 1 }
+func (t *Topology) numLevels() int { return t.nLevels }
 
 // levelRange returns level l's vertices.
 func (t *Topology) levelRange(l int) []int32 {
-	return t.levelVerts[t.levelOff[l]:t.levelOff[l+1]]
+	w := t.wavefronts()
+	return w.verts[w.off[l]:w.off[l+1]]
+}
+
+// wavefronts returns the level buckets, counting-sorting the levels the
+// first time any analyzer sharing t asks.
+func (t *Topology) wavefronts() *waveIndex {
+	w := t.waves
+	w.once.Do(func() {
+		w.off = make([]int32, t.nLevels+1)
+		for _, l := range t.level {
+			w.off[l+1]++
+		}
+		for l := 0; l < t.nLevels; l++ {
+			w.off[l+1] += w.off[l]
+		}
+		w.verts = make([]int32, len(t.level))
+		place := append([]int32(nil), w.off[:t.nLevels]...)
+		for i, l := range t.level {
+			w.verts[place[l]] = int32(i)
+			place[l]++
+		}
+	})
+	return w
 }
 
 // sameArcShape reports whether two masters have the same arc (From, To)
@@ -131,16 +177,18 @@ func (a *Analyzer) clockRootIndices() []int32 {
 // master arc-shape-equal to the one t was built with. Connectivity equality
 // beyond the counts is the caller's contract (same design or a Clone of
 // it); everything a different library, constraint set or same-shape retype
-// could break is checked.
+// could break is checked. a must be numbered as t is (a.baseCells ==
+// t.baseCells).
 func (t *Topology) compatible(a *Analyzer) bool {
 	if t.NumVerts() != a.NumVerts() ||
 		t.numCells != len(a.D.Cells) ||
 		t.numNets != len(a.D.Nets) ||
-		t.numPorts != len(a.D.Ports) {
+		t.numPorts != len(a.D.Ports) ||
+		t.baseCells != a.baseCells {
 		return false
 	}
 	for k, q := range a.ports {
-		if i := int(a.cellBase[len(a.cells)]) + k; t.kind[i] != kindOf(nil, q) || t.cellOf[i] != -1 {
+		if i := int(a.portBase) + k; t.kind[i] != kindOf(nil, q) || t.cellOf[i] != -1 {
 			return false
 		}
 	}
@@ -183,8 +231,7 @@ func (t *Topology) compatible(a *Analyzer) bool {
 		}
 		for si, l := range nl.Loads {
 			li := a.pinVertex(l)
-			if li < 0 || t.faninDriver[li] != int32(di) ||
-				t.faninNet[li] != int32(ni) || t.faninSink[li] != int32(si) {
+			if li < 0 || t.faninDriver[li] != int32(di) || t.faninSink[li] != int32(si) {
 				return false
 			}
 		}
@@ -207,13 +254,13 @@ func kindOf(p *netlist.Pin, q *netlist.Port) uint8 {
 	}
 }
 
-// buildTopologyCSR freezes the pointer-linked graph into a Topology: one
-// pointer walk per vertex to lay out the CSR, then Kahn levelization, clock
-// marking and level bucketing over the int32 arrays — the same enumeration
-// orders the per-vertex walk produced, so levels and wavefront order are
-// identical to the pre-SoA implementation. The Topology is always a new
-// value (it may be shared); the fill cursors, in-degrees, Kahn queue and
-// bucket cursors live in the writer's scratch, 2n int32s reused across
+// buildTopologyCSR freezes the pointer-linked graph into a Topology under
+// the analyzer's numbering: one pointer walk per vertex to lay out the CSR,
+// then Kahn levelization, clock marking and longest-path levels over the
+// int32 arrays — the same enumeration orders the per-vertex walk produced,
+// so levels are identical to the pre-SoA implementation. The Topology is
+// always a new value (it may be shared); the fill cursors, in-degrees and
+// Kahn queue live in the writer's scratch, 2n int32s reused across
 // derivations. Each call counts in sta.topologies_built.
 func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	a.obsTopoBuilt.Add(1)
@@ -221,13 +268,15 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	a.topoScratch = resize(a.topoScratch, 2*n)
 	scratch := a.topoScratch
 	t := &Topology{
-		numCells: len(a.D.Cells),
-		numNets:  len(a.D.Nets),
-		numPorts: len(a.D.Ports),
-		kind:     make([]uint8, n),
-		cellOf:   make([]int32, n),
-		isCKPin:  make([]bool, n),
-		masters:  append([]*liberty.Cell(nil), a.masters...),
+		numCells:  len(a.D.Cells),
+		numNets:   len(a.D.Nets),
+		numPorts:  len(a.D.Ports),
+		baseCells: a.baseCells,
+		kind:      make([]uint8, n),
+		cellOf:    make([]int32, n),
+		isCKPin:   make([]bool, n),
+		masters:   append([]*liberty.Cell(nil), a.masters...),
+		waves:     new(waveIndex),
 	}
 	for ci, c := range a.cells {
 		for k, p := range c.Pins {
@@ -237,7 +286,7 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 		}
 	}
 	for k, q := range a.ports {
-		i := int(a.cellBase[len(a.cells)]) + k
+		i := int(a.portBase) + k
 		t.kind[i], t.cellOf[i] = kindOf(nil, q), -1
 	}
 	// CSR successors: count, prefix-sum, fill — in pointer-walk order.
@@ -259,39 +308,26 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 	}
 	// Net fanin edges.
 	t.faninDriver = make([]int32, n)
-	t.faninNet = make([]int32, n)
 	t.faninSink = make([]int32, n)
 	for i := range t.faninDriver {
 		t.faninDriver[i] = -1
-		t.faninNet[i] = -1
 	}
 	t.netDriver = make([]int32, len(a.D.Nets))
 	for ni, nl := range a.D.Nets {
 		di := a.netDriverVertex(nl)
 		t.netDriver[ni] = int32(di)
-		if di < 0 {
-			continue
-		}
-		for si, l := range nl.Loads {
-			li := a.pinVertex(l)
-			t.faninDriver[li] = int32(di)
-			t.faninNet[li] = int32(ni)
-			t.faninSink[li] = int32(si)
-		}
-		if p := nl.Port; p != nil && p.Dir == netlist.Output {
-			pi := a.portVertex(p)
-			t.faninDriver[pi] = int32(di)
-			t.faninNet[pi] = int32(ni)
-			t.faninSink[pi] = int32(len(nl.Loads))
+		if di >= 0 {
+			a.setNetFanins(t, nl, int32(di))
 		}
 	}
-	if err := t.levelize(a, scratch); err != nil {
+	order, err := t.levelize(a, scratch)
+	if err != nil {
 		return nil, err
 	}
 	t.markClockPaths(a)
-	// Longest-path levels and wavefront buckets, in topological order.
+	// Longest-path levels, in topological order.
 	t.level = make([]int32, n)
-	for _, i := range t.order {
+	for _, i := range order {
 		li := t.level[i] + 1
 		for _, j := range t.succ[t.succOff[i]:t.succOff[i+1]] {
 			if li > t.level[j] {
@@ -299,34 +335,30 @@ func (a *Analyzer) buildTopologyCSR() (*Topology, error) {
 			}
 		}
 	}
-	maxL := int32(0)
 	for _, l := range t.level {
-		if l > maxL {
-			maxL = l
-		}
+		t.nLevels = max(t.nLevels, int(l)+1)
 	}
-	t.levelOff = make([]int32, maxL+2)
-	for _, l := range t.level {
-		t.levelOff[l+1]++
-	}
-	for l := 0; l < len(t.levelOff)-1; l++ {
-		t.levelOff[l+1] += t.levelOff[l]
-	}
-	t.levelVerts = make([]int32, n)
-	place := scratch[:maxL+1]
-	copy(place, t.levelOff[:maxL+1])
-	for _, i := range t.order {
-		l := t.level[i]
-		t.levelVerts[place[l]] = i
-		place[l]++
-	}
+	t.wavefronts()
 	return t, nil
+}
+
+// setNetFanins records net nl's sinks, driven by vertex di, in t's fanin
+// arrays: each load at its position in the net, then the output port.
+func (a *Analyzer) setNetFanins(t *Topology, nl *netlist.Net, di int32) {
+	for si, l := range nl.Loads {
+		li := a.pinVertex(l)
+		t.faninDriver[li], t.faninSink[li] = di, int32(si)
+	}
+	if p := nl.Port; p != nil && p.Dir == netlist.Output {
+		pi := a.portVertex(p)
+		t.faninDriver[pi], t.faninSink[pi] = di, int32(len(nl.Loads))
+	}
 }
 
 // levelize computes a topological order via Kahn's algorithm; a leftover
 // vertex means a combinational cycle. scratch (2n long) holds the in-degrees
-// and the queue, which sees every vertex at most once.
-func (t *Topology) levelize(a *Analyzer, scratch []int32) error {
+// and the queue, which sees every vertex once and is the order returned.
+func (t *Topology) levelize(a *Analyzer, scratch []int32) ([]int32, error) {
 	n := t.NumVerts()
 	indeg, queue := scratch[:n], scratch[n:n:2*n]
 	clear(indeg)
@@ -338,10 +370,8 @@ func (t *Topology) levelize(a *Analyzer, scratch []int32) error {
 			queue = append(queue, int32(i))
 		}
 	}
-	t.order = make([]int32, 0, n)
 	for head := 0; head < len(queue); head++ {
 		i := queue[head]
-		t.order = append(t.order, i)
 		for _, j := range t.succ[t.succOff[i]:t.succOff[i+1]] {
 			indeg[j]--
 			if indeg[j] == 0 {
@@ -349,14 +379,14 @@ func (t *Topology) levelize(a *Analyzer, scratch []int32) error {
 			}
 		}
 	}
-	if len(t.order) != n {
+	if len(queue) != n {
 		for i, d := range indeg {
 			if d > 0 {
-				return fmt.Errorf("sta: combinational cycle through %s", vertexName(a.vertex(t.cellOf, i)))
+				return nil, fmt.Errorf("sta: combinational cycle through %s", vertexName(a.vertex(t.cellOf, i)))
 			}
 		}
 	}
-	return nil
+	return queue, nil
 }
 
 // markClockPaths flags vertices reachable from clock roots without passing

@@ -39,11 +39,11 @@ func socConfig(t testing.TB) Config {
 	return Config{Design: socDesign, Recipe: socRecipe, Stack: socStack, BasePeriod: 560, Seed: 42}
 }
 
-// The graph is levelized once per netlist shape, however a scenario set
-// comes up: booting the benchmark's node builds one topology, restoring a
+// The graph is levelized once per scenario set, however it comes up:
+// booting the benchmark's node builds one topology, restoring a
 // two-scenario shard from its pack one (the pack carries no graph), a
-// resize ECO none, and a buffer ECO one — scenario 0's, which the other
-// adopts.
+// resize ECO none, and a buffer ECO none — scenario 0 patches the buffer
+// into its topology (sta.topologies_patched) and the other adopts that.
 func TestTopologiesBuiltCounts(t *testing.T) {
 	cfg := socConfig(t)
 	cfg.Obs, cfg.SnapshotDir = obs.NewRecorder(), t.TempDir()
@@ -107,8 +107,12 @@ func TestTopologiesBuiltCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	step("a resize ECO", 0)
+	patched := rec.Counter("sta.topologies_patched")
 	if _, err := shard.commit(ctx, buffer); err != nil {
 		t.Fatal(err)
 	}
-	step("a buffer ECO", 1)
+	step("a buffer ECO", 0)
+	if got := patched.Value(); got != 1 {
+		t.Errorf("a buffer ECO patched %d topologies, want 1", got)
+	}
 }

@@ -15,14 +15,17 @@ const extractBytes, pruneBytes, violationBytes = 6 * 4, 4 * 4, 9*4 + 2*8
 // of a shard's /triage/extract: the epoch, a string table in which every
 // name, key and tag appears once, then per extract its counts (violations,
 // prunes, segments, then its pair counts) followed by its fields, each
-// string a u32 index into the table. The table's index is kept on the
-// graph across calls, as its segment keys are.
+// string a u32 index into the table. The table's index and the two writers
+// the table and the body are encoded on are kept on the graph across calls,
+// as its segment keys are, so the reply is all a warm call allocates.
 func (g *Graph) EncodeExtracts(epoch int64, exs []ScenarioExtract) []byte {
-	g, release := g.acquire()
-	defer release()
+	g = g.acquire()
+	defer g.mu.Unlock()
 	clear(g.strID)
 	g.strs = g.strs[:0]
-	var body wire.Writer
+	g.head.Reset()
+	g.body.Reset()
+	head, body := &g.head, &g.body
 	ref := func(ss ...string) {
 		for _, s := range ss {
 			id, ok := g.strID[s]
@@ -55,7 +58,6 @@ func (g *Graph) EncodeExtracts(epoch int64, exs []ScenarioExtract) []byte {
 			ref(v.Segments...)
 		}
 	}
-	var head wire.Writer
 	head.I64(epoch)
 	head.U32(uint32(len(g.strs)))
 	for _, s := range g.strs {

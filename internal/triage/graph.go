@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"newgame/internal/obs"
+	"newgame/internal/pack/wire"
 	"newgame/internal/sta"
 	"newgame/internal/units"
 )
@@ -84,9 +85,11 @@ type Graph struct {
 	order     []int // a component's scenarios, first-appearance order
 	bestN     []int // component -> its dominant segment's count
 
-	// The extract reply's string table (EncodeExtracts).
-	strID map[string]uint32
-	strs  []string
+	// The extract reply's string table and the writers it and the body are
+	// encoded on (EncodeExtracts).
+	strID      map[string]uint32
+	strs       []string
+	head, body wire.Writer
 }
 
 // NewGraph returns an empty workspace. rec, when non-nil, counts the keys
@@ -105,13 +108,16 @@ func NewGraph(rec *obs.Recorder) *Graph {
 	}
 }
 
-// acquire returns g locked for the caller and the func that unlocks it, or,
-// when another call holds g, a fresh Graph nobody else sees.
-func (g *Graph) acquire() (*Graph, func()) {
+// acquire returns g locked for the caller or, when another call holds g, a
+// fresh Graph nobody else sees, locked alike: the caller unlocks what it
+// got.
+func (g *Graph) acquire() *Graph {
 	if g.mu.TryLock() {
-		return g, g.mu.Unlock
+		return g
 	}
-	return NewGraph(g.rec), func() {}
+	f := NewGraph(g.rec)
+	f.mu.Lock()
+	return f
 }
 
 // check names one (scenario, kind, endpoint) check.
@@ -331,8 +337,8 @@ func ranksBefore(a, b *Cluster) bool {
 // function of the extracts, so a coordinator merging shard responses
 // produces exactly the bytes a single node would.
 func (g *Graph) Report(extracts []ScenarioExtract) Report {
-	g, release := g.acquire()
-	defer release()
+	g = g.acquire()
+	defer g.mu.Unlock()
 	defer clear(g.analyzed)
 	total := 0
 	for ei := range extracts {

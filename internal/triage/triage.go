@@ -279,8 +279,8 @@ var checkKinds = [...]sta.CheckKind{sta.Setup, sta.Hold}
 // analyzers' topology is the same value; a buffer inserted or removed
 // derives a new one, and the table starts over.
 func (g *Graph) Extract(w *sta.PathWalker, plan Plan, idx int, opts Options) ScenarioExtract {
-	g, release := g.acquire()
-	defer release()
+	g = g.acquire()
+	defer g.mu.Unlock()
 	a := w.Analyzer()
 	if t := a.Topology(); t != g.topo {
 		g.topo = t
