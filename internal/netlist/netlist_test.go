@@ -314,3 +314,69 @@ func (s shape) diff(d *Design) error {
 	}
 	return nil
 }
+
+// The journal carries a graph across buffer inserts and LIFO removals and
+// no further: a direct edit, a failed insert or the removal of a buffer
+// older than the newest leaves nothing a graph from before it can patch.
+func TestJournalCoversBufferEdits(t *testing.T) {
+	d := buildInvChain(t)
+	mid, inv2A := d.Net("mid"), d.Cell("inv2").Pin("A")
+	r0 := d.Revision()
+	saved := slices.Clone(mid.Loads)
+	b1, err := d.InsertBuffer(mid, []*Pin{inv2A}, "BUF_X1_SVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := d.Revision()
+	saved2 := slices.Clone(mid.Loads)
+	b2, err := d.InsertBuffer(mid, []*Pin{b1.Pin("A")}, "BUF_X1_SVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits, ok := d.Journal(r0)
+	if !ok || len(edits) != 2 || edits[0].Buf != b1 || edits[1].Buf != b2 || edits[1].Net != mid ||
+		edits[1].Cells != len(d.Cells) || edits[1].Removed {
+		t.Fatalf("after two inserts: %+v, %v", edits, ok)
+	}
+	if edits, ok := d.Journal(r1); !ok || len(edits) != 1 || edits[0].Buf != b2 {
+		t.Fatalf("from between the inserts: %+v, %v", edits, ok)
+	}
+	if edits, ok := d.Journal(d.Revision()); !ok || len(edits) != 0 {
+		t.Fatalf("from now: %+v, %v", edits, ok)
+	}
+	if _, ok := d.Journal(r0 + 1); ok {
+		t.Fatal("a revision inside an insert is covered")
+	}
+	d.RemoveBuffer(b2, saved2)
+	if edits, ok := d.Journal(r1); !ok || len(edits) != 2 || !edits[1].Removed || edits[1].Buf != b2 {
+		t.Fatalf("after the LIFO removal: %+v, %v", edits, ok)
+	}
+	// b1 is the newest buffer again; an insert elsewhere makes it older.
+	b3, err := d.InsertBuffer(d.Net("in"), []*Pin{d.Cell("inv1").Pin("A")}, "BUF_X1_SVT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3 := d.Revision()
+	d.RemoveBuffer(b1, saved)
+	if _, ok := d.Journal(r3); ok {
+		t.Fatal("the removal of a buffer older than the newest is journaled")
+	}
+	r4 := d.Revision()
+	if _, err := d.InsertBuffer(mid, []*Pin{b3.Pin("A")}, "BUF_X1_SVT"); err == nil {
+		t.Fatal("moving a pin that is not on the net inserted")
+	}
+	if _, ok := d.Journal(r4); !ok {
+		t.Fatal("an insert refused before any edit emptied the journal")
+	}
+	if _, err := d.InsertBuffer(mid, []*Pin{inv2A}, "BUF_X1_SVT"); err != nil {
+		t.Fatal(err)
+	}
+	r5 := d.Revision()
+	d.Disconnect(inv2A)
+	if _, ok := d.Journal(r5); ok {
+		t.Fatal("a direct Disconnect is journaled")
+	}
+	if _, ok := d.Journal(r4); ok {
+		t.Fatal("the journal still covers the revisions before a direct Disconnect")
+	}
+}
