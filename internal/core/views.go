@@ -80,9 +80,10 @@ func (v *Views) Build(ctx context.Context) error {
 // constraints, refilled on each analyzer's own maps, which equals a Build
 // whatever has been edited since the last one: the parasitics table is
 // refreshed once, every master is re-resolved, exactly the nets whose tree
-// or sink caps moved are recomputed, and after a structural edit each
-// analyzer re-derives its graph on its own storage — the first brings its
-// graph current alone, the rest adopt its topology as they run, as in Build.
+// or sink caps moved are recomputed, and after a structural edit the first
+// analyzer brings its graph current alone — a journaled buffer edit is
+// patched in, any other edit re-derives the graph — and the rest adopt its
+// topology as they run, as in Build.
 // A failed Rerun leaves the analyzers half-timed.
 func (v *Views) Rerun(ctx context.Context) error {
 	v.refresh()

@@ -12,3 +12,7 @@ var (
 
 // NetCacheLen is the number of nets the per-net delay-calc cache holds.
 func (a *Analyzer) NetCacheLen() int { return len(a.nets) }
+
+// LeastAlloc is leastAlloc, with no set-up, for the external package's
+// byte tests.
+func LeastAlloc(fn func()) uint64 { return leastAlloc(func() {}, fn) }

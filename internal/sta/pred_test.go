@@ -100,7 +100,7 @@ func TestAnalyzerBytesPerVertex(t *testing.T) {
 		}
 	}
 	build() // warms the binder: every net's tree is made once
-	perVertex := float64(allocated(build)) / float64(a.NumVerts())
+	perVertex := float64(sta.LeastAlloc(build)) / float64(a.NumVerts())
 	t.Logf("New + Run: %.0f B per vertex over %d vertices", perVertex, a.NumVerts())
 	if perVertex > 433 {
 		t.Fatalf("New + Run allocates %.0f B per vertex, want ≤ 433", perVertex)

@@ -144,8 +144,10 @@ func (s *session) revert(edits []*edit, nameMark int) {
 
 // settle brings every analyzer current after edits were applied or undone.
 // A batch with a buffer insertion changed the graph, so every analyzer is
-// fully re-run: each re-derives its graph in place and refills only the nets
-// whose loads moved. A cancelled re-run leaves them untimed, which the
+// fully re-run: scenario 0 patches the buffer into its graph (the design's
+// journal of buffer edits; any other structural edit re-derives it), the
+// others adopt the patched topology, and each refills only the nets whose
+// loads moved. A cancelled re-run leaves them untimed, which the
 // rollback the caller then owes puts right by the same route. A resize-only batch
 // invalidates each retyped cell and re-times incrementally — the coalescing
 // point: ten resizes cost one cone re-propagation per scenario, not ten.
