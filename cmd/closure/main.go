@@ -13,7 +13,9 @@
 // chrome://tracing, where the scenario-parallel signoff renders as
 // overlapping worker lanes; -pprof serves net/http/pprof for live CPU and
 // heap profiling. Either of -metrics/-trace also prints the obs summary
-// tables after the run.
+// tables after the run. -workers is signoff's goroutine budget: a survey
+// splits it between scenarios and each one's level-parallel propagation, a
+// fix pass re-timing one scenario has all of it.
 package main
 
 import (
@@ -66,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	gates := fs.Int("gates", 1400, "combinational gate count")
 	ffs := fs.Int("ffs", 96, "flip-flop count")
 	seed := fs.Int64("seed", 42, "generation seed")
-	workers := fs.Int("workers", 0, "concurrent signoff workers (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 0, "signoff goroutine budget, split between scenarios and propagation (0 = all CPUs, 1 = serial)")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics dump to this file after the run")
 	tracePath := fs.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

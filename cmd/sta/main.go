@@ -6,8 +6,10 @@
 //
 //	sta -circuit c5315 -period 700 -corner ssg -beol rcw -derate lvf
 //
-// -workers bounds the level-parallel propagation fan-out (0 = all CPUs,
-// 1 = serial; results are bit-identical at every setting). -metrics and
+// -workers is the analysis's goroutine budget (0 = all CPUs, 1 = serial;
+// results are bit-identical at every setting): one analysis spends it on
+// level-parallel propagation, -triage's four scenarios split it between
+// scenarios and each one's propagation. -metrics and
 // -trace export the run's observability data — a JSON metrics dump and
 // Chrome trace-event JSON (Perfetto) respectively — matching the closure
 // command's flags.
@@ -68,7 +70,7 @@ func run(args []string, out io.Writer) error {
 	paths := fs.Int("paths", 5, "worst paths to report")
 	triageMode := fs.Bool("triage", false, "run MCMM triage: cluster violations across scenarios by shared root cause")
 	jsonOut := fs.Bool("json", false, "with -triage: print the raw JSON report instead of tables")
-	workers := fs.Int("workers", 0, "propagation workers (0 = all CPUs, 1 = serial)")
+	workers := fs.Int("workers", 0, "analysis goroutine budget, split across -triage's scenarios (0 = all CPUs, 1 = serial)")
 	metricsPath := fs.String("metrics", "", "write a JSON metrics dump to this file after the run")
 	tracePath := fs.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")

@@ -56,7 +56,7 @@ func runTriage(out io.Writer, d *netlist.Design, lib *liberty.Library, stack *pa
 	views := &core.Views{
 		D: d, ClockPort: d.Port("clk"), BasePeriod: tc.period, Scenarios: scens,
 		Parasitics: sta.NewNetBinder(stack, 1),
-		Workers:    tc.workers, AnalysisWorkers: tc.workers,
+		Workers:    tc.workers,
 	}
 	if err := views.Build(context.Background()); err != nil {
 		return err

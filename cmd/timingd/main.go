@@ -6,6 +6,10 @@
 //
 //	timingd -addr :8374 -recipe old -gates 1400 -ffs 96 -period 560
 //
+// -workers is the session's analysis budget: a build or re-run splits it
+// between scenarios and each one's level-parallel propagation.
+// -query-workers sizes the pool that answers queries, apart from it.
+//
 // Shutdown is graceful: SIGINT/SIGTERM stop admission, drain in-flight
 // queries, then exit.
 package main
@@ -40,7 +44,7 @@ func main() {
 	gates := flag.Int("gates", 1400, "combinational gate count")
 	ffs := flag.Int("ffs", 96, "flip-flop count")
 	seed := flag.Int64("seed", 42, "generation seed")
-	workers := flag.Int("workers", 0, "scenario-level workers (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "analysis goroutine budget, split between scenarios and propagation (0 = all CPUs)")
 	queryWorkers := flag.Int("query-workers", 0, "query workers draining the admission queue (0 = all CPUs)")
 	queue := flag.Int("queue", 64, "admission queue depth (full queue answers 429)")
 	cacheSize := flag.Int("cache", 256, "query cache entries per epoch")

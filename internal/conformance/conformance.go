@@ -323,7 +323,7 @@ func (cx *Ctx) script(d *netlist.Design) []EditOp {
 func buildViews(d *netlist.Design, scens []core.Scenario, period units.Ps, trees *sta.Parasitics) (*core.Views, error) {
 	v := &core.Views{
 		D: d, ClockPort: d.Port("clk"), BasePeriod: period, Scenarios: scens,
-		Parasitics: trees, Workers: 1, AnalysisWorkers: 1,
+		Parasitics: trees, Workers: 1,
 	}
 	return v, v.Build(context.Background())
 }

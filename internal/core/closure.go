@@ -37,11 +37,12 @@ type Engine struct {
 	// inputs would otherwise race every port-fed flip-flop's hold check,
 	// which no real SDC allows.
 	InputArrival units.Ps
-	// Workers bounds the goroutines a survey uses to analyze scenarios
-	// concurrently, and is forwarded to each analyzer's level-parallel
-	// propagation: 0 means one per available CPU, 1 forces fully serial
-	// signoff. Results are identical at every setting — scenario results
-	// merge in recipe order and each analyzer is deterministic.
+	// Workers is the goroutine budget of signoff: 0 means one per available
+	// CPU, 1 forces fully serial signoff. A survey splits it between
+	// scenarios and each scenario's level-parallel propagation (see
+	// Views.Workers); a fix pass or margin recovery re-timing one analyzer
+	// has all of it. Results are identical at every setting — scenario
+	// results merge in recipe order and each analyzer is deterministic.
 	Workers int
 	// Obs, when non-nil, records spans and metrics for the whole closure
 	// run — per-iteration and per-fix-pass spans, per-scenario signoff
@@ -217,7 +218,7 @@ func (e *Engine) views(scen []Scenario, each func(Scenario, int, *sta.Constraint
 	return &Views{
 		D: e.D, ClockPort: e.ClockPort, BasePeriod: e.BasePeriod, InputArrival: e.InputArrival,
 		Scenarios: scen, Parasitics: e.Parasitics,
-		Workers: e.Workers, AnalysisWorkers: e.Workers, Obs: e.Obs,
+		Workers: e.Workers, Obs: e.Obs,
 		Each: each,
 	}
 }
@@ -231,7 +232,6 @@ type analyzerInputs struct {
 	clockPort    *netlist.Port
 	basePeriod   units.Ps
 	inputArrival units.Ps
-	workers      int
 	obs          *obs.Recorder
 	place        *place.Placement
 	parasitics   *sta.Parasitics
@@ -282,15 +282,17 @@ func (e *Engine) surveyScenario(s Scenario, g int, cons *sta.Constraints, cfg *s
 // The set stays with the engine between surveys. While nothing it was built
 // from has changed — the engine's fields, the scenarios — a survey re-runs it
 // in place and pays only for the nets, masters and graph that moved;
-// otherwise it is rebuilt.
+// otherwise it is rebuilt. Workers is not among them: every fan-out reads it
+// afresh.
 func (e *Engine) runScenarios() ([]*sta.Analyzer, error) {
 	in := analyzerInputs{
 		d: e.D, clockPort: e.ClockPort,
 		basePeriod: e.BasePeriod, inputArrival: e.InputArrival,
-		workers: e.Workers, obs: e.Obs, place: e.Place, parasitics: e.Parasitics,
+		obs: e.Obs, place: e.Place, parasitics: e.Parasitics,
 	}
 	var err error
 	if e.residentsCurrent(in) {
+		e.resident.views.Workers = e.Workers
 		err = e.resident.views.Rerun(context.Background())
 	} else {
 		e.resident.from = in

@@ -116,7 +116,8 @@ func TestSurveyKeepsAnalyzersAcrossStructuralEdits(t *testing.T) {
 // Everything an analyzer is built from is part of what keeps it: changing
 // any of it between surveys costs the analyzers. A recorder in particular is
 // bound at construction, so a kept analyzer would go on recording into the
-// old one.
+// old one. The worker budget is not: every survey reads it afresh, so the
+// analyzers are kept across a change of it.
 func TestSurveyRebuildsWhenItsInputsChange(t *testing.T) {
 	const seed = 42
 	recipe := OldGoalPosts(liberty.Node16, parasitics.Stack16())
@@ -131,26 +132,30 @@ func TestSurveyRebuildsWhenItsInputsChange(t *testing.T) {
 		name   string
 		change func()
 		check  func(t *testing.T, it Iteration)
+		kept   bool // the survey after the change re-runs the analyzers
 	}{
 		{"Obs", func() { e.Obs = rec }, func(t *testing.T, _ Iteration) {
 			if rec.Counter("sta.run.nets_filled").Value() == 0 {
 				t.Error("the new recorder saw no delay calculation: analyzers still bound to the old one")
 			}
-		}},
-		{"Workers", func() { e.Workers = 4 }, nil},
-		{"BasePeriod", func() { e.BasePeriod += 40 }, nil},
-		{"InputArrival", func() { e.InputArrival = 55 }, nil},
+		}, false},
+		{"Workers", func() { e.Workers = 4 }, nil, true},
+		{"BasePeriod", func() { e.BasePeriod += 40 }, nil, false},
+		{"InputArrival", func() { e.InputArrival = 55 }, nil, false},
 		{"scenario Lib", func() { e.Recipe.Scenarios[0].Lib = otherLib }, func(t *testing.T, it Iteration) {
 			if a := e.Analyzers()[0]; a.Cfg.Lib != otherLib {
 				t.Error("scenario 0 still analyzed under its old library")
 			}
-		}},
-		{"scenario margin", func() { e.Recipe.Scenarios[0].SetupUncertainty += 15 }, nil},
+		}, false},
+		{"scenario margin", func() { e.Recipe.Scenarios[0].SetupUncertainty += 15 }, nil, false},
 	} {
 		step.change()
 		got, now := survey(t, e)
+		if step.kept && !sameAnalyzers(now, as) {
+			t.Errorf("%s changed: the analyzers were rebuilt, not re-run", step.name)
+		}
 		for i := range now {
-			if now[i] == as[i] {
+			if !step.kept && now[i] == as[i] {
 				t.Errorf("%s changed: scenario %d kept its analyzer", step.name, i)
 			}
 		}

@@ -29,15 +29,20 @@ type Views struct {
 	InputArrival units.Ps
 	Scenarios    []Scenario
 	Parasitics   *sta.Parasitics
-	// Workers bounds the scenario fan-out, AnalysisWorkers each analyzer's
-	// level-parallel propagation (both as workpool.Workers reads them).
-	Workers, AnalysisWorkers int
-	Obs                      *obs.Recorder
+	// Workers is the set's one goroutine budget, W (0 = one per CPU, as
+	// workpool.Workers reads it), split here and nowhere else: a fan-out
+	// over S scenarios runs min(W, S) of them at once, each Run in it with
+	// ⌊W / min(W, S)⌋ workers, and an analyzer re-timed alone afterwards —
+	// by a caller, or by Update's fallback to Run — has all W. It is read
+	// at every fan-out.
+	Workers int
+	Obs     *obs.Recorder
 	// Each, when non-nil, sees every scenario's constraints and analyzer
 	// config just before worker g builds or re-runs it, and may add to
 	// either; the func it returns, if any, is called when that run ends. A
 	// re-run adopts the constraints, CellDerate, ObsSpan and Topology it
-	// leaves — everything else in the config is fixed at Build.
+	// leaves — everything else in the config is fixed at Build, bar Workers,
+	// which Views stamps on every run and a hook's setting never reaches.
 	Each func(s Scenario, g int, cons *sta.Constraints, cfg *sta.Config) (done func())
 
 	as []*sta.Analyzer
@@ -155,8 +160,7 @@ func (v *Views) inputs(i, g int, topo *sta.Topology, refill bool) (*sta.Constrai
 	}
 	cfg := sta.Config{
 		Lib: s.Lib, Parasitics: v.Parasitics, Scaling: s.Scaling,
-		Derate: s.Derate, SI: s.SI, MIS: s.MIS,
-		Workers: v.AnalysisWorkers, Obs: v.Obs,
+		Derate: s.Derate, SI: s.SI, MIS: s.MIS, Obs: v.Obs,
 		Topology: topo,
 	}
 	done := func() {}
@@ -176,22 +180,26 @@ func (v *Views) inputs(i, g int, topo *sta.Topology, refill bool) (*sta.Constrai
 // (workpool.DoObs) — so the g its hook saw is the worker that runs it — and
 // each other scenario i is assembled and readied on its worker g against
 // scenario 0's topology first. Each hook's done func runs once, when its
-// scenario's run ends or fails. each returns the analyzers in recipe order,
-// or the first error in recipe order wrapped with the scenario's name; a
-// scenario 0 that fails to ready fans nothing out. A panic in any scenario
-// reaches the caller once the others are done.
+// scenario's run ends or fails. The budget is split as Workers says: each
+// run gets the lanes' share of it, and every analyzer is left holding all
+// of it for whoever re-times it alone next. each returns the analyzers in
+// recipe order, or the first error in recipe order wrapped with the
+// scenario's name; a scenario 0 that fails to ready fans nothing out. A
+// panic in any scenario reaches the caller once the others are done.
 func (v *Views) each(ctx context.Context, refill bool, ready func(i int, cons *sta.Constraints, cfg sta.Config) (*sta.Analyzer, error)) ([]*sta.Analyzer, error) {
 	n := len(v.Scenarios)
 	if n == 0 {
 		return nil, nil
 	}
+	w := workpool.Workers(v.Workers)
+	lanes := min(w, n)
 	as := make([]*sta.Analyzer, n)
 	errs := make([]error, n)
 	cons, cfg, done0 := v.inputs(0, 0, nil, refill)
 	end0 := sync.OnceFunc(done0)
 	defer end0()
 	if as[0], errs[0] = ready(0, cons, cfg); errs[0] == nil {
-		workpool.DoObs(nil, nil, "", v.Workers, n, func(i, g int) {
+		workpool.DoObs(nil, nil, "", lanes, n, func(i, g int) {
 			if i == 0 {
 				defer end0()
 			} else {
@@ -201,7 +209,9 @@ func (v *Views) each(ctx context.Context, refill bool, ready func(i int, cons *s
 					return
 				}
 			}
+			as[i].Cfg.Workers = w / lanes
 			errs[i] = as[i].RunCtx(ctx)
+			as[i].Cfg.Workers = w
 		})
 	}
 	for i, err := range errs {

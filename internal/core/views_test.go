@@ -35,7 +35,7 @@ func viewsOver(d *netlist.Design, recipe core.Recipe, workers int) *core.Views {
 	return &core.Views{
 		D: d, ClockPort: d.Port("clk"), BasePeriod: 560, Scenarios: scen,
 		Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), 42),
-		Workers:    workers, AnalysisWorkers: workers,
+		Workers:    workers,
 	}
 }
 
@@ -326,5 +326,63 @@ func TestViewsRetainedBytesPerScenario(t *testing.T) {
 	}
 	if heap < gauges || heap > 1.1*gauges {
 		t.Errorf("the heap holds %.0f B per vertex per scenario, the gauges count %.0f: want within 10 %%", heap, gauges)
+	}
+}
+
+// Views splits its one budget itself, and exact counters show where it
+// went: at 2 workers over four scenarios, two lanes time one scenario each
+// with a serial Run, so Build and Rerun split no level wave, whatever a hook
+// asks for; an analyzer re-timed alone afterwards has both workers, and so
+// does each Run of a one-scenario set, or of two scenarios at 4 workers.
+// Budgets are explicit: 0 would follow GOMAXPROCS.
+func TestViewsSplitOneWorkerBudget(t *testing.T) {
+	recipe := core.OldGoalPosts(liberty.Node16, parasitics.Stack16())
+	d := circuits.Block(recipe.Scenarios[0].Lib, circuits.BlockSpec{
+		Name: "budget", Inputs: 16, Outputs: 16, FFs: 48, Gates: 600,
+		MaxDepth: 9, Seed: 5, ClockBufferLevels: 2,
+	})
+	ctx := context.Background()
+	// waves is how many level waves run splits across workers.
+	waves := func(v *core.Views, run func() error) int64 {
+		t.Helper()
+		c := v.Obs.Counter("sta.levels_parallel")
+		before := c.Value()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Value() - before
+	}
+	set := func(workers, scenarios int) *core.Views {
+		v := viewsOver(d, recipe, workers)
+		v.Scenarios, v.Obs = v.Scenarios[:scenarios], obs.NewRecorder()
+		return v
+	}
+
+	v := set(2, 4)
+	v.Each = func(_ core.Scenario, _ int, _ *sta.Constraints, cfg *sta.Config) func() {
+		cfg.Workers = 4
+		return nil
+	}
+	if n := waves(v, func() error { return v.Build(ctx) }); n != 0 {
+		t.Errorf("Build of 4 scenarios at 2 workers split %d level waves, want 0", n)
+	}
+	if w := v.Analyzers()[0].LastRunStats().WidestWave; w < 32 {
+		t.Fatalf("fixture's widest wave is %d, too narrow to split", w)
+	}
+	if n := waves(v, func() error { return v.Rerun(ctx) }); n != 0 {
+		t.Errorf("Rerun of 4 scenarios at 2 workers split %d level waves, want 0", n)
+	}
+	if n := waves(v, v.Analyzers()[2].Run); n == 0 {
+		t.Error("a Run of one analyzer of the set, alone, split no level wave")
+	}
+
+	for _, c := range []struct{ workers, scenarios int }{{2, 1}, {4, 2}} {
+		v := set(c.workers, c.scenarios)
+		if n := waves(v, func() error { return v.Build(ctx) }); n == 0 {
+			t.Errorf("Build of %d scenarios at %d workers split no level wave", c.scenarios, c.workers)
+		}
+		if n := waves(v, func() error { return v.Rerun(ctx) }); n == 0 {
+			t.Errorf("Rerun of %d scenarios at %d workers split no level wave", c.scenarios, c.workers)
+		}
 	}
 }

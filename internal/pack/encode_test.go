@@ -3,6 +3,7 @@ package pack
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -40,7 +41,7 @@ func socSnapshot(t testing.TB) *Snapshot {
 		v := &core.Views{
 			D: d, ClockPort: d.Port("clk"), BasePeriod: 560,
 			Scenarios: recipe.Scenarios[:1], Parasitics: sta.NewKeyedNetBinder(stack, 42),
-			Workers: 1, AnalysisWorkers: 1,
+			Workers: 1,
 		}
 		if err := v.Build(context.Background()); err != nil {
 			panic(err)
@@ -53,14 +54,20 @@ func socSnapshot(t testing.TB) *Snapshot {
 	return socSnap
 }
 
-// allocated is the bytes fn allocates.
+// allocated is the fewest bytes any of three calls of fn allocates. The
+// process-wide counter also counts other goroutines' bytes, which only ever
+// add: for a deterministic fn the least is its own.
 func allocated(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // Writing a pack allocates the pack about once: each section is encoded

@@ -40,8 +40,9 @@ type Config struct {
 	InputArrival units.Ps
 	// Seed keys parasitics synthesis.
 	Seed int64
-	// Workers bounds scenario-level fan-out (initial builds, rebuilds);
-	// 0 = all CPUs.
+	// Workers is the session's analysis budget (0 = all CPUs), split
+	// between the scenarios a build or re-run fans out and each one's
+	// level-parallel propagation (core.Views.Workers).
 	Workers int
 	// QueueDepth bounds the admission queue; a full queue answers 429.
 	// Default 64.

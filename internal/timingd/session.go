@@ -36,10 +36,6 @@ type lentWalker struct {
 	w  *sta.PathWalker
 }
 
-// analysisWorkers is each analyzer's level-parallelism: a session's scenarios
-// already run concurrently (Config.Workers), so more would oversubscribe.
-const analysisWorkers = 1
-
 // newSession builds the scenario set over trees and the design the session
 // will edit in place: a clone of Config.Design, which the server never
 // edits, or a restored snapshot's own, which the server has taken over.
@@ -55,7 +51,7 @@ func newSession(cfg *Config, trees *sta.Parasitics) (*session, error) {
 	s := &session{views: &core.Views{
 		D: d, ClockPort: ck, BasePeriod: cfg.BasePeriod, InputArrival: cfg.InputArrival,
 		Scenarios: cfg.Recipe.Scenarios, Parasitics: trees,
-		Workers: cfg.Workers, AnalysisWorkers: analysisWorkers, Obs: cfg.Obs,
+		Workers: cfg.Workers, Obs: cfg.Obs,
 	}}
 	if err := s.views.Build(context.Background()); err != nil {
 		return nil, err

@@ -843,7 +843,7 @@ func TestServerRetainsOneSession(t *testing.T) {
 		v := &core.Views{
 			D: d, ClockPort: d.Port("clk"), BasePeriod: cfg.BasePeriod,
 			Scenarios: cfg.Recipe.Scenarios, Parasitics: sta.NewKeyedNetBinder(cfg.Stack, cfg.Seed),
-			AnalysisWorkers: analysisWorkers,
+			Workers: cfg.Workers,
 		}
 		if err := v.Build(context.Background()); err != nil {
 			t.Fatal(err)

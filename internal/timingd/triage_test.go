@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -302,21 +303,26 @@ func TestTriageAllocations(t *testing.T) {
 	// Bytes per render against the body it encodes, at fresh epochs: every
 	// commit re-times each scenario and keeps the topology. Not measured
 	// after a GC, which would empty encoding/json's encoder pool and charge
-	// its refill to the render.
-	var triageBytes, triageBody, pathsBytes, pathsBody uint64
-	for i := 0; i < 8; i++ {
-		commit([2]string{to, from}[i%2])
-		var b []byte
-		sess.mu.RLock()
-		triageBytes += allocBytes(func() { b, _ = serve.JSON(s.triageReport(sess, s.Epoch(), opts)) })
-		triageBody += uint64(len(b))
-		pathsBytes += allocBytes(func() { b, _ = serve.JSON(sess.pathsReport(s.Epoch(), 0, sta.Setup, 10)) })
-		pathsBody += uint64(len(b))
-		sess.mu.RUnlock()
+	// its refill to the render. The least of three passes, each of eight
+	// commits that end at the netlist it began at.
+	tr, pr := math.Inf(1), math.Inf(1)
+	for range 3 {
+		var triageBytes, triageBody, pathsBytes, pathsBody uint64
+		for i := 0; i < 8; i++ {
+			commit([2]string{to, from}[i%2])
+			var b []byte
+			sess.mu.RLock()
+			triageBytes += allocBytes(func() { b, _ = serve.JSON(s.triageReport(sess, s.Epoch(), opts)) })
+			triageBody += uint64(len(b))
+			pathsBytes += allocBytes(func() { b, _ = serve.JSON(sess.pathsReport(s.Epoch(), 0, sta.Setup, 10)) })
+			pathsBody += uint64(len(b))
+			sess.mu.RUnlock()
+		}
+		tr, pr = min(tr, float64(triageBytes)/float64(triageBody)), min(pr, float64(pathsBytes)/float64(pathsBody))
+		t.Logf("per render at a fresh epoch: /triage %d B for a %d B body, /paths?k=10 %d B for %d B",
+			triageBytes/8, triageBody/8, pathsBytes/8, pathsBody/8)
 	}
-	tr, pr := float64(triageBytes)/float64(triageBody), float64(pathsBytes)/float64(pathsBody)
-	t.Logf("per render at a fresh epoch: /triage %d B for a %d B body (%.2f×), /paths?k=10 %d B for %d B (%.2f×)",
-		triageBytes/8, triageBody/8, tr, pathsBytes/8, pathsBody/8, pr)
+	t.Logf("least of three passes: /triage %.2f×, /paths?k=10 %.2f× the body", tr, pr)
 	// The race runtime drops a share of sync.Pool puts, so encoding/json
 	// re-grows its encoder buffers on most renders: the byte budgets hold
 	// only without the race detector.
@@ -340,8 +346,9 @@ func TestTriageAllocations(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("endpoints(…, 5) returned %d rows", len(rows))
 	}
-	bytesFew := allocBytes(func() { rows = endpoints(a, sta.Setup, 5) })
-	bytesAll := allocBytes(func() { rows = endpoints(a, sta.Setup, 0) })
+	least := func(fn func()) uint64 { return min(allocBytes(fn), allocBytes(fn), allocBytes(fn)) }
+	bytesFew := least(func() { rows = endpoints(a, sta.Setup, 5) })
+	bytesAll := least(func() { rows = endpoints(a, sta.Setup, 0) })
 	if len(rows) != resident {
 		t.Fatalf("endpoints(…, 0) returned %d rows of %d", len(rows), resident)
 	}
@@ -381,7 +388,9 @@ func criticalResize(t *testing.T, s *Server) (cell, from, to string) {
 	return "", "", ""
 }
 
-// allocBytes is the heap fn allocates, in bytes.
+// allocBytes is the heap fn allocates, in bytes. The counter is the
+// process's, so other goroutines' bytes add to it: a check takes the least of
+// three repeats of deterministic work, which is that work's own.
 func allocBytes(fn func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
