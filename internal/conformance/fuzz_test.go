@@ -157,8 +157,10 @@ func FuzzStructuralRerun(f *testing.F) {
 		{4, 2 | 13<<2, 2, 8, 0, 3, 4, 3 | 21<<2, 1, 0},                           // rewires around a buffer
 		{2, 1, 2, 2, 0, 40, 2, 3, 1, 0, 3, 4, 5, 0, 1, 0},                        // a long mix
 		{0, 5, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0}, // a 12-deep pad chain on one pin
-		{4, 250, 0, 62, 1, 0},     // a load onto out2's net, a buffer there beside the port, undone
-		{0, 5, 0, 40, 1, 1, 1, 0}, // two buffers, the older taken out first
+		{4, 250, 0, 62, 1, 0},                            // a load onto out2's net, a buffer there beside the port, undone
+		{0, 5, 0, 40, 1, 1, 1, 0},                        // two buffers, the older taken out first
+		{0, 5, 5, 0, 5, 0, 1, 0, 1, 0, 1, 0, 0, 9, 5, 0}, // pads all taken out newest first, then pads again
+		{0, 5, 5, 0, 4, 2 | 13<<2, 0, 9, 5, 0, 1, 0},     // pads, a rewire the graph is derived afresh for, pads again
 	} {
 		f.Add(append(append([]byte(nil), head...), ops...))
 	}

@@ -43,15 +43,15 @@ func (a *Analyzer) Run() error {
 	}
 	a.buildSites()
 	// One memclr per state array replaces the per-vertex reset loops.
-	clear(a.fValid)
-	clear(a.fArr)
-	clear(a.fSlew)
-	clear(a.fDepth)
-	clear(a.fPred)
-	clear(a.rValid)
-	clear(a.fReq)
-	clear(a.seedReq)
-	clear(a.seedValid)
+	a.fValid.clearFrom(0)
+	a.fArr.clearFrom(0)
+	a.fSlew.clearFrom(0)
+	a.fDepth.clearFrom(0)
+	a.fPred.clearFrom(0)
+	a.rValid.clearFrom(0)
+	a.fReq.clearFrom(0)
+	a.seedReq.clearFrom(0)
+	a.seedValid.clearFrom(0)
 	if err := a.canceled(); err != nil {
 		return err
 	}
@@ -89,13 +89,11 @@ func (a *Analyzer) Run() error {
 // recompute; full runs memclr the whole arrays instead).
 func (a *Analyzer) resetForward(i int) {
 	k := ix4(i, 0, 0)
-	for p := k; p < k+4; p++ {
-		a.fValid[p] = false
-		a.fArr[p] = timeVar{}
-		a.fSlew[p] = 0
-		a.fDepth[p] = 0
-		a.fPred[p] = pred{}
-	}
+	clear(a.fValid.span(k, k+4))
+	clear(a.fArr.span(k, k+4))
+	clear(a.fSlew.span(k, k+4))
+	clear(a.fDepth.span(k, k+4))
+	clear(a.fPred.span(k, k+4))
 }
 
 // buildNets brings the parasitics table up to date with the design — the
@@ -109,12 +107,9 @@ func (a *Analyzer) resetForward(i int) {
 func (a *Analyzer) buildNets(g *workpool.Gang) {
 	a.Cfg.Parasitics.Refresh(a.D)
 	nets := a.D.Nets
-	if len(nets) < len(a.nets) {
-		clear(a.nets[len(nets):])
-	}
-	a.nets = resize(a.nets, len(nets))
+	a.nets.grow(len(nets))
 	for i, n := range nets {
-		a.nets[i].net = n
+		a.nets.at(i).net = n
 	}
 	a.bindVertexNets()
 	w := workpool.Workers(a.Cfg.Workers)
@@ -122,8 +117,8 @@ func (a *Analyzer) buildNets(g *workpool.Gang) {
 		a.calc = append(a.calc, make([]calcScratch, w-len(a.calc))...)
 	}
 	if g == nil || len(nets) < minParallelNets {
-		for i := range a.nets {
-			a.countNetFill(a.fillNetData(&a.nets[i], &a.calc[0]))
+		for i := range a.nets.len() {
+			a.countNetFill(a.fillNetData(a.nets.at(i), &a.calc[0]))
 		}
 		return
 	}
@@ -133,7 +128,7 @@ func (a *Analyzer) buildNets(g *workpool.Gang) {
 	g.Wave(len(nets), func(lo, hi, k int) {
 		h, f := int64(0), int64(0)
 		for i := lo; i < hi; i++ {
-			if a.fillNetData(&a.nets[i], &a.calc[k]) {
+			if a.fillNetData(a.nets.at(i), &a.calc[k]) {
 				h++
 			} else {
 				f++
@@ -176,9 +171,9 @@ func (a *Analyzer) bindVertexNets() {
 // drives n, else only when n's driver feeds it a net edge.
 func (a *Analyzer) bindVertexNet(i int, n *netlist.Net, drives bool) {
 	if drives || a.topo.faninDriver[i] >= 0 {
-		a.vnd[i] = a.netIndex(n)
+		*a.vnd.at(i) = a.netIndex(n)
 	} else {
-		a.vnd[i] = -1
+		*a.vnd.at(i) = -1
 	}
 }
 
@@ -199,7 +194,7 @@ func (a *Analyzer) fillNetData(nd *netData, sc *calcScratch) bool {
 	// Receiver pin caps in load order, plus output port load.
 	caps := sc.gather[:0]
 	for _, l := range n.Loads {
-		caps = append(caps, a.pinCap[a.pinVertex(l)])
+		caps = append(caps, *a.pinCap.at(a.pinVertex(l)))
 	}
 	portSink := n.Port != nil && n.Port.Dir == netlist.Output
 	if portSink && a.Cons != nil {
@@ -299,10 +294,10 @@ func (a *Analyzer) seedVertex(i int) {
 		// Clock root: rising edge at source latency.
 		for el := 0; el < 2; el++ {
 			k := ix4(i, rise, el)
-			a.fValid[k] = true
-			a.fArr[k] = timeVar{T: ck.SourceLatency}
-			a.fSlew[k] = slew
-			a.fPred[k] = seedPred
+			*a.fValid.at(k) = true
+			*a.fArr.at(k) = timeVar{T: ck.SourceLatency}
+			*a.fSlew.at(k) = slew
+			*a.fPred.at(k) = seedPred
 		}
 		return
 	}
@@ -313,15 +308,15 @@ func (a *Analyzer) seedVertex(i int) {
 	}
 	for rf := 0; rf < 2; rf++ {
 		ke := ix4(i, rf, early)
-		a.fValid[ke] = true
-		a.fArr[ke] = timeVar{T: min}
-		a.fSlew[ke] = slew
-		a.fPred[ke] = seedPred
+		*a.fValid.at(ke) = true
+		*a.fArr.at(ke) = timeVar{T: min}
+		*a.fSlew.at(ke) = slew
+		*a.fPred.at(ke) = seedPred
 		kl := ix4(i, rf, late)
-		a.fValid[kl] = true
-		a.fArr[kl] = timeVar{T: max}
-		a.fSlew[kl] = slew
-		a.fPred[kl] = seedPred
+		*a.fValid.at(kl) = true
+		*a.fArr.at(kl) = timeVar{T: max}
+		*a.fSlew.at(kl) = slew
+		*a.fPred.at(kl) = seedPred
 	}
 }
 
@@ -395,13 +390,14 @@ func (a *Analyzer) relaxCellArcs(j int) {
 		return // unloaded output: no delay calc context, same as before
 	}
 	m := a.masters[a.topo.cellOf[j]]
-	for ai := a.arcOff[j]; ai < a.arcOff[j+1]; ai++ {
-		i, arc := int(a.arcs[ai].other), &m.Arcs[a.arcs[ai].arc]
+	lo := *a.arcOff.at(j)
+	for g, ar := range a.group(j) {
+		i, arc, ai := int(ar.other), &m.Arcs[ar.arc], lo+int32(g)
 		for rfIn := 0; rfIn < 2; rfIn++ {
 			outs, no := senseOuts(arc.Sense, rfIn)
 			for oi := 0; oi < no; oi++ {
 				for el := 0; el < 2; el++ {
-					if !a.fValid[ix4(i, rfIn, el)] {
+					if !*a.fValid.at(ix4(i, rfIn, el)) {
 						continue
 					}
 					a.relaxArc(arc, i, j, ai, rfIn, outs[oi], el, nd)
@@ -416,12 +412,12 @@ func (a *Analyzer) relaxCellArcs(j int) {
 func (a *Analyzer) merge(i, rf, el int, cand timeVar, slew float64, depth int32, pr pred) bool {
 	k := ix4(i, rf, el)
 	n := a.Cfg.Derate.NSigma()
-	valid := a.fValid[k]
+	valid, arr, dep, sl := a.fValid.at(k), a.fArr.at(k), a.fDepth.at(k), a.fSlew.at(k)
 	better := false
-	if !valid {
+	if !*valid {
 		better = true
 	} else {
-		cur := a.fArr[k].corner(el == late, n)
+		cur := arr.corner(el == late, n)
 		new := cand.corner(el == late, n)
 		if el == late && new > cur {
 			better = true
@@ -431,26 +427,22 @@ func (a *Analyzer) merge(i, rf, el int, cand timeVar, slew float64, depth int32,
 		}
 	}
 	if better {
-		a.fArr[k] = cand
-		a.fPred[k] = pr
+		*arr = cand
+		*a.fPred.at(k) = pr
 	}
 	// Depth is kept as the *minimum* over all merged candidates: AOCV
 	// derates are largest at low depth, so GBA must assume the shallowest
 	// reconverging path — pessimism that path-based analysis removes.
-	if !valid || depth < a.fDepth[k] {
-		a.fDepth[k] = depth
+	if !*valid || depth < *dep {
+		*dep = depth
 	}
 	// Slew merging is independent of arrival (graph-based pessimism: worst
 	// slew at each pin regardless of which path it came from — exactly the
 	// pessimism PBA later removes).
-	if !valid {
-		a.fSlew[k] = slew
-	} else if el == late && slew > a.fSlew[k] {
-		a.fSlew[k] = slew
-	} else if el == early && slew < a.fSlew[k] {
-		a.fSlew[k] = slew
+	if !*valid || el == late && slew > *sl || el == early && slew < *sl {
+		*sl = slew
 	}
-	a.fValid[k] = true
+	*valid = true
 	return better
 }
 
@@ -461,14 +453,15 @@ func (a *Analyzer) relaxNetEdge(i, j int) {
 	for rf := 0; rf < 2; rf++ {
 		for el := 0; el < 2; el++ {
 			k := ix4(i, rf, el)
-			if !a.fValid[k] {
+			if !*a.fValid.at(k) {
 				continue
 			}
 			d := a.netEdgeDelay(i, j, rf, el)
-			cand := timeVar{T: a.fArr[k].T + d, Var: a.fArr[k].Var}
-			s := a.fSlew[k]
+			arr := a.fArr.at(k)
+			cand := timeVar{T: arr.T + d, Var: arr.Var}
+			s := *a.fSlew.at(k)
 			slew := math.Sqrt(s*s + ws*ws)
-			a.merge(j, rf, el, cand, slew, a.fDepth[k], pred{from: int32(i<<1 | rf), arc: -1})
+			a.merge(j, rf, el, cand, slew, *a.fDepth.at(k), pred{from: int32(i<<1 | rf), arc: -1})
 		}
 	}
 }
@@ -492,16 +485,14 @@ func senseOuts(s liberty.ArcSense, rfIn int) ([2]int, int) {
 // predecessor.
 func (a *Analyzer) relaxArc(arc *liberty.TimingArc, i, j int, ai int32, rfIn, rfOut, el int, nd *netData) {
 	k := ix4(i, rfIn, el)
-	slewIn := a.fSlew[k]
+	slewIn := *a.fSlew.at(k)
 	load := nd.totalCap[el]
 	outRise := rfOut == rise
 	outSlew := arc.Slew(outRise, slewIn, load)
-	depth := a.fDepth[k] + 1
+	depth := *a.fDepth.at(k) + 1
 	d := a.mergedArcDelay(arc, i, rfIn, rfOut, el, nd)
 	sigma := a.Cfg.Derate.Sigma(arc, outRise, el == late, slewIn, load, d)
-	cand := timeVar{
-		T:   a.fArr[k].T + d,
-		Var: a.fArr[k].Var + sigma*sigma,
-	}
+	arr := a.fArr.at(k)
+	cand := timeVar{T: arr.T + d, Var: arr.Var + sigma*sigma}
 	a.merge(j, rfOut, el, cand, outSlew, depth, pred{from: int32(i<<1 | rfIn), arc: ai})
 }

@@ -162,10 +162,10 @@ func (a *Analyzer) buildSites() {
 // leadEdge returns the valid leading clock transition at a CK vertex (rise
 // preferred), or -1 if the clock never arrives.
 func (a *Analyzer) leadEdge(i int, el int) int {
-	if a.fValid[ix4(i, rise, el)] {
+	if *a.fValid.at(ix4(i, rise, el)) {
 		return rise
 	}
-	if a.fValid[ix4(i, fall, el)] {
+	if *a.fValid.at(ix4(i, fall, el)) {
 		return fall
 	}
 	return -1
@@ -211,18 +211,18 @@ func (a *Analyzer) sweepSites() {
 			// A constraint dropped since the table was built checks
 			// nothing and loses its seed.
 			for rf := 0; rf < 2 && io.Clock != nil; rf++ {
-				if k := ix4(di, rf, late); a.fValid[k] {
-					arr := a.fArr[k].corner(true, n)
+				if k := ix4(di, rf, late); *a.fValid.at(k) {
+					arr := a.fArr.at(k).corner(true, n)
 					req := io.Clock.Period - io.Max - io.Clock.SetupUncertainty
 					slack := req - arr
 					setup = append(setup, EndpointSlack{
 						Kind: Setup, Port: p, RF: rf,
 						Slack: slack, Arrival: arr, Required: req, site: int32(si),
 					})
-					seed.set(rf, a.fArr[k].T+slack)
+					seed.set(rf, a.fArr.at(k).T+slack)
 				}
-				if k := ix4(di, rf, early); a.fValid[k] {
-					arr := a.fArr[k].corner(false, n)
+				if k := ix4(di, rf, early); *a.fValid.at(k) {
+					arr := a.fArr.at(k).corner(false, n)
 					hold = append(hold, EndpointSlack{
 						Kind: Hold, Port: p, RF: rf,
 						Slack: arr - io.Min, Arrival: arr, Required: io.Min, site: int32(si),
@@ -251,26 +251,26 @@ func (a *Analyzer) sweepSites() {
 		pin := a.pinAt(di)
 		ce, cl := a.leadEdge(ci, early), a.leadEdge(ci, late)
 		for rf := 0; rf < 2; rf++ {
-			if kd := ix4(di, rf, late); a.fValid[kd] && ce >= 0 && clk != nil {
+			if kd := ix4(di, rf, late); *a.fValid.at(kd) && ce >= 0 && clk != nil {
 				kc := ix4(ci, ce, early)
 				crpr := a.crprCredit(di, rf, late, ci, ce)
-				arrD := a.fArr[kd].corner(true, n)
-				ckArr := a.fArr[kc].corner(false, n)
-				su := suTab[rf].Lookup(a.fSlew[kd], a.fSlew[kc])
+				arrD := a.fArr.at(kd).corner(true, n)
+				ckArr := a.fArr.at(kc).corner(false, n)
+				su := suTab[rf].Lookup(*a.fSlew.at(kd), *a.fSlew.at(kc))
 				req := cycles*clk.Period + ckArr - su - clk.SetupUncertainty + crpr
 				slack := req - arrD
 				setup = append(setup, EndpointSlack{
 					Kind: Setup, Pin: pin, RF: rf,
 					Slack: slack, Arrival: arrD, Required: req, CRPR: crpr, site: int32(si),
 				})
-				seed.set(rf, a.fArr[kd].T+slack)
+				seed.set(rf, a.fArr.at(kd).T+slack)
 			}
-			if kd := ix4(di, rf, early); a.fValid[kd] && cl >= 0 {
+			if kd := ix4(di, rf, early); *a.fValid.at(kd) && cl >= 0 {
 				kc := ix4(ci, cl, late)
 				crpr := a.crprCredit(di, rf, early, ci, cl)
-				arrD := a.fArr[kd].corner(false, n)
-				ckArr := a.fArr[kc].corner(true, n)
-				h := hoTab[rf].Lookup(a.fSlew[kd], a.fSlew[kc])
+				arrD := a.fArr.at(kd).corner(false, n)
+				ckArr := a.fArr.at(kc).corner(true, n)
+				h := hoTab[rf].Lookup(*a.fSlew.at(kd), *a.fSlew.at(kc))
 				req := ckArr + h + holdUnc - crpr
 				hold = append(hold, EndpointSlack{
 					Kind: Hold, Pin: pin, RF: rf,
@@ -322,12 +322,12 @@ func (r *seedRec) set(rf int, v float64) { r.val[rf], r.valid[rf] = v, true }
 // Update must redo.
 func (a *Analyzer) reseed(i int, r seedRec) {
 	k := ix2(i, rise)
-	if r.valid[rise] == a.seedValid[k] && r.valid[fall] == a.seedValid[k+1] &&
-		r.val[rise] == a.seedReq[k] && r.val[fall] == a.seedReq[k+1] {
+	valid, req := a.seedValid.span(k, k+2), a.seedReq.span(k, k+2)
+	if [2]bool(valid) == r.valid && [2]float64(req) == r.val {
 		return
 	}
-	copy(a.seedValid[k:k+2], r.valid[:])
-	copy(a.seedReq[k:k+2], r.val[:])
+	copy(valid, r.valid[:])
+	copy(req, r.val[:])
 	a.seedMoved = append(a.seedMoved, int32(i))
 }
 
@@ -381,10 +381,10 @@ func (a *Analyzer) backtraceChain(buf []int, i, rf, el int) []int {
 	for i >= 0 {
 		rev = append(rev, i)
 		k := ix4(i, rf, el)
-		if !a.fValid[k] {
+		if !*a.fValid.at(k) {
 			break
 		}
-		i, rf = a.fPred[k].source()
+		i, rf = a.fPred.at(k).source()
 	}
 	// Reverse to root-first.
 	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
@@ -425,7 +425,7 @@ func (a *Analyzer) crprCredit(di, rf, el, ci, ce int) units.Ps {
 	if le < 0 || ee < 0 {
 		return 0
 	}
-	credit := a.fArr[ix4(common, le, late)].T - a.fArr[ix4(common, ee, early)].T
+	credit := a.fArr.at(ix4(common, le, late)).T - a.fArr.at(ix4(common, ee, early)).T
 	if credit < 0 {
 		return 0
 	}
@@ -473,8 +473,8 @@ func (a *Analyzer) DRCViolations() []DRCViolation {
 			if p.Dir == netlist.Input {
 				kr := ix4(i, rise, late)
 				kf := ix4(i, fall, late)
-				sl := math.Max(a.fSlew[kr], a.fSlew[kf])
-				if m.MaxTran > 0 && sl > m.MaxTran && (a.fValid[kr] || a.fValid[kf]) {
+				sl := math.Max(*a.fSlew.at(kr), *a.fSlew.at(kf))
+				if m.MaxTran > 0 && sl > m.MaxTran && (*a.fValid.at(kr) || *a.fValid.at(kf)) {
 					out = append(out, DRCViolation{Kind: "max_tran", Pin: p, Value: sl, Limit: m.MaxTran})
 				}
 			} else if nd := a.netDataOf(p.Net); nd != nil {
@@ -505,7 +505,7 @@ func (a *Analyzer) PinArrival(p *netlist.Pin, rf, el int) (units.Ps, bool) {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
-	return a.fArr[k].T, a.fValid[k]
+	return a.fArr.at(k).T, *a.fValid.at(k)
 }
 
 // PinSlew returns the pin slew for the transition/side.
@@ -515,7 +515,7 @@ func (a *Analyzer) PinSlew(p *netlist.Pin, rf, el int) (units.Ps, bool) {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
-	return a.fSlew[k], a.fValid[k]
+	return *a.fSlew.at(k), *a.fValid.at(k)
 }
 
 // PinSetupSlack returns the worst setup (late) slack at a pin from the
@@ -532,8 +532,8 @@ func (a *Analyzer) vertexSetupSlack(i int) units.Ps {
 	s := math.Inf(1)
 	for rf := 0; rf < 2; rf++ {
 		k := ix4(i, rf, late)
-		if a.fValid[k] && a.rValid[k] {
-			if sl := a.fReq[k] - a.fArr[k].T; sl < s {
+		if *a.fValid.at(k) && *a.rValid.at(k) {
+			if sl := *a.fReq.at(k) - a.fArr.at(k).T; sl < s {
 				s = sl
 			}
 		}
@@ -573,7 +573,7 @@ func (a *Analyzer) PortArrival(p *netlist.Port, rf, el int) (units.Ps, bool) {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
-	return a.fArr[k].T, a.fValid[k]
+	return a.fArr.at(k).T, *a.fValid.at(k)
 }
 
 // PortSlew returns a design port's slew.
@@ -583,7 +583,7 @@ func (a *Analyzer) PortSlew(p *netlist.Port, rf, el int) (units.Ps, bool) {
 		return 0, false
 	}
 	k := ix4(i, rf, el)
-	return a.fSlew[k], a.fValid[k]
+	return *a.fSlew.at(k), *a.fValid.at(k)
 }
 
 // PortSetupSlack returns the worst setup slack of all paths launched from an

@@ -39,7 +39,7 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		for rf := 0; rf < 2; rf++ {
 			if kind == Setup {
 				kd := ix4(di, rf, late)
-				if !a.fValid[kd] {
+				if !*a.fValid.at(kd) {
 					continue
 				}
 				ce := a.leadEdge(ci, early)
@@ -48,16 +48,16 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				}
 				kc := ix4(ci, ce, early)
 				crpr := a.refCRPR(a.refBacktrace(di, rf, late), a.refBacktrace(ci, ce, early))
-				dataSlew := a.fSlew[kd]
-				ckSlew := a.fSlew[kc]
+				dataSlew := *a.fSlew.at(kd)
+				ckSlew := *a.fSlew.at(kc)
 				var su float64
 				if rf == rise {
 					su = m.FF.SetupRise.Lookup(dataSlew, ckSlew)
 				} else {
 					su = m.FF.SetupFall.Lookup(dataSlew, ckSlew)
 				}
-				arrD := a.fArr[kd].corner(true, n)
-				ckArr := a.fArr[kc].corner(false, n)
+				arrD := a.fArr.at(kd).corner(true, n)
+				ckArr := a.fArr.at(kc).corner(false, n)
 				cycles := 1.0
 				if a.Cons != nil {
 					if mc, ok := a.Cons.MulticycleSetup[c]; ok && mc > 1 {
@@ -71,7 +71,7 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				})
 			} else {
 				kd := ix4(di, rf, early)
-				if !a.fValid[kd] {
+				if !*a.fValid.at(kd) {
 					continue
 				}
 				cl := a.leadEdge(ci, late)
@@ -80,16 +80,16 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				}
 				kc := ix4(ci, cl, late)
 				crpr := a.refCRPR(a.refBacktrace(di, rf, early), a.refBacktrace(ci, cl, late))
-				dataSlew := a.fSlew[kd]
-				ckSlew := a.fSlew[kc]
+				dataSlew := *a.fSlew.at(kd)
+				ckSlew := *a.fSlew.at(kc)
 				var h float64
 				if rf == rise {
 					h = m.FF.HoldRise.Lookup(dataSlew, ckSlew)
 				} else {
 					h = m.FF.HoldFall.Lookup(dataSlew, ckSlew)
 				}
-				arrD := a.fArr[kd].corner(false, n)
-				ckArr := a.fArr[kc].corner(true, n)
+				arrD := a.fArr.at(kd).corner(false, n)
+				ckArr := a.fArr.at(kc).corner(true, n)
 				holdUnc := 0.0
 				if clk != nil {
 					holdUnc = clk.HoldUncertainty
@@ -117,7 +117,7 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		for rf := 0; rf < 2; rf++ {
 			if kind == Setup {
 				ke := ix4(ei, rf, late)
-				if !a.fValid[ke] || clk == nil {
+				if !*a.fValid.at(ke) || clk == nil {
 					continue
 				}
 				ce := a.leadEdge(ci, early)
@@ -126,9 +126,9 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				}
 				kc := ix4(ci, ce, early)
 				crpr := a.refCRPR(a.refBacktrace(ei, rf, late), a.refBacktrace(ci, ce, early))
-				su := m.Gate.SetupRise.Lookup(a.fSlew[ke], a.fSlew[kc])
-				arrE := a.fArr[ke].corner(true, n)
-				ckArr := a.fArr[kc].corner(false, n)
+				su := m.Gate.SetupRise.Lookup(*a.fSlew.at(ke), *a.fSlew.at(kc))
+				arrE := a.fArr.at(ke).corner(true, n)
+				ckArr := a.fArr.at(kc).corner(false, n)
 				req := clk.Period + ckArr - su - clk.SetupUncertainty + crpr
 				out = append(out, EndpointSlack{
 					Kind: Setup, Pin: enPin, RF: rf,
@@ -136,7 +136,7 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				})
 			} else {
 				ke := ix4(ei, rf, early)
-				if !a.fValid[ke] {
+				if !*a.fValid.at(ke) {
 					continue
 				}
 				cl := a.leadEdge(ci, late)
@@ -145,9 +145,9 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 				}
 				kc := ix4(ci, cl, late)
 				crpr := a.refCRPR(a.refBacktrace(ei, rf, early), a.refBacktrace(ci, cl, late))
-				h := m.Gate.HoldRise.Lookup(a.fSlew[ke], a.fSlew[kc])
-				arrE := a.fArr[ke].corner(false, n)
-				ckArr := a.fArr[kc].corner(true, n)
+				h := m.Gate.HoldRise.Lookup(*a.fSlew.at(ke), *a.fSlew.at(kc))
+				arrE := a.fArr.at(ke).corner(false, n)
+				ckArr := a.fArr.at(kc).corner(true, n)
 				holdUnc := 0.0
 				if clk != nil {
 					holdUnc = clk.HoldUncertainty
@@ -170,16 +170,16 @@ func (a *Analyzer) endpointSlacksInto(kind CheckKind, out []EndpointSlack) []End
 		}
 		i := a.portVertex(p)
 		for rf := 0; rf < 2; rf++ {
-			if kind == Setup && a.fValid[ix4(i, rf, late)] {
-				arr := a.fArr[ix4(i, rf, late)].corner(true, n)
+			if kind == Setup && *a.fValid.at(ix4(i, rf, late)) {
+				arr := a.fArr.at(ix4(i, rf, late)).corner(true, n)
 				req := io.Clock.Period - io.Max - io.Clock.SetupUncertainty
 				out = append(out, EndpointSlack{
 					Kind: Setup, Port: p, RF: rf,
 					Slack: req - arr, Arrival: arr, Required: req,
 				})
 			}
-			if kind == Hold && a.fValid[ix4(i, rf, early)] {
-				arr := a.fArr[ix4(i, rf, early)].corner(false, n)
+			if kind == Hold && *a.fValid.at(ix4(i, rf, early)) {
+				arr := a.fArr.at(ix4(i, rf, early)).corner(false, n)
 				req := io.Min
 				out = append(out, EndpointSlack{
 					Kind: Hold, Port: p, RF: rf,
@@ -198,10 +198,10 @@ func (a *Analyzer) refBacktrace(i, rf, el int) []int {
 	for i >= 0 {
 		rev = append(rev, i)
 		k := ix4(i, rf, el)
-		if !a.fValid[k] {
+		if !*a.fValid.at(k) {
 			break
 		}
-		i, rf = a.fPred[k].source()
+		i, rf = a.fPred.at(k).source()
 	}
 	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
 		rev[l], rev[r] = rev[r], rev[l]
@@ -231,7 +231,7 @@ func (a *Analyzer) refCRPR(launch, capture []int) units.Ps {
 	if le < 0 || ee < 0 {
 		return 0
 	}
-	credit := a.fArr[ix4(common, le, late)].T - a.fArr[ix4(common, ee, early)].T
+	credit := a.fArr.at(ix4(common, le, late)).T - a.fArr.at(ix4(common, ee, early)).T
 	if credit < 0 {
 		return 0
 	}

@@ -35,7 +35,7 @@ func (a *Analyzer) arcDelay(arc *liberty.TimingArc, in int, outRise bool, el int
 // (GBA).
 func (a *Analyzer) mergedArcDelay(arc *liberty.TimingArc, i, rfIn, rfOut, el int, nd *netData) float64 {
 	k := ix4(i, rfIn, el)
-	return a.arcDelay(arc, i, rfOut == rise, el, a.fSlew[k], int(a.fDepth[k])+1, nd.totalCap[el])
+	return a.arcDelay(arc, i, rfOut == rise, el, *a.fSlew.at(k), int(*a.fDepth.at(k))+1, nd.totalCap[el])
 }
 
 // edgeDelay is what the edge predecessor p names into vertex j costs on side
@@ -67,7 +67,7 @@ func (a *Analyzer) netEdgeDelay(i, j, rf, el int) float64 {
 		}
 	}
 	wire := a.vnet(j).sinkDelay(el, int(a.topo.faninSink[j]))
-	f := a.Cfg.Derate.Factor(NetDelay, a.topo.clockPath[i], el == late, int(a.fDepth[ix4(i, rf, el)]))
+	f := a.Cfg.Derate.Factor(NetDelay, a.topo.clockPath[i], el == late, int(*a.fDepth.at(ix4(i, rf, el))))
 	return wire*f + extra
 }
 

@@ -274,31 +274,31 @@ type Analyzer struct {
 	// Cell-arc groups per vertex (CSR): an output pin's group lists the
 	// arcs into it (in master Arcs order), an input pin's group the arcs
 	// out of it. Replaces the per-relax O(arcs) master scans.
-	arcOff []int32
-	arcs   []arcRef
+	arcOff slab[int32]
+	arcs   slab[arcRef]
 	// pinCap caches input-pin capacitance per vertex (master-resolved).
-	pinCap []float64
+	pinCap slab[float64]
 
 	// Flat mutable per-run state, 4 planes per vertex (ix4 layout).
-	fValid []bool
-	fArr   []timeVar
-	fSlew  []float64
-	fDepth []int32
-	fPred  []pred
-	rValid []bool
-	fReq   []float64
+	fValid slab[bool]
+	fArr   slab[timeVar]
+	fSlew  slab[float64]
+	fDepth slab[int32]
+	fPred  slab[pred]
+	rValid slab[bool]
+	fReq   slab[float64]
 	// Endpoint-check seeds, 2 planes per vertex (ix2 layout), recorded so
 	// incremental updates can detect when an endpoint's check moved.
-	seedReq   []float64
-	seedValid []bool
+	seedReq   slab[float64]
+	seedValid slab[bool]
 
 	// vnd binds each vertex to its relevant entry of nets, the per-net
 	// delay-calc cache (-1 for none): the driven net for output pins and
 	// input ports (pull side), the fanin net for input pins and output ports
 	// (relax side). buildNets keeps nets one entry per D.Nets position and
 	// rebinds vnd.
-	vnd  []int32
-	nets []netData
+	vnd  slab[int32]
+	nets slab[netData]
 
 	// Delay-calc scratch: calc[0] serves every serial fill (small designs,
 	// incremental Updates), buildNets' fan-out gives chunk k calc[k].
@@ -390,12 +390,12 @@ func New(d *netlist.Design, cons *Constraints, cfg Config) (*Analyzer, error) {
 
 // resize returns s with length n on s's own storage when it fits. A first
 // allocation is exact, so a slab that never grows carries no slack; one
-// that has been outgrown is replaced with headroom (n/8), which bounds how
-// often a slab that keeps growing is replaced. The headroom does not make
-// growth cheap: every analyzer over a design that grows pays at least one
-// replacement of each slab from its exact first size, and more headroom
-// only makes that replacement larger. The first min(len(s), n) elements
-// are kept; callers overwrite or clear the rest.
+// that has been outgrown is replaced with headroom (n/8), as at a
+// derivation of a larger design. The slabs a patch grows — the per-vertex
+// planes, the arc groups, the net cache — append in a segment of their own
+// instead (slab.grow), so their exact first allocation is never replaced.
+// The first min(len(s), n) elements are kept; callers overwrite or clear
+// the rest.
 func resize[T any](s []T, n int) []T {
 	switch {
 	case n <= cap(s):
@@ -419,13 +419,14 @@ func resize[T any](s []T, n int) []T {
 // Topology a patch grew, numbered as it is), the resolved masters, the
 // Topology (Cfg.Topology adopted when compatible, else built — always a new
 // value, since the old one may be shared), arc groups and pin caps, and the
-// length of every per-vertex plane (the check-site table follows in Run).
-// The dirty lists are dropped; the incremental worklists keep their storage
-// and are resized by the next Update. What survives is the per-net
-// delay-calc cache: fillNetData reuses an entry only when its tree pointer,
-// sink caps and port load match exactly, so a full Run over a regraphed
-// analyzer is bit-identical to a fresh New + Run while refilling only the
-// nets whose loads actually moved.
+// length of every per-vertex plane (the check-site table follows in Run),
+// each slab folded into one segment (see slab). The dirty lists are
+// dropped; the incremental worklists keep their storage and are resized by
+// the next Update. What survives is the per-net delay-calc cache, folded
+// too and resized to the design's nets: fillNetData reuses an entry only
+// when its tree pointer, sink caps and port load match exactly, so a full
+// Run over a regraphed analyzer is bit-identical to a fresh New + Run while
+// refilling only the nets whose loads actually moved.
 //
 // On error the analyzer is left with no graph at all — nothing indexed into
 // a numbering that no longer exists — and the next Run derives it again.
@@ -468,7 +469,8 @@ func (a *Analyzer) regraph() (err error) {
 		a.topo, a.sharedTopo = t, false
 	}
 	a.growArcGroups(0)
-	a.resizePlanes()
+	a.resizePlanes(true)
+	a.nets.fold(len(d.Nets))
 	// The dirty lists hold vertex numbers.
 	a.clearDirty()
 	a.revision = d.Revision()
@@ -501,21 +503,22 @@ func (a *Analyzer) number(base int) {
 	a.cellBase[len(a.cells)] = vi
 }
 
-// resizePlanes sizes every per-vertex plane to the graph. Run clears the
-// nine state arrays and rebinds vnd before reading any of them; a patch
-// clears what it appended.
-func (a *Analyzer) resizePlanes() {
+// resizePlanes sizes every per-vertex plane to the graph: folded into one
+// segment at a derivation, grown behind the kept one at a patch (see slab).
+// Run clears the nine state arrays and rebinds vnd before reading any of
+// them; a patch clears what it appended.
+func (a *Analyzer) resizePlanes(fold bool) {
 	nv := a.NumVerts()
-	a.fValid = resize(a.fValid, 4*nv)
-	a.fArr = resize(a.fArr, 4*nv)
-	a.fSlew = resize(a.fSlew, 4*nv)
-	a.fDepth = resize(a.fDepth, 4*nv)
-	a.fPred = resize(a.fPred, 4*nv)
-	a.rValid = resize(a.rValid, 4*nv)
-	a.fReq = resize(a.fReq, 4*nv)
-	a.seedReq = resize(a.seedReq, 2*nv)
-	a.seedValid = resize(a.seedValid, 2*nv)
-	a.vnd = resize(a.vnd, nv)
+	a.fValid.resize(4*nv, fold)
+	a.fArr.resize(4*nv, fold)
+	a.fSlew.resize(4*nv, fold)
+	a.fDepth.resize(4*nv, fold)
+	a.fPred.resize(4*nv, fold)
+	a.rValid.resize(4*nv, fold)
+	a.fReq.resize(4*nv, fold)
+	a.seedReq.resize(2*nv, fold)
+	a.seedValid.resize(2*nv, fold)
+	a.vnd.resize(nv, fold)
 }
 
 // dropGraph forgets a half-derived graph: no vertex, cell or check site
@@ -593,7 +596,7 @@ func (a *Analyzer) netIndex(n *netlist.Net) int32 {
 	if n == nil {
 		return -1
 	}
-	if i := n.Index(); i >= 0 && i < len(a.nets) && a.nets[i].net == n {
+	if i := n.Index(); i >= 0 && i < a.nets.len() && a.nets.at(i).net == n {
 		return int32(i)
 	}
 	return -1
@@ -602,15 +605,15 @@ func (a *Analyzer) netIndex(n *netlist.Net) int32 {
 // netDataOf returns n's delay-calc entry as of the last buildNets, or nil.
 func (a *Analyzer) netDataOf(n *netlist.Net) *netData {
 	if i := a.netIndex(n); i >= 0 {
-		return &a.nets[i]
+		return a.nets.at(int(i))
 	}
 	return nil
 }
 
 // vnet returns the delay-calc entry vertex i's rules read (see vnd), or nil.
 func (a *Analyzer) vnet(i int) *netData {
-	if ni := a.vnd[i]; ni >= 0 {
-		return &a.nets[ni]
+	if ni := *a.vnd.at(i); ni >= 0 {
+		return a.nets.at(int(ni))
 	}
 	return nil
 }
@@ -735,7 +738,7 @@ func (a *Analyzer) refreshMasters() (reshaped bool, err error) {
 func (a *Analyzer) refreshPinCaps(ci int, m *liberty.Cell) {
 	for k, p := range a.cells[ci].Pins {
 		if p.Dir == netlist.Input {
-			a.pinCap[int(a.cellBase[ci])+k] = m.InputCap(p.Name)
+			*a.pinCap.at(int(a.cellBase[ci]) + k) = m.InputCap(p.Name)
 		}
 	}
 }
@@ -763,17 +766,19 @@ func eachArc(m *liberty.Cell, p *netlist.Pin, fn func(k int, other *netlist.Pin)
 // growArcGroups lays out the combined cell-arc CSR and the input-pin cap
 // cache from the current masters for vertices from..nv, in vertex order,
 // behind the groups of the vertices before from, which it keeps: from 0 at
-// a derivation, from the first appended vertex at a patch. One pass counts
-// every group, so the entry slab is sized to its total before the second
-// fills it.
+// a derivation, which folds the slabs into one segment, from the first
+// appended vertex at a patch, which grows them behind the kept segment
+// (see slab). A kept vertex's group lies below every appended one's, so each
+// group is in one segment. One pass counts every group, so the entry slab
+// is sized to its total before the second fills it.
 func (a *Analyzer) growArcGroups(from int) {
-	n := a.NumVerts()
-	a.arcOff = resize(a.arcOff, n+1)
-	a.pinCap = resize(a.pinCap, n)
-	clear(a.pinCap[from:]) // only input pins are written below
+	n, fold := a.NumVerts(), from == 0
+	a.arcOff.resize(n+1, fold)
+	a.pinCap.resize(n, fold)
+	a.pinCap.clearFrom(from) // only input pins are written below
 	total := int32(0)
 	if from > 0 {
-		total = a.arcOff[from]
+		total = *a.arcOff.at(from)
 	}
 	each := func(fn func(i int, m *liberty.Cell, p *netlist.Pin)) {
 		for i := from; i < n; {
@@ -789,24 +794,24 @@ func (a *Analyzer) growArcGroups(from int) {
 		}
 	}
 	each(func(i int, m *liberty.Cell, p *netlist.Pin) {
-		a.arcOff[i] = total
+		*a.arcOff.at(i) = total
 		if p == nil {
 			return
 		}
 		if p.Dir == netlist.Input {
-			a.pinCap[i] = m.InputCap(p.Name)
+			*a.pinCap.at(i) = m.InputCap(p.Name)
 		}
 		eachArc(m, p, func(int, *netlist.Pin) { total++ })
 	})
-	a.arcOff[n] = total
-	a.arcs = resize(a.arcs, int(total))
+	*a.arcOff.at(n) = total
+	a.arcs.resize(int(total), fold)
 	each(func(i int, m *liberty.Cell, p *netlist.Pin) {
 		if p == nil {
 			return
 		}
-		at := a.arcOff[i]
+		at := *a.arcOff.at(i)
 		eachArc(m, p, func(arc int, other *netlist.Pin) {
-			a.arcs[at] = arcRef{other: int32(a.pinVertex(other)), arc: int32(arc)}
+			*a.arcs.at(int(at)) = arcRef{other: int32(a.pinVertex(other)), arc: int32(arc)}
 			at++
 		})
 	})
@@ -815,7 +820,12 @@ func (a *Analyzer) growArcGroups(from int) {
 // arcOf returns the timing arc of group entry ai, which belongs to vertex
 // i's cell.
 func (a *Analyzer) arcOf(i int, ai int32) *liberty.TimingArc {
-	return &a.masters[a.topo.cellOf[i]].Arcs[a.arcs[ai].arc]
+	return &a.masters[a.topo.cellOf[i]].Arcs[a.arcs.at(int(ai)).arc]
+}
+
+// group returns vertex i's cell-arc group.
+func (a *Analyzer) group(i int) []arcRef {
+	return a.arcs.span(int(*a.arcOff.at(i)), int(*a.arcOff.at(i + 1)))
 }
 
 // successors invokes fn for every timing edge out of vertex i, from the

@@ -28,7 +28,7 @@ func (a *Analyzer) InvalidateNet(n *netlist.Net) {
 		a.structDirty = a.structDirty || a.D.Revision() == a.revision
 		return
 	}
-	if nd := &a.nets[ni]; nd.dirtyGen != a.dirtyGen {
+	if nd := a.nets.at(int(ni)); nd.dirtyGen != a.dirtyGen {
 		nd.dirtyGen = a.dirtyGen
 		a.dirtyNets = append(a.dirtyNets, ni)
 	}
@@ -88,8 +88,8 @@ func (a *Analyzer) clearDirty() {
 	a.structDirty = false
 	a.dirtyGen++
 	if a.dirtyGen == 0 { // wrapped: a stale mark could read as current
-		for i := range a.nets {
-			a.nets[i].dirtyGen = 0
+		for i := range a.nets.len() {
+			a.nets.at(i).dirtyGen = 0
 		}
 		a.dirtyGen = 1
 	}
@@ -116,7 +116,7 @@ func (a *Analyzer) netDriverVertex(n *netlist.Net) int {
 // by direct field writes on the nets an Update is about to recompute.
 func (a *Analyzer) incrementalSafe() bool {
 	for _, ni := range a.dirtyNets {
-		n := a.nets[ni].net
+		n := a.nets.at(int(ni)).net
 		if n.Driver != nil && a.pinVertex(n.Driver) < 0 || n.Port != nil && a.portVertex(n.Port) < 0 {
 			return false
 		}
@@ -181,47 +181,29 @@ type fwdState struct {
 	depth [4]int32
 }
 
-func (a *Analyzer) snapshotFwd(i int) (s fwdState) {
+func (a *Analyzer) snapshotFwd(i int) fwdState {
 	k := ix4(i, 0, 0)
-	copy(s.valid[:], a.fValid[k:k+4])
-	copy(s.arr[:], a.fArr[k:k+4])
-	copy(s.slew[:], a.fSlew[k:k+4])
-	copy(s.depth[:], a.fDepth[k:k+4])
-	return s
+	return fwdState{
+		valid: [4]bool(a.fValid.span(k, k+4)),
+		arr:   [4]timeVar(a.fArr.span(k, k+4)),
+		slew:  [4]float64(a.fSlew.span(k, k+4)),
+		depth: [4]int32(a.fDepth.span(k, k+4)),
+	}
 }
 
-func (a *Analyzer) fwdChanged(i int, s fwdState) bool {
-	k := ix4(i, 0, 0)
-	for p := 0; p < 4; p++ {
-		if s.valid[p] != a.fValid[k+p] || s.arr[p] != a.fArr[k+p] ||
-			s.slew[p] != a.fSlew[k+p] || s.depth[p] != a.fDepth[k+p] {
-			return true
-		}
-	}
-	return false
-}
+func (a *Analyzer) fwdChanged(i int, s fwdState) bool { return a.snapshotFwd(i) != s }
 
 type reqState struct {
 	valid [4]bool
 	req   [4]float64
 }
 
-func (a *Analyzer) snapshotReq(i int) (s reqState) {
+func (a *Analyzer) snapshotReq(i int) reqState {
 	k := ix4(i, 0, 0)
-	copy(s.valid[:], a.rValid[k:k+4])
-	copy(s.req[:], a.fReq[k:k+4])
-	return s
+	return reqState{valid: [4]bool(a.rValid.span(k, k+4)), req: [4]float64(a.fReq.span(k, k+4))}
 }
 
-func (a *Analyzer) reqChanged(i int, s reqState) bool {
-	k := ix4(i, 0, 0)
-	for p := 0; p < 4; p++ {
-		if s.valid[p] != a.rValid[k+p] || s.req[p] != a.fReq[k+p] {
-			return true
-		}
-	}
-	return false
-}
+func (a *Analyzer) reqChanged(i int, s reqState) bool { return a.snapshotReq(i) != s }
 
 // pushFanins invokes fn for every timing edge *into* vertex i — the
 // reverse of successors: the driving net edge plus, for an output pin, the
@@ -231,7 +213,7 @@ func (a *Analyzer) pushFanins(i int, fn func(j int)) {
 		fn(int(d))
 	}
 	if a.topo.kind[i] == vkOutPin {
-		for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
+		for _, ar := range a.group(i) {
 			fn(int(ar.other))
 		}
 	}
@@ -272,7 +254,7 @@ func (a *Analyzer) Update() error {
 
 	// Phase 1: redo delay calculation for dirty nets.
 	for _, ni := range a.dirtyNets {
-		a.countNetFill(a.fillNetData(&a.nets[ni], &a.calc[0]))
+		a.countNetFill(a.fillNetData(a.nets.at(int(ni)), &a.calc[0]))
 	}
 
 	// Phase 2: forward cone. Seed the worklist with every vertex whose
@@ -285,7 +267,7 @@ func (a *Analyzer) Update() error {
 	level := a.topo.level
 	seedFwd := func(i int) { fw.push(i, int(level[i])) }
 	for _, ni := range a.dirtyNets {
-		n := a.nets[ni].net
+		n := a.nets.at(int(ni)).net
 		if d := a.netDriverVertex(n); d >= 0 {
 			seedFwd(d)
 		}
@@ -341,7 +323,7 @@ func (a *Analyzer) Update() error {
 			seedBwd(i)
 		}
 		for _, ni := range a.dirtyNets {
-			d := a.netDriverVertex(a.nets[ni].net)
+			d := a.netDriverVertex(a.nets.at(int(ni)).net)
 			if d < 0 {
 				continue
 			}
@@ -387,14 +369,12 @@ func (a *Analyzer) Update() error {
 // recorded endpoint seed plus a pull from its (final) successors.
 func (a *Analyzer) recomputeRequired(i int) {
 	k := ix4(i, 0, 0)
-	for p := k; p < k+4; p++ {
-		a.rValid[p] = false
-		a.fReq[p] = 0
-	}
+	clear(a.rValid.span(k, k+4))
+	clear(a.fReq.span(k, k+4))
 	for rf := 0; rf < 2; rf++ {
-		if a.seedValid[ix2(i, rf)] {
-			a.fReq[ix4(i, rf, late)] = a.seedReq[ix2(i, rf)]
-			a.rValid[ix4(i, rf, late)] = true
+		if *a.seedValid.at(ix2(i, rf)) {
+			*a.fReq.at(ix4(i, rf, late)) = *a.seedReq.at(ix2(i, rf))
+			*a.rValid.at(ix4(i, rf, late)) = true
 		}
 	}
 	a.pullRequired(i)

@@ -101,8 +101,8 @@ func (w *PathWalker) WorstPaths(kind CheckKind, n int) []Path {
 func (a *Analyzer) chainLen(e EndpointSlack) int {
 	el := e.Kind.side()
 	n := 0
-	for i, rf := a.endpointVertex(e), e.RF; i >= 0 && a.fValid[ix4(i, rf, el)]; n++ {
-		i, rf = a.fPred[ix4(i, rf, el)].source()
+	for i, rf := a.endpointVertex(e), e.RF; i >= 0 && *a.fValid.at(ix4(i, rf, el)); n++ {
+		i, rf = a.fPred.at(ix4(i, rf, el)).source()
 	}
 	return n
 }
@@ -117,15 +117,15 @@ func (w *PathWalker) worstPath(e EndpointSlack) Path {
 	p := Path{Endpoint: e, GBASlack: e.Slack, Steps: w.take(a.chainLen(e))}
 	for i, rf, k := a.endpointVertex(e), e.RF, len(p.Steps)-1; k >= 0; k-- {
 		kk := ix4(i, rf, el)
-		pr := a.fPred[kk]
+		pr := *a.fPred.at(kk)
 		src, srcRF := pr.source()
 		st := PathStep{
 			Name:    a.vname(i),
 			RF:      rf,
 			Delay:   a.edgeDelay(pr, i, rf, el),
 			IsCell:  pr.cell(),
-			Arrival: a.fArr[kk].T,
-			Slew:    a.fSlew[kk],
+			Arrival: a.fArr.at(kk).T,
+			Slew:    *a.fSlew.at(kk),
 			vid:     i,
 		}
 		if st.IsCell {
@@ -165,11 +165,11 @@ func (w *PathWalker) Within(e EndpointSlack, window units.Ps, maxPaths int) []Pa
 	}
 	a := w.a
 	endV := a.endpointVertex(e)
-	if endV < 0 || !a.fValid[ix4(endV, e.RF, late)] {
+	if endV < 0 || !*a.fValid.at(ix4(endV, e.RF, late)) {
 		return nil
 	}
 	w.e, w.max = e, maxPaths
-	w.worst = a.fArr[ix4(endV, e.RF, late)].T
+	w.worst = a.fArr.at(ix4(endV, e.RF, late)).T
 	w.floor = w.worst - window
 	w.descend(endV, e.RF, 0)
 	// The walk leans worst-first; a stable insertion sort over the at most
@@ -194,7 +194,7 @@ func (w *PathWalker) Within(e EndpointSlack, window units.Ps, maxPaths int) []Pa
 func (w *PathWalker) descend(v, rf int, suffix float64) {
 	a := w.a
 	k := ix4(v, rf, late)
-	if src, _ := a.fPred[k].source(); src < 0 || !a.fValid[k] {
+	if src, _ := a.fPred.at(k).source(); src < 0 || !*a.fValid.at(k) {
 		w.emit(v, rf, suffix)
 		return
 	}
@@ -209,7 +209,7 @@ func (w *PathWalker) descend(v, rf int, suffix float64) {
 		}
 		st := PathStep{
 			Name: a.vname(v), RF: rf, Delay: in.delay,
-			IsCell: in.cell, Slew: a.fSlew[k],
+			IsCell: in.cell, Slew: *a.fSlew.at(k),
 			vid: v, arc: in.arc,
 		}
 		st.Cell, st.Net = a.stepOwner(v, !in.cell)
@@ -224,13 +224,13 @@ func (w *PathWalker) descend(v, rf int, suffix float64) {
 func (w *PathWalker) emit(v, rf int, suffix float64) {
 	a := w.a
 	k := ix4(v, rf, late)
-	root := a.fArr[k].T
+	root := a.fArr.at(k).T
 	p := Path{
 		Endpoint: w.e,
 		GBASlack: w.e.Slack + (w.worst - (root + suffix)),
 		Steps:    w.take(len(w.stack) + 1),
 	}
-	p.Steps[0] = PathStep{Name: a.vname(v), RF: rf, Arrival: root, Slew: a.fSlew[k], vid: v}
+	p.Steps[0] = PathStep{Name: a.vname(v), RF: rf, Arrival: root, Slew: *a.fSlew.at(k), vid: v}
 	// The stack is endpoint-first; arrivals are re-accumulated along this
 	// specific path.
 	cum := root
@@ -262,7 +262,7 @@ func (w *PathWalker) pushInEdges(i, rf int) {
 	a := w.a
 	lo := len(w.edges)
 	push := func(in inEdge) {
-		in.at = a.fArr[ix4(in.v, in.rf, late)].T + in.delay
+		in.at = a.fArr.at(ix4(in.v, in.rf, late)).T + in.delay
 		w.edges = append(w.edges, in)
 		for j := len(w.edges) - 1; j > lo && w.edges[j].at > w.edges[j-1].at; j-- {
 			w.edges[j], w.edges[j-1] = w.edges[j-1], w.edges[j]
@@ -270,16 +270,16 @@ func (w *PathWalker) pushInEdges(i, rf int) {
 	}
 	if a.topo.kind[i] == vkOutPin {
 		nd, m := a.vnet(i), a.masters[a.topo.cellOf[i]]
-		for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
+		for _, ar := range a.group(i) {
 			fv, arc := int(ar.other), &m.Arcs[ar.arc]
 			first, last := inTransitions(arc.Sense, rf)
 			for rfIn := first; rfIn <= last; rfIn++ {
-				if a.fValid[ix4(fv, rfIn, late)] {
+				if *a.fValid.at(ix4(fv, rfIn, late)) {
 					push(inEdge{v: fv, rf: rfIn, delay: a.mergedArcDelay(arc, fv, rfIn, rf, late, nd), cell: true, arc: arc})
 				}
 			}
 		}
-	} else if src := int(a.topo.faninDriver[i]); src >= 0 && a.fValid[ix4(src, rf, late)] {
+	} else if src := int(a.topo.faninDriver[i]); src >= 0 && *a.fValid.at(ix4(src, rf, late)) {
 		// Input pin or output port: the one net edge from its driver.
 		push(inEdge{v: src, rf: rf, delay: a.netEdgeDelay(src, i, rf, late)})
 	}

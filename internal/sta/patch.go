@@ -35,7 +35,7 @@ import (
 // leaves all of that to the Run.
 func (a *Analyzer) patch(incremental bool) bool {
 	t, d := a.topo, a.D
-	if t == nil || len(d.Ports) != len(a.ports) || incremental && len(a.nets) != t.numNets {
+	if t == nil || len(d.Ports) != len(a.ports) || incremental && a.nets.len() != t.numNets {
 		return false
 	}
 	edits, ok := d.Journal(a.revision)
@@ -82,17 +82,17 @@ func (a *Analyzer) patch(incremental bool) bool {
 		a.obsTopoPatched.Add(1)
 	}
 	a.growArcGroups(keptVerts)
-	a.resizePlanes()
+	a.resizePlanes(false)
 	nv := a.NumVerts()
-	clear(a.fValid[4*keptVerts:])
-	clear(a.rValid[4*keptVerts:])
-	clear(a.seedValid[2*keptVerts:])
-	clear(a.fArr[4*keptVerts:])
-	clear(a.fSlew[4*keptVerts:])
-	clear(a.fDepth[4*keptVerts:])
-	clear(a.fPred[4*keptVerts:])
-	clear(a.fReq[4*keptVerts:])
-	clear(a.seedReq[2*keptVerts:])
+	a.fValid.clearFrom(4 * keptVerts)
+	a.rValid.clearFrom(4 * keptVerts)
+	a.seedValid.clearFrom(2 * keptVerts)
+	a.fArr.clearFrom(4 * keptVerts)
+	a.fSlew.clearFrom(4 * keptVerts)
+	a.fDepth.clearFrom(4 * keptVerts)
+	a.fPred.clearFrom(4 * keptVerts)
+	a.fReq.clearFrom(4 * keptVerts)
+	a.seedReq.clearFrom(2 * keptVerts)
 	a.revision = d.Revision()
 	a.obsGraphVerts.Set(float64(nv))
 	a.obsGraphLevels.Set(float64(a.topo.numLevels()))
@@ -108,16 +108,13 @@ func (a *Analyzer) patch(incremental bool) bool {
 	a.dirtyReq = dropFrom(a.dirtyReq, keptVerts)
 	a.dirtyNets = dropFrom(a.dirtyNets, int32(keptNets))
 	a.Cfg.Parasitics.Refresh(d)
-	if len(d.Nets) < len(a.nets) {
-		clear(a.nets[len(d.Nets):])
-	}
-	a.nets = resize(a.nets, len(d.Nets))
+	a.nets.grow(len(d.Nets))
 	for i, n := range d.Nets[keptNets:] {
-		nd := &a.nets[keptNets+i]
+		nd := a.nets.at(keptNets + i)
 		nd.net, nd.filled, nd.dirtyGen = n, false, 0
 	}
 	for i := keptVerts; i < nv; i++ {
-		a.vnd[i] = -1
+		*a.vnd.at(i) = -1
 		a.dirtyVerts = append(a.dirtyVerts, i)
 		a.dirtyReq = append(a.dirtyReq, i)
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
@@ -235,7 +236,19 @@ func leastAlloc(setup, fn func()) uint64 {
 	return least
 }
 
-// A pad round patched into the topology a round before it was patched into
+// A pad round's patch allocates for what it appends and for the topology,
+// never for what the analyzer kept.
+//
+// The first round after New + Run outgrows the analyzer's exactly sized
+// slabs. A twin analyzer that adopts the topology the first one patched
+// makes the same patch without the topology's; what it allocates is the
+// analyzer's share: the appended vertices, arc-group entries and nets with
+// the headroom a grown slab gets (an eighth of the whole), and the cell
+// tables and dirty lists, which append grows whole (counted twice, for the
+// arrays append outgrows on the way). What the kept segments hold is not
+// copied.
+//
+// A round patched into the topology a round before it was patched into
 // costs about half of deriving the topology: the copies of the fanin,
 // level and successor arrays, each of which holds an entry of a kept
 // vertex that the pads change (the moved D pin's driver, sink index and
@@ -244,34 +257,84 @@ func leastAlloc(setup, fn func()) uint64 {
 // in the round before, so the bytes are the patch's.
 func TestPadRoundPatchBytes(t *testing.T) {
 	lib := testLib()
-	var a *Analyzer
-	patched := leastAlloc(func() {
+	var a, twin *Analyzer
+	fresh := func() {
 		d, cons := checkFixture(lib, "gated", 7)
 		var err error
 		if a, err = New(d, cons, Config{Lib: lib, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
+		if twin, err = New(d, cons, Config{Lib: lib, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
-		padRound(t, d, lib, 0, 3)
-		if err := a.Update(); err != nil {
+		if err := twin.Run(); err != nil {
 			t.Fatal(err)
 		}
-		padRound(t, d, lib, 1, 3)
-	}, func() {
-		if !a.patch(true) {
-			t.Fatal("the pad round was not patched")
-		}
-	})
-	built := leastAlloc(func() {}, func() {
-		if _, err := a.buildTopologyCSR(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("a pad round's patch allocates %d B, a derivation %d B (%.2f) over %d vertices",
-		patched, built, float64(patched)/float64(built), a.NumVerts())
-	if 5*patched >= 3*built {
-		t.Fatalf("a pad round's patch allocates %d B, a derivation %d B: want under three fifths", patched, built)
 	}
+	// patch patches the pad round into *an, whichever analyzer that is by
+	// the time the measured call runs.
+	patch := func(an **Analyzer) func() {
+		return func() {
+			if !(*an).patch(true) {
+				t.Fatal("the pad round was not patched")
+			}
+		}
+	}
+
+	t.Run("first round", func(t *testing.T) {
+		var verts, arcs, nets int
+		kept := func() {
+			fresh()
+			verts, arcs, nets = a.NumVerts(), a.arcs.len(), a.nets.len()
+			padRound(t, a.D, lib, 0, 3)
+		}
+		patched := leastAlloc(kept, patch(&a))
+		own := leastAlloc(func() {
+			kept()
+			patch(&a)()
+			twin.Cfg.Topology = a.topo
+		}, patch(&twin))
+		if !twin.sharedTopo {
+			t.Fatal("the twin did not adopt the patched topology")
+		}
+		perVertex := 4*int(unsafe.Sizeof(bool(false))+unsafe.Sizeof(timeVar{})+unsafe.Sizeof(float64(0))+
+			unsafe.Sizeof(int32(0))+unsafe.Sizeof(pred{})+unsafe.Sizeof(bool(false))+unsafe.Sizeof(float64(0))) +
+			2*int(unsafe.Sizeof(float64(0))+unsafe.Sizeof(bool(false))) + // seeds
+			int(unsafe.Sizeof(int32(0))+unsafe.Sizeof(float64(0))+unsafe.Sizeof(int32(0))) // vnd, pinCap, arcOff
+		appended := func(was, is, size int) int { return (is - was + is/8) * size }
+		share := appended(verts, twin.NumVerts(), perVertex) +
+			appended(arcs, twin.arcs.len(), int(unsafe.Sizeof(arcRef{}))) +
+			appended(nets, twin.nets.len(), int(unsafe.Sizeof(netData{}))) +
+			2*(slabBytes(twin.cells)+slabBytes(twin.masters)+slabBytes(twin.cellBase)+
+				slabBytes(twin.dirtyVerts)+slabBytes(twin.dirtyReq)+slabBytes(twin.dirtyNets))
+		t.Logf("the first pad round's patch allocates %d B: %d B the analyzer's (its share %d B over %d appended vertices), %d B the topology's",
+			patched, own, share, twin.NumVerts()-verts, patched-own)
+		if own > uint64(share) {
+			t.Fatalf("an analyzer's first pad round allocates %d B, its appended share %d B", own, share)
+		}
+	})
+
+	t.Run("second round", func(t *testing.T) {
+		patched := leastAlloc(func() {
+			fresh()
+			padRound(t, a.D, lib, 0, 3)
+			if err := a.Update(); err != nil {
+				t.Fatal(err)
+			}
+			padRound(t, a.D, lib, 1, 3)
+		}, patch(&a))
+		built := leastAlloc(func() {}, func() {
+			if _, err := a.buildTopologyCSR(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("a pad round's patch allocates %d B, a derivation %d B (%.2f) over %d vertices",
+			patched, built, float64(patched)/float64(built), a.NumVerts())
+		if 5*patched >= 3*built {
+			t.Fatalf("a pad round's patch allocates %d B, a derivation %d B: want under three fifths", patched, built)
+		}
+	})
 }

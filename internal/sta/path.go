@@ -122,8 +122,8 @@ func (a *Analyzer) PBA(p Path) PBAResult {
 	// Re-propagate along the chain.
 	root := p.Steps[0]
 	kr := ix4(root.vid, root.RF, el)
-	t := a.fArr[kr].T // seed arrival (port)
-	slew := a.fSlew[kr]
+	t := a.fArr.at(kr).T // seed arrival (port)
+	slew := *a.fSlew.at(kr)
 	variance := 0.0
 	depth := 0
 	for k := 1; k < len(p.Steps); k++ {

@@ -246,6 +246,107 @@ func TestUpdateAbsorbsJournaledBuffers(t *testing.T) {
 	}
 }
 
+// padFlops pads the D pins of every third flip-flop, starting at the from-th,
+// behind a chain of depth delay buffers, as a hold pass's round pads its
+// endpoints, and returns the edits in the order they went in.
+func padFlops(t *testing.T, d *netlist.Design, lib *liberty.Library, from, depth int) []*conformance.BufferEdit {
+	t.Helper()
+	var edits []*conformance.BufferEdit
+	ffs := 0
+	for _, c := range d.Cells {
+		m := lib.Cell(c.TypeName)
+		if m == nil || m.FF == nil {
+			continue
+		}
+		if ffs++; ffs%3 != from {
+			continue
+		}
+		target := c.Pin(m.FF.Data)
+		for range depth {
+			e := insertBuffer(t, d, target.Net, []*netlist.Pin{target})
+			edits, target = append(edits, e), e.Buf.Pin("A")
+		}
+	}
+	return edits
+}
+
+// The per-analyzer slabs keep what the last derivation numbered and append
+// what patches add since, in a segment of their own. Pads past that
+// boundary, every pad taken out again newest first (which empties the
+// appended segment), pads again, and a derivation forced after a patch
+// (which folds the segments into one), each re-timed by Update or by a full
+// Run, leave the analyzer indistinguishable from a fresh one, on one worker
+// and on two, where the gang's waves write both segments.
+func TestAppendedSegmentMatchesFresh(t *testing.T) {
+	lib := conformance.Lib()
+	for _, workers := range []int{1, 2} {
+		const seed = 3
+		d, cons := sta.CheckFixture(lib, "gated", seed)
+		rec := obs.NewRecorder()
+		cfg := sta.Config{Lib: lib, Parasitics: sta.NewKeyedNetBinder(parasitics.Stack16(), seed),
+			SI: sta.DefaultSI(), Derate: sta.DefaultAOCV(), MIS: true, Workers: workers, Obs: rec}
+		a, err := sta.New(d, cons, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		a.Cfg.Obs = nil // the fresh analyzers below count nothing
+		step := func(ctx string, retime func() error, appended bool) {
+			t.Helper()
+			ctx = fmt.Sprintf("%d workers, %s", workers, ctx)
+			if err := retime(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if got := a.AppendedVerts() > 0; got != appended {
+				t.Fatalf("%s: %d vertices in the appended segment, want some: %v", ctx, a.AppendedVerts(), appended)
+			}
+			assertEqualsFresh(t, a, ctx)
+		}
+
+		pads := padFlops(t, d, lib, 0, 3)
+		step("pads past the boundary", a.Update, true)
+		// The appended segment came with an eighth of the whole as headroom;
+		// these pads outgrow it, so it is replaced with what it held.
+		for from := range 3 {
+			pads = append(pads, padFlops(t, d, lib, from, 3)...)
+		}
+		step("pads past the appended segment's headroom", a.Update, true)
+		step("the same pads fully re-timed", a.Run, true)
+		for i := len(pads) - 1; i >= 0; i-- {
+			pads[i].Undo(d)
+		}
+		step("every pad taken out, newest first", a.Update, false)
+		padFlops(t, d, lib, 2, 3)
+		step("pads again", a.Run, true)
+		// A load moved off its net and back is no journaled edit: the next
+		// Run derives the graph afresh.
+		n := drivenNet(rand.New(rand.NewSource(seed)), d, 2)
+		l := n.Loads[0]
+		d.Disconnect(l)
+		if err := d.Connect(l.Cell, l.Name, n); err != nil {
+			t.Fatal(err)
+		}
+		step("a derivation after the patches", a.Run, false)
+		// The derivation's slabs were outgrown, so they came with headroom
+		// (an eighth); these pads outgrow that too.
+		for from := range 3 {
+			padFlops(t, d, lib, from, 3)
+		}
+		step("pads past the derivation's headroom", a.Update, true)
+		step("those pads fully re-timed", a.Run, true)
+
+		if built, patched := rec.Counter("sta.topologies_built").Value(),
+			rec.Counter("sta.topologies_patched").Value(); built != 2 || patched != 5 {
+			t.Fatalf("%d workers: %d topologies built and %d patched, want 2 and 5", workers, built, patched)
+		}
+		if split := rec.Counter("sta.levels_parallel").Value(); workers > 1 && split == 0 {
+			t.Fatalf("%d workers: no wave was split", workers)
+		}
+	}
+}
+
 // A structural edit is answered on the analyzer's own storage: once the
 // slabs have grown to fit, an insert and its removal, each fully re-timed,
 // cost a fraction of building one analyzer — what is left is the insert's

@@ -53,8 +53,8 @@ func (a *Analyzer) seedRequired() {
 	a.refreshChecks()
 	for _, i := range a.seedMoved {
 		for rf := 0; rf < 2; rf++ {
-			if k := ix2(int(i), rf); a.seedValid[k] {
-				a.lowerReq(int(i), rf, a.seedReq[k])
+			if k := ix2(int(i), rf); *a.seedValid.at(k) {
+				a.lowerReq(int(i), rf, *a.seedReq.at(k))
 			}
 		}
 	}
@@ -75,9 +75,9 @@ func (a *Analyzer) pullRequired(i int) {
 // lowerReq relaxes a required time downward (setup required is a min).
 func (a *Analyzer) lowerReq(i, rf int, r float64) {
 	k := ix4(i, rf, late)
-	if !a.rValid[k] || r < a.fReq[k] {
-		a.fReq[k] = r
-		a.rValid[k] = true
+	if !*a.rValid.at(k) || r < *a.fReq.at(k) {
+		*a.fReq.at(k) = r
+		*a.rValid.at(k) = true
 	}
 }
 
@@ -89,10 +89,10 @@ func (a *Analyzer) pullNetRequired(i int) {
 	for _, j32 := range t.succ[t.succOff[i]:t.succOff[i+1]] {
 		j := int(j32)
 		for rf := 0; rf < 2; rf++ {
-			if !a.rValid[ix4(j, rf, late)] || !a.fValid[ix4(i, rf, late)] {
+			if !*a.rValid.at(ix4(j, rf, late)) || !*a.fValid.at(ix4(i, rf, late)) {
 				continue
 			}
-			a.lowerReq(i, rf, a.fReq[ix4(j, rf, late)]-a.netEdgeDelay(i, j, rf, late))
+			a.lowerReq(i, rf, *a.fReq.at(ix4(j, rf, late))-a.netEdgeDelay(i, j, rf, late))
 		}
 	}
 }
@@ -101,24 +101,24 @@ func (a *Analyzer) pullNetRequired(i int) {
 // cell-arc group to input pin i.
 func (a *Analyzer) pullArcRequired(i int) {
 	m := a.masters[a.topo.cellOf[i]]
-	for _, ar := range a.arcs[a.arcOff[i]:a.arcOff[i+1]] {
+	for _, ar := range a.group(i) {
 		j, arc := int(ar.other), &m.Arcs[ar.arc]
 		nd := a.vnet(j)
 		if nd == nil {
 			continue // arc into an unloaded output
 		}
 		for rfIn := 0; rfIn < 2; rfIn++ {
-			if !a.fValid[ix4(i, rfIn, late)] {
+			if !*a.fValid.at(ix4(i, rfIn, late)) {
 				continue
 			}
 			outs, no := senseOuts(arc.Sense, rfIn)
 			for oi := 0; oi < no; oi++ {
 				rfOut := outs[oi]
-				if !a.rValid[ix4(j, rfOut, late)] {
+				if !*a.rValid.at(ix4(j, rfOut, late)) {
 					continue
 				}
 				d := a.mergedArcDelay(arc, i, rfIn, rfOut, late, nd)
-				a.lowerReq(i, rfIn, a.fReq[ix4(j, rfOut, late)]-d)
+				a.lowerReq(i, rfIn, *a.fReq.at(ix4(j, rfOut, late))-d)
 			}
 		}
 	}

@@ -1,7 +1,5 @@
 package sta
 
-import "unsafe"
-
 // Per-run propagation statistics, accumulated in plain struct fields
 // inside the SoA hot loops and published to obs exactly once per
 // Run/Update. The forward and backward sweeps drive their levels from one
@@ -77,21 +75,15 @@ type Resident struct {
 // readers it must not run concurrently with a Run or Update.
 func (a *Analyzer) ResidentBytes() Resident {
 	r := Resident{
-		Planes: slabBytes(a.fValid) + slabBytes(a.fArr) + slabBytes(a.fSlew) + slabBytes(a.fDepth) +
-			slabBytes(a.fPred) + slabBytes(a.rValid) + slabBytes(a.fReq) +
-			slabBytes(a.seedReq) + slabBytes(a.seedValid) + slabBytes(a.pinCap) +
+		Planes: a.fValid.bytes() + a.fArr.bytes() + a.fSlew.bytes() + a.fDepth.bytes() +
+			a.fPred.bytes() + a.rValid.bytes() + a.fReq.bytes() +
+			a.seedReq.bytes() + a.seedValid.bytes() + a.pinCap.bytes() +
 			slabBytes(a.cellBase) + slabBytes(a.cells) + slabBytes(a.masters) + slabBytes(a.ports),
-		NetCache:  slabBytes(a.nets) + slabBytes(a.vnd),
-		ArcGroups: slabBytes(a.arcOff) + slabBytes(a.arcs),
+		NetCache:  a.nets.bytes() + a.vnd.bytes(),
+		ArcGroups: a.arcOff.bytes() + a.arcs.bytes(),
 	}
-	for i := range a.nets {
-		r.NetCache += slabBytes(a.nets[i].res)
+	for i := range a.nets.len() {
+		r.NetCache += slabBytes(a.nets.at(i).res)
 	}
 	return r
-}
-
-// slabBytes is what s's backing array occupies.
-func slabBytes[T any](s []T) int {
-	var z T
-	return cap(s) * int(unsafe.Sizeof(z))
 }
