@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,17 +68,12 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		return nil, status
 	}
 
-	// Phase one: prepare everywhere. Each shard evaluates the ops as a
-	// what-if and holds its writer pending, guarded by its own expiry
-	// timer so a coordinator death cannot wedge it.
+	// Phase one: prepare everywhere. Each shard checks the ops and holds
+	// its writer pending, guarded by its own expiry timer so a coordinator
+	// death cannot wedge it.
 	phase := time.Now()
-	reports := make([]*timingd.PrepareResponse, len(members))
-	errs := scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, i int, m *member) error {
-		rep, err := m.cl.Prepare(ctx, txn, base, ops)
-		if err == nil {
-			reports[i] = &rep
-		}
-		return err
+	errs := scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, _ int, m *member) error {
+		return m.cl.Prepare(ctx, txn, base, ops)
 	})
 	rec.PrepareMs = obs.MsSince(phase)
 	for i, err := range errs {
@@ -126,13 +122,16 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 		}
 	}
 
-	// Phase two: commit everywhere. A failure here is the residual 2PC
-	// window — survivors have already published epoch base+1, so the
-	// commit stands, the failed worker is evicted, and catch-up replay
-	// repairs it on re-registration (see DESIGN.md §15).
+	// Phase two: commit everywhere; each shard applies and re-times the ops
+	// once and reports. A failure here is the residual 2PC window —
+	// survivors have already published epoch base+1, so the commit stands,
+	// the failed worker is evicted, and catch-up replay repairs it on
+	// re-registration (see DESIGN.md §15).
 	phase = time.Now()
-	errs = scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, _ int, m *member) error {
-		_, err := m.cl.CommitTxn(ctx, txn)
+	reports := make([]*timingd.WhatIfReport, len(members))
+	errs = scatter(ctx, members, c.cfg.WriteTimeout, func(ctx context.Context, i int, m *member) error {
+		tr, err := m.cl.CommitTxn(ctx, txn)
+		reports[i] = tr.Report
 		return err
 	})
 	rec.CommitMs = obs.MsSince(phase)
@@ -166,23 +165,26 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 	c.flight.Put(rec)
 	c.logf("cluster: barrier %s committed epoch %d across %d workers (%.1fms)", txn, base+1, len(members), rec.TotalMs)
 
-	// Each member prepared its own scenarios; their reports, in canonical
-	// order, are the committed answer.
+	// Each member committed its own scenarios; the reports of those that
+	// confirmed, in canonical order, are the committed answer. A member
+	// whose commit failed reports nothing, so its scenarios are left out.
 	n := len(c.cfg.Scenarios)
 	out := &timingd.WhatIfReport{Epoch: base + 1, Committed: true, Before: make([]timingd.ScenarioSlack, n), After: make([]timingd.ScenarioSlack, n)}
 	for i, m := range members {
+		r := reports[i]
+		if r == nil {
+			continue
+		}
 		asked := make([]int, len(m.scenarios))
 		for j, ref := range m.scenarios {
 			asked[j] = ref.Index
-		}
-		r := reports[i].Report
-		if r == nil {
-			r = &timingd.WhatIfReport{}
 		}
 		if err := cmp.Or(c.pick(out.Before, asked, r.Before), c.pick(out.After, asked, r.After)); err != nil {
 			return nil, shardErr(err)
 		}
 	}
+	unfilled := func(sc timingd.ScenarioSlack) bool { return sc.Scenario == "" }
+	out.Before, out.After = slices.DeleteFunc(out.Before, unfilled), slices.DeleteFunc(out.After, unfilled)
 	return out, nil
 }
 
@@ -192,8 +194,7 @@ func (c *Coordinator) commitBarrier(ctx context.Context, ops []timingd.Op) (*tim
 // that never prepared are safe to hit too.
 func (c *Coordinator) abortAll(ctx context.Context, members []*member, txn string) {
 	scatter(context.WithoutCancel(ctx), members, c.cfg.ShardTimeout, func(ctx context.Context, _ int, m *member) error {
-		_, err := m.cl.AbortTxn(ctx, txn)
-		return err
+		return m.cl.AbortTxn(ctx, txn)
 	})
 	c.count("cluster.barrier.aborts")
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +118,85 @@ func TestChaosKillBetweenPrepareAndCommit(t *testing.T) {
 	}
 	if c.Epoch() != 1 || srvA.Epoch() != 1 || srvB.Epoch() != 1 {
 		t.Fatalf("epochs after retry: coord %d, A %d, B %d", c.Epoch(), srvA.Epoch(), srvB.Epoch())
+	}
+}
+
+// TestChaosCommitFailsOnOneWorker drives the barrier's residual window: every
+// shard prepared, then one worker's commit fails. The commit stands — 200,
+// committed, epoch 1 — and the reply names only the scenarios of the worker
+// that confirmed it. The failed worker is marked dead; once it re-registers,
+// catch-up makes it serve what a never-failed worker serves, and the next
+// ECO commits on both.
+func TestChaosCommitFailsOnOneWorker(t *testing.T) {
+	f := testFixture(t)
+	op := resizeOp(t)
+	c, chs := startCoordinator(t, nil)
+	srvA, hsA := startWorker(t, []string{f.names[0]}, nil)
+	var armed atomic.Bool
+	armed.Store(true)
+	srvB, hsB := startWorker(t, []string{f.names[1]}, func(cfg *timingd.Config) {
+		cfg.Hooks = &timingd.Hooks{Fire: func(site timingd.FaultSite) error {
+			if site == timingd.SiteCommitSwap && armed.Swap(false) {
+				return errors.New("injected commit failure")
+			}
+			return nil
+		}}
+	})
+	registerWorker(t, chs.URL, "wa", srvA, hsA.URL)
+	registerWorker(t, chs.URL, "wb", srvB, hsB.URL)
+
+	code, body := postJSONT(t, chs.URL+"/eco", timingd.OpsBody{Ops: []timingd.Op{op}})
+	if code != 200 {
+		t.Fatalf("eco with a failing commit = %d %s, want 200", code, body)
+	}
+	var rep timingd.WhatIfReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Committed || rep.Epoch != 1 || len(rep.Before) != 1 || len(rep.After) != 1 ||
+		rep.Before[0].Scenario != f.names[0] || rep.After[0].Scenario != f.names[0] {
+		t.Fatalf("committed-degraded reply %+v, want only scenario %q", rep, f.names[0])
+	}
+	if c.Epoch() != 1 || srvA.Epoch() != 1 || srvB.Epoch() != 0 {
+		t.Fatalf("epochs: coord %d, A %d, B %d", c.Epoch(), srvA.Epoch(), srvB.Epoch())
+	}
+	_, bodyH := getT(t, chs.URL+"/healthz")
+	var h ClusterHealth
+	if err := json.Unmarshal(bodyH, &h); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range h.Members {
+		if want := map[string]string{"wa": "alive", "wb": "dead"}[m.ID]; m.State != want {
+			t.Fatalf("worker %s is %s, want %s", m.ID, m.State, want)
+		}
+	}
+	_, bodyD := getT(t, chs.URL+"/debug/barriers")
+	var dbg DebugBarriersReport
+	json.Unmarshal(bodyD, &dbg)
+	if len(dbg.Barriers) == 0 || dbg.Barriers[0].Outcome != "committed-degraded" {
+		t.Fatalf("barrier record %+v", dbg.Barriers)
+	}
+
+	// Re-registration replays the barrier onto B.
+	if resp := registerWorker(t, chs.URL, "wb", srvB, hsB.URL); resp.Replayed != 1 || srvB.Epoch() != 1 {
+		t.Fatalf("re-register %+v, worker B epoch %d", resp, srvB.Epoch())
+	}
+	_, never := startWorker(t, []string{f.names[1]}, nil)
+	if _, err := timingdCommit(context.Background(), never.URL, []timingd.Op{op}); err != nil {
+		t.Fatal(err)
+	}
+	_, got := getT(t, hsB.URL+"/slack")
+	_, want := getT(t, never.URL+"/slack")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("caught-up worker /slack:\n%s\nnever-failed worker:\n%s", got, want)
+	}
+
+	code, body = postJSONT(t, chs.URL+"/eco", timingd.OpsBody{Ops: []timingd.Op{op}})
+	if code != 200 || c.Epoch() != 2 || srvA.Epoch() != 2 || srvB.Epoch() != 2 {
+		t.Fatalf("next eco = %d %s (epochs: coord %d, A %d, B %d)", code, body, c.Epoch(), srvA.Epoch(), srvB.Epoch())
+	}
+	if err := json.Unmarshal(body, &rep); err != nil || len(rep.After) != len(f.names) {
+		t.Fatalf("next eco reply %s", body)
 	}
 }
 

@@ -72,6 +72,20 @@ func resizeOp(t *testing.T) timingd.Op {
 	return timingd.Op{}
 }
 
+// bufferOp finds a buffer insertion in the fixture design: the first two
+// loads of the first cell-driven net with at least three.
+func bufferOp(t *testing.T) timingd.Op {
+	t.Helper()
+	for _, n := range testFixture(t).design.Nets {
+		if n.Driver != nil && len(n.Loads) >= 3 {
+			return timingd.Op{Kind: "buffer", Net: n.Name, To: "BUF_X2_SVT",
+				Loads: []string{n.Loads[0].FullName(), n.Loads[1].FullName()}}
+		}
+	}
+	t.Fatal("no buffer target in fixture")
+	return timingd.Op{}
+}
+
 // workerConfig is one shard's configuration over the fixture.
 func workerConfig(t testing.TB, filter []string) timingd.Config {
 	f := testFixture(t)
@@ -329,6 +343,37 @@ func TestClusterBarrierCommit(t *testing.T) {
 	}
 	if len(dbg.Barriers) != 1 || dbg.Barriers[0].Outcome != "committed" || dbg.Barriers[0].Epoch != 1 {
 		t.Fatalf("barriers %+v", dbg.Barriers)
+	}
+}
+
+// TestClusterRefusesConflictingBatch: a batch whose second buffer op names
+// a load the first one moved off its net is the client's fault. Every
+// shard refuses its prepare with 400 and the coordinator answers that 400;
+// no member is evicted, and the next valid ECO commits on both.
+func TestClusterRefusesConflictingBatch(t *testing.T) {
+	c, base, srvs, _ := startShardedPair(t)
+	buffer := bufferOp(t)
+	code, body := postJSONT(t, base+"/eco", timingd.OpsBody{Ops: []timingd.Op{buffer, buffer}})
+	if code != 400 {
+		t.Fatalf("conflicting batch = %d %s, want 400", code, body)
+	}
+	code, body = getT(t, base+"/healthz")
+	var h ClusterHealth
+	if code != 200 || json.Unmarshal(body, &h) != nil {
+		t.Fatalf("healthz %d %s", code, body)
+	}
+	if h.Status != "ok" || len(h.Members) != 2 {
+		t.Fatalf("healthz after a refused batch %+v", h)
+	}
+	for _, m := range h.Members {
+		if m.State != "alive" {
+			t.Fatalf("worker %s is %s after a refused batch", m.ID, m.State)
+		}
+	}
+	code, body = postJSONT(t, base+"/eco", timingd.OpsBody{Ops: []timingd.Op{resizeOp(t)}})
+	if code != 200 || c.Epoch() != 1 || srvs[0].Epoch() != 1 || srvs[1].Epoch() != 1 {
+		t.Fatalf("valid eco after the refused batch = %d %s (epochs %d/%d/%d)",
+			code, body, c.Epoch(), srvs[0].Epoch(), srvs[1].Epoch())
 	}
 }
 

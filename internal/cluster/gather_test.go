@@ -39,7 +39,9 @@ func (t *countingTransport) take() map[string]int {
 // The worker requests each coordinator route sends to two disjoint shards of
 // two scenarios each: one per shard for a whole-recipe read, a what-if or
 // /triage's extracts, one for a single-scenario read, and prepare, verify
-// and commit on every shard for an ECO.
+// and commit on every shard for an ECO. Every shard re-times twice per
+// what-if (evaluate, rollback), once per ECO (its commit) and never for a
+// read.
 func TestRequestsPerRoute(t *testing.T) {
 	f := testFixture(t)
 	recipe := f.recipe
@@ -58,8 +60,11 @@ func TestRequestsPerRoute(t *testing.T) {
 		c.Scenarios = names
 		c.HTTP = &http.Client{Transport: tr}
 	})
+	var retimes []*obs.Counter
 	for i := range 2 {
-		srv, hs := startWorker(t, names[2*i:2*i+2], func(c *timingd.Config) { c.Recipe = recipe })
+		rec := obs.NewRecorder()
+		retimes = append(retimes, rec.Counter("timingd.retimes"))
+		srv, hs := startWorker(t, names[2*i:2*i+2], func(c *timingd.Config) { c.Recipe, c.Obs = recipe, rec })
 		registerWorker(t, chs.URL, fmt.Sprintf("w%d", i), srv, hs.URL)
 	}
 	ops := struct {
@@ -68,14 +73,19 @@ func TestRequestsPerRoute(t *testing.T) {
 	for _, rt := range []struct {
 		method, path string
 		want         map[string]int
+		retimes      int64
 	}{
-		{"GET", "/slack", map[string]int{"/slack": 2}},
-		{"POST", "/whatif", map[string]int{"/whatif": 2}},
-		{"GET", "/triage", map[string]int{"/triage/extract": 2}},
-		{"GET", "/paths?scenario=" + names[3], map[string]int{"/paths": 1}},
-		{"GET", "/endpoints?scenario=" + names[1], map[string]int{"/endpoints": 1}},
-		{"POST", "/eco", map[string]int{"/cluster/prepare": 2, "/healthz": 2, "/cluster/commit": 2}},
+		{"GET", "/slack", map[string]int{"/slack": 2}, 0},
+		{"POST", "/whatif", map[string]int{"/whatif": 2}, 2},
+		{"GET", "/triage", map[string]int{"/triage/extract": 2}, 0},
+		{"GET", "/paths?scenario=" + names[3], map[string]int{"/paths": 1}, 0},
+		{"GET", "/endpoints?scenario=" + names[1], map[string]int{"/endpoints": 1}, 0},
+		{"POST", "/eco", map[string]int{"/cluster/prepare": 2, "/healthz": 2, "/cluster/commit": 2}, 1},
 	} {
+		last := make([]int64, len(retimes))
+		for i, r := range retimes {
+			last[i] = r.Value()
+		}
 		var code int
 		var body []byte
 		if rt.method == "GET" {
@@ -88,6 +98,11 @@ func TestRequestsPerRoute(t *testing.T) {
 		}
 		if got := tr.take(); fmt.Sprint(got) != fmt.Sprint(rt.want) {
 			t.Errorf("%s %s sent %v, want %v", rt.method, rt.path, got, rt.want)
+		}
+		for i, r := range retimes {
+			if got := r.Value() - last[i]; got != rt.retimes {
+				t.Errorf("%s %s re-timed worker w%d %d times, want %d", rt.method, rt.path, i, got, rt.retimes)
+			}
 		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"text/template"
-
-	"newgame/internal/timingd"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
@@ -26,19 +24,12 @@ func TestWireGolden(t *testing.T) {
 	}
 	f := testFixture(t)
 	c, _, _, _ := startShardedPair(t)
-	buffer := timingd.Op{Kind: "buffer", To: "BUF_X2_SVT"}
-	for _, n := range f.design.Nets {
-		if n.Driver != nil && len(n.Loads) >= 3 {
-			buffer.Net, buffer.Loads = n.Name, []string{n.Loads[0].FullName(), n.Loads[1].FullName()}
-			break
-		}
-	}
 	tmpl := template.Must(template.New("script.txt").Funcs(template.FuncMap{
 		"json": func(v any) (string, error) { b, err := json.Marshal(v); return string(b), err },
 	}).ParseFiles("../timingd/testdata/wire/script.txt"))
 	var script strings.Builder
 	err := tmpl.Execute(&script, map[string]any{
-		"Scenarios": f.names, "Resize": resizeOp(t), "Buffer": buffer, "Node": false,
+		"Scenarios": f.names, "Resize": resizeOp(t), "Buffer": bufferOp(t), "Node": false,
 	})
 	if err != nil {
 		t.Fatal(err)

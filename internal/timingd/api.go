@@ -87,7 +87,10 @@ type PathsReport struct {
 // WhatIfReport answers POST /whatif and POST /eco: merged slack before and
 // after the ops. For /whatif the edit is evaluated and rolled back (Epoch
 // unchanged); for /eco it is committed (Epoch advances and After describes
-// the new baseline).
+// the new baseline). A coordinator's /eco reply lists only the scenarios of
+// the shards that confirmed the commit: if a shard's commit fails, the
+// epoch still advances, the shard is evicted and caught up on
+// re-registration, and its scenarios are left out of Before and After.
 type WhatIfReport struct {
 	Epoch  int64           `json:"epoch"`
 	Before []ScenarioSlack `json:"before"`
@@ -175,10 +178,11 @@ type ScenarioRef struct {
 }
 
 // PrepareRequest is phase one of the cluster epoch barrier (POST
-// /cluster/prepare): evaluate Ops as a what-if and hold the writer pending
-// the coordinator's decision. BaseEpoch must match the shard's
-// current epoch — a stale coordinator gets a clean 409 instead of a
-// diverging commit.
+// /cluster/prepare): resolve Ops against the shard — a batch a commit would
+// refuse is refused here, with the same 400 — and hold the writer pending
+// the coordinator's decision. Nothing is applied or re-timed. BaseEpoch
+// must match the shard's current epoch — a stale coordinator gets a clean
+// 409 instead of a diverging commit.
 type PrepareRequest struct {
 	Txn       string `json:"txn"`
 	BaseEpoch int64  `json:"base_epoch"`
@@ -186,12 +190,10 @@ type PrepareRequest struct {
 }
 
 // PrepareResponse acks a prepare: the epoch this shard will move to on
-// commit, plus the full before/after report (the coordinator merges the
-// shards' reports into the client-facing answer).
+// commit.
 type PrepareResponse struct {
-	Txn    string        `json:"txn"`
-	Epoch  int64         `json:"epoch"`
-	Report *WhatIfReport `json:"report"`
+	Txn   string `json:"txn"`
+	Epoch int64  `json:"epoch"`
 }
 
 // TxnRequest drives phase two (POST /cluster/commit or /cluster/abort).
@@ -201,11 +203,14 @@ type TxnRequest struct {
 
 // TxnResponse answers commit/abort: the shard's epoch after the operation
 // and whether the named transaction was actually consumed (an abort of an
-// already-expired transaction answers Done=false, idempotently).
+// already-expired transaction answers Done=false, idempotently). A commit
+// carries the shard's before/after report, the one its /eco would answer;
+// the coordinator merges the shards' reports into the client-facing answer.
 type TxnResponse struct {
-	Txn   string `json:"txn"`
-	Epoch int64  `json:"epoch"`
-	Done  bool   `json:"done"`
+	Txn    string        `json:"txn"`
+	Epoch  int64         `json:"epoch"`
+	Done   bool          `json:"done"`
+	Report *WhatIfReport `json:"report,omitempty"`
 }
 
 // ClusterInfo answers GET /cluster/info: what a coordinator needs to place

@@ -43,7 +43,9 @@ func fuzzServer(t testing.TB) *Server {
 // handler, every response carries a real HTTP status, and anything
 // labelled application/json must actually be JSON — malformed op scripts,
 // out-of-range ids and limits, and garbage targets all answer with a
-// structured 4xx, never a crash or an empty 200.
+// structured 4xx, never a crash or an empty 200. The fuzz server has no
+// fault hooks, so a /whatif or /eco whose body decodes as an op list never
+// answers 500: resolve refuses every batch apply would fail on.
 func FuzzHandlers(f *testing.F) {
 	dir := filepath.Join("testdata", "corpus", "handlers")
 	entries, err := os.ReadDir(dir)
@@ -83,6 +85,10 @@ func FuzzHandlers(f *testing.F) {
 		res := rec.Result()
 		if res.StatusCode < 200 || res.StatusCode > 599 {
 			t.Fatalf("%s %s: impossible status %d", method, target, res.StatusCode)
+		}
+		if p := req.URL.Path; req.Method == http.MethodPost && (p == "/whatif" || p == "/eco") &&
+			res.StatusCode == http.StatusInternalServerError && json.Unmarshal([]byte(body), &OpsBody{}) == nil {
+			t.Fatalf("%s %s: 500 for a decodable op list %q: %q", method, target, clipBody(body), clipBody(rec.Body.String()))
 		}
 		if ct := res.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 			if !json.Valid(bytes.TrimSpace(rec.Body.Bytes())) {

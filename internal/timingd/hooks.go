@@ -10,17 +10,18 @@ import "fmt"
 type FaultSite string
 
 const (
-	// SiteCommitResolve fires at the top of Server.evaluate — the half of
-	// the writer pipeline a commit, a cluster prepare and a what-if all
-	// run — before the op batch is resolved against the session.
+	// SiteCommitResolve fires before an op batch is resolved against the
+	// session: at the top of Server.evaluate — the half of the writer
+	// pipeline a commit and a what-if both run — and in a cluster prepare.
 	SiteCommitResolve FaultSite = "commit.resolve"
 	// SiteCommitApply fires in evaluate after resolution, before edits
-	// touch the session's netlist; like SiteCommitResolve, a what-if
-	// reaches it, holding the session's write lock.
+	// touch the session's netlist; a what-if reaches it, holding the
+	// session's write lock, and a cluster prepare does not.
 	SiteCommitApply FaultSite = "commit.apply"
 	// SiteCommitSwap fires after a commit's edits are applied and
 	// re-timed, immediately before the new epoch is published. A what-if
-	// or a cluster prepare rolls back instead and never reaches it.
+	// rolls back instead and a cluster prepare applies nothing, so neither
+	// reaches it.
 	SiteCommitSwap FaultSite = "commit.swap"
 	// SiteCommitRecover fires when a writer panic left edits live, before
 	// they are undone and every analyzer is re-run. A failure here is the

@@ -344,7 +344,13 @@ func (s *Server) whatIf(ctx context.Context, ops []Op) (*WhatIfReport, error) {
 		return nil, errDegraded
 	}
 	p := &preparedTxn{ops: ops, rep: &WhatIfReport{Epoch: s.epoch.Load()}}
-	if err := s.tryOps(ctx, p); err != nil {
+	if err := s.onSession(p, func() error {
+		if err := s.evaluate(ctx, p); err != nil {
+			return err
+		}
+		s.rollback(p)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	s.count("timingd.whatifs")

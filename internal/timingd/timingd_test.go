@@ -452,8 +452,8 @@ func TestNetsRoutedCounts(t *testing.T) {
 // How many times each writer request re-times the session
 // (timingd.retimes). A what-if is evaluate + rollback, two; an ECO is the
 // apply alone, one; whether the batch is a resize or a buffer. A shard in a
-// cluster barrier re-times three times for prepare + commit (prepare's
-// evaluate and rollback, commit's apply) and twice for prepare + abort.
+// cluster barrier re-times once, in its commit: a prepare resolves the
+// batch and applies nothing, so an abort has nothing to undo.
 func TestRetimesPerWriterRequest(t *testing.T) {
 	rec := obs.NewRecorder()
 	s, hs := newTestServer(t, func(c *Config) { c.Obs = rec })
@@ -476,9 +476,9 @@ func TestRetimesPerWriterRequest(t *testing.T) {
 	step("a resize ECO", "/eco", resize, 1)
 	step("a buffer what-if", "/whatif", buffer, 2)
 	step("a buffer ECO", "/eco", buffer, 1)
-	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx1", s.Epoch()), 2)
+	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx1", s.Epoch()), 0)
 	step("its commit", "/cluster/commit", `{"txn":"tx1"}`, 1)
-	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx2", s.Epoch()), 2)
+	step("a resize prepare", "/cluster/prepare", prepareBody(t, "tx2", s.Epoch()), 0)
 	step("its abort", "/cluster/abort", `{"txn":"tx2"}`, 0)
 }
 

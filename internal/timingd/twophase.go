@@ -15,23 +15,25 @@ import (
 // This file holds the writer pipeline and the two-phase protocol a cluster
 // coordinator drives an epoch barrier across shards with:
 //
-//	prepare  — evaluate the op batch on the session (resolve + apply +
-//	           re-time), report, roll it back, and keep the writer lock;
-//	commit   — apply the batch again, publish the next epoch, log it;
+//	prepare  — take the writer lock, check the base epoch, resolve the op
+//	           batch against the session, and keep the writer lock;
+//	commit   — a node's /eco on the held writer: apply the batch, re-time,
+//	           publish the next epoch, log it, and answer the report;
 //	abort    — release the writer lock.
 //
-// A what-if is evaluate immediately followed by rollback, a single-node
-// commit is evaluate immediately followed by publish, and a prepare is a
-// what-if that keeps the writer, so every writer path shares one
+// A what-if is evaluate immediately followed by rollback and a commit is
+// evaluate immediately followed by publish, so every writer path shares one
 // implementation and the chaos-test semantics (fault sites, panic recovery,
-// flight-recorder audit) are identical.
+// flight-recorder audit) are identical. A prepare applies nothing, so a
+// barrier re-times each shard once, in its commit.
 //
 // A prepared transaction holds writerMu across the prepare→commit/abort
 // window — sync.Mutex explicitly permits unlocking from a different
 // goroutine, which is exactly what the commit/abort HTTP handlers do.
-// Because nothing else can write in between, the commit's re-application
-// reaches exactly the state prepare reported. The session itself is never
-// left edited between phases: readers keep answering the published epoch,
+// Because nothing else can write in between, the batch prepare resolved
+// still resolves at commit, and resolve refuses everything apply could fail
+// on, so a commit that fails met a fault, not the batch. The session is
+// never edited between phases: readers keep answering the published epoch,
 // and a coordinator that dies between phases costs only the writer lock,
 // which every registered prepare's timer (Config.PrepareTimeout) releases.
 
@@ -102,19 +104,27 @@ func (s *Server) recoverSession(p *preparedTxn) error {
 	return s.sess.views.Rerun(context.Background())
 }
 
-// evaluate is the half of the writer pipeline every writer path shares:
-// resolve p.ops against the session, record the baseline, apply the edits
-// and re-time, record the outcome. On success the edits stay live for the
-// caller to publish or roll back; on failure they are already rolled back.
-// Runs inside onSession.
+// resolve is the first step of every writer path and all of a prepare:
+// bind p.ops to the session's netlist. The caller holds writerMu; the
+// session's lock is not needed, since resolve only reads the session and
+// nothing but the writer edits it.
+func (s *Server) resolve(p *preparedTxn) (edits []*edit, err error) {
+	phase := time.Now()
+	if err = s.fire(SiteCommitResolve); err == nil {
+		edits, err = s.sess.resolve(p.ops)
+	}
+	p.cr.ResolveMs = obs.MsSince(phase)
+	return edits, err
+}
+
+// evaluate is the half of the writer pipeline a what-if and a commit share:
+// resolve p.ops, record the baseline, apply the edits and re-time, record
+// the outcome. On success the edits stay live for the caller to publish or
+// roll back; on failure they are already rolled back. Runs inside
+// onSession.
 func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
 	sess := s.sess
-	phase := time.Now()
-	if err := s.fire(SiteCommitResolve); err != nil {
-		return err
-	}
-	edits, err := sess.resolve(p.ops)
-	p.cr.ResolveMs = obs.MsSince(phase)
+	edits, err := s.resolve(p)
 	if err != nil {
 		return err
 	}
@@ -123,7 +133,7 @@ func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
 	if err := s.fire(SiteCommitApply); err != nil {
 		return err
 	}
-	phase = time.Now()
+	phase := time.Now()
 	p.edits = edits
 	err = sess.apply(ctx, edits)
 	p.cr.ApplyMs = obs.MsSince(phase)
@@ -137,7 +147,7 @@ func (s *Server) evaluate(ctx context.Context, p *preparedTxn) error {
 
 // rollback is the one way an evaluated edit batch leaves the session
 // unpublished: exact netlist undo plus a non-cancellable re-time, after a
-// what-if, a prepare and a failed commit alike. A failure degrades the
+// what-if and a failed commit alike. A failure degrades the
 // server — the session can no longer be trusted to be the published epoch.
 // Runs inside onSession.
 func (s *Server) rollback(p *preparedTxn) {
@@ -146,18 +156,6 @@ func (s *Server) rollback(p *preparedTxn) {
 		s.degraded.Store(true)
 	}
 	p.edits = nil
-}
-
-// tryOps evaluates p.ops and rolls them back under one hold of the
-// session's write lock: a what-if, and the first phase of the barrier.
-func (s *Server) tryOps(ctx context.Context, p *preparedTxn) error {
-	return s.onSession(p, func() error {
-		if err := s.evaluate(ctx, p); err != nil {
-			return err
-		}
-		s.rollback(p)
-		return nil
-	})
 }
 
 // begin opens a commit's flight record and checks the server may take it:
@@ -217,14 +215,15 @@ func (s *Server) publish(ctx context.Context, p *preparedTxn) (*WhatIfReport, er
 	return p.rep, nil
 }
 
-// prepare is phase one of the barrier: it takes the writer lock, evaluates
-// ops on the session and rolls them back, and returns with the lock STILL
-// HELD. On any error the lock is released.
+// prepare is phase one of the barrier: it takes the writer lock, checks the
+// base epoch and resolves ops without the session's lock, and returns with
+// the writer lock STILL HELD. The resolve runs guarded, since a panic would
+// leak the writer lock. On any error the lock is released.
 func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch int64) (*preparedTxn, error) {
 	s.writerMu.Lock()
 	p, err := s.begin(ctx, ops, &baseEpoch)
 	if err == nil {
-		err = s.tryOps(ctx, p)
+		err = guard(func() error { _, err := s.resolve(p); return err })
 	}
 	if err != nil {
 		s.finishRecord(p, err)
@@ -234,17 +233,16 @@ func (s *Server) prepare(ctx context.Context, ops []Op, baseEpoch int64) (*prepa
 	return p, nil
 }
 
-// commitPrepared applies a prepared transaction's ops again and publishes
-// them, then releases the writer lock. It is not cancellable: the
-// coordinator has decided. The report prepare answered with is left alone.
+// commitPrepared publishes a prepared transaction — the one re-time of the
+// barrier — and releases the writer lock. It is not cancellable: the
+// coordinator has decided.
 func (s *Server) commitPrepared(p *preparedTxn) (*WhatIfReport, error) {
 	defer s.writerMu.Unlock()
-	p.rep = &WhatIfReport{Epoch: p.newEpoch, Committed: true}
 	return s.publish(context.Background(), p)
 }
 
-// abortPrepared releases the writer lock a prepared transaction holds; its
-// edits were rolled back when it was prepared.
+// abortPrepared releases the writer lock a prepared transaction holds; a
+// prepare edits nothing, so there is nothing to roll back.
 func (s *Server) abortPrepared(p *preparedTxn, cause error) {
 	defer s.writerMu.Unlock()
 	s.count("timingd.barrier.aborts")
@@ -304,9 +302,9 @@ func (s *Server) clusterRoutes() {
 	s.mux.HandleFunc("/cluster/info", s.handleClusterInfo)
 }
 
-// handleClusterPrepare is phase one of the epoch barrier: validate, apply,
-// re-time and roll back the batch, answer with the epoch this shard will
-// move to, and hold the writer pending the coordinator's decision.
+// handleClusterPrepare is phase one of the epoch barrier: validate the
+// batch, answer with the epoch this shard will move to, and hold the writer
+// pending the coordinator's decision.
 func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]byte, error) {
 	var req PrepareRequest
 	if err := serve.Decode(r, &req); err != nil {
@@ -321,8 +319,6 @@ func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]b
 	if closed {
 		return nil, serve.Errorf(http.StatusServiceUnavailable, "shutting down")
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
 	p, err := s.prepare(ctx, req.Ops, req.BaseEpoch)
 	if err != nil {
 		return nil, err
@@ -330,12 +326,12 @@ func (s *Server) handleClusterPrepare(ctx context.Context, r *http.Request) ([]b
 	p.id = req.Txn
 	s.registerPending(p)
 	serve.InfoFrom(ctx).Epoch = p.newEpoch
-	return serve.JSON(PrepareResponse{Txn: p.id, Epoch: p.newEpoch, Report: p.rep})
+	return serve.JSON(PrepareResponse{Txn: p.id, Epoch: p.newEpoch})
 }
 
-// handleClusterCommit is phase two: publish the prepared transaction. An
-// unknown txn is a 409 — the prepare expired or was aborted, so the
-// coordinator must treat the shard as NOT committed.
+// handleClusterCommit is phase two: publish the prepared transaction and
+// answer its report. An unknown txn is a 409 — the prepare expired or was
+// aborted, so the coordinator must treat the shard as NOT committed.
 func (s *Server) handleClusterCommit(ctx context.Context, r *http.Request) ([]byte, error) {
 	txn, err := decodeTxn(r)
 	if err != nil {
@@ -351,7 +347,7 @@ func (s *Server) handleClusterCommit(ctx context.Context, r *http.Request) ([]by
 		return nil, err
 	}
 	serve.InfoFrom(ctx).Epoch = rep.Epoch
-	return serve.JSON(TxnResponse{Txn: txn, Epoch: rep.Epoch, Done: true})
+	return serve.JSON(TxnResponse{Txn: txn, Epoch: rep.Epoch, Done: true, Report: rep})
 }
 
 // handleClusterAbort releases a prepared transaction. Aborting an

@@ -19,7 +19,7 @@ func prepareBody(t *testing.T, txn string, baseEpoch int64) string {
 
 // TestPrepareCommitPublishes walks the happy barrier path over HTTP: the
 // prepare must not advance the served epoch, the commit must, and the
-// post-commit baseline must equal the prepare report's After exactly.
+// post-commit baseline must equal the commit report's After exactly.
 func TestPrepareCommitPublishes(t *testing.T) {
 	s, hs := newTestServer(t, nil)
 
@@ -31,12 +31,14 @@ func TestPrepareCommitPublishes(t *testing.T) {
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Txn != "tx1" || pr.Epoch != 1 || pr.Report == nil || len(pr.Report.After) == 0 {
+	if pr.Txn != "tx1" || pr.Epoch != 1 {
 		t.Fatalf("prepare response %+v", pr)
 	}
 
 	// Pending prepare: readers still see epoch 0 — nothing is published.
-	if _, b := get(t, hs.URL, "/slack"); !jsonHasEpoch(t, b, 0) {
+	_, b := get(t, hs.URL, "/slack")
+	var pending SlackReport
+	if err := json.Unmarshal(b, &pending); err != nil || pending.Epoch != 0 {
 		t.Fatalf("slack moved during pending prepare: %s", b)
 	}
 	if got := s.pendingTxnID(); got != "tx1" {
@@ -51,11 +53,11 @@ func TestPrepareCommitPublishes(t *testing.T) {
 	if err := json.Unmarshal(body, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Done || tr.Epoch != 1 || s.Epoch() != 1 {
+	if !tr.Done || tr.Epoch != 1 || s.Epoch() != 1 || tr.Report == nil || !tr.Report.Committed || tr.Report.Epoch != 1 {
 		t.Fatalf("commit response %+v, server epoch %d", tr, s.Epoch())
 	}
 
-	_, b := get(t, hs.URL, "/slack")
+	_, b = get(t, hs.URL, "/slack")
 	var sr SlackReport
 	if err := json.Unmarshal(b, &sr); err != nil {
 		t.Fatal(err)
@@ -63,10 +65,15 @@ func TestPrepareCommitPublishes(t *testing.T) {
 	if sr.Epoch != 1 {
 		t.Fatalf("post-commit epoch %d", sr.Epoch)
 	}
-	after, _ := json.Marshal(pr.Report.After)
+	after, _ := json.Marshal(tr.Report.After)
 	now, _ := json.Marshal(sr.Scenarios)
 	if string(after) != string(now) {
-		t.Fatalf("post-commit baseline != prepare After:\n%s\n%s", after, now)
+		t.Fatalf("post-commit baseline != commit After:\n%s\n%s", after, now)
+	}
+	before, _ := json.Marshal(tr.Report.Before)
+	was, _ := json.Marshal(pending.Scenarios)
+	if string(before) != string(was) {
+		t.Fatalf("commit Before != the baseline served while prepared:\n%s\n%s", before, was)
 	}
 
 	// Committing the consumed txn again is a clean 409, and the writer is
@@ -199,6 +206,37 @@ func TestPrepareEpochMismatch(t *testing.T) {
 	}
 }
 
+// TestConflictingLoadsRefused: a buffer op that names a load an earlier op
+// of the same batch moved off its net is refused by resolve on every writer
+// route — a 400, not apply's failure as a 500 — and leaves the server
+// untouched: same /slack, epoch 0, no prepared transaction, writer free.
+func TestConflictingLoadsRefused(t *testing.T) {
+	s, hs := newTestServer(t, nil)
+	_, before := get(t, hs.URL, "/slack")
+	net, loads := bufferTarget(t)
+	buffer := Op{Kind: "buffer", Net: net, Loads: loads, To: "BUF_X2_SVT"}
+	prepare, _ := json.Marshal(PrepareRequest{Txn: "tx", Ops: []Op{buffer, buffer}})
+	for _, req := range []struct{ path, body string }{
+		{"/whatif", opsJSON(buffer, buffer)},
+		{"/eco", opsJSON(buffer, buffer)},
+		{"/cluster/prepare", string(prepare)},
+	} {
+		code, body := post(t, hs.URL, req.path, req.body)
+		if code != 400 || !strings.Contains(string(body), "moved off net") {
+			t.Errorf("%s with a self-conflicting batch = %d %s, want 400", req.path, code, body)
+		}
+	}
+	if _, now := get(t, hs.URL, "/slack"); string(now) != string(before) {
+		t.Fatalf("refused batches moved /slack:\n%s\n%s", before, now)
+	}
+	if s.Epoch() != 0 || s.pendingTxnID() != "" || s.degraded.Load() {
+		t.Fatalf("refused batches left epoch %d, pending %q, degraded %v", s.Epoch(), s.pendingTxnID(), s.degraded.Load())
+	}
+	if code, body := post(t, hs.URL, "/eco", opsJSON(buffer)); code != 200 || s.Epoch() != 1 {
+		t.Fatalf("eco after the refused batches: %d %s (epoch %d)", code, body, s.Epoch())
+	}
+}
+
 // TestPrepareExpires: a coordinator that dies after prepare cannot wedge
 // the worker — the expiry timer aborts, releases the writer, and a later
 // single-node commit succeeds at the expected epoch.
@@ -280,16 +318,4 @@ func TestScenarioFilter(t *testing.T) {
 			}
 		}
 	}
-}
-
-// jsonHasEpoch decodes {"epoch":N,...} and compares.
-func jsonHasEpoch(t *testing.T, b []byte, want int64) bool {
-	t.Helper()
-	var v struct {
-		Epoch int64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(b, &v); err != nil {
-		t.Fatal(err)
-	}
-	return v.Epoch == want
 }

@@ -28,13 +28,17 @@ func (e *edit) structural() bool { return e.op.Kind == "buffer" }
 
 // resolve binds the request's names to session pointers and validates the
 // target masters against every scenario library, so apply cannot fail on
-// anything but cancellation. Everything it rejects is the client's fault.
+// anything but cancellation. Names resolve against the session before the
+// batch, so a load an earlier buffer op of the batch moved off its net is
+// refused here, not found missing by apply. Everything it rejects is the
+// client's fault.
 func (s *session) resolve(ops []Op) ([]*edit, error) {
 	if len(ops) == 0 {
 		return nil, serve.BadRequest("empty op list")
 	}
 	scen := s.views.Scenarios
 	edits := make([]*edit, len(ops))
+	moved := make(map[*netlist.Pin]bool)
 	for i, op := range ops {
 		e := &edit{op: op}
 		for _, sc := range scen {
@@ -75,7 +79,13 @@ func (s *session) resolve(ops []Op) ([]*edit, error) {
 				if err != nil {
 					return nil, serve.BadRequest("op %d: %v", i, err)
 				}
+				if moved[p] {
+					return nil, serve.BadRequest("op %d: load %q was moved off net %q by an earlier op", i, name, n.Name)
+				}
 				e.moved = append(e.moved, p)
+			}
+			for _, p := range e.moved {
+				moved[p] = true
 			}
 			e.net = n
 		default:

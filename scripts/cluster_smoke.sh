@@ -2,7 +2,8 @@
 # CI smoke for the scenario-sharded timingd cluster: save a snapshot pack
 # from a single daemon, boot a coordinator plus two workers restored from
 # that shared pack (one scenario each), push a concurrent burst of reads and
-# what-ifs through the coordinator, commit an ECO through the epoch barrier,
+# what-ifs through the coordinator, check a self-conflicting batch is refused
+# 400 with both workers still alive, commit an ECO through the epoch barrier,
 # kill -9 one worker under concurrent reads, verify every read before, during
 # and after the kill answers 200 while every write against the degraded
 # cluster refuses 503, then restart the worker and verify catch-up replay
@@ -170,6 +171,19 @@ BAD="$(grep -vxE '200|429' "$WORK/burst.codes" | sort | uniq -c || true)"
 curl -sf "$COORD/slack" >"$WORK/slack0b.json" || fail "GET /slack after burst"
 cmp -s "$WORK/slack0.json" "$WORK/slack0b.json" || fail "what-if burst perturbed the merged baseline"
 echo "cluster smoke: 360 concurrent requests, $(grep -cx 200 "$WORK/burst.codes") answered 200, merged baseline byte-identical"
+
+# A batch whose second buffer op names the clock load the first one moved is
+# the client's fault: every shard refuses its prepare, the coordinator
+# answers 400, and no worker is evicted.
+CONFLICT_OP='{"op":"buffer","net":"cknet_6","loads":["ff0/CK"],"to":"BUF_X2_SVT"}'
+CODE="$(curl -s -o "$WORK/conflict.json" -w '%{http_code}' \
+  -d "{\"ops\":[$CONFLICT_OP,$CONFLICT_OP]}" "$COORD/eco")"
+[[ "$CODE" == "400" ]] && grep -q 'moved off net' "$WORK/conflict.json" \
+  || fail "self-conflicting batch answered $CODE $(cat "$WORK/conflict.json"), want 400"
+HEALTH="$(curl -sf "$COORD/healthz")" || fail "GET /healthz after the refused batch"
+grep -q '"status":"ok"' <<<"$HEALTH" && [[ "$(grep -o '"state":"alive"' <<<"$HEALTH" | wc -l)" -eq 2 ]] \
+  || fail "the refused batch degraded the cluster: $HEALTH"
+echo "cluster smoke: self-conflicting batch refused 400, both workers still alive"
 
 curl -sf -d "{\"ops\":[$OP_JSON]}" "$COORD/eco" >"$WORK/eco1.json" || fail "POST /eco"
 grep -q '"committed":true' "$WORK/eco1.json" || fail "barrier eco not committed"
