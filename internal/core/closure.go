@@ -491,18 +491,27 @@ func (r Recipe) closed(it Iteration) bool {
 // repair is one iteration's fix phase, in the Figure 1 ordering, on the
 // views the survey found worst. Every pass runs under its own span and is
 // booked the same way: its report joins the iteration, its cost the result.
-// A pass on another analyzer than the one before it adopts that one's
-// graph, which timed the netlist as the earlier passes left it: its opening
-// Run then levelizes nothing the set already holds.
+//
+// A pass takes a timed analyzer and leaves it timed (see opt.Context), so
+// fix is the one place an analyzer is re-timed in full before a pass. The
+// first pass takes one the survey has just timed. A pass on another analyzer
+// than the one before it is a hand-over: the new one adopts the last one's
+// graph, which is the netlist as the earlier passes left it, and runs once,
+// levelizing nothing the set already holds.
 func (e *Engine) repair(it *Iteration, res *Result, itSp *obs.Span, worstSetup, worstHold, worstDRC *sta.Analyzer) error {
 	var last *sta.Analyzer
 	fix := func(span string, a *sta.Analyzer, pass func() (opt.Report, error)) error {
+		sp := e.Obs.Start(span, itSp)
+		var rep opt.Report
+		var err error
 		if last != nil && last != a {
 			a.Cfg.Topology = last.Topology()
+			err = a.Run()
 		}
 		last = a
-		sp := e.Obs.Start(span, itSp)
-		rep, err := pass()
+		if err == nil {
+			rep, err = pass()
+		}
 		sp.SetFloat("changed", float64(rep.Changed)).End()
 		if err != nil {
 			return err

@@ -16,6 +16,7 @@ import (
 	"newgame/internal/parasitics"
 	"newgame/internal/sta"
 	"newgame/internal/units"
+	"newgame/internal/variation"
 )
 
 // freshSurvey surveys a clone of e's design with a new engine configured
@@ -430,6 +431,59 @@ func TestCloseAdoptsTheGraphAcrossUpsizes(t *testing.T) {
 	}
 	if got := e.Obs.Counter("sta.topologies_patched").Value(); got != 9 {
 		t.Errorf("Close patched %d topologies, want 9: one per hold pad round", got)
+	}
+}
+
+// spanCount is the number of spans named name in a recorder's span forest.
+func spanCount(nodes []obs.SpanNode, name string) int64 {
+	var n int64
+	for _, s := range nodes {
+		if s.Name == name {
+			n++
+		}
+		n += spanCount(s.Children, name)
+	}
+	return n
+}
+
+// One C5315 Close() shaped like the benchmark's (the new goal posts over
+// libraries LVF-characterized as the benchmark does, period 560, binder seed
+// 42) re-times in full only where it must. A survey runs every scenario.
+// Outside the surveys a fix pass takes the analyzer it is handed as timed,
+// so the full Runs left are repair's hand-overs, useful skew's re-times
+// after each edit and the closing Runs of FixDRC, FixNoise and ApplyNDR;
+// every other re-time is an incremental Update. Full Runs count once each in
+// sta.run.widest_wave.
+func TestCloseFullRunsAndUpdates(t *testing.T) {
+	stack := parasitics.Stack16()
+	libs := GenerateNewLibs(liberty.Node16)
+	for _, l := range []*liberty.Library{libs.SlowHot, libs.SlowCold, libs.FastCold} {
+		variation.CharacterizeLVF(l, 0.02, 2000, 5)
+	}
+	recipe := NewGoalPosts(libs, stack)
+	d := circuits.C5315(recipe.Scenarios[0].Lib)
+	e := &Engine{
+		D: d, Recipe: recipe, BasePeriod: 560, ClockPort: d.Port("clk"),
+		Parasitics: sta.NewNetBinder(stack, 42), Obs: obs.NewRecorder(),
+	}
+	if _, err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	surveys := spanCount(e.Obs.SpanTree(), "core.survey")
+	runs := e.Obs.Histogram("sta.run.widest_wave").Count()
+	for _, row := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"surveys", surveys, 29},
+		{"full Runs", runs, 122},
+		{"full Runs outside surveys", runs - surveys*int64(len(recipe.Scenarios)), 6},
+		{"incremental Updates", e.Obs.Counter("sta.update.incremental").Value(), 63},
+		{"Updates that fell back to a Run", e.Obs.Counter("sta.update.full_run_fallback").Value(), 0},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s: %d, want %d", row.name, row.got, row.want)
+		}
 	}
 }
 

@@ -193,6 +193,11 @@ func TestUsefulSkewImprovesWNS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The scheduler reads the slacks it is handed: timing them is the
+	// caller's part.
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
 	res, err := ScheduleUsefulSkew(a, l, DefaultUsefulSkew())
 	if err != nil {
 		t.Fatal(err)

@@ -48,16 +48,15 @@ type UsefulSkewResult struct {
 // paper's Figure 1 fix ordering, and the skew-scheduling literature the
 // paper cites as [6]/[10]): a flip-flop whose input (capture) paths are
 // tighter than its output (launch) paths gets its clock delayed, borrowing
-// time from the downstream stage. Offsets are written into the analyzer's
-// constraints (ExtraCKLatency) and the design is re-timed.
+// time from the downstream stage. a must be timed against the design as it
+// stands; the first step reads its slacks as they are. Each step writes the
+// offsets into the analyzer's constraints (ExtraCKLatency) and re-times it
+// with a full Run, which leaves it current.
 //
 // Only positive delays are implementable (a buffer can be inserted, not
 // removed), so the schedule is normalized to a zero minimum.
 func ScheduleUsefulSkew(a *sta.Analyzer, lib *liberty.Library, opts UsefulSkewOptions) (UsefulSkewResult, error) {
 	res := UsefulSkewResult{Offsets: map[*netlist.Cell]units.Ps{}}
-	if err := a.Run(); err != nil {
-		return res, err
-	}
 	res.WNSBefore = a.WorstSlack(sta.Setup)
 	res.HoldWNSBefore = a.WorstSlack(sta.Hold)
 	ffs := ffsOf(a, lib)

@@ -28,9 +28,6 @@ func DefaultBuffer() BufferOptions {
 // "last set of several hundred manual noise and DRC fixes", automated.
 func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 	rep := Report{Pass: "drc_fix"}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = float64(len(ctx.A.DRCViolations())) // count, not ps, for this pass
 	buf := ctx.Lib.Cell(opts.BufMaster)
 	for iter := 0; iter < 8; iter++ {
@@ -96,8 +93,9 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 		if fixed == 0 {
 			break
 		}
-		// Netlist changed: the full Run patches the split nets into the
-		// analysis graph (a driver swap alone keeps it).
+		// Upsized drivers (retyped without an InvalidateCell), split nets
+		// and wire rules: a full Run re-times them all, patching the
+		// journaled buffers into the graph, and leaves ctx.A current.
 		if err := ctx.A.Run(); err != nil {
 			return rep, err
 		}
@@ -111,9 +109,6 @@ func FixDRC(ctx *Context, opts BufferOptions) (Report, error) {
 // table, assigning the wide/spaced NDR to the victim net (less coupling).
 func FixNoise(ctx *Context, maxFixes int) (Report, error) {
 	rep := Report{Pass: "noise_fix"}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = float64(len(ctx.A.NoiseViolations()))
 	for iter := 0; iter < 6; iter++ {
 		viols := ctx.A.NoiseViolations()
@@ -175,9 +170,6 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 	if trees == nil {
 		return rep, nil
 	}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = ctx.A.WorstSlack(sta.Setup)
 	rep.TNSBefore = ctx.A.TNS(sta.Setup)
 	type wn struct {
@@ -221,9 +213,6 @@ func ApplyNDR(ctx *Context, maxNets int) (Report, error) {
 // guarded by the endpoint's setup headroom.
 func FixHold(ctx *Context, maxFixes int) (Report, error) {
 	rep := Report{Pass: "hold_fix"}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = ctx.A.WorstSlack(sta.Hold)
 	rep.TNSBefore = ctx.A.TNS(sta.Hold)
 	delayBuf := liberty.CellName("BUF", 1, liberty.HVT)

@@ -4,6 +4,12 @@
 // routing rule application, and useful skew"), plus the DRC/noise fixes of
 // the final manual-ECO phase, leakage recovery, and the MinIA-aware swap
 // variant that §2.4 shows is mandatory below 20nm.
+//
+// A pass is handed an analyzer that is already timed against the design as
+// it stands, and it hands it back the same way: it reads slacks before its
+// first edit and re-times after each batch, but never opens with a full Run.
+// Whoever hands the design from one analyzer to another re-times the new one
+// first (core.Engine's repair does, once per hand-over).
 package opt
 
 import (
@@ -20,8 +26,10 @@ import (
 
 // Context carries the design state a fix pass operates on.
 type Context struct {
-	// A is the analyzer a pass re-times. Non-default rules go on its
-	// parasitics table; without one, passes assign none.
+	// A is the analyzer a pass reads and re-times. It is timed against the
+	// design as it stands when the pass starts, and the pass leaves it so.
+	// Non-default rules go on its parasitics table; without one, passes
+	// assign none.
 	A   *sta.Analyzer
 	Lib *liberty.Library
 	// Place, when non-nil, enables MinIA-aware Vt moves (paper §2.4: below
@@ -30,7 +38,8 @@ type Context struct {
 	// SetupGuard, when non-nil, is a second analysis view (typically the
 	// slow setup corner) that hold fixing must not break — the cross-corner
 	// ping-pong guard of paper §2.3 ("fix timing violations without
-	// ping-pong effects across multiple modes and/or corners").
+	// ping-pong effects across multiple modes and/or corners"). Like A, it
+	// is current when the pass starts, and the pass keeps it so.
 	SetupGuard *sta.Analyzer
 	// Verify, when non-nil, is the caller's cross-scenario acceptance test
 	// run after each recovery batch (e.g. a full MCMM re-survey): a false
@@ -102,9 +111,6 @@ func DefaultVtSwap() VtSwapOptions {
 // MinIA makes it placement-dependent).
 func VtSwap(ctx *Context, opts VtSwapOptions) (Report, error) {
 	rep := Report{Pass: "vt_swap"}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = ctx.A.WorstSlack(sta.Setup)
 	rep.TNSBefore = ctx.A.TNS(sta.Setup)
 	var baseViol int
@@ -233,9 +239,6 @@ type slackCell struct {
 // per-cell slack floors do not compose along shared paths, so verification
 // is the only safe acceptance test.
 func runRecovery(ctx *Context, rep *Report, pick func(limit int) []recoveryMove) error {
-	if err := ctx.A.Run(); err != nil {
-		return err
-	}
 	rep.WNSBefore = ctx.A.WorstSlack(sta.Setup)
 	rep.TNSBefore = ctx.A.TNS(sta.Setup)
 	// Recovery may spend slack down to a small positive guard, but must

@@ -7,6 +7,7 @@ import (
 	"newgame/internal/circuits"
 	"newgame/internal/liberty"
 	"newgame/internal/netlist"
+	"newgame/internal/obs"
 	"newgame/internal/parasitics"
 	"newgame/internal/place"
 	"newgame/internal/sta"
@@ -28,16 +29,29 @@ func testCtx(t *testing.T, l *liberty.Library, period float64, seed int64) *Cont
 	})
 	cons := sta.NewConstraints()
 	cons.AddClock("clk", period, d.Port("clk"))
-	a, err := sta.New(d, cons, sta.Config{
+	return timed(t, d, cons, sta.Config{
 		Lib: l, Parasitics: sta.NewNetBinder(parasitics.Stack16(), seed), Derate: sta.DefaultAOCV(),
 	})
+}
+
+// blockCtx is testCtx at a period and seed, for a table of fixtures.
+func blockCtx(period float64, seed int64) func(*testing.T, *liberty.Library) *Context {
+	return func(t *testing.T, l *liberty.Library) *Context { return testCtx(t, l, period, seed) }
+}
+
+// timed is the context every pass expects: an analyzer over d, timed
+// against it as it stands, whose recorder counts the pass's re-times.
+func timed(t *testing.T, d *netlist.Design, cons *sta.Constraints, cfg sta.Config) *Context {
+	t.Helper()
+	cfg.Obs = obs.NewRecorder()
+	a, err := sta.New(d, cons, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return &Context{A: a, Lib: l}
+	return &Context{A: a, Lib: cfg.Lib}
 }
 
 func TestVtSwapImprovesTiming(t *testing.T) {
@@ -161,9 +175,10 @@ func TestLeakageRecovery(t *testing.T) {
 	}
 }
 
-func TestFixDRC(t *testing.T) {
-	l := lib()
-	// Build a design with deliberate fanout abuse.
+// drcCtx times a design with deliberate fanout abuse: one weak driver into
+// fifty loads.
+func drcCtx(t *testing.T, l *liberty.Library) *Context {
+	t.Helper()
 	d := netlist.New("drc")
 	in, _ := d.AddPort("in", netlist.Input)
 	drv, err := circuits.AddCell(d, l, "drv", "INV_X1_HVT")
@@ -187,16 +202,12 @@ func TestFixDRC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cons := sta.NewConstraints()
-	a, err := sta.New(d, cons, sta.Config{Lib: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{A: a, Lib: l}
-	before := len(a.DRCViolations())
+	return timed(t, d, sta.NewConstraints(), sta.Config{Lib: l})
+}
+
+func TestFixDRC(t *testing.T) {
+	ctx := drcCtx(t, lib())
+	before := len(ctx.A.DRCViolations())
 	if before == 0 {
 		t.Fatal("no DRC violations to fix")
 	}
@@ -231,14 +242,14 @@ func TestApplyNDRImprovesWireDelay(t *testing.T) {
 	}
 }
 
-func TestFixHold(t *testing.T) {
-	l := lib()
-	// Direct FF-to-FF race with a hold-hostile constraint.
+// holdCtx times a direct FF-to-FF shift chain under a hold-hostile
+// constraint.
+func holdCtx(t *testing.T, l *liberty.Library) *Context {
+	t.Helper()
 	d := netlist.New("hold")
 	clk, _ := d.AddPort("clk", netlist.Input)
 	din, _ := d.AddPort("din", netlist.Input)
 	prev := din.Net
-	var ffs []*netlist.Cell
 	for i := 0; i < 6; i++ {
 		ff, err := circuits.AddCell(d, l, d.FreshName("ff"), "DFF_X1_SVT")
 		if err != nil {
@@ -255,20 +266,16 @@ func TestFixHold(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev = q
-		ffs = append(ffs, ff)
 	}
 	cons := sta.NewConstraints()
 	ck := cons.AddClock("clk", 600, clk)
 	ck.HoldUncertainty = 15 // force hold violations on the shift chain
-	a, err := sta.New(d, cons, sta.Config{Lib: l})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{A: a, Lib: l}
-	if a.WorstSlack(sta.Hold) >= 0 {
+	return timed(t, d, cons, sta.Config{Lib: l})
+}
+
+func TestFixHold(t *testing.T) {
+	ctx := holdCtx(t, lib())
+	if ctx.A.WorstSlack(sta.Hold) >= 0 {
 		t.Skip("no hold violations with this library; model margin too large")
 	}
 	rep, err := FixHold(ctx, 50)
@@ -283,9 +290,10 @@ func TestFixHold(t *testing.T) {
 	}
 }
 
-func TestNoiseFixReducesViolations(t *testing.T) {
-	l := lib()
-	// Deterministic victim: a weak driver on a long, heavily coupled wire.
+// noiseCtx times a deterministic crosstalk victim: a weak driver on a long,
+// heavily coupled wire, named "victim" and driven by cell "drv".
+func noiseCtx(t *testing.T, l *liberty.Library) *Context {
+	t.Helper()
 	d := netlist.New("noise")
 	in, _ := d.AddPort("in", netlist.Input)
 	drv, err := circuits.AddCell(d, l, "drv", "INV_X1_HVT")
@@ -310,15 +318,14 @@ func TestNoiseFixReducesViolations(t *testing.T) {
 	st := parasitics.Stack16()
 	trees := sta.NewKeyedNetBinder(st, 1)
 	trees.Fill(victim, parasitics.PointToPoint(st, 1, 600, 0.85))
-	cons := sta.NewConstraints()
-	a, err := sta.New(d, cons, sta.Config{Lib: l, SI: sta.DefaultSI(), Parasitics: trees})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{A: a, Lib: l}
+	return timed(t, d, sta.NewConstraints(), sta.Config{Lib: l, SI: sta.DefaultSI(), Parasitics: trees})
+}
+
+func TestNoiseFixReducesViolations(t *testing.T) {
+	l := lib()
+	ctx := noiseCtx(t, l)
+	victim, drv := ctx.A.D.Net("victim"), ctx.A.D.Cell("drv")
+	trees := ctx.A.Cfg.Parasitics
 	before := len(ctx.A.NoiseViolations())
 	if before == 0 {
 		t.Fatal("constructed victim not flagged; noise model inert")
@@ -339,27 +346,22 @@ func TestNoiseFixReducesViolations(t *testing.T) {
 	}
 }
 
-func TestAreaRecovery(t *testing.T) {
-	l := lib()
-	// Healthy all-SVT design with generous period: downsizing headroom in
-	// both slack and slew (testCtx's HVT-heavy mix is slew-marginal, where
-	// the verified recovery rightly refuses to act).
+// areaCtx times a healthy all-SVT design with a generous period: downsizing
+// headroom in both slack and slew (testCtx's HVT-heavy mix is slew-marginal,
+// where the verified recovery rightly refuses to act).
+func areaCtx(t *testing.T, l *liberty.Library) *Context {
+	t.Helper()
 	d := circuits.Block(l, circuits.BlockSpec{
 		Name: "area", Inputs: 16, Outputs: 16, FFs: 48, Gates: 700,
 		MaxDepth: 10, Seed: 21, ClockBufferLevels: 2,
 	})
 	cons := sta.NewConstraints()
 	cons.AddClock("clk", 1400, d.Port("clk"))
-	a, err := sta.New(d, cons, sta.Config{Lib: l,
-		Parasitics: sta.NewNetBinder(parasitics.Stack16(), 21)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := &Context{A: a, Lib: l}
-	rep, err := AreaRecovery(ctx, 150, 300)
+	return timed(t, d, cons, sta.Config{Lib: l, Parasitics: sta.NewNetBinder(parasitics.Stack16(), 21)})
+}
+
+func TestAreaRecovery(t *testing.T) {
+	rep, err := AreaRecovery(areaCtx(t, lib()), 150, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +373,46 @@ func TestAreaRecovery(t *testing.T) {
 	}
 	if rep.WNSAfter < 0 {
 		t.Errorf("area recovery broke timing: WNS %v", rep.WNSAfter)
+	}
+}
+
+// A pass is handed an analyzer timed against the design as it stands, and
+// reads it as it is: none opens with a full Run. The passes that re-time by
+// Update make no full Run at all; FixDRC, FixNoise and ApplyNDR make only
+// their closing ones, each after an edit.
+func TestPassesTakeATimedAnalyzer(t *testing.T) {
+	l := lib()
+	for _, tc := range []struct {
+		name          string
+		ctx           func(*testing.T, *liberty.Library) *Context
+		pass          func(*Context) (Report, error)
+		runs, updates int64
+	}{
+		{"vt_swap", blockCtx(380, 3), func(c *Context) (Report, error) { return VtSwap(c, VtSwapOptions{MaxMoves: 300}) }, 0, 2},
+		{"resize", blockCtx(380, 5), func(c *Context) (Report, error) { return Resize(c, DefaultResize()) }, 0, 5},
+		{"leak_recover", blockCtx(1200, 7), func(c *Context) (Report, error) { return LeakageRecovery(c, 150, 400) }, 0, 39},
+		{"area_recover", areaCtx, func(c *Context) (Report, error) { return AreaRecovery(c, 150, 300) }, 0, 22},
+		{"hold_fix", holdCtx, func(c *Context) (Report, error) { return FixHold(c, 50) }, 0, 3},
+		{"drc_fix", drcCtx, func(c *Context) (Report, error) { return FixDRC(c, DefaultBuffer()) }, 3, 0},
+		{"noise_fix", noiseCtx, func(c *Context) (Report, error) { return FixNoise(c, 60) }, 2, 0},
+		{"ndr", blockCtx(380, 8), func(c *Context) (Report, error) { return ApplyNDR(c, 40) }, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := tc.ctx(t, l)
+			rec := ctx.A.Cfg.Obs
+			runs, updates := rec.Histogram("sta.run.widest_wave"), rec.Counter("sta.update.incremental")
+			runs0, updates0 := runs.Count(), updates.Value()
+			rep, err := tc.pass(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Changed == 0 {
+				t.Fatal("fixture no longer edits")
+			}
+			if got, want := [2]int64{runs.Count() - runs0, updates.Value() - updates0}, [2]int64{tc.runs, tc.updates}; got != want {
+				t.Errorf("full Runs and Updates = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -24,9 +24,6 @@ func DefaultResize() ResizeOptions { return ResizeOptions{MaxMoves: 300, Iterati
 // the classic sizing ping-pong).
 func Resize(ctx *Context, opts ResizeOptions) (Report, error) {
 	rep := Report{Pass: "resize"}
-	if err := ctx.A.Run(); err != nil {
-		return rep, err
-	}
 	rep.WNSBefore = ctx.A.WorstSlack(sta.Setup)
 	rep.TNSBefore = ctx.A.TNS(sta.Setup)
 	for iter := 0; iter < opts.Iterations && rep.Changed < opts.MaxMoves; iter++ {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -397,4 +398,74 @@ func allocBytes(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// stepNames copies a path's step names, which outlive its walker's next call.
+func stepNames(p sta.Path) []string {
+	names := make([]string, len(p.Steps))
+	for i, st := range p.Steps {
+		names[i] = st.Name
+	}
+	return names
+}
+
+// /triage takes each violation's Depth, Pessimism and ClockPair from the
+// endpoint's GBA worst path, on both sides; the k-worst enumeration supplies
+// only the segments. Under LVF the enumeration ranks paths by mean arrival,
+// so on the benchmark's node its first path is not always the GBA one: in
+// func_ssg_cw_cold, ff245/D's leads with a path 1.32 ps later by mean whose
+// GBA slack is -6.69 ps, against the endpoint's -5.37. The fixture must keep
+// such a violation for the test to say anything.
+func TestTriageFeaturesFollowTheGBAPath(t *testing.T) {
+	s, err := NewServer(socConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	opts := triage.Options{K: 3, Window: 10}
+	sess := s.sess
+	sess.mu.RLock()
+	defer sess.mu.RUnlock()
+	checked, diverged := 0, 0
+	for i, a := range sess.views.Analyzers() {
+		ex := s.triageExtract(sess, i, opts)
+		// Each violation is its endpoint's worst transition: the first
+		// one a worst-first sweep meets.
+		worst := map[string]sta.EndpointSlack{}
+		for _, kind := range []sta.CheckKind{sta.Setup, sta.Hold} {
+			a.EachEndpoint(kind, func(e sta.EndpointSlack) bool {
+				if _, ok := worst[kind.String()+" "+e.Name()]; !ok {
+					worst[kind.String()+" "+e.Name()] = e
+				}
+				return e.Slack < 0
+			})
+		}
+		w := a.Walker()
+		for _, v := range ex.Violations {
+			if v.PrunedBy != "" {
+				continue
+			}
+			e, ok := worst[v.Kind+" "+v.Endpoint]
+			if !ok {
+				t.Fatalf("%s: no %s endpoint %s", v.Scenario, v.Kind, v.Endpoint)
+			}
+			p := w.Worst(e)
+			r := a.PBA(p)
+			pess := r.GBAArrival - r.PBAArrival
+			if e.Kind == sta.Hold {
+				pess = -pess
+			}
+			want := [3]any{p.Depth(), pess, p.Steps[0].Name + ">" + a.Cons.DefaultClock().Name}
+			if got := [3]any{v.Depth, v.Pessimism, v.ClockPair}; got != want {
+				t.Errorf("%s %s %s: depth, pessimism, clock pair = %v, want the GBA path's %v", v.Scenario, v.Kind, v.Endpoint, got, want)
+			}
+			checked++
+			if e.Kind == sta.Setup && !slices.Equal(stepNames(p), stepNames(w.Within(e, opts.Window, opts.K)[0])) {
+				diverged++
+			}
+		}
+	}
+	if checked == 0 || diverged == 0 {
+		t.Fatalf("fixture checks %d violations, %d of them led by another path than the GBA one; want some of each", checked, diverged)
+	}
 }

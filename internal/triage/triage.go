@@ -35,8 +35,9 @@ import (
 // Options bounds the per-violation path extraction.
 type Options struct {
 	// K is the maximum number of worst paths enumerated per violating
-	// setup endpoint (default 3). Hold extraction always uses the single
-	// worst path.
+	// setup endpoint for its segments (default 3). Hold extraction always
+	// uses the single worst path. Either way, Depth, Pessimism and
+	// ClockPair come from the endpoint's GBA worst path.
 	K int
 	// Window is the arrival window (ps) for the k-worst setup enumeration
 	// (default 10).
@@ -353,21 +354,16 @@ func ExtractScenario(a *sta.Analyzer, plan Plan, idx int, opts Options) Scenario
 	return NewGraph(nil).Extract(a.Walker(), plan, idx, opts)
 }
 
-// fillPathFeatures runs the expensive per-endpoint analysis: k-worst path
-// enumeration (setup) or the worst path (hold), PBA re-timing of the
-// worst path, and segment extraction across all enumerated paths.
+// fillPathFeatures runs the expensive per-endpoint analysis: the GBA worst
+// path into the endpoint, which alone gives Depth, Pessimism (its PBA
+// re-timing) and ClockPair on either side, then the paths whose segments
+// are extracted: the k-worst enumeration (setup) or that worst path (hold).
+// The enumeration cannot stand in for the worst path: under a statistical
+// derater it ranks paths by mean arrival, so its first path need not be the
+// one that sets the endpoint's slack.
 func (x *extraction) fillPathFeatures(v *Violation, e sta.EndpointSlack) {
-	var paths []sta.Path
-	if e.Kind == sta.Setup {
-		paths = x.w.Within(e, x.opts.Window, x.opts.K)
-	}
-	var one [1]sta.Path
-	if len(paths) == 0 {
-		one[0] = x.w.Worst(e)
-		paths = one[:]
-	}
-	x.walked += int64(len(paths))
-	worst := paths[0]
+	worst := x.w.Worst(e)
+	x.walked++
 	v.Depth = worst.Depth()
 	r := x.a.PBA(worst)
 	// Raw arrival delta, not PBAResult.Pessimism: the delta is a pure
@@ -384,6 +380,16 @@ func (x *extraction) fillPathFeatures(v *Violation, e sta.EndpointSlack) {
 		launch = worst.Steps[0].Name
 	}
 	v.ClockPair = launch + ">" + x.capture
+	var one [1]sta.Path
+	paths := append(one[:0], worst)
+	if e.Kind == sta.Setup {
+		// Within reuses the storage worst's steps live in: an empty
+		// enumeration walks the worst path again.
+		if paths = x.w.Within(e, x.opts.Window, x.opts.K); len(paths) == 0 {
+			paths = append(one[:0], x.w.Worst(e))
+		}
+		x.walked += int64(len(paths))
+	}
 	g := x.g
 	g.n++
 	g.keys = g.keys[:0]
